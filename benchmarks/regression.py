@@ -303,9 +303,9 @@ def seed_nn_lut_backend(registry: LutRegistry, num_entries: int = 16):
     return backend
 
 
-def build_fast_backend(registry: LutRegistry, kernel: str = "numpy") -> object:
+def build_fast_backend(registry: LutRegistry) -> object:
     """The engine's fast path, declared through the serving API."""
-    return build_backend(BackendSpec.nn_lut(kernel=kernel), registry=registry)
+    return build_backend(BackendSpec.nn_lut(), registry=registry)
 
 
 def build_engine(
@@ -536,13 +536,13 @@ def benchmark_kernels(
     )
     forward_row: Dict[str, object] = {}
     outputs: Dict[str, np.ndarray] = {}
+    backend = build_fast_backend(registry)
     for name in kernels:
         model = build_engine(
             int8_shapes, "int8", compute_dtype="float32", kernel=name
         )
-        backend = build_fast_backend(registry, kernel=name)
         forward_row[f"{name}_s"] = time_call(
-            lambda m=model, b=backend: m.forward(forward_tokens, backend=b), repeats
+            lambda m=model: m.forward(forward_tokens, backend=backend), repeats
         )
         outputs[name] = model.forward(forward_tokens, backend=backend)
     if "native_s" in forward_row:

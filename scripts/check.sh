@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-stop pre-commit check: invariant static analysis + lint + benchmark
-# smoke.  Everything here also runs (or is gated) in tier-1; this script is
+# One-stop pre-commit check: no tracked bytecode + invariant static analysis
+# + lint + benchmark smoke.  Everything here also runs (or is gated) in tier-1; this script is
 # the fast local loop.
 #
 #   ./scripts/check.sh                    # staticcheck + ruff (if installed) + bench smoke
@@ -10,8 +10,8 @@
 #
 # Exit-code contract (CI keys off this; see repro/staticcheck/cli.py):
 #   0  everything passed
-#   1  staticcheck found a live finding or a stale baseline entry, or a
-#      downstream check (lint, bench smoke) failed
+#   1  a .pyc file is tracked, staticcheck found a live finding or a stale
+#      baseline entry, or a downstream check (lint, bench smoke) failed
 #   2  staticcheck usage/environment error (e.g. a bad --diff ref)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +30,14 @@ done
 STATICCHECK_ARGS=(src)
 if [[ -n "$DIFF_REF" ]]; then
     STATICCHECK_ARGS+=(--diff "$DIFF_REF")
+fi
+
+echo "== no tracked bytecode"
+tracked_pyc="$(git ls-files '*.pyc')"
+if [[ -n "$tracked_pyc" ]]; then
+    echo "tracked .pyc files (git rm --cached them; .gitignore covers the rest):" >&2
+    echo "$tracked_pyc" >&2
+    exit 1
 fi
 
 echo "== staticcheck (locks/races, lock-order deadlocks, blocking-under-lock,"

@@ -20,9 +20,6 @@ scenario goes through:
   ``classify``) and offers the paper's dataset-free calibration as a single
   :meth:`~repro.api.InferenceSession.calibrate` call.
 
-The legacy ``*_backend()`` constructors in ``repro.transformer`` remain as
-deprecated shims over ``build_backend``.
-
 Sub-packages
 ------------
 ``repro.api``

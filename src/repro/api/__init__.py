@@ -29,8 +29,7 @@ The two halves of the API:
   to *prove* it (see :mod:`repro.api.faults`).
 
 Every experiment, example and benchmark in the repo goes through this
-surface; the legacy ``*_backend()`` constructors in
-``repro.transformer.nonlinear_backend`` are deprecated shims over it.
+surface.
 """
 
 from .batching import MicroBatch, RequestBatcher

@@ -24,9 +24,9 @@ taken strictly outside the lock — instead of failing its futures; every
 member carries a :class:`~repro.api.scheduling.resilience.ReplicaHealth`
 ledger whose circuit breaker (when configured) drains a flaky replica and
 re-admits it through a half-open probe; and requests that carry deadlines
-ship their remaining budget with the batch (``forward_deadline`` on shard
-clients), capping the transport wait and letting workers skip requests
-that expired in flight.
+ship their remaining budget with the batch (``forward(requests,
+budgets_s)``, the one replica-handle signature), capping a shard client's
+transport wait and letting replicas skip requests that expired in flight.
 
 Locking story (kept deliberately boring so the interprocedural
 ``lock-order`` / ``blocking-under-lock`` static checks stay clean): the
@@ -644,21 +644,15 @@ class FleetManager:
             # batch: the moment this worker committed to serving it.
             dispatched_at = time.monotonic()
             try:
-                tokens = [p.tokens for p in live]
-                if any(p.deadline_at is not None for p in live) and hasattr(
-                    session, "forward_deadline"
-                ):
-                    # Deadline propagation: ship each request's remaining
-                    # budget with the batch so the shard client caps its
-                    # transport wait and the worker skips requests that
-                    # expire in flight (returned as zero-length row blocks;
-                    # a real result always has >= 1 row).
-                    budgets = [
-                        p.remaining_budget_s(dispatched_at) for p in live
-                    ]
-                    results = session.forward_deadline(tokens, budgets)
-                else:
-                    results = session.forward(tokens)
+                # Deadline propagation: each request's remaining budget
+                # (None = no deadline) goes with the batch, so a shard client
+                # caps its transport wait and the replica skips requests that
+                # expire in flight (returned as zero-length row blocks; a
+                # real result always has >= 1 row).
+                results = session.forward(
+                    [p.tokens for p in live],
+                    [p.remaining_budget_s(dispatched_at) for p in live],
+                )
             except BaseException as exc:
                 self._after_batch_failure(member, batch, live, exc)
                 if getattr(session, "defunct", False):

@@ -88,10 +88,6 @@ __all__ = [
     "ServingQueue",
 ]
 
-#: Backward-compatible alias — the pending record now lives in
-#: :mod:`repro.api.scheduling.admission`.
-_Pending = Pending
-
 
 class ReplicaPool:
     """The pool protocol: deterministic replica serving over N handles.

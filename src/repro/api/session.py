@@ -21,7 +21,7 @@ re-fit the flagged NN-LUT primitives, swap the refreshed tables in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +63,11 @@ __all__ = [
     "export_weight_state",
     "attach_weight_state",
 ]
+
+
+def _trimmed_rows(hidden, row, length, index) -> np.ndarray:
+    """``_serve`` consumer: one request's rows, trimmed to its true length."""
+    return hidden[row, :length].copy()
 
 
 def _resolve_classification_head(head) -> ClassificationHead:
@@ -398,11 +403,6 @@ class InferenceSession:
                     )
         self.config = config or SessionConfig()
         self.spec = spec or BackendSpec.exact()
-        if self.config.kernel != "numpy" and self.spec.kernel == "numpy":
-            # One knob drives the whole engine: a session configured for the
-            # native kernel also routes the backend's LUT composites through
-            # it, unless the spec explicitly pinned a kernel of its own.
-            self.spec = dataclass_replace(self.spec, kernel=self.config.kernel)
         self.registry = registry or default_registry()
         self.model = model if model is not None else self.config.build_model()
         self.lut_overrides: Dict[str, LookupTable] = {}
@@ -459,17 +459,37 @@ class InferenceSession:
                 outputs[index] = consume(hidden, row, batch.lengths[row], index)
         return outputs  # type: ignore[return-value]
 
-    def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def forward(
+        self,
+        requests: Sequence[np.ndarray],
+        budgets_s: Sequence[float | None] | None = None,
+    ) -> List[np.ndarray]:
         """Hidden states per request, shape ``(len_i, hidden)`` each.
 
         Requests are served in dynamically formed micro-batches; results come
         back in request order, trimmed to each request's true length.
+        ``budgets_s[i]`` is request ``i``'s remaining deadline budget in
+        seconds (``None`` = no deadline): a request whose budget is already
+        spent is skipped and answered with a zero-row block, the same
+        expired mark a shard worker returns.
         """
         if _faults._ACTIVE is not None:
             _faults._ACTIVE.on_session_forward()
-        return self._serve(
-            requests, lambda hidden, row, length, index: hidden[row, :length].copy()
+        expired = [
+            budget is not None and budget <= 0 for budget in budgets_s or ()
+        ]
+        if not any(expired):
+            return self._serve(requests, _trimmed_rows)
+        served = iter(
+            self._serve(
+                [r for r, gone in zip(requests, expired) if not gone], _trimmed_rows
+            )
         )
+        config = self.model.config
+        empty = np.empty(
+            (0, config.hidden_size), dtype=np.dtype(config.compute_dtype)
+        )
+        return [empty if gone else next(served) for gone in expired]
 
     def forward_packed(
         self, requests: Sequence[np.ndarray], out: np.ndarray | None = None

@@ -329,57 +329,44 @@ def _worker_main(
                 return
             try:
                 if op == "forward":
+                    # The payload's last element is an int64 row of
+                    # per-request remaining budgets in microseconds (-1 = no
+                    # deadline), measured from this request's receipt.  A
+                    # request whose budget already lapsed — e.g. after a
+                    # stall between receipt and compute — is skipped and
+                    # answered with a zero-length row block (a real request
+                    # always has >= 1 token, so zero rows is an unambiguous
+                    # expired-in-flight mark).
+                    *requests, budgets_us = payload
+                    now = time.monotonic()
+                    expired = [
+                        0 <= us and received_at + us / 1e6 <= now
+                        for us in map(int, budgets_us)
+                    ]
                     # Zero-copy result path: reserve the response ring and
                     # let the session write each request's rows straight
                     # into it (``forward_packed``) — the packing *is* the
                     # shipping.  Transports without a ring (or a batch too
                     # big for it) return None and take the generic path.
-                    lengths = [int(np.asarray(r).shape[0]) for r in payload]
                     flat = endpoint.begin_packed_response(
-                        lengths, hidden_size, result_dtype
-                    )
-                    if flat is not None:
-                        session.forward_packed(payload, out=flat)
-                        endpoint.commit_packed_response()
-                        continue
-                    result = session.forward(payload)
-                elif op == "forward_deadline":
-                    # Deadline-aware forward: the payload's last element is
-                    # an int64 row of per-request remaining budgets in
-                    # microseconds (-1 = no deadline), measured from this
-                    # request's receipt.  A request whose budget already
-                    # lapsed — e.g. after a stall between receipt and
-                    # compute — is skipped and answered with a zero-length
-                    # row block (a real request always has >= 1 token, so
-                    # zero rows is an unambiguous expired-in-flight mark).
-                    budgets_us = np.asarray(payload[-1])
-                    now = time.monotonic()
-                    lengths = []
-                    live_payload = []
-                    for budget_us, request in zip(budgets_us, payload[:-1]):
-                        budget_us = int(budget_us)
-                        if 0 <= budget_us and received_at + budget_us / 1e6 <= now:
-                            lengths.append(0)
-                        else:
-                            lengths.append(int(np.asarray(request).shape[0]))
-                            live_payload.append(request)
-                    flat = endpoint.begin_packed_response(
-                        lengths, hidden_size, result_dtype
+                        [
+                            0 if gone else int(np.asarray(request).shape[0])
+                            for gone, request in zip(expired, requests)
+                        ],
+                        hidden_size,
+                        result_dtype,
                     )
                     if flat is not None:
                         # Expired requests occupy zero rows, so the live
                         # rows pack contiguously in request order.
-                        if live_payload:
-                            session.forward_packed(live_payload, out=flat)
+                        live = [r for gone, r in zip(expired, requests) if not gone]
+                        if live:
+                            session.forward_packed(live, out=flat)
                         endpoint.commit_packed_response()
                         continue
-                    served = iter(
-                        session.forward(live_payload) if live_payload else []
+                    result = session.forward(
+                        requests, [0.0 if gone else None for gone in expired]
                     )
-                    empty = np.empty((0, hidden_size), dtype=result_dtype)
-                    result = [
-                        next(served) if length else empty for length in lengths
-                    ]
                 elif op == "pooled":
                     result = session.pooled(payload)
                 elif op == "apply_lut_overrides":
@@ -539,26 +526,26 @@ class _ShardClient:
     # ------------------------------------------------------------------ #
     # InferenceSession serving surface
     # ------------------------------------------------------------------ #
-    def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
-        return self._call("forward", [np.asarray(r) for r in requests])
-
-    def forward_deadline(
+    def forward(
         self,
         requests: Sequence[np.ndarray],
-        budgets_s: Sequence[Optional[float]],
+        budgets_s: Sequence[Optional[float]] | None = None,
     ) -> List[np.ndarray]:
-        """``forward`` with per-request remaining deadline budgets.
+        """Hidden states per request, under per-request deadline budgets.
 
         ``budgets_s[i]`` is request ``i``'s remaining time in seconds
-        (``None`` = no deadline).  The budgets ship with the batch as one
-        extra int64 microsecond row, so the worker can skip requests that
-        expire in flight — those come back as zero-length row blocks.  When
-        *every* request carries a deadline the transport wait is capped at
-        the largest budget plus the grace window instead of the full
-        request timeout; a worker that blows through the cap is treated
-        exactly like a timed-out one (poisoned and terminated), since its
-        eventual reply could no longer be delivered to anyone.
+        (``None`` = no deadline; no ``budgets_s`` = none anywhere).  The
+        budgets always ship with the batch as one extra int64 microsecond
+        row, so the worker can skip requests that expire in flight — those
+        come back as zero-length row blocks.  When *every* request carries a
+        deadline the transport wait is capped at the largest budget plus the
+        grace window instead of the full request timeout; a worker that
+        blows through the cap is treated exactly like a timed-out one
+        (poisoned and terminated), since its eventual reply could no longer
+        be delivered to anyone.
         """
+        if budgets_s is None:
+            budgets_s = [None] * len(requests)
         budget_us = np.asarray(
             [-1 if b is None else max(0, int(b * 1e6)) for b in budgets_s],
             dtype=np.int64,
@@ -570,7 +557,7 @@ class _ShardClient:
                 self._request_timeout_s,
                 float(budget_us.max()) / 1e6 + self._deadline_grace_s,
             )
-        return self._call("forward_deadline", payload, timeout_s=timeout_s)
+        return self._call("forward", payload, timeout_s=timeout_s)
 
     def pooled(self, requests: Sequence[np.ndarray]) -> np.ndarray:
         return self._call("pooled", [np.asarray(r) for r in requests])

@@ -18,10 +18,9 @@ compare by value, and are hashable — so a serving deployment can log, diff
 and replay the exact backend configuration of any request.
 
 :func:`build_backend` turns a spec into a ready
-:class:`~repro.transformer.nonlinear_backend.NonlinearBackend`.  It subsumes
-the four legacy ad-hoc constructors (``exact_backend`` / ``nn_lut_backend`` /
-``linear_lut_backend`` / ``ibert_backend``), which survive only as thin
-deprecated shims delegating here.
+:class:`~repro.transformer.nonlinear_backend.NonlinearBackend`.  A spec says
+*which operators* run, not where: the compute kernel is an engine setting
+(``TransformerConfig.kernel`` / ``SessionConfig.kernel``).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from ..core.approximators import (
     LutSoftmax,
 )
 from ..core.functions import get_training_range
-from ..core.kernels import KERNEL_NAMES, resolve_kernel
 from ..core.lut import LookupTable
 from ..core.quantization import quantize_lut_fp16, quantize_lut_int32
 from ..core.registry import LutRegistry, default_registry
@@ -179,15 +177,6 @@ class BackendSpec:
     layernorm: OperatorSpec = field(default_factory=OperatorSpec)
     input_scaling: bool = True
     name: str | None = None
-    #: Compute kernel the realised backend routes its LUT composites and
-    #: fused epilogues through ("numpy" or "native"); see repro.core.kernels.
-    kernel: str = "numpy"
-
-    def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_NAMES}, got {self.kernel!r}"
-            )
 
     # ------------------------------------------------------------------ #
     # Constructors mirroring the paper's scenario matrix
@@ -206,11 +195,10 @@ class BackendSpec:
         input_scaling: bool = True,
         calibration: bool = False,
         name: str | None = None,
-        kernel: str = "numpy",
     ) -> "BackendSpec":
         """NN-LUT on ``replace`` (the rest exact), at the given precision."""
         specs = _operator_specs_for("nn_lut", replace, precision, num_entries, calibration)
-        return cls(input_scaling=input_scaling, name=name, kernel=kernel, **specs)
+        return cls(input_scaling=input_scaling, name=name, **specs)
 
     @classmethod
     def linear_lut(
@@ -220,11 +208,10 @@ class BackendSpec:
         replace: Sequence[str] = ALL_OPS,
         input_scaling: bool = True,
         name: str | None = None,
-        kernel: str = "numpy",
     ) -> "BackendSpec":
         """Linear-mode LUT baseline on ``replace`` (the rest exact)."""
         specs = _operator_specs_for("linear_lut", replace, precision, num_entries, False)
-        return cls(input_scaling=input_scaling, name=name, kernel=kernel, **specs)
+        return cls(input_scaling=input_scaling, name=name, **specs)
 
     @classmethod
     def ibert(cls, replace: Sequence[str] = ALL_OPS, name: str | None = None) -> "BackendSpec":
@@ -298,14 +285,11 @@ class BackendSpec:
             "operators": {op: spec.to_dict() for op, spec in self.operators().items()},
             "input_scaling": self.input_scaling,
             "name": self.name,
-            "kernel": self.kernel,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "BackendSpec":
-        unknown = set(payload) - {
-            "version", "operators", "input_scaling", "name", "kernel",
-        }
+        unknown = set(payload) - {"version", "operators", "input_scaling", "name"}
         if unknown:
             raise ValueError(f"unknown BackendSpec field(s): {sorted(unknown)}")
         version = payload.get("version", SPEC_SCHEMA_VERSION)
@@ -344,7 +328,6 @@ class BackendSpec:
         return cls(
             input_scaling=_typed_field(payload, "input_scaling", bool, True),
             name=name,
-            kernel=_typed_field(payload, "kernel", str, "numpy"),
             **specs,
         )
 
@@ -456,29 +439,17 @@ def build_backend(
             scaler=InputScaler() if spec.input_scaling else None,
         )
 
-    kernel = None
-    if spec.kernel != "numpy":
-        # May legitimately come back as the numpy kernel (graceful fallback,
-        # one warning per process) — results are identical either way, so the
-        # spec still round-trips as declared.
-        kernel = resolve_kernel(spec.kernel)
-        for op_obj in (gelu_op, softmax_op, layernorm_op):
-            if isinstance(op_obj, (LutGelu, LutSoftmax, LutLayerNorm)):
-                op_obj.kernel = kernel
-
     name = spec.name or _default_name(spec, bool(overrides))
     return NonlinearBackend(
         name=name,
         gelu=gelu_op,
         softmax=softmax_op,
         layernorm=layernorm_op,
-        kernel=kernel,
         metadata={
             "method": name,
             "replaced": spec.replaced(),
             "input_scaling": spec.input_scaling,
             "calibrated_primitives": tuple(sorted(overrides)),
-            "kernel": spec.kernel,
             "spec": spec.to_dict(),
         },
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 # staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,20 +98,13 @@ class LutGelu:
     GELU is effectively linear/zero and the outer LUT segments extrapolate,
     but clipping to the trained range is what the fixed-width hardware
     comparator does, so we model it explicitly.
-
-    ``kernel`` optionally routes evaluation through a compute kernel (see
-    :mod:`repro.core.kernels`); ``None`` keeps the plain numpy path.
     """
 
     gelu_approx: ScalarApproximator
     clip_range: tuple[float, float] | None = (-5.0, 5.0)
-    kernel: object | None = field(default=None, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x)
-        if self.kernel is not None:
-            return self.kernel.lut_gelu(self, x)
-        return _gelu_forward(self, x)
+        return _gelu_forward(self, _as_float(x))
 
 
 @dataclass
@@ -181,7 +174,6 @@ class LutSoftmax:
     reciprocal_approx: ScalarApproximator
     exp_clip: float = -256.0
     axis: int = -1
-    kernel: object | None = field(default=None, compare=False)
 
     def _denominator(self, exps: np.ndarray, axis: int) -> np.ndarray:
         # The exp table can produce tiny negative values near its right edge;
@@ -193,10 +185,7 @@ class LutSoftmax:
 
     def __call__(self, x: np.ndarray, axis: int | None = None) -> np.ndarray:
         axis = self.axis if axis is None else axis
-        x = _as_float(x)
-        if self.kernel is not None:
-            return self.kernel.lut_softmax(self, x, axis)
-        return _softmax_forward(self, x, axis)
+        return _softmax_forward(self, _as_float(x), axis)
 
 
 @dataclass
@@ -256,7 +245,6 @@ class LutLayerNorm:
     eps: float = 1e-5
     axis: int = -1
     clip_max: float | None = 1024.0
-    kernel: object | None = field(default=None, compare=False)
 
     def _rsqrt(self, variance: np.ndarray) -> np.ndarray:
         """Inverse square root of a variance buffer the caller owns."""
@@ -276,10 +264,7 @@ class LutLayerNorm:
         axis: int | None = None,
     ) -> np.ndarray:
         axis = self.axis if axis is None else axis
-        x = _as_float(x)
-        if self.kernel is not None:
-            return self.kernel.lut_layernorm(self, x, gamma, beta, axis)
-        return _layernorm_forward(self, x, gamma, beta, axis)
+        return _layernorm_forward(self, _as_float(x), gamma, beta, axis)
 
 
 @dataclass

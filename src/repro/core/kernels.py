@@ -33,10 +33,13 @@ Selection and fallback
 available and falls back to ``NumpyKernel`` with a single ``RuntimeWarning``
 otherwise (or when ``REPRO_NATIVE_KERNEL=0`` disables it); results are
 identical either way.  ``get_kernel`` is the strict variant that raises
-instead of falling back.  The knob is threaded through
-``TransformerConfig``/``SessionConfig``/``BackendSpec`` as a plain string,
-so sharded-serving workers reconstruct the same kernel from serialized
-config alone.
+instead of falling back.  The knob is a plain string on
+``TransformerConfig`` (``SessionConfig.kernel`` feeds it), so sharded-serving
+workers reconstruct the same kernel from serialized config alone.  The model
+resolves it once per forward and the encoder runs every epilogue through it;
+operator backends are kernel-agnostic (see
+:class:`repro.transformer.nonlinear_backend.NonlinearBackend`, the one place
+that maps a LUT operator onto ``lut_*``).
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ __all__ = [
     "ComputeKernel",
     "NumpyKernel",
     "NativeKernel",
+    "NUMPY_KERNEL",
     "KERNEL_NAMES",
     "get_kernel",
     "resolve_kernel",
@@ -124,9 +128,6 @@ class ComputeKernel:
     """
 
     name: str = "abstract"
-    #: whether the encoder layer may route its epilogues through the fused
-    #: entry points (bias+LUT, bias+residual, LayerNorm tail).
-    supports_fusion: bool = False
 
     # -- GEMM / linear ---------------------------------------------------- #
     def matmul_fp32(self, x, operand, out_dtype, bias=None):
@@ -175,7 +176,6 @@ class NumpyKernel(ComputeKernel):
     """Reference kernel: the engine's original numpy op sequences, verbatim."""
 
     name = "numpy"
-    supports_fusion = False
 
     def __reduce__(self):
         return (resolve_kernel, (self.name,))
@@ -458,11 +458,10 @@ class _PackedInt8Weight:
 
     Holds the transposed int8 weight (``(out, in)`` row-major, so both GEMM
     operands stream along the contraction axis) plus the int32 column sums
-    consumed by the unsigned-offset correction.  A float64 carrier for the
-    numpy fallback path is derived lazily if ever needed.
+    consumed by the unsigned-offset correction.
     """
 
-    __slots__ = ("bt", "colsum", "k", "n", "_carrier")
+    __slots__ = ("bt", "colsum", "k", "n")
 
     def __init__(self, w_q_data: np.ndarray) -> None:
         data = np.asarray(w_q_data)
@@ -471,16 +470,30 @@ class _PackedInt8Weight:
         self.colsum = np.ascontiguousarray(
             data.sum(axis=0, dtype=np.int64).astype(np.int32)
         )
-        self._carrier: np.ndarray | None = None
-
-    def carrier(self) -> np.ndarray:
-        if self._carrier is None:
-            self._carrier = np.ascontiguousarray(self.bt.T).astype(np.float64)
-        return self._carrier
 
 
 def _ptr(arr: np.ndarray | None) -> int | None:
     return None if arr is None else arr.ctypes.data
+
+
+def _table_args(table: LookupTable, dtype: np.dtype) -> Tuple[tuple, tuple]:
+    """``(arrays, c_args)`` describing ``table`` in ``dtype`` to the C kernels.
+
+    ``c_args`` is the parameter block then the bucket block of the
+    ``repro_lut_*`` signatures; a table whose geometry admits no buckets
+    passes null bucket pointers and the C side falls back to its branchless
+    linear scan over the breakpoints.  ``arrays`` are the buffers behind the
+    pointers — the caller holds them for the duration of the call.
+    """
+    bp, sl, ic = table._params(dtype)
+    params = (bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size)
+    tables = table._bucket_tables(dtype)
+    if tables is None:
+        return (bp, sl, ic), params + (None, None, 0.0, 0.0, 0)
+    lo, inv_width, nbuckets, base, thr = tables
+    return (bp, sl, ic, base, thr), params + (
+        base.ctypes.data, thr.ctypes.data, lo, inv_width, nbuckets
+    )
 
 
 class NativeKernel(ComputeKernel):
@@ -493,7 +506,6 @@ class NativeKernel(ComputeKernel):
     """
 
     name = "native"
-    supports_fusion = True
 
     _MIN_ROWS_PER_THREAD = 32
 
@@ -649,35 +661,6 @@ class NativeKernel(ComputeKernel):
         return q
 
     # -- LUT composites / epilogues --------------------------------------- #
-    def _table_params(self, table, dtype):
-        bp, sl, ic = table._params(dtype)
-        return bp, sl, ic
-
-    def _bucket_params(self, table, dtype):
-        """Bucket tables for the O(1) segment search, dtype-matched.
-
-        Mirrors ``LookupTable._index``'s lazy build (including staleness on
-        breakpoint rebinding) so the C kernels see exactly the tables the
-        numpy path would use.  Returns ``None`` when the table's geometry
-        doesn't admit buckets — the C side then falls back to its branchless
-        linear scan over the breakpoints.
-        """
-        if table._buckets is None or (
-            table._buckets is not False and table._buckets[0] is not table.breakpoints
-        ):
-            table._buckets = table._build_buckets()
-        if table._buckets is False:
-            return None
-        _, lo, inv_width, nbuckets, base, thresholds, threshold_cache = table._buckets
-        if dtype == np.float64:
-            thr = thresholds
-        else:
-            thr = threshold_cache.get(dtype)
-            if thr is None:
-                thr = thresholds.astype(dtype)
-                threshold_cache[dtype] = thr
-        return base, thr, float(lo), float(inv_width), int(nbuckets)
-
     def lut_eval(self, table, x, out=None):
         x = np.asarray(x)
         if not (_fusible_table(table) and x.dtype in _FLOAT_DTYPES):
@@ -692,19 +675,9 @@ class NativeKernel(ComputeKernel):
             out = np.empty_like(x)
         elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
             return table.evaluate(x, out=out)
-        bp, sl, ic = self._table_params(table, x.dtype)
-        buckets = self._bucket_params(table, x.dtype)
-        if buckets is None:
-            base_ptr = thr_ptr = None
-            lo = invw = 0.0
-            nbuckets = 0
-        else:
-            base, thr, lo, invw, nbuckets = buckets
-            base_ptr, thr_ptr = base.ctypes.data, thr.ctypes.data
+        _arrays, table_args = _table_args(table, x.dtype)
         getattr(self._lib, f"repro_lut_eval_{self._suffix(x.dtype)}")(
-            x.ctypes.data, out.ctypes.data, x.size,
-            bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size,
-            base_ptr, thr_ptr, lo, invw, nbuckets,
+            x.ctypes.data, out.ctypes.data, x.size, *table_args
         )
         return out
 
@@ -712,15 +685,7 @@ class NativeKernel(ComputeKernel):
         """Single C pass: (x [+ bias]) -> clip -> LUT -> saturation tails."""
         cols = x.shape[-1] if x.ndim else 1
         rows = x.size // cols if cols else 0
-        bp, sl, ic = self._table_params(op.gelu_approx, x.dtype)
-        buckets = self._bucket_params(op.gelu_approx, x.dtype)
-        if buckets is None:
-            base_ptr = thr_ptr = None
-            blo = binvw = 0.0
-            nbuckets = 0
-        else:
-            base, thr, blo, binvw, nbuckets = buckets
-            base_ptr, thr_ptr = base.ctypes.data, thr.ctypes.data
+        _arrays, table_args = _table_args(op.gelu_approx, x.dtype)
         if op.clip_range is None:
             lo, hi, has_clip = 0.0, 0.0, 0
         else:
@@ -733,9 +698,7 @@ class NativeKernel(ComputeKernel):
         def run(start: int, stop: int) -> None:
             offset = start * cols * itemsize
             fn(x_ptr + offset, bias_ptr, x_ptr + offset, stop - start, cols,
-               bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size,
-               base_ptr, thr_ptr, blo, binvw, nbuckets,
-               lo, hi, has_clip)
+               *table_args, lo, hi, has_clip)
 
         self._run_rows(rows, run)
         return x

@@ -224,6 +224,28 @@ class LookupTable:
         thresholds = np.where(upper > base, bp[np.minimum(base, bp.size - 1)], np.inf)
         return (self.breakpoints, lo, 1.0 / width, buckets, base, thresholds, {})
 
+    def _bucket_tables(self, dtype: np.dtype) -> Tuple | None:
+        """``(lo, inv_width, buckets, base, thresholds)`` for the O(1) search.
+
+        Built lazily, rebuilt when ``breakpoints`` is rebound, thresholds cast
+        to ``dtype`` once; ``None`` when the table's geometry admits no
+        buckets.  The numpy gather path and the compiled kernels both read
+        the tables from here, so they cut segments identically.
+        """
+        if self._buckets is None or (
+            self._buckets is not False and self._buckets[0] is not self.breakpoints
+        ):
+            self._buckets = self._build_buckets()
+        if self._buckets is False:
+            return None
+        _, lo, inv_width, buckets, base, thresholds, threshold_cache = self._buckets
+        if dtype != np.float64:
+            cast = threshold_cache.get(dtype)
+            if cast is None:
+                cast = threshold_cache[dtype] = thresholds.astype(dtype)
+            thresholds = cast
+        return lo, inv_width, buckets, base, thresholds
+
     def _index(self, x: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
         """Segment index for ``x`` given dtype-matched ``breakpoints``.
 
@@ -235,20 +257,10 @@ class LookupTable:
         input's dtype, so float32 inputs see exactly the float32 cut-offs
         ``searchsorted`` would use.
         """
-        if self._buckets is None or (
-            self._buckets is not False and self._buckets[0] is not self.breakpoints
-        ):
-            self._buckets = self._build_buckets()
-        if self._buckets is False:
+        tables = self._bucket_tables(x.dtype)
+        if tables is None:
             return np.searchsorted(breakpoints, x, side="right")
-        _, lo, inv_width, buckets, base, thresholds, threshold_cache = self._buckets
-        if x.dtype == np.float64:
-            thr = thresholds
-        else:
-            thr = threshold_cache.get(x.dtype)
-            if thr is None:
-                thr = thresholds.astype(x.dtype)
-                threshold_cache[x.dtype] = thr
+        lo, inv_width, buckets, base, thr = tables
         scaled = np.asarray((x - lo) * inv_width)
         np.clip(scaled, 0, buckets - 1, out=scaled)
         with np.errstate(invalid="ignore"):

@@ -4,11 +4,11 @@ The repo's standing contract is that every serving shape is gated
 bitwise-equal to per-call inference under ``compute_dtype="float64"``.
 This project-level rule cross-references the public forward-shaped entry
 points of the serving surface (``api/`` modules) against ``tests/``: a
-public method named ``forward``/``forward_deadline``/``forward_packed``/
-``pooled``/``classify``/``serve``/``serve_one``/``generate`` reachable on a public
-class must be named — together with its class and the token ``float64`` —
-by at least one test file.  A new serving API with no parity test is
-exactly the rot this package exists to catch.
+public method named ``forward``/``forward_packed``/``pooled``/``classify``/
+``serve``/``serve_one``/``generate`` reachable on a public class must be
+named — together with its class and the token ``float64`` — by at least one
+test file.  A new serving API with no parity test is exactly the rot this
+package exists to catch.
 
 Attribution rides on the whole-program class index: a class with
 project-internal subclasses is an abstract seam (``ReplicaPool``), and the
@@ -35,7 +35,6 @@ __all__ = ["ParityGateRule", "HOT_ENTRY_POINTS"]
 HOT_ENTRY_POINTS = frozenset(
     {
         "forward",
-        "forward_deadline",
         "forward_packed",
         "pooled",
         "classify",

@@ -24,10 +24,6 @@ from .nonlinear_backend import (
     NonlinearBackend,
     OperatorRecorder,
     backend_from_luts,
-    exact_backend,
-    ibert_backend,
-    linear_lut_backend,
-    nn_lut_backend,
 )
 
 __all__ = [
@@ -54,9 +50,5 @@ __all__ = [
     "ALL_OPS",
     "NonlinearBackend",
     "OperatorRecorder",
-    "exact_backend",
-    "nn_lut_backend",
-    "linear_lut_backend",
-    "ibert_backend",
     "backend_from_luts",
 ]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.kernels import NUMPY_KERNEL, ComputeKernel
 from .config import TransformerConfig
 from .layers import Linear
 from .nonlinear_backend import NonlinearBackend
@@ -64,8 +65,13 @@ class MultiHeadSelfAttention:
         hidden_states: np.ndarray,
         backend: NonlinearBackend,
         attention_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Apply self-attention.
+        kernel: ComputeKernel = NUMPY_KERNEL,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Apply self-attention; returns ``(context W_o, bias)``.
+
+        The output projection's bias is left un-added so the encoder layer's
+        compute-kernel epilogue folds it into the residual pass (see
+        :meth:`repro.transformer.layers.Linear.call_prebias`).
 
         Parameters
         ----------
@@ -76,30 +82,21 @@ class MultiHeadSelfAttention:
         attention_mask:
             Optional ``(batch, seq)`` array with 1 for valid tokens and 0 for
             padding; masked positions receive a large negative score.
+        kernel:
+            Compute kernel evaluating a table-driven Softmax.
         """
-        return self.output(self._context(hidden_states, backend, attention_mask))
-
-    def forward_prebias(
-        self,
-        hidden_states: np.ndarray,
-        backend: NonlinearBackend,
-        attention_mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Attention with the output projection's bias left un-added.
-
-        Returns ``(context W_o, bias)`` so a fused compute-kernel epilogue
-        can fold the bias add into the residual pass (see
-        :meth:`repro.transformer.layers.Linear.call_prebias`).
-        """
+        # The context is computed in its own frame so q/k/v and the score
+        # tensor are released before the output projection allocates.
         return self.output.call_prebias(
-            self._context(hidden_states, backend, attention_mask)
+            self._context(hidden_states, backend, attention_mask, kernel)
         )
 
     def _context(
         self,
         hidden_states: np.ndarray,
         backend: NonlinearBackend,
-        attention_mask: np.ndarray | None = None,
+        attention_mask: np.ndarray | None,
+        kernel: ComputeKernel,
     ) -> np.ndarray:
         """Merged-head attention context, before the output projection."""
         if hidden_states.ndim != 3:
@@ -116,7 +113,7 @@ class MultiHeadSelfAttention:
         if attention_mask is not None:
             mask = np.asarray(attention_mask)[:, None, None, :]
             np.copyto(scores, -1e4, where=mask <= 0)
-        probabilities = backend.apply_softmax(scores, axis=-1)
+        probabilities = backend.apply_softmax(scores, axis=-1, kernel=kernel)
         context = np.matmul(probabilities, v)
         return self._merge_heads(context)
 

@@ -59,10 +59,11 @@ class TransformerConfig:
         vectorized fast path, default) or ``"float64"`` (reproduces the seed
         numerics bit for bit; opt in for reference comparisons).
     kernel:
-        Compute kernel running the linear layers' GEMMs (see
-        :mod:`repro.core.kernels`): ``"numpy"`` (the reference, default) or
-        ``"native"`` (compiled int8 GEMM + fused epilogues, bitwise-equal
-        results, falls back to numpy when no C toolchain is available).
+        Compute kernel running the linear layers' GEMMs and every encoder
+        epilogue (see :mod:`repro.core.kernels`): ``"numpy"`` (the reference,
+        default) or ``"native"`` (compiled int8 GEMM + fused epilogues,
+        bitwise-equal results, falls back to numpy when no C toolchain is
+        available).  The engine's one kernel setting.
     name:
         Human-readable tag used in experiment reports.
     """

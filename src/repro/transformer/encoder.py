@@ -1,4 +1,12 @@
-"""Transformer encoder layers and stacks."""
+"""Transformer encoder layers and stacks.
+
+Every layer runs one body: projections hand out ``(x W, bias)`` and the bias
+add is folded into the op it feeds (residual add, GELU, ReLU) by the compute
+kernel the model resolved from ``TransformerConfig.kernel``.  The reference
+``NumpyKernel`` performs the plain op sequence (``x += bias; residual + x``),
+the compiled kernel the same scalar operations in one pass over the tensor —
+so the kernel only selects *where* the work happens, never what is computed.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +17,27 @@ from typing import List
 
 import numpy as np
 
-from ..core.approximators import LutGelu
+from ..core.kernels import NUMPY_KERNEL, ComputeKernel
 from .attention import MultiHeadSelfAttention
 from .config import TransformerConfig
 from .layers import Linear, NormParameters
 from .nonlinear_backend import NonlinearBackend
 
-__all__ = ["TransformerEncoderLayer", "TransformerEncoder"]
+__all__ = ["TransformerEncoderLayer", "TransformerEncoder", "normalise"]
+
+
+def normalise(
+    x: np.ndarray,
+    params: NormParameters,
+    normalization: str,
+    backend: NonlinearBackend,
+    kernel: ComputeKernel,
+) -> np.ndarray:
+    """LayerNorm through the backend, or NoNorm's element-wise affine."""
+    gamma, beta = params.cast(x.dtype)
+    if normalization == "layernorm":
+        return backend.apply_layernorm(x, gamma=gamma, beta=beta, kernel=kernel)
+    return kernel.affine(x, gamma, beta)
 
 
 @dataclass
@@ -58,113 +80,35 @@ class TransformerEncoderLayer:
             normalization=config.normalization,
         )
 
-    def _normalise(
-        self, x: np.ndarray, params: NormParameters, backend: NonlinearBackend
-    ) -> np.ndarray:
-        if self.normalization == "layernorm":
-            x = np.asarray(x)
-            if x.dtype in (np.float32, np.float64):
-                gamma, beta = params.cast(x.dtype)
-            else:
-                gamma, beta = params.gamma, params.beta
-            return backend.apply_layernorm(x, gamma=gamma, beta=beta)
-        return params.apply_affine(x)
-
-    def _activate(self, x: np.ndarray, backend: NonlinearBackend) -> np.ndarray:
-        if self.activation == "gelu":
-            return backend.apply_gelu(x)
-        # x is the fresh FFN projection output, safe to clamp in place.
-        return np.maximum(x, 0.0, out=x)
-
-    def _fusion_kernel(self, backend: NonlinearBackend):
-        """The compute kernel to fuse epilogues through, or None.
-
-        Fusion needs a kernel that supports it, the cached linear fast path
-        on every projection (``call_prebias`` hands out prepared biases), no
-        operator-input recording (the fused path skips the per-site
-        ``apply_*`` hooks for GELU), and — for GELU models — a table-driven
-        GELU the kernel can evaluate.  Every fused epilogue performs the
-        reference op sequence exactly (bitwise), so eligibility only selects
-        *where* the work happens, never what is computed.
-        """
-        kernel = getattr(backend, "kernel", None)
-        if kernel is None or not kernel.supports_fusion:
-            return None
-        if backend.recorder.enabled:
-            return None
-        if self.activation == "gelu" and not isinstance(backend.gelu, LutGelu):
-            return None
-        attention = self.attention
-        linears = (
-            attention.query, attention.key, attention.value, attention.output,
-            self.ffn_in, self.ffn_out,
-        )
-        if not all(linear.cache_weights for linear in linears):
-            return None
-        return kernel
-
     def __call__(
         self,
         hidden_states: np.ndarray,
         backend: NonlinearBackend,
         attention_mask: np.ndarray | None = None,
+        kernel: ComputeKernel = NUMPY_KERNEL,
     ) -> np.ndarray:
-        kernel = self._fusion_kernel(backend)
-        if kernel is not None:
-            return self._forward_fused(hidden_states, backend, attention_mask, kernel)
-        attention_output = self.attention(hidden_states, backend, attention_mask)
-        # The sub-layer outputs are freshly allocated, so both residual adds
-        # land in them instead of a new temporary per site.
-        residual = np.add(hidden_states, attention_output, out=attention_output)
-        hidden_states = self._normalise(residual, self.attention_norm, backend)
-        ffn_hidden = self._activate(self.ffn_in(hidden_states), backend)
-        ffn_output = self.ffn_out(ffn_hidden)
-        residual = np.add(hidden_states, ffn_output, out=ffn_output)
-        return self._normalise(residual, self.output_norm, backend)
-
-    def _normalise_fused(
-        self,
-        x: np.ndarray,
-        params: NormParameters,
-        backend: NonlinearBackend,
-        kernel,
-    ) -> np.ndarray:
-        if self.normalization == "layernorm":
-            # The backend's LayerNorm op carries the kernel itself (attached
-            # by build_backend); the exact statistics stay in numpy either way.
-            return self._normalise(x, params, backend)
-        gamma, beta = params.cast(x.dtype)
-        return kernel.affine(x, gamma, beta)
-
-    def _forward_fused(
-        self,
-        hidden_states: np.ndarray,
-        backend: NonlinearBackend,
-        attention_mask: np.ndarray | None,
-        kernel,
-    ) -> np.ndarray:
-        """The layer body with bias adds folded into single-pass epilogues.
-
-        Same scalar operations in the same order as ``__call__`` — the bias
-        add that ``Linear.__call__`` performs is done by the kernel epilogue
-        immediately before the op it feeds (residual add, LUT-GELU, ReLU), so
-        each tensor is traversed once instead of once per numpy op.
-        """
-        attn_raw, attn_bias = self.attention.forward_prebias(
-            hidden_states, backend, attention_mask
+        # Each projection output is freshly allocated, so the epilogues write
+        # into it instead of a new temporary per site.
+        attn_raw, attn_bias = self.attention(
+            hidden_states, backend, attention_mask, kernel
         )
         residual = kernel.bias_residual(attn_raw, attn_bias, hidden_states)
-        hidden_states = self._normalise_fused(
-            residual, self.attention_norm, backend, kernel
+        hidden_states = normalise(
+            residual, self.attention_norm, self.normalization, backend, kernel
         )
-        ffn_raw, ffn_bias = self.ffn_in.call_prebias(hidden_states)
+        # The widened projection stays unnamed: an activation that returns a
+        # new tensor then releases it before the next projection allocates.
         if self.activation == "gelu":
-            ffn_hidden = kernel.lut_gelu_bias(backend.gelu, ffn_raw, ffn_bias)
+            ffn_hidden = backend.apply_gelu(
+                *self.ffn_in.call_prebias(hidden_states), kernel
+            )
         else:
-            ffn_hidden = kernel.bias_relu(ffn_raw, ffn_bias)
+            ffn_hidden = kernel.bias_relu(*self.ffn_in.call_prebias(hidden_states))
         out_raw, out_bias = self.ffn_out.call_prebias(ffn_hidden)
         residual = kernel.bias_residual(out_raw, out_bias, hidden_states)
-        return self._normalise_fused(residual, self.output_norm, backend, kernel)
+        return normalise(
+            residual, self.output_norm, self.normalization, backend, kernel
+        )
 
     def num_parameters(self) -> int:
         return (
@@ -194,9 +138,10 @@ class TransformerEncoder:
         hidden_states: np.ndarray,
         backend: NonlinearBackend,
         attention_mask: np.ndarray | None = None,
+        kernel: ComputeKernel = NUMPY_KERNEL,
     ) -> np.ndarray:
         for layer in self.layers:
-            hidden_states = layer(hidden_states, backend, attention_mask)
+            hidden_states = layer(hidden_states, backend, attention_mask, kernel)
         return hidden_states
 
     @property

@@ -210,17 +210,15 @@ class Linear:
     def call_prebias(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(x W, bias)`` — the matmul result *without* the bias added.
 
-        The fused-epilogue entry point: the encoder hands the raw projection
-        plus the (compute-dtype) bias to a compute kernel, which folds the
-        bias add into its single pass over the tensor (bias+LUT,
-        bias+residual, bias+ReLU).  Requires the cached fast path; the
-        uncached reference has no prepared bias to hand out.
+        The epilogue entry point: the encoder hands the raw projection plus
+        the bias to a compute kernel, which folds the bias add into its
+        single pass over the tensor (bias+LUT, bias+residual, bias+ReLU).
         """
         if not self.cache_weights:
-            raise RuntimeError(
-                "call_prebias requires cache_weights=True (the uncached "
-                "reference path has no prepared operands)"
-            )
+            # matmul_with_precision yields float64 and the master bias is
+            # float64, so the epilogue's in-place add is the same operation
+            # as the seed reference's out-of-place ``product + bias``.
+            return matmul_with_precision(x, self.weight, self.precision), self.bias
         _, operand, weight_scale, bias, _ = self._prepared_operands()
         dtype = COMPUTE_DTYPES[self.compute_dtype]
         if self.precision == "fp32":
@@ -295,7 +293,8 @@ class NormParameters:
 
     Used both by LayerNorm (where the statistics normalisation runs through
     the non-linear backend) and by MobileBERT-style NoNorm (where only this
-    affine transform is applied — no statistics, hence no transcendental op).
+    affine transform is applied, by the compute kernel's ``affine`` — no
+    statistics, hence no transcendental op).
     """
 
     gamma: np.ndarray
@@ -331,17 +330,6 @@ class NormParameters:
         beta = self.beta.astype(dtype)
         self._cast_cache[dtype] = (self.gamma, self.beta, gamma, beta)
         return gamma, beta
-
-    def apply_affine(self, x: np.ndarray) -> np.ndarray:
-        """The NoNorm path: element-wise ``gamma * x + beta``."""
-        x = np.asarray(x)
-        if x.dtype in (np.float32, np.float64):
-            gamma, beta = self.cast(x.dtype)
-        else:
-            gamma, beta = self.gamma, self.beta
-        result = x * gamma
-        result += beta
-        return result
 
     def num_parameters(self) -> int:
         return int(self.gamma.size + self.beta.size)

@@ -24,7 +24,8 @@ from .config import (
     mobilebert_like_small_config,
     roberta_like_small_config,
 )
-from .encoder import TransformerEncoder
+from ..core.kernels import resolve_kernel
+from .encoder import TransformerEncoder, normalise
 from .layers import Embedding, Linear, NormParameters
 from .nonlinear_backend import NonlinearBackend, _exact_backend
 
@@ -93,14 +94,6 @@ class EncoderModel:
             ),
         )
 
-    def _normalise_embeddings(
-        self, embeddings: np.ndarray, backend: NonlinearBackend
-    ) -> np.ndarray:
-        if self.config.normalization == "layernorm":
-            gamma, beta = self.embedding_norm.cast(embeddings.dtype)
-            return backend.apply_layernorm(embeddings, gamma=gamma, beta=beta)
-        return self.embedding_norm.apply_affine(embeddings)
-
     def forward(
         self,
         token_ids: np.ndarray,
@@ -109,12 +102,17 @@ class EncoderModel:
     ) -> np.ndarray:
         """Return hidden states of shape ``(batch, seq, hidden)``."""
         backend = backend or _exact_backend()
+        # One kernel for the whole forward; "native" degrades to the numpy
+        # kernel (identical results) on hosts without a C toolchain.
+        kernel = resolve_kernel(self.config.kernel)
         embeddings = self.embedding(token_ids)
         # The embedding tables are float64 masters; the engine runs in the
         # configured compute dtype from here on.
         embeddings = embeddings.astype(np.dtype(self.config.compute_dtype), copy=False)
-        embeddings = self._normalise_embeddings(embeddings, backend)
-        return self.encoder(embeddings, backend, attention_mask)
+        embeddings = normalise(
+            embeddings, self.embedding_norm, self.config.normalization, backend, kernel
+        )
+        return self.encoder(embeddings, backend, attention_mask, kernel)
 
     __call__ = forward
 

@@ -15,18 +15,20 @@ which is what the dataset-free calibration pass consumes — use the
 :meth:`NonlinearBackend.recording` context manager.
 
 Backends are declared with :class:`repro.api.BackendSpec` and realised by
-:func:`repro.api.build_backend`.  The module-level ``exact_backend`` /
-``nn_lut_backend`` / ``linear_lut_backend`` / ``ibert_backend`` constructors
-remain as thin deprecated shims over that factory; :func:`backend_from_luts`
-stays as the low-level assembler for callers that bring their own primitive
-approximators (e.g. the benchmark harness's seed-path replicas).
+:func:`repro.api.build_backend`; :func:`backend_from_luts` stays as the
+low-level assembler for callers that bring their own primitive approximators
+(e.g. the benchmark harness's seed-path replicas).
+
+A backend describes *operators*, not where they run: the encoder hands the
+compute kernel of its ``TransformerConfig`` to the ``apply_*`` methods, which
+are the one place that decides "table-driven op -> ``kernel.lut_*``, anything
+else -> the op's own ``__call__``" and the one place the recorder hooks in.
 """
 
 from __future__ import annotations
 
 # staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -41,18 +43,13 @@ from ..core.approximators import (
     LutLayerNorm,
     LutSoftmax,
 )
-from ..core.lut import LookupTable
-from ..core.registry import LutRegistry
+from ..core.kernels import NUMPY_KERNEL, ComputeKernel
 from ..core.scaling import InputScaler
 
 __all__ = [
     "ALL_OPS",
     "OperatorRecorder",
     "NonlinearBackend",
-    "exact_backend",
-    "nn_lut_backend",
-    "linear_lut_backend",
-    "ibert_backend",
     "backend_from_luts",
 ]
 
@@ -93,21 +90,38 @@ class NonlinearBackend:
     layernorm: Callable[..., np.ndarray]
     recorder: OperatorRecorder = field(default_factory=OperatorRecorder)
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: Compute kernel for fused epilogues (set by ``build_backend`` when the
-    #: spec selects a non-default kernel); None keeps the plain op sequence.
-    kernel: object | None = None
 
     # Recording is guarded at the call sites so the disabled (inference) case
     # costs a single attribute check — no call, no np.asarray(...).copy().
 
-    def apply_gelu(self, x: np.ndarray) -> np.ndarray:
+    def apply_gelu(
+        self,
+        x: np.ndarray,
+        bias: np.ndarray | None = None,
+        kernel: ComputeKernel = NUMPY_KERNEL,
+    ) -> np.ndarray:
+        """GELU of ``x + bias``.
+
+        With a ``bias``, ``x`` is the caller's fresh projection output: the
+        add lands in it, fused into the kernel's LUT pass when nothing needs
+        to see the biased tensor in between (the recorder does).
+        """
+        table_driven = isinstance(self.gelu, LutGelu)
+        if bias is not None:
+            if table_driven and not self.recorder.enabled:
+                return kernel.lut_gelu_bias(self.gelu, x, bias)
+            x += bias
         if self.recorder.enabled:
             self.recorder.record("gelu", x)
-        return self.gelu(x)
+        return kernel.lut_gelu(self.gelu, x) if table_driven else self.gelu(x)
 
-    def apply_softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    def apply_softmax(
+        self, x: np.ndarray, axis: int = -1, kernel: ComputeKernel = NUMPY_KERNEL
+    ) -> np.ndarray:
         if self.recorder.enabled:
             self.recorder.record("softmax", x)
+        if isinstance(self.softmax, LutSoftmax):
+            return kernel.lut_softmax(self.softmax, x, axis)
         return self.softmax(x, axis=axis)
 
     def apply_layernorm(
@@ -116,9 +130,12 @@ class NonlinearBackend:
         gamma: np.ndarray | None = None,
         beta: np.ndarray | None = None,
         axis: int = -1,
+        kernel: ComputeKernel = NUMPY_KERNEL,
     ) -> np.ndarray:
         if self.recorder.enabled:
             self.recorder.record("layernorm", x)
+        if isinstance(self.layernorm, LutLayerNorm):
+            return kernel.lut_layernorm(self.layernorm, x, gamma, beta, axis)
         return self.layernorm(x, gamma=gamma, beta=beta, axis=axis)
 
     @contextmanager
@@ -150,8 +167,8 @@ def _validate_replace(replace: Iterable[str]) -> Tuple[str, ...]:
 def _exact_backend() -> NonlinearBackend:
     """Internal exact backend — the ``backend=None`` default of the substrate.
 
-    Kept warning-free and import-cycle-free (``repro.api`` builds *on* this
-    package); public callers should use ``repro.api.BackendSpec.exact()``.
+    Kept import-cycle-free (``repro.api`` builds *on* this package); public
+    callers should use ``repro.api.BackendSpec.exact()``.
     """
     return NonlinearBackend(
         name="exact",
@@ -197,76 +214,3 @@ def backend_from_luts(
         metadata={"method": name, "replaced": ops, "input_scaling": input_scaling},
     )
 
-
-# --------------------------------------------------------------------------- #
-# Deprecated shims over repro.api.build_backend
-# --------------------------------------------------------------------------- #
-def _deprecated(legacy: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.transformer.{legacy}() is deprecated; declare the backend with "
-        f"repro.api.BackendSpec.{replacement}(...) and realise it with "
-        "repro.api.build_backend(spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def exact_backend() -> NonlinearBackend:
-    """Deprecated: use ``build_backend(BackendSpec.exact())``."""
-    from ..api.spec import BackendSpec, build_backend
-
-    _deprecated("exact_backend", "exact")
-    return build_backend(BackendSpec.exact())
-
-
-def nn_lut_backend(
-    registry: LutRegistry | None = None,
-    num_entries: int = 16,
-    precision: str = "fp32",
-    replace: Sequence[str] = ALL_OPS,
-    input_scaling: bool = True,
-    lut_overrides: Dict[str, LookupTable] | None = None,
-) -> NonlinearBackend:
-    """Deprecated: use ``build_backend(BackendSpec.nn_lut(...))``.
-
-    ``lut_overrides`` maps primitive names to replacement tables (e.g.
-    calibrated LUTs) and corresponds to the ``lut_overrides`` argument of
-    :func:`repro.api.build_backend`.
-    """
-    from ..api.spec import BackendSpec, build_backend
-
-    _deprecated("nn_lut_backend", "nn_lut")
-    spec = BackendSpec.nn_lut(
-        precision=precision,
-        num_entries=num_entries,
-        replace=replace,
-        input_scaling=input_scaling,
-    )
-    return build_backend(spec, registry=registry, lut_overrides=lut_overrides)
-
-
-def linear_lut_backend(
-    num_entries: int = 16,
-    precision: str = "fp32",
-    replace: Sequence[str] = ALL_OPS,
-    input_scaling: bool = True,
-) -> NonlinearBackend:
-    """Deprecated: use ``build_backend(BackendSpec.linear_lut(...))``."""
-    from ..api.spec import BackendSpec, build_backend
-
-    _deprecated("linear_lut_backend", "linear_lut")
-    spec = BackendSpec.linear_lut(
-        precision=precision,
-        num_entries=num_entries,
-        replace=replace,
-        input_scaling=input_scaling,
-    )
-    return build_backend(spec)
-
-
-def ibert_backend(replace: Sequence[str] = ALL_OPS) -> NonlinearBackend:
-    """Deprecated: use ``build_backend(BackendSpec.ibert(...))``."""
-    from ..api.spec import BackendSpec, build_backend
-
-    _deprecated("ibert_backend", "ibert")
-    return build_backend(BackendSpec.ibert(replace=replace))

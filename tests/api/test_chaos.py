@@ -140,12 +140,12 @@ class TestBreakerAndRetryInProcess:
             self._failures = failures
             self.calls = 0
 
-        def forward(self, requests):
+        def forward(self, requests, budgets_s=None):
             self.calls += 1
             if self._failures > 0:
                 self._failures -= 1
                 raise TimeoutError("injected: replica wedged")
-            return self._session.forward(requests)
+            return self._session.forward(requests, budgets_s)
 
         def pooled(self, requests):
             return self._session.pooled(requests)
@@ -209,7 +209,7 @@ class TestBreakerAndRetryInProcess:
         # would fail identically everywhere; retrying would only repeat it.
         pool = self._pool(chaos_config, fast_registry)
 
-        def exploding_forward(requests):
+        def exploding_forward(requests, budgets_s=None):
             raise RuntimeError("boom")
 
         pool.sessions[0].forward = exploding_forward  # type: ignore[method-assign]
@@ -462,31 +462,52 @@ class TestChaosSharded:
         assert stats.expired_in_flight >= 1
         assert stats.expired >= 1
 
-    def test_deadline_free_traffic_uses_the_plain_forward_op(
+    def test_exactly_one_forward_op_crosses_the_worker_boundary(
         self, chaos_config, fast_registry, oracle
     ):
-        # No deadlines anywhere -> the deadline op never ships (the hot
-        # path is unchanged) and results stay bitwise-correct.
+        # Deadline-free and deadline-carrying batches ride the same op: the
+        # int64 budget row always ships (-1 = no deadline) and results stay
+        # bitwise-correct either way.
         pool = self._pool(chaos_config, fast_registry, num_replicas=1)
+        client = pool.sessions[0]
+        assert not hasattr(client, "forward_deadline")
+        assert faults._WORKER_OPS == ("forward", "pooled")
+        sent = []
+        real_send = client.transport.send
+
+        def recording_send(op, payload):
+            sent.append((op, payload))
+            return real_send(op, payload)
+
+        client.transport.send = recording_send
         rng = np.random.default_rng(13)
         requests = [rng.integers(0, 100, size=n) for n in (7, 3, 10)]
         try:
             queue = ServingQueue(pool, max_wait_ms=1.0)
             try:
                 served = queue.serve(requests, timeout=60)
+                served.append(
+                    queue.submit(requests[0], deadline_ms=60_000.0).result(timeout=60)
+                )
             finally:
                 queue.close()
         finally:
             pool.close()
-        expected = oracle.forward(requests)
+        expected = oracle.forward(requests + requests[:1])
         for i, (a, b) in enumerate(zip(served, expected)):
             assert np.array_equal(a, b), f"request {i}"
+        assert {op for op, _ in sent} == {"forward", "close"}
+        budget_rows = [payload[-1] for op, payload in sent if op == "forward"]
+        for (op, payload), row in zip(sent, budget_rows):
+            assert row.dtype == np.int64 and len(row) == len(payload) - 1
+        assert all(np.all(row == -1) for row in budget_rows[:-1])
+        assert np.all(budget_rows[-1] >= 0)
 
     def test_mixed_deadlines_pack_correctly(
         self, chaos_config, fast_registry, oracle
     ):
         # A batch mixing generous-deadline and no-deadline requests rides
-        # the forward_deadline op; every request must come back full-size
+        # the one forward op; every request must come back full-size
         # and bitwise-correct (the packed response path with no skips).
         pool = self._pool(chaos_config, fast_registry, num_replicas=1)
         rng = np.random.default_rng(17)

@@ -282,9 +282,9 @@ class TestMembership:
         gate = threading.Event()
         inner = pool.sessions[0].forward
 
-        def gated_forward(requests):
+        def gated_forward(requests, budgets_s=None):
             gate.wait(30)
-            return inner(requests)
+            return inner(requests, budgets_s)
 
         pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
         queue = ServingQueue(pool, max_wait_ms=0.0)
@@ -377,7 +377,7 @@ class TestMembership:
     ):
         pool = _fresh_pool(pool64, fast_registry)
 
-        def dying_forward(requests):
+        def dying_forward(requests, budgets_s=None):
             raise RuntimeError("replica poisoned")
 
         pool.sessions[1].forward = dying_forward  # type: ignore[method-assign]

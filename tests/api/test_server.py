@@ -242,9 +242,9 @@ def _gated_single_replica_pool(pool64, fast_registry):
     gate = threading.Event()
     inner = pool.sessions[0].forward
 
-    def gated_forward(requests):
+    def gated_forward(requests, budgets_s=None):
         gate.wait(30)
-        return inner(requests)
+        return inner(requests, budgets_s)
 
     pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
     return pool, gate
@@ -321,9 +321,9 @@ class TestQueueContract:
         gate = threading.Semaphore(0)
         inner = pool.sessions[0].forward
 
-        def gated_forward(requests):
+        def gated_forward(requests, budgets_s=None):
             gate.acquire()
-            return inner(requests)
+            return inner(requests, budgets_s)
 
         pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
         # Strictly increasing lengths: each request is its own batch AND the
@@ -400,7 +400,7 @@ class TestQueueContract:
             num_replicas=1, max_batch_size=8,
         )
 
-        def exploding_forward(requests):
+        def exploding_forward(requests, budgets_s=None):
             raise RuntimeError("boom")
 
         pool.sessions[0].forward = exploding_forward  # type: ignore[method-assign]
@@ -655,7 +655,7 @@ class TestPerFutureErrorRobustness:
             num_replicas=1, max_batch_size=8,
         )
 
-        def exploding_forward(requests):
+        def exploding_forward(requests, budgets_s=None):
             exc = Hostile("disarmed")
             exc.args = ("armed",)
             raise exc

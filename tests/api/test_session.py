@@ -164,6 +164,22 @@ class TestServing:
         assert session.forward([]) == []
         assert session.pooled([]).shape == (0, tiny64_model.config.hidden_size)
 
+    def test_spent_budget_is_answered_with_a_zero_row_block(
+        self, tiny64_model, fast_registry
+    ):
+        # The replica-handle contract a shard worker also keeps: an expired
+        # request is skipped (zero rows), its neighbours serve unchanged.
+        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
+        requests = [np.full(length, length, dtype=np.int64) for length in (4, 9, 6)]
+        plain = session.forward(requests)
+        budgeted = session.forward(requests, [None, 0.0, 2.5])
+        assert np.array_equal(budgeted[0], plain[0])
+        assert np.array_equal(budgeted[2], plain[2])
+        assert budgeted[1].shape == (0, tiny64_model.config.hidden_size)
+        assert budgeted[1].dtype == plain[1].dtype
+        for a, b in zip(session.forward(requests, [None, 1.0, None]), plain):
+            assert np.array_equal(a, b)
+
     def test_padded_buckets_stay_close_to_per_call(self, tiny64_model, fast_registry):
         session = InferenceSession.from_model(
             tiny64_model, registry=fast_registry, max_batch_size=4, bucket_size=8

@@ -1,4 +1,4 @@
-"""BackendSpec serialization, validation and legacy-constructor equivalence."""
+"""BackendSpec serialization, validation and the spec -> backend factory."""
 
 import json
 
@@ -6,13 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import BackendSpec, OperatorSpec, as_backend, build_backend
-from repro.transformer.nonlinear_backend import (
-    NonlinearBackend,
-    exact_backend,
-    ibert_backend,
-    linear_lut_backend,
-    nn_lut_backend,
-)
 
 
 class TestOperatorSpecValidation:
@@ -173,65 +166,6 @@ def _op_inputs(rng):
     )
 
 
-def _assert_backends_equivalent(built, legacy, rng):
-    x_gelu, x_softmax, x_layernorm = _op_inputs(rng)
-    gamma = rng.normal(1.0, 0.05, size=x_layernorm.shape[-1])
-    beta = rng.normal(0.0, 0.05, size=x_layernorm.shape[-1])
-    assert np.array_equal(built.apply_gelu(x_gelu), legacy.apply_gelu(x_gelu))
-    assert np.array_equal(built.apply_softmax(x_softmax), legacy.apply_softmax(x_softmax))
-    assert np.array_equal(
-        built.apply_layernorm(x_layernorm, gamma=gamma, beta=beta),
-        legacy.apply_layernorm(x_layernorm, gamma=gamma, beta=beta),
-    )
-    assert built.name == legacy.name
-
-
-class TestBuildBackendLegacyEquivalence:
-    """build_backend(spec) reproduces each legacy constructor bit for bit."""
-
-    def test_exact(self, rng):
-        with pytest.warns(DeprecationWarning):
-            legacy = exact_backend()
-        _assert_backends_equivalent(build_backend(BackendSpec.exact()), legacy, rng)
-
-    @pytest.mark.parametrize("precision", ["fp32", "fp16", "int32"])
-    def test_nn_lut_precisions(self, fast_registry, rng, precision):
-        with pytest.warns(DeprecationWarning):
-            legacy = nn_lut_backend(registry=fast_registry, precision=precision)
-        built = build_backend(BackendSpec.nn_lut(precision=precision), registry=fast_registry)
-        _assert_backends_equivalent(built, legacy, rng)
-
-    def test_nn_lut_partial_replace(self, fast_registry, rng):
-        with pytest.warns(DeprecationWarning):
-            legacy = nn_lut_backend(registry=fast_registry, replace=("layernorm",))
-        built = build_backend(
-            BackendSpec.nn_lut(replace=("layernorm",)), registry=fast_registry
-        )
-        _assert_backends_equivalent(built, legacy, rng)
-
-    def test_nn_lut_with_overrides(self, fast_registry, rng):
-        overrides = {"rsqrt": fast_registry.lut("rsqrt", num_entries=8)}
-        with pytest.warns(DeprecationWarning):
-            legacy = nn_lut_backend(registry=fast_registry, lut_overrides=overrides)
-        built = build_backend(
-            BackendSpec.nn_lut().with_calibration("layernorm"),
-            registry=fast_registry,
-            lut_overrides=overrides,
-        )
-        _assert_backends_equivalent(built, legacy, rng)
-        assert built.name == "nn-lut-fp32+cal"
-
-    def test_linear_lut(self, rng):
-        with pytest.warns(DeprecationWarning):
-            legacy = linear_lut_backend()
-        _assert_backends_equivalent(build_backend(BackendSpec.linear_lut()), legacy, rng)
-
-    def test_ibert(self, rng):
-        with pytest.warns(DeprecationWarning):
-            legacy = ibert_backend()
-        _assert_backends_equivalent(build_backend(BackendSpec.ibert()), legacy, rng)
-
-
 class TestBuildBackend:
     def test_mixed_methods(self, fast_registry, rng):
         backend = build_backend(SPECS["mixed"], registry=fast_registry)
@@ -280,17 +214,3 @@ class TestAsBackend:
         with pytest.raises(TypeError):
             as_backend("nn_lut")
 
-
-class TestDeprecatedShims:
-    """The legacy constructors still work but say where to go."""
-
-    def test_all_four_warn(self, fast_registry):
-        for shim in (
-            exact_backend,
-            lambda: nn_lut_backend(registry=fast_registry),
-            linear_lut_backend,
-            ibert_backend,
-        ):
-            with pytest.warns(DeprecationWarning, match="repro.api"):
-                backend = shim()
-            assert isinstance(backend, NonlinearBackend)

@@ -1,0 +1,77 @@
+"""Public-surface snapshot: removals and additions must be deliberate.
+
+A failure here is not a bug by itself — update the snapshot in the same
+change that alters the surface, so the diff shows it.
+"""
+
+import dataclasses
+
+import repro.api
+import repro.core.kernels
+import repro.transformer
+from repro.api import BackendSpec, SessionConfig
+from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
+from repro.transformer import NonlinearBackend, TransformerConfig
+
+API = """
+AutoscaleDecision Autoscaler AutoscalerConfig BackendSpec CircuitBreakerConfig
+DeadlineExceededError DeterministicRouter FaultInjector FaultPlan
+InferenceSession InjectedFaultError LeastLoadedRouter METHODS MODEL_FAMILIES
+MicroBatch OPERATOR_PRIMITIVES OperatorSpec PRECISIONS PipeTransport
+QueueFullError ROUTERS ReplicaPool ReplicaStats RequestBatcher RetryPolicy
+Router SPEC_SCHEMA_VERSION ServerClosedError ServingFuture ServingQueue
+ServingStats SessionConfig SessionPool ShardedPool SharedWeightStore
+ShmRingTransport TRANSPORTS TransportError TransportIntegrityError
+WorkerDiedError WorkerTransport as_backend attach_weight_state build_backend
+calibrate_primitive_luts create_router create_transport export_weight_state
+inject
+"""
+
+TRANSFORMER = """
+ALL_OPS CachedQuantizedLinear ClassificationHead Embedding EncoderModel Linear
+MobileBertLikeModel MultiHeadSelfAttention NonlinearBackend NormParameters
+OperatorRecorder RegressionHead RobertaLikeModel SpanHead TransformerConfig
+TransformerEncoder TransformerEncoderLayer backend_from_luts
+matmul_with_precision mobilebert_config mobilebert_like_small_config
+roberta_base_config roberta_like_small_config tiny_test_config
+"""
+
+KERNELS = """
+ComputeKernel KERNEL_NAMES NUMPY_KERNEL NativeKernel NumpyKernel get_kernel
+kernel_info native_available native_unavailable_reason
+reset_kernel_fallback_warning resolve_kernel
+"""
+
+FIELDS = {
+    BackendSpec: "gelu softmax layernorm input_scaling name",
+    SessionConfig: (
+        "model_family model_size seed compute_dtype matmul_precision kernel "
+        "max_batch_size bucket_size model_overrides"
+    ),
+    TransformerConfig: (
+        "hidden_size num_layers num_heads intermediate_size max_sequence_length "
+        "vocab_size activation normalization matmul_precision compute_dtype "
+        "kernel layer_norm_eps name"
+    ),
+}
+
+
+def test_exported_names():
+    for module, names in (
+        (repro.api, API),
+        (repro.transformer, TRANSFORMER),
+        (repro.core.kernels, KERNELS),
+    ):
+        assert sorted(module.__all__) == sorted(names.split()), module.__name__
+
+
+def test_config_fields():
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names.split(), cls.__name__
+
+
+def test_operator_descriptions_carry_no_kernel():
+    # The compute kernel is an engine setting (TransformerConfig.kernel,
+    # Linear.kernel); operators and backends only describe what is computed.
+    for cls in (BackendSpec, NonlinearBackend, LutGelu, LutSoftmax, LutLayerNorm):
+        assert "kernel" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import BackendSpec, build_backend
 from repro.tasks import (
     GLUE_TASKS,
     GlueBenchmark,
@@ -22,7 +23,7 @@ from repro.tasks import (
     spearman_correlation,
 )
 from repro.tasks.squad import SquadTaskSpec
-from repro.transformer import RobertaLikeModel, exact_backend, nn_lut_backend
+from repro.transformer import RobertaLikeModel
 
 SMALL_OVERRIDES = {"num_train": 48, "num_test": 32, "sequence_length": 24}
 
@@ -142,15 +143,15 @@ class TestEvaluationLoop:
         benchmark = GlueBenchmark.build(
             tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
         )
-        score = benchmark.score("SST-2", exact_backend())
+        score = benchmark.score("SST-2", build_backend(BackendSpec.exact()))
         assert score > 70.0
 
     def test_nn_lut_backend_close_to_baseline(self, tiny_model, fast_registry):
         benchmark = GlueBenchmark.build(
             tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
         )
-        baseline = benchmark.score("SST-2", exact_backend())
-        approx = benchmark.score("SST-2", nn_lut_backend(registry=fast_registry))
+        baseline = benchmark.score("SST-2", build_backend(BackendSpec.exact()))
+        approx = benchmark.score("SST-2", build_backend(BackendSpec.nn_lut(), registry=fast_registry))
         assert abs(baseline - approx) < 15.0
 
     def test_score_unknown_task_raises(self, tiny_model):
@@ -165,7 +166,11 @@ class TestEvaluationLoop:
         data = generate_squad_task(vocab_size=tiny_model.config.vocab_size, seed=0, spec=spec)
         results = evaluate_squad(
             tiny_model,
-            {"NN-LUT": nn_lut_backend(registry=fast_registry, replace=["softmax"])},
+            {
+                "NN-LUT": build_backend(
+                    BackendSpec.nn_lut(replace=["softmax"]), registry=fast_registry
+                )
+            },
             data=data,
         )
         assert set(results) == {"Baseline", "NN-LUT"}

@@ -9,15 +9,14 @@ float32 engine must stay within float32 rounding of it.
 import numpy as np
 import pytest
 
+from repro.api import BackendSpec, build_backend
 from repro.core.kernels import native_available
 from repro.quant.fixed_point import compute_scale, quantize, quantized_matmul
 from repro.transformer import (
     CachedQuantizedLinear,
     Linear,
     TransformerConfig,
-    exact_backend,
     matmul_with_precision,
-    nn_lut_backend,
     tiny_test_config,
 )
 from repro.transformer.models import EncoderModel
@@ -221,7 +220,7 @@ class TestEngineEndToEnd:
                 linear.cache_weights = False
         uncached.pooler.cache_weights = False
         tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 12))
-        backend = nn_lut_backend(registry=fast_registry)
+        backend = build_backend(BackendSpec.nn_lut(), registry=fast_registry)
         assert np.array_equal(
             cached.forward(tokens, backend=backend),
             uncached.forward(tokens, backend=backend),
@@ -234,7 +233,7 @@ class TestEngineEndToEnd:
             tiny_test_config(compute_dtype="float32", kernel=kernel), seed=5
         )
         tokens = np.random.default_rng(1).integers(0, 100, size=(2, 10))
-        backend = nn_lut_backend(registry=fast_registry)
+        backend = build_backend(BackendSpec.nn_lut(), registry=fast_registry)
         a = ref.forward(tokens, backend=backend)
         b = fast.forward(tokens, backend=backend)
         assert b.dtype == np.float32
@@ -243,6 +242,6 @@ class TestEngineEndToEnd:
     def test_exact_backend_unchanged_semantics(self):
         model = EncoderModel.initialize(tiny_test_config(), seed=2)
         tokens = np.random.default_rng(2).integers(0, 100, size=(2, 8))
-        hidden = model.forward(tokens, backend=exact_backend())
+        hidden = model.forward(tokens, backend=build_backend(BackendSpec.exact()))
         assert hidden.shape == (2, 8, model.config.hidden_size)
         assert np.all(np.isfinite(hidden))

@@ -1,0 +1,115 @@
+"""One engine path: every kernel x backend x architecture == the seed reference.
+
+The encoder runs a single layer body (projection -> kernel epilogue) for
+every compute kernel, operator backend, activation, normalisation and
+recorder state.  ``seed_forward`` below is the reference it must reproduce
+bit for bit in float64: the original unfused op sequence, written out
+independently of the encoder — per-call ``matmul_with_precision(x, W) + b``
+linears and the backend's operator objects called directly.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import BackendSpec, build_backend
+from repro.core.kernels import native_available
+from repro.transformer import matmul_with_precision, tiny_test_config
+from repro.transformer.models import EncoderModel
+
+KERNELS = (
+    "numpy",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="compiled native kernel unavailable"
+        ),
+    ),
+)
+
+SPECS = {
+    "nn_lut": BackendSpec.nn_lut(),
+    "linear_lut": BackendSpec.linear_lut(),
+    "exact": BackendSpec.exact(),
+    "ibert": BackendSpec.ibert(),
+}
+
+
+def seed_forward(model, tokens, mask, backend):
+    """The seed's unfused forward; returns hidden states + operator inputs."""
+    seen = {"gelu": [], "softmax": [], "layernorm": []}
+    config = model.config
+
+    def linear(layer, x):
+        return matmul_with_precision(x, layer.weight, layer.precision) + layer.bias
+
+    def normalise(x, params):
+        if config.normalization == "layernorm":
+            seen["layernorm"].append(x.copy())
+            return backend.layernorm(x, gamma=params.gamma, beta=params.beta, axis=-1)
+        return x * params.gamma + params.beta
+
+    def heads(x):
+        batch, seq, _ = x.shape
+        return x.reshape(batch, seq, config.num_heads, config.head_dim).transpose(
+            0, 2, 1, 3
+        )
+
+    hidden = normalise(model.embedding(tokens), model.embedding_norm)
+    for layer in model.encoder.layers:
+        attention = layer.attention
+        q, k, v = (
+            heads(linear(projection, hidden))
+            for projection in (attention.query, attention.key, attention.value)
+        )
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) / np.sqrt(config.head_dim)
+        scores = np.where(mask[:, None, None, :] <= 0, -1e4, scores)
+        seen["softmax"].append(scores.copy())
+        context = np.matmul(backend.softmax(scores, axis=-1), v)
+        context = context.transpose(0, 2, 1, 3).reshape(hidden.shape)
+        hidden = normalise(
+            hidden + linear(attention.output, context), layer.attention_norm
+        )
+        inner = linear(layer.ffn_in, hidden)
+        if config.activation == "gelu":
+            seen["gelu"].append(inner.copy())
+            inner = backend.gelu(inner)
+        else:
+            inner = np.maximum(inner, 0.0)
+        hidden = normalise(hidden + linear(layer.ffn_out, inner), layer.output_norm)
+    return hidden, seen
+
+
+@pytest.mark.parametrize("recording", [False, True], ids=["plain", "recording"])
+@pytest.mark.parametrize("normalization", ["layernorm", "nonorm"])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+@pytest.mark.parametrize("method", sorted(SPECS))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_float64_engine_equals_seed_reference(
+    fast_registry, kernel, method, activation, normalization, recording
+):
+    config = tiny_test_config(
+        compute_dtype="float64",
+        kernel=kernel,
+        activation=activation,
+        normalization=normalization,
+    )
+    model = EncoderModel.initialize(config, seed=3)
+    backend = build_backend(SPECS[method], registry=fast_registry)
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, config.vocab_size, size=(3, 11))
+    mask = np.ones((3, 11), dtype=np.int64)
+    mask[1, 7:] = 0
+    expected, seen = seed_forward(model, tokens, mask, backend)
+
+    with backend.recording(recording) as recorder:
+        hidden = model.forward(tokens, backend=backend, attention_mask=mask)
+    assert hidden.dtype == np.float64
+    assert np.array_equal(hidden, expected)
+    for op, inputs in seen.items():
+        recorded = getattr(recorder, f"{op}_inputs")
+        if not recording:
+            assert recorded == []
+            continue
+        assert len(recorded) == len(inputs), op
+        for site, (got, want) in enumerate(zip(recorded, inputs)):
+            assert np.array_equal(got, want), f"{op} site {site}"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import BackendSpec, build_backend
 from repro.core import functions
+from repro.core.kernels import NUMPY_KERNEL
 from repro.transformer import (
     Embedding,
     EncoderModel,
@@ -15,14 +17,18 @@ from repro.transformer import (
     TransformerConfig,
     TransformerEncoder,
     backend_from_luts,
-    exact_backend,
-    ibert_backend,
-    linear_lut_backend,
     matmul_with_precision,
-    nn_lut_backend,
     tiny_test_config,
 )
 from repro.transformer.heads import ClassificationHead, RegressionHead, SpanHead
+
+
+def _exact():
+    return build_backend(BackendSpec.exact())
+
+
+def _nn_lut(registry=None, **spec_kwargs):
+    return build_backend(BackendSpec.nn_lut(**spec_kwargs), registry=registry)
 
 
 class TestConfig:
@@ -74,7 +80,10 @@ class TestLayers:
 
     def test_norm_parameters_affine(self, rng):
         params = NormParameters.initialize(4)
-        np.testing.assert_allclose(params.apply_affine(np.ones((2, 4))), np.ones((2, 4)))
+        gamma, beta = params.cast(np.float64)
+        np.testing.assert_allclose(
+            NUMPY_KERNEL.affine(np.ones((2, 4)), gamma, beta), np.ones((2, 4))
+        )
 
 
 class TestAttentionAndEncoder:
@@ -82,26 +91,27 @@ class TestAttentionAndEncoder:
         config = tiny_test_config()
         attn = MultiHeadSelfAttention.initialize(config, rng)
         x = rng.normal(size=(2, 8, config.hidden_size))
-        out = attn(x, exact_backend())
+        out, bias = attn(x, _exact())
         assert out.shape == x.shape
+        assert bias.shape == (config.hidden_size,)
 
     def test_attention_mask_blocks_padding(self, rng):
         config = tiny_test_config()
         attn = MultiHeadSelfAttention.initialize(config, rng)
         x = rng.normal(size=(1, 6, config.hidden_size))
         mask = np.array([[1, 1, 1, 0, 0, 0]])
-        masked = attn(x, exact_backend(), attention_mask=mask)
+        masked, _ = attn(x, _exact(), attention_mask=mask)
         # Changing the padded tokens must not change the unmasked outputs.
         x2 = x.copy()
         x2[0, 3:] += 10.0
-        masked2 = attn(x2, exact_backend(), attention_mask=mask)
+        masked2, _ = attn(x2, _exact(), attention_mask=mask)
         np.testing.assert_allclose(masked[0, :3], masked2[0, :3], atol=1e-8)
 
     def test_encoder_stack_runs(self, rng):
         config = tiny_test_config()
         encoder = TransformerEncoder.initialize(config, rng)
         x = rng.normal(size=(2, 8, config.hidden_size))
-        out = encoder(x, exact_backend())
+        out = encoder(x, _exact())
         assert out.shape == x.shape
         assert encoder.num_layers == config.num_layers
         assert encoder.num_parameters() > 0
@@ -132,9 +142,10 @@ class TestModels:
         model = MobileBertLikeModel.build(seed=0, num_layers=2, hidden_size=32, num_heads=2,
                                           intermediate_size=32, vocab_size=300)
         tokens = np.random.default_rng(2).integers(0, 300, size=(2, 12))
-        exact = model.forward(tokens, backend=exact_backend())
+        exact = model.forward(tokens, backend=_exact())
         approx = model.forward(
-            tokens, backend=linear_lut_backend(replace=["gelu", "layernorm"])
+            tokens,
+            backend=build_backend(BackendSpec.linear_lut(replace=["gelu", "layernorm"])),
         )
         np.testing.assert_allclose(exact, approx, atol=1e-12)
 
@@ -142,10 +153,10 @@ class TestModels:
 class TestBackends:
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError, match="Unknown operator"):
-            nn_lut_backend(replace=["gelu", "attention"])
+            _nn_lut(replace=["gelu", "attention"])
 
     def test_partial_replacement_keeps_other_ops_exact(self, fast_registry, rng):
-        backend = nn_lut_backend(registry=fast_registry, replace=["gelu"])
+        backend = _nn_lut(registry=fast_registry, replace=["gelu"])
         x = rng.normal(size=(2, 8))
         np.testing.assert_allclose(backend.apply_softmax(x), functions.softmax(x))
         np.testing.assert_allclose(backend.apply_layernorm(x), functions.layer_norm(x))
@@ -153,15 +164,15 @@ class TestBackends:
     def test_backend_precisions(self, fast_registry, rng):
         x = rng.normal(size=(4, 16))
         for precision in ("fp32", "fp16", "int32"):
-            backend = nn_lut_backend(registry=fast_registry, precision=precision)
+            backend = _nn_lut(registry=fast_registry, precision=precision)
             assert np.all(np.isfinite(backend.apply_gelu(x)))
 
     def test_invalid_precision(self, fast_registry):
         with pytest.raises(ValueError, match="precision"):
-            nn_lut_backend(registry=fast_registry, precision="int4")
+            _nn_lut(registry=fast_registry, precision="int4")
 
     def test_recorder_collects_inputs(self, fast_registry, rng):
-        backend = nn_lut_backend(registry=fast_registry)
+        backend = _nn_lut(registry=fast_registry)
         backend.recorder.enabled = True
         backend.apply_gelu(rng.normal(size=(2, 3)))
         backend.apply_softmax(rng.normal(size=(2, 3)))
@@ -176,8 +187,8 @@ class TestBackends:
         model = RobertaLikeModel.build(seed=0, num_layers=2, hidden_size=32, num_heads=2,
                                        intermediate_size=64, vocab_size=100)
         tokens = rng.integers(0, 100, size=(2, 10))
-        exact = model.pooled(tokens, backend=exact_backend())
-        approx = model.pooled(tokens, backend=ibert_backend())
+        exact = model.pooled(tokens, backend=_exact())
+        approx = model.pooled(tokens, backend=build_backend(BackendSpec.ibert()))
         assert np.mean(np.abs(exact - approx)) < 0.05
 
     def test_backend_from_luts_with_exact_scalars(self, rng):
