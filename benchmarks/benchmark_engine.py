@@ -84,6 +84,13 @@ def test_report_schema(engine_report):
     if kernels["native_available"]:
         # Per-kernel int8 encoder forwards must agree bit for bit.
         assert kernels["ops"]["encoder_forward_int8"]["bitwise_equal_vs_numpy"]
+        # The packed GEMM alone: three projection shapes, GOP/s per tier,
+        # the tier in use first.
+        gops = kernels["ops"]["gemm_int8"]["gops"]
+        assert len(gops) == 3
+        for tiers in gops.values():
+            assert next(iter(tiers)) == kernels["gemm_tier"]
+            assert all(rate > 0 for rate in tiers.values())
     else:
         assert kernels["native_unavailable_reason"]
     for name, row in engine_report["end_to_end"].items():

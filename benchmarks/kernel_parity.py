@@ -23,6 +23,7 @@ from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax  # noqa: 
 from repro.core.kernels import (  # noqa: E402
     NUMPY_KERNEL,
     get_kernel,
+    kernel_info,
     native_available,
     native_unavailable_reason,
 )
@@ -156,8 +157,7 @@ def main() -> int:
     rows = build_rows(registry)
     print(
         "kernel parity: numpy vs native "
-        f"(gemm_impl={get_kernel('native').gemm_impl}, "
-        "2 = VNNI dot-product GEMM)"
+        f"({regression.gemm_tier_label(kernel_info())})"
     )
     header = f"{'op/path':<16} {'precision':<9} {'max_abs_diff':>12}  parity"
     print(header)

@@ -61,6 +61,11 @@ completed requests per second), ``p99_degradation_x`` for the tail stretch
 while the survivor absorbs rerouted work, the retry/breaker/retirement
 counters, and a float64 twin proving retried responses stay bitwise-equal to
 per-call serving (the retry-idempotency contract).
+Schema v9: the ``kernels`` section's ``gemm_int8`` row also reports the
+packed int8 GEMM alone in GOP/s — per projection shape (hidden², hidden →
+intermediate, intermediate → hidden; 384 activation rows at full shapes) and
+per micro-kernel tier the host can run (``amx`` / ``vnni`` / ``scalar``) —
+and ``gemm_impl`` / ``gemm_tier`` name the tier in use.
 
 Run directly to regenerate the report (or use ``scripts/bench.sh``)::
 
@@ -109,7 +114,9 @@ from repro.api.transport import (
 )
 from repro.core.approximators import LutGelu, LutLayerNorm
 from repro.core.kernels import (
+    GEMM_TIER_NAMES,
     get_kernel,
+    kernel_info,
     native_available,
     native_unavailable_reason,
 )
@@ -124,7 +131,7 @@ from repro.transformer import (
     backend_from_luts,
 )
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Default report location: the repository root (next to ROADMAP.md).
 DEFAULT_REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -427,6 +434,36 @@ def benchmark_ops(registry: LutRegistry, shapes: EngineShapes) -> Dict[str, Dict
     return ops
 
 
+#: activation rows of the per-shape int8 GEMM rows (4 sequences x 96 tokens,
+#: the end-to-end benchmark's kernel shape).
+GEMM_ROWS = 384
+
+
+def gemm_int8_gops(
+    native, rows: int, hidden: int, inter: int, repeats: int
+) -> Dict[str, Dict[str, float]]:
+    """GOP/s of the packed int8 GEMM alone: ``{"m x k x n": {tier: GOP/s}}``.
+
+    One entry per encoder projection shape (hidden², hidden → intermediate,
+    intermediate → hidden) and, within it, per micro-kernel tier the host can
+    run — the tier in use first, then what each fallback would cost.
+    """
+    rng = np.random.default_rng(23)
+    out: Dict[str, Dict[str, float]] = {}
+    for k, n in ((hidden, hidden), (hidden, inter), (inter, hidden)):
+        a_q = rng.integers(-127, 128, size=(rows, k), dtype=np.int8)
+        packed = native.pack_weight_int8(
+            rng.integers(-127, 128, size=(k, n), dtype=np.int8)
+        )
+        out[f"{rows}x{k}x{n}"] = {
+            GEMM_TIER_NAMES[tier]: 2.0 * rows * k * n / 1e9 / time_call(
+                lambda tier=tier: native.gemm_int8(a_q, packed, tier=tier), repeats
+            )
+            for tier in range(native.gemm_impl, 0, -1)
+        }
+    return out
+
+
 def benchmark_kernels(
     registry: LutRegistry,
     shapes: EngineShapes,
@@ -441,7 +478,9 @@ def benchmark_kernels(
 
     * ``gemm_int8`` — NativeKernel's true int8 GEMM (int32 accumulation)
       against the NumpyKernel float64-carrier linear path, including the
-      activation quantise/pack and the dequantise+bias epilogue;
+      activation quantise/pack and the dequantise+bias epilogue; its
+      ``gops`` entry is the packed GEMM alone, in GOP/s per projection shape
+      and per tier (see :func:`gemm_int8_gops`);
     * ``lut_gelu_bias`` — the fused bias+LUT-GELU epilogue against the
       engine's original unfused bias-add + LUT sequence (the numpy row *is*
       the unfused path, so this row doubles as fused-vs-unfused).
@@ -464,7 +503,9 @@ def benchmark_kernels(
         section["native_unavailable_reason"] = native_unavailable_reason()
     else:
         native = kernels["native"]
-        section["gemm_impl"] = native.gemm_impl  # 2 = VNNI dot-product GEMM
+        info = kernel_info()  # gemm_impl: 3 = AMX, 2 = VNNI, 1 = scalar
+        for key in ("gemm_impl", "gemm_tier", "gemm_tier_refused"):
+            section[key] = info[key]
         section["num_threads"] = native.num_threads
 
     tokens, hidden = shapes.tokens, shapes.hidden_size
@@ -503,6 +544,10 @@ def benchmark_kernels(
             x32, packed[name], weight_scale, np.float32, bias=bias_h
         )
     )
+    if native_available():
+        ops["gemm_int8"]["gops"] = gemm_int8_gops(
+            kernels["native"], min(GEMM_ROWS, tokens), hidden, inter, repeats
+        )
     ops["gemm_fp32"] = per_kernel(
         lambda name, kernel: lambda: kernel.matmul_fp32(
             x32, w32, np.float32, bias=bias_h
@@ -1230,7 +1275,8 @@ def run_engine_benchmark(mode: str = "smoke", registry: LutRegistry | None = Non
     """Produce the full BENCH_engine.json payload (without writing it)."""
     if mode not in ("smoke", "full"):
         raise ValueError(f"mode must be 'smoke' or 'full', got {mode!r}")
-    registry = registry or LutRegistry(training_config=BENCH_TRAINING_CONFIG)
+    if registry is None:
+        registry = LutRegistry(training_config=BENCH_TRAINING_CONFIG)
     shapes = FULL_SHAPES if mode == "full" else SMOKE_SHAPES
     int8_shapes = FULL_INT8_SHAPES if mode == "full" else SMOKE_SHAPES
     report: Dict[str, object] = {
@@ -1290,10 +1336,10 @@ def print_kernel_rows(section: Dict[str, object]) -> None:
         )
     else:
         print(
-            "kernels: numpy + native "
-            f"(gemm_impl={section['gemm_impl']}, "
+            f"kernels: numpy + native ({gemm_tier_label(section)}, "
             f"{section['num_threads']} thread(s))"
         )
+        print_gemm_gops(section)
     for name, row in section["ops"].items():
         parts = [f"numpy {1e3 * row['numpy_s']:8.2f} ms"]
         if "native_s" in row:
@@ -1303,6 +1349,21 @@ def print_kernel_rows(section: Dict[str, object]) -> None:
         if "bitwise_equal_vs_numpy" in row:
             parts.append(f"bitwise_equal={row['bitwise_equal_vs_numpy']}")
         print(f"  {name:<22} " + "  ".join(parts))
+
+
+def gemm_tier_label(info: Dict[str, object]) -> str:
+    """``int8 GEMM tier 3 = amx`` (+ why a higher tier was refused), from
+    ``kernel_info()`` or the ``kernels`` section."""
+    refused = info["gemm_tier_refused"]
+    label = f"int8 GEMM tier {info['gemm_impl']} = {info['gemm_tier']}"
+    return f"{label}; {refused}" if refused else label
+
+
+def print_gemm_gops(section: Dict[str, object]) -> None:
+    """The packed int8 GEMM alone: GOP/s per shape, the tier in use first."""
+    for shape, tiers in section["ops"]["gemm_int8"]["gops"].items():
+        rates = ", ".join(f"{tier} {gops:.0f}" for tier, gops in tiers.items())
+        print(f"  gemm_int8 {shape:<14} GOP/s: {rates}")
 
 
 def print_ipc_row(row: Dict[str, object]) -> None:

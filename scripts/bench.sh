@@ -87,6 +87,10 @@ print(
 )
 kernels = report["kernels"]
 if kernels["native_available"]:
+    print(f"kernel int8 GEMM tier: {kernels['gemm_tier']}")
+    for shape, tiers in kernels["ops"]["gemm_int8"]["gops"].items():
+        rates = ", ".join(f"{tier} {gops:.0f}" for tier, gops in tiers.items())
+        print(f"kernel gemm_int8 {shape} GOP/s: {rates}")
     for name in ("gemm_int8", "lut_gelu_bias", "encoder_forward_int8"):
         row = kernels["ops"][name]
         print(

@@ -403,7 +403,8 @@ class InferenceSession:
                     )
         self.config = config or SessionConfig()
         self.spec = spec or BackendSpec.exact()
-        self.registry = registry or default_registry()
+        # ``is None``, not truthiness: an empty LutRegistry is falsy (__len__).
+        self.registry = default_registry() if registry is None else registry
         self.model = model if model is not None else self.config.build_model()
         self.lut_overrides: Dict[str, LookupTable] = {}
         self.backend: NonlinearBackend = build_backend(self.spec, registry=self.registry)

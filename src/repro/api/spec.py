@@ -403,7 +403,8 @@ def build_backend(
     """
     if not isinstance(spec, BackendSpec):
         raise TypeError(f"spec must be a BackendSpec, got {type(spec).__name__}")
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     overrides = dict(lut_overrides or {})
     known_primitives = {p for prims in OPERATOR_PRIMITIVES.values() for p in prims}
     unknown = set(overrides) - known_primitives

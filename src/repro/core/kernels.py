@@ -17,6 +17,30 @@ per-op inner loops live, with two interchangeable implementations:
   and the LayerNorm centre/scale/affine tail — each a single pass over the
   tensor instead of numpy's one-pass-per-op sequence.
 
+The int8 GEMM
+-------------
+``pack_weight_int8`` packs a ``(k, n)`` weight once into 32-column panels,
+each k4-interleaved — ``[panel][k/4][32][4]`` int8, 64-byte aligned, ``k``
+zero-padded to a multiple of 64 and ``n`` to a multiple of 32
+(:class:`_PackedInt8Weight`).  One k4 group of a panel is two 64-byte
+vectors of 16 columns x 4 consecutive ``k``: the operand shape of
+``vpdpbusd`` and one row of an AMX B tile.  Three micro-kernels in
+``kernels_native.c`` walk that one layout, and the best the host allows is
+picked once, when the library loads:
+
+3. ``amx`` — ``TDPBSSD`` on 2x2 tiles (32 rows x one panel per step,
+   signed x signed).  Needs ``-march=native`` to define ``__AMX_INT8__`` and
+   the OS to grant tile-data permission (``arch_prctl``, asked once).
+2. ``vnni`` — AVX512 ``vpdpbusd``: four activation bytes broadcast against
+   the vectors of two adjacent panels into a 6 x 64 register tile.
+1. ``scalar`` — a portable loop over the same layout.
+
+In all three the accumulators are the output tile; nothing is reduced
+horizontally.  A tier that is not compiled in, or that the OS refuses, falls
+to the next one — never to an error — and :func:`kernel_info` reports which
+tier runs and why a higher one was turned down.  Integer accumulation is
+exact in any order, so every tier returns the same bits.
+
 Parity contract
 ---------------
 ``NativeKernel`` is not merely "close": its C routines perform the same
@@ -268,8 +292,10 @@ _SOURCE_PATH = Path(__file__).with_name("kernels_native.c")
 _I8 = ctypes.c_void_p  # all arrays cross the boundary as raw pointers
 _SIGNATURES: Dict[str, Tuple[Sequence, Optional[type]]] = {
     "repro_gemm_impl": ([], ctypes.c_int),
+    "repro_amx_request": ([], ctypes.c_int),
     "repro_gemm_s8": (
-        [_I8, _I8, _I8, _I8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64],
+        [_I8, _I8, _I8, _I8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+         ctypes.c_int],
         None,
     ),
 }
@@ -331,12 +357,42 @@ def _extra_cflags() -> tuple:
 
 
 #: tried in order; the first set that compiles wins (``-march=native``
-#: unlocks the VNNI int8 GEMM where the CPU has it).
+#: unlocks the AMX / AVX512-VNNI int8 GEMM tiers where the CPU has them).
 _FLAG_ATTEMPTS = (("-march=native",), ())
 
 _native_lock = threading.Lock()
-_native_state: Dict[str, object] = {"tried": False, "lib": None, "error": None}
+_native_state: Dict[str, object] = {
+    "tried": False,
+    "lib": None,
+    "error": None,
+    "gemm_tier": None,
+    "gemm_refused": None,
+}
 _fallback_warned = False
+
+#: int8 GEMM micro-kernel tiers, in the C library's numbering (best last).
+GEMM_TIER_NAMES = {1: "scalar", 2: "vnni", 3: "amx"}
+
+
+def _probe_gemm_tier(lib) -> Tuple[int, Optional[str]]:
+    """``(tier, refused)``: the best GEMM tier ``lib`` can run here, and why
+    a higher one was turned down (``None`` when the best tier runs).
+
+    Compile time decides which tiers exist (``repro_gemm_impl``); AMX then
+    needs the OS to grant tile-data permission (``repro_amx_request``, asked
+    once per process).  A refusal falls to the next tier, never to an error.
+    """
+    compiled = int(lib.repro_gemm_impl())
+    if compiled < 3:
+        missing = ", ".join(GEMM_TIER_NAMES[t] for t in range(3, compiled, -1))
+        return compiled, f"{missing}: not compiled in (compiler flags lack it)"
+    err = int(lib.repro_amx_request())
+    if err:
+        return 2, (
+            "amx: arch_prctl(ARCH_REQ_XCOMP_PERM) refused "
+            f"(errno {err}: {os.strerror(err)})"
+        )
+    return 3, None
 
 
 def _find_compiler() -> str | None:
@@ -418,7 +474,8 @@ def _load_native_lib():
                 fn = getattr(lib, fname)
                 fn.argtypes = list(argtypes)
                 fn.restype = restype
-            _native_state["lib"] = lib
+            tier, refused = _probe_gemm_tier(lib)
+            _native_state.update(lib=lib, gemm_tier=tier, gemm_refused=refused)
         except Exception as exc:
             _native_state["lib"] = None
             _native_state["error"] = str(exc)
@@ -453,23 +510,46 @@ def native_unavailable_reason() -> str | None:
 # --------------------------------------------------------------------------- #
 # NativeKernel
 # --------------------------------------------------------------------------- #
-class _PackedInt8Weight:
-    """Weight operand for the native int8 GEMM.
+#: columns per packed weight panel; must match PANEL_COLS in kernels_native.c.
+_PANEL_COLS = 32
 
-    Holds the transposed int8 weight (``(out, in)`` row-major, so both GEMM
-    operands stream along the contraction axis) plus the int32 column sums
-    consumed by the unsigned-offset correction.
+
+class _PackedInt8Weight:
+    """Weight operand for the native int8 GEMM: k4-interleaved column panels.
+
+    ``panels`` is ``[panel][k/4][_PANEL_COLS][4]`` int8, 64-byte aligned, with
+    ``k`` zero-padded to a multiple of 64 and ``n`` to a multiple of
+    ``_PANEL_COLS`` — the one layout all three GEMM micro-kernels read (see
+    the header of ``kernels_native.c``).  ``colsum`` (int32, padded to a
+    multiple of 64) feeds the VNNI tier's unsigned-offset correction.
     """
 
-    __slots__ = ("bt", "colsum", "k", "n")
+    __slots__ = ("panels", "colsum", "k", "n")
 
     def __init__(self, w_q_data: np.ndarray) -> None:
         data = np.asarray(w_q_data)
         self.k, self.n = (int(data.shape[0]), int(data.shape[1]))
-        self.bt = np.ascontiguousarray(data.T.astype(np.int8))
-        self.colsum = np.ascontiguousarray(
-            data.sum(axis=0, dtype=np.int64).astype(np.int32)
+        k_pad = -(-self.k // 64) * 64
+        num_panels = -(-self.n // _PANEL_COLS)
+        padded = np.zeros((k_pad, num_panels * _PANEL_COLS), dtype=np.int8)
+        padded[: self.k, : self.n] = data
+        self.panels = _aligned_empty(padded.size, np.int8).reshape(
+            num_panels, k_pad // 4, _PANEL_COLS, 4
         )
+        # (k/4, 4, panel, col) -> (panel, k/4, col, 4)
+        self.panels[...] = padded.reshape(
+            k_pad // 4, 4, num_panels, _PANEL_COLS
+        ).transpose(2, 0, 3, 1)
+        self.colsum = np.zeros(-(-self.n // 64) * 64, dtype=np.int32)
+        self.colsum[: self.n] = data.sum(axis=0, dtype=np.int32)
+
+
+def _aligned_empty(size: int, dtype, alignment: int = 64) -> np.ndarray:
+    """Uninitialised 1-D array whose data pointer is ``alignment``-aligned."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.empty(size * itemsize + alignment, dtype=np.uint8)
+    offset = -raw.ctypes.data % alignment
+    return raw[offset : offset + size * itemsize].view(dtype)
 
 
 def _ptr(arr: np.ndarray | None) -> int | None:
@@ -528,8 +608,8 @@ class NativeKernel(ComputeKernel):
 
     @property
     def gemm_impl(self) -> int:
-        """2 when the VNNI dot-product GEMM was compiled in, 1 otherwise."""
-        return int(self._lib.repro_gemm_impl())
+        """The int8 GEMM tier that runs: 3 = AMX, 2 = AVX512-VNNI, 1 = scalar."""
+        return int(_native_state["gemm_tier"])
 
     # -- row-block threading ---------------------------------------------- #
     def _run_rows(self, rows: int, fn) -> None:
@@ -568,20 +648,30 @@ class NativeKernel(ComputeKernel):
             return self._numpy.pack_weight_int8(data)
         return _PackedInt8Weight(data)
 
-    def gemm_int8(self, a_q: np.ndarray, packed: _PackedInt8Weight) -> np.ndarray:
-        """Exact INT8 x INT8 -> INT32 GEMM over a packed weight operand."""
-        m = int(a_q.shape[0])
-        acc = np.empty((m, packed.n), dtype=np.int32)
-        if m == 0 or packed.n == 0:
+    def gemm_int8(
+        self, a_q: np.ndarray, packed: _PackedInt8Weight, tier: int | None = None
+    ) -> np.ndarray:
+        """Exact INT8 x INT8 -> INT32 GEMM over a packed weight operand.
+
+        ``tier`` runs a lower micro-kernel than the probed one (the tests use
+        it to cover every tier the host compiled); results are identical.
+        """
+        a_q = np.ascontiguousarray(a_q, dtype=np.int8)
+        m, k, n = int(a_q.shape[0]), packed.k, packed.n
+        if a_q.shape != (m, k):
+            raise ValueError(f"a_q must be (rows, {k}), got {a_q.shape}")
+        # 64-byte aligned so no tile row / vector store straddles cache lines
+        acc = _aligned_empty(m * n, np.int32).reshape(m, n)
+        if m == 0 or n == 0:
             return acc
-        k, n = packed.k, packed.n
-        a_ptr, bt_ptr = a_q.ctypes.data, packed.bt.ctypes.data
-        cs_ptr, acc_ptr = packed.colsum.ctypes.data, acc.ctypes.data
+        tier = self.gemm_impl if tier is None else min(int(tier), self.gemm_impl)
+        a_ptr, acc_ptr = a_q.ctypes.data, acc.ctypes.data
+        w_ptr, cs_ptr = packed.panels.ctypes.data, packed.colsum.ctypes.data
 
         def run(start: int, stop: int) -> None:
             self._lib.repro_gemm_s8(
-                a_ptr + start * k, bt_ptr, cs_ptr, acc_ptr + start * n * 4,
-                stop - start, k, n,
+                a_ptr + start * k, w_ptr, cs_ptr, acc_ptr + start * n * 4,
+                stop - start, k, n, tier,
             )
 
         self._run_rows(m, run)
@@ -606,7 +696,7 @@ class NativeKernel(ComputeKernel):
         m = flat.shape[0]
         suf = self._suffix(flat.dtype)
         act_scale = self._max_abs_scale(flat, suf)
-        q = np.empty((m, k), dtype=np.int8)
+        q = _aligned_empty(m * k, np.int8).reshape(m, k)
         status = getattr(self._lib, f"repro_qpack_{suf}")(
             flat.ctypes.data, flat.size, act_scale, q.ctypes.data
         )
@@ -890,13 +980,25 @@ def reset_kernel_fallback_warning() -> None:
 
 
 def kernel_info() -> Dict[str, object]:
-    """Diagnostics for benchmarks/reports: availability + GEMM flavour."""
+    """Diagnostics for benchmarks/reports: availability + int8 GEMM tier.
+
+    ``gemm_impl`` / ``gemm_tier`` are the tier that runs (3 / ``"amx"``,
+    2 / ``"vnni"``, 1 / ``"scalar"``); ``gemm_tier_refused`` says why a
+    higher tier was turned down (``None`` when the best one runs).
+    """
     info: Dict[str, object] = {
         "names": list(KERNEL_NAMES),
         "native_available": native_available(),
         "native_unavailable_reason": native_unavailable_reason(),
         "gemm_impl": None,
+        "gemm_tier": None,
+        "gemm_tier_refused": None,
     }
     if info["native_available"]:
-        info["gemm_impl"] = _native_singleton().gemm_impl
+        tier = _native_singleton().gemm_impl
+        info.update(
+            gemm_impl=tier,
+            gemm_tier=GEMM_TIER_NAMES[tier],
+            gemm_tier_refused=_native_state["gemm_refused"],
+        )
     return info

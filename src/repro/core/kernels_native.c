@@ -9,177 +9,363 @@
  * add, no FMA contraction — hence -ffp-contract=off — and round-half-to-even
  * via nearbyint, matching np.round), so float32/float64 results are bitwise
  * equal to numpy's, not merely close.  The int8 GEMM accumulates int8 x int8
- * products in int32 exactly; callers guard the contraction length so neither
- * the accumulator nor the 128 * colsum offset correction can overflow.
+ * products in int32 exactly (integer addition is associative, so every tier
+ * below gives the same bits); callers guard the contraction length so the
+ * accumulator cannot overflow.
+ *
+ * int8 GEMM operand layout
+ * ------------------------
+ * The weight (k, n) is packed once, in Python, into column panels of
+ * PANEL_COLS columns, each k4-interleaved:
+ *
+ *     packed[panel][k / 4][PANEL_COLS][4]        (int8, 64-byte aligned)
+ *
+ * with k zero-padded to a multiple of 64 and n to a multiple of PANEL_COLS.
+ * One "k4 group" of a panel is 128 contiguous bytes: two 64-byte vectors of
+ * 16 columns x 4 consecutive k each, which is at once the operand shape of
+ * vpdpbusd (16 int32 lanes, 4 bytes per lane) and one row of an AMX B tile.
+ * Three micro-kernels walk this one layout, best first:
+ *
+ *     3  AMX    TDPBSSD, 2x2 tiles = 32 rows x one panel per step
+ *     2  VNNI   vpdpbusd, 4 activation bytes broadcast against the vectors
+ *               of two adjacent panels into a 6 x 64 register tile
+ *     1  scalar portable loop (whatever the compiler vectorises)
+ *
+ * In all three the accumulators *are* the C tile: nothing is reduced
+ * horizontally.  Which tiers exist is decided at compile time
+ * (__AMX_INT8__ / __AVX512VNNI__ from -march=native); AMX additionally needs
+ * the kernel's permission (repro_amx_request, asked once at load).  The
+ * caller passes the tier to run; a tier that was not compiled in falls to
+ * the next one down.
  */
 
+#define _GNU_SOURCE /* syscall() */
+
+#include <errno.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
 #include <immintrin.h>
 #define REPRO_GEMM_VNNI 1
 #elif defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
+#if defined(REPRO_GEMM_VNNI) && defined(__AMX_INT8__) &&                      \
+    defined(__AMX_TILE__) && defined(__linux__) && defined(__x86_64__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#define REPRO_GEMM_AMX 1
+#endif
+
 #define EXPORT __attribute__((visibility("default")))
 
 /* ------------------------------------------------------------------ */
-/* int8 GEMM: a (m,k) row-major int8  x  bt (n,k) row-major int8       */
-/* (the weight is packed transposed so both operands stream along k).  */
+/* int8 GEMM: a (m,k) row-major int8  x  packed weight (see header).   */
 /* c (m,n) int32 = exact integer accumulation.                         */
 /* ------------------------------------------------------------------ */
 
-#ifdef REPRO_GEMM_VNNI
-static inline int32_t hsum_epi32(__m256i v) {
-    __m128i lo = _mm256_castsi256_si128(v);
-    __m128i hi = _mm256_extracti128_si256(v, 1);
-    __m128i s = _mm_add_epi32(lo, hi);
-    s = _mm_hadd_epi32(s, s);
-    s = _mm_hadd_epi32(s, s);
-    return _mm_cvtsi128_si32(s);
-}
-#endif
+#define PANEL_COLS 32
+#define GROUP_BYTES (PANEL_COLS * 4) /* one k4 group of one panel */
 
+/* k4 groups per panel: k rounded up to a multiple of 64, over 4. */
+static inline int64_t panel_groups(int64_t k) { return (k + 63) / 64 * 16; }
+
+/* Highest GEMM tier compiled into this library. */
 EXPORT int repro_gemm_impl(void) {
-#ifdef REPRO_GEMM_VNNI
-    return 2; /* vpdpbusd */
+#if defined(REPRO_GEMM_AMX)
+    return 3;
+#elif defined(REPRO_GEMM_VNNI)
+    return 2;
 #else
-    return 1; /* scalar/autovectorised */
+    return 1;
 #endif
 }
 
-EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *bt,
-                          const int32_t *colsum, int32_t *c, int64_t m,
-                          int64_t k, int64_t n) {
-#ifdef REPRO_GEMM_VNNI
-    /* vpdpbusd multiplies unsigned by signed bytes; biasing A by +128
-     * (a bit-flip of the sign bit, i.e. XOR 0x80) makes it unsigned and
-     * adds 128 * sum_k bt[j][k] to every dot product, which the
-     * precomputed column sums subtract back out.  All intermediate sums
-     * fit int32 for the contraction lengths the Python caller admits.
-     *
-     * The main loop is tiled 4 rows x 4 columns: each B vector loaded from
-     * L2 feeds four A rows, quartering the dominant memory traffic. */
-    const __m256i flip = _mm256_set1_epi8((char)0x80);
-    int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        const int8_t *ar[4];
-        for (int ii = 0; ii < 4; ++ii)
-            ar[ii] = a + (i + ii) * k;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const int8_t *br[4];
-            for (int jj = 0; jj < 4; ++jj)
-                br[jj] = bt + (j + jj) * k;
-            __m512i acc[4][4];
-            for (int ii = 0; ii < 4; ++ii)
-                for (int jj = 0; jj < 4; ++jj)
-                    acc[ii][jj] = _mm512_setzero_si512();
-            const __m512i flip512 = _mm512_set1_epi8((char)0x80);
-            int64_t kk = 0;
-            for (; kk + 64 <= k; kk += 64) {
-                __m512i va[4], vb;
-                for (int ii = 0; ii < 4; ++ii)
-                    va[ii] = _mm512_xor_si512(
-                        _mm512_loadu_si512((const void *)(ar[ii] + kk)),
-                        flip512);
-                for (int jj = 0; jj < 4; ++jj) {
-                    vb = _mm512_loadu_si512((const void *)(br[jj] + kk));
-                    acc[0][jj] = _mm512_dpbusd_epi32(acc[0][jj], va[0], vb);
-                    acc[1][jj] = _mm512_dpbusd_epi32(acc[1][jj], va[1], vb);
-                    acc[2][jj] = _mm512_dpbusd_epi32(acc[2][jj], va[2], vb);
-                    acc[3][jj] = _mm512_dpbusd_epi32(acc[3][jj], va[3], vb);
-                }
-            }
-            for (int ii = 0; ii < 4; ++ii) {
-                for (int jj = 0; jj < 4; ++jj) {
-                    int32_t s = _mm512_reduce_add_epi32(acc[ii][jj]);
-                    for (int64_t kt = kk; kt < k; ++kt) {
-                        int32_t au =
-                            (int32_t)(uint8_t)(ar[ii][kt] ^ (int8_t)0x80);
-                        s += au * br[jj][kt];
-                    }
-                    c[(i + ii) * n + j + jj] = s - 128 * colsum[j + jj];
-                }
-            }
-        }
-        for (; j < n; ++j) { /* column tail: plain signed dot per row */
-            const int8_t *bj = bt + j * k;
-            for (int ii = 0; ii < 4; ++ii) {
-                int32_t acc0 = 0;
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc0 += (int32_t)ar[ii][kk] * bj[kk];
-                c[(i + ii) * n + j] = acc0;
-            }
-        }
-    }
-    for (; i < m; ++i) { /* row tail: single-row quad-column loop */
-        const int8_t *ar = a + i * k;
-        int32_t *cr = c + i * n;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const int8_t *b0 = bt + (j + 0) * k;
-            const int8_t *b1 = bt + (j + 1) * k;
-            const int8_t *b2 = bt + (j + 2) * k;
-            const int8_t *b3 = bt + (j + 3) * k;
-            __m256i acc0 = _mm256_setzero_si256();
-            __m256i acc1 = _mm256_setzero_si256();
-            __m256i acc2 = _mm256_setzero_si256();
-            __m256i acc3 = _mm256_setzero_si256();
-            int64_t kk = 0;
-            for (; kk + 32 <= k; kk += 32) {
-                __m256i va = _mm256_xor_si256(
-                    _mm256_loadu_si256((const __m256i *)(ar + kk)), flip);
-                acc0 = _mm256_dpbusd_epi32(
-                    acc0, va, _mm256_loadu_si256((const __m256i *)(b0 + kk)));
-                acc1 = _mm256_dpbusd_epi32(
-                    acc1, va, _mm256_loadu_si256((const __m256i *)(b1 + kk)));
-                acc2 = _mm256_dpbusd_epi32(
-                    acc2, va, _mm256_loadu_si256((const __m256i *)(b2 + kk)));
-                acc3 = _mm256_dpbusd_epi32(
-                    acc3, va, _mm256_loadu_si256((const __m256i *)(b3 + kk)));
-            }
-            int32_t s0 = hsum_epi32(acc0);
-            int32_t s1 = hsum_epi32(acc1);
-            int32_t s2 = hsum_epi32(acc2);
-            int32_t s3 = hsum_epi32(acc3);
-            for (; kk < k; ++kk) {
-                int32_t au = (int32_t)(uint8_t)(ar[kk] ^ (int8_t)0x80);
-                s0 += au * b0[kk];
-                s1 += au * b1[kk];
-                s2 += au * b2[kk];
-                s3 += au * b3[kk];
-            }
-            cr[j + 0] = s0 - 128 * colsum[j + 0];
-            cr[j + 1] = s1 - 128 * colsum[j + 1];
-            cr[j + 2] = s2 - 128 * colsum[j + 2];
-            cr[j + 3] = s3 - 128 * colsum[j + 3];
-        }
-        for (; j < n; ++j) { /* remaining columns: plain signed dot */
-            const int8_t *bj = bt + j * k;
-            int32_t acc = 0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += (int32_t)ar[kk] * bj[kk];
-            cr[j] = acc;
-        }
-    }
+/* Ask the kernel for permission to use AMX tile data (Linux grants it per
+ * process, threads and children inherit it).  0 on success, else errno;
+ * ENOSYS when the AMX tier is not compiled in. */
+EXPORT int repro_amx_request(void) {
+#ifdef REPRO_GEMM_AMX
+    /* arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) */
+    if (syscall(SYS_arch_prctl, 0x1023, 18) != 0)
+        return errno ? errno : EPERM;
+    return 0;
 #else
-    (void)colsum;
-    for (int64_t i = 0; i < m; ++i) {
-        const int8_t *ar = a + i * k;
-        int32_t *cr = c + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const int8_t *bj = bt + j * k;
-            int32_t acc = 0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += (int32_t)ar[kk] * bj[kk];
-            cr[j] = acc;
+    return ENOSYS;
+#endif
+}
+
+/* ---- tier 1: portable ------------------------------------------------ */
+
+/* SCALAR_ROWS x PANEL_COLS tile: every weight byte loaded feeds
+ * SCALAR_ROWS rows. */
+#define SCALAR_ROWS 6
+
+static void gemm_scalar(const int8_t *a, const int8_t *packed, int32_t *c,
+                        int64_t m, int64_t k, int64_t n) {
+    const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
+    for (int64_t j0 = 0; j0 < n; j0 += PANEL_COLS) {
+        const int8_t *panel = packed + j0 / PANEL_COLS * panel_bytes;
+        const int64_t cols = n - j0 < PANEL_COLS ? n - j0 : PANEL_COLS;
+        for (int64_t i = 0; i < m; i += SCALAR_ROWS) {
+            const int rows = m - i < SCALAR_ROWS ? (int)(m - i) : SCALAR_ROWS;
+            int32_t acc[SCALAR_ROWS][PANEL_COLS] = {{0}};
+            for (int64_t kk = 0; kk < k; kk += 4) {
+                /* the k4 group of each row, zero past k and past m */
+                int16_t av[SCALAR_ROWS][4] = {{0}};
+                for (int r = 0; r < rows; ++r)
+                    for (int t = 0; t < 4 && kk + t < k; ++t)
+                        av[r][t] = a[(i + r) * k + kk + t];
+                const int8_t *bg = panel + kk / 4 * GROUP_BYTES;
+                for (int j = 0; j < PANEL_COLS; ++j) {
+                    const int16_t b0 = bg[4 * j], b1 = bg[4 * j + 1];
+                    const int16_t b2 = bg[4 * j + 2], b3 = bg[4 * j + 3];
+                    for (int r = 0; r < SCALAR_ROWS; ++r)
+                        acc[r][j] += av[r][0] * b0 + av[r][1] * b1 +
+                                     av[r][2] * b2 + av[r][3] * b3;
+                }
+            }
+            for (int r = 0; r < rows; ++r)
+                memcpy(c + (i + r) * n + j0, acc[r],
+                       (size_t)cols * sizeof(int32_t));
         }
+    }
+}
+
+#ifdef REPRO_GEMM_VNNI
+/* ---- tier 2: AVX512-VNNI, broadcast-A ---------------------------------- */
+
+static inline __m512i dpbusd(__m512i acc, __m512i u8, __m512i s8) {
+    /* The intrinsic makes GCC 12 shuffle and spill the accumulators; the
+     * instruction itself keeps them where they are. */
+    __asm__("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(u8), "v"(s8));
+    return acc;
+}
+
+/* The tile's six rows are spelled out (named accumulators stay in
+ * registers; an array of them does not). */
+#define VNNI_ROWS(OP, ARG)                                                    \
+    OP(0, ARG) OP(1, ARG) OP(2, ARG) OP(3, ARG) OP(4, ARG) OP(5, ARG)
+
+#define VNNI_ROW_INIT(R, UNUSED)                                              \
+    const int8_t *a##R = a + (R < rows ? R : rows - 1) * k;                   \
+    __m512i c##R##0 = s0, c##R##1 = s1, c##R##2 = s2, c##R##3 = s3;
+
+#define VNNI_ROW_STEP(R, LEN)                                                 \
+    {                                                                         \
+        int32_t group = 0;                                                    \
+        memcpy(&group, a##R + kk, (size_t)(LEN));                             \
+        const __m512i av =                                                    \
+            _mm512_xor_si512(_mm512_set1_epi32(group), flip);                 \
+        c##R##0 = dpbusd(c##R##0, av, b0);                                    \
+        c##R##1 = dpbusd(c##R##1, av, b1);                                    \
+        c##R##2 = dpbusd(c##R##2, av, b2);                                    \
+        c##R##3 = dpbusd(c##R##3, av, b3);                                    \
+    }
+
+#define VNNI_ROW_STORE(R, UNUSED)                                             \
+    if (R < rows) {                                                           \
+        _mm512_mask_storeu_epi32(c + R * n, mask[0], c##R##0);                \
+        _mm512_mask_storeu_epi32(c + R * n + 16, mask[1], c##R##1);           \
+        _mm512_mask_storeu_epi32(c + R * n + 32, mask[2], c##R##2);           \
+        _mm512_mask_storeu_epi32(c + R * n + 48, mask[3], c##R##3);           \
+    }
+
+#define VNNI_STEP(LEN)                                                        \
+    {                                                                         \
+        const int8_t *bg = panel + kk / 4 * GROUP_BYTES;                      \
+        const __m512i b0 = _mm512_loadu_si512((const void *)bg);              \
+        const __m512i b1 = _mm512_loadu_si512((const void *)(bg + 64));       \
+        const __m512i b2 = _mm512_loadu_si512((const void *)(bg + next));     \
+        const __m512i b3 = _mm512_loadu_si512((const void *)(bg + next + 64));\
+        VNNI_ROWS(VNNI_ROW_STEP, LEN)                                         \
+    }
+
+/* One 6 x 64 tile over the whole contraction: the panel at `panel` and the
+ * one `next` bytes after it (0 when there is none: the first is read again
+ * and `mask` drops the columns).  `rows` (1..6) of the tile are real — the
+ * rest recompute the last real row and are not stored.  vpdpbusd
+ * multiplies unsigned by signed bytes: A is biased by +128 (XOR 0x80 on the
+ * broadcast group) and the accumulators start at -128 * colsum[j], which
+ * takes the bias back out.  Intermediate sums may wrap; the final one is
+ * exact.  The last k4 group is zero-filled past k. */
+static void vnni_tile(const int8_t *a, int64_t rows, const int8_t *panel,
+                      int64_t next, const int32_t *colsum, int32_t *c,
+                      int64_t k, int64_t n, const __mmask16 *mask) {
+    const __m512i flip = _mm512_set1_epi32((int32_t)0x80808080u);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i *cs = (const __m512i *)colsum;
+    const __m512i s0 =
+        _mm512_sub_epi32(zero, _mm512_slli_epi32(_mm512_loadu_si512(cs), 7));
+    const __m512i s1 = _mm512_sub_epi32(
+        zero, _mm512_slli_epi32(_mm512_loadu_si512(cs + 1), 7));
+    const __m512i s2 = _mm512_sub_epi32(
+        zero, _mm512_slli_epi32(_mm512_loadu_si512(cs + 2), 7));
+    const __m512i s3 = _mm512_sub_epi32(
+        zero, _mm512_slli_epi32(_mm512_loadu_si512(cs + 3), 7));
+    VNNI_ROWS(VNNI_ROW_INIT, 0)
+    int64_t kk = 0;
+    for (; kk + 4 <= k; kk += 4)
+        VNNI_STEP(4)
+    if (kk < k)
+        VNNI_STEP(k - kk)
+    VNNI_ROWS(VNNI_ROW_STORE, 0)
+}
+
+static void gemm_vnni(const int8_t *a, const int8_t *packed,
+                      const int32_t *colsum, int32_t *c, int64_t m, int64_t k,
+                      int64_t n) {
+    const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
+    /* Column tiles outermost: two panels of the weight stay in cache while
+     * every row tile streams past them. */
+    for (int64_t j0 = 0; j0 < n; j0 += 64) {
+        const int8_t *panel = packed + j0 / PANEL_COLS * panel_bytes;
+        const int64_t next = j0 + PANEL_COLS < n ? panel_bytes : 0;
+        __mmask16 mask[4]; /* valid columns of each 16-lane vector */
+        for (int v = 0; v < 4; ++v) {
+            int64_t left = n - j0 - 16 * v;
+            mask[v] = (__mmask16)(left >= 16 ? 0xffff
+                                  : left > 0 ? (1u << left) - 1
+                                             : 0);
+        }
+        for (int64_t i = 0; i < m; i += 6)
+            vnni_tile(a + i * k, m - i < 6 ? m - i : 6, panel, next,
+                      colsum + j0, c + i * n + j0, k, n, mask);
+    }
+}
+#endif /* REPRO_GEMM_VNNI */
+
+#ifdef REPRO_GEMM_AMX
+/* ---- tier 3: AMX TDPBSSD, 2x2 tiles ------------------------------------ */
+
+/* Tile register roles: 0-3 the C tiles (row half x column half), 4-5 the
+ * A tiles (16 rows x 64 k-bytes each), 6-7 the B tiles (16 k4 groups x 16
+ * columns each: the two halves of a panel). */
+typedef struct {
+    uint8_t palette, start_row, reserved[14];
+    uint16_t colsb[16];
+    uint8_t rows[16];
+} __attribute__((aligned(64))) tilecfg_t;
+
+static void amx_config(tilecfg_t *cfg, int rows) {
+    const int top = rows < 16 ? rows : 16, bottom = rows - top;
+    memset(cfg, 0, sizeof *cfg);
+    cfg->palette = 1;
+    const int tile_rows[8] = {top, top, bottom, bottom, top, bottom, 16, 16};
+    for (int t = 0; t < 8; ++t) {
+        cfg->rows[t] = (uint8_t)tile_rows[t];
+        cfg->colsb[t] = tile_rows[t] ? 64 : 0;
+    }
+}
+
+/* C tile `T` to memory; a column half that hangs over n goes through a
+ * bounce buffer so only the valid columns are written. */
+#define AMX_STORE(T, crow, rows, cols)                                        \
+    do {                                                                      \
+        if ((cols) >= 16) {                                                   \
+            _tile_stored(T, crow, (size_t)n * 4);                             \
+        } else if ((cols) > 0) {                                              \
+            int32_t bounce[16 * 16];                                          \
+            _tile_stored(T, bounce, 64);                                      \
+            for (int r_ = 0; r_ < (rows); ++r_)                               \
+                memcpy((crow) + r_ * n, bounce + 16 * r_,                     \
+                       (size_t)(cols) * sizeof(int32_t));                     \
+        }                                                                     \
+    } while (0)
+
+/* One (<= 32 rows) x (32 columns) block over the whole contraction.  The
+ * tile configuration for `rows` is already loaded; with 16 rows or fewer the
+ * bottom tiles are unconfigured and stay untouched.  `b` is the block's
+ * panel. */
+static void amx_block(const int8_t *a, const int8_t *b, int32_t *c, int rows,
+                      int64_t cols, int64_t k, int64_t n) {
+    const int top = rows < 16 ? rows : 16, bottom = rows - top;
+    int8_t tail[32 * 64] __attribute__((aligned(64)));
+    _tile_zero(0);
+    _tile_zero(1);
+    if (bottom) {
+        _tile_zero(2);
+        _tile_zero(3);
+    }
+    for (int64_t kk = 0; kk < k; kk += 64, b += 16 * GROUP_BYTES) {
+        const int8_t *a0 = a + kk; /* this chunk of the top 16 rows */
+        int64_t lda = k;
+        if (kk + 64 > k) { /* k tail: a zero-padded copy of A's last chunk */
+            memset(tail, 0, sizeof tail);
+            for (int r = 0; r < rows; ++r)
+                memcpy(tail + 64 * r, a0 + r * k, (size_t)(k - kk));
+            a0 = tail;
+            lda = 64;
+        }
+        _tile_loadd(6, b, GROUP_BYTES);
+        _tile_loadd(7, b + 64, GROUP_BYTES);
+        _tile_loadd(4, a0, (size_t)lda);
+        _tile_dpbssd(0, 4, 6);
+        _tile_dpbssd(1, 4, 7);
+        if (bottom) {
+            _tile_loadd(5, a0 + 16 * lda, (size_t)lda);
+            _tile_dpbssd(2, 5, 6);
+            _tile_dpbssd(3, 5, 7);
+        }
+    }
+    AMX_STORE(0, c, top, cols);
+    AMX_STORE(1, c + 16, top, cols - 16);
+    if (bottom) {
+        AMX_STORE(2, c + 16 * n, bottom, cols);
+        AMX_STORE(3, c + 16 * n + 16, bottom, cols - 16);
+    }
+}
+
+static void gemm_amx(const int8_t *a, const int8_t *packed, int32_t *c,
+                     int64_t m, int64_t k, int64_t n) {
+    const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
+    const int64_t full = m / 32 * 32;
+    const int tail = (int)(m - full);
+    tilecfg_t cfg_full, cfg_tail;
+    amx_config(&cfg_full, 32);
+    amx_config(&cfg_tail, tail);
+    /* Panels outermost: one panel of the weight stays in cache while every
+     * row block streams past it, so the weight is read from memory once per
+     * call. */
+    for (int64_t j0 = 0; j0 < n; j0 += PANEL_COLS) {
+        const int8_t *b = packed + j0 / PANEL_COLS * panel_bytes;
+        if (full && (tail || j0 == 0))
+            _tile_loadconfig(&cfg_full);
+        for (int64_t i = 0; i < full; i += 32)
+            amx_block(a + i * k, b, c + i * n + j0, 32, n - j0, k, n);
+        if (tail) {
+            _tile_loadconfig(&cfg_tail);
+            amx_block(a + full * k, b, c + full * n + j0, tail, n - j0, k, n);
+        }
+    }
+    _tile_release();
+}
+#endif /* REPRO_GEMM_AMX */
+
+/* `tier` is the micro-kernel to run (repro_gemm_impl's numbering); one that
+ * is not compiled in falls to the next one down.  Tier 3 additionally
+ * requires that repro_amx_request succeeded in this process. */
+EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
+                          const int32_t *colsum, int32_t *c, int64_t m,
+                          int64_t k, int64_t n, int tier) {
+#ifdef REPRO_GEMM_AMX
+    if (tier >= 3) {
+        gemm_amx(a, packed, c, m, k, n);
+        return;
     }
 #endif
+#ifdef REPRO_GEMM_VNNI
+    if (tier >= 2) {
+        gemm_vnni(a, packed, colsum, c, m, k, n);
+        return;
+    }
+#endif
+    (void)colsum;
+    (void)tier;
+    gemm_scalar(a, packed, c, m, k, n);
 }
 
 /* ------------------------------------------------------------------ */

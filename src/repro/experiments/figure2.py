@@ -40,7 +40,8 @@ def run_figure2(
     NN-LUT is substantially more accurate than Linear-LUT on Softmax and
     (especially) LayerNorm, whose primitives have a large dynamic range.
     """
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     nn_lut = {
         name: registry.lut(name, num_entries=num_entries)
         for name in ("gelu", "exp", "reciprocal", "rsqrt")

@@ -91,7 +91,8 @@ def run_table2a(
     registry: LutRegistry | None = None,
 ) -> Table2aResult:
     """Direct approximation on the FP32 model (Table 2a)."""
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     benchmark = _build_benchmark(scale, matmul_precision="fp32")
 
     variants: Dict[str, NonlinearBackend] = {
@@ -145,7 +146,8 @@ def run_table2b(
     registry: LutRegistry | None = None,
 ) -> Table2bResult:
     """INT8-matmul model comparison against I-BERT, with calibration (Table 2b)."""
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     benchmark = _build_benchmark(scale, matmul_precision="int8")
     entries = scale.num_lut_entries
 

@@ -42,7 +42,8 @@ def run_table3(
     registry: LutRegistry | None = None,
 ) -> Table3Result:
     """Softmax-only approximation on the MobileBERT-like span model."""
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     entries = scale.num_lut_entries
     # A shallow (2-layer) span model keeps the frozen-encoder baseline high
     # (~90 F1), mirroring the paper's fine-tuned MobileBERT baseline; see

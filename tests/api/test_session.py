@@ -244,6 +244,23 @@ class TestServing:
             tiny64_model.forward(tokens, backend=session.backend),
         )
 
+    def test_empty_registry_passed_in_is_the_one_used(self):
+        # Regression: an empty (hence falsy) registry was swapped for the
+        # process-wide default by ``registry or default_registry()``.
+        from repro.core.registry import LutRegistry
+        from repro.core.training import TrainingConfig
+
+        fresh = LutRegistry(
+            training_config=TrainingConfig(num_samples=2000, epochs=2, batch_size=512)
+        )
+        session = InferenceSession(
+            SessionConfig(model_family="tiny"),
+            spec=BackendSpec.nn_lut(replace=("gelu",)),
+            registry=fresh,
+        )
+        assert session.registry is fresh
+        assert "gelu" in fresh
+
     def test_session_builds_model_from_config(self, fast_registry):
         config = SessionConfig(model_family="tiny", seed=5)
         session = InferenceSession(config, registry=fast_registry)

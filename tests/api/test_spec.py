@@ -182,6 +182,22 @@ class TestBuildBackend:
         assert BackendSpec.from_dict(backend.metadata["spec"]) == spec
         assert backend.metadata["replaced"] == ("gelu", "softmax", "layernorm")
 
+    def test_empty_registry_passed_in_is_the_one_populated(self):
+        # Regression: an empty LutRegistry is falsy (it defines __len__), so
+        # ``registry or default_registry()`` swapped the caller's fresh
+        # registry for the process-wide one.
+        from repro.core.registry import LutRegistry, default_registry
+        from repro.core.training import TrainingConfig
+
+        fresh = LutRegistry(
+            training_config=TrainingConfig(num_samples=2000, epochs=2, batch_size=512)
+        )
+        assert len(fresh) == 0 and not fresh
+        shared_before = len(default_registry())
+        build_backend(BackendSpec.nn_lut(replace=("gelu",)), registry=fresh)
+        assert "gelu" in fresh
+        assert len(default_registry()) == shared_before
+
     def test_explicit_name_wins(self, fast_registry):
         backend = build_backend(SPECS["named"], registry=fast_registry)
         assert backend.name == "prod-serving-v1"

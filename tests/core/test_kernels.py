@@ -8,15 +8,19 @@ toolchain skip the native-only classes; the registry/fallback tests run
 everywhere.
 """
 
+import errno
 import pickle
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import BackendSpec, InferenceSession, build_backend
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.kernels import (
+    GEMM_TIER_NAMES,
     KERNEL_NAMES,
     NUMPY_KERNEL,
     NativeKernel,
@@ -62,7 +66,12 @@ class TestRegistry:
         assert info["names"] == list(KERNEL_NAMES)
         assert isinstance(info["native_available"], bool)
         if info["native_available"]:
-            assert info["gemm_impl"] in (1, 2)
+            assert info["gemm_impl"] in (1, 2, 3)
+            assert GEMM_TIER_NAMES == {1: "scalar", 2: "vnni", 3: "amx"}
+            assert info["gemm_tier"] == GEMM_TIER_NAMES[info["gemm_impl"]]
+            # The best tier has nothing to explain; a lower one names what
+            # was turned down and why.
+            assert (info["gemm_tier_refused"] is None) == (info["gemm_impl"] == 3)
             assert info["native_unavailable_reason"] is None
         else:
             assert info["native_unavailable_reason"]
@@ -304,6 +313,116 @@ class TestNativeOpParity:
             threaded.lut_gelu_bias(op, big.copy(), gelu_bias),
             single.lut_gelu_bias(op, big.copy(), gelu_bias),
         )
+
+
+def int8_matrix(rng, shape, extreme):
+    """Random int8 values; ``extreme`` pins every entry to +/-127."""
+    if extreme:
+        return rng.choice(np.array([-127, 127], dtype=np.int8), size=shape)
+    return rng.integers(-127, 128, size=shape, dtype=np.int8)
+
+
+@needs_native
+class TestGemmTiers:
+    """The packed int8 GEMM is exact on every micro-kernel tier the host has.
+
+    ``gemm_int8(tier=...)`` runs a lower tier than the probed one, so an AMX
+    host also exercises the VNNI and portable loops over the same layout.
+    """
+
+    @pytest.fixture(scope="class")
+    def native(self):
+        return get_kernel("native")
+
+    @given(
+        m=st.integers(1, 70),
+        k=st.integers(1, 300),
+        n=st.integers(1, 100),
+        extreme_a=st.booleans(),
+        extreme_w=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_tier_equals_int64_matmul(
+        self, m, k, n, extreme_a, extreme_w, seed
+    ):
+        native = get_kernel("native")
+        rng = np.random.default_rng(seed)
+        a = int8_matrix(rng, (m, k), extreme_a)
+        w = int8_matrix(rng, (k, n), extreme_w)
+        want = a.astype(np.int64) @ w.astype(np.int64)
+        packed = native.pack_weight_int8(w)
+        for tier in range(1, native.gemm_impl + 1):
+            got = native.gemm_int8(a, packed, tier=tier)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want), (tier, m, k, n)
+
+    @pytest.mark.parametrize("m", [65, 77, 100])
+    def test_row_threads_split_mid_tile(self, native, m):
+        """Two row blocks whose boundary falls inside a 6- and a 32-row tile."""
+        threaded = NativeKernel(num_threads=2)
+        rng = np.random.default_rng(m)
+        a = int8_matrix(rng, (m, 70), False)
+        w = int8_matrix(rng, (70, 37), False)
+        want = a.astype(np.int64) @ w.astype(np.int64)
+        packed = threaded.pack_weight_int8(w)
+        for tier in range(1, native.gemm_impl + 1):
+            assert np.array_equal(threaded.gemm_int8(a, packed, tier=tier), want)
+
+    def test_tier_above_the_probed_one_is_clamped(self, native):
+        rng = np.random.default_rng(0)
+        a, w = int8_matrix(rng, (5, 9), False), int8_matrix(rng, (9, 3), False)
+        got = native.gemm_int8(a, native.pack_weight_int8(w), tier=99)
+        assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
+
+    def test_long_contraction_keeps_the_float64_carrier(self, native):
+        from repro.core.kernels import _GEMM_K_MAX
+
+        rng = np.random.default_rng(1)
+        k = _GEMM_K_MAX + 1
+        w_q = int8_matrix(rng, (k, 3), True)
+        operand = native.pack_weight_int8(w_q)
+        assert isinstance(operand, np.ndarray) and operand.dtype == np.float64
+        x = rng.normal(size=(2, k)).astype(np.float32)
+        assert eq(
+            native.linear_int8(x, operand, 0.01, np.float32),
+            NUMPY_KERNEL.linear_int8(
+                x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.01, np.float32
+            ),
+        )
+
+    def test_refused_tier_falls_to_the_next(self):
+        """The load-time probe: compile-time tiers, then the AMX permission."""
+        from repro.core.kernels import _probe_gemm_tier
+
+        class Lib:
+            def __init__(self, compiled, amx_errno):
+                self.repro_gemm_impl = lambda: compiled
+                self.repro_amx_request = lambda: amx_errno
+
+        assert _probe_gemm_tier(Lib(3, 0)) == (3, None)
+        tier, refused = _probe_gemm_tier(Lib(3, errno.EPERM))
+        assert tier == 2
+        assert "amx" in refused and "ARCH_REQ_XCOMP_PERM" in refused
+        assert _probe_gemm_tier(Lib(2, errno.ENOSYS))[0] == 2
+        tier, refused = _probe_gemm_tier(Lib(1, errno.ENOSYS))
+        assert tier == 1 and refused.startswith("amx, vnni: not compiled in")
+
+    def test_engine_runs_on_a_refused_tier(self, native, monkeypatch):
+        """A process whose probe settled lower reports it and computes the same."""
+        from repro.core import kernels as K
+
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 70)).astype(np.float32)
+        w_q = int8_matrix(rng, (70, 33), False)
+        packed = native.pack_weight_int8(w_q)
+        want = native.linear_int8(x, packed, 0.02, np.float32)
+        monkeypatch.setitem(K._native_state, "gemm_tier", 1)
+        monkeypatch.setitem(K._native_state, "gemm_refused", "amx: refused (test)")
+        info = kernel_info()
+        assert info["gemm_impl"] == 1 and info["gemm_tier"] == "scalar"
+        assert info["gemm_tier_refused"] == "amx: refused (test)"
+        assert eq(native.linear_int8(x, packed, 0.02, np.float32), want)
 
 
 @needs_native
