@@ -27,6 +27,7 @@ from repro.core.kernels import (  # noqa: E402
     native_available,
     native_unavailable_reason,
 )
+from repro.core.lut import LookupTable  # noqa: E402
 from repro.core.registry import LutRegistry  # noqa: E402
 from repro.core.scaling import InputScaler  # noqa: E402
 from repro.transformer import tiny_test_config  # noqa: E402
@@ -100,6 +101,43 @@ def build_rows(registry: LutRegistry) -> list:
         NUMPY_KERNEL.lut_softmax(softmax_op, scores.copy(), -1),
     )
 
+    # The LUT vector core's edges: rows that end in a masked partial vector
+    # (37 is a multiple of neither 16 nor 8), masked (-1e4) scores, a table
+    # one entry too big for the core (bucketed scalar loop) and a table with
+    # a duplicated breakpoint (an empty segment).
+    ragged = rng.uniform(-9.0, 9.0, size=(5, 37)).astype(np.float32)
+    ragged_bias = rng.normal(size=37).astype(np.float32)
+    add(
+        "lut_gelu ragged",
+        "fp32",
+        native.lut_gelu_bias(gelu_op, ragged.copy(), ragged_bias),
+        NUMPY_KERNEL.lut_gelu_bias(gelu_op, ragged.copy(), ragged_bias),
+    )
+    masked = rng.normal(scale=2.0, size=(2, 3, 5, 37)).astype(np.float32)
+    masked[..., 29:] = -1e4
+    add(
+        "softmax ragged",
+        "fp32",
+        native.lut_softmax(softmax_op, masked, -1),
+        NUMPY_KERNEL.lut_softmax(softmax_op, masked, -1),
+    )
+    for name, breakpoints in (
+        ("lut_eval 17-entry", np.linspace(-6.0, 6.0, 16)),
+        ("lut_eval dup-bp", np.repeat(np.linspace(-6.0, 6.0, 5), [1, 2, 1, 3, 1])),
+    ):
+        table = LookupTable(
+            breakpoints,
+            rng.normal(size=breakpoints.size + 1),
+            rng.normal(size=breakpoints.size + 1),
+        )
+        probe = np.concatenate([ragged.ravel(), breakpoints.astype(np.float32)])
+        add(
+            name,
+            "fp32",
+            native.lut_eval(table, probe),
+            NUMPY_KERNEL.lut_eval(table, probe),
+        )
+
     layernorm_op = LutLayerNorm(
         registry.lut("rsqrt", num_entries=16), scaler=InputScaler()
     )
@@ -155,18 +193,19 @@ def main() -> int:
         return 0
     registry = LutRegistry(training_config=regression.BENCH_TRAINING_CONFIG)
     rows = build_rows(registry)
+    info = kernel_info()
     print(
         "kernel parity: numpy vs native "
-        f"({regression.gemm_tier_label(kernel_info())})"
+        f"({regression.gemm_tier_label(info)}; LUT tier {info['lut_tier']})"
     )
-    header = f"{'op/path':<16} {'precision':<9} {'max_abs_diff':>12}  parity"
+    header = f"{'op/path':<18} {'precision':<9} {'max_abs_diff':>12}  parity"
     print(header)
     print("-" * len(header))
     failed = False
     for name, precision, diff, bitwise in rows:
         status = "bitwise" if bitwise else "MISMATCH"
         failed = failed or not bitwise
-        print(f"{name:<16} {precision:<9} {diff:>12.3e}  {status}")
+        print(f"{name:<18} {precision:<9} {diff:>12.3e}  {status}")
     if failed:
         print("FAIL: native kernel deviates from the numpy reference")
         return 1

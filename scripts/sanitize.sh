@@ -101,7 +101,9 @@ else
         DRIVER_DIR="$(mktemp -d /tmp/repro-tsan-XXXXXX)"
         trap 'rm -rf "$DRIVER_DIR"' EXIT
         build_driver() {
-            "$CC_BIN" $SAN_FLAGS -O2 $1 \
+            # -ffp-contract=off as in the real build: the LUT reference in the
+            # driver and the kernel must both multiply, then add.
+            "$CC_BIN" $SAN_FLAGS -O2 -ffp-contract=off $1 \
                 src/repro/core/kernels_native.c scripts/tsan_driver.c \
                 -o "$DRIVER_DIR/tsan_driver" -lpthread -lm 2>/dev/null
         }

@@ -18,8 +18,15 @@
  * the partial panel are exercised, and is checked against a plain dot
  * product.
  *
+ * The float32 LUT operators (bias + GELU and the softmax front end) run on
+ * whatever LUT tier the build has, over rows of LUT_COLS columns — a
+ * multiple of neither 16 nor 8, so every row ends in a masked partial
+ * vector right up against the next thread's rows — with a 16-entry table,
+ * and are memcmp'd against a plain scalar evaluation of the same table.
+ *
  * Thread count comes from REPRO_KERNEL_THREADS (default 4).
  */
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -41,6 +48,18 @@ void repro_bias_residual_f64(const double *x, const double *bias,
                              int64_t cols);
 void repro_bias_relu_f64(const double *x, const double *bias, double *out,
                          int64_t rows, int64_t cols);
+int repro_lut_impl(void);
+void repro_lut_gelu_f32(const float *x, const float *bias, float *out,
+                        int64_t rows, int64_t cols, const float *bp,
+                        const float *sl, const float *ic, int64_t nbp,
+                        const int32_t *base, const float *thr, double lo,
+                        double invw, int64_t nbuckets, double clip_lo,
+                        double clip_hi, int has_clip);
+void repro_softmax_exp_f32(const float *x, float *out, int64_t rows,
+                           int64_t cols, const float *bp, const float *sl,
+                           const float *ic, int64_t nbp, const int32_t *base,
+                           const float *thr, double lo, double invw,
+                           int64_t nbuckets, double clip);
 void repro_scale_affine_f64(const double *centered, const double *inv_std,
                             const double *gamma, const double *beta,
                             double *out, int64_t rows, int64_t cols);
@@ -49,6 +68,18 @@ enum { M = 192, K = 150, N = 96, ITERS = 25 };
 /* _PackedInt8Weight's geometry: k padded to 64, n to 32-column panels
  * (the column sums to 64). */
 enum { PANEL = 32, K_PAD = (K + 63) / 64 * 64, N_PAD = (N + 63) / 64 * 64 };
+/* LUT operators: M rows of LUT_COLS columns, a LUT_BP-breakpoint table. */
+enum { LUT_COLS = 37, LUT_BP = 15 };
+static const float GELU_LO = -5.0f, GELU_HI = 5.0f, EXP_CLIP = -9.0f;
+
+/* slope[idx] * v + intercept[idx], idx = #{breakpoints <= v}. */
+static float lut_scalar(float v, const float *bp, const float *sl,
+                        const float *ic) {
+    int idx = 0;
+    for (int t = 0; t < LUT_BP; ++t)
+        idx += v >= bp[t];
+    return sl[idx] * v + ic[idx]; /* built with -ffp-contract=off: no FMA */
+}
 
 typedef struct {
     int tid;
@@ -67,6 +98,11 @@ typedef struct {
     const double *beta;
     double *out;
     int8_t *q;
+    const float *lut_x; /* M x LUT_COLS */
+    const float *lut_bias;
+    const float *bp, *sl, *ic;
+    const float *gelu_want, *softmax_want;
+    float *lut_out;
     int failed;
 } job_t;
 
@@ -84,7 +120,7 @@ static void *worker(void *arg) {
                       1 + iter % job->tiers);
         if (memcmp(job->acc + start * N, job->want + start * N,
                    (size_t)rows * N * sizeof(int32_t)) != 0)
-            job->failed = 2;
+            job->failed |= 2;
         repro_dequant_bias_f64(job->acc + start * N, 0.03125, job->bias,
                                job->out + start * N, rows, N);
         repro_bias_residual_f64(job->xf + start * N, job->bias,
@@ -95,13 +131,26 @@ static void *worker(void *arg) {
         repro_scale_affine_f64(job->xf + start * N, job->inv_std + start,
                                job->gamma, job->beta, job->out + start * N,
                                rows, N);
+        const float *lx = job->lut_x + start * LUT_COLS;
+        float *lo_ = job->lut_out + start * LUT_COLS;
+        const size_t lut_bytes = (size_t)rows * LUT_COLS * sizeof(float);
+        repro_lut_gelu_f32(lx, job->lut_bias, lo_, rows, LUT_COLS, job->bp,
+                           job->sl, job->ic, LUT_BP, NULL, NULL, 0.0, 0.0, 0,
+                           GELU_LO, GELU_HI, 1);
+        if (memcmp(lo_, job->gelu_want + start * LUT_COLS, lut_bytes) != 0)
+            job->failed |= 4;
+        repro_softmax_exp_f32(lx, lo_, rows, LUT_COLS, job->bp, job->sl,
+                              job->ic, LUT_BP, NULL, NULL, 0.0, 0.0, 0,
+                              EXP_CLIP);
+        if (memcmp(lo_, job->softmax_want + start * LUT_COLS, lut_bytes) != 0)
+            job->failed |= 4;
         double mx = 0.0;
         if (repro_maxabs_f64(job->out + start * N, rows * N, &mx))
-            job->failed = 1;
+            job->failed |= 1;
         if (mx > 0.0 &&
             repro_qpack_f64(job->out + start * N, rows * N, 127.0 / mx,
                             job->q + start * N))
-            job->failed = 1;
+            job->failed |= 1;
     }
     return NULL;
 }
@@ -122,6 +171,9 @@ int main(void) {
     static int32_t colsum[N_PAD], acc[M * N], want[M * N];
     static double xf[M * N], bias[N], res[M * N], inv_std[M];
     static double gamma_[N], beta_[N], out[M * N];
+    static float lut_x[M * LUT_COLS], lut_out[M * LUT_COLS], lut_bias[LUT_COLS];
+    static float gelu_want[M * LUT_COLS], softmax_want[M * LUT_COLS];
+    static float bp[LUT_BP], sl[LUT_BP + 1], ic[LUT_BP + 1];
 
     unsigned seed = 12345u;
     for (int i = 0; i < M * K; ++i)
@@ -150,6 +202,34 @@ int main(void) {
                 want[i * N + j] += (int32_t)a[i * K + kk] * w[kk * N + j];
     }
 
+    for (int t = 0; t <= LUT_BP; ++t) {
+        if (t < LUT_BP)
+            bp[t] = -7.0f + 0.9f * (float)t;
+        sl[t] = 0.07f * (float)t - 0.3f;
+        ic[t] = 0.5f - 0.11f * (float)t;
+    }
+    for (int j = 0; j < LUT_COLS; ++j)
+        lut_bias[j] = 0.05f * (float)j - 0.9f;
+    for (int i = 0; i < M; ++i) {
+        float *row = lut_x + i * LUT_COLS, row_max = -INFINITY;
+        for (int j = 0; j < LUT_COLS; ++j) {
+            /* spread over the table, every 7th value an exact breakpoint */
+            int n = i * LUT_COLS + j;
+            row[j] = n % 7 ? 0.013f * (float)(n % 1259) - 8.0f : bp[n % LUT_BP];
+            if (row[j] > row_max)
+                row_max = row[j];
+        }
+        for (int j = 0; j < LUT_COLS; ++j) {
+            float t = row[j] + lut_bias[j];
+            float inside = t < GELU_LO ? GELU_LO : t > GELU_HI ? GELU_HI : t;
+            float y = lut_scalar(inside, bp, sl, ic);
+            gelu_want[i * LUT_COLS + j] = t > GELU_HI ? t : t < GELU_LO ? 0.0f : y;
+            float s = row[j] - row_max;
+            float e = lut_scalar(s < EXP_CLIP ? EXP_CLIP : s, bp, sl, ic);
+            softmax_want[i * LUT_COLS + j] = e > 0.0f ? e : 0.0f;
+        }
+    }
+
     pthread_t tids[64];
     job_t jobs[64];
     if (threads > 64)
@@ -171,6 +251,14 @@ int main(void) {
                           .beta = beta_,
                           .out = out,
                           .q = q,
+                          .lut_x = lut_x,
+                          .lut_bias = lut_bias,
+                          .bp = bp,
+                          .sl = sl,
+                          .ic = ic,
+                          .gelu_want = gelu_want,
+                          .softmax_want = softmax_want,
+                          .lut_out = lut_out,
                           .failed = 0};
         if (pthread_create(&tids[t], NULL, worker, &jobs[t]) != 0) {
             fprintf(stderr, "pthread_create failed\n");
@@ -183,15 +271,18 @@ int main(void) {
         failed |= jobs[t].failed;
     }
     if (failed) {
-        fprintf(stderr, failed & 2
-                            ? "tsan_driver: int8 GEMM deviates from a @ w\n"
-                            : "tsan_driver: kernel reported non-finite input\n");
+        fprintf(stderr,
+                failed & 4   ? "tsan_driver: LUT operators deviate from the "
+                               "scalar reference\n"
+                : failed & 2 ? "tsan_driver: int8 GEMM deviates from a @ w\n"
+                             : "tsan_driver: kernel reported non-finite input\n");
         return 1;
     }
     double checksum = 0.0;
     for (int i = 0; i < M * N; ++i)
         checksum += out[i];
-    printf("tsan_driver: gemm tiers 1..%d threads=%d iters=%d checksum=%.6f\n",
-           tiers, threads, ITERS, checksum);
+    printf("tsan_driver: gemm tiers 1..%d lut tier %d threads=%d iters=%d "
+           "checksum=%.6f\n",
+           tiers, repro_lut_impl(), threads, ITERS, checksum);
     return 0;
 }

@@ -118,35 +118,19 @@ class ExactGelu:
 # --------------------------------------------------------------------------- #
 # Softmax
 # --------------------------------------------------------------------------- #
-def _softmax_forward(
-    op: "LutSoftmax",
-    x: np.ndarray,
-    axis: int,
-    exp_eval: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Reference Softmax composite body (``x`` already a float array).
-
-    ``exp_eval`` lets a compute kernel substitute its own element-wise
-    evaluation of the ``exp`` table on the shifted logits (in place); the
-    exact reductions and the small reciprocal look-up stay in numpy.
-    """
+def _softmax_forward(op: "LutSoftmax", x: np.ndarray, axis: int) -> np.ndarray:
+    """Reference Softmax composite body (``x`` already a float array)."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     np.clip(shifted, op.exp_clip, 0.0, out=shifted)
-    if exp_eval is not None:
-        exps = exp_eval(shifted)
-        (inv,) = evaluate_many(
-            [(op.reciprocal_approx, op._denominator(exps, axis), None)]
-        )
-    else:
-        # exp -> row sum -> reciprocal as one fused chain: the exp look-up
-        # lands back in the ``shifted`` buffer and the reciprocal look-up in
-        # the row-sum buffer.
-        exps, inv = evaluate_many(
-            [
-                (op.exp_approx, shifted, shifted),
-                (op.reciprocal_approx, lambda done: op._denominator(done[0], axis), None),
-            ]
-        )
+    # exp -> row sum -> reciprocal as one fused chain: the exp look-up lands
+    # back in the ``shifted`` buffer and the reciprocal look-up in the row-sum
+    # buffer.
+    exps, inv = evaluate_many(
+        [
+            (op.exp_approx, shifted, shifted),
+            (op.reciprocal_approx, lambda done: op._denominator(done[0], axis), None),
+        ]
+    )
     np.maximum(inv, 0.0, out=inv)
     return np.multiply(exps, inv, out=exps)
 

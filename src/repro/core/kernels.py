@@ -13,9 +13,10 @@ per-op inner loops live, with two interchangeable implementations:
   the host has (``cc -O3 -march=native -ffp-contract=off``), cached by
   source hash, and loaded through ctypes.  It provides a true
   INT8 x INT8 -> INT32 GEMM (replacing the float64-carrier matmul trick) and
-  fused epilogues — bias + GELU-LUT with saturation tails, bias + residual,
-  and the LayerNorm centre/scale/affine tail — each a single pass over the
-  tensor instead of numpy's one-pass-per-op sequence.
+  fused epilogues — bias + GELU-LUT with saturation tails, the softmax
+  front end, bias + residual, and the LayerNorm centre/scale/affine tail —
+  each a single pass over the tensor instead of numpy's one-pass-per-op
+  sequence.
 
 The int8 GEMM
 -------------
@@ -41,13 +42,32 @@ to the next one — never to an error — and :func:`kernel_info` reports which
 tier runs and why a higher one was turned down.  Integer accumulation is
 exact in any order, so every tier returns the same bits.
 
+The LUT operators
+-----------------
+A float32 table of up to 16 entries — every table the paper uses — is
+evaluated by one vector core in ``kernels_native.c``: breakpoints, slopes
+and intercepts are loaded into registers once per call, the segment index is
+the count of breakpoints ``<= x`` (``searchsorted(side="right")``, the
+paper's comparator), slope and intercept come from an in-register permute on
+that index, and ``slope * x`` then ``+ intercept`` stay two operations.
+``lut_eval``, ``lut_gelu`` / ``lut_gelu_bias`` (bias add, clip and
+saturation tails in the same pass) and the front end of ``lut_softmax`` (row
+max, subtract, clip, ``exp`` table, clamp at zero — one pass; the row sum
+stays with ``np.sum``, the reciprocal table goes through the same core) run
+on it.  The core has an AVX-512 and an AVX2 form, fixed at compile time
+(:func:`kernel_info` reports ``lut_tier``); larger tables, float64 and
+builds without AVX2 run scalar loops whose segment search reads the
+``LookupTable``'s bucket decomposition, and precision-simulating table
+subclasses stay on the numpy reference.
+
 Parity contract
 ---------------
 ``NativeKernel`` is not merely "close": its C routines perform the same
 scalar operations in the same order as numpy (no FMA contraction,
 round-half-to-even, identical ``searchsorted(..., side="right")`` segment
-selection), and LayerNorm's mean/variance reductions stay in numpy, so
-float32/float64 results are bitwise equal to ``NumpyKernel``.  The int8
+selection), and the reductions whose order matters — LayerNorm's
+mean/variance, softmax's row sum — stay in numpy, so float32/float64
+results are bitwise equal to ``NumpyKernel``.  The int8
 path quantises with the same scale and rounding and accumulates the same
 exact integers, so it is bitwise equal as well.  Tier-1 tests gate this.
 
@@ -91,7 +111,7 @@ from .approximators import (
     _layernorm_forward,
     _softmax_forward,
 )
-from .lut import LookupTable, UniformLookupTable, _counted_contiguous
+from .lut import LookupTable, UniformLookupTable, _counted_contiguous, evaluate_many
 from ..quant.fixed_point import compute_scale
 
 __all__ = [
@@ -292,6 +312,7 @@ _SOURCE_PATH = Path(__file__).with_name("kernels_native.c")
 _I8 = ctypes.c_void_p  # all arrays cross the boundary as raw pointers
 _SIGNATURES: Dict[str, Tuple[Sequence, Optional[type]]] = {
     "repro_gemm_impl": ([], ctypes.c_int),
+    "repro_lut_impl": ([], ctypes.c_int),
     "repro_amx_request": ([], ctypes.c_int),
     "repro_gemm_s8": (
         [_I8, _I8, _I8, _I8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -321,6 +342,12 @@ for _suf in ("f32", "f64"):
                  ctypes.c_int64, _I8, _I8, ctypes.c_double, ctypes.c_double,
                  ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                  ctypes.c_int],
+                None,
+            ),
+            f"repro_softmax_exp_{_suf}": (
+                [_I8, _I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8, _I8,
+                 ctypes.c_int64, _I8, _I8, ctypes.c_double, ctypes.c_double,
+                 ctypes.c_int64, ctypes.c_double],
                 None,
             ),
             f"repro_bias_residual_{_suf}": (
@@ -367,11 +394,16 @@ _native_state: Dict[str, object] = {
     "error": None,
     "gemm_tier": None,
     "gemm_refused": None,
+    "lut_tier": None,
 }
 _fallback_warned = False
 
 #: int8 GEMM micro-kernel tiers, in the C library's numbering (best last).
 GEMM_TIER_NAMES = {1: "scalar", 2: "vnni", 3: "amx"}
+#: float32 LUT-operator tiers (``repro_lut_impl``), fixed at compile time.
+LUT_TIER_NAMES = {1: "scalar", 2: "avx2", 3: "avx512"}
+#: largest table the vector LUT core holds; LUT_CORE_ENTRIES in kernels_native.c.
+_LUT_CORE_ENTRIES = 16
 
 
 def _probe_gemm_tier(lib) -> Tuple[int, Optional[str]]:
@@ -475,7 +507,12 @@ def _load_native_lib():
                 fn.argtypes = list(argtypes)
                 fn.restype = restype
             tier, refused = _probe_gemm_tier(lib)
-            _native_state.update(lib=lib, gemm_tier=tier, gemm_refused=refused)
+            _native_state.update(
+                lib=lib,
+                gemm_tier=tier,
+                gemm_refused=refused,
+                lut_tier=int(lib.repro_lut_impl()),
+            )
         except Exception as exc:
             _native_state["lib"] = None
             _native_state["error"] = str(exc)
@@ -560,14 +597,21 @@ def _table_args(table: LookupTable, dtype: np.dtype) -> Tuple[tuple, tuple]:
     """``(arrays, c_args)`` describing ``table`` in ``dtype`` to the C kernels.
 
     ``c_args`` is the parameter block then the bucket block of the
-    ``repro_lut_*`` signatures; a table whose geometry admits no buckets
-    passes null bucket pointers and the C side falls back to its branchless
-    linear scan over the breakpoints.  ``arrays`` are the buffers behind the
-    pointers — the caller holds them for the duration of the call.
+    ``repro_lut_*`` signatures.  The bucket tables are only materialised when
+    the scalar loops will read them: a float32 table that fits the vector
+    LUT core never touches them, and one whose geometry admits no buckets
+    has none (the scalar loop then counts breakpoints linearly); both pass
+    null bucket pointers.  ``arrays`` are the buffers behind the pointers —
+    the caller holds them for the duration of the call.
     """
     bp, sl, ic = table._params(dtype)
     params = (bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size)
-    tables = table._bucket_tables(dtype)
+    vector_core = (
+        dtype == np.float32
+        and _native_state["lut_tier"] > 1
+        and sl.size <= _LUT_CORE_ENTRIES
+    )
+    tables = None if vector_core else table._bucket_tables(dtype)
     if tables is None:
         return (bp, sl, ic), params + (None, None, 0.0, 0.0, 0)
     lo, inv_width, nbuckets, base, thr = tables
@@ -771,8 +815,11 @@ class NativeKernel(ComputeKernel):
         )
         return out
 
-    def _lut_gelu_native(self, op, x, bias):
-        """Single C pass: (x [+ bias]) -> clip -> LUT -> saturation tails."""
+    def _lut_gelu_native(self, op, x, bias, out):
+        """Single C pass: (x [+ bias]) -> clip -> LUT -> saturation tails.
+
+        ``out`` receives the result and may be ``x`` itself.
+        """
         cols = x.shape[-1] if x.ndim else 1
         rows = x.size // cols if cols else 0
         _arrays, table_args = _table_args(op.gelu_approx, x.dtype)
@@ -782,24 +829,23 @@ class NativeKernel(ComputeKernel):
             lo, hi = (float(op.clip_range[0]), float(op.clip_range[1]))
             has_clip = 1
         fn = getattr(self._lib, f"repro_lut_gelu_{self._suffix(x.dtype)}")
-        x_ptr, bias_ptr = x.ctypes.data, _ptr(bias)
+        x_ptr, bias_ptr, out_ptr = x.ctypes.data, _ptr(bias), out.ctypes.data
         itemsize = x.itemsize
 
         def run(start: int, stop: int) -> None:
             offset = start * cols * itemsize
-            fn(x_ptr + offset, bias_ptr, x_ptr + offset, stop - start, cols,
+            fn(x_ptr + offset, bias_ptr, out_ptr + offset, stop - start, cols,
                *table_args, lo, hi, has_clip)
 
         self._run_rows(rows, run)
-        return x
+        return out
 
     def lut_gelu(self, op, x):
         x = _as_float(np.asarray(x))
         if not (_fusible_table(op.gelu_approx) and _c_ready(x)):
             return _gelu_forward(op, x)
-        # The C pass writes in place; the reference path leaves the caller's
-        # input intact, so work on a fresh copy.
-        return self._lut_gelu_native(op, x.copy(), None)
+        # The reference path leaves the caller's input intact.
+        return self._lut_gelu_native(op, x, None, np.empty_like(x))
 
     def lut_gelu_bias(self, op, x, bias):
         if not (
@@ -812,17 +858,43 @@ class NativeKernel(ComputeKernel):
             and bias.shape == (x.shape[-1],)
         ):
             return self._numpy.lut_gelu_bias(op, x, bias)
-        return self._lut_gelu_native(op, x, bias)
+        return self._lut_gelu_native(op, x, bias, x)
 
     def lut_softmax(self, op, x, axis):
         x = _as_float(np.asarray(x))
-        if not _fusible_table(op.exp_approx):
+        if not (
+            _fusible_table(op.exp_approx)
+            and _c_ready(x)
+            and x.ndim >= 1
+            and x.size
+            and axis in (-1, x.ndim - 1)
+        ):
             return _softmax_forward(op, x, axis)
+        # Front end, one C pass per row block: row max -> subtract -> clip
+        # to [exp_clip, 0] -> exp table -> clamp at 0.
+        exps = np.empty_like(x)
+        cols = x.shape[-1]
+        _arrays, table_args = _table_args(op.exp_approx, x.dtype)
+        fn = getattr(self._lib, f"repro_softmax_exp_{self._suffix(x.dtype)}")
+        x_ptr, exps_ptr = x.ctypes.data, exps.ctypes.data
+        exp_clip, itemsize = float(op.exp_clip), x.itemsize
 
-        def exp_eval(shifted: np.ndarray) -> np.ndarray:
-            return self.lut_eval(op.exp_approx, shifted, out=shifted)
+        def run(start: int, stop: int) -> None:
+            offset = start * cols * itemsize
+            fn(x_ptr + offset, exps_ptr + offset, stop - start, cols,
+               *table_args, exp_clip)
 
-        return _softmax_forward(op, x, axis, exp_eval=exp_eval)
+        self._run_rows(x.size // cols, run)
+        # The rest is _softmax_forward's tail, op for op; the row sum stays
+        # with np.sum because its pairwise order is the parity contract.
+        denom = np.sum(exps, axis=-1, keepdims=True)
+        np.maximum(denom, 1e-12, out=denom)
+        if _fusible_table(op.reciprocal_approx):
+            inv = self.lut_eval(op.reciprocal_approx, denom, out=denom)
+        else:
+            (inv,) = evaluate_many([(op.reciprocal_approx, denom, None)])
+        np.maximum(inv, 0.0, out=inv)
+        return np.multiply(exps, inv, out=exps)
 
     def lut_layernorm(self, op, x, gamma, beta, axis=-1):
         x = _as_float(np.asarray(x))
@@ -980,11 +1052,13 @@ def reset_kernel_fallback_warning() -> None:
 
 
 def kernel_info() -> Dict[str, object]:
-    """Diagnostics for benchmarks/reports: availability + int8 GEMM tier.
+    """Diagnostics for benchmarks/reports: availability + kernel tiers.
 
-    ``gemm_impl`` / ``gemm_tier`` are the tier that runs (3 / ``"amx"``,
-    2 / ``"vnni"``, 1 / ``"scalar"``); ``gemm_tier_refused`` says why a
-    higher tier was turned down (``None`` when the best one runs).
+    ``gemm_impl`` / ``gemm_tier`` are the int8 GEMM tier that runs
+    (3 / ``"amx"``, 2 / ``"vnni"``, 1 / ``"scalar"``); ``gemm_tier_refused``
+    says why a higher tier was turned down (``None`` when the best one
+    runs).  ``lut_tier`` is the float32 LUT-operator tier the library was
+    compiled with (``"avx512"``, ``"avx2"`` or ``"scalar"``).
     """
     info: Dict[str, object] = {
         "names": list(KERNEL_NAMES),
@@ -993,6 +1067,7 @@ def kernel_info() -> Dict[str, object]:
         "gemm_impl": None,
         "gemm_tier": None,
         "gemm_tier_refused": None,
+        "lut_tier": None,
     }
     if info["native_available"]:
         tier = _native_singleton().gemm_impl
@@ -1000,5 +1075,6 @@ def kernel_info() -> Dict[str, object]:
             gemm_impl=tier,
             gemm_tier=GEMM_TIER_NAMES[tier],
             gemm_tier_refused=_native_state["gemm_refused"],
+            lut_tier=LUT_TIER_NAMES[_native_state["lut_tier"]],
         )
     return info

@@ -37,6 +37,18 @@
  * the kernel's permission (repro_amx_request, asked once at load).  The
  * caller passes the tier to run; a tier that was not compiled in falls to
  * the next one down.
+ *
+ * LUT operators
+ * -------------
+ * A first-order table of up to LUT_CORE_ENTRIES entries is evaluated in
+ * float32 by one vector core (see "LUT vector core" below): breakpoints,
+ * slopes and intercepts sit in registers, the segment index is a count of
+ * the breakpoints <= x (searchsorted(side="right"), the paper's comparator),
+ * slope and intercept come from an in-register permute on that index, and
+ * slope * x, + intercept stay two separate operations.  It has an AVX-512
+ * and an AVX2 form, chosen at compile time like the quantise loops; bigger
+ * tables, float64 and builds without AVX2 run the scalar loops, whose index
+ * search reads the LookupTable's bucket decomposition.
  */
 
 #define _GNU_SOURCE /* syscall() */
@@ -538,6 +550,242 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
     return qpack_scalar_f32(x + i, size - i, scale, q + i);
 }
 
+/* ------------------------------------------------------------------ */
+/* LUT vector core (float32)                                           */
+/* ------------------------------------------------------------------ */
+
+/* Largest table the core holds: 16 slopes / intercepts fill one zmm (two
+ * ymm) each, so the look-up is a register permute. */
+#define LUT_CORE_ENTRIES 16
+
+/* The few vector operations the LUT loops are written in.  v_max / v_min
+ * return their *second* operand when either is NaN or both are zero
+ * (MAXPS / MINPS), which is what lets clip and clamp below reproduce
+ * numpy's NaN propagation by operand order alone. */
+#if defined(__AVX512F__)
+#define LUT_TIER 3
+enum { VL = 16 };
+typedef __m512 vf;
+typedef __m512i vi;
+typedef __mmask16 vmask;
+#define v_set1 _mm512_set1_ps
+#define v_load _mm512_loadu_ps
+#define v_store _mm512_storeu_ps
+#define v_head(n) ((vmask)((1u << (n)) - 1u)) /* first n lanes, n < VL */
+#define v_load_head(p, m, fill) _mm512_mask_loadu_ps(fill, m, p)
+#define v_store_head(p, m, v) _mm512_mask_storeu_ps(p, m, v)
+#define v_add _mm512_add_ps
+#define v_sub _mm512_sub_ps
+#define v_mul _mm512_mul_ps
+#define v_max _mm512_max_ps
+#define v_min _mm512_min_ps
+#define v_cmp(a, b, pred) _mm512_cmp_ps_mask(a, b, pred)
+#define v_select(m, a, b) _mm512_mask_blend_ps(m, a, b) /* m ? b : a */
+#define v_any(m) ((m) != 0)
+#define v_either(a, b) ((vmask)((a) | (b)))
+#define v_zero_index _mm512_setzero_si512
+/* idx + 1 in the lanes where m is set */
+#define v_count(idx, m)                                                       \
+    _mm512_mask_add_epi32(idx, m, idx, _mm512_set1_epi32(1))
+/* table[idx], table = 16 floats in one register */
+#define v_lookup(table, idx) _mm512_permutexvar_ps(idx, (table)[0])
+#elif defined(__AVX2__)
+#define LUT_TIER 2
+enum { VL = 8 };
+typedef __m256 vf;
+typedef __m256i vi;
+typedef __m256 vmask; /* all-ones / all-zeros lanes */
+#define v_set1 _mm256_set1_ps
+#define v_load _mm256_loadu_ps
+#define v_store _mm256_storeu_ps
+#define v_head(n)                                                             \
+    _mm256_castsi256_ps(_mm256_cmpgt_epi32(                                   \
+        _mm256_set1_epi32((int)(n)), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)))
+#define v_load_head(p, m, fill)                                               \
+    _mm256_blendv_ps(fill, _mm256_maskload_ps(p, _mm256_castps_si256(m)), m)
+#define v_store_head(p, m, v) _mm256_maskstore_ps(p, _mm256_castps_si256(m), v)
+#define v_add _mm256_add_ps
+#define v_sub _mm256_sub_ps
+#define v_mul _mm256_mul_ps
+#define v_max _mm256_max_ps
+#define v_min _mm256_min_ps
+#define v_cmp(a, b, pred) _mm256_cmp_ps(a, b, pred)
+#define v_select(m, a, b) _mm256_blendv_ps(a, b, m)
+#define v_any(m) (_mm256_movemask_ps(m) != 0)
+#define v_either _mm256_or_ps
+#define v_zero_index _mm256_setzero_si256
+#define v_count(idx, m) _mm256_sub_epi32(idx, _mm256_castps_si256(m))
+/* table = 16 floats in two registers: permute both halves on the low three
+ * index bits, take the upper half where bit 3 is set (moved to the sign). */
+#define v_lookup(table, idx)                                                  \
+    _mm256_blendv_ps(_mm256_permutevar8x32_ps((table)[0], idx),               \
+                     _mm256_permutevar8x32_ps((table)[1], idx),               \
+                     _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)))
+#else
+#define LUT_TIER 1
+#endif
+
+/* LUT tier compiled into this library: 3 = AVX-512, 2 = AVX2, 1 = scalar. */
+EXPORT int repro_lut_impl(void) { return LUT_TIER; }
+
+#if LUT_TIER > 1
+/* A table in registers.  Unused breakpoints are +inf and unused entries
+ * repeat the last one, so an index counted past the real breakpoints (only
+ * x = +inf gets there) still reads the last segment. */
+typedef struct {
+    vf bp[LUT_CORE_ENTRIES - 1]; /* each breakpoint, broadcast */
+    vf sl[LUT_CORE_ENTRIES / VL], ic[LUT_CORE_ENTRIES / VL];
+} lut_regs;
+
+static inline void lut_load(lut_regs *t, const float *bp, const float *sl,
+                            const float *ic, int64_t nbp) {
+    float s[LUT_CORE_ENTRIES], i[LUT_CORE_ENTRIES];
+    for (int e = 0; e < LUT_CORE_ENTRIES; ++e) {
+        if (e < LUT_CORE_ENTRIES - 1)
+            t->bp[e] = v_set1(e < nbp ? bp[e] : INFINITY);
+        s[e] = sl[e < nbp ? e : nbp];
+        i[e] = ic[e < nbp ? e : nbp];
+    }
+    for (int h = 0; h < LUT_CORE_ENTRIES / VL; ++h) {
+        t->sl[h] = v_load(s + h * VL);
+        t->ic[h] = v_load(i + h * VL);
+    }
+}
+
+/* slope[idx] * x + intercept[idx], idx = #{breakpoints <= x}.  A NaN x
+ * compares false everywhere (index 0) and comes out NaN. */
+static inline vf lut_apply(const lut_regs *t, vf x) {
+    vi idx = v_zero_index();
+    for (int e = 0; e < LUT_CORE_ENTRIES - 1; ++e)
+        idx = v_count(idx, v_cmp(x, t->bp[e], _CMP_GE_OQ));
+    return v_add(v_mul(v_lookup(t->sl, idx), x), v_lookup(t->ic, idx));
+}
+
+/* The GELU composite on one vector: table on clip(t, lo, hi), then the
+ * saturated tails t > hi -> t, t < lo -> 0.  v_min(hi, v_max(lo, t)) is
+ * np.clip: ties and NaN keep t. */
+static inline vf lut_gelu_vec(const lut_regs *tab, vf t, int has_clip, vf lo,
+                              vf hi) {
+    if (!has_clip)
+        return lut_apply(tab, t);
+    vf y = lut_apply(tab, v_min(hi, v_max(lo, t)));
+    y = v_select(v_cmp(t, hi, _CMP_GT_OQ), y, t);
+    return v_select(v_cmp(t, lo, _CMP_LT_OQ), y, v_set1(0.0f));
+}
+
+/* out = gelu(x [+ bias]) row by row; a ragged last vector is loaded and
+ * stored under a mask, so nothing past the row is touched. */
+static void lut_gelu_rows(const float *x, const float *bias, float *out,
+                          int64_t rows, int64_t cols, const lut_regs *tab,
+                          int has_clip, float lo_s, float hi_s) {
+    const vf lo = v_set1(lo_s), hi = v_set1(hi_s), zero = v_set1(0.0f);
+    const int64_t full = cols / VL * VL;
+    const vmask head = v_head(cols - full);
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *xr = x + r * cols;
+        float *or_ = out + r * cols;
+        for (int64_t c = 0; c < full; c += VL) {
+            vf t = v_load(xr + c);
+            if (bias)
+                t = v_add(t, v_load(bias + c));
+            v_store(or_ + c, lut_gelu_vec(tab, t, has_clip, lo, hi));
+        }
+        if (full < cols) {
+            vf t = v_load_head(xr + full, head, zero);
+            if (bias)
+                t = v_add(t, v_load_head(bias + full, head, zero));
+            v_store_head(or_ + full, head,
+                         lut_gelu_vec(tab, t, has_clip, lo, hi));
+        }
+    }
+}
+
+/* max(row) as np.max gives it: NaN if the row holds one. */
+static inline float row_max(const float *xr, int64_t cols) {
+    const vf ninf = v_set1(-INFINITY);
+    vf m = ninf;
+    vmask nan = v_cmp(m, m, _CMP_UNORD_Q); /* none */
+    int64_t c = 0;
+    for (; c + VL <= cols; c += VL) {
+        vf v = v_load(xr + c);
+        nan = v_either(nan, v_cmp(v, v, _CMP_UNORD_Q));
+        m = v_max(v, m); /* a NaN v leaves m alone */
+    }
+    if (c < cols) {
+        vf v = v_load_head(xr + c, v_head(cols - c), ninf);
+        nan = v_either(nan, v_cmp(v, v, _CMP_UNORD_Q));
+        m = v_max(v, m);
+    }
+    if (v_any(nan))
+        return NAN;
+    float lanes[VL], best = -INFINITY;
+    v_store(lanes, m);
+    for (int l = 0; l < VL; ++l)
+        if (lanes[l] > best)
+            best = lanes[l];
+    return best;
+}
+
+/* The softmax front end on one vector: exp table on clip(x - max, clip, 0),
+ * clamped at zero the way np.maximum(e, 0.0) does it (NaN stays, -0 -> +0). */
+static inline vf softmax_exp_vec(const lut_regs *tab, vf x, vf max, vf clip) {
+    const vf zero = v_set1(0.0f);
+    vf e = lut_apply(tab, v_min(zero, v_max(clip, v_sub(x, max))));
+    return v_add(v_max(zero, e), zero);
+}
+
+static void softmax_exp_rows(const float *x, float *out, int64_t rows,
+                             int64_t cols, const lut_regs *tab, float clip_s) {
+    const vf clip = v_set1(clip_s), zero = v_set1(0.0f);
+    const int64_t full = cols / VL * VL;
+    const vmask head = v_head(cols - full);
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *xr = x + r * cols;
+        float *or_ = out + r * cols;
+        const vf max = v_set1(row_max(xr, cols));
+        for (int64_t c = 0; c < full; c += VL)
+            v_store(or_ + c, softmax_exp_vec(tab, v_load(xr + c), max, clip));
+        if (full < cols)
+            v_store_head(or_ + full, head,
+                         softmax_exp_vec(tab, v_load_head(xr + full, head, zero),
+                                         max, clip));
+    }
+}
+#endif /* LUT_TIER > 1 */
+
+/* The core's two entry points: 1 when the vector core took the call, 0 when
+ * the scalar loop must — float64 always; float32 when the table has more
+ * than LUT_CORE_ENTRIES entries or no vector tier is compiled. */
+#define lut_gelu_core_f64(...) 0
+#define softmax_exp_core_f64(...) 0
+#if LUT_TIER > 1
+static int lut_gelu_core_f32(const float *x, const float *bias, float *out,
+                             int64_t rows, int64_t cols, const float *bp,
+                             const float *sl, const float *ic, int64_t nbp,
+                             int has_clip, float lo, float hi) {
+    if (nbp >= LUT_CORE_ENTRIES)
+        return 0;
+    lut_regs tab;
+    lut_load(&tab, bp, sl, ic, nbp);
+    lut_gelu_rows(x, bias, out, rows, cols, &tab, has_clip, lo, hi);
+    return 1;
+}
+
+static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
+                                int64_t cols, const float *bp, const float *sl,
+                                const float *ic, int64_t nbp, float clip) {
+    if (nbp >= LUT_CORE_ENTRIES)
+        return 0;
+    lut_regs tab;
+    lut_load(&tab, bp, sl, ic, nbp);
+    softmax_exp_rows(x, out, rows, cols, &tab, clip);
+    return 1;
+}
+#else
+#define lut_gelu_core_f32(...) 0
+#define softmax_exp_core_f32(...) 0
+#endif
+
 #define DEFINE_OPS(SUF, T, NEARBYINT, ISFIN)                                   \
     /* out = (T)((double)acc * scale) [+ bias], matching the numpy     */      \
     /* float64-dequant-then-cast-then-bias-add order bit for bit.      */      \
@@ -563,6 +811,9 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
                                      int64_t nbp, const int32_t *base,         \
                                      const T *thr, double lo_d, double invw_d, \
                                      int64_t nbuckets) {                       \
+        if (lut_gelu_core_##SUF(x, NULL, out, 1, size, bp, sl, ic, nbp, 0,     \
+                                (T)0, (T)0))                                   \
+            return;                                                            \
         T blo = (T)lo_d, binvw = (T)invw_d;                                    \
         for (int64_t i = 0; i < size; ++i) {                                   \
             T v = x[i];                                                        \
@@ -583,6 +834,9 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
                                      double clip_hi_d, int has_clip) {         \
         T blo = (T)lo_d, binvw = (T)invw_d;                                    \
         T lo = (T)clip_lo_d, hi = (T)clip_hi_d;                                \
+        if (lut_gelu_core_##SUF(x, bias, out, rows, cols, bp, sl, ic, nbp,     \
+                                has_clip, lo, hi))                             \
+            return;                                                            \
         for (int64_t r = 0; r < rows; ++r) {                                   \
             const T *xr = x + r * cols;                                        \
             T *or_ = out + r * cols;                                           \
@@ -604,6 +858,39 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
                     y = sl[idx] * t + ic[idx];                                 \
                 }                                                              \
                 or_[c] = y;                                                    \
+            }                                                                  \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    /* Softmax front end, one pass per row: m = max(row) (NaN if the   */      \
+    /* row holds one, as np.max), e = table(clip(x - m, clip, 0)),     */      \
+    /* out = max(e, 0) with NaN kept.  The row sum stays with numpy.   */      \
+    EXPORT void repro_softmax_exp_##SUF(const T *x, T *out, int64_t rows,      \
+                                        int64_t cols, const T *bp,             \
+                                        const T *sl, const T *ic,              \
+                                        int64_t nbp, const int32_t *base,      \
+                                        const T *thr, double lo_d,             \
+                                        double invw_d, int64_t nbuckets,       \
+                                        double clip_d) {                       \
+        T blo = (T)lo_d, binvw = (T)invw_d, clip = (T)clip_d;                  \
+        if (softmax_exp_core_##SUF(x, out, rows, cols, bp, sl, ic, nbp,        \
+                                   clip))                                      \
+            return;                                                            \
+        for (int64_t r = 0; r < rows; ++r) {                                   \
+            const T *xr = x + r * cols;                                        \
+            T *or_ = out + r * cols;                                           \
+            T m = xr[0];                                                       \
+            for (int64_t c = 1; c < cols; ++c)                                 \
+                if (xr[c] > m || xr[c] != xr[c])                               \
+                    m = xr[c];                                                 \
+            for (int64_t c = 0; c < cols; ++c) {                               \
+                T s = xr[c] - m;                                               \
+                s = s < clip ? clip : s;                                       \
+                s = s > (T)0 ? (T)0 : s;                                       \
+                int64_t idx = lut_index_##SUF(s, bp, nbp, base, thr, blo,      \
+                                              binvw, nbuckets);                \
+                T e = sl[idx] * s + ic[idx];                                   \
+                or_[c] = (e > (T)0 || e != e) ? e : (T)0;                      \
             }                                                                  \
         }                                                                      \
     }                                                                          \

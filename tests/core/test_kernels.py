@@ -22,6 +22,7 @@ from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.kernels import (
     GEMM_TIER_NAMES,
     KERNEL_NAMES,
+    LUT_TIER_NAMES,
     NUMPY_KERNEL,
     NativeKernel,
     NumpyKernel,
@@ -33,6 +34,7 @@ from repro.core.kernels import (
     resolve_kernel,
     validate_kernel_name,
 )
+from repro.core.lut import LookupTable
 from repro.core.scaling import InputScaler
 from repro.transformer import tiny_test_config
 from repro.transformer.models import EncoderModel
@@ -72,9 +74,12 @@ class TestRegistry:
             # The best tier has nothing to explain; a lower one names what
             # was turned down and why.
             assert (info["gemm_tier_refused"] is None) == (info["gemm_impl"] == 3)
+            assert LUT_TIER_NAMES == {1: "scalar", 2: "avx2", 3: "avx512"}
+            assert info["lut_tier"] in LUT_TIER_NAMES.values()
             assert info["native_unavailable_reason"] is None
         else:
             assert info["native_unavailable_reason"]
+            assert info["lut_tier"] is None
 
     @pytest.mark.parametrize("name", AVAILABLE_KERNELS)
     def test_kernels_pickle_to_singletons(self, name):
@@ -313,6 +318,181 @@ class TestNativeOpParity:
             threaded.lut_gelu_bias(op, big.copy(), gelu_bias),
             single.lut_gelu_bias(op, big.copy(), gelu_bias),
         )
+
+
+def lut_case(seed, entries, rows, cols, with_nan):
+    """A random sorted table and a float32 input seeded with its edge cases.
+
+    The input holds the table's exact (float32) breakpoints and their
+    ``nextafter`` neighbours, +/-0, denormals, +/-inf, the clip edges and
+    ``exp_clip`` at random positions; roughly one table in three has a
+    duplicated breakpoint.
+    """
+    rng = np.random.default_rng(seed)
+    bp = np.sort(rng.uniform(-6.0, 6.0, size=entries - 1))
+    if entries > 2 and rng.random() < 0.3:
+        dup = rng.integers(0, entries - 2)
+        bp[dup + 1] = bp[dup]
+    table = LookupTable(bp, rng.normal(size=entries), rng.normal(size=entries))
+    lo, hi = np.sort(rng.uniform(-7.0, 7.0, size=2))
+    exp_clip = -float(rng.uniform(0.5, 300.0))
+    edges = np.concatenate([bp, [lo, hi, exp_clip]]).astype(np.float32)
+    specials = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, np.float32(np.inf)),
+            np.nextafter(edges, np.float32(-np.inf)),
+            np.array([0.0, -0.0, 1e-40, -1e-40, np.inf, -np.inf], dtype=np.float32),
+            np.array([np.nan] if with_nan else [], dtype=np.float32),
+        ]
+    )
+    x = rng.uniform(-9.0, 9.0, size=(rows, cols)).astype(np.float32)
+    seeded = rng.integers(0, x.size + 1)
+    x.flat[rng.choice(x.size, size=seeded, replace=False)] = rng.choice(
+        specials, size=seeded
+    )
+    return rng, table, (float(lo), float(hi)), exp_clip, x
+
+
+#: table sizes the vector core holds, and sizes that fall back to the
+#: bucketed scalar loop
+table_entries = st.one_of(st.integers(1, 16), st.integers(17, 64))
+
+
+@needs_native
+class TestLutVectorCore:
+    """The register-resident LUT operators == NumpyKernel in float32, bitwise.
+
+    Whatever LUT tier the library was compiled with runs here (CI repeats
+    this file with ``-march=x86-64-v3`` and ``-march=x86-64`` for the AVX2
+    and portable tiers).
+    """
+
+    @pytest.fixture(scope="class")
+    def native(self):
+        return get_kernel("native")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        entries=table_entries,
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 70),
+        with_nan=st.booleans(),
+        clipped=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_eval_and_gelu(self, seed, entries, rows, cols, with_nan, clipped):
+        native = get_kernel("native")
+        rng, table, clip_range, _, x = lut_case(seed, entries, rows, cols, with_nan)
+        assert eq(native.lut_eval(table, x), NUMPY_KERNEL.lut_eval(table, x))
+        op = LutGelu(table, clip_range=clip_range if clipped else None)
+        bias = rng.normal(size=cols).astype(np.float32)
+        kept = x.copy()
+        got = native.lut_gelu(op, x)
+        assert got is not x and eq(x, kept)  # the no-bias entry leaves x alone
+        with np.errstate(invalid="ignore"):
+            assert eq(got, NUMPY_KERNEL.lut_gelu(op, x))
+            assert eq(
+                native.lut_gelu_bias(op, x.copy(), bias),
+                NUMPY_KERNEL.lut_gelu_bias(op, x.copy(), bias),
+            )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        entries=table_entries,
+        reciprocal_entries=table_entries,
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 70),
+        with_nan=st.booleans(),
+        zero_max=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_softmax(
+        self, seed, entries, reciprocal_entries, rows, cols, with_nan, zero_max
+    ):
+        native = get_kernel("native")
+        rng, table, _, exp_clip, x = lut_case(seed, entries, rows, cols, with_nan)
+        if zero_max:
+            # Row maximum exactly 0: the seeded breakpoints, exp_clip and
+            # their neighbours reach the exp table unshifted.
+            x = np.minimum(x, np.float32(0.0))
+            x[:, rng.integers(0, cols)] = 0.0
+        reciprocal = LookupTable(
+            np.sort(rng.uniform(0.0, cols, size=reciprocal_entries - 1)),
+            rng.normal(size=reciprocal_entries),
+            rng.normal(size=reciprocal_entries),
+        )
+        op = LutSoftmax(table, reciprocal, exp_clip=exp_clip)
+        scores = x.reshape(1, rows, cols)
+        kept = scores.copy()
+        with np.errstate(invalid="ignore"):
+            want = NUMPY_KERNEL.lut_softmax(op, scores, -1)
+            assert eq(native.lut_softmax(op, scores, -1), want)
+            assert eq(scores, kept)
+            # a non-last axis and a strided view take the reference path
+            assert eq(
+                native.lut_softmax(op, scores, 1),
+                NUMPY_KERNEL.lut_softmax(op, scores, 1),
+            )
+            assert eq(
+                native.lut_softmax(op, scores[..., ::2], -1),
+                NUMPY_KERNEL.lut_softmax(op, scores[..., ::2], -1),
+            )
+
+    def test_nan_row_max_poisons_the_row_only(self, native):
+        _, table, _, exp_clip, x = lut_case(7, 16, 4, 37, False)
+        x = np.nan_to_num(x, posinf=3.0, neginf=-3.0)
+        x[2, 19] = np.nan
+        reciprocal = LookupTable([2.0, 9.0], [-0.1, -0.01, -0.001], [1.0, 0.5, 0.2])
+        out = native.lut_softmax(
+            LutSoftmax(table, reciprocal, exp_clip=exp_clip), x, -1
+        )
+        assert np.isnan(out[2]).all() and not np.isnan(out[[0, 1, 3]]).any()
+
+    def test_row_threads_equal_one_thread(self):
+        """Row blocks whose rows end in a masked tail: 2 threads == 1 thread."""
+        rng, table, clip_range, exp_clip, x = lut_case(11, 16, 70, 37, True)
+        gelu = LutGelu(table, clip_range=clip_range)
+        softmax = LutSoftmax(
+            table, LookupTable([4.0], [-0.05, -0.01], [1.0, 0.6]), exp_clip=exp_clip
+        )
+        bias = rng.normal(size=37).astype(np.float32)
+        single, threaded = NativeKernel(num_threads=1), NativeKernel(num_threads=2)
+        assert eq(
+            threaded.lut_gelu_bias(gelu, x.copy(), bias),
+            single.lut_gelu_bias(gelu, x.copy(), bias),
+        )
+        assert eq(threaded.lut_gelu(gelu, x), single.lut_gelu(gelu, x))
+        with np.errstate(invalid="ignore"):
+            assert eq(
+                threaded.lut_softmax(softmax, x, -1), single.lut_softmax(softmax, x, -1)
+            )
+            assert eq(
+                threaded.lut_softmax(softmax, x, -1),
+                NUMPY_KERNEL.lut_softmax(softmax, x, -1),
+            )
+
+    def test_bucket_tables_built_only_for_the_scalar_loops(self, native):
+        """A table the vector core serves never has its bucket index built."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=40).astype(np.float32)
+
+        def fresh(entries):
+            return LookupTable(
+                np.linspace(-4.0, 4.0, entries - 1),
+                rng.normal(size=entries),
+                rng.normal(size=entries),
+            )
+
+        small, big = fresh(16), fresh(17)
+        native.lut_eval(small, x)
+        native.lut_eval(big, x)
+        vector_core = kernel_info()["lut_tier"] != "scalar"
+        assert (small._buckets is None) == vector_core
+        assert big._buckets is not None
+        wide = fresh(16)
+        native.lut_eval(wide, x.astype(np.float64))
+        assert wide._buckets is not None  # float64 runs the scalar loop
 
 
 def int8_matrix(rng, shape, extreme):
