@@ -63,6 +63,48 @@ def build_rows(registry: LutRegistry) -> list:
             x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.017, np.float32, bias=bias
         ),
     )
+    # The fused projection's edges: a row count that ends mid-tile, a ragged
+    # last k4 group, n a multiple of neither 16 nor 32, float64 in and out;
+    # then Q/K/V-style projections sharing one quantised activation.
+    xr = rng.normal(size=(3, 11, 70))
+    wr = rng.integers(-127, 128, size=(70, 37), dtype=np.int8)
+    bias_r = rng.normal(size=37)
+    add(
+        "linear ragged",
+        "int8",
+        native.linear_int8(
+            xr, native.pack_weight_int8(wr), 0.017, np.float64, bias=bias_r
+        ),
+        NUMPY_KERNEL.linear_int8(
+            xr, NUMPY_KERNEL.pack_weight_int8(wr), 0.017, np.float64, bias=bias_r
+        ),
+    )
+    shared = [
+        (w_q, 0.017, bias),
+        (w_q[:, ::-1], 0.4, None),
+        (w_q[:, :5], 0.002, None),
+    ]
+    add(
+        "linear shared-activation",
+        "int8",
+        np.concatenate(
+            native.linear_int8_shared(
+                x,
+                [(native.pack_weight_int8(w), s, b) for w, s, b in shared],
+                np.float32,
+            ),
+            axis=-1,
+        ),
+        np.concatenate(
+            [
+                NUMPY_KERNEL.linear_int8(
+                    x, NUMPY_KERNEL.pack_weight_int8(w), s, np.float32, bias=b
+                )
+                for w, s, b in shared
+            ],
+            axis=-1,
+        ),
+    )
     w32 = rng.normal(size=(48, 32)).astype(np.float32)
     add(
         "linear",
@@ -198,14 +240,14 @@ def main() -> int:
         "kernel parity: numpy vs native "
         f"({regression.gemm_tier_label(info)}; LUT tier {info['lut_tier']})"
     )
-    header = f"{'op/path':<18} {'precision':<9} {'max_abs_diff':>12}  parity"
+    header = f"{'op/path':<24} {'precision':<9} {'max_abs_diff':>12}  parity"
     print(header)
     print("-" * len(header))
     failed = False
     for name, precision, diff, bitwise in rows:
         status = "bitwise" if bitwise else "MISMATCH"
         failed = failed or not bitwise
-        print(f"{name:<18} {precision:<9} {diff:>12.3e}  {status}")
+        print(f"{name:<24} {precision:<9} {diff:>12.3e}  {status}")
     if failed:
         print("FAIL: native kernel deviates from the numpy reference")
         return 1

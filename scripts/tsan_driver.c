@@ -11,12 +11,19 @@
  * invocations on a shared tensor is visible here; TSan aborts the run on a
  * report.
  *
- * The int8 GEMM runs on every tier the library can use here (AMX permission
+ * The int8 projection (repro_linear_s8: quantise -> GEMM -> tile-store
+ * epilogue) runs on every GEMM tier the library can use here (AMX permission
  * is requested the way the Python loader does; each thread's call loads and
  * releases its own tile configuration) over a weight packed into the
- * k4-interleaved panel layout, with K and N chosen ragged so the k tail and
- * the partial panel are exercised, and is checked against a plain dot
- * product.
+ * k4-interleaved panel layout, the way NativeKernel._project threads it: one
+ * tensor-wide activation scale, then every thread packs, multiplies and
+ * stores its own row block — float64 output straight from the activations,
+ * then float32 output from the block's already-quantised rows (the
+ * shared-activation call).  M, K and N are ragged on purpose: the row blocks
+ * meet inside a 6-row and a 32-row tile, the k tail and the partial panel are
+ * exercised, and every output row ends in a masked partial vector right up
+ * against the next thread's rows.  Both outputs are memcmp'd against a scalar
+ * dequantise of the int64 product.
  *
  * The float32 LUT operators (bias + GELU and the softmax front end) run on
  * whatever LUT tier the build has, over rows of LUT_COLS columns — a
@@ -35,14 +42,12 @@
 
 int repro_gemm_impl(void);
 int repro_amx_request(void);
-void repro_gemm_s8(const int8_t *a, const int8_t *packed,
-                   const int32_t *colsum, int32_t *c, int64_t m, int64_t k,
-                   int64_t n, int tier);
+int repro_linear_s8(const void *x, int x_f64, int8_t *q, double *act_scale,
+                    int64_t m, int64_t k, const int8_t *packed,
+                    const int32_t *colsum, int64_t n, double weight_scale,
+                    const void *bias, void *out, int out_f64, int tier);
 int repro_maxabs_f64(const double *x, int64_t size, double *out);
 int repro_qpack_f64(const double *x, int64_t size, double scale, int8_t *q);
-void repro_dequant_bias_f64(const int32_t *acc, double scale,
-                            const double *bias, double *out, int64_t rows,
-                            int64_t cols);
 void repro_bias_residual_f64(const double *x, const double *bias,
                              const double *res, double *out, int64_t rows,
                              int64_t cols);
@@ -64,7 +69,8 @@ void repro_scale_affine_f64(const double *centered, const double *inv_std,
                             const double *gamma, const double *beta,
                             double *out, int64_t rows, int64_t cols);
 
-enum { M = 192, K = 150, N = 96, ITERS = 25 };
+enum { M = 190, K = 150, N = 90, ITERS = 25 };
+static const double WEIGHT_SCALE = 0.0078125;
 /* _PackedInt8Weight's geometry: k padded to 64, n to 32-column panels
  * (the column sums to 64). */
 enum { PANEL = 32, K_PAD = (K + 63) / 64 * 64, N_PAD = (N + 63) / 64 * 64 };
@@ -85,11 +91,16 @@ typedef struct {
     int tid;
     int threads;
     int tiers;
-    const int8_t *a;
+    const double *act; /* M x K activations */
+    double act_scale;  /* max|act| / 127, over the whole tensor */
     const int8_t *packed;
     const int32_t *colsum;
-    const int32_t *want; /* a @ w, computed the slow way */
-    int32_t *acc;
+    const double *lin_want64; /* the projection, computed the slow way */
+    const float *lin_want32;
+    const float *bias32;
+    int8_t *act_q; /* M x K: each thread packs its own rows */
+    double *lin_out64;
+    float *lin_out32;
     const double *xf;
     const double *bias;
     const double *res;
@@ -115,14 +126,21 @@ static void *worker(void *arg) {
     if (rows <= 0)
         return NULL;
     for (int iter = 0; iter < ITERS; ++iter) {
-        repro_gemm_s8(job->a + start * K, job->packed, job->colsum,
-                      job->acc + start * N, rows, K, N,
-                      1 + iter % job->tiers);
-        if (memcmp(job->acc + start * N, job->want + start * N,
-                   (size_t)rows * N * sizeof(int32_t)) != 0)
+        const int tier = 1 + iter % job->tiers;
+        double scale = job->act_scale; /* > 0: taken as given, not written */
+        if (repro_linear_s8(job->act + start * K, 1, job->act_q + start * K,
+                            &scale, rows, K, job->packed, job->colsum, N,
+                            WEIGHT_SCALE, job->bias, job->lin_out64 + start * N,
+                            1, tier) ||
+            repro_linear_s8(NULL, 0, job->act_q + start * K, &scale, rows, K,
+                            job->packed, job->colsum, N, WEIGHT_SCALE,
+                            job->bias32, job->lin_out32 + start * N, 0, tier))
+            job->failed |= 1;
+        if (memcmp(job->lin_out64 + start * N, job->lin_want64 + start * N,
+                   (size_t)rows * N * sizeof(double)) != 0 ||
+            memcmp(job->lin_out32 + start * N, job->lin_want32 + start * N,
+                   (size_t)rows * N * sizeof(float)) != 0)
             job->failed |= 2;
-        repro_dequant_bias_f64(job->acc + start * N, 0.03125, job->bias,
-                               job->out + start * N, rows, N);
         repro_bias_residual_f64(job->xf + start * N, job->bias,
                                 job->res + start * N, job->out + start * N,
                                 rows, N);
@@ -166,9 +184,11 @@ int main(void) {
     if (tiers == 3 && repro_amx_request() != 0)
         tiers = 2;
 
-    static int8_t a[M * K], w[K * N], q[M * N];
+    static int8_t w[K * N], q[M * N], act_q[M * K];
     static int8_t packed[N_PAD * K_PAD] __attribute__((aligned(64)));
-    static int32_t colsum[N_PAD], acc[M * N], want[M * N];
+    static int32_t colsum[N_PAD];
+    static double act[M * K], lin_out64[M * N], lin_want64[M * N];
+    static float lin_out32[M * N], lin_want32[M * N], bias32[N];
     static double xf[M * N], bias[N], res[M * N], inv_std[M];
     static double gamma_[N], beta_[N], out[M * N];
     static float lut_x[M * LUT_COLS], lut_out[M * LUT_COLS], lut_bias[LUT_COLS];
@@ -176,8 +196,13 @@ int main(void) {
     static float bp[LUT_BP], sl[LUT_BP + 1], ic[LUT_BP + 1];
 
     unsigned seed = 12345u;
-    for (int i = 0; i < M * K; ++i)
-        a[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
+    double act_max = 0.0;
+    for (int i = 0; i < M * K; ++i) {
+        seed = seed * 1103515245u + 12345u;
+        act[i] = ((double)(seed >> 8) / (1 << 23) - 1.0) * 3.0;
+        act_max = fabs(act[i]) > act_max ? fabs(act[i]) : act_max;
+    }
+    const double act_scale = act_max / 127.0;
     for (int i = 0; i < K * N; ++i)
         w[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
     for (int j = 0; j < N; ++j) {
@@ -188,6 +213,7 @@ int main(void) {
             colsum[j] += w[kk * N + j];
         }
         bias[j] = 0.25 * j;
+        bias32[j] = (float)bias[j];
         gamma_[j] = 1.0 + 0.01 * j;
         beta_[j] = -0.5 + 0.01 * j;
     }
@@ -197,9 +223,17 @@ int main(void) {
     }
     for (int i = 0; i < M; ++i) {
         inv_std[i] = 1.0 / (1.0 + 0.001 * i);
-        for (int j = 0; j < N; ++j)
-            for (int kk = 0; kk < K; ++kk)
-                want[i * N + j] += (int32_t)a[i * K + kk] * w[kk * N + j];
+        for (int j = 0; j < N; ++j) {
+            int64_t sum = 0;
+            for (int kk = 0; kk < K; ++kk) {
+                double r = nearbyint(act[i * K + kk] / act_scale);
+                r = r > 127.0 ? 127.0 : r < -127.0 ? -127.0 : r;
+                sum += (int64_t)r * w[kk * N + j];
+            }
+            const double scaled = (double)sum * (act_scale * WEIGHT_SCALE);
+            lin_want64[i * N + j] = scaled + bias[j];
+            lin_want32[i * N + j] = (float)scaled + bias32[j];
+        }
     }
 
     for (int t = 0; t <= LUT_BP; ++t) {
@@ -238,11 +272,16 @@ int main(void) {
         jobs[t] = (job_t){.tid = t,
                           .threads = threads,
                           .tiers = tiers,
-                          .a = a,
+                          .act = act,
+                          .act_scale = act_scale,
                           .packed = packed,
                           .colsum = colsum,
-                          .want = want,
-                          .acc = acc,
+                          .lin_want64 = lin_want64,
+                          .lin_want32 = lin_want32,
+                          .bias32 = bias32,
+                          .act_q = act_q,
+                          .lin_out64 = lin_out64,
+                          .lin_out32 = lin_out32,
                           .xf = xf,
                           .bias = bias,
                           .res = res,
@@ -274,7 +313,8 @@ int main(void) {
         fprintf(stderr,
                 failed & 4   ? "tsan_driver: LUT operators deviate from the "
                                "scalar reference\n"
-                : failed & 2 ? "tsan_driver: int8 GEMM deviates from a @ w\n"
+                : failed & 2 ? "tsan_driver: int8 projection deviates from the "
+                               "scalar dequantise of q(x) @ w\n"
                              : "tsan_driver: kernel reported non-finite input\n");
         return 1;
     }

@@ -12,11 +12,11 @@ per-op inner loops live, with two interchangeable implementations:
   (``kernels_native.c``) is compiled on first use with whatever C compiler
   the host has (``cc -O3 -march=native -ffp-contract=off``), cached by
   source hash, and loaded through ctypes.  It provides a true
-  INT8 x INT8 -> INT32 GEMM (replacing the float64-carrier matmul trick) and
-  fused epilogues — bias + GELU-LUT with saturation tails, the softmax
-  front end, bias + residual, and the LayerNorm centre/scale/affine tail —
-  each a single pass over the tensor instead of numpy's one-pass-per-op
-  sequence.
+  INT8 x INT8 -> INT32 GEMM (replacing the float64-carrier matmul trick)
+  whose tile store dequantises and adds the bias, and fused epilogues —
+  bias + GELU-LUT with saturation tails, the softmax front end, bias +
+  residual, and the LayerNorm centre/scale/affine tail — each a single pass
+  over the tensor instead of numpy's one-pass-per-op sequence.
 
 The int8 GEMM
 -------------
@@ -41,6 +41,22 @@ horizontally.  A tier that is not compiled in, or that the OS refuses, falls
 to the next one — never to an error — and :func:`kernel_info` reports which
 tier runs and why a higher one was turned down.  Integer accumulation is
 exact in any order, so every tier returns the same bits.
+
+None of the three writes the output itself: one driver runs them and each
+finished tile leaves through a shared tile-store epilogue,
+``out = (T)((double)acc * scale) [+ bias]`` — the dequantise, the rounding to
+the compute dtype and the bias add, in numpy's order, done on the
+accumulators while they are still in registers (AMX: in a 1 KB bounce
+buffer).  ``linear_int8`` is therefore one pass and one C call
+(``repro_linear_s8``): max-abs, quantise into a per-call int8 scratch, GEMM,
+epilogue; no int32 ``(m, n)`` array exists.  With row threads the max-abs is
+one whole-tensor scan and each row block then quantises, multiplies and
+stores its own rows.  ``linear_int8_shared`` runs several projections of one
+activation (attention's Q, K, V) off a single quantised copy — per-tensor
+scales make that the same arithmetic as separate calls.  ``gemm_int8`` /
+``repro_gemm_s8`` is the same driver storing the raw int32 sums: not on the
+engine's path, it is how the tests (``tier=``) and the GOP/s bench see each
+micro-kernel's integers on their own.
 
 The LUT operators
 -----------------
@@ -183,6 +199,19 @@ class ComputeKernel:
     def linear_int8(self, x, operand, weight_scale, out_dtype, bias=None):
         raise NotImplementedError
 
+    def linear_int8_shared(self, x, projections, out_dtype):
+        """Several int8 projections of one activation (attention's Q, K, V).
+
+        ``projections`` is a sequence of ``(operand, weight_scale, bias)``;
+        the result is ``[linear_int8(x, operand, weight_scale, out_dtype,
+        bias=bias) for ...]`` — which is this implementation.  A kernel may
+        override it to quantise ``x`` once.
+        """
+        return [
+            self.linear_int8(x, operand, weight_scale, out_dtype, bias=bias)
+            for operand, weight_scale, bias in projections
+        ]
+
     # -- packed quantisation ---------------------------------------------- #
     def quantize_scale(self, x):
         raise NotImplementedError
@@ -319,6 +348,11 @@ _SIGNATURES: Dict[str, Tuple[Sequence, Optional[type]]] = {
          ctypes.c_int],
         None,
     ),
+    "repro_linear_s8": (
+        [_I8, ctypes.c_int, _I8, _I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8,
+         ctypes.c_int64, ctypes.c_double, _I8, _I8, ctypes.c_int, ctypes.c_int],
+        ctypes.c_int,
+    ),
 }
 for _suf in ("f32", "f64"):
     _SIGNATURES.update(
@@ -327,10 +361,6 @@ for _suf in ("f32", "f64"):
             f"repro_qpack_{_suf}": (
                 [_I8, ctypes.c_int64, ctypes.c_double, _I8],
                 ctypes.c_int,
-            ),
-            f"repro_dequant_bias_{_suf}": (
-                [_I8, ctypes.c_double, _I8, _I8, ctypes.c_int64, ctypes.c_int64],
-                None,
             ),
             f"repro_lut_eval_{_suf}": (
                 [_I8, _I8, ctypes.c_int64, _I8, _I8, _I8, ctypes.c_int64,
@@ -623,10 +653,12 @@ def _table_args(table: LookupTable, dtype: np.dtype) -> Tuple[tuple, tuple]:
 class NativeKernel(ComputeKernel):
     """Compiled C fast path: true int8 GEMM + single-pass fused epilogues.
 
-    ``num_threads > 1`` parallelises the int8 GEMM and the large fused
-    epilogues over row blocks with an in-process thread pool (the C calls
-    release the GIL); results are bitwise independent of the thread count
-    because the work is row-partitioned.
+    ``num_threads > 1`` parallelises the int8 projections and the large
+    fused epilogues over row blocks with an in-process thread pool (the C
+    calls release the GIL); results are bitwise independent of the thread
+    count because the work is row-partitioned (and the activation scale is
+    taken over the whole tensor first).  The kernel holds no per-call state,
+    so ``SessionPool`` threads share one instance.
     """
 
     name = "native"
@@ -656,9 +688,12 @@ class NativeKernel(ComputeKernel):
         return int(_native_state["gemm_tier"])
 
     # -- row-block threading ---------------------------------------------- #
+    def _row_threads(self, rows: int) -> int:
+        return min(self.num_threads, max(1, rows // self._MIN_ROWS_PER_THREAD))
+
     def _run_rows(self, rows: int, fn) -> None:
         """Invoke ``fn(start, stop)`` over row blocks, threaded when asked."""
-        threads = min(self.num_threads, max(1, rows // self._MIN_ROWS_PER_THREAD))
+        threads = self._row_threads(rows)
         if threads <= 1:
             fn(0, rows)
             return
@@ -726,35 +761,85 @@ class NativeKernel(ComputeKernel):
             return self._numpy.linear_int8(
                 x, operand, weight_scale, out_dtype, bias=bias
             )
+        return self._project(x, ((operand, weight_scale, bias),), out_dtype)[0]
+
+    def linear_int8_shared(self, x, projections, out_dtype):
+        operands = [operand for operand, _, _ in projections]
+        if any(isinstance(op, np.ndarray) for op in operands) or (
+            len({op.k for op in operands}) != 1
+        ):
+            return super().linear_int8_shared(x, projections, out_dtype)
+        return self._project(x, projections, out_dtype)
+
+    def _project(self, x, projections, out_dtype):
+        """``x`` quantised once, then one GEMM + tile-store epilogue per
+        ``(packed operand, weight_scale, bias)`` — all of the same ``k``.
+
+        One C call per projection: the first also scans ``x`` for its scale
+        and packs it into ``q``, the rest find ``q`` filled.  With row
+        threads the scale comes from one whole-tensor scan up front and each
+        block packs, multiplies and stores its own rows.  ``q`` is this
+        call's own scratch, so concurrent callers share nothing.
+        """
+        out_dtype = np.dtype(out_dtype)
+        if out_dtype not in _FLOAT_DTYPES:
+            raise ValueError(f"out_dtype must be float32 or float64, got {out_dtype}")
         x = np.asarray(x)
-        if x.dtype not in (np.float32, np.float64):
+        if x.dtype not in _FLOAT_DTYPES:
             x = x.astype(np.float64)
-        k, n = operand.k, operand.n
-        out_shape = (*x.shape[:-1], n)
+        k = projections[0][0].k
+        if x.ndim == 0 or x.shape[-1] != k:
+            raise ValueError(f"x must be (..., {k}), got {x.shape}")
+        lead = x.shape[:-1]
         if x.size == 0:
-            result = np.zeros(out_shape, dtype=out_dtype)
-            if bias is not None:
-                result += bias
-            return result
-        flat = np.ascontiguousarray(x.reshape(-1, k))
+            results = []
+            for operand, _, bias in projections:
+                result = np.zeros((*lead, operand.n), dtype=out_dtype)
+                if bias is not None:
+                    result += bias
+                results.append(result)
+            return results
+        flat = np.ascontiguousarray(x).reshape(-1, k)
         m = flat.shape[0]
-        suf = self._suffix(flat.dtype)
-        act_scale = self._max_abs_scale(flat, suf)
-        q = _aligned_empty(m * k, np.int8).reshape(m, k)
-        status = getattr(self._lib, f"repro_qpack_{suf}")(
-            flat.ctypes.data, flat.size, act_scale, q.ctypes.data
-        )
-        if status:
-            raise ValueError(_NONFINITE_MSG)
-        acc = self.gemm_int8(q, operand)
-        out = np.empty((m, n), dtype=out_dtype)
-        if bias is not None:
-            bias = np.ascontiguousarray(bias)
-        getattr(self._lib, f"repro_dequant_bias_{self._suffix(np.dtype(out_dtype))}")(
-            acc.ctypes.data, act_scale * weight_scale, _ptr(bias),
-            out.ctypes.data, m, n,
-        )
-        return out.reshape(out_shape)
+        x_f64 = flat.dtype == np.float64
+        q = _aligned_empty(m * k, np.int8)
+        act_scale = ctypes.c_double(0.0)  # 0: the first call measures it
+        if self._row_threads(m) > 1:
+            act_scale.value = self._max_abs_scale(flat, self._suffix(flat.dtype))
+        x_ptr, x_row = flat.ctypes.data, k * flat.itemsize
+        q_ptr, scale_ptr = q.ctypes.data, ctypes.addressof(act_scale)
+        out_f64, tier = out_dtype == np.float64, self.gemm_impl
+        fn = self._lib.repro_linear_s8
+        results = []
+        for operand, weight_scale, bias in projections:
+            n = operand.n
+            out = np.empty((m, n), dtype=out_dtype)
+            # The tile store adds a bias it can read as n values of the
+            # output type; anything else is numpy's in-place add afterwards.
+            fused = (
+                bias is not None and bias.dtype == out_dtype and bias.shape == (n,)
+            )
+            fused_bias = np.ascontiguousarray(bias) if fused else None
+            bias_ptr = _ptr(fused_bias)
+            w_ptr, cs_ptr = operand.panels.ctypes.data, operand.colsum.ctypes.data
+            out_ptr, out_row = out.ctypes.data, n * out.itemsize
+
+            def run(start: int, stop: int) -> None:
+                status = fn(
+                    x_ptr + start * x_row if x_ptr else None, x_f64,
+                    q_ptr + start * k, scale_ptr, stop - start, k, w_ptr, cs_ptr,
+                    n, weight_scale, bias_ptr, out_ptr + start * out_row,
+                    out_f64, tier,
+                )
+                if status:
+                    raise ValueError(_NONFINITE_MSG)
+
+            self._run_rows(m, run)
+            x_ptr = None  # q now holds x quantised at act_scale
+            if bias is not None and not fused:
+                out += bias
+            results.append(out.reshape(*lead, n))
+        return results
 
     # -- packed quantisation ---------------------------------------------- #
     def _max_abs_scale(self, flat: np.ndarray, suf: str) -> float:

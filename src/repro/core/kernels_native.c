@@ -38,6 +38,16 @@
  * caller passes the tier to run; a tier that was not compiled in falls to
  * the next one down.
  *
+ * One driver (gemm_s8) runs them, and none of them writes C: a finished tile
+ * is handed to the tile store (see "tile store" below), which on the
+ * engine's path is the projection's epilogue — dequantise in float64, round
+ * to the output type, add the bias — so the int32 sums go from registers (or
+ * a 1 KB bounce buffer) to the float output and are never an array in
+ * memory.  repro_linear_s8 wraps that in one call: max-abs, quantise into the
+ * caller's scratch, GEMM, epilogue.  repro_gemm_s8 is the same driver with
+ * the raw int32 store, kept so the tests and the GOP/s bench can look at each
+ * tier's integer sums on their own.
+ *
  * LUT operators
  * -------------
  * A first-order table of up to LUT_CORE_ENTRIES entries is evaluated in
@@ -76,7 +86,7 @@
 
 /* ------------------------------------------------------------------ */
 /* int8 GEMM: a (m,k) row-major int8  x  packed weight (see header).   */
-/* c (m,n) int32 = exact integer accumulation.                         */
+/* Exact integer accumulation; each finished C tile goes to a sink.    */
 /* ------------------------------------------------------------------ */
 
 #define PANEL_COLS 32
@@ -110,14 +120,107 @@ EXPORT int repro_amx_request(void) {
 #endif
 }
 
+/* ---- tile store -------------------------------------------------------- */
+
+/* Where the C tiles of one GEMM go.  The micro-kernels never write C
+ * themselves: a finished tile leaves its accumulators (AMX bounce buffer,
+ * zmm registers, the portable loop's array) through sink_vec / sink_row,
+ * which either keep the exact int32 sums (SINK_S32: repro_gemm_s8) or apply
+ * the projection's epilogue on the way out,
+ *
+ *     out = (T)((double)acc * scale) [+ bias]        T = float | double
+ *
+ * multiply in float64, round once to T, then add the bias in T: numpy's
+ * dequantise-then-cast-then-add order, so the float result is bitwise
+ * NumpyKernel.linear_int8's and no int32 (m, n) array ever exists. */
+enum { SINK_S32, SINK_F32, SINK_F64 };
+
+typedef struct {
+    int kind;
+    void *out;        /* C, (m, n) row-major, element type per kind */
+    int64_t n;
+    double scale;     /* float kinds: activation scale * weight scale */
+    const void *bias; /* float kinds: n values of out's type, or NULL */
+} tile_sink;
+
+#define SINK_ROW_AS(T)                                                        \
+    do {                                                                      \
+        T *o = (T *)s->out + at;                                              \
+        const T *b = (const T *)s->bias;                                      \
+        if (b)                                                                \
+            for (int64_t c = 0; c < cols; ++c)                                \
+                o[c] = (T)((double)acc[c] * s->scale) + b[col + c];           \
+        else                                                                  \
+            for (int64_t c = 0; c < cols; ++c)                                \
+                o[c] = (T)((double)acc[c] * s->scale);                        \
+    } while (0)
+
+/* `cols` accumulators of C[row][col...]. */
+static inline void sink_row(const tile_sink *s, int64_t row, int64_t col,
+                            const int32_t *acc, int64_t cols) {
+    const int64_t at = row * s->n + col;
+    if (s->kind == SINK_F32)
+        SINK_ROW_AS(float);
+    else if (s->kind == SINK_F64)
+        SINK_ROW_AS(double);
+    else
+        memcpy((int32_t *)s->out + at, acc, (size_t)cols * sizeof(int32_t));
+}
+
+#ifdef REPRO_GEMM_VNNI
+/* The same, on sixteen accumulators in a register; `mask` has the lanes
+ * that are columns of C (none: the vector lies wholly past the edge).
+ * cvtdq2pd is exact, mulpd / cvtpd2ps / addps round as their scalar forms
+ * do. */
+static inline void sink_vec(const tile_sink *s, int64_t row, int64_t col,
+                            __m512i acc, __mmask16 mask) {
+    const int64_t at = row * s->n + col;
+    if (!mask)
+        return;
+    if (s->kind == SINK_S32) {
+        _mm512_mask_storeu_epi32((int32_t *)s->out + at, mask, acc);
+        return;
+    }
+    const __m512d scale = _mm512_set1_pd(s->scale);
+    __m512d lo = _mm512_mul_pd(
+        _mm512_cvtepi32_pd(_mm512_castsi512_si256(acc)), scale);
+    __m512d hi = _mm512_mul_pd(
+        _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(acc, 1)), scale);
+    if (s->kind == SINK_F64) {
+        const __mmask8 mlo = (__mmask8)mask, mhi = (__mmask8)(mask >> 8);
+        double *o = (double *)s->out + at;
+        if (s->bias) {
+            const double *b = (const double *)s->bias + col;
+            lo = _mm512_add_pd(lo, _mm512_maskz_loadu_pd(mlo, b));
+            hi = _mm512_add_pd(hi, _mm512_maskz_loadu_pd(mhi, b + 8));
+        }
+        _mm512_mask_storeu_pd(o, mlo, lo);
+        _mm512_mask_storeu_pd(o + 8, mhi, hi);
+        return;
+    }
+    __m512 v = _mm512_castpd_ps(_mm512_insertf64x4(
+        _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo))),
+        _mm256_castps_pd(_mm512_cvtpd_ps(hi)), 1));
+    if (s->bias)
+        v = _mm512_add_ps(
+            v, _mm512_maskz_loadu_ps(mask, (const float *)s->bias + col));
+    _mm512_mask_storeu_ps((float *)s->out + at, mask, v);
+}
+
+/* Lanes of a 16-column vector starting `left` columns before the edge. */
+static inline __mmask16 column_mask(int64_t left) {
+    return (__mmask16)(left >= 16 ? 0xffff : left > 0 ? (1u << left) - 1 : 0);
+}
+#endif
+
 /* ---- tier 1: portable ------------------------------------------------ */
 
 /* SCALAR_ROWS x PANEL_COLS tile: every weight byte loaded feeds
  * SCALAR_ROWS rows. */
 #define SCALAR_ROWS 6
 
-static void gemm_scalar(const int8_t *a, const int8_t *packed, int32_t *c,
-                        int64_t m, int64_t k, int64_t n) {
+static void gemm_scalar(const int8_t *a, const int8_t *packed, int64_t m,
+                        int64_t k, int64_t n, const tile_sink *s) {
     const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
     for (int64_t j0 = 0; j0 < n; j0 += PANEL_COLS) {
         const int8_t *panel = packed + j0 / PANEL_COLS * panel_bytes;
@@ -141,8 +244,7 @@ static void gemm_scalar(const int8_t *a, const int8_t *packed, int32_t *c,
                 }
             }
             for (int r = 0; r < rows; ++r)
-                memcpy(c + (i + r) * n + j0, acc[r],
-                       (size_t)cols * sizeof(int32_t));
+                sink_row(s, i + r, j0, acc[r], cols);
         }
     }
 }
@@ -178,12 +280,12 @@ static inline __m512i dpbusd(__m512i acc, __m512i u8, __m512i s8) {
         c##R##3 = dpbusd(c##R##3, av, b3);                                    \
     }
 
-#define VNNI_ROW_STORE(R, UNUSED)                                             \
+#define VNNI_ROW_SINK(R, UNUSED)                                              \
     if (R < rows) {                                                           \
-        _mm512_mask_storeu_epi32(c + R * n, mask[0], c##R##0);                \
-        _mm512_mask_storeu_epi32(c + R * n + 16, mask[1], c##R##1);           \
-        _mm512_mask_storeu_epi32(c + R * n + 32, mask[2], c##R##2);           \
-        _mm512_mask_storeu_epi32(c + R * n + 48, mask[3], c##R##3);           \
+        sink_vec(s, row + R, col, c##R##0, mask[0]);                          \
+        sink_vec(s, row + R, col + 16, c##R##1, mask[1]);                     \
+        sink_vec(s, row + R, col + 32, c##R##2, mask[2]);                     \
+        sink_vec(s, row + R, col + 48, c##R##3, mask[3]);                     \
     }
 
 #define VNNI_STEP(LEN)                                                        \
@@ -196,17 +298,18 @@ static inline __m512i dpbusd(__m512i acc, __m512i u8, __m512i s8) {
         VNNI_ROWS(VNNI_ROW_STEP, LEN)                                         \
     }
 
-/* One 6 x 64 tile over the whole contraction: the panel at `panel` and the
- * one `next` bytes after it (0 when there is none: the first is read again
- * and `mask` drops the columns).  `rows` (1..6) of the tile are real — the
- * rest recompute the last real row and are not stored.  vpdpbusd
- * multiplies unsigned by signed bytes: A is biased by +128 (XOR 0x80 on the
- * broadcast group) and the accumulators start at -128 * colsum[j], which
- * takes the bias back out.  Intermediate sums may wrap; the final one is
- * exact.  The last k4 group is zero-filled past k. */
+/* One 6 x 64 tile, C[row..][col..], over the whole contraction: the panel at
+ * `panel` and the one `next` bytes after it (0 when there is none: the first
+ * is read again and `mask` drops the columns).  `rows` (1..6) of the tile
+ * are real — the rest recompute the last real row and are not stored.
+ * vpdpbusd multiplies unsigned by signed bytes: A is biased by +128 (XOR
+ * 0x80 on the broadcast group) and the accumulators start at
+ * -128 * colsum[j], which takes the bias back out.  Intermediate sums may
+ * wrap; the final one is exact.  The last k4 group is zero-filled past k. */
 static void vnni_tile(const int8_t *a, int64_t rows, const int8_t *panel,
-                      int64_t next, const int32_t *colsum, int32_t *c,
-                      int64_t k, int64_t n, const __mmask16 *mask) {
+                      int64_t next, const int32_t *colsum, int64_t k,
+                      const tile_sink *s, int64_t row, int64_t col,
+                      const __mmask16 *mask) {
     const __m512i flip = _mm512_set1_epi32((int32_t)0x80808080u);
     const __m512i zero = _mm512_setzero_si512();
     const __m512i *cs = (const __m512i *)colsum;
@@ -224,12 +327,12 @@ static void vnni_tile(const int8_t *a, int64_t rows, const int8_t *panel,
         VNNI_STEP(4)
     if (kk < k)
         VNNI_STEP(k - kk)
-    VNNI_ROWS(VNNI_ROW_STORE, 0)
+    VNNI_ROWS(VNNI_ROW_SINK, 0)
 }
 
 static void gemm_vnni(const int8_t *a, const int8_t *packed,
-                      const int32_t *colsum, int32_t *c, int64_t m, int64_t k,
-                      int64_t n) {
+                      const int32_t *colsum, int64_t m, int64_t k, int64_t n,
+                      const tile_sink *s) {
     const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
     /* Column tiles outermost: two panels of the weight stay in cache while
      * every row tile streams past them. */
@@ -237,15 +340,11 @@ static void gemm_vnni(const int8_t *a, const int8_t *packed,
         const int8_t *panel = packed + j0 / PANEL_COLS * panel_bytes;
         const int64_t next = j0 + PANEL_COLS < n ? panel_bytes : 0;
         __mmask16 mask[4]; /* valid columns of each 16-lane vector */
-        for (int v = 0; v < 4; ++v) {
-            int64_t left = n - j0 - 16 * v;
-            mask[v] = (__mmask16)(left >= 16 ? 0xffff
-                                  : left > 0 ? (1u << left) - 1
-                                             : 0);
-        }
+        for (int v = 0; v < 4; ++v)
+            mask[v] = column_mask(n - j0 - 16 * v);
         for (int64_t i = 0; i < m; i += 6)
             vnni_tile(a + i * k, m - i < 6 ? m - i : 6, panel, next,
-                      colsum + j0, c + i * n + j0, k, n, mask);
+                      colsum + j0, k, s, i, j0, mask);
     }
 }
 #endif /* REPRO_GEMM_VNNI */
@@ -273,29 +372,29 @@ static void amx_config(tilecfg_t *cfg, int rows) {
     }
 }
 
-/* C tile `T` to memory; a column half that hangs over n goes through a
- * bounce buffer so only the valid columns are written. */
-#define AMX_STORE(T, crow, rows, cols)                                        \
+/* C tile `T` = C[row..row+rows][col..col+16] out through the sink: a tile
+ * register can only be stored whole, so it lands in a 1 KB bounce buffer
+ * (L1-resident) and leaves row by row. */
+#define AMX_SINK(T, row, col, rows)                                           \
     do {                                                                      \
-        if ((cols) >= 16) {                                                   \
-            _tile_stored(T, crow, (size_t)n * 4);                             \
-        } else if ((cols) > 0) {                                              \
-            int32_t bounce[16 * 16];                                          \
+        const __mmask16 mask_ = column_mask(s->n - (col));                    \
+        if (mask_) {                                                          \
             _tile_stored(T, bounce, 64);                                      \
             for (int r_ = 0; r_ < (rows); ++r_)                               \
-                memcpy((crow) + r_ * n, bounce + 16 * r_,                     \
-                       (size_t)(cols) * sizeof(int32_t));                     \
+                sink_vec(s, (row) + r_, (col),                                \
+                         _mm512_load_si512(bounce + 16 * r_), mask_);         \
         }                                                                     \
     } while (0)
 
-/* One (<= 32 rows) x (32 columns) block over the whole contraction.  The
- * tile configuration for `rows` is already loaded; with 16 rows or fewer the
- * bottom tiles are unconfigured and stay untouched.  `b` is the block's
- * panel. */
-static void amx_block(const int8_t *a, const int8_t *b, int32_t *c, int rows,
-                      int64_t cols, int64_t k, int64_t n) {
+/* One (<= 32 rows) x (32 columns) block, C[row..][col..], over the whole
+ * contraction.  The tile configuration for `rows` is already loaded; with 16
+ * rows or fewer the bottom tiles are unconfigured and stay untouched.  `b`
+ * is the block's panel. */
+static void amx_block(const int8_t *a, const int8_t *b, int rows, int64_t k,
+                      const tile_sink *s, int64_t row, int64_t col) {
     const int top = rows < 16 ? rows : 16, bottom = rows - top;
     int8_t tail[32 * 64] __attribute__((aligned(64)));
+    int32_t bounce[16 * 16] __attribute__((aligned(64)));
     _tile_zero(0);
     _tile_zero(1);
     if (bottom) {
@@ -323,16 +422,16 @@ static void amx_block(const int8_t *a, const int8_t *b, int32_t *c, int rows,
             _tile_dpbssd(3, 5, 7);
         }
     }
-    AMX_STORE(0, c, top, cols);
-    AMX_STORE(1, c + 16, top, cols - 16);
+    AMX_SINK(0, row, col, top);
+    AMX_SINK(1, row, col + 16, top);
     if (bottom) {
-        AMX_STORE(2, c + 16 * n, bottom, cols);
-        AMX_STORE(3, c + 16 * n + 16, bottom, cols - 16);
+        AMX_SINK(2, row + 16, col, bottom);
+        AMX_SINK(3, row + 16, col + 16, bottom);
     }
 }
 
-static void gemm_amx(const int8_t *a, const int8_t *packed, int32_t *c,
-                     int64_t m, int64_t k, int64_t n) {
+static void gemm_amx(const int8_t *a, const int8_t *packed, int64_t m,
+                     int64_t k, int64_t n, const tile_sink *s) {
     const int64_t panel_bytes = panel_groups(k) * GROUP_BYTES;
     const int64_t full = m / 32 * 32;
     const int tail = (int)(m - full);
@@ -347,37 +446,48 @@ static void gemm_amx(const int8_t *a, const int8_t *packed, int32_t *c,
         if (full && (tail || j0 == 0))
             _tile_loadconfig(&cfg_full);
         for (int64_t i = 0; i < full; i += 32)
-            amx_block(a + i * k, b, c + i * n + j0, 32, n - j0, k, n);
+            amx_block(a + i * k, b, 32, k, s, i, j0);
         if (tail) {
             _tile_loadconfig(&cfg_tail);
-            amx_block(a + full * k, b, c + full * n + j0, tail, n - j0, k, n);
+            amx_block(a + full * k, b, tail, k, s, full, j0);
         }
     }
     _tile_release();
 }
 #endif /* REPRO_GEMM_AMX */
 
-/* `tier` is the micro-kernel to run (repro_gemm_impl's numbering); one that
- * is not compiled in falls to the next one down.  Tier 3 additionally
- * requires that repro_amx_request succeeded in this process. */
-EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
-                          const int32_t *colsum, int32_t *c, int64_t m,
-                          int64_t k, int64_t n, int tier) {
+/* The one GEMM driver.  `tier` is the micro-kernel to run (repro_gemm_impl's
+ * numbering); one that is not compiled in falls to the next one down.  Tier
+ * 3 additionally requires that repro_amx_request succeeded in this
+ * process. */
+static void gemm_s8(const int8_t *a, const int8_t *packed,
+                    const int32_t *colsum, int64_t m, int64_t k, int64_t n,
+                    int tier, const tile_sink *s) {
 #ifdef REPRO_GEMM_AMX
     if (tier >= 3) {
-        gemm_amx(a, packed, c, m, k, n);
+        gemm_amx(a, packed, m, k, n, s);
         return;
     }
 #endif
 #ifdef REPRO_GEMM_VNNI
     if (tier >= 2) {
-        gemm_vnni(a, packed, colsum, c, m, k, n);
+        gemm_vnni(a, packed, colsum, m, k, n, s);
         return;
     }
 #endif
     (void)colsum;
     (void)tier;
-    gemm_scalar(a, packed, c, m, k, n);
+    gemm_scalar(a, packed, m, k, n, s);
+}
+
+/* The driver with the raw store: c (m,n) int32 = a @ w exactly.  Not on the
+ * engine's path — it is how the tests and the GOP/s bench see each tier's
+ * integer sums on their own. */
+EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
+                          const int32_t *colsum, int32_t *c, int64_t m,
+                          int64_t k, int64_t n, int tier) {
+    const tile_sink sink = {SINK_S32, c, n, 0.0, NULL};
+    gemm_s8(a, packed, colsum, m, k, n, tier, &sink);
 }
 
 /* ------------------------------------------------------------------ */
@@ -548,6 +658,46 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
     }
 #endif
     return qpack_scalar_f32(x + i, size - i, scale, q + i);
+}
+
+/* ------------------------------------------------------------------ */
+/* int8 projection: quantise -> GEMM -> tile store, one call            */
+/* ------------------------------------------------------------------ */
+
+/* out (m,n) = (T)((double)(q(x) @ w) * act_scale * weight_scale) [+ bias].
+ *
+ *   x          (m,k) activations, float64 when x_f64 else float32 — or NULL
+ *              when `q` already holds them quantised at *act_scale (a second
+ *              projection of the same activation)
+ *   q          (m,k) int8: where the quantised activations go / are
+ *   act_scale  in/out.  <= 0 asks for x's own per-tensor scale (max|x| / 127,
+ *              1 for an all-zero x), which is written back; a caller that
+ *              works on a row block of a larger tensor passes the tensor's
+ *   out, bias  float64 when out_f64 else float32; bias may be NULL
+ *
+ * Returns 1, with `out` untouched, when x holds a non-finite value. */
+EXPORT int repro_linear_s8(const void *x, int x_f64, int8_t *q,
+                           double *act_scale, int64_t m, int64_t k,
+                           const int8_t *packed, const int32_t *colsum,
+                           int64_t n, double weight_scale, const void *bias,
+                           void *out, int out_f64, int tier) {
+    if (x) {
+        const int64_t size = m * k;
+        if (!(*act_scale > 0.0)) {
+            double max_abs = 0.0;
+            if (x_f64 ? repro_maxabs_f64(x, size, &max_abs)
+                      : repro_maxabs_f32(x, size, &max_abs))
+                return 1;
+            *act_scale = max_abs == 0.0 ? 1.0 : max_abs / 127.0;
+        }
+        if (x_f64 ? repro_qpack_f64(x, size, *act_scale, q)
+                  : repro_qpack_f32(x, size, *act_scale, q))
+            return 1;
+    }
+    const tile_sink sink = {out_f64 ? SINK_F64 : SINK_F32, out, n,
+                            *act_scale * weight_scale, bias};
+    gemm_s8(q, packed, colsum, m, k, n, tier, &sink);
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -787,24 +937,6 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
 #endif
 
 #define DEFINE_OPS(SUF, T, NEARBYINT, ISFIN)                                   \
-    /* out = (T)((double)acc * scale) [+ bias], matching the numpy     */      \
-    /* float64-dequant-then-cast-then-bias-add order bit for bit.      */      \
-    EXPORT void repro_dequant_bias_##SUF(const int32_t *acc, double scale,     \
-                                         const T *bias, T *out, int64_t rows,  \
-                                         int64_t cols) {                       \
-        for (int64_t r = 0; r < rows; ++r) {                                   \
-            const int32_t *ar = acc + r * cols;                                \
-            T *or_ = out + r * cols;                                           \
-            if (bias) {                                                        \
-                for (int64_t c = 0; c < cols; ++c)                             \
-                    or_[c] = (T)((double)ar[c] * scale) + bias[c];             \
-            } else {                                                           \
-                for (int64_t c = 0; c < cols; ++c)                             \
-                    or_[c] = (T)((double)ar[c] * scale);                       \
-            }                                                                  \
-        }                                                                      \
-    }                                                                          \
-                                                                               \
     /* Piecewise-linear table: out = s[idx] * x + t[idx].              */      \
     EXPORT void repro_lut_eval_##SUF(const T *x, T *out, int64_t size,         \
                                      const T *bp, const T *sl, const T *ic,    \

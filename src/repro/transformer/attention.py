@@ -16,6 +16,20 @@ from .nonlinear_backend import NonlinearBackend
 __all__ = ["MultiHeadSelfAttention"]
 
 
+def _score_divisor(head_dim: int, dtype: np.dtype) -> np.floating:
+    """``sqrt(head_dim)`` as the scalar ``scores /= ...`` divides by.
+
+    In the scores' own dtype when it holds the root exactly (head_dim 16,
+    64, ...): float32 scores over a float64 scalar run numpy's float64 loop
+    with a cast each way, five times slower, for the same bits — a quotient
+    rounded to 53 bits and then to 24 is the quotient rounded to 24.  A root
+    the dtype would round (head_dim 32, 48) stays float64, as before.
+    """
+    root = np.sqrt(head_dim)
+    narrow = dtype.type(root)
+    return narrow if narrow == root else root
+
+
 @dataclass
 class MultiHeadSelfAttention:
     """Standard scaled dot-product multi-head self-attention.
@@ -103,13 +117,13 @@ class MultiHeadSelfAttention:
             raise ValueError(
                 f"hidden_states must be (batch, seq, hidden), got {hidden_states.shape}"
             )
-        q = self._split_heads(self.query(hidden_states))
-        k = self._split_heads(self.key(hidden_states))
-        v = self._split_heads(self.value(hidden_states))
-        head_dim = q.shape[-1]
+        q, k, v = map(
+            self._split_heads,
+            Linear.call_all((self.query, self.key, self.value), hidden_states),
+        )
 
         scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-        scores /= np.sqrt(head_dim)
+        scores /= _score_divisor(q.shape[-1], scores.dtype)
         if attention_mask is not None:
             mask = np.asarray(attention_mask)[:, None, None, :]
             np.copyto(scores, -1e4, where=mask <= 0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 # staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -175,8 +175,9 @@ class Linear:
         elif self.precision == "int8":
             w_q = quantize(self.weight, num_bits=8)
             # The packed format is kernel-private: a float64 carrier of the
-            # exact quantised integers for the numpy kernel (BLAS-fast), a
-            # transposed int8 tensor + column sums for the native GEMM.
+            # exact quantised integers for the numpy kernel (BLAS-fast),
+            # k4-interleaved int8 column panels + column sums for the native
+            # GEMM.
             operand = self._kernel_obj.pack_weight_int8(w_q.data)
             weight_scale = w_q.scale
         else:
@@ -206,6 +207,30 @@ class Linear:
             result += bias
             return result
         return self._kernel_obj.linear_int8(x, operand, weight_scale, dtype, bias=bias)
+
+    @staticmethod
+    def call_all(layers: Sequence["Linear"], x: np.ndarray) -> List[np.ndarray]:
+        """``[layer(x) for layer in layers]`` — projections of one activation.
+
+        Cached int8 layers of one engine go to the kernel together
+        (:meth:`ComputeKernel.linear_int8_shared`), so it can quantise ``x``
+        once for all of them; the activation scale is per tensor, hence the
+        same for each, and the results are those of the separate calls.
+        """
+        first = layers[0]
+        engine = (first._kernel_obj, first.compute_dtype, "int8", True)
+        if any(
+            (layer._kernel_obj, layer.compute_dtype, layer.precision,
+             layer.cache_weights) != engine
+            for layer in layers
+        ):
+            return [layer(x) for layer in layers]
+        prepared = [layer._prepared_operands() for layer in layers]
+        return first._kernel_obj.linear_int8_shared(
+            x,
+            [(operand, scale, bias) for _, operand, scale, bias, _ in prepared],
+            COMPUTE_DTYPES[first.compute_dtype],
+        )
 
     def call_prebias(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(x W, bias)`` — the matmul result *without* the bias added.

@@ -8,9 +8,11 @@ toolchain skip the native-only classes; the registry/fallback tests run
 everywhere.
 """
 
+import ctypes
 import errno
 import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +168,22 @@ class TestPackedQuantizeNonFinite:
         x[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             kernel.linear_int8(x, operand, 0.01, np.float32)
+
+    @pytest.mark.parametrize("shape", [(3, 16), (2, 3, 24), (8,)])
+    def test_linear_int8_rejects_a_mismatched_last_axis(self, name, shape):
+        """A last axis that is a multiple of k must not be silently re-rowed."""
+        kernel = get_kernel(name)
+        w_q = np.random.default_rng(0).integers(-127, 128, (8, 6), dtype=np.int8)
+        operand = kernel.pack_weight_int8(w_q)
+        good = np.ones(shape[:-1] + (8,), dtype=np.float32)
+        assert kernel.linear_int8(good, operand, 0.01, np.float32).shape == (
+            shape[:-1] + (6,)
+        )
+        if shape[-1] != 8:
+            with pytest.raises(ValueError, match=r"\(\.\.\., 8\)|mismatch"):
+                kernel.linear_int8(
+                    np.ones(shape, dtype=np.float32), operand, 0.01, np.float32
+                )
 
 
 @needs_native
@@ -495,6 +513,14 @@ class TestLutVectorCore:
         assert wide._buckets is not None  # float64 runs the scalar loop
 
 
+def on_gemm_tier(tier):
+    """Context: the engine's projections run on GEMM tier ``tier`` (at most
+    the probed one), the way ``gemm_int8(tier=...)`` does for the raw GEMM."""
+    from repro.core import kernels as K
+
+    return mock.patch.dict(K._native_state, gemm_tier=tier)
+
+
 def int8_matrix(rng, shape, extreme):
     """Random int8 values; ``extreme`` pins every entry to +/-127."""
     if extreme:
@@ -548,6 +574,156 @@ class TestGemmTiers:
         packed = threaded.pack_weight_int8(w)
         for tier in range(1, native.gemm_impl + 1):
             assert np.array_equal(threaded.gemm_int8(a, packed, tier=tier), want)
+
+    @given(
+        m=st.one_of(st.sampled_from([15, 16, 17, 31, 33]), st.integers(1, 70)),
+        k=st.integers(1, 200),
+        n=st.integers(1, 100),
+        in_dtype=st.sampled_from([np.float32, np.float64]),
+        out_dtype=st.sampled_from([np.float32, np.float64]),
+        with_bias=st.booleans(),
+        weight_scale=st.sampled_from([0.02, 1.0, 1e-30, 1e-42, 1e-300, 3e-318]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_fused_projection_on_every_tier_equals_numpy(
+        self, m, k, n, in_dtype, out_dtype, with_bias, weight_scale, seed
+    ):
+        """quantise -> GEMM -> tile-store epilogue == NumpyKernel.linear_int8,
+        down to denormal outputs (tiny scale products), on each tier."""
+        native = get_kernel("native")
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(m, k)) * rng.choice([1e-3, 1.0, 40.0])).astype(in_dtype)
+        w_q = int8_matrix(rng, (k, n), extreme=False)
+        bias = rng.normal(size=n).astype(out_dtype) if with_bias else None
+        want = NUMPY_KERNEL.linear_int8(
+            x, NUMPY_KERNEL.pack_weight_int8(w_q), weight_scale, out_dtype, bias=bias
+        )
+        packed = native.pack_weight_int8(w_q)
+        before = x.copy()
+        for tier in range(1, native.gemm_impl + 1):
+            with on_gemm_tier(tier):
+                got = native.linear_int8(x, packed, weight_scale, out_dtype, bias=bias)
+            assert got.dtype == want.dtype == out_dtype
+            assert eq(got, want), (tier, m, k, n)
+        assert np.array_equal(x, before)  # the caller's x is never written
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_activation_equals_separate_calls(self, native, dtype):
+        """Q/K/V-style: one quantised activation, several projections."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 19, 70)).astype(dtype)
+        projections = [
+            (int8_matrix(rng, (70, n), False), scale, bias)
+            for n, scale, bias in (
+                (37, 0.02, rng.normal(size=37).astype(dtype)),
+                (70, 0.5, None),
+                (1, 0.003, rng.normal(size=1).astype(dtype)),
+            )
+        ]
+        want = [
+            NUMPY_KERNEL.linear_int8(
+                x, NUMPY_KERNEL.pack_weight_int8(w_q), scale, dtype, bias=bias
+            )
+            for w_q, scale, bias in projections
+        ]
+        reference = NUMPY_KERNEL.linear_int8_shared(
+            x,
+            [(NUMPY_KERNEL.pack_weight_int8(w), s, b) for w, s, b in projections],
+            dtype,
+        )
+        packed = [(native.pack_weight_int8(w), s, b) for w, s, b in projections]
+        before = x.copy()
+        for kernel in (native, NativeKernel(num_threads=2)):
+            for tier in range(1, native.gemm_impl + 1):
+                with on_gemm_tier(tier):
+                    got = kernel.linear_int8_shared(x, packed, dtype)
+                    separate = [
+                        kernel.linear_int8(x, op, s, dtype, bias=b)
+                        for op, s, b in packed
+                    ]
+                assert len(got) == len(want) == len(reference)
+                for g, sep, w, r in zip(got, separate, want, reference):
+                    assert g.shape == (2, 19, w.shape[-1])
+                    assert eq(g, w) and eq(sep, w) and eq(r, w)
+        assert np.array_equal(x, before)
+
+    def test_shared_activation_falls_back_per_operand(self, native):
+        """A float64-carrier operand or mixed k takes the plain loop."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 12)).astype(np.float32)
+        w_q = int8_matrix(rng, (12, 5), False)
+        mixed = [
+            (native.pack_weight_int8(w_q), 0.1, None),
+            (NUMPY_KERNEL.pack_weight_int8(w_q), 0.1, None),  # carrier
+        ]
+        a, b = native.linear_int8_shared(x, mixed, np.float32)
+        assert eq(a, b)
+        wider = native.pack_weight_int8(int8_matrix(rng, (24, 5), False))
+        with pytest.raises(ValueError):
+            native.linear_int8_shared(x, [mixed[0], (wider, 0.1, None)], np.float32)
+
+    @pytest.mark.parametrize("m", [65, 77, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_row_threads_split_mid_tile(self, native, m, dtype):
+        """Two row blocks meeting inside a 6- and a 32-row tile, ragged n:
+        one whole-tensor scale, each block packs and stores its own rows."""
+        threaded = NativeKernel(num_threads=2)
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(m, 70)).astype(dtype)
+        x[m - 1, 3] = 9.0  # the scale-setting element sits in the last block
+        w_q = int8_matrix(rng, (70, 37), False)
+        bias = rng.normal(size=37).astype(dtype)
+        packed = native.pack_weight_int8(w_q)
+        want = NUMPY_KERNEL.linear_int8(
+            x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.02, dtype, bias=bias
+        )
+        for tier in range(1, native.gemm_impl + 1):
+            with on_gemm_tier(tier):
+                assert eq(threaded.linear_int8(x, packed, 0.02, dtype, bias=bias), want)
+                assert eq(native.linear_int8(x, packed, 0.02, dtype, bias=bias), want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_activation_raises_before_any_output(self, threads, bad):
+        kernel = NativeKernel(num_threads=threads)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(70, 33)).astype(np.float32)
+        x[69, 32] = bad  # last element of the last row block
+        packed = kernel.pack_weight_int8(int8_matrix(rng, (33, 20), False))
+        before = x.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel.linear_int8(x, packed, 0.01, np.float32)
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel.linear_int8_shared(x, [(packed, 0.01, None)] * 3, np.float32)
+        assert eq(x, before)
+        # The C entry's own contract: status 1 and `out` untouched.
+        out = np.full((70, 20), 7.0, dtype=np.float32)
+        q = np.zeros((70, 33), dtype=np.int8)
+        scale = ctypes.c_double(0.0)
+        status = kernel._lib.repro_linear_s8(
+            x.ctypes.data, 0, q.ctypes.data, ctypes.addressof(scale), 70, 33,
+            packed.panels.ctypes.data, packed.colsum.ctypes.data, 20, 0.01,
+            None, out.ctypes.data, 0, kernel.gemm_impl,
+        )
+        assert status == 1 and np.all(out == 7.0) and eq(x, before)
+
+    def test_bias_the_tile_store_cannot_read_is_added_by_numpy(self, native):
+        """float64 bias on a float32 output, and a broadcast (1, n) bias."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(7, 20)).astype(np.float32)
+        w_q = int8_matrix(rng, (20, 9), False)
+        for bias in (rng.normal(size=9), rng.normal(size=(1, 9)).astype(np.float32)):
+            assert eq(
+                native.linear_int8(
+                    x, native.pack_weight_int8(w_q), 0.02, np.float32, bias=bias
+                ),
+                NUMPY_KERNEL.linear_int8(
+                    x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.02, np.float32, bias=bias
+                ),
+            )
+        with pytest.raises(ValueError, match="out_dtype"):
+            native.linear_int8(x, native.pack_weight_int8(w_q), 0.02, np.float16)
 
     def test_tier_above_the_probed_one_is_clamped(self, native):
         rng = np.random.default_rng(0)

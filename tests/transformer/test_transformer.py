@@ -107,6 +107,46 @@ class TestAttentionAndEncoder:
         masked2, _ = attn(x2, _exact(), attention_mask=mask)
         np.testing.assert_allclose(masked[0, :3], masked2[0, :3], atol=1e-8)
 
+    @pytest.mark.parametrize("head_dim", [9, 16, 25, 64, 32, 48, 80])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_score_divisor_keeps_the_float64_quotient(self, rng, head_dim, dtype):
+        """``scores /= np.sqrt(head_dim)`` bit for bit: a root the score dtype
+        holds exactly (9, 16, 25, 64) divides in that dtype, the rest (32,
+        48, 80) keep the float64 scalar."""
+        from repro.transformer.attention import _score_divisor
+
+        divisor = _score_divisor(head_dim, np.dtype(dtype))
+        exact_root = float(np.sqrt(head_dim)).is_integer()
+        assert divisor.dtype == (dtype if exact_root else np.float64)
+        scores = (rng.normal(size=(3, 4, 17, 17)) * 50).astype(dtype)
+        scores[0, 0, 0, :4] = [0.0, -0.0, np.finfo(dtype).tiny, np.finfo(dtype).max]
+        want = scores.copy()
+        want /= np.sqrt(head_dim)
+        got = scores.copy()
+        got /= divisor
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp16", "int8"])
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+    def test_call_all_equals_separate_calls(
+        self, rng, precision, kernel, compute_dtype
+    ):
+        """Q/K/V through one kernel call == three Linear calls, bit for bit."""
+        engine = dict(precision=precision, kernel=kernel, compute_dtype=compute_dtype)
+        layers = [Linear.initialize(24, n, rng, **engine) for n in (24, 24, 7)]
+        for layer in layers:
+            layer.bias = rng.normal(size=layer.out_features)
+        x = rng.normal(size=(2, 5, 24)).astype(compute_dtype)
+        together = Linear.call_all(layers, x)
+        for layer, got in zip(layers, together):
+            want = layer(x)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Layers of different engines fall back to the plain loop.
+        mixed = [layers[0], Linear.initialize(24, 3, rng, cache_weights=False)]
+        for layer, got in zip(mixed, Linear.call_all(mixed, x)):
+            assert np.array_equal(got, layer(x))
+
     def test_encoder_stack_runs(self, rng):
         config = tiny_test_config()
         encoder = TransformerEncoder.initialize(config, rng)
