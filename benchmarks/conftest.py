@@ -1,16 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-table benchmarks (``benchmark_*.py``).
 
-Each benchmark regenerates one table or figure of the paper and prints the
+These are not collected by the tier-1 run and are not the performance
+benchmark — that is ``benchmarks/e2e/`` (declared in ``BENCHMARK.json``).
+Each benchmark here regenerates one table or figure of the paper and prints the
 reproduced rows (so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
 report generator for EXPERIMENTS.md), while pytest-benchmark records the
 runtime of the regeneration itself.
-
-``benchmark_engine.py`` is special-cased into plain test collection below so
-the tier-1 run (``pytest -x -q`` from the repository root) always executes
-its smoke mode — tiny shapes, single repeats — and the engine benchmark
-can never silently rot.  ``BENCH_ENGINE_FULL=1`` (see ``scripts/bench.sh``)
-switches it to the full BERT-base-shaped run that regenerates
-``BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -19,21 +14,6 @@ import pytest
 
 from repro.core.registry import LutRegistry
 from repro.experiments.common import ExperimentScale
-
-#: benchmark_* files don't match pytest's default test-file glob; these are
-#: collected anyway so they run (in smoke mode) as part of tier-1.
-TIER1_BENCHMARK_FILES = {"benchmark_engine.py"}
-
-
-def pytest_collect_file(file_path, parent):
-    if file_path.name not in TIER1_BENCHMARK_FILES:
-        return None
-    # When the file is named explicitly on the command line pytest already
-    # collects it; collecting here too would run every test twice.
-    for arg in parent.config.invocation_params.args:
-        if str(arg).split("::")[0].endswith(file_path.name):
-            return None
-    return pytest.Module.from_parent(parent, path=file_path)
 
 
 @pytest.fixture(scope="session")

@@ -7,33 +7,47 @@ forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
 *bitwise* everywhere: the native kernel is a drop-in replacement, not an
 approximation, so ``max_abs_diff`` must print as exactly zero.
+
+After the table it prints the packed int8 GEMM alone in GOP/s, per encoder
+projection shape and per micro-kernel tier the host can run (the figures
+ROADMAP's performance snapshot quotes); those rows are information, not a
+gate.
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
+import time
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from repro.api import BackendSpec, InferenceSession  # noqa: E402
-from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax  # noqa: E402
-from repro.core.kernels import (  # noqa: E402
+from repro.api import BackendSpec, InferenceSession
+from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
+from repro.core.kernels import (
+    GEMM_TIER_NAMES,
     NUMPY_KERNEL,
     get_kernel,
     kernel_info,
     native_available,
     native_unavailable_reason,
 )
-from repro.core.lut import LookupTable  # noqa: E402
-from repro.core.registry import LutRegistry  # noqa: E402
-from repro.core.scaling import InputScaler  # noqa: E402
-from repro.transformer import tiny_test_config  # noqa: E402
-from repro.transformer.models import EncoderModel  # noqa: E402
+from repro.core.lut import LookupTable
+from repro.core.registry import LutRegistry
+from repro.core.scaling import InputScaler
+from repro.core.training import TrainingConfig
+from repro.transformer import tiny_test_config
+from repro.transformer.models import EncoderModel
 
-import regression  # noqa: E402  (benchmarks/ is not a package)
+#: Cheap-but-real fit (table quality is irrelevant to parity; the 16-entry
+#: structure is what matters).
+TRAINING_CONFIG = TrainingConfig(
+    hidden_size=15,
+    num_samples=12_000,
+    batch_size=2048,
+    epochs=40,
+    learning_rate=1e-3,
+    seed=0,
+    num_restarts=1,
+)
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -226,6 +240,34 @@ def build_rows(registry: LutRegistry) -> list:
     return rows
 
 
+def gemm_int8_gops(native) -> dict:
+    """GOP/s of the packed int8 GEMM alone: ``{"m x k x n": {tier: GOP/s}}``.
+
+    One entry per encoder projection shape (hidden², hidden → intermediate,
+    intermediate → hidden) and, within it, per micro-kernel tier the host can
+    run — the tier in use first, then what each fallback would cost.
+    """
+    rng = np.random.default_rng(23)
+    # 4 sequences x 96 tokens (the end-to-end benchmark's activation block)
+    # through BERT-base's three projections.
+    rows, hidden, inter = 384, 768, 3072
+    out: dict = {}
+    for k, n in ((hidden, hidden), (hidden, inter), (inter, hidden)):
+        a_q = rng.integers(-127, 128, size=(rows, k), dtype=np.int8)
+        packed = native.pack_weight_int8(
+            rng.integers(-127, 128, size=(k, n), dtype=np.int8)
+        )
+        rates = out[f"{rows}x{k}x{n}"] = {}
+        for tier in range(native.gemm_impl, 0, -1):
+            best = float("inf")
+            for _ in range(4):  # best of four; the first warms the caches
+                start = time.perf_counter()
+                native.gemm_int8(a_q, packed, tier=tier)
+                best = min(best, time.perf_counter() - start)
+            rates[GEMM_TIER_NAMES[tier]] = 2.0 * rows * k * n / 1e9 / best
+    return out
+
+
 def main() -> int:
     if not native_available():
         print(
@@ -233,13 +275,12 @@ def main() -> int:
             "nothing to compare — the engine runs on the numpy kernel"
         )
         return 0
-    registry = LutRegistry(training_config=regression.BENCH_TRAINING_CONFIG)
-    rows = build_rows(registry)
+    rows = build_rows(LutRegistry(training_config=TRAINING_CONFIG))
     info = kernel_info()
-    print(
-        "kernel parity: numpy vs native "
-        f"({regression.gemm_tier_label(info)}; LUT tier {info['lut_tier']})"
-    )
+    tier_label = f"int8 GEMM tier {info['gemm_impl']} = {info['gemm_tier']}"
+    if info["gemm_tier_refused"]:
+        tier_label += f"; {info['gemm_tier_refused']}"
+    print(f"kernel parity: numpy vs native ({tier_label}; LUT tier {info['lut_tier']})")
     header = f"{'op/path':<24} {'precision':<9} {'max_abs_diff':>12}  parity"
     print(header)
     print("-" * len(header))
@@ -252,6 +293,9 @@ def main() -> int:
         print("FAIL: native kernel deviates from the numpy reference")
         return 1
     print("OK: every row bitwise-identical across kernels")
+    for shape, tiers in gemm_int8_gops(get_kernel("native")).items():
+        rates = ", ".join(f"{tier} {gops:.0f}" for tier, gops in tiers.items())
+        print(f"gemm_int8 {shape:<14} GOP/s: {rates}")
     return 0
 
 

@@ -17,8 +17,7 @@ flows that overwrite ``weight`` in place must call it; rebinding the
 engine's float width (float64 reproduces the seed numerics bit for bit;
 float32 is what the vectorized inference engine runs on).  Constructing with
 ``cache_weights=False`` restores the seed behaviour of re-deriving the weight
-operand on every call — the benchmark-regression harness uses it as the
-reference path.
+operand on every call — the tests use it as the reference path.
 """
 
 from __future__ import annotations

@@ -17,10 +17,8 @@ The process-spawning tests mirror ``tests/api/test_sharding.py``: a tiny
 float64 model, the shared ``fast_registry``, and real worker processes.
 """
 
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +38,7 @@ from repro.api import (
 )
 from repro.api import faults
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-import traces  # noqa: E402  (benchmarks/ is not a package)
+import traces  # tests/api/traces.py
 
 
 RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)

@@ -13,10 +13,8 @@ queue, and a trace-replay burst with churn mid-run loses no futures and
 double-serves none.
 """
 
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +39,7 @@ from repro.api.scheduling import AdmissionController, BatchFormer, Pending, Serv
 from repro.api.scheduling.admission import QueueFullError
 from repro.api.scheduling.stats import StatsBoard
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-import traces  # noqa: E402  (benchmarks/ is not a package)
+import traces  # tests/api/traces.py
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
-"""Seedable trace-replay load generation for the serving benchmarks.
+"""Seedable trace-replay load generation for the serving tests.
 
-The steady-Poisson traffic the existing serving rows use answers "how much
-does coalescing help on average"; it cannot answer the scheduling questions
-PR 9 introduces — how the least-loaded router and the autoscaler behave when
+Lives in ``tests/api/`` beside its only callers (``test_scheduling.py``,
+``test_chaos.py``).  Steady-Poisson traffic answers "how much does
+coalescing help on average"; it cannot answer the scheduling questions PR 9
+introduces — how the least-loaded router and the autoscaler behave when
 traffic is *not* steady.  This module generates reproducible request traces
 with the three shapes real serving traffic has:
 
@@ -24,14 +25,13 @@ can replay the identical workload against the per-call oracle.
 *actions* mid-run (retire a replica, hot-add one) to exercise live
 membership under load, and returns per-request outcomes.
 :func:`burst_digest` then splits the latency distribution into
-inside-burst vs outside-burst percentiles — the "p99 under burst" number
-the ``server_sharded_leastloaded_fp32`` row reports.
+inside-burst vs outside-burst percentiles — the "p99 under burst" number.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -315,11 +315,3 @@ def burst_digest(result: ReplayResult) -> Dict[str, object]:
         "failed": result.failed,
     }
 
-
-def trace_row(trace: Trace) -> Dict[str, object]:
-    """The trace's reproducibility record for a benchmark report row."""
-    return {
-        **asdict(trace.config),
-        "total_tokens": trace.total_tokens,
-        "burst_windows_s": [list(window) for window in trace.burst_windows],
-    }

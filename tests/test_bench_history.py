@@ -1,0 +1,28 @@
+"""``BENCH_history.jsonl`` stays readable against ``BENCHMARK.json``.
+
+One line per PR with the gated workloads' end-to-end medians; a renamed
+workload or metric turns the kept trajectory stale, and that is a failure
+here rather than something a reader finds out later.
+"""
+
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_history_lines_match_the_benchmark_contract():
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in contract["workloads"]}
+    metrics = {m["name"] for m in contract["end_to_end"]}
+    lines = (ROOT / "BENCH_history.jsonl").read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert entries
+    prs = [entry["pr"] for entry in entries]
+    assert all(a < b for a, b in zip(prs, prs[1:])), prs
+    for entry in entries:
+        assert set(entry) == {"pr", "workloads"}
+        assert set(entry["workloads"]) == workloads, entry["pr"]
+        for name, row in entry["workloads"].items():
+            assert set(row) == metrics, (entry["pr"], name)
+            assert all(isinstance(v, (int, float)) for v in row.values())
