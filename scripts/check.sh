@@ -19,8 +19,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 DIFF_REF=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
-        # A no-op, accepted because CI and contributors' habits pass it.
-        --fast) shift ;;
         --diff) DIFF_REF="${2:?--diff needs a git ref}"; shift 2 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac

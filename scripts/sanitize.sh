@@ -3,7 +3,7 @@
 # sanitizers and run the kernel test suite against the instrumented library.
 #
 #   ./scripts/sanitize.sh           # AddressSanitizer + UBSan
-#   ./scripts/sanitize.sh --tsan    # ThreadSanitizer, REPRO_KERNEL_THREADS=4
+#   ./scripts/sanitize.sh --tsan    # ThreadSanitizer, 4 concurrent callers
 #
 # The builder's REPRO_KERNEL_CFLAGS escape hatch injects the -fsanitize flags
 # (they participate in the .so cache tag, so sanitizer builds never collide
@@ -11,9 +11,11 @@
 # cache clean.  Because ctypes loads the .so into an *uninstrumented* CPython,
 # the sanitizer runtime must come in via LD_PRELOAD; leak checking is off
 # (CPython's own allocations would drown the report) — ASan still catches
-# overflows/UAF in kernel code, UBSan undefined behaviour, TSan data races in
-# the row-block threaded paths.  Exits 0 with a notice when the toolchain
-# does not support the requested sanitizer.
+# overflows/UAF in kernel code, UBSan undefined behaviour, TSan data races
+# between concurrent callers of the one shared kernel (SessionPool replicas:
+# own activations and outputs, shared read-only packed weights, column sums
+# and table parameters).  Exits 0 with a notice when the toolchain does not
+# support the requested sanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -69,7 +71,6 @@ if [[ "$MODE" == "asan" ]]; then
     fi
     export ASAN_OPTIONS="detect_leaks=0:abort_on_error=1:verify_asan_link_order=0"
     export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-    export REPRO_KERNEL_THREADS="${REPRO_KERNEL_THREADS:-1}"
     LABEL="ASan+UBSan"
 else
     SAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g"
@@ -84,13 +85,12 @@ else
     # Python's daemon threads are never joined — that is not the race we
     # are hunting; halt hard on actual data-race reports in kernel code.
     export TSAN_OPTIONS="halt_on_error=1:report_thread_leaks=0:report_signal_unsafe=0"
-    export REPRO_KERNEL_THREADS="${REPRO_KERNEL_THREADS:-4}"
-    LABEL="TSan (REPRO_KERNEL_THREADS=$REPRO_KERNEL_THREADS)"
+    LABEL="TSan (concurrent callers of one kernel)"
 
     # TSan's runtime requires an instrumented main executable; LD_PRELOAD
     # under a stock CPython usually dies on startup.  Probe it — and when it
-    # cannot host Python, fall back to the fully-instrumented native driver,
-    # which reproduces NativeKernel._run_rows' row-block concurrency exactly.
+    # cannot host Python, fall back to the fully-instrumented native driver:
+    # four threads calling the kernel at once the way SessionPool replicas do.
     tsan_hosts_python() {
         # Probe as a background job: bash stays quiet when it dies by signal.
         LD_PRELOAD="$PRELOAD" python -c pass >/dev/null 2>&1 &

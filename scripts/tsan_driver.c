@@ -3,41 +3,40 @@
  * TSan cannot be LD_PRELOADed under an uninstrumented CPython (the runtime
  * requires the main executable to be instrumented and segfaults otherwise),
  * so scripts/sanitize.sh --tsan falls back to this harness: it links
- * kernels_native.c directly, fully instrumented, and reproduces the exact
- * concurrency pattern NativeKernel._run_rows uses — N threads working
- * disjoint row blocks of shared output buffers while sharing the read-only
- * operands (the packed weight panels, column sums, bias/gamma/beta vectors).
- * Any data race the threaded Python path could hit between kernel
- * invocations on a shared tensor is visible here; TSan aborts the run on a
- * report.
+ * kernels_native.c directly, fully instrumented, and reproduces the one
+ * concurrency pattern the engine has — SessionPool replicas: THREADS
+ * callers, each making whole kernel calls on its own activations and its
+ * own outputs, all sharing the one kernel's read-only operands (the packed
+ * weight panels, column sums, bias/gamma/beta vectors, the table
+ * parameters).  Any data race between concurrent kernel invocations is
+ * visible here; TSan aborts the run on a report.
  *
- * The int8 projection (repro_linear_s8: quantise -> GEMM -> tile-store
- * epilogue) runs on every GEMM tier the library can use here (AMX permission
- * is requested the way the Python loader does; each thread's call loads and
- * releases its own tile configuration) over a weight packed into the
- * k4-interleaved panel layout, the way NativeKernel._project threads it: one
- * tensor-wide activation scale, then every thread packs, multiplies and
- * stores its own row block — float64 output straight from the activations,
- * then float32 output from the block's already-quantised rows (the
- * shared-activation call).  M, K and N are ragged on purpose: the row blocks
- * meet inside a 6-row and a 32-row tile, the k tail and the partial panel are
- * exercised, and every output row ends in a masked partial vector right up
- * against the next thread's rows.  Both outputs are memcmp'd against a scalar
- * dequantise of the int64 product.
+ * Each caller's tensors are a band of rows of one allocation, so every
+ * output row ends in a masked partial vector right up against the next
+ * caller's rows: a store past a row's end is a race, not just a wrong
+ * answer.
+ *
+ * The int8 projection (repro_linear_s8: max-abs -> quantise -> GEMM ->
+ * tile-store epilogue) runs on every GEMM tier the library can use here
+ * (AMX permission is requested the way the Python loader does; each thread's
+ * call loads and releases its own tile configuration) over a weight packed
+ * into the k4-interleaved panel layout, the way NativeKernel._project calls
+ * it: float64 output straight from the caller's activations, then float32
+ * output from the already-quantised copy (the shared-activation call).  The
+ * bands, K and N are ragged on purpose: a band ends inside a 6-row and a
+ * 32-row tile, and the k tail and the partial panel are exercised.  Both
+ * outputs are memcmp'd against a scalar dequantise of the int64 product at
+ * the band's own activation scale.
  *
  * The float32 LUT operators (bias + GELU and the softmax front end) run on
  * whatever LUT tier the build has, over rows of LUT_COLS columns — a
- * multiple of neither 16 nor 8, so every row ends in a masked partial
- * vector right up against the next thread's rows — with a 16-entry table,
- * and are memcmp'd against a plain scalar evaluation of the same table.
- *
- * Thread count comes from REPRO_KERNEL_THREADS (default 4).
+ * multiple of neither 16 nor 8 — with a 16-entry table, and are memcmp'd
+ * against a plain scalar evaluation of the same table.
  */
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 
 int repro_gemm_impl(void);
@@ -57,19 +56,15 @@ int repro_lut_impl(void);
 void repro_lut_gelu_f32(const float *x, const float *bias, float *out,
                         int64_t rows, int64_t cols, const float *bp,
                         const float *sl, const float *ic, int64_t nbp,
-                        const int32_t *base, const float *thr, double lo,
-                        double invw, int64_t nbuckets, double clip_lo,
-                        double clip_hi, int has_clip);
+                        double clip_lo, double clip_hi, int has_clip);
 void repro_softmax_exp_f32(const float *x, float *out, int64_t rows,
                            int64_t cols, const float *bp, const float *sl,
-                           const float *ic, int64_t nbp, const int32_t *base,
-                           const float *thr, double lo, double invw,
-                           int64_t nbuckets, double clip);
+                           const float *ic, int64_t nbp, double clip);
 void repro_scale_affine_f64(const double *centered, const double *inv_std,
                             const double *gamma, const double *beta,
                             double *out, int64_t rows, int64_t cols);
 
-enum { M = 190, K = 150, N = 90, ITERS = 25 };
+enum { THREADS = 4, M = 190, K = 150, N = 90, ITERS = 25 };
 static const double WEIGHT_SCALE = 0.0078125;
 /* _PackedInt8Weight's geometry: k padded to 64, n to 32-column panels
  * (the column sums to 64). */
@@ -87,18 +82,20 @@ static float lut_scalar(float v, const float *bp, const float *sl,
     return sl[idx] * v + ic[idx]; /* built with -ffp-contract=off: no FMA */
 }
 
+/* Caller `tid` owns rows [band_start(tid), band_start(tid + 1)) of every
+ * M-row buffer. */
+static int64_t band_start(int tid) { return (int64_t)M * tid / THREADS; }
+
 typedef struct {
     int tid;
-    int threads;
     int tiers;
     const double *act; /* M x K activations */
-    double act_scale;  /* max|act| / 127, over the whole tensor */
     const int8_t *packed;
     const int32_t *colsum;
     const double *lin_want64; /* the projection, computed the slow way */
     const float *lin_want32;
     const float *bias32;
-    int8_t *act_q; /* M x K: each thread packs its own rows */
+    int8_t *act_q; /* M x K: each caller packs its own rows */
     double *lin_out64;
     float *lin_out32;
     const double *xf;
@@ -119,15 +116,11 @@ typedef struct {
 
 static void *worker(void *arg) {
     job_t *job = (job_t *)arg;
-    /* Same decomposition as NativeKernel._run_rows: np.linspace row bounds. */
-    int64_t start = (int64_t)((double)M * job->tid / job->threads);
-    int64_t stop = (int64_t)((double)M * (job->tid + 1) / job->threads);
-    int64_t rows = stop - start;
-    if (rows <= 0)
-        return NULL;
+    const int64_t start = band_start(job->tid);
+    const int64_t rows = band_start(job->tid + 1) - start;
     for (int iter = 0; iter < ITERS; ++iter) {
         const int tier = 1 + iter % job->tiers;
-        double scale = job->act_scale; /* > 0: taken as given, not written */
+        double scale = 0.0; /* written by the first call, read by the second */
         if (repro_linear_s8(job->act + start * K, 1, job->act_q + start * K,
                             &scale, rows, K, job->packed, job->colsum, N,
                             WEIGHT_SCALE, job->bias, job->lin_out64 + start * N,
@@ -153,13 +146,11 @@ static void *worker(void *arg) {
         float *lo_ = job->lut_out + start * LUT_COLS;
         const size_t lut_bytes = (size_t)rows * LUT_COLS * sizeof(float);
         repro_lut_gelu_f32(lx, job->lut_bias, lo_, rows, LUT_COLS, job->bp,
-                           job->sl, job->ic, LUT_BP, NULL, NULL, 0.0, 0.0, 0,
-                           GELU_LO, GELU_HI, 1);
+                           job->sl, job->ic, LUT_BP, GELU_LO, GELU_HI, 1);
         if (memcmp(lo_, job->gelu_want + start * LUT_COLS, lut_bytes) != 0)
             job->failed |= 4;
         repro_softmax_exp_f32(lx, lo_, rows, LUT_COLS, job->bp, job->sl,
-                              job->ic, LUT_BP, NULL, NULL, 0.0, 0.0, 0,
-                              EXP_CLIP);
+                              job->ic, LUT_BP, EXP_CLIP);
         if (memcmp(lo_, job->softmax_want + start * LUT_COLS, lut_bytes) != 0)
             job->failed |= 4;
         double mx = 0.0;
@@ -174,11 +165,6 @@ static void *worker(void *arg) {
 }
 
 int main(void) {
-    int threads = 4;
-    const char *env = getenv("REPRO_KERNEL_THREADS");
-    if (env && atoi(env) > 0)
-        threads = atoi(env);
-
     /* every tier compiled in, and AMX only if the OS grants tile data */
     int tiers = repro_gemm_impl();
     if (tiers == 3 && repro_amx_request() != 0)
@@ -196,13 +182,10 @@ int main(void) {
     static float bp[LUT_BP], sl[LUT_BP + 1], ic[LUT_BP + 1];
 
     unsigned seed = 12345u;
-    double act_max = 0.0;
     for (int i = 0; i < M * K; ++i) {
         seed = seed * 1103515245u + 12345u;
         act[i] = ((double)(seed >> 8) / (1 << 23) - 1.0) * 3.0;
-        act_max = fabs(act[i]) > act_max ? fabs(act[i]) : act_max;
     }
-    const double act_scale = act_max / 127.0;
     for (int i = 0; i < K * N; ++i)
         w[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
     for (int j = 0; j < N; ++j) {
@@ -221,8 +204,16 @@ int main(void) {
         xf[i] = 0.001 * (i % 997) - 0.5;
         res[i] = 0.002 * (i % 991) - 1.0;
     }
-    for (int i = 0; i < M; ++i) {
+    double act_scale = 0.0; /* of the band row i belongs to */
+    for (int i = 0, tid = 0; i < M; ++i) {
         inv_std[i] = 1.0 / (1.0 + 0.001 * i);
+        if (i == band_start(tid)) {
+            double act_max = 0.0;
+            for (int64_t e = i * K; e < band_start(tid + 1) * K; ++e)
+                act_max = fabs(act[e]) > act_max ? fabs(act[e]) : act_max;
+            act_scale = act_max / 127.0;
+            ++tid;
+        }
         for (int j = 0; j < N; ++j) {
             int64_t sum = 0;
             for (int kk = 0; kk < K; ++kk) {
@@ -264,16 +255,12 @@ int main(void) {
         }
     }
 
-    pthread_t tids[64];
-    job_t jobs[64];
-    if (threads > 64)
-        threads = 64;
-    for (int t = 0; t < threads; ++t) {
+    pthread_t tids[THREADS];
+    job_t jobs[THREADS];
+    for (int t = 0; t < THREADS; ++t) {
         jobs[t] = (job_t){.tid = t,
-                          .threads = threads,
                           .tiers = tiers,
                           .act = act,
-                          .act_scale = act_scale,
                           .packed = packed,
                           .colsum = colsum,
                           .lin_want64 = lin_want64,
@@ -305,7 +292,7 @@ int main(void) {
         }
     }
     int failed = 0;
-    for (int t = 0; t < threads; ++t) {
+    for (int t = 0; t < THREADS; ++t) {
         pthread_join(tids[t], NULL);
         failed |= jobs[t].failed;
     }
@@ -323,6 +310,6 @@ int main(void) {
         checksum += out[i];
     printf("tsan_driver: gemm tiers 1..%d lut tier %d threads=%d iters=%d "
            "checksum=%.6f\n",
-           tiers, repro_lut_impl(), threads, ITERS, checksum);
+           tiers, repro_lut_impl(), THREADS, ITERS, checksum);
     return 0;
 }

@@ -70,6 +70,16 @@ def _trimmed_rows(hidden, row, length, index) -> np.ndarray:
     return hidden[row, :length].copy()
 
 
+def _check_budgets(requests: Sequence, budgets_s: Sequence | None) -> None:
+    """One budget per request (shared by session and shard client): a short
+    row would otherwise drop the requests past its end."""
+    if budgets_s is not None and len(budgets_s) != len(requests):
+        raise ValueError(
+            f"budgets_s has {len(budgets_s)} entries for "
+            f"{len(requests)} requests"
+        )
+
+
 def _resolve_classification_head(head) -> ClassificationHead:
     """Unwrap/validate a classification head (shared by session and pool).
 
@@ -474,6 +484,7 @@ class InferenceSession:
         spent is skipped and answered with a zero-row block, the same
         expired mark a shard worker returns.
         """
+        _check_budgets(requests, budgets_s)
         if _faults._ACTIVE is not None:
             _faults._ACTIVE.on_session_forward()
         expired = [
@@ -558,14 +569,6 @@ class InferenceSession:
         See :func:`_resolve_classification_head` for the accepted head forms.
         """
         return _resolve_classification_head(head).predict(self.pooled(requests))
-
-    def forward_batch(
-        self, token_ids: np.ndarray, attention_mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Rectangular passthrough for callers that batch on their own."""
-        return self.model.forward(
-            token_ids, backend=self.backend, attention_mask=attention_mask
-        )
 
     # ------------------------------------------------------------------ #
     # Dataset-free calibration (paper Sec. 3.3.3)

@@ -75,6 +75,7 @@ from .server import ReplicaPool
 from .session import (
     InferenceSession,
     SessionConfig,
+    _check_budgets,
     adopted_model_config,
     attach_weight_state,
     export_weight_state,
@@ -544,6 +545,7 @@ class _ShardClient:
         (poisoned and terminated), since its eventual reply could no longer
         be delivered to anyone.
         """
+        _check_budgets(requests, budgets_s)
         if budgets_s is None:
             budgets_s = [None] * len(requests)
         budget_us = np.asarray(
@@ -751,7 +753,9 @@ class ShardedPool(ReplicaPool):
                 bucket_size=template.config.bucket_size,
                 seed=template.config.seed,
             )
-            init = _WorkerInit(
+            # What _start_worker() needs, at construction and for each live
+            # hot-add after it.
+            self._worker_init = _WorkerInit(
                 transformer_config=template.model.config,
                 session_config=worker_config.to_dict(),
                 spec=template.spec.to_dict(),
@@ -763,47 +767,17 @@ class ShardedPool(ReplicaPool):
                 # the injector cannot be inherited).
                 fault_plan=_faults.active_plan(),
             )
-            context = multiprocessing.get_context(mp_context)
-            request_bytes, response_bytes = self._ring_sizes(
+            self._context = multiprocessing.get_context(mp_context)
+            self._request_bytes, self._response_bytes = self._ring_sizes(
                 template, ring_bytes
             )
-            # Everything spawn_replica() needs to repeat this loop for one
-            # more worker after construction (live hot-add).
-            self._worker_init = init
-            self._context = context
-            self._request_bytes = request_bytes
-            self._response_bytes = response_bytes
             self._start_timeout_s = start_timeout_s
             self._request_timeout_s = request_timeout_s
             self._deadline_grace_s = deadline_grace_s
             self._next_worker_index = num_replicas
             for index in range(num_replicas):
-                worker_transport = create_transport(
-                    transport,
-                    context,
-                    request_bytes=request_bytes,
-                    response_bytes=response_bytes,
-                )
-                self._transports.append(worker_transport)
-                try:
-                    process = context.Process(
-                        target=_worker_main,
-                        args=(worker_transport.endpoint(), init, index),
-                        name=f"shard-worker-{index}",
-                        daemon=True,
-                    )
-                    process.start()
-                except BaseException:
-                    # Not yet tracked by a client; close() cannot reap it.
-                    worker_transport.close()
-                    raise
-                worker_transport.on_worker_started()
-                client = _ShardClient(
-                    index, process, worker_transport, request_timeout_s,
-                    deadline_grace_s=deadline_grace_s,
-                )
                 # Track before waiting so close() reaps it on any failure.
-                self.sessions.append(client)
+                self.sessions.append(self._start_worker(index))
             # One shared deadline across the fleet (not per worker): N slow
             # workers must not stack N full start timeouts.
             start_deadline = time.monotonic() + start_timeout_s
@@ -851,6 +825,39 @@ class ShardedPool(ReplicaPool):
             seq_len=template.max_sequence_length,
             hidden=template.model.config.hidden_size,
             itemsize=np.dtype(template.model.config.compute_dtype).itemsize,
+        )
+
+    def _start_worker(self, index: int) -> "_ShardClient":
+        """Fresh transport, spawned worker process over it, and its client.
+
+        The transport is tracked at once, so the GC finalizer unlinks this
+        worker's ring blocks whatever fails later (the finalizer holds the
+        list object, so appends stay visible to it).  Waiting for readiness
+        is the caller's.
+        """
+        worker_transport = create_transport(
+            self.transport_name,
+            self._context,
+            request_bytes=self._request_bytes,
+            response_bytes=self._response_bytes,
+        )
+        self._transports.append(worker_transport)
+        try:
+            process = self._context.Process(
+                target=_worker_main,
+                args=(worker_transport.endpoint(), self._worker_init, index),
+                name=f"shard-worker-{index}",
+                daemon=True,
+            )
+            process.start()
+        except BaseException:
+            # Not yet tracked by a client; close() cannot reap it.
+            worker_transport.close()
+            raise
+        worker_transport.on_worker_started()
+        return _ShardClient(
+            index, process, worker_transport, self._request_timeout_s,
+            deadline_grace_s=self._deadline_grace_s,
         )
 
     def _serve_sharded(self, requests: Sequence[np.ndarray], serve) -> List:
@@ -906,32 +913,7 @@ class ShardedPool(ReplicaPool):
             _faults._ACTIVE.on_spawn()
         index = self._next_worker_index
         self._next_worker_index += 1
-        worker_transport = create_transport(
-            self.transport_name,
-            self._context,
-            request_bytes=self._request_bytes,
-            response_bytes=self._response_bytes,
-        )
-        # Tracked immediately so the GC finalizer unlinks this worker's ring
-        # blocks even if readiness below fails (the finalizer holds the
-        # list object, so appends stay visible to it).
-        self._transports.append(worker_transport)
-        try:
-            process = self._context.Process(
-                target=_worker_main,
-                args=(worker_transport.endpoint(), self._worker_init, index),
-                name=f"shard-worker-{index}",
-                daemon=True,
-            )
-            process.start()
-        except BaseException:
-            worker_transport.close()
-            raise
-        worker_transport.on_worker_started()
-        client = _ShardClient(
-            index, process, worker_transport, self._request_timeout_s,
-            deadline_grace_s=self._deadline_grace_s,
-        )
+        client = self._start_worker(index)
         try:
             client.wait_ready(self._start_timeout_s)
             if (

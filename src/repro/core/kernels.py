@@ -49,14 +49,18 @@ the compute dtype and the bias add, in numpy's order, done on the
 accumulators while they are still in registers (AMX: in a 1 KB bounce
 buffer).  ``linear_int8`` is therefore one pass and one C call
 (``repro_linear_s8``): max-abs, quantise into a per-call int8 scratch, GEMM,
-epilogue; no int32 ``(m, n)`` array exists.  With row threads the max-abs is
-one whole-tensor scan and each row block then quantises, multiplies and
-stores its own rows.  ``linear_int8_shared`` runs several projections of one
-activation (attention's Q, K, V) off a single quantised copy — per-tensor
-scales make that the same arithmetic as separate calls.  ``gemm_int8`` /
-``repro_gemm_s8`` is the same driver storing the raw int32 sums: not on the
-engine's path, it is how the tests (``tier=``) and the GOP/s bench see each
-micro-kernel's integers on their own.
+epilogue; no int32 ``(m, n)`` array exists.  ``linear_int8_shared`` runs
+several projections of one activation (attention's Q, K, V) off a single
+quantised copy — per-tensor scales make that the same arithmetic as separate
+calls.  ``gemm_int8`` / ``repro_gemm_s8`` is the same driver storing the raw
+int32 sums: not on the engine's path, it is how the tests (``tier=``) and the
+GOP/s bench see each micro-kernel's integers on their own.  The biased int32
+accumulation is exact for ``k <= 66 306`` (``255 * 127 * k < 2**31``);
+``pack_weight_int8`` refuses a longer contraction.
+
+Every op is one C call on the caller's thread, and the kernel keeps nothing
+between calls: cores are used by running several sessions
+(``SessionPool`` / ``ShardedPool``), whose threads share the one instance.
 
 The LUT operators
 -----------------
@@ -72,9 +76,9 @@ max, subtract, clip, ``exp`` table, clamp at zero — one pass; the row sum
 stays with ``np.sum``, the reciprocal table goes through the same core) run
 on it.  The core has an AVX-512 and an AVX2 form, fixed at compile time
 (:func:`kernel_info` reports ``lut_tier``); larger tables, float64 and
-builds without AVX2 run scalar loops whose segment search reads the
-``LookupTable``'s bucket decomposition, and precision-simulating table
-subclasses stay on the numpy reference.
+builds without AVX2 run scalar loops with the same compare-and-count segment
+search, and precision-simulating table subclasses stay on the numpy
+reference.
 
 Parity contract
 ---------------
@@ -112,7 +116,6 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -149,8 +152,8 @@ KERNEL_NAMES: Tuple[str, ...] = ("numpy", "native")
 
 _INT8_LIMIT = 127
 #: contraction lengths beyond this could overflow the biased int32
-#: accumulation in the native GEMM (255 * 127 * k < 2**31); the packer falls
-#: back to the float64-carrier operand above it.
+#: accumulation in the native GEMM (255 * 127 * k < 2**31); the packer
+#: refuses them.
 _GEMM_K_MAX = (2**31 - 1) // (255 * 127)
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -363,20 +366,17 @@ for _suf in ("f32", "f64"):
                 ctypes.c_int,
             ),
             f"repro_lut_eval_{_suf}": (
-                [_I8, _I8, ctypes.c_int64, _I8, _I8, _I8, ctypes.c_int64,
-                 _I8, _I8, ctypes.c_double, ctypes.c_double, ctypes.c_int64],
+                [_I8, _I8, ctypes.c_int64, _I8, _I8, _I8, ctypes.c_int64],
                 None,
             ),
             f"repro_lut_gelu_{_suf}": (
                 [_I8, _I8, _I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8, _I8,
-                 ctypes.c_int64, _I8, _I8, ctypes.c_double, ctypes.c_double,
                  ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                  ctypes.c_int],
                 None,
             ),
             f"repro_softmax_exp_{_suf}": (
                 [_I8, _I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8, _I8,
-                 ctypes.c_int64, _I8, _I8, ctypes.c_double, ctypes.c_double,
                  ctypes.c_int64, ctypes.c_double],
                 None,
             ),
@@ -432,8 +432,6 @@ _fallback_warned = False
 GEMM_TIER_NAMES = {1: "scalar", 2: "vnni", 3: "amx"}
 #: float32 LUT-operator tiers (``repro_lut_impl``), fixed at compile time.
 LUT_TIER_NAMES = {1: "scalar", 2: "avx2", 3: "avx512"}
-#: largest table the vector LUT core holds; LUT_CORE_ENTRIES in kernels_native.c.
-_LUT_CORE_ENTRIES = 16
 
 
 def _probe_gemm_tier(lib) -> Tuple[int, Optional[str]]:
@@ -626,58 +624,32 @@ def _ptr(arr: np.ndarray | None) -> int | None:
 def _table_args(table: LookupTable, dtype: np.dtype) -> Tuple[tuple, tuple]:
     """``(arrays, c_args)`` describing ``table`` in ``dtype`` to the C kernels.
 
-    ``c_args`` is the parameter block then the bucket block of the
-    ``repro_lut_*`` signatures.  The bucket tables are only materialised when
-    the scalar loops will read them: a float32 table that fits the vector
-    LUT core never touches them, and one whose geometry admits no buckets
-    has none (the scalar loop then counts breakpoints linearly); both pass
-    null bucket pointers.  ``arrays`` are the buffers behind the pointers —
-    the caller holds them for the duration of the call.
+    ``c_args`` is the parameter block of the ``repro_lut_*`` signatures
+    (breakpoints, slopes, intercepts, breakpoint count); ``arrays`` are the
+    buffers behind the pointers — the caller holds them for the duration of
+    the call.
     """
     bp, sl, ic = table._params(dtype)
-    params = (bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size)
-    vector_core = (
-        dtype == np.float32
-        and _native_state["lut_tier"] > 1
-        and sl.size <= _LUT_CORE_ENTRIES
-    )
-    tables = None if vector_core else table._bucket_tables(dtype)
-    if tables is None:
-        return (bp, sl, ic), params + (None, None, 0.0, 0.0, 0)
-    lo, inv_width, nbuckets, base, thr = tables
-    return (bp, sl, ic, base, thr), params + (
-        base.ctypes.data, thr.ctypes.data, lo, inv_width, nbuckets
-    )
+    return (bp, sl, ic), (bp.ctypes.data, sl.ctypes.data, ic.ctypes.data, bp.size)
 
 
 class NativeKernel(ComputeKernel):
     """Compiled C fast path: true int8 GEMM + single-pass fused epilogues.
 
-    ``num_threads > 1`` parallelises the int8 projections and the large
-    fused epilogues over row blocks with an in-process thread pool (the C
-    calls release the GIL); results are bitwise independent of the thread
-    count because the work is row-partitioned (and the activation scale is
-    taken over the whole tensor first).  The kernel holds no per-call state,
-    so ``SessionPool`` threads share one instance.
+    Every op is one C call on the calling thread (ctypes releases the GIL
+    for its duration).  The kernel holds nothing but the library handle, so
+    ``SessionPool`` threads share one instance; cores are a pool's business.
     """
 
     name = "native"
 
-    _MIN_ROWS_PER_THREAD = 32
-
-    def __init__(self, num_threads: int | None = None) -> None:
-        if num_threads is None:
-            num_threads = int(os.environ.get("REPRO_KERNEL_THREADS", "1") or 1)
-        self.num_threads = max(1, int(num_threads))
+    def __init__(self) -> None:
         lib = _load_native_lib()
         if lib is None or _native_disabled_by_env():
             raise RuntimeError(
                 f"native kernel unavailable: {native_unavailable_reason()}"
             )
         self._lib = lib
-        self._numpy = NumpyKernel()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     def __reduce__(self):
         return (resolve_kernel, (self.name,))
@@ -687,44 +659,22 @@ class NativeKernel(ComputeKernel):
         """The int8 GEMM tier that runs: 3 = AMX, 2 = AVX512-VNNI, 1 = scalar."""
         return int(_native_state["gemm_tier"])
 
-    # -- row-block threading ---------------------------------------------- #
-    def _row_threads(self, rows: int) -> int:
-        return min(self.num_threads, max(1, rows // self._MIN_ROWS_PER_THREAD))
-
-    def _run_rows(self, rows: int, fn) -> None:
-        """Invoke ``fn(start, stop)`` over row blocks, threaded when asked."""
-        threads = self._row_threads(rows)
-        if threads <= 1:
-            fn(0, rows)
-            return
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.num_threads,
-                    thread_name_prefix="repro-kernel",
-                )
-            pool = self._pool
-        bounds = np.linspace(0, rows, threads + 1).astype(int)
-        futures = [
-            pool.submit(fn, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(threads)
-        ]
-        for future in futures:
-            future.result()
-
     def _suffix(self, dtype: np.dtype) -> str:
         return "f32" if dtype == np.float32 else "f64"
 
     # -- GEMM / linear ---------------------------------------------------- #
     def matmul_fp32(self, x, operand, out_dtype, bias=None):
         # BLAS already owns this one; the native value is in int8 + epilogues.
-        return self._numpy.matmul_fp32(x, operand, out_dtype, bias=bias)
+        return NUMPY_KERNEL.matmul_fp32(x, operand, out_dtype, bias=bias)
 
     def pack_weight_int8(self, w_q_data):
         data = np.asarray(w_q_data)
         if data.shape[0] > _GEMM_K_MAX:
-            # int32 accumulation could overflow: keep the float64 carrier.
-            return self._numpy.pack_weight_int8(data)
+            raise ValueError(
+                f"contraction length {data.shape[0]} exceeds the native int8 "
+                f"GEMM's limit of {_GEMM_K_MAX} (int32 accumulation could "
+                "overflow)"
+            )
         return _PackedInt8Weight(data)
 
     def gemm_int8(
@@ -744,30 +694,17 @@ class NativeKernel(ComputeKernel):
         if m == 0 or n == 0:
             return acc
         tier = self.gemm_impl if tier is None else min(int(tier), self.gemm_impl)
-        a_ptr, acc_ptr = a_q.ctypes.data, acc.ctypes.data
-        w_ptr, cs_ptr = packed.panels.ctypes.data, packed.colsum.ctypes.data
-
-        def run(start: int, stop: int) -> None:
-            self._lib.repro_gemm_s8(
-                a_ptr + start * k, w_ptr, cs_ptr, acc_ptr + start * n * 4,
-                stop - start, k, n, tier,
-            )
-
-        self._run_rows(m, run)
+        self._lib.repro_gemm_s8(
+            a_q.ctypes.data, packed.panels.ctypes.data,
+            packed.colsum.ctypes.data, acc.ctypes.data, m, k, n, tier,
+        )
         return acc
 
     def linear_int8(self, x, operand, weight_scale, out_dtype, bias=None):
-        if isinstance(operand, np.ndarray):  # carrier fallback (huge k)
-            return self._numpy.linear_int8(
-                x, operand, weight_scale, out_dtype, bias=bias
-            )
         return self._project(x, ((operand, weight_scale, bias),), out_dtype)[0]
 
     def linear_int8_shared(self, x, projections, out_dtype):
-        operands = [operand for operand, _, _ in projections]
-        if any(isinstance(op, np.ndarray) for op in operands) or (
-            len({op.k for op in operands}) != 1
-        ):
+        if len({operand.k for operand, _, _ in projections}) != 1:
             return super().linear_int8_shared(x, projections, out_dtype)
         return self._project(x, projections, out_dtype)
 
@@ -776,9 +713,7 @@ class NativeKernel(ComputeKernel):
         ``(packed operand, weight_scale, bias)`` — all of the same ``k``.
 
         One C call per projection: the first also scans ``x`` for its scale
-        and packs it into ``q``, the rest find ``q`` filled.  With row
-        threads the scale comes from one whole-tensor scan up front and each
-        block packs, multiplies and stores its own rows.  ``q`` is this
+        and packs it into ``q``, the rest find ``q`` filled.  ``q`` is this
         call's own scratch, so concurrent callers share nothing.
         """
         out_dtype = np.dtype(out_dtype)
@@ -803,13 +738,9 @@ class NativeKernel(ComputeKernel):
         m = flat.shape[0]
         x_f64 = flat.dtype == np.float64
         q = _aligned_empty(m * k, np.int8)
-        act_scale = ctypes.c_double(0.0)  # 0: the first call measures it
-        if self._row_threads(m) > 1:
-            act_scale.value = self._max_abs_scale(flat, self._suffix(flat.dtype))
-        x_ptr, x_row = flat.ctypes.data, k * flat.itemsize
-        q_ptr, scale_ptr = q.ctypes.data, ctypes.addressof(act_scale)
+        act_scale = ctypes.c_double()  # written by the first call
+        x_ptr = flat.ctypes.data
         out_f64, tier = out_dtype == np.float64, self.gemm_impl
-        fn = self._lib.repro_linear_s8
         results = []
         for operand, weight_scale, bias in projections:
             n = operand.n
@@ -820,21 +751,13 @@ class NativeKernel(ComputeKernel):
                 bias is not None and bias.dtype == out_dtype and bias.shape == (n,)
             )
             fused_bias = np.ascontiguousarray(bias) if fused else None
-            bias_ptr = _ptr(fused_bias)
-            w_ptr, cs_ptr = operand.panels.ctypes.data, operand.colsum.ctypes.data
-            out_ptr, out_row = out.ctypes.data, n * out.itemsize
-
-            def run(start: int, stop: int) -> None:
-                status = fn(
-                    x_ptr + start * x_row if x_ptr else None, x_f64,
-                    q_ptr + start * k, scale_ptr, stop - start, k, w_ptr, cs_ptr,
-                    n, weight_scale, bias_ptr, out_ptr + start * out_row,
-                    out_f64, tier,
-                )
-                if status:
-                    raise ValueError(_NONFINITE_MSG)
-
-            self._run_rows(m, run)
+            status = self._lib.repro_linear_s8(
+                x_ptr, x_f64, q.ctypes.data, ctypes.addressof(act_scale), m, k,
+                operand.panels.ctypes.data, operand.colsum.ctypes.data, n,
+                weight_scale, _ptr(fused_bias), out.ctypes.data, out_f64, tier,
+            )
+            if status:
+                raise ValueError(_NONFINITE_MSG)
             x_ptr = None  # q now holds x quantised at act_scale
             if bias is not None and not fused:
                 out += bias
@@ -859,7 +782,7 @@ class NativeKernel(ComputeKernel):
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
         if not x.flags.c_contiguous:
-            return self._numpy.quantize_scale(x)
+            return NUMPY_KERNEL.quantize_scale(x)
         return self._max_abs_scale(x, self._suffix(x.dtype))
 
     def quantize_pack(self, x, scale):
@@ -870,7 +793,7 @@ class NativeKernel(ComputeKernel):
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
         if not x.flags.c_contiguous:
-            return self._numpy.quantize_pack(x, scale)
+            return NUMPY_KERNEL.quantize_pack(x, scale)
         q = np.empty(x.shape, dtype=np.int8)
         status = getattr(self._lib, f"repro_qpack_{self._suffix(x.dtype)}")(
             x.ctypes.data, x.size, scale, q.ctypes.data
@@ -913,16 +836,10 @@ class NativeKernel(ComputeKernel):
         else:
             lo, hi = (float(op.clip_range[0]), float(op.clip_range[1]))
             has_clip = 1
-        fn = getattr(self._lib, f"repro_lut_gelu_{self._suffix(x.dtype)}")
-        x_ptr, bias_ptr, out_ptr = x.ctypes.data, _ptr(bias), out.ctypes.data
-        itemsize = x.itemsize
-
-        def run(start: int, stop: int) -> None:
-            offset = start * cols * itemsize
-            fn(x_ptr + offset, bias_ptr, out_ptr + offset, stop - start, cols,
-               *table_args, lo, hi, has_clip)
-
-        self._run_rows(rows, run)
+        getattr(self._lib, f"repro_lut_gelu_{self._suffix(x.dtype)}")(
+            x.ctypes.data, _ptr(bias), out.ctypes.data, rows, cols,
+            *table_args, lo, hi, has_clip,
+        )
         return out
 
     def lut_gelu(self, op, x):
@@ -942,7 +859,7 @@ class NativeKernel(ComputeKernel):
             and x.ndim >= 1
             and bias.shape == (x.shape[-1],)
         ):
-            return self._numpy.lut_gelu_bias(op, x, bias)
+            return NUMPY_KERNEL.lut_gelu_bias(op, x, bias)
         return self._lut_gelu_native(op, x, bias, x)
 
     def lut_softmax(self, op, x, axis):
@@ -955,21 +872,15 @@ class NativeKernel(ComputeKernel):
             and axis in (-1, x.ndim - 1)
         ):
             return _softmax_forward(op, x, axis)
-        # Front end, one C pass per row block: row max -> subtract -> clip
-        # to [exp_clip, 0] -> exp table -> clamp at 0.
+        # Front end, one C pass: row max -> subtract -> clip to
+        # [exp_clip, 0] -> exp table -> clamp at 0.
         exps = np.empty_like(x)
         cols = x.shape[-1]
         _arrays, table_args = _table_args(op.exp_approx, x.dtype)
-        fn = getattr(self._lib, f"repro_softmax_exp_{self._suffix(x.dtype)}")
-        x_ptr, exps_ptr = x.ctypes.data, exps.ctypes.data
-        exp_clip, itemsize = float(op.exp_clip), x.itemsize
-
-        def run(start: int, stop: int) -> None:
-            offset = start * cols * itemsize
-            fn(x_ptr + offset, exps_ptr + offset, stop - start, cols,
-               *table_args, exp_clip)
-
-        self._run_rows(x.size // cols, run)
+        getattr(self._lib, f"repro_softmax_exp_{self._suffix(x.dtype)}")(
+            x.ctypes.data, exps.ctypes.data, x.size // cols, cols,
+            *table_args, float(op.exp_clip),
+        )
         # The rest is _softmax_forward's tail, op for op; the row sum stays
         # with np.sum because its pairwise order is the parity contract.
         denom = np.sum(exps, axis=-1, keepdims=True)
@@ -1026,7 +937,7 @@ class NativeKernel(ComputeKernel):
             and bias.dtype == x.dtype
             and bias.flags.c_contiguous
         ):
-            return self._numpy.bias_residual(x, bias, residual)
+            return NUMPY_KERNEL.bias_residual(x, bias, residual)
         cols = x.shape[-1]
         rows = x.size // cols if cols else 0
         getattr(self._lib, f"repro_bias_residual_{self._suffix(x.dtype)}")(
@@ -1043,7 +954,7 @@ class NativeKernel(ComputeKernel):
             and bias.dtype == x.dtype
             and bias.flags.c_contiguous
         ):
-            return self._numpy.bias_relu(x, bias)
+            return NUMPY_KERNEL.bias_relu(x, bias)
         cols = x.shape[-1]
         rows = x.size // cols if cols else 0
         getattr(self._lib, f"repro_bias_relu_{self._suffix(x.dtype)}")(
@@ -1062,7 +973,7 @@ class NativeKernel(ComputeKernel):
             and gamma.flags.c_contiguous
             and beta.flags.c_contiguous
         ):
-            return self._numpy.affine(x, gamma, beta)
+            return NUMPY_KERNEL.affine(x, gamma, beta)
         out = np.empty_like(x)
         cols = x.shape[-1]
         rows = x.size // cols if cols else 0

@@ -57,8 +57,8 @@
  * slope and intercept come from an in-register permute on that index, and
  * slope * x, + intercept stay two separate operations.  It has an AVX-512
  * and an AVX2 form, chosen at compile time like the quantise loops; bigger
- * tables, float64 and builds without AVX2 run the scalar loops, whose index
- * search reads the LookupTable's bucket decomposition.
+ * tables, float64 and builds without AVX2 run the scalar loops, which count
+ * the breakpoints the same way.
  */
 
 #define _GNU_SOURCE /* syscall() */
@@ -494,33 +494,12 @@ EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
 /* Everything below is macro-instantiated for float32 and float64.     */
 /* ------------------------------------------------------------------ */
 
-/* Segment index, equivalent to searchsorted(bp, x, side="right").
- *
- * When the caller supplies the LookupTable's bucket decomposition
- * (base/thr/lo/inv_width — the exact arrays the numpy fast path uses, so
- * both kernels resolve identical indices), the index is one multiply, one
- * clamp and one compare.  Tables without buckets fall back to a branchless
- * count of breakpoints <= x, which equals the binary search for sorted
- * breakpoints.  NaN inputs clamp to bucket 0 / index 0 — garbage either
- * way, matching the numpy path's NaN pinning. */
+/* Segment index: a branchless count of the breakpoints <= v, which for
+ * sorted breakpoints is searchsorted(bp, v, side="right") — the vector
+ * core's algorithm and the paper's comparator.  A NaN counts none (index
+ * 0) and comes out NaN. */
 #define DEFINE_SEARCH(SUF, T)                                                  \
-    static inline int64_t lut_index_##SUF(T v, const T *bp, int64_t nbp,       \
-                                          const int32_t *base, const T *thr,  \
-                                          T lo, T invw, int64_t nbuckets) {    \
-        if (nbuckets) {                                                        \
-            T s = (v - lo) * invw;                                             \
-            T bmax = (T)(nbuckets - 1);                                        \
-            if (s > bmax)                                                      \
-                s = bmax;                                                      \
-            if (s < (T)0)                                                      \
-                s = (T)0;                                                      \
-            int64_t b = (int64_t)s; /* NaN -> clamped below */                 \
-            if (b < 0)                                                         \
-                b = 0;                                                         \
-            if (b > nbuckets - 1)                                              \
-                b = nbuckets - 1;                                              \
-            return (int64_t)base[b] + (v >= thr[b]);                           \
-        }                                                                      \
+    static inline int64_t lut_index_##SUF(T v, const T *bp, int64_t nbp) {     \
         int64_t idx = 0;                                                       \
         for (int64_t t = 0; t < nbp; ++t)                                      \
             idx += (v >= bp[t]);                                               \
@@ -670,9 +649,9 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
  *              when `q` already holds them quantised at *act_scale (a second
  *              projection of the same activation)
  *   q          (m,k) int8: where the quantised activations go / are
- *   act_scale  in/out.  <= 0 asks for x's own per-tensor scale (max|x| / 127,
- *              1 for an all-zero x), which is written back; a caller that
- *              works on a row block of a larger tensor passes the tensor's
+ *   act_scale  out with x: its per-tensor scale (max|x| / 127, 1 for an
+ *              all-zero x).  In without: the scale `q` was quantised at,
+ *              as the first projection of the shared activation wrote it
  *   out, bias  float64 when out_f64 else float32; bias may be NULL
  *
  * Returns 1, with `out` untouched, when x holds a non-finite value. */
@@ -683,13 +662,11 @@ EXPORT int repro_linear_s8(const void *x, int x_f64, int8_t *q,
                            void *out, int out_f64, int tier) {
     if (x) {
         const int64_t size = m * k;
-        if (!(*act_scale > 0.0)) {
-            double max_abs = 0.0;
-            if (x_f64 ? repro_maxabs_f64(x, size, &max_abs)
-                      : repro_maxabs_f32(x, size, &max_abs))
-                return 1;
-            *act_scale = max_abs == 0.0 ? 1.0 : max_abs / 127.0;
-        }
+        double max_abs = 0.0;
+        if (x_f64 ? repro_maxabs_f64(x, size, &max_abs)
+                  : repro_maxabs_f32(x, size, &max_abs))
+            return 1;
+        *act_scale = max_abs == 0.0 ? 1.0 : max_abs / 127.0;
         if (x_f64 ? repro_qpack_f64(x, size, *act_scale, q)
                   : repro_qpack_f32(x, size, *act_scale, q))
             return 1;
@@ -940,17 +917,13 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
     /* Piecewise-linear table: out = s[idx] * x + t[idx].              */      \
     EXPORT void repro_lut_eval_##SUF(const T *x, T *out, int64_t size,         \
                                      const T *bp, const T *sl, const T *ic,    \
-                                     int64_t nbp, const int32_t *base,         \
-                                     const T *thr, double lo_d, double invw_d, \
-                                     int64_t nbuckets) {                       \
+                                     int64_t nbp) {                            \
         if (lut_gelu_core_##SUF(x, NULL, out, 1, size, bp, sl, ic, nbp, 0,     \
                                 (T)0, (T)0))                                   \
             return;                                                            \
-        T blo = (T)lo_d, binvw = (T)invw_d;                                    \
         for (int64_t i = 0; i < size; ++i) {                                   \
             T v = x[i];                                                        \
-            int64_t idx =                                                      \
-                lut_index_##SUF(v, bp, nbp, base, thr, blo, binvw, nbuckets);  \
+            int64_t idx = lut_index_##SUF(v, bp, nbp);                         \
             out[i] = sl[idx] * v + ic[idx];                                    \
         }                                                                      \
     }                                                                          \
@@ -960,11 +933,8 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
     EXPORT void repro_lut_gelu_##SUF(const T *x, const T *bias, T *out,        \
                                      int64_t rows, int64_t cols, const T *bp,  \
                                      const T *sl, const T *ic, int64_t nbp,    \
-                                     const int32_t *base, const T *thr,        \
-                                     double lo_d, double invw_d,               \
-                                     int64_t nbuckets, double clip_lo_d,       \
-                                     double clip_hi_d, int has_clip) {         \
-        T blo = (T)lo_d, binvw = (T)invw_d;                                    \
+                                     double clip_lo_d, double clip_hi_d,       \
+                                     int has_clip) {                           \
         T lo = (T)clip_lo_d, hi = (T)clip_hi_d;                                \
         if (lut_gelu_core_##SUF(x, bias, out, rows, cols, bp, sl, ic, nbp,     \
                                 has_clip, lo, hi))                             \
@@ -977,16 +947,14 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
                 T y;                                                           \
                 if (has_clip) {                                                \
                     T inside = t < lo ? lo : (t > hi ? hi : t);                \
-                    int64_t idx = lut_index_##SUF(inside, bp, nbp, base, thr,  \
-                                                  blo, binvw, nbuckets);       \
+                    int64_t idx = lut_index_##SUF(inside, bp, nbp);            \
                     y = sl[idx] * inside + ic[idx];                            \
                     if (t > hi)                                                \
                         y = t;                                                 \
                     if (t < lo)                                                \
                         y = (T)0;                                              \
                 } else {                                                       \
-                    int64_t idx = lut_index_##SUF(t, bp, nbp, base, thr, blo,  \
-                                                  binvw, nbuckets);            \
+                    int64_t idx = lut_index_##SUF(t, bp, nbp);                 \
                     y = sl[idx] * t + ic[idx];                                 \
                 }                                                              \
                 or_[c] = y;                                                    \
@@ -1000,11 +968,8 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
     EXPORT void repro_softmax_exp_##SUF(const T *x, T *out, int64_t rows,      \
                                         int64_t cols, const T *bp,             \
                                         const T *sl, const T *ic,              \
-                                        int64_t nbp, const int32_t *base,      \
-                                        const T *thr, double lo_d,             \
-                                        double invw_d, int64_t nbuckets,       \
-                                        double clip_d) {                       \
-        T blo = (T)lo_d, binvw = (T)invw_d, clip = (T)clip_d;                  \
+                                        int64_t nbp, double clip_d) {          \
+        T clip = (T)clip_d;                                                    \
         if (softmax_exp_core_##SUF(x, out, rows, cols, bp, sl, ic, nbp,        \
                                    clip))                                      \
             return;                                                            \
@@ -1019,8 +984,7 @@ static int softmax_exp_core_f32(const float *x, float *out, int64_t rows,
                 T s = xr[c] - m;                                               \
                 s = s < clip ? clip : s;                                       \
                 s = s > (T)0 ? (T)0 : s;                                       \
-                int64_t idx = lut_index_##SUF(s, bp, nbp, base, thr, blo,      \
-                                              binvw, nbuckets);                \
+                int64_t idx = lut_index_##SUF(s, bp, nbp);                     \
                 T e = sl[idx] * s + ic[idx];                                   \
                 or_[c] = (e > (T)0 || e != e) ? e : (T)0;                      \
             }                                                                  \

@@ -229,8 +229,8 @@ class LookupTable:
 
         Built lazily, rebuilt when ``breakpoints`` is rebound, thresholds cast
         to ``dtype`` once; ``None`` when the table's geometry admits no
-        buckets.  The numpy gather path and the compiled kernels both read
-        the tables from here, so they cut segments identically.
+        buckets.  Only the numpy gather path reads them; the compiled
+        kernels count breakpoints, which cuts segments identically.
         """
         if self._buckets is None or (
             self._buckets is not False and self._buckets[0] is not self.breakpoints

@@ -12,7 +12,6 @@ from .config import (
 from .encoder import TransformerEncoder, TransformerEncoderLayer
 from .heads import ClassificationHead, RegressionHead, SpanHead
 from .layers import (
-    CachedQuantizedLinear,
     Embedding,
     Linear,
     NormParameters,
@@ -34,7 +33,6 @@ __all__ = [
     "mobilebert_like_small_config",
     "tiny_test_config",
     "Linear",
-    "CachedQuantizedLinear",
     "Embedding",
     "NormParameters",
     "matmul_with_precision",

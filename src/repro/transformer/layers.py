@@ -35,7 +35,6 @@ from ..quant.fp16 import fp16_matmul
 
 __all__ = [
     "Linear",
-    "CachedQuantizedLinear",
     "Embedding",
     "NormParameters",
     "matmul_with_precision",
@@ -254,16 +253,6 @@ class Linear:
 
     def num_parameters(self) -> int:
         return int(self.weight.size + self.bias.size)
-
-
-@dataclass
-class CachedQuantizedLinear(Linear):
-    """Explicitly-named cached fast path (identical to ``Linear`` defaults).
-
-    Exists so call sites following I-BERT's static-weight-quantisation
-    discipline can say what they mean; ``Linear`` already caches unless
-    constructed with ``cache_weights=False``.
-    """
 
 
 @dataclass

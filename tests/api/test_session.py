@@ -236,14 +236,6 @@ class TestServing:
         with pytest.raises(TypeError, match="ClassificationHead"):
             session.classify([np.arange(1, 5)], head=span_head)
 
-    def test_forward_batch_passthrough(self, tiny64_model, fast_registry, rng):
-        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
-        tokens = rng.integers(0, 100, size=(2, 8))
-        assert np.array_equal(
-            session.forward_batch(tokens),
-            tiny64_model.forward(tokens, backend=session.backend),
-        )
-
     def test_empty_registry_passed_in_is_the_one_used(self):
         # Regression: an empty (hence falsy) registry was swapped for the
         # process-wide default by ``registry or default_registry()``.

@@ -150,6 +150,21 @@ class TestShardedParity:
             single64.classify(mixed_requests, head),
         )
 
+    @pytest.mark.parametrize("server", ["session", "sharded client"])
+    def test_forward_rejects_a_budget_row_of_the_wrong_length(
+        self, server, sharded64, single64, mixed_requests
+    ):
+        """Regression: a short ``budgets_s`` with a spent budget in it used to
+        drop the requests past its end (``zip`` truncation, on both sides of
+        the worker boundary)."""
+        target = single64 if server == "session" else sharded64.sessions[0]
+        requests = mixed_requests[:3]
+        for budgets in ([0.0, None], [0.0, None, None, None]):
+            with pytest.raises(ValueError, match="budgets_s has . entries for 3"):
+                target.forward(requests, budgets)
+        answered = target.forward(requests, [0.0, None, None])
+        assert [len(rows) for rows in answered] == [0, 12, 5]
+
     def test_parent_model_reads_the_shared_blocks(self, sharded64):
         """One copy of the weights per machine: parent rebound onto shm."""
         shared = sharded64._store.arrays()

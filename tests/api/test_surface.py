@@ -28,9 +28,9 @@ inject
 """
 
 TRANSFORMER = """
-ALL_OPS CachedQuantizedLinear ClassificationHead Embedding EncoderModel Linear
-MobileBertLikeModel MultiHeadSelfAttention NonlinearBackend NormParameters
-OperatorRecorder RegressionHead RobertaLikeModel SpanHead TransformerConfig
+ALL_OPS ClassificationHead Embedding EncoderModel Linear MobileBertLikeModel
+MultiHeadSelfAttention NonlinearBackend NormParameters OperatorRecorder
+RegressionHead RobertaLikeModel SpanHead TransformerConfig
 TransformerEncoder TransformerEncoderLayer backend_from_luts
 matmul_with_precision mobilebert_config mobilebert_like_small_config
 roberta_base_config roberta_like_small_config tiny_test_config

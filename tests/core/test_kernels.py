@@ -11,6 +11,7 @@ everywhere.
 import ctypes
 import errno
 import pickle
+import threading
 import warnings
 from unittest import mock
 
@@ -19,7 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BackendSpec, InferenceSession, build_backend
+from repro.api import (
+    BackendSpec,
+    InferenceSession,
+    SessionConfig,
+    SessionPool,
+    build_backend,
+)
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.kernels import (
     GEMM_TIER_NAMES,
@@ -244,9 +251,12 @@ class TestNativeOpParity:
             NUMPY_KERNEL.quantize_pack(x, scale_numpy),
         )
 
+    # 16 float32 entries run on the vector core (where one is compiled);
+    # float64 and 32 entries on the scalar compare-and-count loop.
+    @pytest.mark.parametrize("entries", [16, 32])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_lut_eval(self, native, fast_registry, rng_cls, dtype):
-        table = fast_registry.lut("gelu", num_entries=16)
+    def test_lut_eval(self, native, fast_registry, rng_cls, dtype, entries):
+        table = fast_registry.lut("gelu", num_entries=entries)
         x = rng_cls.uniform(-8.0, 8.0, size=257).astype(dtype)
         x[3] = np.nan
         assert eq(native.lut_eval(table, x), NUMPY_KERNEL.lut_eval(table, x))
@@ -259,23 +269,29 @@ class TestNativeOpParity:
         assert result is out
         assert eq(out, NUMPY_KERNEL.lut_eval(table, x))
 
-    def test_lut_gelu_and_fused_bias(self, native, fast_registry, rng_cls):
-        op = LutGelu(fast_registry.lut("gelu", num_entries=16))
-        x = rng_cls.uniform(-12.0, 12.0, size=(9, 65)).astype(np.float32)
+    @pytest.mark.parametrize("entries", [16, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lut_gelu_and_fused_bias(
+        self, native, fast_registry, rng_cls, dtype, entries
+    ):
+        op = LutGelu(fast_registry.lut("gelu", num_entries=entries))
+        x = rng_cls.uniform(-12.0, 12.0, size=(9, 65)).astype(dtype)
         x[0, 0] = np.nan  # NaN propagation is part of the contract
-        bias = rng_cls.normal(size=65).astype(np.float32)
+        bias = rng_cls.normal(size=65).astype(dtype)
         assert eq(native.lut_gelu(op, x.copy()), NUMPY_KERNEL.lut_gelu(op, x.copy()))
         assert eq(
             native.lut_gelu_bias(op, x.copy(), bias),
             NUMPY_KERNEL.lut_gelu_bias(op, x.copy(), bias),
         )
 
-    def test_lut_softmax(self, native, fast_registry, rng_cls):
+    @pytest.mark.parametrize("entries", [16, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lut_softmax(self, native, fast_registry, rng_cls, dtype, entries):
         op = LutSoftmax(
-            fast_registry.lut("exp", num_entries=16),
-            fast_registry.lut("reciprocal", num_entries=16),
+            fast_registry.lut("exp", num_entries=entries),
+            fast_registry.lut("reciprocal", num_entries=entries),
         )
-        x = rng_cls.normal(scale=3.0, size=(2, 3, 8, 8)).astype(np.float32)
+        x = rng_cls.normal(scale=3.0, size=(2, 3, 8, 8)).astype(dtype)
         assert eq(
             native.lut_softmax(op, x.copy(), -1),
             NUMPY_KERNEL.lut_softmax(op, x.copy(), -1),
@@ -313,29 +329,47 @@ class TestNativeOpParity:
             NUMPY_KERNEL.affine(x.copy(), gamma, beta),
         )
 
-    def test_threaded_results_bitwise_equal_single_thread(self, fast_registry):
-        """Row-block threading must not change a single bit of any output."""
-        threaded = NativeKernel(num_threads=4)
-        single = NativeKernel(num_threads=1)
+    def test_concurrent_callers_share_one_kernel(self, native, fast_registry):
+        """Two threads on the one kernel, one packed weight and one table each
+        — what ``SessionPool`` replicas do — return the single-call bits."""
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(256, 32)).astype(np.float32)
-        w_q = rng.integers(-127, 128, size=(32, 24), dtype=np.int8)
-        bias = rng.normal(size=24).astype(np.float32)
-        assert eq(
-            threaded.linear_int8(
-                x, threaded.pack_weight_int8(w_q), 0.02, np.float32, bias=bias
-            ),
-            single.linear_int8(
-                x, single.pack_weight_int8(w_q), 0.02, np.float32, bias=bias
-            ),
+        packed = native.pack_weight_int8(
+            rng.integers(-127, 128, size=(70, 37), dtype=np.int8)
         )
-        op = LutGelu(fast_registry.lut("gelu", num_entries=16))
-        big = rng.uniform(-8.0, 8.0, size=(256, 48)).astype(np.float32)
-        gelu_bias = rng.normal(size=48).astype(np.float32)
-        assert eq(
-            threaded.lut_gelu_bias(op, big.copy(), gelu_bias),
-            single.lut_gelu_bias(op, big.copy(), gelu_bias),
+        bias = rng.normal(size=37).astype(np.float32)
+        gelu = LutGelu(fast_registry.lut("gelu", num_entries=16))
+        softmax = LutSoftmax(
+            fast_registry.lut("exp", num_entries=16),
+            fast_registry.lut("reciprocal", num_entries=16),
         )
+
+        def ops(x):
+            projected = native.linear_int8(x, packed, 0.02, np.float32, bias=bias)
+            return (
+                projected,
+                native.lut_gelu_bias(gelu, projected.copy(), bias),
+                native.lut_softmax(softmax, projected, -1),
+            )
+
+        inputs = [rng.normal(size=(96, 70)).astype(np.float32) for _ in range(2)]
+        want = [ops(x) for x in inputs]
+        start = threading.Barrier(len(inputs))
+        failures = []
+
+        def caller(x, expected):
+            start.wait()
+            for _ in range(20):
+                if not all(eq(g, w) for g, w in zip(ops(x), expected)):
+                    failures.append("mismatch")
+
+        threads = [
+            threading.Thread(target=caller, args=pair) for pair in zip(inputs, want)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
 
 
 def lut_case(seed, entries, rows, cols, with_nan):
@@ -373,7 +407,7 @@ def lut_case(seed, entries, rows, cols, with_nan):
 
 
 #: table sizes the vector core holds, and sizes that fall back to the
-#: bucketed scalar loop
+#: scalar loop
 table_entries = st.one_of(st.integers(1, 16), st.integers(17, 64))
 
 
@@ -467,50 +501,18 @@ class TestLutVectorCore:
         )
         assert np.isnan(out[2]).all() and not np.isnan(out[[0, 1, 3]]).any()
 
-    def test_row_threads_equal_one_thread(self):
-        """Row blocks whose rows end in a masked tail: 2 threads == 1 thread."""
-        rng, table, clip_range, exp_clip, x = lut_case(11, 16, 70, 37, True)
-        gelu = LutGelu(table, clip_range=clip_range)
-        softmax = LutSoftmax(
-            table, LookupTable([4.0], [-0.05, -0.01], [1.0, 0.6]), exp_clip=exp_clip
-        )
-        bias = rng.normal(size=37).astype(np.float32)
-        single, threaded = NativeKernel(num_threads=1), NativeKernel(num_threads=2)
-        assert eq(
-            threaded.lut_gelu_bias(gelu, x.copy(), bias),
-            single.lut_gelu_bias(gelu, x.copy(), bias),
-        )
-        assert eq(threaded.lut_gelu(gelu, x), single.lut_gelu(gelu, x))
-        with np.errstate(invalid="ignore"):
-            assert eq(
-                threaded.lut_softmax(softmax, x, -1), single.lut_softmax(softmax, x, -1)
-            )
-            assert eq(
-                threaded.lut_softmax(softmax, x, -1),
-                NUMPY_KERNEL.lut_softmax(softmax, x, -1),
-            )
-
-    def test_bucket_tables_built_only_for_the_scalar_loops(self, native):
-        """A table the vector core serves never has its bucket index built."""
+    def test_native_kernel_never_builds_the_bucket_tables(self, native):
+        """The bucket decomposition is the numpy path's; C only counts."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=40).astype(np.float32)
-
-        def fresh(entries):
-            return LookupTable(
+        for entries, values in ((16, x), (17, x), (16, x.astype(np.float64))):
+            table = LookupTable(
                 np.linspace(-4.0, 4.0, entries - 1),
                 rng.normal(size=entries),
                 rng.normal(size=entries),
             )
-
-        small, big = fresh(16), fresh(17)
-        native.lut_eval(small, x)
-        native.lut_eval(big, x)
-        vector_core = kernel_info()["lut_tier"] != "scalar"
-        assert (small._buckets is None) == vector_core
-        assert big._buckets is not None
-        wide = fresh(16)
-        native.lut_eval(wide, x.astype(np.float64))
-        assert wide._buckets is not None  # float64 runs the scalar loop
+            native.lut_eval(table, values)
+            assert table._buckets is None
 
 
 def on_gemm_tier(tier):
@@ -562,18 +564,6 @@ class TestGemmTiers:
             got = native.gemm_int8(a, packed, tier=tier)
             assert got.dtype == np.int32
             assert np.array_equal(got, want), (tier, m, k, n)
-
-    @pytest.mark.parametrize("m", [65, 77, 100])
-    def test_row_threads_split_mid_tile(self, native, m):
-        """Two row blocks whose boundary falls inside a 6- and a 32-row tile."""
-        threaded = NativeKernel(num_threads=2)
-        rng = np.random.default_rng(m)
-        a = int8_matrix(rng, (m, 70), False)
-        w = int8_matrix(rng, (70, 37), False)
-        want = a.astype(np.int64) @ w.astype(np.int64)
-        packed = threaded.pack_weight_int8(w)
-        for tier in range(1, native.gemm_impl + 1):
-            assert np.array_equal(threaded.gemm_int8(a, packed, tier=tier), want)
 
     @given(
         m=st.one_of(st.sampled_from([15, 16, 17, 31, 33]), st.integers(1, 70)),
@@ -634,77 +624,49 @@ class TestGemmTiers:
         )
         packed = [(native.pack_weight_int8(w), s, b) for w, s, b in projections]
         before = x.copy()
-        for kernel in (native, NativeKernel(num_threads=2)):
-            for tier in range(1, native.gemm_impl + 1):
-                with on_gemm_tier(tier):
-                    got = kernel.linear_int8_shared(x, packed, dtype)
-                    separate = [
-                        kernel.linear_int8(x, op, s, dtype, bias=b)
-                        for op, s, b in packed
-                    ]
-                assert len(got) == len(want) == len(reference)
-                for g, sep, w, r in zip(got, separate, want, reference):
-                    assert g.shape == (2, 19, w.shape[-1])
-                    assert eq(g, w) and eq(sep, w) and eq(r, w)
+        for tier in range(1, native.gemm_impl + 1):
+            with on_gemm_tier(tier):
+                got = native.linear_int8_shared(x, packed, dtype)
+                separate = [
+                    native.linear_int8(x, op, s, dtype, bias=b) for op, s, b in packed
+                ]
+            assert len(got) == len(want) == len(reference)
+            for g, sep, w, r in zip(got, separate, want, reference):
+                assert g.shape == (2, 19, w.shape[-1])
+                assert eq(g, w) and eq(sep, w) and eq(r, w)
         assert np.array_equal(x, before)
 
     def test_shared_activation_falls_back_per_operand(self, native):
-        """A float64-carrier operand or mixed k takes the plain loop."""
+        """Mixed k takes the plain loop, which refuses the operand x misfits."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 12)).astype(np.float32)
-        w_q = int8_matrix(rng, (12, 5), False)
-        mixed = [
-            (native.pack_weight_int8(w_q), 0.1, None),
-            (NUMPY_KERNEL.pack_weight_int8(w_q), 0.1, None),  # carrier
-        ]
-        a, b = native.linear_int8_shared(x, mixed, np.float32)
-        assert eq(a, b)
+        fits = native.pack_weight_int8(int8_matrix(rng, (12, 5), False))
         wider = native.pack_weight_int8(int8_matrix(rng, (24, 5), False))
         with pytest.raises(ValueError):
-            native.linear_int8_shared(x, [mixed[0], (wider, 0.1, None)], np.float32)
+            native.linear_int8_shared(
+                x, [(fits, 0.1, None), (wider, 0.1, None)], np.float32
+            )
 
-    @pytest.mark.parametrize("m", [65, 77, 100])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fused_row_threads_split_mid_tile(self, native, m, dtype):
-        """Two row blocks meeting inside a 6- and a 32-row tile, ragged n:
-        one whole-tensor scale, each block packs and stores its own rows."""
-        threaded = NativeKernel(num_threads=2)
-        rng = np.random.default_rng(m)
-        x = rng.normal(size=(m, 70)).astype(dtype)
-        x[m - 1, 3] = 9.0  # the scale-setting element sits in the last block
-        w_q = int8_matrix(rng, (70, 37), False)
-        bias = rng.normal(size=37).astype(dtype)
-        packed = native.pack_weight_int8(w_q)
-        want = NUMPY_KERNEL.linear_int8(
-            x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.02, dtype, bias=bias
-        )
-        for tier in range(1, native.gemm_impl + 1):
-            with on_gemm_tier(tier):
-                assert eq(threaded.linear_int8(x, packed, 0.02, dtype, bias=bias), want)
-                assert eq(native.linear_int8(x, packed, 0.02, dtype, bias=bias), want)
-
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_activation_raises_before_any_output(self, threads, bad):
-        kernel = NativeKernel(num_threads=threads)
+    def test_non_finite_activation_raises_before_any_output(self, native, bad):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(70, 33)).astype(np.float32)
-        x[69, 32] = bad  # last element of the last row block
-        packed = kernel.pack_weight_int8(int8_matrix(rng, (33, 20), False))
+        x[69, 32] = bad  # the very last element
+        packed = native.pack_weight_int8(int8_matrix(rng, (33, 20), False))
         before = x.copy()
         with pytest.raises(ValueError, match="non-finite"):
-            kernel.linear_int8(x, packed, 0.01, np.float32)
+            native.linear_int8(x, packed, 0.01, np.float32)
         with pytest.raises(ValueError, match="non-finite"):
-            kernel.linear_int8_shared(x, [(packed, 0.01, None)] * 3, np.float32)
+            native.linear_int8_shared(x, [(packed, 0.01, None)] * 3, np.float32)
         assert eq(x, before)
         # The C entry's own contract: status 1 and `out` untouched.
         out = np.full((70, 20), 7.0, dtype=np.float32)
         q = np.zeros((70, 33), dtype=np.int8)
         scale = ctypes.c_double(0.0)
-        status = kernel._lib.repro_linear_s8(
+        status = native._lib.repro_linear_s8(
             x.ctypes.data, 0, q.ctypes.data, ctypes.addressof(scale), 70, 33,
             packed.panels.ctypes.data, packed.colsum.ctypes.data, 20, 0.01,
-            None, out.ctypes.data, 0, kernel.gemm_impl,
+            None, out.ctypes.data, 0, native.gemm_impl,
         )
         assert status == 1 and np.all(out == 7.0) and eq(x, before)
 
@@ -731,21 +693,13 @@ class TestGemmTiers:
         got = native.gemm_int8(a, native.pack_weight_int8(w), tier=99)
         assert np.array_equal(got, a.astype(np.int64) @ w.astype(np.int64))
 
-    def test_long_contraction_keeps_the_float64_carrier(self, native):
+    def test_contraction_past_the_int32_limit_is_refused(self, native):
         from repro.core.kernels import _GEMM_K_MAX
 
-        rng = np.random.default_rng(1)
-        k = _GEMM_K_MAX + 1
-        w_q = int8_matrix(rng, (k, 3), True)
-        operand = native.pack_weight_int8(w_q)
-        assert isinstance(operand, np.ndarray) and operand.dtype == np.float64
-        x = rng.normal(size=(2, k)).astype(np.float32)
-        assert eq(
-            native.linear_int8(x, operand, 0.01, np.float32),
-            NUMPY_KERNEL.linear_int8(
-                x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.01, np.float32
-            ),
-        )
+        assert 255 * 127 * _GEMM_K_MAX < 2**31 <= 255 * 127 * (_GEMM_K_MAX + 1)
+        native.pack_weight_int8(np.zeros((_GEMM_K_MAX, 1), dtype=np.int8))
+        with pytest.raises(ValueError, match=str(_GEMM_K_MAX)):
+            native.pack_weight_int8(np.zeros((_GEMM_K_MAX + 1, 1), dtype=np.int8))
 
     def test_refused_tier_falls_to_the_next(self):
         """The load-time probe: compile-time tiers, then the AMX permission."""
@@ -810,6 +764,29 @@ class TestNativeEngineParity:
             sessions["numpy"].pooled(requests),
             sessions["native"].pooled(requests),
         )
+
+    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    def test_two_replica_pool_equals_a_single_session(self, fast_registry, precision):
+        """Replica threads sharing the one kernel and the one frozen model."""
+        config = SessionConfig(
+            model_family="tiny",
+            compute_dtype="float64",
+            matmul_precision=precision,
+            kernel="native",
+            max_batch_size=3,
+        )
+        pool = SessionPool(
+            config, spec=BackendSpec.nn_lut(), registry=fast_registry, num_replicas=2
+        )
+        single = InferenceSession.from_model(
+            pool.model, spec=pool.spec, registry=fast_registry, max_batch_size=3
+        )
+        assert pool.model.config.kernel == single.model.config.kernel == "native"
+        rng = np.random.default_rng(7)
+        lengths = (5, 12, 5, 9, 30, 12, 7, 5, 9, 5)
+        requests = [rng.integers(0, 100, size=length) for length in lengths]
+        for a, b in zip(pool.forward(requests), single.forward(requests)):
+            assert np.array_equal(a, b)
 
 
 class TestCompileHygiene:

@@ -65,9 +65,8 @@ class TestFixedDefectsStayFixed:
 
     def test_kernel_build_and_pool_have_only_the_baselined_compile_wait(self):
         # _compile_library used to leak its temp .so when subprocess.run
-        # raised, and _run_rows read self._pool outside _pool_lock
-        # (double-checked locking).  The one-time compile under
-        # _native_lock is deliberate (build-once) and stays baselined.
+        # raised.  The one-time compile under _native_lock is deliberate
+        # (build-once) and stays baselined.
         report = analyze([SRC / "repro" / "core" / "kernels.py"], root=REPO)
         assert [f.fingerprint for f in report.findings] == [
             "blocking-under-lock|src/repro/core/kernels.py"

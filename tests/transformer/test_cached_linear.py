@@ -13,7 +13,6 @@ from repro.api import BackendSpec, build_backend
 from repro.core.kernels import native_available
 from repro.quant.fixed_point import compute_scale, quantize, quantized_matmul
 from repro.transformer import (
-    CachedQuantizedLinear,
     Linear,
     TransformerConfig,
     matmul_with_precision,
@@ -143,13 +142,6 @@ class TestCacheLifecycle:
         int8 = layer(x)
         assert np.max(np.abs(fp16 - fp32)) < 0.05
         assert np.max(np.abs(int8 - fp32)) < 0.2
-
-    def test_cached_quantized_linear_alias(self, rng):
-        layer = CachedQuantizedLinear.initialize(8, 4, rng, precision="int8")
-        assert isinstance(layer, Linear)
-        assert layer.cache_weights
-        x = rng.normal(size=(3, 8))
-        assert np.array_equal(layer(x), seed_linear_call(layer, x))
 
     def test_compute_dtype_validation(self, rng):
         with pytest.raises(ValueError, match="compute_dtype"):
