@@ -17,9 +17,10 @@ The two halves of the API:
   :mod:`repro.api.scheduling`).
 * :class:`ShardedPool` — the same :class:`ReplicaPool` protocol served from
   worker *processes* over shared-memory weights, lifting the GIL ceiling on
-  multi-core machines (see :mod:`repro.api.sharding`), with a pluggable
-  :class:`WorkerTransport` for the request/response channel — pickle over a
-  pipe, or zero-copy shared-memory rings (see :mod:`repro.api.transport`).
+  multi-core machines (see :mod:`repro.api.sharding`), with one
+  :class:`WorkerTransport` per worker for the request/response channel — a
+  pickle pipe, plus zero-copy shared-memory rings when given capacity (see
+  :mod:`repro.api.transport`).
 * Resilience & chaos testing — :class:`RetryPolicy` /
   :class:`CircuitBreakerConfig` harden a :class:`ServingQueue` against
   replica failure (retries with backoff, per-replica breakers, in-flight
@@ -66,15 +67,7 @@ from .session import (
     export_weight_state,
 )
 from .sharding import ShardedPool, SharedWeightStore, WorkerDiedError
-from .transport import (
-    TRANSPORTS,
-    PipeTransport,
-    ShmRingTransport,
-    TransportError,
-    TransportIntegrityError,
-    WorkerTransport,
-    create_transport,
-)
+from .transport import TransportError, TransportIntegrityError, WorkerTransport
 from .spec import (
     METHODS,
     OPERATOR_PRIMITIVES,
@@ -108,13 +101,9 @@ __all__ = [
     "ShardedPool",
     "SharedWeightStore",
     "WorkerDiedError",
-    "TRANSPORTS",
     "WorkerTransport",
-    "PipeTransport",
-    "ShmRingTransport",
     "TransportError",
     "TransportIntegrityError",
-    "create_transport",
     "ServingQueue",
     "ServingFuture",
     "ServingStats",

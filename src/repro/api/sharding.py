@@ -25,12 +25,13 @@ serializability contract:
   protocol, so ``forward``/``pooled``/``classify`` shard micro-batches with
   the same deterministic ``j % N`` rule as the threaded pool and
   :class:`~repro.api.server.ServingQueue` runs on top of it unchanged;
-* requests and results cross the process boundary through a pluggable
-  :class:`~repro.api.transport.WorkerTransport` (``transport=`` knob):
-  ``"pipe"`` pickles everything over a ``multiprocessing.Pipe``;
-  ``"shm_ring"`` moves the hot-path payloads — packed token batches in,
-  hidden-state rows out — through preallocated shared-memory rings and uses
-  the pipe only as a doorbell/control channel and variable-shape fallback.
+* requests and results cross the process boundary through one
+  :class:`~repro.api.transport.WorkerTransport` per worker; the
+  ``transport=`` knob sets its ring capacity: ``"pipe"`` allocates no rings
+  and pickles everything over a ``multiprocessing.Pipe``; ``"shm_ring"``
+  moves the hot-path payloads — packed token batches in, hidden-state rows
+  out — through preallocated shared-memory rings and uses the pipe only as a
+  doorbell/control channel and variable-shape fallback.
 
 Parity: a worker's model is rebuilt from bit-identical weight bytes and its
 backend from the very same fitted tables, so under ``compute_dtype="float64"``
@@ -81,13 +82,7 @@ from .session import (
     export_weight_state,
 )
 from .spec import OPERATOR_PRIMITIVES, BackendSpec
-from .transport import (
-    TRANSPORTS,
-    WorkerEndpoint,
-    WorkerTransport,
-    create_transport,
-    serving_ring_bytes,
-)
+from .transport import WorkerEndpoint, WorkerTransport
 
 __all__ = [
     "WorkerDiedError",
@@ -238,7 +233,6 @@ class _WorkerInit:
     #: (primitive name, num_entries) -> fitted table, shipped so workers
     #: never re-fit registry primitives.
     tables: Dict[Tuple[str, int], LookupTable]
-    lut_overrides: Dict[str, LookupTable]
     #: Fault schedule armed in the worker (chaos testing); None = no faults.
     fault_plan: Optional[FaultPlan] = None
 
@@ -285,8 +279,6 @@ def _build_worker_session(
             registry=_ShippedRegistry(init.tables),
             model=model,
         )
-        if init.lut_overrides:
-            session.apply_lut_overrides(init.lut_overrides)
         # Warm every lazy per-dtype cache before serving, like SessionPool.
         session.forward([np.zeros(1, dtype=np.int64)])
     except BaseException:
@@ -347,8 +339,8 @@ def _worker_main(
                     # Zero-copy result path: reserve the response ring and
                     # let the session write each request's rows straight
                     # into it (``forward_packed``) — the packing *is* the
-                    # shipping.  Transports without a ring (or a batch too
-                    # big for it) return None and take the generic path.
+                    # shipping.  Without a response ring (or with a batch
+                    # too big for it) this is None: take the generic path.
                     flat = endpoint.begin_packed_response(
                         [
                             0 if gone else int(np.asarray(request).shape[0])
@@ -373,8 +365,6 @@ def _worker_main(
                 elif op == "apply_lut_overrides":
                     session.apply_lut_overrides(payload)
                     result = None
-                elif op == "ping":
-                    result = "pong"
                 else:
                     raise ValueError(f"unknown shard worker op {op!r}")
                 endpoint.send("ok", result)
@@ -467,11 +457,6 @@ class _ShardClient:
             try:
                 self.transport.send(op, payload)
                 status, value = self._recv(timeout_s, f"while serving {op!r}")
-            except WorkerDiedError:
-                # Whatever the request occupied in the rings is abandoned;
-                # release the slots so the accounting never wedges.
-                self.transport.release()
-                raise
             except TimeoutError:
                 # Checked before OSError — TimeoutError subclasses it, and
                 # the death branch below must not swallow timeouts.  The
@@ -479,11 +464,9 @@ class _ShardClient:
                 # channel would hand that stale reply to the next caller.
                 # Poison the client and put the worker down.
                 self._broken = True
-                self.transport.release()
                 self.process.terminate()
                 raise
             except (BrokenPipeError, EOFError, OSError) as exc:
-                self.transport.release()
                 raise WorkerDiedError(
                     self._death_message(f"while serving {op!r}")
                 ) from exc
@@ -715,10 +698,10 @@ class ShardedPool(ReplicaPool):
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        if transport not in TRANSPORTS:
+        if transport not in ("pipe", "shm_ring"):
             raise ValueError(
                 f"unknown worker transport {transport!r}; available "
-                f"transports: {', '.join(TRANSPORTS)}"
+                "transports: pipe, shm_ring"
             )
         if ring_bytes is not None and ring_bytes < 0:
             raise ValueError(f"ring_bytes must be >= 0, got {ring_bytes}")
@@ -761,7 +744,6 @@ class ShardedPool(ReplicaPool):
                 spec=template.spec.to_dict(),
                 manifest=store.manifest(),
                 tables=_required_tables(template.spec, template.registry),
-                lut_overrides=dict(template.lut_overrides),
                 # A fault plan armed in this process at construction time is
                 # baked into every worker (they are spawned, not forked, so
                 # the injector cannot be inherited).
@@ -769,7 +751,7 @@ class ShardedPool(ReplicaPool):
             )
             self._context = multiprocessing.get_context(mp_context)
             self._request_bytes, self._response_bytes = self._ring_sizes(
-                template, ring_bytes
+                template, transport, ring_bytes
             )
             self._start_timeout_s = start_timeout_s
             self._request_timeout_s = request_timeout_s
@@ -807,41 +789,41 @@ class ShardedPool(ReplicaPool):
 
     @staticmethod
     def _ring_sizes(
-        template: InferenceSession, ring_bytes: int | None
+        template: InferenceSession, transport: str, ring_bytes: int | None
     ) -> Tuple[int, int]:
         """Per-worker ring payload capacities (request, response) in bytes.
 
-        The default holds the largest payload the serving path produces: a
+        ``"pipe"`` is zero capacity: no ring is allocated.  The ``"shm_ring"``
+        default holds the largest payload the serving path produces: a
         full ``max_batch_size`` batch of maximum-length sequences — int64
         token ids on the request side, compute-dtype hidden-state rows on
         the response side — plus the per-item length table.  An explicit
         ``ring_bytes`` caps both (undersized rings degrade to the pipe
         fallback, they never fail).
         """
+        if transport == "pipe":
+            return 0, 0
         if ring_bytes is not None:
             return ring_bytes, ring_bytes
-        return serving_ring_bytes(
-            rows=template.config.max_batch_size,
-            seq_len=template.max_sequence_length,
-            hidden=template.model.config.hidden_size,
-            itemsize=np.dtype(template.model.config.compute_dtype).itemsize,
+        rows = template.config.max_batch_size
+        tokens = rows * template.max_sequence_length
+        row_bytes = (
+            template.model.config.hidden_size
+            * np.dtype(template.model.config.compute_dtype).itemsize
         )
+        return rows * 8 + tokens * 8, rows * 8 + tokens * row_bytes
 
     def _start_worker(self, index: int) -> "_ShardClient":
         """Fresh transport, spawned worker process over it, and its client.
 
-        The transport is tracked at once, so the GC finalizer unlinks this
-        worker's ring blocks whatever fails later (the finalizer holds the
-        list object, so appends stay visible to it).  Waiting for readiness
-        is the caller's.
+        The transport is tracked as soon as its worker runs, so the GC
+        finalizer unlinks this worker's ring blocks whatever fails later (the
+        finalizer holds the list object, so appends stay visible to it).
+        Waiting for readiness is the caller's.
         """
-        worker_transport = create_transport(
-            self.transport_name,
-            self._context,
-            request_bytes=self._request_bytes,
-            response_bytes=self._response_bytes,
+        worker_transport = WorkerTransport(
+            self._context, self._request_bytes, self._response_bytes
         )
-        self._transports.append(worker_transport)
         try:
             process = self._context.Process(
                 target=_worker_main,
@@ -854,6 +836,7 @@ class ShardedPool(ReplicaPool):
             # Not yet tracked by a client; close() cannot reap it.
             worker_transport.close()
             raise
+        self._transports.append(worker_transport)
         worker_transport.on_worker_started()
         return _ShardClient(
             index, process, worker_transport, self._request_timeout_s,
@@ -916,16 +899,12 @@ class ShardedPool(ReplicaPool):
         client = self._start_worker(index)
         try:
             client.wait_ready(self._start_timeout_s)
-            if (
-                self._template.lut_overrides
-                and self._template.lut_overrides
-                != self._worker_init.lut_overrides
-            ):
+            if self._template.lut_overrides:
                 # The pool was calibrated after construction; the baked init
                 # predates those tables.
                 client.apply_lut_overrides(self._template.lut_overrides)
         except BaseException:
-            client.shutdown(5.0)
+            self._reap(client, 5.0)
             raise
         self.sessions.append(client)
         return client
@@ -939,7 +918,17 @@ class ShardedPool(ReplicaPool):
         """
         if handle in self.sessions:
             self.sessions.remove(handle)
-        handle.shutdown(10.0)
+        self._reap(handle, 10.0)
+
+    def _reap(self, client: "_ShardClient", timeout_s: float) -> None:
+        """Shut one worker down and forget its closed transport.
+
+        Mutates the list the GC finalizer holds, so worker churn does not
+        accumulate closed transports for the pool's life.
+        """
+        client.shutdown(timeout_s)
+        if client.transport in self._transports:
+            self._transports.remove(client.transport)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

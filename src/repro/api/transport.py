@@ -1,51 +1,41 @@
-"""Pluggable parent<->worker transports for multi-process sharded serving.
+"""The parent<->worker channel of multi-process sharded serving.
 
-PR 4's :class:`~repro.api.sharding.ShardedPool` moved replicas into worker
-processes, but every request batch and every result still crossed the process
-boundary by pickle over a ``multiprocessing.Pipe``.  In the paper's
-integer-deployment setting the per-token compute is cheap, so that
-serialization is a first-order tax on sharded throughput.  This module makes
-the channel a seam instead of an implementation detail:
+In the paper's integer-deployment setting the per-token compute is cheap, so
+the process boundary of :class:`~repro.api.sharding.ShardedPool` is a
+first-order serving cost.  One channel crosses it:
 
-* :class:`WorkerTransport` — the parent-side protocol the pool's shard
-  clients program against (``send``/``poll``/``recv``/``release``/``close``),
-  paired with a picklable :class:`WorkerEndpoint` the worker process serves
-  from.  Control traffic (init handshake, calibration broadcast, close) and
-  hot-path traffic (``forward``/``pooled`` batches and their results) both
-  flow through it.
-* :class:`PipeTransport` — the original pickle-over-Pipe channel, extracted
-  verbatim from ``sharding.py``.  Every message is pickled; simple, shape-
-  agnostic, and the baseline the ring is benchmarked against.
-* :class:`ShmRingTransport` — zero-copy hot path.  Payloads that match the
-  serving shapes (ragged token-id batches in, ragged hidden-state rows or a
-  pooled matrix out) are packed into preallocated
-  ``multiprocessing.shared_memory`` rings with a fixed int64 dtype/shape
-  header; the pipe carries only a tiny doorbell per message.  Anything the
-  rings cannot describe — control dicts, oversized batches — falls back to
-  the pickle pipe transparently (counted in :attr:`WorkerTransport.stats`).
-  Every ring frame carries a CRC32 of its payload; a frame that fails the
-  check at decode raises :class:`TransportIntegrityError` and demotes the
-  channel to pipe-only, so corruption never decodes as truth.
+* :class:`WorkerTransport` — the parent half the pool's shard clients hold
+  (``send``/``poll``/``recv``/``close``), paired with the picklable
+  :class:`WorkerEndpoint` the worker process serves from.  Control traffic
+  (init handshake, calibration broadcast, close) and hot-path traffic
+  (``forward``/``pooled`` batches and their results) both flow through it.
+* A duplex ``multiprocessing.Pipe`` always exists: it pickles whatever it is
+  given, and it is the liveness signal — a dead worker's end-of-file wakes
+  any blocking ``poll``, which is what lets the client wait without a busy
+  loop.
+* A request and a response :class:`_ShmRing` exist when their byte capacity
+  is > 0.  Payloads that match the serving shapes (ragged token-id batches
+  in, ragged hidden-state rows or a pooled matrix out) are packed into these
+  preallocated ``multiprocessing.shared_memory`` blocks behind a fixed int64
+  dtype/shape header, and the pipe carries only a tiny doorbell.  Anything a
+  ring cannot describe or hold — control dicts, oversized batches, every
+  message of a transport built with zero capacity (``transport="pipe"``) —
+  is pickled over the pipe instead (counted in :attr:`WorkerTransport.stats`).
+  Every ring frame carries a CRC32 of its header fields and payload; a frame
+  that fails the check at decode raises :class:`TransportIntegrityError` and
+  the transport drops its rings for good, so corruption never decodes as
+  truth.
 
 The wire discipline is strictly one request in flight per worker (the shard
 client serialises calls under a lock), so each direction needs exactly one
-message slot: a request ring and a response ring per worker, with doorbell
-sequence numbers guarding against stale messages.  The pipe also doubles as
-the liveness signal — a dead worker's end-of-file wakes any blocking
-``poll`` — which is what lets the client wait without a busy loop.
-
-This seam is the deliberate stepping stone to the ROADMAP's cross-*machine*
-sharding: a socket transport implements the same two halves and slots into
-``ShardedPool(transport=...)`` unchanged.
+message slot, with doorbell sequence numbers guarding against stale messages.
 """
 
 from __future__ import annotations
 
 # staticcheck: pickle-boundary -- payloads here must survive pickling into spawned workers
 
-import time
 import zlib
-from abc import ABC, abstractmethod
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,10 +49,6 @@ __all__ = [
     "TransportIntegrityError",
     "WorkerTransport",
     "WorkerEndpoint",
-    "PipeTransport",
-    "ShmRingTransport",
-    "TRANSPORTS",
-    "create_transport",
 ]
 
 
@@ -81,10 +67,6 @@ class TransportIntegrityError(TransportError):
     """
 
 
-#: Transport kinds accepted by :func:`create_transport` (and the
-#: ``ShardedPool(transport=...)`` knob).
-TRANSPORTS: Tuple[str, ...] = ("pipe", "shm_ring")
-
 #: Doorbell tag: a pipe message ``(_SHM_TAG, seq, op_or_status)`` means "the
 #: payload is in the shared-memory ring, stamped with ``seq``".
 _SHM_TAG = "__shm__"
@@ -92,8 +74,9 @@ _SHM_TAG = "__shm__"
 #: Ring header: int64[16] at the start of each block.
 #: [0] seq  [1] kind  [2] n (ragged items / array ndim)  [3] dtype code
 #: [4] trailing dim (ragged rows; 0 = 1-D items)  [5..12] array shape
-#: [13] CRC32 of the payload bytes the header describes (sealed at encode
-#: time, verified at decode time — see :class:`TransportIntegrityError`).
+#: [13] CRC32 of slots 1-12 and the payload bytes they describe (sealed at
+#: encode time, verified at decode time — see
+#: :class:`TransportIntegrityError`); slot 0 has its own check in ``decode``.
 _HEADER_SLOTS = 16
 _HEADER_BYTES = _HEADER_SLOTS * 8
 _MAX_ARRAY_NDIM = 8
@@ -230,11 +213,16 @@ class _ShmRing:
             return -1
         return nbytes if nbytes <= self.payload_capacity else -1
 
-    def _payload_crc(self, nbytes: int) -> int:
-        return zlib.crc32(self._shm.buf[_HEADER_BYTES:_HEADER_BYTES + nbytes])
+    def _frame_crc(self, header: np.ndarray, nbytes: int) -> int:
+        # Seeded with the descriptive header fields: a corrupted dtype code
+        # or shape that keeps the payload byte count must not verify.
+        return zlib.crc32(
+            self._shm.buf[_HEADER_BYTES:_HEADER_BYTES + nbytes],
+            zlib.crc32(header[1:_CRC_SLOT]),
+        )
 
     def seal(self) -> None:
-        """Stamp the current message's payload CRC32 into the header.
+        """Stamp the current message's CRC32 into the header.
 
         Every encode path ends here — ``try_encode`` for whole payloads,
         and the packed-response commit for results written directly into a
@@ -243,7 +231,7 @@ class _ShmRing:
         """
         header = self._header()
         nbytes = self._described_payload_nbytes(header)
-        header[_CRC_SLOT] = self._payload_crc(max(0, nbytes))
+        header[_CRC_SLOT] = self._frame_crc(header, max(0, nbytes))
 
     def verify(self) -> None:
         """Raise :class:`TransportIntegrityError` unless the frame is intact."""
@@ -254,7 +242,7 @@ class _ShmRing:
                 "ring frame header describes an impossible payload; the "
                 "frame is corrupt"
             )
-        actual = self._payload_crc(nbytes)
+        actual = self._frame_crc(header, nbytes)
         if actual != int(header[_CRC_SLOT]) & 0xFFFFFFFF:
             raise TransportIntegrityError(
                 f"ring frame checksum mismatch (stored "
@@ -414,52 +402,129 @@ class _ShmRing:
             pass
 
 
-class WorkerEndpoint(ABC):
-    """Worker-process half of a transport: picklable, serve-loop facing."""
+def _is_doorbell(msg: object) -> bool:
+    return isinstance(msg, tuple) and len(msg) == 3 and msg[0] == _SHM_TAG
 
-    @abstractmethod
+
+class WorkerEndpoint:
+    """Worker-process half of the channel: picklable, serve-loop facing.
+
+    Carries the child pipe end and the ring *names* (``None`` = no ring in
+    that direction); the rings are attached on the first doorbell.
+    """
+
+    def __init__(
+        self, conn, request_name: Optional[str], response_name: Optional[str]
+    ) -> None:
+        self._conn = conn
+        self._request_name = request_name
+        self._response_name = response_name
+        self._request_ring: Optional[_ShmRing] = None
+        self._response_ring: Optional[_ShmRing] = None
+        #: Sequence number of the in-hand ring request (None once answered,
+        #: or when the request arrived by pipe — responses then have no seq
+        #: to stamp and use the pipe too).
+        self._seq: Optional[int] = None
+        self._reserved_seq: Optional[int] = None
+
+    def _attach(self) -> None:
+        if self._request_ring is None:
+            assert self._request_name is not None  # a doorbell implies a ring
+            self._request_ring = _ShmRing.attach(self._request_name)
+            if self._response_name is not None:
+                self._response_ring = _ShmRing.attach(self._response_name)
+
     def recv(self) -> Tuple[str, object]:
         """Block for the next ``(op, payload)`` request from the parent."""
+        msg = self._conn.recv()
+        self._reserved_seq = None  # any stale reservation is now abandoned
+        if _is_doorbell(msg):
+            _, seq, op = msg
+            self._attach()
+            payload = self._request_ring.decode(seq, copy=False)  # type: ignore[union-attr]
+            self._seq = seq
+            return op, payload
+        self._seq = None
+        return msg
 
-    @abstractmethod
     def send(self, status: str, value: object) -> None:
         """Ship ``(status, value)`` back to the parent."""
+        self._reserved_seq = None  # a generic reply abandons any reservation
+        seq, self._seq = self._seq, None
+        if (
+            seq is not None
+            and self._response_ring is not None
+            and self._response_ring.try_encode(value, seq)
+        ):
+            self._conn.send((_SHM_TAG, seq, status))
+            return
+        self._conn.send((status, value))
 
     def begin_packed_response(
         self, lengths: Sequence[int], trailing: int, dtype: np.dtype
     ) -> Optional[np.ndarray]:
         """Reserve the response ring and return the flat array to write into.
 
-        Transports without a zero-copy path return ``None``; the caller then
-        materialises its result normally and uses :meth:`send`.
+        ``None`` when the request did not come by ring, there is no response
+        ring, or the message would not fit; the caller then materialises its
+        result normally and uses :meth:`send`.
         """
-        return None
+        if self._seq is None or self._response_ring is None:
+            return None
+        flat = self._response_ring.reserve_ragged(
+            lengths, trailing, dtype, self._seq
+        )
+        if flat is None:
+            return None
+        self._reserved_seq = self._seq
+        return flat
 
     def commit_packed_response(self, status: str = "ok") -> None:
         """Publish a response written via :meth:`begin_packed_response`."""
-        raise TransportError("no packed response was reserved on this endpoint")
+        if self._reserved_seq is None:
+            raise TransportError(
+                "no packed response was reserved on this endpoint"
+            )
+        seq, self._reserved_seq, self._seq = self._reserved_seq, None, None
+        self._response_ring.seal()  # type: ignore[union-attr]
+        self._conn.send((_SHM_TAG, seq, status))
 
     def close(self) -> None:
         """Release the endpoint's handles (pipe end, ring mappings)."""
+        try:
+            self._conn.close()
+        except OSError:
+            pass
+        for ring in (self._request_ring, self._response_ring):
+            if ring is not None:
+                ring.close()
 
 
-class WorkerTransport(ABC):
+class WorkerTransport:
     """Parent-side half of one worker's message channel.
 
     One transport instance serves exactly one worker; the shard client holds
-    it for the worker's lifetime and serialises calls, so implementations
-    may assume at most one request is outstanding.  ``poll`` must wake on
-    worker death (pipe end-of-file), which is what lets callers block on a
-    single deadline instead of spinning.
+    it for the worker's lifetime and serialises calls, so at most one request
+    is outstanding.  Serving-shaped payloads (ragged token batches in; ragged
+    hidden-state rows or one pooled matrix out) are written straight into the
+    request/response ring — a fixed int64 header describing dtype and shape,
+    then the elements — and announced with a tiny doorbell over the pipe.
+    The pipe remains the control channel and the path for everything the
+    rings cannot hold: unsupported payloads (calibration dicts), batches
+    beyond the preallocated capacity, and every message when a direction's
+    capacity is 0 and no ring was allocated for it (see :attr:`stats` for how
+    traffic actually routed).
+
+    Worker death is the pipe's end-of-file, so a blocking ``poll`` wakes
+    immediately.
     """
 
-    #: Kind string (``"pipe"`` / ``"shm_ring"``), mirrors :data:`TRANSPORTS`.
-    name: str
-
-    def __init__(self) -> None:
+    def __init__(
+        self, context, request_bytes: int, response_bytes: int
+    ) -> None:
         #: Message-routing counters: how many requests/responses used the
-        #: zero-copy rings vs the pickle-pipe fallback, and how many ring
-        #: frames failed their integrity check (always 0 for pipe).
+        #: zero-copy rings vs the pickle pipe, and how many ring frames
+        #: failed their integrity check.
         self.stats: Dict[str, int] = {
             "ring_requests": 0,
             "pipe_requests": 0,
@@ -467,20 +532,58 @@ class WorkerTransport(ABC):
             "pipe_responses": 0,
             "integrity_failures": 0,
         }
+        #: Whether an integrity failure demoted this channel to pipe-only.
+        self.degraded = False
+        self._request_ring: Optional[_ShmRing] = None
+        self._response_ring: Optional[_ShmRing] = None
+        self._seq = 0
+        self._closed = False
+        self._parent_conn, self._child_conn = context.Pipe(duplex=True)
+        try:
+            if request_bytes > 0:
+                self._request_ring = _ShmRing.create(request_bytes)
+            if response_bytes > 0:
+                self._response_ring = _ShmRing.create(response_bytes)
+        except BaseException:
+            self.close()
+            raise
 
-    @abstractmethod
     def endpoint(self) -> WorkerEndpoint:
         """The picklable worker half (pass as a ``Process`` argument)."""
+        request, response = self._request_ring, self._response_ring
+        return WorkerEndpoint(
+            self._child_conn,
+            None if request is None else request.name,
+            None if response is None else response.name,
+        )
 
     def on_worker_started(self) -> None:
-        """Drop parent copies of worker-only handles after ``start()``."""
+        """Drop the parent's copy of the child pipe end after ``start()``."""
+        self._child_conn.close()
 
-    @abstractmethod
     def send(self, op: str, payload: object) -> None:
         """Ship ``(op, payload)`` to the worker (ring when possible)."""
+        # Raise instead of letting a send hit a dropped pipe end.  With live
+        # retirement the pool can close a worker's transport while some other
+        # holder of the client still tries to talk to it; an OSError on a
+        # closed ``Connection`` is indistinguishable from a worker death, so
+        # surface the lifecycle error explicitly.
+        if self._closed:
+            raise TransportError(
+                "transport is closed; its worker was retired or the pool "
+                "shut down"
+            )
+        self._seq += 1
+        if self._request_ring is not None and self._request_ring.try_encode(
+            payload, self._seq
+        ):
+            self.stats["ring_requests"] += 1
+            self._parent_conn.send((_SHM_TAG, self._seq, op))
+        else:
+            self.stats["pipe_requests"] += 1
+            self._parent_conn.send((op, payload))
 
     @property
-    @abstractmethod
     def wait_handle(self):
         """The parent-side readable ``Connection`` a response arrives on.
 
@@ -488,507 +591,70 @@ class WorkerTransport(ABC):
         over *several* wakeup sources at once — typically this handle plus
         the worker's process sentinel — instead of polling in a loop.
         """
+        return self._parent_conn
 
     def poll(self, timeout_s: float) -> bool:
         """Block up to ``timeout_s`` for a response (or worker EOF)."""
-        return self.wait_handle.poll(max(0.0, timeout_s))
+        return self._parent_conn.poll(max(0.0, timeout_s))
 
-    @abstractmethod
     def recv(self) -> Tuple[str, object]:
         """The worker's ``(status, value)`` response; raises ``EOFError`` on
         a dead worker's closed pipe."""
-
-    def release(self) -> None:
-        """Free any hot-path resources tied to an abandoned request.
-
-        Called after a failed or timed-out call so ring slots never stay
-        marked in-use once their request can no longer complete.
-        """
-
-    @abstractmethod
-    def close(self) -> None:
-        """Close (and for owned shared memory, unlink) everything parent-side."""
-
-    @property
-    def slots_in_use(self) -> int:
-        """Ring slots currently tied to an outstanding request (0 for pipe)."""
-        return 0
+        msg = self._parent_conn.recv()
+        if not _is_doorbell(msg):
+            self.stats["pipe_responses"] += 1
+            return msg
+        _, seq, status = msg
+        if seq != self._seq:
+            raise TransportError(
+                f"response doorbell carries seq {seq}, expected "
+                f"{self._seq}; the channel is out of sync"
+            )
+        assert self._response_ring is not None
+        try:
+            if _faults._ACTIVE is not None:
+                _faults._ACTIVE.on_ring_response(self._response_ring)
+            value = self._response_ring.decode(seq, copy=True)
+        except TransportIntegrityError:
+            # The ring memory is suspect: drop to the no-ring state, so every
+            # later message takes the pipe, and let the caller's retry policy
+            # re-route the batch.
+            self.degraded = True
+            self.stats["integrity_failures"] += 1
+            self._drop_rings()
+            raise
+        self.stats["ring_responses"] += 1
+        return status, value
 
     def shm_names(self) -> List[str]:
         """Names of the shared-memory blocks this transport owns (if any)."""
-        return []
-
-
-class _PipeBackedTransport(WorkerTransport):
-    """Shared lifecycle for transports whose parent channel is a duplex Pipe.
-
-    Owns the pipe pair: the child end is handed to the endpoint and the
-    parent's copy dropped once the worker holds its own
-    (:meth:`on_worker_started`), responses are awaited on the parent end
-    (:attr:`wait_handle`), and :meth:`close` is idempotent.
-    """
-
-    def __init__(self, context) -> None:
-        super().__init__()
-        self._parent_conn, self._child_conn = context.Pipe(duplex=True)
-        self._child_closed = False
-        self._closed = False
-
-    def on_worker_started(self) -> None:
-        if not self._child_closed:
-            self._child_closed = True
-            self._child_conn.close()
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` ran; a closed transport refuses to send."""
-        return self._closed
-
-    def _check_open(self) -> None:
-        """Raise instead of letting a send hit a dropped pipe end.
-
-        With live retirement the pool can close a worker's transport while
-        some other holder of the client still tries to talk to it; an OSError
-        on a closed ``Connection`` is indistinguishable from a worker death,
-        so surface the lifecycle error explicitly.
-        """
-        if self._closed:
-            raise TransportError(
-                "transport is closed; its worker was retired or the pool "
-                "shut down"
-            )
-
-    @property
-    def wait_handle(self):
-        return self._parent_conn
-
-    def _close_pipes(self) -> None:
-        for conn, already_closed in (
-            (self._parent_conn, False),
-            (self._child_conn, self._child_closed),
-        ):
-            if already_closed:
-                continue
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._child_closed = True
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._close_pipes()
-
-
-# --------------------------------------------------------------------------- #
-# Pipe transport: the original pickle-everything channel
-# --------------------------------------------------------------------------- #
-class _PipeEndpoint(WorkerEndpoint):
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def recv(self) -> Tuple[str, object]:
-        return self._conn.recv()
-
-    def send(self, status: str, value: object) -> None:
-        self._conn.send((status, value))
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
-class PipeTransport(_PipeBackedTransport):
-    """Pickle over a duplex ``multiprocessing.Pipe`` — the PR-4 channel.
-
-    Every message is pickled whole.  Shape-agnostic and allocation-free to
-    set up, but each request/result pays serialise + kernel copies +
-    deserialise; see :class:`ShmRingTransport` for the zero-copy hot path.
-    """
-
-    name = "pipe"
-
-    def endpoint(self) -> _PipeEndpoint:
-        return _PipeEndpoint(self._child_conn)
-
-    def send(self, op: str, payload: object) -> None:
-        self._check_open()
-        self.stats["pipe_requests"] += 1
-        self._parent_conn.send((op, payload))
-
-    def recv(self) -> Tuple[str, object]:
-        self.stats["pipe_responses"] += 1
-        return self._parent_conn.recv()
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory ring transport: zero-copy hot path, pipe doorbell + fallback
-# --------------------------------------------------------------------------- #
-class _ShmRingEndpoint(WorkerEndpoint):
-    """Worker half: attaches the rings by name on first use."""
-
-    def __init__(self, conn, request_name: str, response_name: str) -> None:
-        self._conn = conn
-        self._request_name = request_name
-        self._response_name = response_name
-        self._request_ring: Optional[_ShmRing] = None
-        self._response_ring: Optional[_ShmRing] = None
-        #: Sequence number of the in-hand ring request (None once answered,
-        #: or when the request arrived by pipe fallback — responses then
-        #: have no seq to stamp and use the pipe too).
-        self._seq: Optional[int] = None
-        self._reserved_seq: Optional[int] = None
-
-    def _rings(self) -> Tuple[_ShmRing, _ShmRing]:
-        if self._request_ring is None:
-            self._request_ring = _ShmRing.attach(self._request_name)
-            self._response_ring = _ShmRing.attach(self._response_name)
-        return self._request_ring, self._response_ring  # type: ignore[return-value]
-
-    def recv(self) -> Tuple[str, object]:
-        msg = self._conn.recv()
-        self._reserved_seq = None  # any stale reservation is now abandoned
-        if isinstance(msg, tuple) and len(msg) == 3 and msg[0] == _SHM_TAG:
-            _, seq, op = msg
-            request_ring, _ = self._rings()
-            payload = request_ring.decode(seq, copy=False)
-            self._seq = seq
-            return op, payload
-        self._seq = None
-        return msg
-
-    def send(self, status: str, value: object) -> None:
-        self._reserved_seq = None  # a generic reply abandons any reservation
-        if self._seq is not None:
-            _, response_ring = self._rings()
-            if response_ring.try_encode(value, self._seq):
-                seq, self._seq = self._seq, None
-                self._conn.send((_SHM_TAG, seq, status))
-                return
-        self._seq = None
-        self._conn.send((status, value))
-
-    def begin_packed_response(
-        self, lengths: Sequence[int], trailing: int, dtype: np.dtype
-    ) -> Optional[np.ndarray]:
-        if self._seq is None:
-            return None
-        _, response_ring = self._rings()
-        flat = response_ring.reserve_ragged(lengths, trailing, dtype, self._seq)
-        if flat is None:
-            return None
-        self._reserved_seq = self._seq
-        return flat
-
-    def commit_packed_response(self, status: str = "ok") -> None:
-        if self._reserved_seq is None:
-            raise TransportError(
-                "no packed response was reserved on this endpoint"
-            )
-        seq, self._reserved_seq, self._seq = self._reserved_seq, None, None
-        _, response_ring = self._rings()
-        response_ring.seal()
-        self._conn.send((_SHM_TAG, seq, status))
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        for ring in (self._request_ring, self._response_ring):
-            if ring is not None:
-                ring.close()
-
-
-class ShmRingTransport(_PipeBackedTransport):
-    """Zero-copy hot path over preallocated shared-memory rings.
-
-    Serving-shaped payloads (ragged token batches in; ragged hidden-state
-    rows or one pooled matrix out) are written straight into a
-    request/response ring pair — a fixed int64 header describing dtype and
-    shape, then the elements — and announced with a tiny doorbell over the
-    pipe.  The pipe remains the control channel and the transparent
-    fallback for anything the rings cannot hold: unsupported payloads
-    (calibration dicts) or batches beyond the preallocated capacity (sized
-    at construction for ``max_batch_size`` full-length sequences; see
-    :attr:`stats` for how traffic actually routed).
-
-    Worker death is detected exactly like the pipe transport: the doorbell
-    pipe reports end-of-file, so a blocking ``poll`` wakes immediately.
-    """
-
-    name = "shm_ring"
-
-    def __init__(
-        self, context, request_bytes: int, response_bytes: int
-    ) -> None:
-        if request_bytes < 0 or response_bytes < 0:
-            raise ValueError(
-                f"ring sizes must be >= 0 bytes, got request={request_bytes}, "
-                f"response={response_bytes}"
-            )
-        self._request_ring: Optional[_ShmRing] = None
-        self._response_ring: Optional[_ShmRing] = None
-        self._seq = 0
-        self._slot_busy = False
-        self._degraded = False
-        super().__init__(context)
-        try:
-            self._request_ring = _ShmRing.create(request_bytes)
-            self._response_ring = _ShmRing.create(response_bytes)
-        except BaseException:
-            self.close()
-            raise
-
-    def endpoint(self) -> _ShmRingEndpoint:
-        assert self._request_ring is not None and self._response_ring is not None
-        return _ShmRingEndpoint(
-            self._child_conn, self._request_ring.name, self._response_ring.name
-        )
-
-    def on_worker_started(self) -> None:
-        if not self._child_closed:
-            self._child_closed = True
-            self._child_conn.close()
-
-    @property
-    def degraded(self) -> bool:
-        """Whether an integrity failure demoted this channel to pipe-only."""
-        return self._degraded
-
-    def send(self, op: str, payload: object) -> None:
-        self._check_open()
-        self._seq += 1
-        assert self._request_ring is not None
-        if not self._degraded and self._request_ring.try_encode(
-            payload, self._seq
-        ):
-            self._slot_busy = True
-            self.stats["ring_requests"] += 1
-            self._parent_conn.send((_SHM_TAG, self._seq, op))
-        else:
-            self.stats["pipe_requests"] += 1
-            self._parent_conn.send((op, payload))
-
-    def recv(self) -> Tuple[str, object]:
-        msg = self._parent_conn.recv()
-        if isinstance(msg, tuple) and len(msg) == 3 and msg[0] == _SHM_TAG:
-            _, seq, status = msg
-            if seq != self._seq:
-                raise TransportError(
-                    f"response doorbell carries seq {seq}, expected "
-                    f"{self._seq}; the channel is out of sync"
-                )
-            assert self._response_ring is not None
-            try:
-                if _faults._ACTIVE is not None:
-                    _faults._ACTIVE.on_ring_response(self._response_ring)
-                value = self._response_ring.decode(seq, copy=True)
-            except TransportIntegrityError:
-                # The ring memory is suspect: free the slot, fall back to
-                # the pipe for every later message, and let the caller's
-                # retry policy re-route the batch.
-                self._slot_busy = False
-                self._degraded = True
-                self.stats["integrity_failures"] += 1
-                raise
-            self._slot_busy = False
-            self.stats["ring_responses"] += 1
-            return status, value
-        self._slot_busy = False
-        self.stats["pipe_responses"] += 1
-        return msg
-
-    def release(self) -> None:
-        self._slot_busy = False
-
-    @property
-    def slots_in_use(self) -> int:
-        return int(self._slot_busy)
-
-    def shm_names(self) -> List[str]:
         return [
             ring.name
             for ring in (self._request_ring, self._response_ring)
             if ring is not None
         ]
 
-    def close(self) -> None:
-        """Close pipe ends; close and unlink both rings (idempotent).
-
-        The rings must never outlive the transport — unlink happens here
-        even when the worker died or never started; mappings still held by
-        a straggler worker stay valid until it exits.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._slot_busy = False
-        self._close_pipes()
+    def _drop_rings(self) -> None:
+        """Unlink and close both rings; mappings still held by the worker
+        stay valid until it exits."""
         for ring in (self._request_ring, self._response_ring):
             if ring is not None:
                 ring.unlink()
                 ring.close()
+        self._request_ring = self._response_ring = None
 
+    def close(self) -> None:
+        """Close the pipe ends; unlink and close the rings (idempotent).
 
-# --------------------------------------------------------------------------- #
-# Factory
-# --------------------------------------------------------------------------- #
-#: Payload bytes per ring when the caller supplies no sizing (1 MiB covers
-#: the tiny/small scenarios comfortably; ShardedPool computes a model-shaped
-#: default instead of relying on this).
-DEFAULT_RING_BYTES = 1 << 20
-
-
-def serving_ring_bytes(
-    rows: int, seq_len: int, hidden: int, itemsize: int
-) -> Tuple[int, int]:
-    """``(request_bytes, response_bytes)`` holding one full serving batch.
-
-    The single definition of the ring-capacity formula: ``rows`` requests of
-    up to ``seq_len`` int64 token ids in (plus the per-item length table),
-    and the same batch's ``(token, hidden)`` result rows out at the engine's
-    ``itemsize``.  ``ShardedPool`` sizes its default rings with this, and
-    the IPC microbenchmark uses it so its measurement reflects the rings
-    serving actually allocates.
-    """
-    lengths_bytes = rows * 8
-    request = lengths_bytes + rows * seq_len * 8
-    response = lengths_bytes + rows * seq_len * hidden * itemsize
-    return request, response
-
-
-def create_transport(
-    kind: str,
-    context,
-    request_bytes: Optional[int] = None,
-    response_bytes: Optional[int] = None,
-) -> WorkerTransport:
-    """One worker's transport of the requested ``kind``.
-
-    ``request_bytes`` / ``response_bytes`` size the shared-memory rings
-    (ignored by ``"pipe"``); ``context`` is the ``multiprocessing`` start
-    context whose ``Pipe`` the channel uses.
-    """
-    if kind == "pipe":
-        return PipeTransport(context)
-    if kind == "shm_ring":
-        return ShmRingTransport(
-            context,
-            request_bytes=DEFAULT_RING_BYTES if request_bytes is None else request_bytes,
-            response_bytes=(
-                DEFAULT_RING_BYTES if response_bytes is None else response_bytes
-            ),
-        )
-    raise ValueError(
-        f"unknown worker transport {kind!r}; available transports: "
-        f"{', '.join(TRANSPORTS)}"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Echo worker: transport cost in isolation (IPC microbenchmark + tests)
-# --------------------------------------------------------------------------- #
-def _echo_worker_main(
-    endpoint: WorkerEndpoint, hidden_size: int, dtype_str: str
-) -> None:
-    """Serve transport round trips with zero compute.
-
-    For an ``"echo"`` request (a ragged token batch) the reply is a
-    serving-shaped result — one ``(length, hidden_size)`` block per request,
-    from a preallocated scratch buffer — so a round trip measures exactly
-    what the transport adds to a ``forward``: request packing/pickling, the
-    doorbell or pipe write, and the parent-side copy-out.  ``"echo_slow"``
-    sleeps first (timeout/poisoning tests); ``"close"`` exits.
-    """
-    dtype = np.dtype(dtype_str)
-    scratch = np.zeros(0, dtype=dtype)
-    try:
-        endpoint.send("ready", None)
-        while True:
+        The rings must never outlive the transport — unlink happens here
+        even when the worker died or never started.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for conn in (self._parent_conn, self._child_conn):
             try:
-                op, payload = endpoint.recv()
-            except (EOFError, OSError):
-                return
-            if op == "close":
-                endpoint.send("ok", None)
-                return
-            if op == "ping":
-                endpoint.send("ok", "pong")
-                continue
-            if op == "echo_slow":
-                time.sleep(0.5)
-            lengths = [int(np.asarray(item).shape[0]) for item in payload]
-            out = endpoint.begin_packed_response(lengths, hidden_size, dtype)
-            if out is not None:
-                # Write-into-ring path: the "result" bytes are whatever the
-                # scratch reservation holds — the compute that would fill
-                # them is exactly what this worker leaves out.
-                endpoint.commit_packed_response()
-                continue
-            total = sum(lengths)
-            if scratch.size < total * hidden_size:
-                scratch = np.zeros(total * hidden_size, dtype=dtype)
-            flat = scratch[: total * hidden_size].reshape(total, hidden_size)
-            endpoint.send("ok", RequestBatcher.unpack_ragged(flat, lengths))
-    finally:
-        endpoint.close()
-
-
-def _spawn_echo_worker(
-    kind: str,
-    context,
-    hidden_size: int,
-    dtype: np.dtype,
-    request_bytes: int,
-    response_bytes: int,
-):
-    """``(transport, process)`` for a ready echo worker of ``kind``.
-
-    Shared by the IPC microbenchmark and the transport tests; the worker is
-    reaped (and the transport closed) on any start failure.
-    """
-    transport = create_transport(
-        kind, context, request_bytes=request_bytes, response_bytes=response_bytes
-    )
-    process = None
-    try:
-        process = context.Process(
-            target=_echo_worker_main,
-            args=(transport.endpoint(), hidden_size, np.dtype(dtype).str),
-            name=f"echo-worker-{kind}",
-            daemon=True,
-        )
-        process.start()
-        transport.on_worker_started()
-        if not transport.poll(120):
-            raise TimeoutError(f"{kind} echo worker never became ready")
-        status, value = transport.recv()
-        if status != "ready":
-            raise RuntimeError(f"{kind} echo worker failed to start: {value}")
-    except BaseException:
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(10)
-        transport.close()
-        raise
-    return transport, process
-
-
-def _shutdown_echo_worker(transport: WorkerTransport, process) -> None:
-    """Polite close handshake, then escalate; always closes the transport."""
-    try:
-        if process.is_alive():
-            transport.send("close", None)
-            if transport.poll(10):
-                transport.recv()
-        process.join(10)
-        if process.is_alive():
-            process.terminate()
-            process.join(10)
-    finally:
-        transport.close()
+                conn.close()  # a no-op on an already closed Connection
+            except OSError:
+                pass
+        self._drop_rings()

@@ -1,8 +1,7 @@
 """Pluggable compute kernels for the inference engine's hot paths.
 
-This is the GEMM/epilogue sibling of the serving layer's ``WorkerTransport``
-seam: a small protocol (:class:`ComputeKernel`) behind which the engine's
-per-op inner loops live, with two interchangeable implementations:
+A small protocol (:class:`ComputeKernel`) behind which the engine's per-op
+inner loops live, with two interchangeable implementations:
 
 * :class:`NumpyKernel` — the reference.  Every method is the *verbatim* op
   sequence the engine ran before the seam existed (extracted from

@@ -228,9 +228,6 @@ class _FakeTransport:
     def send(self, op, payload):
         pass
 
-    def release(self):
-        pass
-
 
 class _FakeProcess:
     pid = 4242
@@ -492,7 +489,15 @@ class TestWorkerTransports:
             assert sent >= 1, "forward batches should ride the request ring"
             assert answered == sent, "every ring request got a ring response"
             assert stats["pipe_requests"] == b["pipe_requests"]
-            assert client.transport.slots_in_use == 0
+
+    def test_pipe_pool_allocates_no_rings(self, sharded64):
+        # "pipe" is the same transport at zero ring capacity: nothing to
+        # allocate, every message pickled.  "shm_ring" owns a pair per worker.
+        rings = 0 if sharded64.transport_name == "pipe" else 2
+        for client in sharded64.sessions:
+            assert len(client.transport.shm_names()) == rings
+            if not rings:
+                assert client.transport.stats["ring_requests"] == 0
 
     def test_capacity_overflow_falls_back_to_pipe_bitwise(
         self, fast_registry, mixed_requests
@@ -517,7 +522,6 @@ class TestWorkerTransports:
             stats = pool.sessions[0].transport.stats
             assert stats["ring_requests"] == 0
             assert stats["pipe_requests"] >= 1
-            assert pool.sessions[0].transport.slots_in_use == 0
 
     def test_worker_death_releases_slots_and_close_unlinks_rings(
         self, fast_registry, mixed_requests
@@ -541,10 +545,6 @@ class TestWorkerTransports:
             victim.process.join(10)
             with pytest.raises(WorkerDiedError, match="shard worker 1"):
                 pool.forward(mixed_requests)
-            # Whatever the failed shard occupied in the rings is released;
-            # the healthy worker's slots drained normally.
-            for client in pool.sessions:
-                assert client.transport.slots_in_use == 0
         finally:
             pool.close()
         # close() unlinks the ring blocks (alongside the weight blocks),
@@ -552,6 +552,27 @@ class TestWorkerTransports:
         for name in ring_names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_replica_churn_does_not_accumulate_transports(self, fast_registry):
+        # Autoscaler churn: every retired worker's transport must leave the
+        # list the GC finalizer holds, and its rings must be gone at once —
+        # not at pool close.
+        config = SessionConfig(model_family="tiny", compute_dtype="float64")
+        with ShardedPool(
+            config, spec=BackendSpec.nn_lut(), registry=fast_registry,
+            num_replicas=1, transport="shm_ring",
+        ) as pool:
+            retired_rings = []
+            for _ in range(3):
+                client = pool.spawn_replica()
+                retired_rings += client.transport.shm_names()
+                pool.retire_replica(client)
+                assert len(pool._transports) == pool.num_replicas == 1
+            assert len(retired_rings) == 6
+            for name in retired_rings:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+            assert pool._transports == [pool.sessions[0].transport]
 
     def test_gc_without_close_unlinks_rings(self, fast_registry):
         # The GC safety net must reap the ring blocks exactly like the

@@ -17,14 +17,13 @@ API = """
 AutoscaleDecision Autoscaler AutoscalerConfig BackendSpec CircuitBreakerConfig
 DeadlineExceededError DeterministicRouter FaultInjector FaultPlan
 InferenceSession InjectedFaultError LeastLoadedRouter METHODS MODEL_FAMILIES
-MicroBatch OPERATOR_PRIMITIVES OperatorSpec PRECISIONS PipeTransport
-QueueFullError ROUTERS ReplicaPool ReplicaStats RequestBatcher RetryPolicy
-Router SPEC_SCHEMA_VERSION ServerClosedError ServingFuture ServingQueue
-ServingStats SessionConfig SessionPool ShardedPool SharedWeightStore
-ShmRingTransport TRANSPORTS TransportError TransportIntegrityError
-WorkerDiedError WorkerTransport as_backend attach_weight_state build_backend
-calibrate_primitive_luts create_router create_transport export_weight_state
-inject
+MicroBatch OPERATOR_PRIMITIVES OperatorSpec PRECISIONS QueueFullError ROUTERS
+ReplicaPool ReplicaStats RequestBatcher RetryPolicy Router SPEC_SCHEMA_VERSION
+ServerClosedError ServingFuture ServingQueue ServingStats SessionConfig
+SessionPool ShardedPool SharedWeightStore TransportError
+TransportIntegrityError WorkerDiedError WorkerTransport as_backend
+attach_weight_state build_backend calibrate_primitive_luts create_router
+export_weight_state inject
 """
 
 TRANSFORMER = """

@@ -1,32 +1,30 @@
-"""Worker-transport tests: ring codec, fallback, slot hygiene, round trips.
+"""Worker-transport tests: ring codec, frame fuzzing, fallback, round trips.
 
-The ring codec tests run in-process against :class:`_ShmRing` directly; the
-round-trip tests spawn the echo worker (``_echo_worker_main`` — pure
-transport, no model) so both transports are exercised over a real process
-boundary, including the degradation paths the ISSUE calls out: payloads
-beyond the preallocated ring capacity fall back to the pickle pipe, and the
-ring slot accounting is always released after a timeout or worker death.
+The ring codec tests run in-process against :class:`_ShmRing` directly.  The
+round-trip tests serve ``transport.endpoint()`` from a thread of the test
+process — the same pipe and rings a worker process would use, no model —
+at both capacities (``0`` is what ``ShardedPool(transport="pipe")`` builds),
+including the degradation paths: payloads beyond the preallocated ring
+capacity fall back to the pickle pipe in either direction.  What only a real
+process can show (worker death, unlink after it) lives in
+``test_sharding.py::TestWorkerTransports``.
 """
 
 import multiprocessing
-import time
-from multiprocessing import shared_memory
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api.transport import (
-    TRANSPORTS,
-    PipeTransport,
-    ShmRingTransport,
+    _HEADER_BYTES,
     TransportError,
+    TransportIntegrityError,
+    WorkerTransport,
     _ShmRing,
-    _shutdown_echo_worker,
-    _spawn_echo_worker,
-    create_transport,
 )
-
-SPAWN = multiprocessing.get_context("spawn")
 
 
 class TestShmRingCodec:
@@ -95,8 +93,6 @@ class TestShmRingCodec:
         try:
             flat = ring.reserve_ragged([2], trailing=4, dtype=np.float64, seq=2)
             flat[...] = 1.0
-            from repro.api.transport import TransportIntegrityError
-
             with pytest.raises(TransportIntegrityError, match="checksum"):
                 ring.decode(2, copy=True)
         finally:
@@ -106,8 +102,6 @@ class TestShmRingCodec:
     def test_corrupt_payload_byte_raises_integrity_error(self):
         # A single flipped payload byte — what FaultInjector.on_ring_response
         # does — must surface as TransportIntegrityError, not bad data.
-        from repro.api.transport import TransportIntegrityError
-
         ring = self._ring()
         try:
             items = [np.arange(7, dtype=np.int64), np.arange(4, dtype=np.int64)]
@@ -130,8 +124,6 @@ class TestShmRingCodec:
     def test_corrupt_header_raises_integrity_error(self):
         # An implausible header (e.g. a dtype code no encoder writes) is
         # caught before the payload is even touched.
-        from repro.api.transport import TransportIntegrityError
-
         ring = self._ring()
         try:
             assert ring.try_encode(np.arange(6, dtype=np.float64), seq=4)
@@ -169,141 +161,265 @@ class TestShmRingCodec:
             ring.close()
 
 
-def test_create_transport_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="carrier_pigeon"):
-        create_transport("carrier_pigeon", SPAWN)
-    assert set(TRANSPORTS) == {"pipe", "shm_ring"}
+_RING_DTYPES = [np.dtype(code) for code in ("<i8", "<i4", "<f2", "<f4", "<f8")]
+_FUZZ_CAPACITY = 1024
+_INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
-HIDDEN = 4
+@st.composite
+def _payloads(draw):
+    """A ring-packable payload: one array (0-3 dims) or a ragged batch."""
+    dtype = draw(st.sampled_from(_RING_DTYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(shape):
+        return np.asarray(rng.integers(-100, 100, size=shape)).astype(dtype)
+
+    if draw(st.booleans()):
+        return block(tuple(draw(st.lists(st.integers(0, 4), max_size=3))))
+    trailing = draw(st.integers(0, 4))  # 0 = 1-D items
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    return [block((n, trailing) if trailing else (n,)) for n in lengths]
 
 
-def _spawn_echo(kind, request_bytes=1 << 16, response_bytes=1 << 16):
-    return _spawn_echo_worker(
-        kind, SPAWN, HIDDEN, np.dtype(np.float64),
-        request_bytes=request_bytes, response_bytes=response_bytes,
-    )
+#: One corruption: header slots overwritten (small values are the plausible
+#: kind/ndim/dtype codes, the full range everything else), or one payload
+#: byte XOR-ed with a non-zero mask.
+_corruptions = st.one_of(
+    st.tuples(
+        st.just("header"),
+        st.dictionaries(
+            st.integers(0, 15), st.one_of(st.integers(-2, 9), _INT64),
+            min_size=1, max_size=2,
+        ),
+    ),
+    st.tuples(
+        st.just("payload"),
+        st.tuples(st.integers(0, _FUZZ_CAPACITY - 1), st.integers(1, 255)),
+    ),
+)
 
 
-def _shutdown_echo(transport, process):
-    _shutdown_echo_worker(transport, process)
+def _blocks(payload):
+    blocks = payload if isinstance(payload, list) else [payload]
+    return [(b.dtype, b.shape, b.tobytes()) for b in blocks]
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_echo_roundtrip(kind):
-    transport, process = _spawn_echo(kind)
+# The three corruptions a payload-only CRC let through: each keeps the
+# payload byte count, so the frame verified and decoded as another tensor.
+@example(  # dtype code <i8 -> <f8: a float64 array of denormals
+    np.arange(6, dtype=np.int64).reshape(2, 3), ("header", {3: 5})
+)
+@example(  # extents swapped: shape (3, 2)
+    np.arange(6, dtype=np.int64).reshape(2, 3), ("header", {5: 3, 6: 2})
+)
+@example(  # trailing 0 -> 1 on 1-D items: (n, 1) blocks
+    [np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64)],
+    ("header", {4: 1}),
+)
+@settings(max_examples=200, deadline=None)
+@given(_payloads(), _corruptions)
+def test_corrupted_frame_decodes_to_the_original_or_a_typed_error(
+    payload, corruption
+):
+    # The transport's contract under corruption: the correct tensor or a
+    # TransportError — never another tensor, never IndexError/ValueError.
+    ring = _ShmRing.create(_FUZZ_CAPACITY)
     try:
-        tokens = [np.arange(6, dtype=np.int64), np.arange(11, dtype=np.int64)]
-        transport.send("echo", tokens)
-        assert transport.poll(60)
-        status, value = transport.recv()
-        assert status == "ok"
-        assert [v.shape for v in value] == [(6, HIDDEN), (11, HIDDEN)]
-        assert all(v.dtype == np.float64 for v in value)
-        assert transport.slots_in_use == 0
-        if kind == "shm_ring":
-            assert transport.stats["ring_requests"] == 1
-            assert transport.stats["ring_responses"] == 1
+        assert ring.try_encode(payload, seq=1)
+        kind, detail = corruption
+        if kind == "header":
+            for slot, value in detail.items():
+                ring._header()[slot] = value
+        else:
+            offset, mask = detail
+            ring._shm.buf[_HEADER_BYTES + offset] ^= mask
+        try:
+            decoded = ring.decode(1, copy=True)
+        except TransportError:
+            return
+        assert type(decoded) is type(payload)
+        assert _blocks(decoded) == _blocks(payload)
     finally:
-        _shutdown_echo(transport, process)
+        ring.unlink()
+        ring.close()
+
+
+# --------------------------------------------------------------------------- #
+# Round trips: transport.endpoint() served from a thread, same pipe + rings
+# --------------------------------------------------------------------------- #
+HIDDEN = 4
+CAPACITIES = pytest.mark.parametrize(
+    "ring_bytes", [0, 1 << 16], ids=["pipe", "shm_ring"]
+)
+
+
+def _rows(tokens):
+    """The serving-shaped answer to one request: a (length, HIDDEN) block."""
+    return np.repeat(tokens[:, None], HIDDEN, axis=1).astype(np.float64)
+
+
+def _echo_serve(endpoint):
+    """The shape of ``_worker_main``'s loop with the model left out.
+
+    ``"echo"`` answers through ``send``; ``"echo_packed"`` writes its rows
+    into the response ring when the endpoint hands one out, as ``forward``
+    does; ``"echo_matrix"`` answers one array, as ``pooled`` does.
+    """
+    try:
+        while True:
+            try:
+                op, payload = endpoint.recv()
+            except (EOFError, OSError):
+                return
+            if op == "close":
+                endpoint.send("ok", None)
+                return
+            if op == "echo_matrix":
+                endpoint.send("ok", np.stack([_rows(t)[0] for t in payload]))
+                continue
+            if op == "echo_packed":
+                flat = endpoint.begin_packed_response(
+                    [t.shape[0] for t in payload], HIDDEN, np.dtype(np.float64)
+                )
+                if flat is not None:
+                    flat[...] = np.concatenate([_rows(t) for t in payload])
+                    endpoint.commit_packed_response()
+                    continue
+            endpoint.send("ok", [_rows(t) for t in payload])
+    finally:
+        endpoint.close()
+
+
+def _serve(request_bytes, response_bytes):
+    transport = WorkerTransport(multiprocessing, request_bytes, response_bytes)
+    thread = threading.Thread(
+        target=_echo_serve, args=(transport.endpoint(),), daemon=True
+    )
+    thread.start()
+    return transport, thread
+
+
+def _shutdown(transport, thread):
+    """Close handshake first, so the serving thread never blocks on a pipe
+    end that ``transport.close()`` shuts under it."""
+    transport.send("close", None)
+    assert transport.recv() == ("ok", None)
+    thread.join(10)
+    assert not thread.is_alive()
+    transport.close()
+
+
+def _call(transport, op, payload):
+    transport.send(op, payload)
+    assert transport.poll(60)
+    status, value = transport.recv()
+    assert status == "ok"
+    return value
+
+
+TOKENS = [np.arange(6, dtype=np.int64), np.arange(11, dtype=np.int64)]
+
+
+@CAPACITIES
+def test_echo_roundtrip(ring_bytes):
+    transport, thread = _serve(ring_bytes, ring_bytes)
+    try:
+        assert len(transport.shm_names()) == (2 if ring_bytes else 0)
+        for op in ("echo", "echo_packed"):
+            value = _call(transport, op, TOKENS)
+            assert all(
+                v.dtype == np.float64 and np.array_equal(v, _rows(t))
+                for v, t in zip(value, TOKENS)
+            )
+        matrix = _call(transport, "echo_matrix", TOKENS)
+        assert np.array_equal(matrix, np.stack([_rows(t)[0] for t in TOKENS]))
+        on_ring = 3 if ring_bytes else 0
+        assert transport.stats["ring_requests"] == on_ring
+        assert transport.stats["ring_responses"] == on_ring
+        assert transport.stats["pipe_requests"] == 3 - on_ring
+        assert transport.stats["pipe_responses"] == 3 - on_ring
+    finally:
+        _shutdown(transport, thread)
 
 
 def test_shm_ring_capacity_fallback_still_serves():
     # Rings too small for any payload: every message must degrade to the
     # pickle pipe and still round-trip correctly.
-    transport, process = _spawn_echo("shm_ring", request_bytes=8, response_bytes=8)
+    transport, thread = _serve(8, 8)
     try:
-        tokens = [np.arange(6, dtype=np.int64)]
-        transport.send("echo", tokens)
-        assert transport.poll(60)
-        status, value = transport.recv()
-        assert status == "ok" and value[0].shape == (6, HIDDEN)
+        value = _call(transport, "echo_packed", TOKENS[:1])
+        assert np.array_equal(value[0], _rows(TOKENS[0]))
         assert transport.stats["ring_requests"] == 0
         assert transport.stats["pipe_requests"] == 1
-        assert transport.slots_in_use == 0
     finally:
-        _shutdown_echo(transport, process)
+        _shutdown(transport, thread)
 
 
-def test_shm_ring_response_fallback_when_only_response_overflows():
-    # Request fits its ring but the serving-shaped response does not: the
-    # worker must fall back to the pipe for the reply alone.
-    transport, process = _spawn_echo(
-        "shm_ring", request_bytes=1 << 16, response_bytes=8
-    )
+@pytest.mark.parametrize("response_bytes", [8, 0])
+def test_shm_ring_response_fallback_when_only_response_overflows(response_bytes):
+    # Request fits its ring but the serving-shaped response does not (or
+    # has no ring at all): the reply alone must take the pipe.
+    transport, thread = _serve(1 << 16, response_bytes)
     try:
-        tokens = [np.arange(6, dtype=np.int64)]
-        transport.send("echo", tokens)
-        assert transport.poll(60)
-        status, value = transport.recv()
-        assert status == "ok" and value[0].shape == (6, HIDDEN)
-        assert transport.stats["ring_requests"] == 1
+        for op in ("echo", "echo_packed"):
+            value = _call(transport, op, TOKENS[:1])
+            assert np.array_equal(value[0], _rows(TOKENS[0]))
+        assert transport.stats["ring_requests"] == 2
         assert transport.stats["ring_responses"] == 0
-        assert transport.slots_in_use == 0
+        assert transport.stats["pipe_responses"] == 2
     finally:
-        _shutdown_echo(transport, process)
+        _shutdown(transport, thread)
 
 
-def test_timeout_release_frees_ring_slot():
-    # A timed-out request (the caller will poison the channel) must not
-    # leave the ring slot marked in use.
-    transport, process = _spawn_echo("shm_ring")
+def test_shm_ring_request_fallback_when_only_request_overflows():
+    # The request has to take the pipe, so there is no seq to stamp a ring
+    # response with: the reply takes the pipe too, roomy response ring or not.
+    transport, thread = _serve(8, 1 << 16)
     try:
-        transport.send("echo_slow", [np.arange(4, dtype=np.int64)])
-        assert transport.slots_in_use == 1
-        assert not transport.poll(0.05)
-        transport.release()
-        assert transport.slots_in_use == 0
+        value = _call(transport, "echo_packed", TOKENS[:1])
+        assert np.array_equal(value[0], _rows(TOKENS[0]))
+        assert transport.stats["ring_requests"] == 0
+        assert transport.stats["ring_responses"] == 0
     finally:
-        process.terminate()  # poisoned channel: put the worker down
-        process.join(10)
-        transport.close()
+        _shutdown(transport, thread)
 
 
-def test_worker_death_surfaces_as_eof_and_slot_release():
-    transport, process = _spawn_echo("shm_ring")
-    names = transport.shm_names()
-    assert len(names) == 2
+def test_corrupt_response_frame_drops_the_rings_and_keeps_serving():
+    # What ShardedPool's chaos scenario shows end to end, on the channel
+    # alone: a bad frame raises, the rings are unlinked, the pipe serves on.
+    transport, thread = _serve(1 << 16, 1 << 16)
     try:
-        process.kill()
-        process.join(10)
-        # The dead peer surfaces as EPIPE on send or EOF on recv — exactly
-        # what the shard client maps to WorkerDiedError before releasing.
-        with pytest.raises((BrokenPipeError, EOFError, OSError)):
-            transport.send("echo", [np.arange(4, dtype=np.int64)])
-            assert transport.poll(60)  # EOF wakes the poll
-            while True:  # drain anything buffered, then hit the EOF
-                transport.recv()
-        transport.release()
-        assert transport.slots_in_use == 0
-    finally:
-        transport.close()
-    # close() unlinked both rings even though the worker died.
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_send_after_close_raises_transport_error(kind):
-    # Both transports must refuse traffic symmetrically once closed —
-    # a closed channel is a programming error, not a worker fault.
-    transport, process = _spawn_echo(kind)
-    try:
-        transport.send("echo", [np.arange(3, dtype=np.int64)])
+        transport.send("echo", TOKENS)
         assert transport.poll(60)
-        status, _ = transport.recv()
-        assert status == "ok"
+        transport._response_ring.corrupt_payload(salt=200)
+        with pytest.raises(TransportIntegrityError, match="checksum"):
+            transport.recv()
+        assert transport.degraded and transport.shm_names() == []
+        assert transport.stats["integrity_failures"] == 1
+        value = _call(transport, "echo_packed", TOKENS)
+        assert np.array_equal(value[1], _rows(TOKENS[1]))
+        assert transport.stats["pipe_requests"] == 1
+        assert transport.stats["pipe_responses"] == 1
     finally:
-        _shutdown_echo(transport, process)
+        _shutdown(transport, thread)
+
+
+@CAPACITIES
+def test_send_after_close_raises_transport_error(ring_bytes):
+    # A closed channel is a programming error, not a worker fault.
+    transport, thread = _serve(ring_bytes, ring_bytes)
+    try:
+        _call(transport, "echo", TOKENS[:1])
+    finally:
+        _shutdown(transport, thread)
     with pytest.raises(TransportError, match="closed"):
-        transport.send("echo", [np.arange(3, dtype=np.int64)])
+        transport.send("echo", TOKENS[:1])
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_close_is_idempotent_and_release_after_close_is_noop(kind):
-    transport, process = _spawn_echo(kind)
-    _shutdown_echo(transport, process)
+@CAPACITIES
+def test_close_is_idempotent(ring_bytes):
+    transport, thread = _serve(ring_bytes, ring_bytes)
+    _shutdown(transport, thread)
     transport.close()  # second close: no-op
-    transport.release()  # slot hygiene after close: no-op, no raise
-    assert transport.slots_in_use == 0
+    assert transport.shm_names() == []
