@@ -9,9 +9,10 @@ exits non-zero if any row violates the parity contract.  The contract is
 approximation, so ``max_abs_diff`` must print as exactly zero.
 
 After the table it prints the packed int8 GEMM alone in GOP/s, per encoder
-projection shape and per micro-kernel tier the host can run (the figures
-ROADMAP's performance snapshot quotes); those rows are information, not a
-gate.
+projection shape and per micro-kernel tier the host can run, then the numpy
+kernel's LUT operators in ms and ns/element at two BERT-base block shapes
+(the figures ROADMAP's performance snapshot quotes); those rows are
+information, not a gate.
 """
 
 from __future__ import annotations
@@ -240,6 +241,16 @@ def build_rows(registry: LutRegistry) -> list:
     return rows
 
 
+def best_seconds(call, repeats: int) -> float:
+    """Fastest of ``repeats`` timed calls; the first warms the caches."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def gemm_int8_gops(native) -> dict:
     """GOP/s of the packed int8 GEMM alone: ``{"m x k x n": {tier: GOP/s}}``.
 
@@ -259,12 +270,65 @@ def gemm_int8_gops(native) -> dict:
         )
         rates = out[f"{rows}x{k}x{n}"] = {}
         for tier in range(native.gemm_impl, 0, -1):
-            best = float("inf")
-            for _ in range(4):  # best of four; the first warms the caches
-                start = time.perf_counter()
-                native.gemm_int8(a_q, packed, tier=tier)
-                best = min(best, time.perf_counter() - start)
+            best = best_seconds(lambda: native.gemm_int8(a_q, packed, tier=tier), 4)
             rates[GEMM_TIER_NAMES[tier]] = 2.0 * rows * k * n / 1e9 / best
+    return out
+
+
+def numpy_lut_timings(registry: LutRegistry) -> dict:
+    """The numpy kernel's LUT operators: ``{"4xT": {op: (ms, ns/element)}}``.
+
+    float32, BERT-base geometry, blocks of 4 sequences x 48 and x 128 tokens:
+    the flat table look-up and bias+GELU on the FFN intermediate, softmax on
+    the 12-head score tensor, LayerNorm on the hidden state.  Best of seven.
+    """
+    rng = np.random.default_rng(29)
+    hidden, inter, heads = 768, 3072, 12
+    table = registry.lut("gelu", num_entries=16)
+    gelu_op = LutGelu(table)
+    softmax_op = LutSoftmax(
+        registry.lut("exp", num_entries=16),
+        registry.lut("reciprocal", num_entries=16),
+    )
+    layernorm_op = LutLayerNorm(
+        registry.lut("rsqrt", num_entries=16), scaler=InputScaler()
+    )
+    bias = rng.normal(size=inter).astype(np.float32)
+    gamma = rng.normal(1.0, 0.1, size=hidden).astype(np.float32)
+    beta = rng.normal(0.0, 0.1, size=hidden).astype(np.float32)
+
+    def best_ms(call) -> float:
+        return best_seconds(call, 7) * 1e3
+
+    out: dict = {}
+    for length in (48, 128):
+        ffn = rng.normal(scale=2.0, size=(4, length, inter)).astype(np.float32)
+        scores = rng.normal(scale=2.0, size=(4, heads, length, length)).astype(
+            np.float32
+        )
+        state = rng.normal(size=(4, length, hidden)).astype(np.float32)
+        timings = {
+            "evaluate": (ffn.size, best_ms(lambda: table.evaluate(ffn))),
+            # lut_gelu_bias clobbers its input: time it on a copy, less the copy
+            "bias+gelu": (
+                ffn.size,
+                best_ms(lambda: NUMPY_KERNEL.lut_gelu_bias(gelu_op, ffn.copy(), bias))
+                - best_ms(ffn.copy),
+            ),
+            "softmax": (
+                scores.size,
+                best_ms(lambda: NUMPY_KERNEL.lut_softmax(softmax_op, scores, -1)),
+            ),
+            "layernorm": (
+                state.size,
+                best_ms(
+                    lambda: NUMPY_KERNEL.lut_layernorm(layernorm_op, state, gamma, beta)
+                ),
+            ),
+        }
+        out[f"4x{length}"] = {
+            op: (ms, ms * 1e6 / size) for op, (size, ms) in timings.items()
+        }
     return out
 
 
@@ -275,7 +339,8 @@ def main() -> int:
             "nothing to compare — the engine runs on the numpy kernel"
         )
         return 0
-    rows = build_rows(LutRegistry(training_config=TRAINING_CONFIG))
+    registry = LutRegistry(training_config=TRAINING_CONFIG)
+    rows = build_rows(registry)
     info = kernel_info()
     tier_label = f"int8 GEMM tier {info['gemm_impl']} = {info['gemm_tier']}"
     if info["gemm_tier_refused"]:
@@ -296,6 +361,11 @@ def main() -> int:
     for shape, tiers in gemm_int8_gops(get_kernel("native")).items():
         rates = ", ".join(f"{tier} {gops:.0f}" for tier, gops in tiers.items())
         print(f"gemm_int8 {shape:<14} GOP/s: {rates}")
+    for shape, ops in numpy_lut_timings(registry).items():
+        cells = ", ".join(
+            f"{op} {ms:.2f} ms ({ns:.1f} ns/el)" for op, (ms, ns) in ops.items()
+        )
+        print(f"numpy LUT ops {shape:<6} fp32: {cells}")
     return 0
 
 

@@ -6,7 +6,12 @@ inner loops live, with two interchangeable implementations:
 * :class:`NumpyKernel` — the reference.  Every method is the *verbatim* op
   sequence the engine ran before the seam existed (extracted from
   ``transformer/layers.py`` and ``core/approximators.py``), so selecting it
-  reproduces the pre-seam numerics bit for bit.
+  reproduces the pre-seam numerics bit for bit.  Its table-driven operators
+  (``lut_eval``, ``lut_gelu`` / ``lut_gelu_bias``, ``lut_softmax``) run that
+  op order per L2-sized block — ``LookupTable.evaluate`` over the flat
+  tensor, the composites over whole rows — so no intermediate the size of
+  the tensor is ever allocated; the bits do not depend on the blocking.
+  ``lut_layernorm`` is one block: its working set already sits in L2.
 * :class:`NativeKernel` — a compiled fast path.  A small C file
   (``kernels_native.c``) is compiled on first use with whatever C compiler
   the host has (``cc -O3 -march=native -ffp-contract=off``), cached by
@@ -248,7 +253,11 @@ class ComputeKernel:
 
 
 class NumpyKernel(ComputeKernel):
-    """Reference kernel: the engine's original numpy op sequences, verbatim."""
+    """Reference kernel: the engine's original numpy op sequences, verbatim.
+
+    The table-driven operators run that op order per L2-sized row block (see
+    the module docstring); the bits do not depend on the blocking.
+    """
 
     name = "numpy"
 
@@ -312,8 +321,7 @@ class NumpyKernel(ComputeKernel):
         return _gelu_forward(op, _as_float(np.asarray(x)))
 
     def lut_gelu_bias(self, op, x, bias):
-        x += bias
-        return _gelu_forward(op, x)
+        return _gelu_forward(op, x, bias)
 
     def lut_softmax(self, op, x, axis):
         return _softmax_forward(op, _as_float(np.asarray(x)), axis)

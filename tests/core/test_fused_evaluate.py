@@ -6,13 +6,26 @@ gathers) are replicated inline here as the reference; the fused
 inputs and to within 1e-6 on float32 inputs over the training ranges.
 """
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.exponential_lut import exponential_lut_for
 from repro.baselines.linear_lut import linear_lut_for
-from repro.core import functions
-from repro.core.lut import LookupTable, UniformLookupTable, evaluate_many
+from repro.core import approximators, functions
+from repro.core.approximators import LutGelu, LutSoftmax
+from repro.core.kernels import NUMPY_KERNEL
+from repro.core.lut import (
+    _BLOCK_ELEMENTS,
+    LookupTable,
+    UniformLookupTable,
+    evaluate_many,
+    lut_evaluation_stats,
+    reset_lut_evaluation_stats,
+)
 from repro.core.quantization import (
     quantize_lut_fp16,
     quantize_lut_int32,
@@ -271,6 +284,225 @@ class TestBucketedSearchRobustness:
             intercepts=lut.intercepts.copy(),
         )
         assert np.array_equal(lut.evaluate(x32), fresh.evaluate(x32))
+
+
+def seed_lut_call_as(lut, x):
+    """``seed_lut_call`` in the dtype of ``x``: float32 sees float32 parameters."""
+    if x.dtype == np.float64:
+        return seed_lut_call(lut, x)
+    bp, sl, ic = (
+        a.astype(x.dtype) for a in (lut.breakpoints, lut.slopes, lut.intercepts)
+    )
+    idx = np.searchsorted(bp, x, side="right")
+    return sl[idx] * x + ic[idx]
+
+
+def block_table(kind, rng):
+    if kind == "bucketed":  # jittered grid: gaps stay wide enough for buckets
+        bp = np.linspace(-4.0, 4.0, 15) + rng.uniform(-0.2, 0.2, size=15)
+        return LookupTable(bp, rng.normal(size=16), rng.normal(size=16))
+    if kind == "uniform":
+        return linear_lut_for("gelu", num_entries=16)
+    # a duplicated breakpoint admits no bucket decomposition -> searchsorted
+    bp = np.sort(np.concatenate([rng.normal(size=6), [0.5, 0.5]]))
+    return LookupTable(bp, rng.normal(size=9), rng.normal(size=9))
+
+
+def block_input(lut, rng, size, dtype):
+    """``size`` values with NaN, +-inf and every breakpoint mixed in."""
+    x = rng.uniform(-8.0, 8.0, size=size).astype(dtype)
+    special = np.concatenate(
+        [[np.nan, np.inf, -np.inf], lut._params(np.dtype(dtype))[0]]
+    ).astype(dtype)[:size]
+    x[rng.choice(size, size=special.size, replace=False)] = special
+    return x
+
+
+class TestBlockedEvaluate:
+    """A tensor walked in ``_BLOCK_ELEMENTS`` blocks equals one pass, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from(
+            [0, 1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1,
+             2 * _BLOCK_ELEMENTS + 3]
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        kind=st.sampled_from(["bucketed", "searchsorted", "uniform"]),
+        strided=st.booleans(),
+        out_mode=st.sampled_from(["none", "alias", "disjoint"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_seed(self, seed, size, dtype, kind, strided, out_mode):
+        rng = np.random.default_rng(seed)
+        lut = block_table(kind, rng)
+        assert (lut._bucket_tables(np.dtype(dtype)) is None) == (kind == "searchsorted")
+        values = block_input(lut, rng, size, dtype)
+        if strided:
+            backing = np.zeros(2 * size, dtype=dtype)
+            x = backing[::2]
+            x[...] = values
+        else:
+            x = values
+        with np.errstate(invalid="ignore"):  # 0 * inf in a flat segment
+            expected = seed_lut_call_as(lut, values.copy())
+            out = {"none": None, "alias": x, "disjoint": np.empty(size, dtype=dtype)}[
+                out_mode
+            ]
+            got = lut.evaluate(x, out=out)
+        assert got.dtype == dtype
+        if out is not None:
+            assert got is out
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_partially_overlapping_out_is_one_block(self, rng):
+        # Regression: with the store of block k landing on the input of block
+        # k + 1, a plain block loop returns wrong values from the second block on.
+        lut = block_table("bucketed", rng)
+        a = rng.normal(size=2 * _BLOCK_ELEMENTS + 7)
+        expected = seed_lut_call(lut, a[:-1].copy())
+        lut.evaluate(a[:-1], out=a[1:])
+        assert np.array_equal(a[1:], expected)
+        b = rng.normal(size=2 * _BLOCK_ELEMENTS + 7).astype(np.float32)
+        expected = seed_lut_call_as(lut, b[1:].copy())
+        lut.evaluate(b[1:], out=b[:-1])
+        assert np.array_equal(b[:-1], expected)
+
+    def test_one_evaluation_counted_per_call(self, rng):
+        lut = block_table("bucketed", rng)
+        x = rng.normal(size=3 * _BLOCK_ELEMENTS + 1)
+        reset_lut_evaluation_stats()
+        lut.evaluate(x)
+        assert lut_evaluation_stats() == {
+            "evaluations": 1, "noncontiguous_inputs": 0, "contiguous_copies": 0,
+        }
+
+    def test_threads_sharing_a_table_return_single_thread_bits(self, rng):
+        lut = block_table("bucketed", rng)
+        inputs = [
+            rng.normal(size=2 * _BLOCK_ELEMENTS + 5).astype(np.float32) for _ in range(2)
+        ]
+        expected = [lut.evaluate(x) for x in inputs]
+        results = [[] for _ in inputs]
+
+        def work(x, sink):
+            for _ in range(20):
+                sink.append(lut.evaluate(x))
+
+        threads = [
+            threading.Thread(target=work, args=pair) for pair in zip(inputs, results)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for want, got in zip(expected, results):
+            assert len(got) == 20
+            assert all(np.array_equal(want, g) for g in got)
+
+    @pytest.mark.parametrize("precision", ["fp16", "int32"])
+    def test_precision_tables_keep_their_own_evaluate(self, rng, precision):
+        lut = random_table(rng)
+        x = rng.uniform(-5, 5, size=_BLOCK_ELEMENTS + 3)
+        if precision == "fp16":
+            variant, seed_fn = quantize_lut_fp16(lut), seed_fp16_call
+        else:
+            variant = quantize_lut_int32(lut, input_range=(-5, 5))
+            seed_fn = seed_int32_call
+        assert np.array_equal(variant.evaluate(x), seed_fn(variant, x))
+
+
+class TestRowBlockedComposites:
+    """GELU / softmax run per row block equal their single-block bodies."""
+
+    @pytest.fixture()
+    def ops(self, fast_registry):
+        return (
+            LutGelu(fast_registry.lut("gelu", num_entries=16)),
+            LutSoftmax(
+                fast_registry.lut("exp", num_entries=16),
+                fast_registry.lut("reciprocal", num_entries=16),
+            ),
+        )
+
+    @staticmethod
+    def single_block(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(approximators, "_BLOCK_ELEMENTS", 1 << 62)
+            reset_lut_evaluation_stats()
+            result = call()
+            return result, lut_evaluation_stats()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_rows_not_a_multiple_of_the_block(self, ops, rng, monkeypatch, dtype):
+        gelu, _ = ops
+        cols = 100  # 327 rows per block; 700 = 2 * 327 + 46
+        x = rng.uniform(-9, 9, size=(7, 100, cols)).astype(dtype)
+        bias = rng.normal(size=cols).astype(dtype)
+        want, want_stats = self.single_block(monkeypatch, lambda: gelu(x))
+        reset_lut_evaluation_stats()
+        assert np.array_equal(gelu(x), want)
+        assert lut_evaluation_stats() == want_stats
+        # the kernel's fused epilogue: bias added block by block, x clobbered
+        want, _ = self.single_block(
+            monkeypatch, lambda: NUMPY_KERNEL.lut_gelu_bias(gelu, x.copy(), bias)
+        )
+        clobbered = x.copy()
+        assert np.array_equal(NUMPY_KERNEL.lut_gelu_bias(gelu, clobbered, bias), want)
+        assert np.array_equal(clobbered, x + bias)
+        unclipped = LutGelu(gelu.gelu_approx, clip_range=None)
+        want, _ = self.single_block(monkeypatch, lambda: unclipped(x))
+        assert np.array_equal(unclipped(x), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_rows_not_a_multiple_of_the_block(self, ops, rng, monkeypatch, dtype):
+        _, softmax = ops
+        x = rng.normal(scale=3.0, size=(3, 5, 47, 100)).astype(dtype)
+        x[..., 90:] = -1e4  # padding mask
+        x[1, 2, 3, :] = -1e4  # a fully masked row
+        want, want_stats = self.single_block(monkeypatch, lambda: softmax(x))
+        reset_lut_evaluation_stats()
+        got = softmax(x)
+        assert lut_evaluation_stats() == want_stats
+        assert want_stats["evaluations"] == 2  # exp + reciprocal, not per block
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[1, 2, 3], np.full(100, got[1, 2, 3, 0]))
+        if dtype == np.float64:
+            from test_seed_operators import seed_softmax
+
+            assert np.array_equal(
+                got, seed_softmax(softmax.exp_approx, softmax.reciprocal_approx, x)
+            )
+
+    def test_one_block_shapes(self, ops, rng):
+        from test_seed_operators import seed_gelu, seed_softmax
+
+        gelu, softmax = ops
+        tall = rng.normal(scale=3.0, size=(700, 100))
+        assert np.array_equal(
+            softmax(tall, axis=0),
+            seed_softmax(softmax.exp_approx, softmax.reciprocal_approx, tall, axis=0),
+        )
+        flat = rng.uniform(-9, 9, size=2 * _BLOCK_ELEMENTS + 3)
+        assert np.array_equal(gelu(flat), seed_gelu(gelu.gelu_approx, flat))
+        assert np.array_equal(
+            softmax(flat),
+            seed_softmax(softmax.exp_approx, softmax.reciprocal_approx, flat),
+        )
+        strided = rng.uniform(-9, 9, size=(700, 200))[:, ::2]
+        assert np.array_equal(gelu(strided), seed_gelu(gelu.gelu_approx, strided))
+
+    def test_plain_callable_approximator_is_one_block(self, rng):
+        # An approximator without the fused evaluate(x, out=) may return a
+        # buffer of its own (here float64 for float32 input): never blocked.
+        gelu = LutGelu(approximators.ExactScalar(functions.gelu))
+        x = rng.uniform(-9, 9, size=(700, 100)).astype(np.float32)
+        got = gelu(x)
+        assert got.dtype == np.float64
+        inside = np.clip(x, -5.0, 5.0)
+        want = np.where(x > 5.0, x, functions.gelu(inside.astype(np.float64)))
+        assert np.array_equal(got, np.where(x < -5.0, 0.0, want))
 
 
 class TestEvaluateMany:
