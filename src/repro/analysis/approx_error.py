@@ -94,8 +94,8 @@ def operator_error_curve(
 ) -> OperatorErrorCurve:
     """Error curve for ``operator`` in {"gelu", "softmax", "layernorm"}.
 
-    ``approximators`` maps primitive names to scalar approximators, exactly as
-    accepted by :func:`repro.transformer.backend_from_luts`.
+    ``approximators`` maps primitive names (``"gelu"``, ``"exp"``,
+    ``"reciprocal"``, ``"rsqrt"``) to scalar approximators.
     """
     if operator == "gelu":
         grid, reference, approximation = _gelu_curve(approximators, num_points)

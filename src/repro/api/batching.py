@@ -50,27 +50,30 @@ class MicroBatch:
     mask: np.ndarray | None
 
 
-def _normalise_requests(
-    requests: Sequence[np.ndarray], max_length: int | None
-) -> List[np.ndarray]:
-    sequences: List[np.ndarray] = []
-    for i, request in enumerate(requests):
-        tokens = np.asarray(request)
-        if tokens.ndim != 1:
-            raise ValueError(
-                f"request {i} must be a 1-D token id sequence, got shape {tokens.shape}"
-            )
-        if tokens.size == 0:
-            raise ValueError(f"request {i} is empty")
-        if not np.issubdtype(tokens.dtype, np.integer):
-            raise ValueError(f"request {i} must contain integer token ids, got {tokens.dtype}")
-        if max_length is not None and tokens.size > max_length:
-            raise ValueError(
-                f"request {i} has length {tokens.size}, exceeding the model's "
-                f"maximum sequence length {max_length}"
-            )
-        sequences.append(tokens)
-    return sequences
+def _validate_request(
+    request: np.ndarray, max_length: int | None, index: int | None = None
+) -> np.ndarray:
+    """The request contract: 1-D, non-empty, integer, within the model.
+
+    The one validator — ``iter_batches`` and the serving queue's admission
+    both reject a malformed request here (``index`` names it in a list).
+    """
+    tokens = np.asarray(request)
+    if tokens.ndim != 1:
+        problem = f"must be a 1-D token id sequence, got shape {tokens.shape}"
+    elif tokens.size == 0:
+        problem = "is empty"
+    elif not np.issubdtype(tokens.dtype, np.integer):
+        problem = f"must contain integer token ids, got {tokens.dtype}"
+    elif max_length is not None and tokens.size > max_length:
+        problem = (
+            f"has length {tokens.size}, exceeding the model's maximum "
+            f"sequence length {max_length}"
+        )
+    else:
+        return tokens
+    label = "request" if index is None else f"request {index}"
+    raise ValueError(f"{label} {problem}")
 
 
 class RequestBatcher:
@@ -205,7 +208,10 @@ class RequestBatcher:
         pulled (the serving hot path consumes batches immediately and opts
         in to this).
         """
-        sequences = _normalise_requests(requests, max_length)
+        sequences = [
+            _validate_request(request, max_length, i)
+            for i, request in enumerate(requests)
+        ]
         for padded_length, indices in self.plan([s.size for s in sequences], max_length):
             rows = len(indices)
             lengths = tuple(sequences[i].size for i in indices)

@@ -61,7 +61,7 @@ __all__ = [
 CRASH_EXIT_CODE = 23
 
 #: Worker ops that count as "a request" for worker-side fault counters.
-_WORKER_OPS = ("forward", "pooled")
+_WORKER_OPS = ("forward",)
 
 
 class InjectedFaultError(RuntimeError):

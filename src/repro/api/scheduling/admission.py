@@ -28,6 +28,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..batching import _validate_request
+
 __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
@@ -142,23 +144,10 @@ class AdmissionController:
         max_sequence_length: int,
         deadline_ms: float | None,
     ) -> np.ndarray:
-        """The request contract: 1-D, non-empty, integer, within the model."""
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError(
-                f"a request must be a non-empty 1-D token id sequence, "
-                f"got shape {tokens.shape}"
-            )
-        if not np.issubdtype(tokens.dtype, np.integer):
-            raise ValueError(f"token ids must be integers, got {tokens.dtype}")
-        if tokens.size > max_sequence_length:
-            raise ValueError(
-                f"request length {tokens.size} exceeds the model's maximum "
-                f"sequence length {max_sequence_length}"
-            )
+        """The one request contract plus the queue's own deadline check."""
         if deadline_ms is not None and deadline_ms < 0:
             raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
-        return tokens
+        return _validate_request(tokens, max_sequence_length)
 
     # -- backlog accounting (call with the fleet lock held) ------------ #
     def admit(self) -> None:

@@ -1,13 +1,13 @@
-"""Batch formation: the coalescing-window and length-grouping policy.
+"""Batch formation: the coalescing-window policy over the one grouping rule.
 
-Extracted verbatim from the pre-refactor ``ServingQueue``: a window of
-pending requests is grouped by *bucketed* length with the same stable
-rule as :class:`~repro.api.batching.RequestBatcher` (requests of equal
-bucketed length stay in arrival order) and chunked to ``max_batch_size``
-rows — which is exactly what preserves the exact-length float64 parity
-guarantee through queued serving.  The window timing policy lives here
-too: a window closes ``max_wait_s`` after its *oldest* request, or early
-once the fleet is saturated (every live replica has a full batch
+A window of pending requests is grouped by
+:meth:`RequestBatcher.plan <repro.api.batching.RequestBatcher.plan>` —
+the single definition of "which requests share a batch" (stable by
+bucketed length, chunked to ``max_batch_size`` rows), and so the single
+place the exact-length float64 parity guarantee is decided for direct,
+pooled and queued serving alike.  What lives here is the window timing
+policy: a window closes ``max_wait_s`` after its *oldest* request, or
+early once the fleet is saturated (every live replica has a full batch
 waiting).
 
 The former is pure: it never touches a lock or a clock of its own, so
@@ -17,8 +17,9 @@ freely under the scheduler lock.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
+from ..batching import RequestBatcher
 from .admission import Pending
 
 __all__ = ["BatchFormer"]
@@ -47,8 +48,7 @@ class BatchFormer:
         max_sequence_length: int,
         max_wait_s: float,
     ) -> None:
-        self.max_batch_size = int(max_batch_size)
-        self.bucket_size = int(bucket_size)
+        self._batcher = RequestBatcher(max_batch_size, bucket_size)
         self.max_sequence_length = int(max_sequence_length)
         self.max_wait_s = float(max_wait_s)
 
@@ -62,27 +62,11 @@ class BatchFormer:
         Closing the window early at this point adds batch density no
         longer — it only adds latency.
         """
-        return pending_count >= self.max_batch_size * max(1, live_replicas)
-
-    def bucketed_length(self, length: int) -> int:
-        bucketed = -(-length // self.bucket_size) * self.bucket_size
-        return min(bucketed, self.max_sequence_length)
+        return pending_count >= self._batcher.max_batch_size * max(1, live_replicas)
 
     def form(self, window: List[Pending]) -> List[List[Pending]]:
-        """Group a coalescing window by bucketed length, chunk to batch size.
-
-        The same stable grouping rule as ``RequestBatcher.plan`` — requests
-        with equal bucketed length stay in arrival order — so queued serving
-        inherits the exact-length parity guarantee.
-        """
-        groups: Dict[int, List[Pending]] = {}
-        for pending in window:
-            groups.setdefault(self.bucketed_length(pending.tokens.size), []).append(
-                pending
-            )
-        batches: List[List[Pending]] = []
-        for length in sorted(groups):
-            group = groups[length]
-            for start in range(0, len(group), self.max_batch_size):
-                batches.append(group[start : start + self.max_batch_size])
-        return batches
+        """The window's requests in ``RequestBatcher.plan``'s groups."""
+        plan = self._batcher.plan(
+            [pending.tokens.size for pending in window], self.max_sequence_length
+        )
+        return [[window[i] for i in indices] for _, indices in plan]

@@ -141,6 +141,16 @@ class StatsBoard:
     """
 
     def __init__(self) -> None:
+        self._zero()
+        self.max_depth_seen = 0
+        self.latencies_ms: Deque[float] = deque(maxlen=8192)
+        self.queue_waits_ms: Deque[float] = deque(maxlen=8192)
+        self.services_ms: Deque[float] = deque(maxlen=8192)
+        self.first_submit_at: float | None = None
+        self.last_done_at: float | None = None
+
+    def _zero(self) -> None:
+        """The window's counters, zeroed (construction and ``reset``)."""
         self.submitted = 0
         self.completed = 0
         self.rejected = 0
@@ -156,12 +166,6 @@ class StatsBoard:
         self.breaker_closes = 0
         self.integrity_failures = 0
         self.expired_in_flight = 0
-        self.max_depth_seen = 0
-        self.latencies_ms: Deque[float] = deque(maxlen=8192)
-        self.queue_waits_ms: Deque[float] = deque(maxlen=8192)
-        self.services_ms: Deque[float] = deque(maxlen=8192)
-        self.first_submit_at: float | None = None
-        self.last_done_at: float | None = None
 
     def note_submitted(self, now: float, backlog: int) -> None:
         self.submitted += 1
@@ -186,21 +190,7 @@ class StatsBoard:
 
     def reset(self, backlog: int, now: float) -> None:
         """Zero the window (see ``ServingQueue.reset_stats`` for semantics)."""
-        self.submitted = 0
-        self.completed = 0
-        self.rejected = 0
-        self.expired = 0
-        self.failed = 0
-        self.batches = 0
-        self.batched_rows = 0
-        self.replicas_added = 0
-        self.replicas_retired = 0
-        self.retry_attempts = 0
-        self.retried_requests = 0
-        self.breaker_opens = 0
-        self.breaker_closes = 0
-        self.integrity_failures = 0
-        self.expired_in_flight = 0
+        self._zero()
         self.latencies_ms.clear()
         self.queue_waits_ms.clear()
         self.services_ms.clear()

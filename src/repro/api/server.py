@@ -1,9 +1,7 @@
 """Concurrent serving: replica pools and the batch-coalescing facade.
 
-The ROADMAP's open perf item says the FP32 engine is matmul-bound — the next
-win is *batched multi-sequence scheduling*, not more LUT fusion.  This module
-supplies it, one layer above :class:`~repro.api.session.InferenceSession`
-(the seam PR 2 left for exactly this):
+Batched multi-sequence scheduling, one layer above
+:class:`~repro.api.session.InferenceSession`:
 
 * :class:`SessionPool` — N replica sessions over **one** shared frozen
   encoder.  ``InferenceSession`` construction makes every subsequent forward
@@ -65,7 +63,7 @@ from .scheduling.admission import (
     ServingFuture,
 )
 from .scheduling.autoscaler import Autoscaler, AutoscalerConfig
-from .scheduling.fleet import FleetManager, _per_future_error  # noqa: F401
+from .scheduling.fleet import FleetManager
 from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
 from .scheduling.routing import Router, create_router
@@ -96,19 +94,21 @@ class ReplicaPool:
     against.  A concrete pool provides
 
     * ``sessions`` — one serving handle per replica, each exposing
-      ``forward(requests) -> list`` and ``pooled(requests)``.  For
+      ``forward(requests, budgets_s) -> list`` (the one hot-path op; plus
+      ``apply_lut_overrides`` for calibration broadcasts).  For
       :class:`SessionPool` these are in-process
       :class:`~repro.api.session.InferenceSession`\\ s; for
       :class:`~repro.api.sharding.ShardedPool` they are proxies to worker
       *processes*.
     * ``_template`` — a local :class:`InferenceSession` describing the pool
       (its pure ``RequestBatcher.plan`` drives the deterministic sharding;
-      its model supplies shapes/dtypes).
+      its model supplies shapes/dtypes and the pooler).
     * ``config`` / ``spec`` — the serializable session/backend description.
 
-    ``forward``/``pooled``/``classify`` shard micro-batches deterministically
-    (batch ``j`` -> replica ``j % N``) and are implemented once here, so every
-    pool — threaded or multi-process — serves identically.
+    ``forward`` shards micro-batches deterministically (batch ``j`` ->
+    replica ``j % N``); ``pooled``/``classify`` pool the rows ``forward``
+    returned on the caller's side.  All three are implemented once here, so
+    every pool — threaded or multi-process — serves identically.
 
     Pools that support *live membership* additionally implement
     :meth:`spawn_replica`/:meth:`retire_replica`; the scheduling package's
@@ -116,7 +116,7 @@ class ReplicaPool:
     hooks.
     """
 
-    #: Replica serving handles (``forward``/``pooled`` duck type).
+    #: Replica serving handles (``forward`` duck type).
     sessions: List
     #: Local session describing the pool (planner + model metadata).
     _template: InferenceSession
@@ -188,10 +188,13 @@ class ReplicaPool:
             shards[j % len(sessions)].append(indices)
         return shards
 
-    def _serve_sharded(self, requests: Sequence[np.ndarray], serve) -> List:
-        """Run ``serve(session, sub_requests) -> list`` per shard, threaded.
+    def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Hidden states per request, served across the replicas.
 
-        Results come back in request order regardless of sharding.
+        Each replica runs ``session.forward`` over its shard's micro-batches
+        on its own thread; results come back in request order regardless of
+        sharding.  Bitwise-equal to :meth:`InferenceSession.forward` on the
+        float engines with exact-length bucketing (see the module docstring).
         """
         requests = [np.asarray(r) for r in requests]
         outputs: List = [None] * len(requests)
@@ -202,7 +205,7 @@ class ReplicaPool:
             session = self.sessions[replica]
             try:
                 for indices in shards[replica]:
-                    results = serve(session, [requests[i] for i in indices])
+                    results = session.forward([requests[i] for i in indices])
                     for index, result in zip(indices, results):
                         outputs[index] = result
             except BaseException as exc:  # surface worker failures to caller
@@ -225,21 +228,15 @@ class ReplicaPool:
             raise errors[0]
         return outputs
 
-    def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Hidden states per request, served across the replicas.
-
-        Bitwise-equal to :meth:`InferenceSession.forward` on the float
-        engines with exact-length bucketing (see the module docstring).
-        """
-        return self._serve_sharded(
-            requests, lambda session, sub: session.forward(sub)
-        )
-
     def pooled(self, requests: Sequence[np.ndarray]) -> np.ndarray:
-        """First-token (``[CLS]``) representations, shape ``(n, hidden)``."""
-        rows = self._serve_sharded(
-            requests, lambda session, sub: list(session.pooled(sub))
-        )
+        """First-token (``[CLS]``) representations, shape ``(n, hidden)``.
+
+        Replica handles speak ``forward`` only; the (cheap) tanh pooler runs
+        here, per sequence over the rows ``forward`` returned — the same
+        composition as :meth:`InferenceSession.pooled`, so the same bits.
+        """
+        pool_hidden = self.model.pool_hidden
+        rows = [pool_hidden(hidden[None])[0] for hidden in self.forward(requests)]
         if not rows:
             hidden_size = self.model.config.hidden_size
             return np.empty(
@@ -528,12 +525,6 @@ class ServingQueue:
     def autoscaler(self) -> Optional[Autoscaler]:
         """The scaling loop, when constructed with ``autoscale=`` (else None)."""
         return self._autoscaler
-
-    @property
-    def _inflight_batches(self) -> int:
-        # Kept for tests/tools that poll dispatch progress; the counter
-        # itself now lives on the fleet.
-        return self._fleet.inflight_batches
 
     # ------------------------------------------------------------------ #
     # Client surface

@@ -22,8 +22,9 @@ serializability contract:
   (plus any calibrated overrides) by pickle — no worker ever re-fits a
   primitive or re-initialises weights it then throws away;
 * :class:`ShardedPool` extends the :class:`~repro.api.server.ReplicaPool`
-  protocol, so ``forward``/``pooled``/``classify`` shard micro-batches with
-  the same deterministic ``j % N`` rule as the threaded pool and
+  protocol, so ``forward`` shards micro-batches with the same deterministic
+  ``j % N`` rule as the threaded pool (``pooled``/``classify`` pool its rows
+  on the parent — workers serve the one ``forward`` op) and
   :class:`~repro.api.server.ServingQueue` runs on top of it unchanged;
 * requests and results cross the process boundary through one
   :class:`~repro.api.transport.WorkerTransport` per worker; the
@@ -360,8 +361,6 @@ def _worker_main(
                     result = session.forward(
                         requests, [0.0 if gone else None for gone in expired]
                     )
-                elif op == "pooled":
-                    result = session.pooled(payload)
                 elif op == "apply_lut_overrides":
                     session.apply_lut_overrides(payload)
                     result = None
@@ -378,8 +377,8 @@ def _worker_main(
 class _ShardClient:
     """Parent-side handle to one worker replica.
 
-    Duck-types the serving half of :class:`InferenceSession` (``forward`` /
-    ``pooled`` / ``apply_lut_overrides``), which is exactly what
+    Duck-types the replica-handle half of :class:`InferenceSession`
+    (``forward`` / ``apply_lut_overrides``), which is exactly what
     :class:`~repro.api.server.ReplicaPool` and
     :class:`~repro.api.server.ServingQueue` call on a pool's ``sessions``.
     One request is in flight per worker at a time (guarded by a lock); the
@@ -544,9 +543,6 @@ class _ShardClient:
             )
         return self._call("forward", payload, timeout_s=timeout_s)
 
-    def pooled(self, requests: Sequence[np.ndarray]) -> np.ndarray:
-        return self._call("pooled", [np.asarray(r) for r in requests])
-
     def apply_lut_overrides(self, overrides: Mapping[str, LookupTable]) -> None:
         self._call("apply_lut_overrides", dict(overrides))
 
@@ -665,7 +661,9 @@ class ShardedPool(ReplicaPool):
     as doorbell/control channel and variable-shape fallback.  Sharding pays
     off when forward compute dominates — many rows, real depth — and the
     threaded pool stays preferable for tiny single-request traffic; the ring
-    transport shrinks the boundary tax that trade-off prices.
+    transport shrinks the boundary tax that trade-off prices.  Workers serve
+    ``forward`` only, so ``pooled``/``classify`` ship each request's full
+    hidden rows back and pool them on the parent.
 
     ``ring_bytes`` overrides the per-ring payload capacity (default: sized
     for a full ``max_batch_size`` batch of maximum-length sequences, so the
@@ -843,13 +841,13 @@ class ShardedPool(ReplicaPool):
             deadline_grace_s=self._deadline_grace_s,
         )
 
-    def _serve_sharded(self, requests: Sequence[np.ndarray], serve) -> List:
+    def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
         if self._closed:
             raise RuntimeError(
                 "ShardedPool is closed; its workers and shared-memory "
                 "weights are gone"
             )
-        return super()._serve_sharded(requests, serve)
+        return super().forward(requests)
 
     # ------------------------------------------------------------------ #
     # Calibration: re-fit on the parent, broadcast to every worker

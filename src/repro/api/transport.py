@@ -8,14 +8,14 @@ first-order serving cost.  One channel crosses it:
   (``send``/``poll``/``recv``/``close``), paired with the picklable
   :class:`WorkerEndpoint` the worker process serves from.  Control traffic
   (init handshake, calibration broadcast, close) and hot-path traffic
-  (``forward``/``pooled`` batches and their results) both flow through it.
+  (``forward`` batches and their results) both flow through it.
 * A duplex ``multiprocessing.Pipe`` always exists: it pickles whatever it is
   given, and it is the liveness signal — a dead worker's end-of-file wakes
   any blocking ``poll``, which is what lets the client wait without a busy
   loop.
 * A request and a response :class:`_ShmRing` exist when their byte capacity
-  is > 0.  Payloads that match the serving shapes (ragged token-id batches
-  in, ragged hidden-state rows or a pooled matrix out) are packed into these
+  is > 0.  Payloads that match the serving shape — ragged rows: token-id
+  batches in, hidden-state row blocks out — are packed into these
   preallocated ``multiprocessing.shared_memory`` blocks behind a fixed int64
   dtype/shape header, and the pipe carries only a tiny doorbell.  Anything a
   ring cannot describe or hold — control dicts, oversized batches, every
@@ -72,18 +72,17 @@ class TransportIntegrityError(TransportError):
 _SHM_TAG = "__shm__"
 
 #: Ring header: int64[16] at the start of each block.
-#: [0] seq  [1] kind  [2] n (ragged items / array ndim)  [3] dtype code
-#: [4] trailing dim (ragged rows; 0 = 1-D items)  [5..12] array shape
+#: [0] seq  [1] kind (always ``_KIND_RAGGED``; anything else is corruption)
+#: [2] n (ragged items)  [3] dtype code
+#: [4] trailing dim (ragged rows; 0 = 1-D items)  [5..12] unused
 #: [13] CRC32 of slots 1-12 and the payload bytes they describe (sealed at
 #: encode time, verified at decode time — see
 #: :class:`TransportIntegrityError`); slot 0 has its own check in ``decode``.
 _HEADER_SLOTS = 16
 _HEADER_BYTES = _HEADER_SLOTS * 8
-_MAX_ARRAY_NDIM = 8
 _CRC_SLOT = 13
 
 _KIND_RAGGED = 1
-_KIND_ARRAY = 2
 
 #: numpy dtypes the fixed-shape header can describe; anything else falls
 #: back to the pickle pipe.
@@ -139,8 +138,8 @@ class _ShmRing:
     each direction needs exactly one slot; the request/response ring pair
     plus doorbell sequence numbers over the pipe make the buffers safe to
     reuse call after call.  Layout: an int64[16] header (see module
-    constants), then for ragged messages ``int64[n]`` lengths, then the
-    concatenated payload elements.
+    constants), then ``int64[n]`` lengths, then the concatenated payload
+    elements.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
@@ -182,35 +181,20 @@ class _ShmRing:
         """Payload bytes the header claims follow it, or ``-1`` when the
         header itself is implausible (corrupt shape/length fields would
         otherwise send the checksum — or the decode — out of bounds)."""
-        kind = int(header[1])
         dtype = _CODE_DTYPES.get(int(header[3]))
-        if dtype is None:
+        if int(header[1]) != _KIND_RAGGED or dtype is None:
             return -1
-        if kind == _KIND_RAGGED:
-            n = int(header[2])
-            trailing = int(header[4])
-            if n < 1 or trailing < 0 or n * 8 > self.payload_capacity:
-                return -1
-            total = 0
-            for value in self._view(n, np.dtype(np.int64), 0):
-                length = int(value)
-                if length < 0:
-                    return -1
-                total += length
-            nbytes = n * 8 + total * max(1, trailing) * dtype.itemsize
-        elif kind == _KIND_ARRAY:
-            ndim = int(header[2])
-            if ndim < 0 or ndim > _MAX_ARRAY_NDIM:
-                return -1
-            count = 1
-            for axis in range(ndim):
-                extent = int(header[5 + axis])
-                if extent < 0:
-                    return -1
-                count *= extent
-            nbytes = count * dtype.itemsize
-        else:
+        n = int(header[2])
+        trailing = int(header[4])
+        if n < 1 or trailing < 0 or n * 8 > self.payload_capacity:
             return -1
+        total = 0
+        for value in self._view(n, np.dtype(np.int64), 0):
+            length = int(value)
+            if length < 0:
+                return -1
+            total += length
+        nbytes = n * 8 + total * max(1, trailing) * dtype.itemsize
         return nbytes if nbytes <= self.payload_capacity else -1
 
     def _frame_crc(self, header: np.ndarray, nbytes: int) -> int:
@@ -266,39 +250,20 @@ class _ShmRing:
         """Pack ``payload`` into the ring if its shape/dtype/size allow.
 
         Returns ``False`` (ring untouched as far as the reader is concerned)
-        when the payload is not one of the supported message kinds or does
-        not fit the preallocated capacity — the caller then falls back to
-        the pickle pipe.
+        when the payload is not a ragged batch (see :func:`_ragged_spec`) or
+        does not fit the preallocated capacity — the caller then falls back
+        to the pickle pipe.
         """
         spec = _ragged_spec(payload)
-        if spec is not None:
-            dtype, trailing, lengths = spec
-            flat = self.reserve_ragged(lengths, trailing, dtype, seq)
-            if flat is None:
-                return False
-            RequestBatcher.pack_ragged(payload, flat)  # type: ignore[arg-type]
-            self.seal()
-            return True
-        if isinstance(payload, np.ndarray):
-            if (
-                payload.dtype.str not in _DTYPE_CODES
-                or payload.ndim > _MAX_ARRAY_NDIM
-                or payload.nbytes > self.payload_capacity
-            ):
-                return False
-            header = self._header()
-            header[0] = seq
-            header[1] = _KIND_ARRAY
-            header[2] = payload.ndim
-            header[3] = _DTYPE_CODES[payload.dtype.str]
-            header[4] = 0
-            for axis in range(payload.ndim):
-                header[5 + axis] = payload.shape[axis]
-            flat = self._view(payload.size, payload.dtype, 0)
-            flat.reshape(payload.shape if payload.ndim else (1,))[...] = payload
-            self.seal()
-            return True
-        return False
+        if spec is None:
+            return False
+        dtype, trailing, lengths = spec
+        flat = self.reserve_ragged(lengths, trailing, dtype, seq)
+        if flat is None:
+            return False
+        RequestBatcher.pack_ragged(payload, flat)  # type: ignore[arg-type]
+        self.seal()
+        return True
 
     def reserve_ragged(
         self,
@@ -349,35 +314,21 @@ class _ShmRing:
                 f"shared-memory ring message is stamped seq {int(header[0])}, "
                 f"expected {expected_seq}; the channel is out of sync"
             )
-        self.verify()
-        kind = int(header[1])
-        dtype = _CODE_DTYPES.get(int(header[3]))
-        if dtype is None:
-            raise TransportError(f"unknown ring dtype code {int(header[3])}")
-        if kind == _KIND_RAGGED:
-            n = int(header[2])
-            trailing = int(header[4])
-            lengths = [int(v) for v in self._view(n, np.dtype(np.int64), 0)]
-            elements = sum(lengths) * max(1, trailing)
-            flat = self._view(elements, dtype, n * 8)
-            if trailing:
-                flat = flat.reshape((sum(lengths), trailing))
-            items = RequestBatcher.unpack_ragged(flat, lengths)
-            if copy:
-                return [item.copy() for item in items]
-            for item in items:
-                item.flags.writeable = False
-            return items
-        if kind == _KIND_ARRAY:
-            ndim = int(header[2])
-            shape = tuple(int(header[5 + axis]) for axis in range(ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            view = self._view(count, dtype, 0).reshape(shape)
-            if copy:
-                return view.copy()
-            view.flags.writeable = False
-            return view
-        raise TransportError(f"unknown ring message kind {kind}")
+        self.verify()  # also rejects any kind but ragged and unknown dtypes
+        dtype = _CODE_DTYPES[int(header[3])]
+        n = int(header[2])
+        trailing = int(header[4])
+        lengths = [int(v) for v in self._view(n, np.dtype(np.int64), 0)]
+        elements = sum(lengths) * max(1, trailing)
+        flat = self._view(elements, dtype, n * 8)
+        if trailing:
+            flat = flat.reshape((sum(lengths), trailing))
+        items = RequestBatcher.unpack_ragged(flat, lengths)
+        if copy:
+            return [item.copy() for item in items]
+        for item in items:
+            item.flags.writeable = False
+        return items
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -505,10 +456,10 @@ class WorkerTransport:
 
     One transport instance serves exactly one worker; the shard client holds
     it for the worker's lifetime and serialises calls, so at most one request
-    is outstanding.  Serving-shaped payloads (ragged token batches in; ragged
-    hidden-state rows or one pooled matrix out) are written straight into the
-    request/response ring — a fixed int64 header describing dtype and shape,
-    then the elements — and announced with a tiny doorbell over the pipe.
+    is outstanding.  Serving-shaped payloads (ragged token batches in, ragged
+    hidden-state rows out) are written straight into the request/response
+    ring — a fixed int64 header describing dtype and shape, then the lengths
+    and elements — and announced with a tiny doorbell over the pipe.
     The pipe remains the control channel and the path for everything the
     rings cannot hold: unsupported payloads (calibration dicts), batches
     beyond the preallocated capacity, and every message when a direction's

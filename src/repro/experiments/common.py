@@ -54,7 +54,7 @@ class ExperimentScale:
         }
 
 
-#: Scale used by the benchmark harness and EXPERIMENTS.md numbers.
+#: Scale of a full ``python -m repro.experiments <name>`` run.
 DEFAULT_SCALE = ExperimentScale()
 
 #: Much smaller scale for CI-style smoke runs and unit tests.

@@ -46,8 +46,7 @@ def run_table3(
         registry = default_registry()
     entries = scale.num_lut_entries
     # A shallow (2-layer) span model keeps the frozen-encoder baseline high
-    # (~90 F1), mirroring the paper's fine-tuned MobileBERT baseline; see
-    # EXPERIMENTS.md for the fidelity discussion of this experiment.
+    # (~90 F1), mirroring the paper's fine-tuned MobileBERT baseline.
     model = MobileBertLikeModel.build(seed=scale.model_seed, num_layers=2)
     spec = SquadTaskSpec(
         sequence_length=scale.sequence_length,

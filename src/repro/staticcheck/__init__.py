@@ -46,8 +46,8 @@ rules over each file plus interprocedural rules over the linked facts:
   consistently, and every control-message opcode sent across the worker
   boundary must have a handler in the boundary group.
 
-Run it as ``python -m repro.staticcheck [paths] [--format text|json|sarif]
-[--diff GIT_REF] [--jobs N]``; suppress a single finding with
+Run it as ``python -m repro.staticcheck [paths] [--format text|json]
+[--diff GIT_REF]``; suppress a single finding with
 ``# staticcheck: ignore[rule-id]  -- reason`` on (or directly above) the
 offending line; grandfather legacy findings in ``staticcheck_baseline.json``
 (one reason per entry; stale entries fail the gate).  The tier-1 smoke test

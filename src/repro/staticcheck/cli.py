@@ -10,7 +10,6 @@ from typing import List, Optional, Sequence
 
 from .engine import Baseline, Report, analyze, default_rules
 from .gitdiff import GitDiffError, changed_lines
-from .sarif import to_sarif
 
 __all__ = ["main", "build_parser"]
 
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files/directories to analyse (default: src/ if it exists, else .)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
+        "--format", choices=("text", "json"), default="text", dest="fmt"
     )
     parser.add_argument(
         "--diff",
@@ -47,15 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
             "only report findings on lines/symbols changed since GIT_REF "
             "(facts are still built over everything scanned); stale-baseline "
             "checking is disabled in this mode"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "phase-1 parser processes (default: auto — serial below "
-            "the parallel threshold, else one per core up to 8)"
         ),
     )
     parser.add_argument(
@@ -130,7 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tests_dir=tests_dir,
         baseline=baseline,
         rules=default_rules(),
-        jobs=args.jobs,
         changed_lines=diff_lines,
     )
 
@@ -154,10 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0
 
-    if args.fmt == "sarif":
-        reasons = baseline.entries if baseline is not None else {}
-        print(json.dumps(to_sarif(report, baseline_reasons=reasons), indent=2))
-    elif args.fmt == "json":
+    if args.fmt == "json":
         print(
             json.dumps(
                 {

@@ -1,12 +1,9 @@
-"""Source collection, caching, fan-out, and the two-phase analyze() driver.
+"""Source collection, caching, and the two-phase analyze() driver.
 
-Phase 1 (per file, embarrassingly parallel): parse, run the per-module
-rules, and extract the picklable :mod:`.facts` bundle.  Results are cached
-in-process by content hash — repeated ``analyze()`` calls over an unchanged
-tree (the tier-1 suite runs several) skip straight to phase 2 — and can fan
-out over a ``multiprocessing`` pool when the file count is large enough to
-amortise the fork (``jobs=`` or ``REPRO_STATICCHECK_JOBS`` override the
-auto-threshold).
+Phase 1 (per file): parse, run the per-module rules, and extract the
+:mod:`.facts` bundle.  Results are cached in-process by content hash —
+repeated ``analyze()`` calls over an unchanged tree (the tier-1 suite runs
+several) skip straight to phase 2.
 
 Phase 2 (whole program, in the parent): link the module facts into one
 :class:`~.facts.ProjectFacts` — class index with MRO, call graph, lock and
@@ -18,7 +15,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,19 +40,14 @@ _IGNORE_RE = re.compile(r"#\s*staticcheck:\s*ignore\[([^\]]+)\]")
 #: handled separately (it is positional, not module-wide).
 MODULE_TAGS = frozenset({"hot-path", "pickle-boundary"})
 
-#: Below this many files a fork pool costs more than it saves; the tier-1
-#: tree sits under it on purpose.  ``jobs=`` / REPRO_STATICCHECK_JOBS force
-#: either way.
-PARALLEL_THRESHOLD = 80
-
 
 @dataclass
 class ModuleSource:
     """One parsed Python module plus its staticcheck annotations.
 
-    ``tree`` is absent when the module came back from a worker process or
-    the phase-1 cache — per-module rules already ran against it there, and
-    project rules consume :attr:`facts` instead.
+    ``tree`` is absent when the module came back from the phase-1 cache —
+    per-module rules already ran against it there, and project rules
+    consume :attr:`facts` instead.
     """
 
     path: Path  # absolute
@@ -232,7 +223,7 @@ def collect_sources(paths: Sequence[Path], root: Path) -> List[ModuleSource]:
 
 
 # --------------------------------------------------------------------------- #
-# Phase 1: parse + per-module rules + fact extraction (cached, parallel)
+# Phase 1: parse + per-module rules + fact extraction (cached)
 # --------------------------------------------------------------------------- #
 #: (path, root, sha256, rule-key) -> (ModuleSource without tree, findings)
 _PHASE1_CACHE: Dict[Tuple[str, str, str, str], Tuple[ModuleSource, List[Finding]]] = {}
@@ -253,79 +244,29 @@ def _run_phase1(path: Path, root: Path, rules: Sequence[object]) -> Tuple[Module
         check_module = getattr(rule, "check_module", None)
         if check_module is not None:
             findings.extend(check_module(source))
-    source.tree = None  # picklable + cache-friendly; phase 2 uses facts
+    source.tree = None  # cache-friendly; phase 2 uses facts
     return source, findings
-
-
-def _phase1_worker(args: Tuple[str, str, Sequence[object]]):
-    path_str, root_str, rules = args
-    source, findings = _run_phase1(Path(path_str), Path(root_str), rules)
-    return source, findings
-
-
-def _resolve_jobs(jobs: Optional[int], file_count: int) -> int:
-    if jobs is None:
-        env = os.environ.get("REPRO_STATICCHECK_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = None
-    if jobs is None:
-        if file_count < PARALLEL_THRESHOLD:
-            return 1
-        jobs = min(os.cpu_count() or 1, 8)
-    return max(1, jobs)
 
 
 def _load_modules(
     files: Sequence[Path],
     root: Path,
     rules: Sequence[object],
-    jobs: Optional[int],
 ) -> Tuple[List[ModuleSource], List[Finding]]:
     rule_key = _module_rule_key(rules)
     sources: List[ModuleSource] = []
     findings: List[Finding] = []
-    missing: List[Path] = []
-    keys: Dict[Path, Tuple[str, str, str, str]] = {}
+    if len(_PHASE1_CACHE) > _PHASE1_CACHE_MAX:
+        _PHASE1_CACHE.clear()
     for path in files:
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
         key = (str(path), str(root.resolve()), sha, rule_key)
-        keys[path] = key
         if key not in _PHASE1_CACHE:
-            missing.append(path)
-
-    if missing:
-        n_jobs = _resolve_jobs(jobs, len(missing))
-        produced: Dict[str, Tuple[ModuleSource, List[Finding]]] = {}
-        if n_jobs > 1:
-            import multiprocessing
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork: stay serial
-                ctx = None
-            if ctx is not None:
-                work = [(str(p), str(root), rules) for p in missing]
-                with ctx.Pool(processes=min(n_jobs, len(work))) as pool:
-                    for source, file_findings in pool.map(_phase1_worker, work):
-                        produced[str(source.path)] = (source, file_findings)
-            else:
-                n_jobs = 1
-        if n_jobs <= 1:
-            for path in missing:
-                produced[str(path)] = _run_phase1(path, root, rules)
-        if len(_PHASE1_CACHE) > _PHASE1_CACHE_MAX:
-            _PHASE1_CACHE.clear()
-        for path in missing:
-            _PHASE1_CACHE[keys[path]] = produced[str(path)]
-
-    for path in files:
-        source, file_findings = _PHASE1_CACHE[keys[path]]
+            _PHASE1_CACHE[key] = _run_phase1(path, root, rules)
+        source, file_findings = _PHASE1_CACHE[key]
         sources.append(source)
         findings.extend(file_findings)
-    return sources, list(findings)
+    return sources, findings
 
 
 # --------------------------------------------------------------------------- #
@@ -338,7 +279,6 @@ def analyze(
     tests_dir: Optional[Path] = None,
     baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[object]] = None,
-    jobs: Optional[int] = None,
     changed_lines: Optional[Mapping[str, Set[int]]] = None,
 ) -> Report:
     """Run every rule over ``paths`` and split findings into
@@ -346,10 +286,9 @@ def analyze(
 
     ``root`` anchors the relative paths used in fingerprints (defaults to
     the current directory).  ``tests_dir`` feeds the parity audit; when
-    ``None`` the audit is skipped.  ``jobs`` forces the phase-1 fan-out
-    width (default: auto).  ``changed_lines`` (rel path -> line numbers)
-    restricts *reported* findings to changed lines or functions containing
-    them — the diff mode of the CLI; facts are still built over everything
+    ``None`` the audit is skipped.  ``changed_lines`` (rel path -> line
+    numbers) restricts *reported* findings to changed lines or functions
+    containing them — the diff mode of the CLI; facts are still built over everything
     scanned, and staleness reporting is disabled because unchanged files'
     baseline entries legitimately do not fire.
     """
@@ -359,7 +298,7 @@ def analyze(
         rules = default_rules()
 
     files = _collect_files(resolved_paths)
-    sources, raw = _load_modules(files, root, rules, jobs)
+    sources, raw = _load_modules(files, root, rules)
     facts = link(src.facts for src in sources if src.facts is not None)
     ctx = RuleContext(sources=sources, tests_dir=tests_dir, facts=facts)
 

@@ -5,7 +5,7 @@ bitwise-equal to per-call inference under ``compute_dtype="float64"``.
 This project-level rule cross-references the public forward-shaped entry
 points of the serving surface (``api/`` modules) against ``tests/``: a
 public method named ``forward``/``forward_packed``/``pooled``/``classify``/
-``serve``/``serve_one``/``generate`` reachable on a public class must be
+``serve``/``serve_one`` reachable on a public class must be
 named — together with its class and the token ``float64`` — by at least one
 test file.  A new serving API with no parity test is exactly the rot this
 package exists to catch.
@@ -40,7 +40,6 @@ HOT_ENTRY_POINTS = frozenset(
         "classify",
         "serve",
         "serve_one",
-        "generate",
     }
 )
 

@@ -85,7 +85,8 @@ class TaskData:
 
 
 #: The eight GLUE tasks of Table 2, with difficulty tuned so the synthetic
-#: baselines land in GLUE-like bands (see EXPERIMENTS.md for measured values).
+#: baselines land in GLUE-like bands (``python -m repro.experiments table2a``
+#: prints the measured values).
 GLUE_TASKS: Dict[str, GlueTaskSpec] = {
     "MRPC": GlueTaskSpec(
         name="MRPC", task_type="classification", num_classes=2, metric="f1",

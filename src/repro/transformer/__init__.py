@@ -22,7 +22,6 @@ from .nonlinear_backend import (
     ALL_OPS,
     NonlinearBackend,
     OperatorRecorder,
-    backend_from_luts,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "ALL_OPS",
     "NonlinearBackend",
     "OperatorRecorder",
-    "backend_from_luts",
 ]

@@ -15,9 +15,8 @@ which is what the dataset-free calibration pass consumes — use the
 :meth:`NonlinearBackend.recording` context manager.
 
 Backends are declared with :class:`repro.api.BackendSpec` and realised by
-:func:`repro.api.build_backend`; :func:`backend_from_luts` stays as the
-low-level assembler for callers that bring their own primitive approximators
-(e.g. the benchmark harness's seed-path replicas).
+:func:`repro.api.build_backend`; a caller that brings its own operator
+objects constructs :class:`NonlinearBackend` directly.
 
 A backend describes *operators*, not where they run: the encoder hands the
 compute kernel of its ``TransformerConfig`` to the ``apply_*`` methods, which
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -44,13 +43,11 @@ from ..core.approximators import (
     LutSoftmax,
 )
 from ..core.kernels import NUMPY_KERNEL, ComputeKernel
-from ..core.scaling import InputScaler
 
 __all__ = [
     "ALL_OPS",
     "OperatorRecorder",
     "NonlinearBackend",
-    "backend_from_luts",
 ]
 
 #: Operator names accepted by the ``replace=`` argument of the factories.
@@ -177,40 +174,3 @@ def _exact_backend() -> NonlinearBackend:
         layernorm=ExactLayerNorm(),
         metadata={"method": "exact"},
     )
-
-
-def backend_from_luts(
-    luts: Dict[str, Callable[[np.ndarray], np.ndarray]],
-    replace: Sequence[str] = ALL_OPS,
-    input_scaling: bool = True,
-    name: str = "nn-lut",
-) -> NonlinearBackend:
-    """Assemble a backend from per-primitive approximators.
-
-    ``luts`` maps primitive names (``"gelu"``, ``"exp"``, ``"reciprocal"``,
-    ``"rsqrt"``) to callables.  Operators not listed in ``replace`` fall back
-    to the exact implementation.  This is the low-level escape hatch for
-    hand-built primitives; declarative scenarios should go through
-    :func:`repro.api.build_backend`.
-    """
-    ops = _validate_replace(replace)
-    gelu_op: Callable[[np.ndarray], np.ndarray] = ExactGelu()
-    softmax_op: Callable[..., np.ndarray] = ExactSoftmax()
-    layernorm_op: Callable[..., np.ndarray] = ExactLayerNorm()
-
-    if "gelu" in ops:
-        gelu_op = LutGelu(luts["gelu"])
-    if "softmax" in ops:
-        softmax_op = LutSoftmax(luts["exp"], luts["reciprocal"])
-    if "layernorm" in ops:
-        layernorm_op = LutLayerNorm(
-            luts["rsqrt"], scaler=InputScaler() if input_scaling else None
-        )
-    return NonlinearBackend(
-        name=name,
-        gelu=gelu_op,
-        softmax=softmax_op,
-        layernorm=layernorm_op,
-        metadata={"method": name, "replaced": ops, "input_scaling": input_scaling},
-    )
-

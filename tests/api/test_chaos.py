@@ -105,10 +105,10 @@ class TestInjectorMechanics:
 
     def test_counters_are_deterministic(self):
         injector = faults.FaultInjector(FaultPlan(), worker_index=1)
-        for op in ("forward", "pooled", "close", "forward"):
+        for op in ("forward", "apply_lut_overrides", "close", "forward"):
             injector.on_worker_request(op)
-        # "close" is not a serving op and must not advance the schedule.
-        assert injector.counts()["worker_request"] == 3
+        # Control ops are not serving ops and must not advance the schedule.
+        assert injector.counts()["worker_request"] == 2
 
     def test_session_error_window(self):
         plan = FaultPlan(session_error_at=2, session_error_count=2)
@@ -468,7 +468,8 @@ class TestChaosSharded:
         pool = self._pool(chaos_config, fast_registry, num_replicas=1)
         client = pool.sessions[0]
         assert not hasattr(client, "forward_deadline")
-        assert faults._WORKER_OPS == ("forward", "pooled")
+        assert not hasattr(client, "pooled")
+        assert faults._WORKER_OPS == ("forward",)
         sent = []
         real_send = client.transport.send
 

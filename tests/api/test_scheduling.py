@@ -18,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AutoscaleDecision,
@@ -28,6 +30,7 @@ from repro.api import (
     InferenceSession,
     LeastLoadedRouter,
     ReplicaStats,
+    RequestBatcher,
     ServingQueue,
     ServingStats,
     SessionConfig,
@@ -77,7 +80,7 @@ def _fresh_pool(pool64, fast_registry, num_replicas=2):
 
 def _wait_for_inflight(queue: ServingQueue, timeout: float = 5.0) -> None:
     deadline = time.monotonic() + timeout
-    while queue._inflight_batches == 0:
+    while queue._fleet.inflight_batches == 0:
         if time.monotonic() > deadline:
             raise TimeoutError("no batch reached a worker in time")
         time.sleep(0.001)
@@ -166,13 +169,38 @@ class TestBatchFormer:
         assert [[p.tokens.size for p in g] for g in groups] == [[5, 5, 5], [5], [9, 9]]
         assert groups[0][0] is window[0] and groups[0][1] is window[2]
 
-    def test_bucketed_length_rounds_up_and_clamps(self):
+    # The pin on the single grouping rule (the float64 parity contract):
+    # whatever the window, the queue forms exactly the batcher's plan.
+    # Every max_sequence_length here is off the 4- and 8-bucket grid, so
+    # the clamp to the model maximum is exercised too.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([13, 30, 61]).flatmap(
+            lambda longest: st.tuples(
+                st.just(longest),
+                st.lists(st.integers(1, longest), max_size=200),
+            )
+        ),
+        st.sampled_from([1, 4, 8]),
+        st.integers(1, 32),
+    )
+    def test_form_returns_the_batchers_plan(
+        self, sized_window, bucket_size, max_batch_size
+    ):
+        max_sequence_length, lengths = sized_window
         former = BatchFormer(
-            max_batch_size=4, bucket_size=8, max_sequence_length=16, max_wait_s=0.0
+            max_batch_size=max_batch_size, bucket_size=bucket_size,
+            max_sequence_length=max_sequence_length, max_wait_s=0.0,
         )
-        assert former.bucketed_length(5) == 8
-        assert former.bucketed_length(9) == 16
-        assert former.bucketed_length(20) == 16  # clamped to the model max
+        window = [_pending(n) for n in lengths]
+        position = {id(pending): i for i, pending in enumerate(window)}
+        plan = RequestBatcher(max_batch_size, bucket_size).plan(
+            lengths, max_sequence_length
+        )
+        assert [
+            tuple(position[id(pending)] for pending in group)
+            for group in former.form(window)
+        ] == [indices for _, indices in plan]
 
     def test_saturated_scales_with_live_replicas(self):
         former = BatchFormer(
@@ -206,9 +234,11 @@ class TestAdmission:
 
     def test_validate_contract(self):
         validate = AdmissionController.validate
-        with pytest.raises(ValueError, match="non-empty 1-D"):
+        with pytest.raises(ValueError, match="1-D"):
             validate(np.zeros((2, 2), dtype=np.int64), 64, None)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="empty"):
+            validate(np.zeros(0, dtype=np.int64), 64, None)
+        with pytest.raises(ValueError, match="integer"):
             validate(np.zeros(3, dtype=np.float32), 64, None)
         with pytest.raises(ValueError, match="maximum"):
             validate(np.zeros(65, dtype=np.int64), 64, None)

@@ -89,7 +89,9 @@ class TestSessionPool:
 
     def test_empty_request_list(self, pool64):
         assert pool64.forward([]) == []
-        assert pool64.pooled([]).shape == (0, pool64.model.config.hidden_size)
+        empty = pool64.pooled([])
+        assert empty.shape == (0, pool64.model.config.hidden_size)
+        assert empty.dtype == np.float64  # the compute dtype
 
     def test_classify_matches_session(self, pool64, single64, mixed_requests):
         features = single64.pooled(mixed_requests)
@@ -213,7 +215,7 @@ class TestServingQueue:
         "bad, match",
         [
             (np.zeros((2, 3), dtype=np.int64), "1-D"),
-            (np.array([], dtype=np.int64), "1-D|non-empty"),
+            (np.array([], dtype=np.int64), "empty"),
             (np.array([0.5, 1.5]), "integer"),
             (np.arange(100), "maximum sequence length"),
         ],
@@ -252,7 +254,7 @@ def _gated_single_replica_pool(pool64, fast_registry):
 
 def _wait_for_inflight(queue: ServingQueue, timeout: float = 5.0) -> None:
     deadline = time.monotonic() + timeout
-    while queue._inflight_batches == 0:
+    while queue._fleet.inflight_batches == 0:
         if time.monotonic() > deadline:
             raise TimeoutError("no batch reached a worker in time")
         time.sleep(0.001)
@@ -614,7 +616,7 @@ class TestPerFutureErrorRobustness:
     """
 
     def test_baseexception_raising_constructor_is_contained(self):
-        from repro.api.server import _per_future_error
+        from repro.api.scheduling.fleet import _per_future_error
 
         class Hostile(RuntimeError):
             def __init__(self, *args):
@@ -629,7 +631,7 @@ class TestPerFutureErrorRobustness:
         assert clone.__cause__ is original
 
     def test_constructor_returning_non_exception_is_contained(self):
-        from repro.api.server import _per_future_error
+        from repro.api.scheduling.fleet import _per_future_error
 
         class Weird(RuntimeError):
             def __new__(cls, *args):

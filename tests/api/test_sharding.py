@@ -139,6 +139,12 @@ class TestShardedParity:
             sharded64.pooled(mixed_requests), single64.pooled(mixed_requests)
         )
 
+    def test_empty_request_list(self, sharded64):
+        assert sharded64.forward([]) == []
+        empty = sharded64.pooled([])
+        assert empty.shape == (0, sharded64.model.config.hidden_size)
+        assert empty.dtype == np.float64  # the compute dtype
+
     def test_classify_bitwise_matches_single_session(
         self, sharded64, single64, mixed_requests
     ):

@@ -30,7 +30,7 @@ TRANSFORMER = """
 ALL_OPS ClassificationHead Embedding EncoderModel Linear MobileBertLikeModel
 MultiHeadSelfAttention NonlinearBackend NormParameters OperatorRecorder
 RegressionHead RobertaLikeModel SpanHead TransformerConfig
-TransformerEncoder TransformerEncoderLayer backend_from_luts
+TransformerEncoder TransformerEncoderLayer
 matmul_with_precision mobilebert_config mobilebert_like_small_config
 roberta_base_config roberta_like_small_config tiny_test_config
 """

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api.transport import (
     _HEADER_BYTES,
+    _KIND_RAGGED,
     TransportError,
     TransportIntegrityError,
     WorkerTransport,
@@ -55,16 +56,6 @@ class TestShmRingCodec:
             assert ring.try_encode(items, seq=1)
             decoded = ring.decode(1, copy=True)
             assert all(np.array_equal(a, b) for a, b in zip(decoded, items))
-        finally:
-            ring.unlink()
-            ring.close()
-
-    def test_single_array_roundtrip(self):
-        ring = self._ring()
-        try:
-            array = np.random.default_rng(1).normal(size=(3, 2, 4))
-            assert ring.try_encode(array, seq=7)
-            assert np.array_equal(ring.decode(7, copy=True), array)
         finally:
             ring.unlink()
             ring.close()
@@ -126,7 +117,7 @@ class TestShmRingCodec:
         # caught before the payload is even touched.
         ring = self._ring()
         try:
-            assert ring.try_encode(np.arange(6, dtype=np.float64), seq=4)
+            assert ring.try_encode([np.arange(6, dtype=np.float64)], seq=4)
             ring._header()[3] = 99  # no such dtype code
             with pytest.raises(TransportIntegrityError, match="impossible"):
                 ring.decode(4, copy=True)
@@ -139,6 +130,8 @@ class TestShmRingCodec:
         try:
             assert not ring.try_encode({"not": "packable"}, seq=1)
             assert not ring.try_encode([], seq=1)
+            # A frame is always ragged rows: a bare array takes the pipe.
+            assert not ring.try_encode(np.arange(4, dtype=np.int64), seq=1)
             assert not ring.try_encode(
                 [np.array(["a", "b"])], seq=1
             )  # unsupported dtype
@@ -168,24 +161,28 @@ _INT64 = st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def _payloads(draw):
-    """A ring-packable payload: one array (0-3 dims) or a ragged batch."""
+    """A ring-packable payload: a ragged batch of 1-D items or row blocks."""
     dtype = draw(st.sampled_from(_RING_DTYPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def block(shape):
         return np.asarray(rng.integers(-100, 100, size=shape)).astype(dtype)
 
-    if draw(st.booleans()):
-        return block(tuple(draw(st.lists(st.integers(0, 4), max_size=3))))
     trailing = draw(st.integers(0, 4))  # 0 = 1-D items
     lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
     return [block((n, trailing) if trailing else (n,)) for n in lengths]
 
 
 #: One corruption: header slots overwritten (small values are the plausible
-#: kind/ndim/dtype codes, the full range everything else), or one payload
-#: byte XOR-ed with a non-zero mask.
+#: kind/count/dtype codes, the full range everything else), one payload
+#: byte XOR-ed with a non-zero mask, or the kind slot set to anything but
+#: ragged *and the frame re-sealed* — a checksum-valid frame of a kind the
+#: ring does not have.
 _corruptions = st.one_of(
+    st.tuples(
+        st.just("resealed_kind"),
+        st.one_of(st.integers(-2, 9), _INT64).filter(lambda k: k != _KIND_RAGGED),
+    ),
     st.tuples(
         st.just("header"),
         st.dictionaries(
@@ -201,21 +198,20 @@ _corruptions = st.one_of(
 
 
 def _blocks(payload):
-    blocks = payload if isinstance(payload, list) else [payload]
-    return [(b.dtype, b.shape, b.tobytes()) for b in blocks]
+    return [(b.dtype, b.shape, b.tobytes()) for b in payload]
 
 
-# The three corruptions a payload-only CRC let through: each keeps the
-# payload byte count, so the frame verified and decoded as another tensor.
-@example(  # dtype code <i8 -> <f8: a float64 array of denormals
-    np.arange(6, dtype=np.int64).reshape(2, 3), ("header", {3: 5})
-)
-@example(  # extents swapped: shape (3, 2)
-    np.arange(6, dtype=np.int64).reshape(2, 3), ("header", {5: 3, 6: 2})
+# The corruptions a payload-only CRC let through: each keeps the payload
+# byte count, so the frame verified and decoded as another tensor.
+@example(  # dtype code <i8 -> <f8: float64 blocks of denormals
+    [np.arange(6, dtype=np.int64).reshape(2, 3)], ("header", {3: 5})
 )
 @example(  # trailing 0 -> 1 on 1-D items: (n, 1) blocks
     [np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64)],
     ("header", {4: 1}),
+)
+@example(  # kind 2 was the single-array frame: a sealed one is now corrupt
+    [np.arange(6, dtype=np.int64).reshape(2, 3)], ("resealed_kind", 2)
 )
 @settings(max_examples=200, deadline=None)
 @given(_payloads(), _corruptions)
@@ -223,7 +219,9 @@ def test_corrupted_frame_decodes_to_the_original_or_a_typed_error(
     payload, corruption
 ):
     # The transport's contract under corruption: the correct tensor or a
-    # TransportError — never another tensor, never IndexError/ValueError.
+    # TransportError — never another tensor, never IndexError/ValueError —
+    # and a header kind other than ragged is always the integrity error,
+    # checksum-valid or not: there is no other frame to decode it as.
     ring = _ShmRing.create(_FUZZ_CAPACITY)
     try:
         assert ring.try_encode(payload, seq=1)
@@ -231,14 +229,21 @@ def test_corrupted_frame_decodes_to_the_original_or_a_typed_error(
         if kind == "header":
             for slot, value in detail.items():
                 ring._header()[slot] = value
-        else:
+        elif kind == "payload":
             offset, mask = detail
             ring._shm.buf[_HEADER_BYTES + offset] ^= mask
+        else:
+            ring._header()[1] = detail
+            ring.seal()
+        if int(ring._header()[0]) == 1 and int(ring._header()[1]) != _KIND_RAGGED:
+            with pytest.raises(TransportIntegrityError):
+                ring.decode(1, copy=True)
+            return
         try:
             decoded = ring.decode(1, copy=True)
         except TransportError:
             return
-        assert type(decoded) is type(payload)
+        assert type(decoded) is list
         assert _blocks(decoded) == _blocks(payload)
     finally:
         ring.unlink()
@@ -264,7 +269,7 @@ def _echo_serve(endpoint):
 
     ``"echo"`` answers through ``send``; ``"echo_packed"`` writes its rows
     into the response ring when the endpoint hands one out, as ``forward``
-    does; ``"echo_matrix"`` answers one array, as ``pooled`` does.
+    does.
     """
     try:
         while True:
@@ -275,9 +280,6 @@ def _echo_serve(endpoint):
             if op == "close":
                 endpoint.send("ok", None)
                 return
-            if op == "echo_matrix":
-                endpoint.send("ok", np.stack([_rows(t)[0] for t in payload]))
-                continue
             if op == "echo_packed":
                 flat = endpoint.begin_packed_response(
                     [t.shape[0] for t in payload], HIDDEN, np.dtype(np.float64)
@@ -332,13 +334,11 @@ def test_echo_roundtrip(ring_bytes):
                 v.dtype == np.float64 and np.array_equal(v, _rows(t))
                 for v, t in zip(value, TOKENS)
             )
-        matrix = _call(transport, "echo_matrix", TOKENS)
-        assert np.array_equal(matrix, np.stack([_rows(t)[0] for t in TOKENS]))
-        on_ring = 3 if ring_bytes else 0
+        on_ring = 2 if ring_bytes else 0
         assert transport.stats["ring_requests"] == on_ring
         assert transport.stats["ring_responses"] == on_ring
-        assert transport.stats["pipe_requests"] == 3 - on_ring
-        assert transport.stats["pipe_responses"] == 3 - on_ring
+        assert transport.stats["pipe_requests"] == 2 - on_ring
+        assert transport.stats["pipe_responses"] == 2 - on_ring
     finally:
         _shutdown(transport, thread)
 

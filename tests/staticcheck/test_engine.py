@@ -9,8 +9,6 @@ from repro.staticcheck.cli import main as cli_main
 from repro.staticcheck.gitdiff import parse_unified_diff
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO = Path(__file__).resolve().parents[2]
-SRC = REPO / "src"
 
 
 class TestSuppressions:
@@ -216,46 +214,6 @@ class TestCli:
                 "fingerprint",
             }
 
-    def test_sarif_output_carries_results_and_suppressions(
-        self, tmp_path, capsys
-    ):
-        report = analyze([FIXTURES / "dtypes_fixture.py"], root=FIXTURES)
-        some_fp = report.findings[0].fingerprint
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [{"fingerprint": some_fp, "reason": "known"}],
-                }
-            )
-        )
-        code = cli_main(
-            [
-                str(FIXTURES / "dtypes_fixture.py"),
-                "--root",
-                str(FIXTURES),
-                "--baseline",
-                str(baseline),
-                "--format",
-                "sarif",
-            ]
-        )
-        assert code == 1  # the un-baselined findings still gate
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        (run_obj,) = log["runs"]
-        assert run_obj["tool"]["driver"]["name"] == "repro.staticcheck"
-        by_fp = {
-            r["partialFingerprints"]["repro/v1"]: r for r in run_obj["results"]
-        }
-        assert by_fp[some_fp]["suppressions"][0]["justification"] == "known"
-        live = [r for r in run_obj["results"] if "suppressions" not in r]
-        assert live and all(
-            r["locations"][0]["physicalLocation"]["region"]["startLine"] >= 1
-            for r in live
-        )
-
     def test_text_output_names_rule_and_location(self, capsys):
         code = cli_main(
             [
@@ -345,12 +303,3 @@ class TestDiffMode:
         changed = parse_unified_diff(text)
         assert changed["pkg/mod.py"] == {4, 5, 12}
         assert "gone.py" not in changed and "/dev/null" not in changed
-
-
-class TestParallelPhase1:
-    def test_parallel_and_serial_reports_agree(self):
-        serial = analyze([SRC], root=REPO, tests_dir=REPO / "tests", jobs=1)
-        parallel = analyze([SRC], root=REPO, tests_dir=REPO / "tests", jobs=2)
-        as_set = lambda r: {f.fingerprint for f in r.findings}  # noqa: E731
-        assert as_set(serial) == as_set(parallel)
-        assert len(serial.findings) == len(parallel.findings)

@@ -106,11 +106,14 @@ class TestFixedDefectsStayFixed:
         # and the control-message audit must flag the now-unhandled opcode.
         mutated = tmp_path / "sharding.py"
         text = (SRC / "repro" / "api" / "sharding.py").read_text()
-        assert 'elif op == "pooled":' in text
-        mutated.write_text(text.replace('elif op == "pooled":', 'elif op == "pool3d":'))
+        arm = 'elif op == "apply_lut_overrides":'
+        assert arm in text
+        mutated.write_text(text.replace(arm, 'elif op == "apply_overrides":'))
         report = analyze([mutated], root=tmp_path)
         unhandled = [f for f in report.findings if f.rule == "opcode-unhandled"]
-        assert [f.symbol for f in unhandled] == ["op:pooled"], _fmt(report.findings)
+        assert [f.symbol for f in unhandled] == [
+            "op:apply_lut_overrides"
+        ], _fmt(report.findings)
 
     def test_hot_path_modules_mint_no_silent_float64(self):
         targets = [

@@ -12,11 +12,11 @@ from repro.transformer import (
     Linear,
     MobileBertLikeModel,
     MultiHeadSelfAttention,
+    NonlinearBackend,
     NormParameters,
     RobertaLikeModel,
     TransformerConfig,
     TransformerEncoder,
-    backend_from_luts,
     matmul_with_precision,
     tiny_test_config,
 )
@@ -231,16 +231,21 @@ class TestBackends:
         approx = model.pooled(tokens, backend=build_backend(BackendSpec.ibert()))
         assert np.mean(np.abs(exact - approx)) < 0.05
 
-    def test_backend_from_luts_with_exact_scalars(self, rng):
-        from repro.core.approximators import ExactScalar
+    def test_hand_built_backend_with_exact_scalars(self, rng):
+        from repro.core.approximators import (
+            ExactScalar, LutGelu, LutLayerNorm, LutSoftmax,
+        )
+        from repro.core.scaling import InputScaler
 
-        backend = backend_from_luts(
-            {
-                "gelu": ExactScalar(functions.gelu),
-                "exp": ExactScalar(functions.exp),
-                "reciprocal": ExactScalar(functions.reciprocal),
-                "rsqrt": ExactScalar(functions.rsqrt),
-            }
+        backend = NonlinearBackend(
+            name="hand-built",
+            gelu=LutGelu(ExactScalar(functions.gelu)),
+            softmax=LutSoftmax(
+                ExactScalar(functions.exp), ExactScalar(functions.reciprocal)
+            ),
+            layernorm=LutLayerNorm(
+                ExactScalar(functions.rsqrt), scaler=InputScaler()
+            ),
         )
         x = rng.normal(size=(3, 7))
         np.testing.assert_allclose(backend.apply_gelu(x), functions.gelu(x), atol=1e-9)
