@@ -74,9 +74,9 @@ class FaultPlan:
 
     All ``*_at`` fields are 1-based counts at their site and ``None``
     disables that fault.  Worker-side faults (``worker_crash_at``,
-    ``worker_stall_at``, ``worker_latency_ms``) fire inside shard worker
-    processes; the ``*_worker_index`` selectors restrict them to one
-    worker (``None`` targets every worker).  Parent-side faults
+    ``worker_stall_at``) fire inside shard worker processes; the
+    ``*_worker_index`` selectors restrict them to one worker (``None``
+    targets every worker).  Parent-side faults
     (``corrupt_response_at``, ``spawn_fail_at``) and in-process session
     faults (``session_error_at``) fire wherever the injector is installed.
     """
@@ -88,15 +88,12 @@ class FaultPlan:
     worker_stall_at: Optional[int] = None
     stall_worker_index: Optional[int] = None
     worker_stall_s: float = 0.25
-    worker_latency_ms: float = 0.0
     # Session-side faults (any process hosting an InferenceSession).
     session_error_at: Optional[int] = None
     session_error_count: int = 1
     # Parent-side faults.
     corrupt_response_at: Optional[int] = None
-    corrupt_count: int = 1
     spawn_fail_at: Optional[int] = None
-    spawn_fail_count: int = 1
 
     def __post_init__(self) -> None:
         for name in (
@@ -109,15 +106,12 @@ class FaultPlan:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1 (1-based), got {value}")
-        for name in ("session_error_count", "corrupt_count", "spawn_fail_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.session_error_count < 1:
+            raise ValueError(
+                f"session_error_count must be >= 1, got {self.session_error_count}"
+            )
         if self.worker_stall_s < 0.0:
             raise ValueError(f"worker_stall_s must be >= 0, got {self.worker_stall_s}")
-        if self.worker_latency_ms < 0.0:
-            raise ValueError(
-                f"worker_latency_ms must be >= 0, got {self.worker_latency_ms}"
-            )
 
 
 class FaultInjector:
@@ -147,10 +141,6 @@ class FaultInjector:
         with self._lock:
             return dict(self._counts)
 
-    @staticmethod
-    def _in_window(k: int, at: Optional[int], count: int) -> bool:
-        return at is not None and at <= k < at + count
-
     def _targets(self, index: Optional[int]) -> bool:
         return index is None or index == self.worker_index
 
@@ -165,12 +155,10 @@ class FaultInjector:
             return
         plan = self.plan
         k = self._next("worker_request")
-        if plan.worker_latency_ms > 0.0:
-            time.sleep(plan.worker_latency_ms / 1000.0)
         if (
             plan.worker_stall_at is not None
             and self._targets(plan.stall_worker_index)
-            and self._in_window(k, plan.worker_stall_at, 1)
+            and k == plan.worker_stall_at
         ):
             time.sleep(plan.worker_stall_s)
         if (
@@ -188,7 +176,8 @@ class FaultInjector:
         if plan.session_error_at is None:
             return
         k = self._next("session_forward")
-        if self._in_window(k, plan.session_error_at, plan.session_error_count):
+        first = plan.session_error_at
+        if first <= k < first + plan.session_error_count:
             raise InjectedFaultError(f"injected session fault on forward #{k}")
 
     def on_ring_response(self, ring) -> None:
@@ -197,7 +186,7 @@ class FaultInjector:
         if plan.corrupt_response_at is None:
             return
         k = self._next("ring_response")
-        if self._in_window(k, plan.corrupt_response_at, plan.corrupt_count):
+        if k == plan.corrupt_response_at:
             ring.corrupt_payload(int(self._rng.integers(0, 1 << 31)))
 
     def on_spawn(self) -> None:
@@ -206,7 +195,7 @@ class FaultInjector:
         if plan.spawn_fail_at is None:
             return
         k = self._next("spawn")
-        if self._in_window(k, plan.spawn_fail_at, plan.spawn_fail_count):
+        if k == plan.spawn_fail_at:
             raise InjectedFaultError(f"injected spawn failure on spawn #{k}")
 
 

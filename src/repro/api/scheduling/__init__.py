@@ -1,14 +1,13 @@
 """The serving scheduler, decomposed into explicit seams.
 
-The pre-refactor ``repro.api.server.ServingQueue`` interleaved admission,
-batch coalescing, routing, dispatch, stats and lifecycle in one class;
-this package gives each policy a seam of its own:
+Serving a queue takes admission, batch coalescing, routing, dispatch,
+stats and lifecycle; this package gives each policy a seam of its own:
 
 * :mod:`~repro.api.scheduling.admission` — request validation, the
   bounded backlog, deadlines, and the request-level exception types.
 * :mod:`~repro.api.scheduling.former` — the coalescing window and
-  length-grouped batch formation (extracted verbatim; it carries the
-  float64 parity guarantee).
+  length-grouped batch formation (it carries the float64 parity
+  guarantee).
 * :mod:`~repro.api.scheduling.routing` — pluggable dispatch:
   :class:`DeterministicRouter` (the reproducible round-robin every
   parity gate pins) and :class:`LeastLoadedRouter` (load-aware, with
@@ -27,8 +26,8 @@ this package gives each policy a seam of its own:
 * :mod:`~repro.api.scheduling.autoscaler` — the stats-driven scaling
   loop over the fleet's membership hooks.
 
-``repro.api.server.ServingQueue`` remains the facade that wires these
-together; import it (and the pools) from :mod:`repro.api` as before.
+``repro.api.server.ServingQueue`` is the facade that wires these
+together; import it (and the pools) from :mod:`repro.api`.
 """
 
 from .admission import (

@@ -1,7 +1,7 @@
 """Stats-driven autoscaling over the fleet's membership hooks.
 
-The :class:`Autoscaler` closes the loop PR 5 opened when it split queue
-wait from service time in ``stats()``: **wait rising while service stays
+The :class:`Autoscaler` acts on the split of queue wait from service
+time in ``stats()``: **wait rising while service stays
 flat** means requests are queueing behind too few replicas — add one;
 wait collapsing toward zero (or an idle window) means capacity is idle —
 shed one.  Service time rising *with* wait is deliberately not a scale-up
@@ -34,29 +34,28 @@ from .stats import ServingStats
 
 __all__ = ["AutoscalerConfig", "AutoscaleDecision", "Autoscaler"]
 
+#: Mean queue wait over mean service time, per tick: waiting one
+#: service-time in queue (ratio 1.0) means a whole replica's worth of work is
+#: always queued ahead of you — up-pressure; a tenth of it is down-pressure.
+_HIGH_WAIT_RATIO = 1.0
+_LOW_WAIT_RATIO = 0.1
+#: Ticks completing fewer requests than this are "idle" — no up-pressure
+#: evidence, but sustained idleness is down-pressure.
+_MIN_WINDOW_COMPLETIONS = 1
+#: Service-time growth beyond this fraction per tick reclassifies wait
+#: pressure as "the replicas got slower", which scaling out cannot fix.
+_SERVICE_RISE_TOLERANCE = 0.5
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Bounds, thresholds, and hysteresis for the scaling loop.
-
-    ``high_wait_ratio``/``low_wait_ratio`` compare mean queue wait to mean
-    service time per tick: waiting one service-time in queue (ratio 1.0)
-    means a whole replica's worth of work is always queued ahead of you.
-    """
+    """Bounds, tick length and hysteresis for the scaling loop."""
 
     min_replicas: int = 1
     max_replicas: int = 4
     interval_s: float = 1.0
-    high_wait_ratio: float = 1.0
-    low_wait_ratio: float = 0.1
     patience: int = 2
     cooldown_ticks: int = 2
-    #: Ticks completing fewer requests than this are "idle" — no up-pressure
-    #: evidence, but sustained idleness is down-pressure.
-    min_window_completions: int = 1
-    #: Service-time growth beyond this fraction per tick reclassifies wait
-    #: pressure as "the replicas got slower", which scaling out cannot fix.
-    service_rise_tolerance: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
@@ -133,7 +132,7 @@ class Autoscaler:
             reason = (
                 f"{live} live replicas below min_replicas={config.min_replicas}"
             )
-        elif window < config.min_window_completions:
+        elif window < _MIN_WINDOW_COMPLETIONS:
             # No throughput: no evidence of queue pressure, but sustained
             # idleness is exactly the diurnal-trough shape to shed on.
             self._streak_up = 0
@@ -147,13 +146,13 @@ class Autoscaler:
             service_flat = (
                 self._prev_service is None
                 or service
-                <= self._prev_service * (1.0 + config.service_rise_tolerance)
+                <= self._prev_service * (1.0 + _SERVICE_RISE_TOLERANCE)
             )
-            if ratio >= config.high_wait_ratio and service_flat:
+            if ratio >= _HIGH_WAIT_RATIO and service_flat:
                 self._streak_up += 1
                 self._streak_down = 0
                 reason = (
-                    f"queue wait {wait:.2f} ms >= {config.high_wait_ratio:g}x "
+                    f"queue wait {wait:.2f} ms >= {_HIGH_WAIT_RATIO:g}x "
                     f"service {service:.2f} ms ({self._streak_up} ticks)"
                 )
                 if self._streak_up >= config.patience:
@@ -161,11 +160,11 @@ class Autoscaler:
                         action = "up"
                     else:
                         reason += "; already at max_replicas"
-            elif ratio <= config.low_wait_ratio:
+            elif ratio <= _LOW_WAIT_RATIO:
                 self._streak_down += 1
                 self._streak_up = 0
                 reason = (
-                    f"queue wait {wait:.2f} ms <= {config.low_wait_ratio:g}x "
+                    f"queue wait {wait:.2f} ms <= {_LOW_WAIT_RATIO:g}x "
                     f"service {service:.2f} ms ({self._streak_down} ticks)"
                 )
                 if self._streak_down >= config.patience:

@@ -1,9 +1,9 @@
 """Live fleet membership and the scheduler/worker machinery.
 
-The :class:`FleetManager` is the concurrency core the pre-refactor
-``ServingQueue`` interleaved with everything else: it owns the pending
-deque, the coalescing scheduler thread, one worker thread per replica,
-and — new in this refactor — *live* membership.  Replicas can be added
+The :class:`FleetManager` is the concurrency core behind
+``ServingQueue``: it owns the pending deque, the coalescing scheduler
+thread, one worker thread per replica, and *live* membership.  Replicas
+can be added
 (:meth:`~FleetManager.add_member`), drained
 (:meth:`~FleetManager.drain_member` — in-flight and already-queued work
 completes on the old member, nothing new is routed to it) and retired
@@ -14,9 +14,9 @@ dead or poisoned shard worker) is retired automatically: its queued
 batches are re-routed to the survivors instead of being failed, and with
 ``replace_dead=True`` the fleet asks the pool for a fresh replica to
 take its place.  Only when the *last* member dies does the queue close
-itself, exactly like the pre-refactor behaviour.
+itself.
 
-New in this PR, the fleet is *resilient*: with a
+The fleet is *resilient*: with a
 :class:`~repro.api.scheduling.resilience.RetryPolicy` installed, a batch
 hit by a replica-level failure (worker death, timeout, transport/integrity
 fault) is re-routed to the survivors — after an exponential-backoff sleep
@@ -730,7 +730,7 @@ class FleetManager:
         admission slots while parked (``_retry_parked`` makes it visible
         to ``drain``).  Non-retryable failures, exhausted attempts, an
         exhausted window retry budget, or a closed queue fail each future
-        with its own error clone, exactly like the pre-retry behaviour.
+        with its own error clone, as every failure does without a policy.
         """
         live_cost = sum(p.cost for p in live)
         now = time.monotonic()

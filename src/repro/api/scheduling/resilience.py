@@ -1,12 +1,12 @@
 """Retry, backoff and circuit-breaking policy for the serving fleet.
 
-PR 9's fleet already *detects* replica failure (worker death poisons the
+The fleet *detects* replica failure on its own (worker death poisons the
 client, timeouts terminate the worker, dead members are retired and
-optionally replaced) — but a batch caught in the blast radius still fails
-every future it carries, and a flaky-but-alive replica keeps receiving
-traffic until it dies outright.  This module holds the pure policy objects
-the fleet uses to do better; the *mechanics* (where retries sleep, how
-batches re-route, when probes dispatch) live in
+optionally replaced); without a policy a batch caught in the blast radius
+fails every future it carries, and a flaky-but-alive replica keeps
+receiving traffic until it dies outright.  This module holds the pure
+policy objects the fleet uses to do better; the *mechanics* (where retries
+sleep, how batches re-route, when probes dispatch) live in
 :mod:`repro.api.scheduling.fleet`.
 
 Retry-idempotency contract: inference here is **pure** — a forward has no
@@ -42,9 +42,13 @@ __all__ = [
 #: import of ``WorkerDiedError`` would be a cycle).
 _RETRYABLE_NAMES = frozenset({"WorkerDiedError"})
 
-#: Service-latency EWMA weight used when health tracking runs without a
-#: breaker config.
-_DEFAULT_EWMA_ALPHA = 0.2
+#: Weight of the newest batch in the per-replica service-latency EWMA.
+_EWMA_ALPHA = 0.2
+
+#: Retry backoff shape: the sleep doubles per attempt and is jittered by
+#: up to +-10 % so retrying batches do not move in lockstep.
+_BACKOFF_FACTOR = 2.0
+_JITTER_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -53,18 +57,17 @@ class RetryPolicy:
 
     ``max_attempts`` bounds the *total* dispatches of one batch (first try
     included).  Between attempts the serving thread sleeps an exponential
-    backoff with multiplicative jitter — strictly outside the fleet lock —
-    so a struggling fleet is not hammered in lockstep.  ``retry_budget``
-    caps the total retried *requests* per stats window (reset by
-    ``reset_stats``): once a failure storm exhausts it, further failures
-    fail fast instead of melting the fleet with re-execution load.
+    backoff (``backoff_base_s`` doubling per attempt, capped at
+    ``backoff_max_s``) with multiplicative jitter — strictly outside the
+    fleet lock — so a struggling fleet is not hammered in lockstep.
+    ``retry_budget`` caps the total retried *requests* per stats window
+    (reset by ``reset_stats``): once a failure storm exhausts it, further
+    failures fail fast instead of melting the fleet with re-execution load.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.02
-    backoff_factor: float = 2.0
     backoff_max_s: float = 1.0
-    jitter_frac: float = 0.1
     retry_budget: int = 256
     seed: int = 0
 
@@ -77,14 +80,6 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff bounds must be >= 0, got base="
                 f"{self.backoff_base_s}, max={self.backoff_max_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError(
-                f"jitter_frac must be in [0, 1], got {self.jitter_frac}"
             )
         if self.retry_budget < 0:
             raise ValueError(
@@ -110,10 +105,10 @@ class RetryPolicy:
 
     def backoff_s(self, attempt: int, rng: np.random.Generator) -> float:
         """Sleep before retry ``attempt`` (1-based): exponential + jitter."""
-        base = self.backoff_base_s * (self.backoff_factor ** max(0, attempt - 1))
+        base = self.backoff_base_s * (_BACKOFF_FACTOR ** max(0, attempt - 1))
         base = min(base, self.backoff_max_s)
-        if self.jitter_frac and base > 0.0:
-            base *= 1.0 + self.jitter_frac * float(rng.uniform(-1.0, 1.0))
+        if base > 0.0:
+            base *= 1.0 + _JITTER_FRAC * float(rng.uniform(-1.0, 1.0))
         return base
 
 
@@ -126,13 +121,11 @@ class CircuitBreakerConfig:
     thread, and still finishes anything already queued).  After
     ``cooldown_s`` the breaker half-opens and admits a single probe batch
     once the replica is idle; a successful probe closes the breaker, a
-    failed one re-opens it for another cooldown.  ``ewma_alpha`` weights
-    the per-replica service-latency EWMA surfaced in the health stats.
+    failed one re-opens it for another cooldown.
     """
 
     failure_threshold: int = 3
     cooldown_s: float = 1.0
-    ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -142,10 +135,6 @@ class CircuitBreakerConfig:
         if self.cooldown_s < 0.0:
             raise ValueError(
                 f"cooldown_s must be >= 0, got {self.cooldown_s}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
             )
 
 
@@ -184,15 +173,10 @@ class ReplicaHealth:
     def record_success(self, service_ms: float) -> bool:
         """Fold one served batch in; True when it closed an open breaker."""
         self.consecutive_failures = 0
-        alpha = (
-            self.config.ewma_alpha
-            if self.config is not None
-            else _DEFAULT_EWMA_ALPHA
-        )
         if self.service_ewma_ms == 0.0:
             self.service_ewma_ms = service_ms
         else:
-            self.service_ewma_ms += alpha * (service_ms - self.service_ewma_ms)
+            self.service_ewma_ms += _EWMA_ALPHA * (service_ms - self.service_ewma_ms)
         if self.state != "closed":
             self.state = "closed"
             return True

@@ -4,7 +4,7 @@ A :class:`Router` maps a formed batch to one live
 :class:`~repro.api.scheduling.fleet.ReplicaMember`.  Two policies ship:
 
 * :class:`DeterministicRouter` — strict round-robin over the live members
-  in replica-id order, no work stealing.  This is the pre-refactor
+  in replica-id order, no work stealing.  This is the pools'
   ``j % N`` dispatch: batch assignment depends only on submission order
   and membership, never on thread timing, so runs are reproducible
   batch-for-batch and every float64 parity gate pins this router.

@@ -28,8 +28,9 @@ shrink a queue's fleet while it serves.
 Determinism and parity: every replica serves the *same* frozen model object
 through an identically-built backend, and with exact-length bucketing
 (``bucket_size=1``) a micro-batched forward reproduces the per-call forward
-bit for bit on the float engines (the PR-2 guarantee).  Which replica serves a
-request therefore cannot change its result — pooled/queued serving is
+bit for bit on the float engines (the session's micro-batching guarantee).
+Which replica serves a request therefore cannot change its result —
+pooled/queued serving is
 bitwise-equal to single-session serving under ``compute_dtype="float64"`` on
 the ``fp32``/``fp16`` matmul engines.  :meth:`SessionPool.forward` goes
 further and makes the *dispatch itself* deterministic (micro-batch ``j`` goes
@@ -68,7 +69,12 @@ from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
 from .scheduling.routing import Router, create_router
 from .scheduling.stats import ReplicaStats, ServingStats, StatsBoard
-from .session import InferenceSession, SessionConfig, adopted_model_config
+from .session import (
+    InferenceSession,
+    SessionConfig,
+    _resolve_classification_head,
+    adopted_model_config,
+)
 from .spec import BackendSpec
 
 __all__ = [
@@ -250,8 +256,6 @@ class ReplicaPool:
         Same head contract as :meth:`InferenceSession.classify`, with the
         pooling served across the replicas.
         """
-        from .session import _resolve_classification_head
-
         return _resolve_classification_head(head).predict(self.pooled(requests))
 
 
@@ -417,7 +421,7 @@ class ServingQueue:
         replicas with exponential backoff instead of failing their futures
         — safe because inference is pure (see the resilience module's
         retry-idempotency contract).  Default ``None``: failures propagate
-        immediately, exactly as before.
+        immediately.
     breaker:
         Optional :class:`~repro.api.scheduling.resilience.CircuitBreakerConfig`.
         When given, a replica accumulating consecutive batch failures is

@@ -731,6 +731,11 @@ def _operator_queries(
     raise ValueError(f"Unknown operator {operator!r}; valid operators: {ALL_OPS}")
 
 
+#: Share of broad-distribution samples mixed into each primitive's recorded
+#: queries by :func:`calibrate_primitive_luts`.
+_GENERIC_SHARE = 0.2
+
+
 def _generic_samples(primitive: str, count: int, rng: np.random.Generator) -> np.ndarray:
     """Broad-distribution samples keeping a calibrated table's global shape."""
     low, high = get_training_range(primitive)
@@ -750,23 +755,23 @@ def calibrate_primitive_luts(
     operators: Sequence[str],
     num_entries: Mapping[str, int] | int = 16,
     config: CalibrationConfig | None = None,
-    generic_share: float = 0.2,
-    seed: int = 0,
     input_scaling: bool = True,
 ) -> Dict[str, LookupTable]:
     """Re-fit the scalar primitives behind ``operators`` on recorded traffic.
 
     For each operator the recorded site inputs are converted into the query
-    points its scalar primitives actually see, mixed with a ``generic_share``
-    of broad log/uniform samples over the training range (guarding against
-    extrapolation damage outside the recorded distribution), and the
+    points its scalar primitives actually see, mixed with a
+    ``_GENERIC_SHARE`` of broad log/uniform samples over the training range
+    (guarding against extrapolation damage outside the recorded
+    distribution; drawn from a fixed seed, so equal recordings give equal
+    tables), and the
     registry's fitted network is re-trained against the exact reference
     (:class:`~repro.core.calibration.CalibrationConfig` defaults to the
     paper's five-epoch setting).  Returns calibrated tables keyed by
     primitive name — ready for ``build_backend(..., lut_overrides=...)``.
     """
     config = config or CalibrationConfig(epochs=5, learning_rate=5e-4)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     calibrated: Dict[str, LookupTable] = {}
     for operator in operators:
         primitive_queries = _operator_queries(recorder, operator, input_scaling)
@@ -774,7 +779,7 @@ def calibrate_primitive_luts(
             entries = (
                 num_entries if isinstance(num_entries, int) else num_entries[operator]
             )
-            num_generic = max(1, int(queries.size * generic_share))
+            num_generic = max(1, int(queries.size * _GENERIC_SHARE))
             queries = np.concatenate(
                 [queries, _generic_samples(primitive, num_generic, rng)]
             )

@@ -7,8 +7,8 @@ This module lifts that ceiling: :class:`ShardedPool` serves the same replica
 protocol from **worker processes**, each running its own interpreter, so the
 whole forward parallelises across cores.
 
-The construction honours the repo's prepare-once discipline and the PR-2
-serializability contract:
+The construction honours the repo's prepare-once discipline and the
+serializability contract of ``SessionConfig`` / ``BackendSpec``:
 
 * the parent builds (or adopts) the frozen encoder once, copies every master
   weight array into :class:`multiprocessing.shared_memory` blocks via
@@ -17,7 +17,7 @@ serializability contract:
   (:meth:`ShardedPool.close` hands the model private writable arrays back);
 * each worker reconstructs its :class:`~repro.api.session.InferenceSession`
   from the serializable ``SessionConfig.to_dict()`` / ``BackendSpec.to_dict()``
-  payloads (the round-trip PR 2 built for exactly this), maps the weight
+  payloads (the round-trip exists for exactly this), maps the weight
   blocks **read-only**, and receives the parent's already-fitted LUT tables
   (plus any calibrated overrides) by pickle — no worker ever re-fits a
   primitive or re-initialises weights it then throws away;
@@ -95,6 +95,14 @@ __all__ = [
 class WorkerDiedError(RuntimeError):
     """A shard worker process exited while (or before) serving a request."""
 
+
+#: How long the whole fleet (at construction) or one hot-added worker gets to
+#: report ready.
+_START_TIMEOUT_S = 120.0
+
+#: A request whose every row carries a deadline waits this much past the
+#: latest budget for the worker's reply before the call times out.
+_DEADLINE_GRACE_S = 5.0
 
 #: Manifest row: (array name, shm block name, shape, dtype string).
 _ManifestRow = Tuple[str, str, Tuple[int, ...], str]
@@ -392,13 +400,11 @@ class _ShardClient:
         process,
         transport: WorkerTransport,
         request_timeout_s: float,
-        deadline_grace_s: float = 5.0,
     ) -> None:
         self.index = index
         self.process = process
         self.transport = transport
         self._request_timeout_s = request_timeout_s
-        self._deadline_grace_s = deadline_grace_s
         self._lock = threading.Lock()
         #: Set when the channel can no longer be trusted (a request timed
         #: out with the worker still computing: its eventual reply would be
@@ -539,7 +545,7 @@ class _ShardClient:
         if len(budget_us) and bool(np.all(budget_us >= 0)):
             timeout_s = min(
                 self._request_timeout_s,
-                float(budget_us.max()) / 1e6 + self._deadline_grace_s,
+                float(budget_us.max()) / 1e6 + _DEADLINE_GRACE_S,
             )
         return self._call("forward", payload, timeout_s=timeout_s)
 
@@ -671,7 +677,7 @@ class ShardedPool(ReplicaPool):
     Batches beyond the capacity still serve correctly — they fall back to
     the pickle pipe, visible in each client's ``transport.stats``.
 
-    ``mp_context`` defaults to ``"spawn"``: it is the strictest start method
+    Workers are started with ``"spawn"``: it is the strictest start method
     (nothing is inherited, so it proves the replica truly reconstructs from
     the serializable spec — the same recipe a cross-machine shard would use)
     and the only one that is safe regardless of parent threads.
@@ -687,12 +693,9 @@ class ShardedPool(ReplicaPool):
         registry: LutRegistry | None = None,
         num_replicas: int = 2,
         model: EncoderModel | None = None,
-        mp_context: str = "spawn",
-        start_timeout_s: float = 120.0,
         request_timeout_s: float = 600.0,
         transport: str = "pipe",
         ring_bytes: int | None = None,
-        deadline_grace_s: float = 5.0,
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
@@ -747,20 +750,18 @@ class ShardedPool(ReplicaPool):
                 # the injector cannot be inherited).
                 fault_plan=_faults.active_plan(),
             )
-            self._context = multiprocessing.get_context(mp_context)
+            self._context = multiprocessing.get_context("spawn")
             self._request_bytes, self._response_bytes = self._ring_sizes(
                 template, transport, ring_bytes
             )
-            self._start_timeout_s = start_timeout_s
             self._request_timeout_s = request_timeout_s
-            self._deadline_grace_s = deadline_grace_s
             self._next_worker_index = num_replicas
             for index in range(num_replicas):
                 # Track before waiting so close() reaps it on any failure.
                 self.sessions.append(self._start_worker(index))
             # One shared deadline across the fleet (not per worker): N slow
             # workers must not stack N full start timeouts.
-            start_deadline = time.monotonic() + start_timeout_s
+            start_deadline = time.monotonic() + _START_TIMEOUT_S
             for client in self.sessions:
                 client.wait_ready(max(0.0, start_deadline - time.monotonic()))
         except BaseException:
@@ -836,10 +837,7 @@ class ShardedPool(ReplicaPool):
             raise
         self._transports.append(worker_transport)
         worker_transport.on_worker_started()
-        return _ShardClient(
-            index, process, worker_transport, self._request_timeout_s,
-            deadline_grace_s=self._deadline_grace_s,
-        )
+        return _ShardClient(index, process, worker_transport, self._request_timeout_s)
 
     def forward(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
         if self._closed:
@@ -896,7 +894,7 @@ class ShardedPool(ReplicaPool):
         self._next_worker_index += 1
         client = self._start_worker(index)
         try:
-            client.wait_ready(self._start_timeout_s)
+            client.wait_ready(_START_TIMEOUT_S)
             if self._template.lut_overrides:
                 # The pool was calibrated after construction; the baked init
                 # predates those tables.

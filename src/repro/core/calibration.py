@@ -34,7 +34,6 @@ from .training import (
     _denormalize_network,
     _least_squares_output_layer,
     l1_loss,
-    l2_loss,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ class CalibrationConfig:
     epochs: int = 5
     batch_size: int = 4096
     learning_rate: float = 5e-4
-    loss: str = "l1"
     max_samples: int = 200_000
     seed: int = 0
     clip_range: tuple[float, float] | None = None
@@ -67,8 +65,6 @@ class CalibrationConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.loss not in ("l1", "l2"):
-            raise ValueError(f"loss must be 'l1' or 'l2', got {self.loss!r}")
         if self.max_samples < 1:
             raise ValueError("max_samples must be >= 1")
 
@@ -150,7 +146,6 @@ def calibrate_network(
     calibrated.params.second_weight = network.params.second_weight / target_scale
     calibrated.params.output_bias = network.params.output_bias / target_scale
 
-    loss_fn = l1_loss if config.loss == "l1" else l2_loss
     optimizer = AdamOptimizer(learning_rate=config.learning_rate)
     num_batches = max(1, x_norm.size // config.batch_size)
 
@@ -166,7 +161,7 @@ def calibrate_network(
                 continue
             xb, yb = x_norm[idx], y_norm[idx]
             pred = calibrated.forward(xb)
-            _loss, grad_pred = loss_fn(pred, yb)
+            _loss, grad_pred = l1_loss(pred, yb)
             grads = calibrated.gradients(xb, grad_pred)
             params = calibrated.params.as_dict()
             updated = optimizer.step(params, grads)

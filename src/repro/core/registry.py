@@ -30,9 +30,6 @@ DEFAULT_TRAINING_CONFIG = TrainingConfig(
     batch_size=2048,
     epochs=40,
     learning_rate=1e-3,
-    lr_milestones=(0.5, 0.75, 0.9),
-    lr_gamma=0.3,
-    loss="l1",
     seed=0,
     num_restarts=2,
 )

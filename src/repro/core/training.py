@@ -16,7 +16,7 @@ conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "AdamOptimizer",
     "sample_training_data",
     "l1_loss",
-    "l2_loss",
     "fit_network",
 ]
 
@@ -39,10 +38,11 @@ __all__ = [
 class TrainingConfig:
     """Hyper-parameters for NN-LUT curve fitting.
 
-    Defaults follow Sec. 4.1: lr=1e-3 with a multi-step schedule, Adam, L1
-    loss, 100K samples.  ``epochs``/``batch_size`` are chosen so fitting a
-    16-entry LUT takes a couple of seconds on CPU while matching the paper's
-    accuracy; they can be reduced for fast tests.
+    Defaults follow Sec. 4.1: lr=1e-3, Adam, 100K samples; the L1 loss and
+    the multi-step schedule (``_LR_MILESTONES`` / ``_LR_GAMMA``) are fixed.
+    ``epochs``/``batch_size`` are chosen so fitting a 16-entry LUT takes a
+    couple of seconds on CPU while matching the paper's accuracy; they can be
+    reduced for fast tests.
     """
 
     hidden_size: int = 15
@@ -50,21 +50,13 @@ class TrainingConfig:
     batch_size: int = 4096
     epochs: int = 60
     learning_rate: float = 1e-3
-    lr_milestones: Sequence[float] = (0.5, 0.75, 0.9)
-    lr_gamma: float = 0.3
-    loss: str = "l1"
     sampling: str = "uniform"
     seed: int = 0
     output_bias: bool = True
     num_restarts: int = 1
-    normalize_inputs: bool = True
-    least_squares_init: bool = True
-    least_squares_refit: bool = True
-    anchor_strategy: str = "curvature"
     target_weighting: str = "none"
 
     _SAMPLING_MODES = ("uniform", "log", "neg_log")
-    _ANCHOR_STRATEGIES = ("curvature", "quantile", "uniform")
     _WEIGHTINGS = ("none", "relative")
 
     def __post_init__(self) -> None:
@@ -76,16 +68,9 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.loss not in ("l1", "l2"):
-            raise ValueError(f"loss must be 'l1' or 'l2', got {self.loss!r}")
         if self.sampling not in self._SAMPLING_MODES:
             raise ValueError(
                 f"sampling must be one of {self._SAMPLING_MODES}, got {self.sampling!r}"
-            )
-        if self.anchor_strategy not in self._ANCHOR_STRATEGIES:
-            raise ValueError(
-                f"anchor_strategy must be one of {self._ANCHOR_STRATEGIES}, "
-                f"got {self.anchor_strategy!r}"
             )
         if self.target_weighting not in self._WEIGHTINGS:
             raise ValueError(
@@ -202,23 +187,18 @@ def l1_loss(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarr
     return loss, grad
 
 
-def l2_loss(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``prediction``."""
-    diff = prediction - target
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+#: Multi-step learning-rate schedule (Sec. 4.1): the rate is multiplied by
+#: ``_LR_GAMMA`` at each of these fractions of the epoch budget.
+_LR_MILESTONES = (0.5, 0.75, 0.9)
+_LR_GAMMA = 0.3
 
 
-_LOSSES = {"l1": l1_loss, "l2": l2_loss}
-
-
-def _lr_scale(progress: float, milestones: Sequence[float], gamma: float) -> float:
-    """Multi-step learning-rate decay: multiply by ``gamma`` per passed milestone."""
+def _lr_scale(progress: float) -> float:
+    """Multi-step learning-rate decay: multiply by ``_LR_GAMMA`` per passed milestone."""
     scale = 1.0
-    for milestone in milestones:
+    for milestone in _LR_MILESTONES:
         if progress >= milestone:
-            scale *= gamma
+            scale *= _LR_GAMMA
     return scale
 
 
@@ -303,8 +283,8 @@ def _least_squares_output_layer(
     With the hidden layer frozen, the network output is linear in the second
     layer weights and bias, so a (ridge-regularised, optionally weighted)
     least-squares solve gives the optimal L2 fit instantly.  Used to
-    initialise the output layer before Adam refines the breakpoints, and
-    optionally to refit it afterwards.
+    initialise the output layer before Adam refines the breakpoints, and to
+    refit it afterwards.
     """
     hidden = network.hidden_activations(x)
     if network.trainable_output_bias:
@@ -363,11 +343,8 @@ def _run_single_fit(
     # Condition the regression: map inputs to roughly [-1, 1] and targets to
     # roughly [-1, 1] so a single Adam learning rate works for every primitive
     # (exp spans 0..1, 1/sqrt spans 0.03..3.2, reciprocal 1e-3..1, GELU -0.2..5).
-    if config.normalize_inputs:
-        center = (high + low) / 2.0
-        half_width = (high - low) / 2.0
-    else:
-        center, half_width = 0.0, 1.0
+    center = (high + low) / 2.0
+    half_width = (high - low) / 2.0
     target_scale = float(np.max(np.abs(y)))
     target_scale = target_scale if target_scale > 0 else 1.0
 
@@ -375,7 +352,7 @@ def _run_single_fit(
     y_norm = y / target_scale
     norm_range = ((low - center) / half_width, (high - center) / half_width)
 
-    # Per-sample loss weights.  "relative" weighting turns the L1/L2 loss into
+    # Per-sample loss weights.  "relative" weighting turns the L1 loss into
     # (approximately) a relative-error loss, which is the right objective for
     # primitives whose downstream use is multiplicative (1/x normalising a
     # Softmax row, 1/sqrt scaling a LayerNorm row) and whose outputs span
@@ -386,26 +363,19 @@ def _run_single_fit(
     else:
         weights = np.ones_like(y_norm)
 
-    # Initial breakpoints: either curvature-balanced over the (normalised)
-    # range, at the quantiles of the training-input distribution, or uniform.
-    # Curvature placement puts table entries where the approximation pressure
-    # actually is (dense near 0 for exp, dense near 1 for 1/x); the Adam fit
-    # then refines them.
-    if config.anchor_strategy == "curvature":
-        normalised_function = lambda z: np.asarray(  # noqa: E731 - local adapter
-            function(z * half_width + center), dtype=np.float64
-        ) / target_scale
-        anchors = curvature_anchors(
-            normalised_function,
-            norm_range,
-            config.hidden_size,
-            relative=(config.target_weighting == "relative"),
-        )
-    elif config.anchor_strategy == "quantile":
-        quantiles = np.linspace(0.0, 1.0, config.hidden_size + 2)[1:-1]
-        anchors = np.quantile(x_norm, quantiles)
-    else:
-        anchors = None
+    # Initial breakpoints: curvature-balanced over the (normalised) range,
+    # which puts table entries where the approximation pressure actually is
+    # (dense near 0 for exp, dense near 1 for 1/x); the Adam fit then refines
+    # them.
+    normalised_function = lambda z: np.asarray(  # noqa: E731 - local adapter
+        function(z * half_width + center), dtype=np.float64
+    ) / target_scale
+    anchors = curvature_anchors(
+        normalised_function,
+        norm_range,
+        config.hidden_size,
+        relative=(config.target_weighting == "relative"),
+    )
 
     network = initialize_network(
         function_name,
@@ -415,13 +385,11 @@ def _run_single_fit(
         output_bias=config.output_bias,
         anchors=anchors,
     )
-    if config.least_squares_init:
-        subsample = min(x_norm.size, 20_000)
-        _least_squares_output_layer(
-            network, x_norm[:subsample], y_norm[:subsample], weights=weights[:subsample]
-        )
+    subsample = min(x_norm.size, 20_000)
+    _least_squares_output_layer(
+        network, x_norm[:subsample], y_norm[:subsample], weights=weights[:subsample]
+    )
 
-    loss_fn = _LOSSES[config.loss]
     optimizer = AdamOptimizer(learning_rate=config.learning_rate)
     num_batches = max(1, x_norm.size // config.batch_size)
     history: List[float] = []
@@ -430,14 +398,14 @@ def _run_single_fit(
         order = rng.permutation(x_norm.size)
         epoch_loss = 0.0
         progress = epoch / max(1, config.epochs - 1)
-        scale = _lr_scale(progress, config.lr_milestones, config.lr_gamma)
+        scale = _lr_scale(progress)
         for batch_index in range(num_batches):
             idx = order[batch_index * config.batch_size : (batch_index + 1) * config.batch_size]
             if idx.size == 0:
                 continue
             xb, yb, wb = x_norm[idx], y_norm[idx], weights[idx]
             pred = network.forward(xb)
-            loss, grad_pred = loss_fn(pred, yb)
+            loss, grad_pred = l1_loss(pred, yb)
             grad_pred = grad_pred * wb
             grads = network.gradients(xb, grad_pred)
             params = network.params.as_dict()
@@ -453,27 +421,24 @@ def _run_single_fit(
     def _weighted_l1(candidate_net: OneHiddenReluNet) -> float:
         return float(np.mean(weights * np.abs(candidate_net.forward(x_norm) - y_norm)))
 
-    if config.least_squares_refit:
-        # The Adam pass mostly serves to place the breakpoints; with those
-        # frozen, re-solving the (convex) output layer removes any residual
-        # optimisation error.  Keep the refit only when it helps the
-        # (weighted) L1 loss.
-        candidate = network.copy()
-        subsample = min(x_norm.size, 50_000)
-        _least_squares_output_layer(
-            candidate, x_norm[:subsample], y_norm[:subsample], weights=weights[:subsample]
-        )
-        if _weighted_l1(candidate) < _weighted_l1(network):
-            network = candidate
+    # The Adam pass mostly serves to place the breakpoints; with those
+    # frozen, re-solving the (convex) output layer removes any residual
+    # optimisation error.  Keep the refit only when it helps the
+    # (weighted) L1 loss.
+    candidate = network.copy()
+    subsample = min(x_norm.size, 50_000)
+    _least_squares_output_layer(
+        candidate, x_norm[:subsample], y_norm[:subsample], weights=weights[:subsample]
+    )
+    if _weighted_l1(candidate) < _weighted_l1(network):
+        network = candidate
 
     _denormalize_network(network, center, half_width, target_scale)
 
     # Report the final loss in the *unnormalised* target units so callers can
     # compare against the paper's L1-error plots directly.
     final_pred = network.forward(x)
-    final_loss = float(np.mean(np.abs(final_pred - y))) if config.loss == "l1" else float(
-        np.mean((final_pred - y) ** 2)
-    )
+    final_loss = float(np.mean(np.abs(final_pred - y)))
     return TrainingResult(
         network=network,
         final_loss=final_loss,

@@ -79,7 +79,6 @@ class TransformerConfig:
     matmul_precision: str = "fp32"
     compute_dtype: str = "float32"
     kernel: str = "numpy"
-    layer_norm_eps: float = 1e-5
     name: str = "transformer"
 
     def __post_init__(self) -> None:

@@ -126,6 +126,22 @@ class TestInjectorMechanics:
         injector.on_spawn()  # recovered
 
 
+@pytest.mark.parametrize(
+    "attempt, nominal_s",
+    # RETRY: base 10 ms doubling per attempt, capped at 50 ms.
+    [(1, 0.01), (2, 0.02), (3, 0.04), (4, 0.05), (7, 0.05)],
+)
+def test_backoff_doubles_is_capped_and_jitters_reproducibly(attempt, nominal_s):
+    def sleeps():
+        rng = np.random.default_rng(RETRY.seed)
+        return [RETRY.backoff_s(attempt, rng) for _ in range(32)]
+
+    draws = sleeps()
+    assert draws == sleeps()  # same seed, same sleeps
+    assert len(set(draws)) > 1  # jittered, not constant
+    assert all(0.9 * nominal_s <= d <= 1.1 * nominal_s for d in draws)
+
+
 class TestBreakerAndRetryInProcess:
     """Retry + breaker semantics on a threaded pool (no process spawns)."""
 

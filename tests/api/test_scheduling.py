@@ -38,7 +38,14 @@ from repro.api import (
     ShardedPool,
     create_router,
 )
-from repro.api.scheduling import AdmissionController, BatchFormer, Pending, ServingFuture
+from repro.api.scheduling import (
+    AdmissionController,
+    BatchFormer,
+    CircuitBreakerConfig,
+    Pending,
+    ReplicaHealth,
+    ServingFuture,
+)
 from repro.api.scheduling.admission import QueueFullError
 from repro.api.scheduling.stats import StatsBoard
 
@@ -464,6 +471,19 @@ class TestMembership:
                 assert stats.replicas_added == 1 and stats.replicas_retired == 1
         finally:
             pool.close()
+
+
+@pytest.mark.parametrize(
+    "breaker", [None, CircuitBreakerConfig(), CircuitBreakerConfig(failure_threshold=1)]
+)
+def test_service_ewma_is_the_same_with_and_without_a_breaker(breaker):
+    health = ReplicaHealth(breaker)
+    seen = []
+    for service_ms in (10.0, 20.0, 5.0):
+        health.record_success(service_ms)
+        seen.append(health.service_ewma_ms)
+    # First sample seeds the average; each later one moves it a fifth of the way.
+    assert seen == pytest.approx([10.0, 12.0, 10.6])
 
 
 # --------------------------------------------------------------------------- #

@@ -5,12 +5,25 @@ change that alters the surface, so the diff shows it.
 """
 
 import dataclasses
+import inspect
 
 import repro.api
 import repro.core.kernels
 import repro.transformer
-from repro.api import BackendSpec, SessionConfig
+from repro.api import (
+    AutoscalerConfig,
+    BackendSpec,
+    CircuitBreakerConfig,
+    FaultPlan,
+    RetryPolicy,
+    ServingQueue,
+    SessionConfig,
+    ShardedPool,
+    calibrate_primitive_luts,
+)
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
+from repro.core.calibration import CalibrationConfig
+from repro.core.training import TrainingConfig
 from repro.transformer import NonlinearBackend, TransformerConfig
 
 API = """
@@ -50,7 +63,36 @@ FIELDS = {
     TransformerConfig: (
         "hidden_size num_layers num_heads intermediate_size max_sequence_length "
         "vocab_size activation normalization matmul_precision compute_dtype "
-        "kernel layer_norm_eps name"
+        "kernel name"
+    ),
+    # The option surface (ROADMAP item 7): a field stays only while some
+    # test, example or benchmark sets it to a non-default value.
+    TrainingConfig: (
+        "hidden_size num_samples batch_size epochs learning_rate sampling seed "
+        "output_bias num_restarts target_weighting"
+    ),
+    CalibrationConfig: "epochs batch_size learning_rate max_samples seed clip_range",
+    RetryPolicy: "max_attempts backoff_base_s backoff_max_s retry_budget seed",
+    CircuitBreakerConfig: "failure_threshold cooldown_s",
+    AutoscalerConfig: "min_replicas max_replicas interval_s patience cooldown_ticks",
+    FaultPlan: (
+        "seed worker_crash_at crash_worker_index worker_stall_at "
+        "stall_worker_index worker_stall_s session_error_at session_error_count "
+        "corrupt_response_at spawn_fail_at"
+    ),
+}
+
+SIGNATURES = {
+    ShardedPool.__init__: (
+        "self config spec registry num_replicas model request_timeout_s "
+        "transport ring_bytes"
+    ),
+    ServingQueue.__init__: (
+        "self pool max_wait_ms max_batch_size max_queue_depth start router "
+        "autoscale replace_dead_replicas retry breaker"
+    ),
+    calibrate_primitive_luts: (
+        "recorder registry operators num_entries config input_scaling"
     ),
 }
 
@@ -67,6 +109,13 @@ def test_exported_names():
 def test_config_fields():
     for cls, names in FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names.split(), cls.__name__
+
+
+def test_signatures():
+    for function, names in SIGNATURES.items():
+        assert list(inspect.signature(function).parameters) == names.split(), (
+            function.__qualname__
+        )
 
 
 def test_operator_descriptions_carry_no_kernel():

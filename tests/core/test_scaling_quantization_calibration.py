@@ -162,4 +162,4 @@ class TestCalibration:
         with pytest.raises(ValueError):
             CalibrationConfig(epochs=0)
         with pytest.raises(ValueError):
-            CalibrationConfig(loss="huber")
+            CalibrationConfig(max_samples=0)

@@ -11,7 +11,6 @@ from repro.core.training import (
     curvature_anchors,
     fit_network,
     l1_loss,
-    l2_loss,
     sample_training_data,
 )
 
@@ -22,17 +21,9 @@ FAST = TrainingConfig(
 
 
 class TestConfigValidation:
-    def test_rejects_bad_loss(self):
-        with pytest.raises(ValueError, match="loss"):
-            TrainingConfig(loss="huber")
-
     def test_rejects_bad_sampling(self):
         with pytest.raises(ValueError, match="sampling"):
             TrainingConfig(sampling="weird")
-
-    def test_rejects_bad_anchor_strategy(self):
-        with pytest.raises(ValueError, match="anchor_strategy"):
-            TrainingConfig(anchor_strategy="magic")
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError):
@@ -72,11 +63,6 @@ class TestLosses:
         loss, grad = l1_loss(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
         assert loss == pytest.approx(1.0)
         np.testing.assert_allclose(grad, [0.5, -0.5])
-
-    def test_l2(self):
-        loss, grad = l2_loss(np.array([2.0]), np.array([0.0]))
-        assert loss == pytest.approx(4.0)
-        np.testing.assert_allclose(grad, [4.0])
 
 
 class TestAdam:

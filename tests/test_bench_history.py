@@ -6,6 +6,7 @@ here rather than something a reader finds out later.
 """
 
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,6 +21,10 @@ def test_history_lines_match_the_benchmark_contract():
     assert entries
     prs = [entry["pr"] for entry in entries]
     assert all(a < b for a, b in zip(prs, prs[1:])), prs
+    # Each PR appends the previous PR's pipeline medians (its own are not
+    # known until it has landed), so the trajectory trails CHANGES.md by one.
+    landed = re.findall(r"^- PR (\d+):", (ROOT / "CHANGES.md").read_text(), re.M)
+    assert prs[-1] >= max(map(int, landed)) - 1, (prs[-1], landed[-1])
     for entry in entries:
         assert set(entry) == {"pr", "workloads"}
         assert set(entry["workloads"]) == workloads, entry["pr"]
