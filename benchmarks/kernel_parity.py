@@ -11,8 +11,10 @@ approximation, so ``max_abs_diff`` must print as exactly zero.
 After the table it prints the packed int8 GEMM alone in GOP/s, per encoder
 projection shape and per micro-kernel tier the host can run, then the numpy
 kernel's LUT operators in ms and ns/element at two BERT-base block shapes
-(the figures ROADMAP's performance snapshot quotes); those rows are
-information, not a gate.
+(the figures ROADMAP's performance snapshot quotes), then the float32
+projection per BERT-base weight shape as ``np.matmul`` issues it for a 3-D
+activation (one GEMM per sequence) against the one row-stacked GEMM
+``matmul_fp32`` makes of it; those rows are information, not a gate.
 """
 
 from __future__ import annotations
@@ -120,12 +122,14 @@ def build_rows(registry: LutRegistry) -> list:
             axis=-1,
         ),
     )
+    # The native kernel delegates this one to the numpy kernel, so the twin is
+    # the seed formula (2-D input: one GEMM either way, hence bitwise).
     w32 = rng.normal(size=(48, 32)).astype(np.float32)
     add(
         "linear",
         "fp32",
         native.matmul_fp32(x, w32, np.float32, bias=bias),
-        NUMPY_KERNEL.matmul_fp32(x, w32, np.float32, bias=bias),
+        np.matmul(x, w32) + bias,
     )
     scale = NUMPY_KERNEL.quantize_scale(x)
     assert float(native.quantize_scale(x)) == float(scale)
@@ -332,6 +336,38 @@ def numpy_lut_timings(registry: LutRegistry) -> dict:
     return out
 
 
+def fp32_projection_timings() -> tuple:
+    """The float32 projection, per sequence vs row-stacked.
+
+    ``({"4xT": {"k->n": ((ms, GFLOP/s), (ms, GFLOP/s))}}, bitwise)``: what
+    ``np.matmul`` does with a ``(4, T, k)`` activation — four GEMMs of ``T``
+    rows — against ``matmul_fp32``'s one GEMM of ``4 * T`` rows, for
+    BERT-base's three weight shapes; best of seven.  ``bitwise`` says whether
+    the two agreed to the last bit on every shape with this BLAS.
+    """
+    rng = np.random.default_rng(31)
+    hidden, inter = 768, 3072
+    out: dict = {}
+    bitwise = True
+    for length in (48, 128):
+        cells = out[f"4x{length}"] = {}
+        for k, n in ((hidden, hidden), (hidden, inter), (inter, hidden)):
+            x = rng.normal(size=(4, length, k)).astype(np.float32)
+            w = rng.normal(scale=k**-0.5, size=(k, n)).astype(np.float32)
+            gflop = 2.0 * x.size * n / 1e9
+            per_sequence = best_seconds(lambda: np.matmul(x, w), 7)
+            stacked = best_seconds(
+                lambda: NUMPY_KERNEL.matmul_fp32(x, w, np.float32), 7
+            )
+            bitwise = bitwise and np.array_equal(
+                np.matmul(x, w), NUMPY_KERNEL.matmul_fp32(x, w, np.float32)
+            )
+            cells[f"{k}->{n}"] = tuple(
+                (seconds * 1e3, gflop / seconds) for seconds in (per_sequence, stacked)
+            )
+    return out, bitwise
+
+
 def main() -> int:
     if not native_available():
         print(
@@ -366,6 +402,18 @@ def main() -> int:
             f"{op} {ms:.2f} ms ({ns:.1f} ns/el)" for op, (ms, ns) in ops.items()
         )
         print(f"numpy LUT ops {shape:<6} fp32: {cells}")
+    projections, bitwise = fp32_projection_timings()
+    for shape, weights in projections.items():
+        cells = ", ".join(
+            f"{weight} {a_ms:.2f} -> {b_ms:.2f} ms ({a_rate:.0f} -> {b_rate:.0f} GFLOP/s)"
+            for weight, ((a_ms, a_rate), (b_ms, b_rate)) in weights.items()
+        )
+        print(f"fp32 projection {shape:<6} per-sequence -> row-stacked: {cells}")
+    print(
+        "fp32 projection: row-stacked and per-sequence results "
+        + ("bitwise-equal" if bitwise else "differ in the last bits")
+        + " on these shapes with this BLAS (information; float64 never stacks)"
+    )
     return 0
 
 

@@ -66,6 +66,17 @@ Every op is one C call on the caller's thread, and the kernel keeps nothing
 between calls: cores are used by running several sessions
 (``SessionPool`` / ``ShardedPool``), whose threads share the one instance.
 
+The float projection
+--------------------
+``matmul_fp32`` (both kernels: the native one delegates) is BLAS, and what
+BLAS is handed depends on the engine: the float32 engine — and the numpy
+kernel's int8 path, through its float64 carrier — makes one GEMM call over
+all ``batch * seq`` token rows, the float64 engine one call per sequence.
+:func:`_float_gemm` is the one site and states when rows may be stacked and
+why.  The consequence: float32 outputs may differ in the last bits with
+batch composition on shapes where BLAS changes kernel, as int8's already do;
+float64 outputs never do.
+
 The LUT operators
 -----------------
 A float32 table of up to 16 entries — every table the paper uses — is
@@ -179,6 +190,33 @@ def _c_ready(x: np.ndarray) -> bool:
     return x.dtype in _FLOAT_DTYPES and x.flags.c_contiguous
 
 
+def _float_gemm(x: np.ndarray, operand: np.ndarray, stack_rows: bool) -> np.ndarray:
+    """``x @ operand`` for a 2-D weight — the numpy kernel's one float GEMM site.
+
+    ``np.matmul`` on a ``(batch, seq, k)`` activation is a gufunc loop: one
+    BLAS call of ``seq`` rows per sequence, each re-packing the weight.  With
+    ``stack_rows`` the leading axes are folded into one ``(batch * seq, k)``
+    row matrix (a view of a contiguous ``x``) and BLAS is called once.
+
+    Stacking changes the GEMM's shape, and BLAS results are not invariant to
+    that (small-matrix kernels chosen on ``m * n * k``, row tails, ``m = 1``
+    going to gemv), so it is allowed only where the bits cannot depend on it
+    or nobody was promised they would not:
+
+    * the sums are exact — the int8 path's float64 carrier holds integers
+      below 2**53, which add up the same in any order; or
+    * the engine carries no batch-invariance contract — float32.
+
+    The float64 engine's "batched == per-call, bitwise" guarantee *is* the
+    per-sequence call: a batch and a single request issue GEMMs of the
+    identical shape.  It passes ``stack_rows=False``.
+    """
+    if not stack_rows or x.ndim <= 2:
+        return np.matmul(x, operand)
+    rows = np.matmul(x.reshape(-1, x.shape[-1]), operand)
+    return rows.reshape(*x.shape[:-1], operand.shape[-1])
+
+
 # --------------------------------------------------------------------------- #
 # Protocol + reference implementation
 # --------------------------------------------------------------------------- #
@@ -256,7 +294,9 @@ class NumpyKernel(ComputeKernel):
     """Reference kernel: the engine's original numpy op sequences, verbatim.
 
     The table-driven operators run that op order per L2-sized row block (see
-    the module docstring); the bits do not depend on the blocking.
+    the module docstring); the bits do not depend on the blocking.  A float32
+    or int8 projection is one GEMM over all token rows, a float64 one a GEMM
+    per sequence (:func:`_float_gemm`).
     """
 
     name = "numpy"
@@ -269,7 +309,7 @@ class NumpyKernel(ComputeKernel):
         x = np.asarray(x)
         if x.dtype != out_dtype:
             x = x.astype(out_dtype)
-        result = np.matmul(x, operand)
+        result = _float_gemm(x, operand, stack_rows=out_dtype != np.float64)
         if bias is not None:
             result += bias
         return result
@@ -287,7 +327,7 @@ class NumpyKernel(ComputeKernel):
         np.clip(act, -_INT8_LIMIT, _INT8_LIMIT, out=act)
         if act.dtype != np.float64:
             act = act.astype(np.float64)
-        accumulator = np.matmul(act, operand)
+        accumulator = _float_gemm(act, operand, stack_rows=True)
         accumulator *= act_scale * weight_scale
         result = accumulator.astype(out_dtype, copy=False)
         if bias is not None:

@@ -193,6 +193,122 @@ class TestPackedQuantizeNonFinite:
                 )
 
 
+@pytest.fixture()
+def matmul_lefts(monkeypatch):
+    """The left operands that reach ``np.matmul``, in call order."""
+    lefts = []
+    real = np.matmul
+
+    def recording_matmul(a, b):
+        lefts.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    return lefts
+
+
+@pytest.mark.parametrize("name", AVAILABLE_KERNELS)
+class TestMatmulFp32Shapes:
+    """``matmul_fp32``: one GEMM over token rows in float32, one per sequence in float64."""
+
+    @pytest.fixture()
+    def weight(self, rng):
+        return rng.normal(size=(24, 10)).astype(np.float32)
+
+    def test_float32_is_one_row_stacked_gemm(self, name, rng, weight, matmul_lefts):
+        x = rng.normal(size=(4, 6, 24)).astype(np.float32)
+        got = get_kernel(name).matmul_fp32(x, weight, np.float32)
+        (left,) = matmul_lefts
+        assert left.shape == (24, 24) and np.shares_memory(left, x)
+        assert got.shape == (4, 6, 10) and got.dtype == np.float32
+
+    def test_float64_stays_one_gemm_per_sequence(self, name, rng, weight, matmul_lefts):
+        x = rng.normal(size=(4, 6, 24))
+        w = weight.astype(np.float64)
+        got = get_kernel(name).matmul_fp32(x, w, np.float64)
+        (left,) = matmul_lefts
+        assert left is x
+        assert eq(got, np.matmul(x, w))
+
+    @pytest.mark.parametrize("shape", [(24,), (0, 5, 24), (2, 3, 4, 24), (1, 1, 24)])
+    def test_leading_axes_are_restored(self, name, rng, weight, shape):
+        x = rng.normal(size=shape).astype(np.float32)
+        got = get_kernel(name).matmul_fp32(x, weight, np.float32)
+        want = np.matmul(x, weight)
+        assert got.shape == want.shape == shape[:-1] + (10,)
+        assert got.dtype == np.float32
+        assert np.allclose(got, want, atol=1e-4)
+
+    def test_strided_2d_view_is_not_copied(self, name, rng, weight, matmul_lefts):
+        """The pooler's input, ``hidden[:, 0, :]``, goes to BLAS as it is."""
+        hidden = rng.normal(size=(4, 6, 24)).astype(np.float32)
+        first = hidden[:, 0, :]
+        assert not first.flags.c_contiguous
+        got = get_kernel(name).matmul_fp32(first, weight, np.float32)
+        (left,) = matmul_lefts
+        assert left is first
+        assert eq(got, np.matmul(first, weight))
+
+    def test_float64_input_is_cast_once_then_one_gemm(
+        self, name, rng, weight, matmul_lefts
+    ):
+        x = rng.normal(size=(3, 5, 24))
+        got = get_kernel(name).matmul_fp32(x, weight, np.float32)
+        (left,) = matmul_lefts
+        assert left.shape == (15, 24) and left.dtype == np.float32
+        assert got.dtype == np.float32
+        assert eq(got, np.matmul(left, weight).reshape(3, 5, 10))
+
+    def test_bias_is_added_after_the_gemm(self, name, rng, weight):
+        x = rng.normal(size=(3, 5, 24)).astype(np.float32)
+        bias = rng.normal(size=10).astype(np.float32)
+        kernel = get_kernel(name)
+        assert eq(
+            kernel.matmul_fp32(x, weight, np.float32, bias=bias),
+            kernel.matmul_fp32(x, weight, np.float32) + bias,
+        )
+
+    def test_float32_batched_close_to_per_call(self, name, rng, weight):
+        """Tolerance, not bits: float32 never carried the batch-invariance contract."""
+        x = rng.normal(size=(4, 6, 24)).astype(np.float32)
+        kernel = get_kernel(name)
+        batched = kernel.matmul_fp32(x, weight, np.float32)
+        for row, sequence in zip(batched, x):
+            per_call = kernel.matmul_fp32(sequence[None], weight, np.float32)[0]
+            assert np.max(np.abs(row - per_call)) < 1e-4
+
+
+class TestNumpyInt8CarrierGemm:
+    """The float64 carrier GEMM is row-stacked always: integer sums are exact."""
+
+    @pytest.mark.parametrize("shape", [(3, 11, 24), (4, 96, 768)])
+    @pytest.mark.parametrize("out_dtype", [np.float32, np.float64])
+    def test_row_stacked_equals_per_sequence_bitwise(self, rng, shape, out_dtype):
+        k, n = shape[-1], 40
+        x = rng.normal(size=shape).astype(out_dtype)
+        w_q = rng.integers(-127, 128, size=(k, n), dtype=np.int8)
+        bias = rng.normal(size=n).astype(out_dtype)
+        operand = NUMPY_KERNEL.pack_weight_int8(w_q)
+        got = NUMPY_KERNEL.linear_int8(x, operand, 0.013, out_dtype, bias=bias)
+
+        # The parent's op sequence: one carrier GEMM per sequence.
+        act_scale = NUMPY_KERNEL.quantize_scale(x)
+        act = np.clip(np.round(x / act_scale), -127, 127).astype(np.float64)
+        accumulator = np.matmul(act, operand)
+        accumulator *= act_scale * 0.013
+        want = accumulator.astype(out_dtype, copy=False)
+        want += bias
+        assert got.dtype == want.dtype and eq(got, want)
+
+    def test_goes_to_blas_as_one_row_matrix(self, rng, matmul_lefts):
+        x = rng.normal(size=(3, 11, 24))
+        operand = NUMPY_KERNEL.pack_weight_int8(
+            rng.integers(-127, 128, size=(24, 5), dtype=np.int8)
+        )
+        assert NUMPY_KERNEL.linear_int8(x, operand, 0.01, np.float64).shape == (3, 11, 5)
+        assert [left.shape for left in matmul_lefts] == [(33, 24)]
+
+
 @needs_native
 class TestNativeOpParity:
     """Every ComputeKernel op: NativeKernel == NumpyKernel, bitwise."""
@@ -207,13 +323,17 @@ class TestNativeOpParity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matmul_fp32(self, native, rng_cls, dtype):
-        x = rng_cls.normal(size=(7, 12)).astype(dtype)
+        """Against the seed formula, not the function ``native`` delegates to."""
+        x = rng_cls.normal(size=(3, 7, 12)).astype(dtype)
         w = rng_cls.normal(size=(12, 9)).astype(dtype)
         bias = rng_cls.normal(size=9).astype(dtype)
-        assert eq(
-            native.matmul_fp32(x, w, dtype, bias=bias),
-            NUMPY_KERNEL.matmul_fp32(x, w, dtype, bias=bias),
-        )
+        got = native.matmul_fp32(x, w, dtype, bias=bias)
+        want = np.matmul(x, w) + bias
+        assert got.dtype == dtype and got.shape == want.shape
+        if dtype == np.float64:
+            assert eq(got, want)
+        else:
+            assert np.max(np.abs(got - want)) < 1e-4
 
     @pytest.mark.parametrize("in_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("out_dtype", [np.float32, np.float64])

@@ -6,12 +6,22 @@ recorder state.  ``seed_forward`` below is the reference it must reproduce
 bit for bit in float64: the original unfused op sequence, written out
 independently of the encoder — per-call ``matmul_with_precision(x, W) + b``
 linears and the backend's operator objects called directly.
+
+The second gate is the serving half of the same guarantee, off the ``tiny``
+model's 32/64 shapes: a micro-batch of same-length requests equals the
+requests served one at a time, bit for bit, because both issue GEMMs of the
+identical shape (one per sequence).  BLAS results are *not* invariant to
+stacking the batch's rows into one GEMM — the 60/122 and 96/130 widths and
+batches of length-1 requests (``m = 1`` is gemv, ``m = batch`` is gemm) are
+where that shows.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.api import BackendSpec, build_backend
+from repro.api import BackendSpec, InferenceSession, SessionConfig, build_backend
 from repro.core.kernels import native_available
 from repro.transformer import matmul_with_precision, tiny_test_config
 from repro.transformer.models import EncoderModel
@@ -113,3 +123,48 @@ def test_float64_engine_equals_seed_reference(
         assert len(recorded) == len(inputs), op
         for site, (got, want) in enumerate(zip(recorded, inputs)):
             assert np.array_equal(got, want), f"{op} site {site}"
+
+
+#: (hidden, intermediate, heads): ``tiny`` as it is, then two widths whose
+#: float64 GEMMs change bits when a batch's rows are stacked.
+WIDTHS = ((32, 64, 2), (60, 122, 4), (96, 130, 4))
+
+
+@pytest.mark.parametrize("matmul_precision", ["fp32", "fp16"])
+@pytest.mark.parametrize("method", ["exact", "nn_lut"])
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda w: f"{w[0]}x{w[1]}")
+def test_float64_batched_equals_per_call(
+    fast_registry, width, method, matmul_precision
+):
+    hidden, intermediate, heads = width
+    session = InferenceSession(
+        SessionConfig(
+            model_family="tiny",
+            compute_dtype="float64",
+            matmul_precision=matmul_precision,
+            max_batch_size=4,
+            model_overrides={
+                "hidden_size": hidden,
+                "intermediate_size": intermediate,
+                "num_heads": heads,
+            },
+        ),
+        SPECS[method],
+        registry=fast_registry,
+    )
+    vocab_size = session.model.config.vocab_size
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @example(4, 1, 0)  # several length-1 requests in one batch
+    @example(2, 1, 1)
+    def check(batch, length, seed):
+        rng = np.random.default_rng(seed)
+        requests = list(rng.integers(0, vocab_size, size=(batch, length)))
+        batched = session.forward(requests)
+        for request, got in zip(requests, batched):
+            (per_call,) = session.forward([request])
+            assert got.dtype == np.float64
+            assert np.array_equal(got, per_call)
+
+    check()
