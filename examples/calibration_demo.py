@@ -15,13 +15,7 @@ import numpy as np
 
 import example_utils
 from repro.api import BackendSpec, InferenceSession, SessionConfig
-from repro.core import (
-    CalibrationConfig,
-    LutLayerNorm,
-    InputScaler,
-    calibrate_lut,
-    functions,
-)
+from repro.core import LutLayerNorm, InputScaler, calibrate_lut, functions
 
 
 def main() -> None:
@@ -40,11 +34,7 @@ def main() -> None:
     # actually produces (no labels involved).
     variances = np.var(activations, axis=-1) + 1e-5
     calibrated_lut = calibrate_lut(
-        primitive.network,
-        functions.rsqrt,
-        variances,
-        config=CalibrationConfig(epochs=5),
-        name="rsqrt",
+        primitive.network, functions.rsqrt, variances, name="rsqrt"
     )
     calibrated = LutLayerNorm(calibrated_lut, scaler=InputScaler())
     calibrated_error = np.mean(np.abs(calibrated(activations) - reference))

@@ -37,8 +37,8 @@ if [[ -n "$tracked_pyc" ]]; then
     exit 1
 fi
 
-echo "== staticcheck (locks/races, lock-order deadlocks, blocking-under-lock,"
-echo "==             lifecycle, dtype, pickle boundary, spec/opcode drift, parity audit)"
+echo "== staticcheck (locks/races, blocking-under-lock, lifecycle, dtype,"
+echo "==             parity audit, control-message opcodes)"
 python -m repro.staticcheck "${STATICCHECK_ARGS[@]}"
 
 if command -v ruff >/dev/null 2>&1; then

@@ -29,10 +29,11 @@ budgets_s)``, the one replica-handle signature), capping a shard client's
 transport wait and letting replicas skip requests that expired in flight.
 
 Locking story (kept deliberately boring so the interprocedural
-``lock-order`` / ``blocking-under-lock`` static checks stay clean): the
-fleet condition (``_cond`` over ``_lock``) is the **only** lock in the
-scheduling package.  The admission controller, batch former, router and
-stats board are all lock-free and only ever touched while it is held;
+``blocking-under-lock`` static check stays clean and no lock is ever
+taken while another is held): the fleet condition (``_cond`` over
+``_lock``) is the **only** lock in the scheduling package.  The
+admission controller, batch former, router and stats board are all
+lock-free and only ever touched while it is held;
 everything that can block — replica forwards, pool spawn/retire hooks,
 thread joins, future fulfilment, **retry backoff sleeps** — happens
 strictly outside it.

@@ -766,11 +766,10 @@ def calibrate_primitive_luts(
     distribution; drawn from a fixed seed, so equal recordings give equal
     tables), and the
     registry's fitted network is re-trained against the exact reference
-    (:class:`~repro.core.calibration.CalibrationConfig` defaults to the
-    paper's five-epoch setting).  Returns calibrated tables keyed by
-    primitive name — ready for ``build_backend(..., lut_overrides=...)``.
+    (the paper's five-epoch recipe; ``config`` sets the learning rate).
+    Returns calibrated tables keyed by primitive name — ready for
+    ``build_backend(..., lut_overrides=...)``.
     """
-    config = config or CalibrationConfig(epochs=5, learning_rate=5e-4)
     rng = np.random.default_rng(0)
     calibrated: Dict[str, LookupTable] = {}
     for operator in operators:

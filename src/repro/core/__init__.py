@@ -44,7 +44,6 @@ from .quantization import (
     Int32LookupTable,
     quantize_lut_fp16,
     quantize_lut_int32,
-    symmetric_scale,
 )
 from .registry import FittedPrimitive, LutRegistry, default_registry, fit_lut
 from .scaling import InputScaler, ScaledRsqrt
@@ -83,7 +82,6 @@ __all__ = [
     "Int32LookupTable",
     "quantize_lut_fp16",
     "quantize_lut_int32",
-    "symmetric_scale",
     # composites & refinements
     "InputScaler",
     "ScaledRsqrt",

@@ -21,7 +21,7 @@ This module implements exactly that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .lut import LookupTable
 from .network import OneHiddenReluNet
 from .training import (
     AdamOptimizer,
-    TrainingConfig,
     _denormalize_network,
     _least_squares_output_layer,
     l1_loss,
@@ -44,34 +43,25 @@ __all__ = [
 ]
 
 
+#: The calibration recipe.  The paper reports five epochs over one-tenth of
+#: the (unlabelled) training set, costing less than 5% of a fine-tuning run;
+#: a larger sample is subsampled (seed 0) to ``_MAX_SAMPLES`` points.
+_EPOCHS = 5
+_BATCH_SIZE = 4096
+_MAX_SAMPLES = 200_000
+
+
 @dataclass
 class CalibrationConfig:
-    """Hyper-parameters for the calibration pass.
+    """The one tunable of the calibration pass; the rest is the fixed
+    recipe above."""
 
-    The paper reports five epochs over one-tenth of the (unlabelled) training
-    set, costing less than 5% of a fine-tuning run; the defaults mirror that
-    light-weight setting.
-    """
-
-    epochs: int = 5
-    batch_size: int = 4096
     learning_rate: float = 5e-4
-    max_samples: int = 200_000
-    seed: int = 0
-    clip_range: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
 
 
 def collect_activation_samples(
     run_model: Callable[[], Iterable[np.ndarray]],
-    max_samples: int = 200_000,
+    max_samples: int = _MAX_SAMPLES,
     seed: int = 0,
 ) -> np.ndarray:
     """Gather a flat sample of operator-site inputs.
@@ -118,12 +108,10 @@ def calibrate_network(
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
-    rng = np.random.default_rng(config.seed)
-    if samples.size > config.max_samples:
-        idx = rng.choice(samples.size, size=config.max_samples, replace=False)
+    rng = np.random.default_rng(0)
+    if samples.size > _MAX_SAMPLES:
+        idx = rng.choice(samples.size, size=_MAX_SAMPLES, replace=False)
         samples = samples[idx]
-    if config.clip_range is not None:
-        samples = np.clip(samples, config.clip_range[0], config.clip_range[1])
 
     targets = np.asarray(reference(samples), dtype=np.float64)
     target_scale = float(np.max(np.abs(targets)))
@@ -147,16 +135,16 @@ def calibrate_network(
     calibrated.params.output_bias = network.params.output_bias / target_scale
 
     optimizer = AdamOptimizer(learning_rate=config.learning_rate)
-    num_batches = max(1, x_norm.size // config.batch_size)
+    num_batches = max(1, x_norm.size // _BATCH_SIZE)
 
     def _normalised_l1(candidate: OneHiddenReluNet) -> float:
         return float(np.mean(np.abs(candidate.forward(x_norm) - y_norm)))
 
     initial_loss = _normalised_l1(calibrated)
-    for _epoch in range(config.epochs):
+    for _epoch in range(_EPOCHS):
         order = rng.permutation(x_norm.size)
         for batch_index in range(num_batches):
-            idx = order[batch_index * config.batch_size : (batch_index + 1) * config.batch_size]
+            idx = order[batch_index * _BATCH_SIZE : (batch_index + 1) * _BATCH_SIZE]
             if idx.size == 0:
                 continue
             xb, yb = x_norm[idx], y_norm[idx]

@@ -25,6 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..quant.fixed_point import compute_scale
 from .lut import LookupTable
 from .lut import _NATIVE_DTYPES, _validate_out
 
@@ -33,27 +34,7 @@ __all__ = [
     "Fp16LookupTable",
     "Int32LookupTable",
     "quantize_lut_int32",
-    "symmetric_scale",
 ]
-
-
-def symmetric_scale(values: np.ndarray, num_bits: int = 32) -> float:
-    """Symmetric quantisation scale mapping ``max|values|`` to the int range.
-
-    Mirrors I-BERT's scaling-factor computation: ``scale = max|v| / (2^(b-1)-1)``.
-    A zero tensor gets scale 1.0 so that dequantisation is a no-op.
-    """
-    if num_bits < 2:
-        raise ValueError("num_bits must be >= 2")
-    max_abs = float(np.max(np.abs(values))) if np.asarray(values).size else 0.0
-    if not np.isfinite(max_abs):
-        raise ValueError(
-            "cannot derive a quantisation scale from non-finite values "
-            "(input contains NaN or infinity)"
-        )
-    if max_abs == 0.0:
-        return 1.0
-    return max_abs / float(2 ** (num_bits - 1) - 1)
 
 
 def quantize_lut_fp16(lut: LookupTable) -> "Fp16LookupTable":
@@ -129,10 +110,10 @@ class Int32LookupTable:
         self._input_scale = (
             float(self.input_scale)
             if self.input_scale is not None
-            else symmetric_scale(span, self.num_bits)
+            else compute_scale(span, num_bits=self.num_bits)
         )
         self._breakpoint_scale = self._input_scale
-        self._slope_scale = symmetric_scale(self.source.slopes, self.num_bits)
+        self._slope_scale = compute_scale(self.source.slopes, num_bits=self.num_bits)
         # Intercepts share the output scale slope_scale * input_scale so the
         # integer accumulation s_q * x_q + t_q is homogeneous.
         self._output_scale = self._slope_scale * self._input_scale

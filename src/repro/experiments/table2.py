@@ -22,7 +22,6 @@ import numpy as np
 
 from ..analysis.reporting import format_mapping_table
 from ..api import BackendSpec, build_backend, calibrate_primitive_luts
-from ..core.calibration import CalibrationConfig
 from ..core.lut import LookupTable
 from ..core.registry import LutRegistry, default_registry
 from ..tasks.evaluation import GlueBenchmark
@@ -110,7 +109,6 @@ def calibrate_layernorm_lut(
     registry: LutRegistry,
     scale: ExperimentScale,
     max_sequences: int = 64,
-    calibration_config: CalibrationConfig | None = None,
 ) -> LookupTable:
     """Dataset-free calibration of the LayerNorm (1/sqrt) table.
 
@@ -136,7 +134,6 @@ def calibrate_layernorm_lut(
         registry,
         operators=("layernorm",),
         num_entries=scale.num_lut_entries,
-        config=calibration_config,
     )
     return calibrated["rsqrt"]
 

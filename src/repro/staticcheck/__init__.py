@@ -3,17 +3,15 @@
 The repo's value proposition is a set of *standing contracts* — bitwise
 float64 parity across every serving shape, one shared-memory weight copy per
 machine with unlink-on-all-paths, lock-guarded ``ServingQueue`` stats, and
-spec payloads that must survive the pickle boundary into ``ShardedPool``
-workers.  Nothing about a missed ``with self._lock`` or a silent float64
+a control protocol both sides of the ``ShardedPool`` worker boundary
+speak.  Nothing about a missed ``with self._lock`` or a silent float64
 upcast fails loudly at runtime; it surfaces (maybe) as a flaky test months
 later.  This package encodes those contracts as dependency-free,
 stdlib-``ast`` checkers so they are enforced *statically* on every run of
 the tier-1 suite:
 
-* ``unguarded-attr`` / ``wait-no-loop`` / ``notify-no-lock`` — lock
-  discipline (:mod:`.rules.locks`): attributes written under a class's lock
-  must not be touched unguarded elsewhere; ``Condition.wait`` belongs in a
-  ``while``-predicate loop; ``notify*`` requires the lock held.
+* ``unguarded-attr`` — lock discipline (:mod:`.rules.locks`): attributes
+  written under a class's lock must not be touched unguarded elsewhere.
 * ``resource-leak`` — resource lifecycle (:mod:`.rules.lifecycle`): every
   ``SharedMemory(...)``, ``mkstemp(...)``, ``open(...)`` or socket
   acquisition must reach its release on all paths (``finally``, an
@@ -22,10 +20,6 @@ the tier-1 suite:
   declared hot-path (``# staticcheck: hot-path``), constructs that silently
   mint float64 (``np.zeros``/``np.empty``/... without ``dtype=``) are
   flagged, protecting the ``compute_dtype`` parity contract.
-* ``pickle-unsafe`` — pickle boundary (:mod:`.rules.pickles`): in modules
-  declared a worker boundary (``# staticcheck: pickle-boundary``),
-  certainly-unpicklable values (lambdas, generators, nested functions,
-  lock-like attributes) must not be shipped through ``send``/``Process``.
 * ``parity-gap`` — parity-gate audit (:mod:`.rules.parity`): every public
   forward-shaped serving entry point must be named by a float64-parity test,
   attributed to the concrete leaf class (defined *and* inherited methods).
@@ -33,18 +27,15 @@ the tier-1 suite:
 The analysis is **whole-program**: phase 1 parses every file once and
 builds shared project facts (:mod:`.facts`) — class index + MRO, call
 graph (``self.m()`` / cross-module / subclass dispatch), per-function
-lock-acquisition and blocking summaries — and phase 2 runs per-module
-rules over each file plus interprocedural rules over the linked facts:
+blocking summaries — and phase 2 runs per-module rules over each file
+plus interprocedural rules over the linked facts:
 
-* ``lock-order`` (:mod:`.rules.lockorder`): the global lock-acquisition
-  graph must be cycle-free between distinct locks (ABBA deadlocks).
-* ``blocking-under-lock`` (:mod:`.rules.lockorder`): no blocking op —
+* ``blocking-under-lock`` (:mod:`.rules.blocking`): no blocking op —
   direct or transitively reachable through calls — while a ``threading``
   lock is held, except a condition waiting on its own aliased lock.
-* ``spec-drift`` / ``opcode-unhandled`` (:mod:`.rules.specdrift`):
-  ``to_dict``/``from_dict`` pairs must write/read/default fields
-  consistently, and every control-message opcode sent across the worker
-  boundary must have a handler in the boundary group.
+* ``opcode-unhandled`` (:mod:`.rules.opcodes`): every control-message
+  opcode sent across the worker boundary (modules declared
+  ``# staticcheck: pickle-boundary``) must have a handler in that group.
 
 Run it as ``python -m repro.staticcheck [paths] [--format text|json]
 [--diff GIT_REF]``; suppress a single finding with

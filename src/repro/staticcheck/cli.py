@@ -27,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.staticcheck",
         description=(
             "Invariant-aware static analysis: lock discipline, resource "
-            "lifecycle, dtype discipline, pickle boundary, parity-gate audit."
+            "lifecycle, dtype discipline, parity-gate audit, blocking under "
+            "a lock, control-message opcodes."
         ),
     )
     parser.add_argument(

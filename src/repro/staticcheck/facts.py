@@ -1,28 +1,21 @@
 """Whole-program project facts: the shared substrate phase-2 rules run on.
 
 Phase 1 of the analyzer parses every module once and distills it into a
-picklable :class:`ModuleFacts` bundle — classes (bases, methods, dataclass
-fields, lock guards), per-function summaries (locks acquired, locks held at
-each call site, blocking operations, ``self.<attr>`` reads), imports, and
-serialisation (``to_dict``/``from_dict``) shapes.  :func:`link` merges the
+picklable :class:`ModuleFacts` bundle — classes (bases, methods, lock
+guards), per-function summaries (locks held at each call site, blocking
+operations), imports, and control-message opcodes.  :func:`link` merges the
 per-module bundles into one :class:`ProjectFacts` with the cross-module
 structure resolved: an MRO per class, a subclass map, and a call graph that
 resolves ``self.method(...)`` (through the MRO *and* down to project
 subclasses), ``module.func(...)`` and ``Class.method(...)`` targets.
 
-On top of the call graph, :class:`ProjectFacts` computes two bounded
-fixpoints that interprocedural rules consume directly:
-
-* :meth:`ProjectFacts.transitive_acquires` — every lock token a function may
-  acquire, directly or through calls (drives the ``lock-order`` graph);
-* :meth:`ProjectFacts.transitive_blocking` — every blocking operation
-  (``recv``/``join``/``Condition.wait``/``queue.get``/``subprocess`` waits /
-  ``time.sleep``) reachable from a function (drives ``blocking-under-lock``).
-
-Both fixpoints only ever grow finite sets, so they terminate; an iteration
-cap bounds pathological recursion.  Everything here is deliberately
-picklable (plain dataclasses, no AST nodes) so phase 1 can fan out with
-``multiprocessing`` and the results stream back cheaply.
+On top of the call graph, :meth:`ProjectFacts.transitive_blocking`
+computes every blocking operation (``recv``/``join``/``Condition.wait``/
+``queue.get``/``subprocess`` waits / ``time.sleep``) reachable from a
+function, the bounded fixpoint ``blocking-under-lock`` consumes.  It only
+ever grows finite sets, so it terminates; an iteration cap bounds
+pathological recursion.  Everything here is plain dataclasses with no AST
+nodes, so the phase-1 cache keeps the facts and drops the parsed trees.
 """
 
 from __future__ import annotations
@@ -34,16 +27,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .astutil import FunctionNode, call_name, dotted_name, self_attr
 
 __all__ = [
-    "Acquire",
     "BlockingOp",
     "CallSite",
     "ClassFacts",
-    "FieldInfo",
     "FunctionFacts",
     "GuardScan",
     "ModuleFacts",
     "ProjectFacts",
-    "SerdeFacts",
     "extract_module_facts",
     "link",
 ]
@@ -52,30 +42,13 @@ __all__ = [
 #: aliases the lock it wraps — holding either holds both.
 GUARD_CTORS = frozenset({"Lock", "RLock", "Condition"})
 
-#: Iteration cap for the interprocedural fixpoints (recursion guard; the
+#: Iteration cap for the interprocedural fixpoint (recursion guard; the
 #: sets are finite and monotone so real code converges in a handful).
 FIXPOINT_CAP = 50
-
-#: A ``field(default_factory=...)`` or otherwise non-literal default.
-OPAQUE_DEFAULT = "<opaque>"
-#: No default at all (a required field / no default argument).
-NO_DEFAULT = "<required>"
-
 
 # --------------------------------------------------------------------------- #
 # Picklable fact records
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Acquire:
-    """One lock acquisition inside a function body."""
-
-    token: str  # canonical lock identity (see ``ModuleFacts`` docstring)
-    held: FrozenSet[str]  # tokens already held when this one is taken
-    line: int
-    col: int
-    manual: bool  # ``.acquire()`` call rather than a ``with`` block
-
-
 @dataclass(frozen=True)
 class CallSite:
     """One call expression, with the locks held when it runs."""
@@ -112,43 +85,8 @@ class FunctionFacts:
     name: str
     lineno: int
     end_lineno: int
-    acquires: List[Acquire] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
     blocking: List[BlockingOp] = field(default_factory=list)
-    self_reads: Set[str] = field(default_factory=set)  # ``self.<attr>`` loads
-
-
-@dataclass(frozen=True)
-class FieldInfo:
-    """One dataclass field declaration."""
-
-    name: str
-    #: repr() of a literal default, OPAQUE_DEFAULT, or NO_DEFAULT.
-    default: str
-
-
-@dataclass
-class SerdeFacts:
-    """Shape of a class's ``to_dict`` / ``from_dict`` pair."""
-
-    #: Constant keys of the dict literal ``to_dict`` returns (None when the
-    #: return shape is not a plain dict literal — key checks are skipped).
-    to_dict_keys: Optional[Set[str]] = None
-    to_dict_line: int = 0
-    from_dict_line: int = 0
-    #: Same-class methods ``to_dict`` calls (``self.m()``) — the write
-    #: closure follows these to credit fields they read.
-    to_dict_calls: Set[str] = field(default_factory=set)
-    #: Keys ``from_dict`` explicitly reads (``payload["k"]``, ``.get("k")``,
-    #: ``_typed_field(payload, "k", ...)``, ``"k" in payload``).
-    from_dict_keys: Set[str] = field(default_factory=set)
-    #: String-set literals in ``from_dict`` (the ``known`` / unknown-check
-    #: vocabulary).
-    known_keys: Set[str] = field(default_factory=set)
-    #: repr() of the literal default each key falls back to in ``from_dict``.
-    defaults: Dict[str, str] = field(default_factory=dict)
-    has_to: bool = False
-    has_from: bool = False
 
 
 @dataclass
@@ -166,9 +104,6 @@ class ClassFacts:
     #: guard attr -> union-find representative within this class
     guard_groups: Dict[str, str] = field(default_factory=dict)
     cond_guards: Set[str] = field(default_factory=set)
-    is_dataclass: bool = False
-    fields: List[FieldInfo] = field(default_factory=list)
-    serde: Optional[SerdeFacts] = None
 
 
 @dataclass
@@ -211,15 +146,6 @@ def module_name_for(rel: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
-
-
-def _literal_repr(node: Optional[ast.expr]) -> str:
-    if node is None:
-        return NO_DEFAULT
-    try:
-        return repr(ast.literal_eval(node))
-    except (ValueError, TypeError, SyntaxError):
-        return OPAQUE_DEFAULT
 
 
 class GuardScan:
@@ -362,21 +288,11 @@ class _FunctionWalker:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             new_held = set(held)
             for item in stmt.items:
-                ctx = item.context_expr
-                token = self._lock_token(ctx)
+                token = self._lock_token(item.context_expr)
                 if token is not None:
-                    self.facts.acquires.append(
-                        Acquire(
-                            token=token,
-                            held=frozenset(new_held),
-                            line=ctx.lineno,
-                            col=ctx.col_offset,
-                            manual=False,
-                        )
-                    )
                     new_held.add(token)
                 else:
-                    self._expr(ctx, held)
+                    self._expr(item.context_expr, held)
             self.walk(stmt.body, frozenset(new_held))
             return
         if isinstance(stmt, FunctionNode):
@@ -409,9 +325,6 @@ class _FunctionWalker:
 
     def _expr(self, expr: ast.expr, held: FrozenSet[str]) -> None:
         for node in ast.walk(expr):
-            attr = self_attr(node)
-            if attr is not None and isinstance(getattr(node, "ctx", None), ast.Load):
-                self.facts.self_reads.add(attr)
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
@@ -421,24 +334,6 @@ class _FunctionWalker:
 
     def _call(self, node: ast.Call, name: str, held: FrozenSet[str]) -> None:
         parts = name.split(".")
-        # Manual lock management: self.X.acquire() / bare_lock.acquire()
-        if parts[-1] == "acquire" and len(parts) >= 2:
-            token = None
-            if parts[0] == "self" and len(parts) == 3:
-                token = self.guard_token(parts[1])
-            elif len(parts) == 2:
-                token = self.module_token(parts[0])
-            if token is not None:
-                self.facts.acquires.append(
-                    Acquire(
-                        token=token,
-                        held=held,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        manual=True,
-                    )
-                )
-                return
         label = _classify_blocking(node, name)
         if label is not None:
             exempt = None
@@ -460,115 +355,12 @@ class _FunctionWalker:
         )
 
 
-def _decorator_names(node: ast.AST) -> List[str]:
-    names = []
-    for dec in getattr(node, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name:
-            names.append(name.rsplit(".", 1)[-1])
-    return names
-
-
-def _dataclass_fields(node: ast.ClassDef) -> List[FieldInfo]:
-    fields: List[FieldInfo] = []
-    for stmt in node.body:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-            continue
-        name = stmt.target.id
-        if name.startswith("_"):
-            continue
-        value = stmt.value
-        if value is None:
-            fields.append(FieldInfo(name=name, default=NO_DEFAULT))
-        elif isinstance(value, ast.Call) and (call_name(value) or "").endswith("field"):
-            default = NO_DEFAULT
-            for kw in value.keywords:
-                if kw.arg == "default":
-                    default = _literal_repr(kw.value)
-                elif kw.arg == "default_factory":
-                    default = OPAQUE_DEFAULT
-            fields.append(FieldInfo(name=name, default=default))
-        else:
-            fields.append(FieldInfo(name=name, default=_literal_repr(value)))
-    return fields
-
-
-def _scan_to_dict(func: ast.AST, serde: SerdeFacts) -> None:
-    serde.has_to = True
-    serde.to_dict_line = func.lineno
-    keys: Optional[Set[str]] = None
-    for node in ast.walk(func):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            found: Set[str] = set()
-            clean = True
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    found.add(key.value)
-                else:
-                    clean = False
-            if clean and (keys is None or found):
-                keys = found if keys is None else keys | found
-            elif not clean:
-                keys = None
-                break
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            if name and name.startswith("self.") and name.count(".") == 1:
-                serde.to_dict_calls.add(name.split(".", 1)[1])
-    serde.to_dict_keys = keys
-
-
-def _scan_from_dict(func: ast.AST, serde: SerdeFacts) -> None:
-    serde.has_from = True
-    serde.from_dict_line = func.lineno
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Set, ast.List, ast.Tuple)) and node.elts:
-            literals = [
-                e.value
-                for e in node.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            ]
-            if len(literals) == len(node.elts) and isinstance(node, ast.Set):
-                serde.known_keys.update(literals)
-        elif isinstance(node, ast.Subscript):
-            if isinstance(node.slice, ast.Constant) and isinstance(
-                node.slice.value, str
-            ):
-                serde.from_dict_keys.add(node.slice.value)
-        elif isinstance(node, ast.Compare):
-            if (
-                isinstance(node.left, ast.Constant)
-                and isinstance(node.left.value, str)
-                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
-            ):
-                serde.from_dict_keys.add(node.left.value)
-        elif isinstance(node, ast.Call):
-            name = call_name(node) or ""
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf == "get" and node.args:
-                key = node.args[0]
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    serde.from_dict_keys.add(key.value)
-                    default = node.args[1] if len(node.args) > 1 else None
-                    serde.defaults[key.value] = (
-                        _literal_repr(default) if default is not None else repr(None)
-                    )
-            elif leaf == "_typed_field" and len(node.args) >= 2:
-                key = node.args[1]
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    serde.from_dict_keys.add(key.value)
-                    if len(node.args) >= 4:
-                        serde.defaults[key.value] = _literal_repr(node.args[3])
-
-
 def extract_module_facts(rel: str, tree: ast.Module, tags: Set[str]) -> ModuleFacts:
     """Distill one parsed module into its picklable fact bundle."""
     modname = module_name_for(rel)
     facts = ModuleFacts(rel=rel, modname=modname, tags=set(tags))
 
     # Imports -----------------------------------------------------------
-    package = modname.rsplit(".", 1)[0] if "." in modname else ""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -665,24 +457,13 @@ def extract_module_facts(rel: str, tree: ast.Module, tags: Set[str]) -> ModuleFa
                 bases=[b for b in (dotted_name(base) for base in node.bases) if b],
                 guard_groups=scan.groups(),
                 cond_guards=scan.cond_guards,
-                is_dataclass="dataclass" in _decorator_names(node),
-                fields=[],
             )
-            if cls.is_dataclass:
-                cls.fields = _dataclass_fields(node)
-            serde = SerdeFacts()
             for stmt in node.body:
                 if not isinstance(stmt, FunctionNode):
                     continue
                 qualname = f"{cls.qualname}.{stmt.name}"
                 cls.methods[stmt.name] = qualname
                 add_function(stmt, qualname, cls)
-                if stmt.name == "to_dict":
-                    _scan_to_dict(stmt, serde)
-                elif stmt.name == "from_dict":
-                    _scan_from_dict(stmt, serde)
-            if serde.has_to or serde.has_from:
-                cls.serde = serde
             facts.classes[node.name] = cls
     return facts
 
@@ -717,7 +498,6 @@ class ProjectFacts:
             self._resolved_bases[cls.qualname] = bases
         self._mro_cache: Dict[str, List[str]] = {}
         self._call_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        self._trans_acquires: Optional[Dict[str, FrozenSet[str]]] = None
         self._trans_blocking: Optional[Dict[str, FrozenSet[Tuple[str, Optional[str]]]]] = None
 
     # -- class structure -------------------------------------------------
@@ -868,18 +648,7 @@ class ProjectFacts:
                     out.add(target)
         return out
 
-    # -- interprocedural fixpoints ---------------------------------------
-    def transitive_acquires(self) -> Dict[str, FrozenSet[str]]:
-        """Lock tokens each function may acquire, directly or via calls."""
-        if self._trans_acquires is not None:
-            return self._trans_acquires
-        state: Dict[str, Set[str]] = {
-            q: {a.token for a in f.acquires} for q, f in self.functions.items()
-        }
-        self._fixpoint(state, lambda acc, target: acc.update(state[target]))
-        self._trans_acquires = {q: frozenset(s) for q, s in state.items()}
-        return self._trans_acquires
-
+    # -- interprocedural fixpoint ----------------------------------------
     def transitive_blocking(
         self,
     ) -> Dict[str, FrozenSet[Tuple[str, Optional[str]]]]:
@@ -890,11 +659,6 @@ class ProjectFacts:
             q: {(b.label, b.exempt_token) for b in f.blocking}
             for q, f in self.functions.items()
         }
-        self._fixpoint(state, lambda acc, target: acc.update(state[target]))
-        self._trans_blocking = {q: frozenset(s) for q, s in state.items()}
-        return self._trans_blocking
-
-    def _fixpoint(self, state: Dict[str, Set], merge) -> None:
         for _ in range(FIXPOINT_CAP):
             changed = False
             for qualname, func in self.functions.items():
@@ -902,11 +666,13 @@ class ProjectFacts:
                 before = len(acc)
                 for call in func.calls:
                     for target in self.resolve_call(func, call.name):
-                        merge(acc, target)
+                        acc.update(state[target])
                 if len(acc) != before:
                     changed = True
             if not changed:
-                return
+                break
+        self._trans_blocking = {q: frozenset(s) for q, s in state.items()}
+        return self._trans_blocking
 
 
 def link(modules: Iterable[ModuleFacts]) -> ProjectFacts:

@@ -10,20 +10,17 @@ graph, lock/blocking summaries).  A rule may implement both.
 from .locks import LockDisciplineRule
 from .lifecycle import ResourceLifecycleRule
 from .dtypes import DtypeDisciplineRule
-from .pickles import PickleBoundaryRule
 from .parity import ParityGateRule
-from .lockorder import BlockingUnderLockRule, LockOrderRule
-from .specdrift import SpecDriftRule
+from .blocking import BlockingUnderLockRule
+from .opcodes import OpcodeAuditRule
 
 ALL_RULES = (
     LockDisciplineRule,
     ResourceLifecycleRule,
     DtypeDisciplineRule,
-    PickleBoundaryRule,
     ParityGateRule,
-    LockOrderRule,
     BlockingUnderLockRule,
-    SpecDriftRule,
+    OpcodeAuditRule,
 )
 
 __all__ = [
@@ -31,9 +28,7 @@ __all__ = [
     "LockDisciplineRule",
     "ResourceLifecycleRule",
     "DtypeDisciplineRule",
-    "PickleBoundaryRule",
     "ParityGateRule",
-    "LockOrderRule",
     "BlockingUnderLockRule",
-    "SpecDriftRule",
+    "OpcodeAuditRule",
 ]

@@ -6,9 +6,7 @@ its underlying lock, so holding either holds both) and which instance
 attributes the class protects with them: an attribute with at least one
 *guarded* write outside ``__init__`` is considered lock-protected, and any
 access to it from another method without the owning lock held is flagged
-(``unguarded-attr``).  Also enforces the Condition idiom: ``G.wait()``
-must sit inside a ``while``-predicate loop (``wait-no-loop``) and
-``G.notify()/notify_all()`` requires the lock held (``notify-no-lock``).
+(``unguarded-attr``).
 
 Heuristics that keep the rule honest on this codebase:
 
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set
 
 from ..facts import GuardScan
 from ..findings import Finding
@@ -54,7 +52,6 @@ class _ClassLocks:
     def __init__(self, node: ast.ClassDef) -> None:
         scan = GuardScan(node)
         self.guards: Set[str] = set(scan.parent)
-        self.cond_guards: Set[str] = scan.cond_guards
         self._groups: Dict[str, str] = scan.groups()
 
     def group(self, name: str) -> str:
@@ -62,7 +59,7 @@ class _ClassLocks:
 
 
 class LockDisciplineRule:
-    rule_ids = ("unguarded-attr", "wait-no-loop", "notify-no-lock")
+    rule_ids = ("unguarded-attr",)
 
     def check_module(self, src) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -82,18 +79,13 @@ class LockDisciplineRule:
         findings: List[Finding] = []
 
         for method_name, func in iter_functions(node):
-            manual = self._manually_synchronized(func, locks)
             self._walk_block(
-                src,
-                node.name,
                 method_name,
                 func.body,
                 held=frozenset(),
                 locks=locks,
                 accesses=accesses,
-                findings=findings,
-                manual_sync=manual,
-                in_while=False,
+                manual_sync=self._manually_synchronized(func, locks),
             )
 
         # Which attributes does the class actually protect?  An attribute
@@ -151,54 +143,35 @@ class LockDisciplineRule:
 
     def _walk_block(
         self,
-        src,
-        class_name: str,
         method: str,
         stmts: List[ast.stmt],
         *,
         held: FrozenSet[str],
         locks: _ClassLocks,
         accesses: List[_Access],
-        findings: List[Finding],
         manual_sync: bool,
-        in_while: bool,
     ) -> None:
         for stmt in stmts:
             self._walk_stmt(
-                src,
-                class_name,
                 method,
                 stmt,
                 held=held,
                 locks=locks,
                 accesses=accesses,
-                findings=findings,
                 manual_sync=manual_sync,
-                in_while=in_while,
             )
 
     def _walk_stmt(
         self,
-        src,
-        class_name: str,
         method: str,
         stmt: ast.stmt,
         *,
         held: FrozenSet[str],
         locks: _ClassLocks,
         accesses: List[_Access],
-        findings: List[Finding],
         manual_sync: bool,
-        in_while: bool,
     ) -> None:
-        kwargs = dict(
-            held=held,
-            locks=locks,
-            accesses=accesses,
-            findings=findings,
-            manual_sync=manual_sync,
-            in_while=in_while,
-        )
+        kwargs = dict(held=held, locks=locks, accesses=accesses, manual_sync=manual_sync)
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             new_held = set(held)
             for item in stmt.items:
@@ -206,81 +179,50 @@ class LockDisciplineRule:
                 if attr is not None and attr in locks.guards:
                     new_held.add(locks.group(attr))
                 else:
-                    self._scan_expr(src, class_name, method, item.context_expr, **kwargs)
-            self._walk_block(
-                src,
-                class_name,
-                method,
-                stmt.body,
-                **{**kwargs, "held": frozenset(new_held)},
-            )
+                    self._scan_expr(method, item.context_expr, **kwargs)
+            self._walk_block(method, stmt.body, **{**kwargs, "held": frozenset(new_held)})
             return
         if isinstance(stmt, FunctionNode):
             # Nested function: runs later, possibly on another thread —
             # analyse with nothing held, under a qualified scope name.
             self._walk_block(
-                src,
-                class_name,
-                f"{method}.{stmt.name}",
-                stmt.body,
-                **{**kwargs, "held": frozenset()},
+                f"{method}.{stmt.name}", stmt.body, **{**kwargs, "held": frozenset()}
             )
-            return
-        if isinstance(stmt, ast.While):
-            self._scan_expr(src, class_name, method, stmt.test, **kwargs)
-            self._walk_block(
-                src, class_name, method, stmt.body, **{**kwargs, "in_while": True}
-            )
-            self._walk_block(src, class_name, method, stmt.orelse, **kwargs)
             return
 
         # Generic statement: scan expressions, recurse into child blocks.
         for field_name, value in ast.iter_fields(stmt):
             if isinstance(value, ast.expr):
                 is_store = field_name in ("target", "targets")
-                self._scan_expr(
-                    src, class_name, method, value, is_write=is_store, **kwargs
-                )
+                self._scan_expr(method, value, is_write=is_store, **kwargs)
             elif isinstance(value, list):
                 if value and isinstance(value[0], ast.stmt):
-                    self._walk_block(src, class_name, method, value, **kwargs)
+                    self._walk_block(method, value, **kwargs)
                 elif field_name == "targets":
                     for tgt in value:
                         if isinstance(tgt, ast.expr):
-                            self._scan_expr(
-                                src, class_name, method, tgt, is_write=True, **kwargs
-                            )
+                            self._scan_expr(method, tgt, is_write=True, **kwargs)
                 else:
                     for item in value:
                         if isinstance(item, ast.expr):
-                            self._scan_expr(src, class_name, method, item, **kwargs)
+                            self._scan_expr(method, item, **kwargs)
                         elif isinstance(item, ast.excepthandler):
-                            self._walk_block(src, class_name, method, item.body, **kwargs)
+                            self._walk_block(method, item.body, **kwargs)
                         elif isinstance(item, ast.withitem):  # pragma: no cover
-                            self._scan_expr(
-                                src, class_name, method, item.context_expr, **kwargs
-                            )
+                            self._scan_expr(method, item.context_expr, **kwargs)
 
+    @staticmethod
     def _scan_expr(
-        self,
-        src,
-        class_name: str,
         method: str,
         expr: ast.expr,
         *,
         held: FrozenSet[str],
         locks: _ClassLocks,
         accesses: List[_Access],
-        findings: List[Finding],
         manual_sync: bool,
-        in_while: bool,
         is_write: bool = False,
     ) -> None:
         for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                self._check_cond_call(
-                    src, class_name, method, node, held, locks, findings, in_while
-                )
             attr = self_attr(node)
             if attr is None or attr in locks.guards:
                 continue
@@ -296,52 +238,5 @@ class LockDisciplineRule:
                     line=node.lineno,
                     col=node.col_offset,
                     manual_sync=manual_sync,
-                )
-            )
-
-    def _check_cond_call(
-        self,
-        src,
-        class_name: str,
-        method: str,
-        call: ast.Call,
-        held: FrozenSet[str],
-        locks: _ClassLocks,
-        findings: List[Finding],
-        in_while: bool,
-    ) -> None:
-        name = call_name(call)
-        if name is None:
-            return
-        parts = name.split(".")
-        if len(parts) != 3 or parts[0] != "self" or parts[1] not in locks.guards:
-            return
-        guard, op = parts[1], parts[2]
-        if op == "wait" and guard in locks.cond_guards and not in_while:
-            findings.append(
-                Finding(
-                    rule="wait-no-loop",
-                    path=src.rel,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    message=(
-                        f"self.{guard}.wait() outside a while-predicate loop: "
-                        "spurious wakeups make a bare wait incorrect"
-                    ),
-                    symbol=f"{class_name}.{method}:{guard}.wait",
-                )
-            )
-        elif op in ("notify", "notify_all") and locks.group(guard) not in held:
-            findings.append(
-                Finding(
-                    rule="notify-no-lock",
-                    path=src.rel,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    message=(
-                        f"self.{guard}.{op}() without the condition's lock "
-                        "held raises RuntimeError at runtime"
-                    ),
-                    symbol=f"{class_name}.{method}:{guard}.{op}",
                 )
             )

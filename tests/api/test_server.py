@@ -199,6 +199,34 @@ class TestServingQueue:
         assert queue.stats().expired == 1
         queue.close()
 
+    def test_drain_waits_out_spurious_wakeups(self, pool64, mixed_requests):
+        # drain() re-checks its predicate after every wakeup: a notify that
+        # changes nothing must not let it return while work is pending.
+        queue = ServingQueue(pool64, start=False)
+        pending = queue.submit(mixed_requests[0])
+        outcome: list = []
+
+        def drainer() -> None:
+            try:
+                queue.drain(timeout=60)
+                outcome.append("drained")
+            except Exception as exc:  # reported by the assertion below
+                outcome.append(exc)
+
+        thread = threading.Thread(target=drainer)
+        thread.start()
+        cond = queue._fleet._cond
+        for _ in range(5):
+            with cond:
+                cond.notify_all()
+            time.sleep(0.01)
+        assert thread.is_alive() and outcome == []
+        queue.start()
+        thread.join(timeout=60)
+        assert outcome == ["drained"]
+        assert pending.result(timeout=60).shape[0] == mixed_requests[0].size
+        queue.close()
+
     def test_close_fails_pending_and_rejects_new(self, pool64, mixed_requests):
         queue = ServingQueue(pool64, start=False)
         pending = queue.submit(mixed_requests[0])

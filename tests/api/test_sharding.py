@@ -8,7 +8,9 @@ still closes cleanly), and the shared-memory blocks are unlinked on
 ``close()`` even when construction itself fails halfway.
 """
 
+import dataclasses
 import gc
+import pickle
 import threading
 import time
 from multiprocessing import shared_memory
@@ -178,6 +180,20 @@ class TestShardedParity:
         for name, array in state.items():
             assert np.shares_memory(array, shared[name]), name
             assert not array.flags.writeable
+
+    def test_worker_init_survives_pickling(self, sharded64):
+        """What every spawned worker is started from pickles field for field."""
+        init = sharded64._worker_init
+        clone = pickle.loads(pickle.dumps(init))
+        for fld in dataclasses.fields(init):
+            if fld.name != "tables":
+                assert getattr(clone, fld.name) == getattr(init, fld.name), fld.name
+        assert clone.tables.keys() == init.tables.keys()
+        for key, table in init.tables.items():
+            shipped = clone.tables[key]
+            assert (shipped.name, shipped.metadata) == (table.name, table.metadata)
+            for part in ("breakpoints", "slopes", "intercepts"):
+                assert np.array_equal(getattr(shipped, part), getattr(table, part))
 
     def test_dispatch_is_deterministic(self, sharded64, mixed_requests):
         shards = sharded64._shard(mixed_requests)

@@ -71,7 +71,7 @@ FIELDS = {
         "hidden_size num_samples batch_size epochs learning_rate sampling seed "
         "output_bias num_restarts target_weighting"
     ),
-    CalibrationConfig: "epochs batch_size learning_rate max_samples seed clip_range",
+    CalibrationConfig: "learning_rate",
     RetryPolicy: "max_attempts backoff_base_s backoff_max_s retry_budget seed",
     CircuitBreakerConfig: "failure_threshold cooldown_s",
     AutoscalerConfig: "min_replicas max_replicas interval_s patience cooldown_ticks",

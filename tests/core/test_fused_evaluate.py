@@ -26,11 +26,7 @@ from repro.core.lut import (
     lut_evaluation_stats,
     reset_lut_evaluation_stats,
 )
-from repro.core.quantization import (
-    quantize_lut_fp16,
-    quantize_lut_int32,
-    symmetric_scale,
-)
+from repro.core.quantization import quantize_lut_fp16, quantize_lut_int32
 
 
 def seed_lut_call(lut, x):
@@ -537,8 +533,13 @@ class TestErrorHelpersAndScales:
         f = functions.gelu
         assert lut2.max_error(f, (-5, 5)) >= lut2.mean_l1_error(f, (-5, 5))
 
-    def test_symmetric_scale_rejects_non_finite(self):
+    def test_symmetric_scale_rejects_non_finite(self, rng):
+        # A NaN/inf slope or an unbounded input range must not mint an int32
+        # table from a poisoned scale.
+        lut = random_table(rng)
         with pytest.raises(ValueError, match="non-finite"):
-            symmetric_scale(np.array([1.0, np.nan]))
+            quantize_lut_int32(lut, input_range=(-np.inf, 5.0))
+        broken = lut.copy()
+        broken.slopes = np.where(np.arange(broken.slopes.size) == 3, np.nan, broken.slopes)
         with pytest.raises(ValueError, match="non-finite"):
-            symmetric_scale(np.array([np.inf]))
+            quantize_lut_int32(broken, input_range=(-5, 5))

@@ -18,7 +18,6 @@ from repro.core.quantization import (
     Int32LookupTable,
     quantize_lut_fp16,
     quantize_lut_int32,
-    symmetric_scale,
 )
 from repro.core.scaling import InputScaler, ScaledRsqrt
 
@@ -78,8 +77,22 @@ class TestQuantizedLuts:
         )
 
     def test_symmetric_scale(self):
-        assert symmetric_scale(np.array([0.0])) == 1.0
-        assert symmetric_scale(np.array([-2.0, 1.0]), num_bits=8) == pytest.approx(2.0 / 127)
+        # I-BERT's scale, max|v| / (2^(b-1) - 1), for the input span and the
+        # slopes; an all-zero tensor gets 1.0 so dequantisation is a no-op.
+        lut_q = quantize_lut_int32(self._reference_lut(), input_range=(-2, 1), num_bits=8)
+        assert lut_q.scales == (2.0 / 127, 1.0 / 127, (2.0 / 127) * (1.0 / 127))
+        flat = LookupTable(breakpoints=[0.0], slopes=[0.0, 0.0], intercepts=[1.0, 2.0])
+        assert quantize_lut_int32(flat, input_range=(-1, 1)).scales[1] == 1.0
+
+    @pytest.mark.parametrize("num_bits", [8, 16, 32])
+    def test_int32_scales_follow_the_bit_width(self, fitted_gelu, num_bits):
+        lut = fitted_gelu.lut
+        lut_q = quantize_lut_int32(lut, input_range=(-5, 4), num_bits=num_bits)
+        limit = float(2 ** (num_bits - 1) - 1)
+        input_scale, slope_scale, output_scale = lut_q.scales
+        assert input_scale == 5.0 / limit
+        assert slope_scale == float(np.max(np.abs(lut.slopes))) / limit
+        assert output_scale == input_scale * slope_scale
 
     def test_fp16_close_to_fp32(self, fitted_gelu):
         lut16 = quantize_lut_fp16(fitted_gelu.lut)
@@ -118,7 +131,7 @@ class TestCalibration:
         # calibration the table should be better there than the generic fit.
         rng = np.random.default_rng(0)
         samples = rng.uniform(1.0, 16.0, size=20_000)
-        config = CalibrationConfig(epochs=5, learning_rate=1e-3, seed=0)
+        config = CalibrationConfig(learning_rate=1e-3)
         calibrated = calibrate_network(fitted_rsqrt.network, functions.rsqrt, samples, config)
         grid = np.linspace(1.0, 16.0, 500)
         before = np.mean(np.abs(fitted_rsqrt.network(grid) - functions.rsqrt(grid)))
@@ -136,6 +149,26 @@ class TestCalibration:
         samples = np.random.default_rng(2).uniform(-2, 2, size=2000)
         calibrate_network(fitted_gelu.network, functions.gelu, samples)
         np.testing.assert_allclose(fitted_gelu.network.params.first_weight, before)
+
+    def test_calibration_is_reproducible(self, fitted_gelu):
+        # Subsampling and batch order draw from a fixed seed: the same
+        # samples always give the same table.
+        samples = np.random.default_rng(3).uniform(-2, 2, size=2000)
+        first = calibrate_network(fitted_gelu.network, functions.gelu, samples)
+        second = calibrate_network(fitted_gelu.network, functions.gelu, samples)
+        grid = np.linspace(-3, 3, 101)
+        assert np.array_equal(first(grid), second(grid))
+
+    def test_config_validation(self, fitted_gelu):
+        samples = np.random.default_rng(4).uniform(-2, 2, size=100)
+        for learning_rate in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="learning_rate"):
+                calibrate_network(
+                    fitted_gelu.network,
+                    functions.gelu,
+                    samples,
+                    CalibrationConfig(learning_rate=learning_rate),
+                )
 
     def test_empty_samples_rejected(self, fitted_gelu):
         with pytest.raises(ValueError, match="non-empty"):
@@ -157,9 +190,3 @@ class TestCalibration:
     def test_collect_empty_raises(self):
         with pytest.raises(ValueError, match="no activation samples"):
             collect_activation_samples(lambda: [])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CalibrationConfig(epochs=0)
-        with pytest.raises(ValueError):
-            CalibrationConfig(max_samples=0)

@@ -21,9 +21,13 @@ class TestFixedPoint:
     def test_scale_of_zeros_is_one(self):
         assert compute_scale(np.zeros(10)) == 1.0
 
+    def test_scale_of_empty_is_one(self):
+        assert compute_scale(np.array([]), num_bits=32) == 1.0
+
     def test_roundtrip_error_bounded_by_half_step(self, rng):
         values = rng.normal(0, 3, size=1000)
         scale = compute_scale(values, num_bits=8)
+        assert scale == np.max(np.abs(values)) / 127
         recovered = fake_quantize(values, num_bits=8)
         assert np.max(np.abs(recovered - values)) <= scale / 2 + 1e-12
 

@@ -8,7 +8,7 @@ import threading
 
 
 class Counter:
-    """One seeded violation per lock rule, plus guarded accesses."""
+    """Seeded unguarded reads and writes, plus guarded accesses."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -30,22 +30,6 @@ class Counter:
 
     def racy_bump(self):
         self._count += 1  # BAD: unguarded-attr write
-
-    def bad_wait(self):
-        with self._work:
-            self._work.wait(0.1)  # BAD: wait-no-loop (no while predicate)
-
-    def good_wait(self):
-        with self._work:
-            while not self._items:
-                self._work.wait(0.1)  # quiet: proper predicate loop
-
-    def bad_notify(self):
-        self._work.notify_all()  # BAD: notify-no-lock
-
-    def good_notify(self):
-        with self._lock:
-            self._work.notify_all()  # quiet: alias group held
 
     def manual(self):
         # Quiet: manual acquire() — static with-analysis cannot follow it,

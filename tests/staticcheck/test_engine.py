@@ -40,28 +40,27 @@ class TestSuppressions:
         assert [f.rule for f in report.suppressed] == ["dtype-upcast"]
 
     def test_ignore_above_decorators_reaches_the_def(self, tmp_path):
-        # spec-drift anchors on the ``def to_dict`` line; a comment-only
-        # ignore above the decorator stack must travel down to it.
-        target = tmp_path / "deco.py"
+        # parity-gap anchors an inherited entry point on the leaf's
+        # ``class`` line; a comment-only ignore above the decorator stack
+        # must travel down to it.
+        target = tmp_path / "api" / "deco.py"
+        target.parent.mkdir()
         target.write_text(
-            "from dataclasses import dataclass\n"
-            "def deco(f):\n"
-            "    return f\n"
-            "@dataclass\n"
-            "class S:\n"
-            "    x: int = 1\n"
-            "    hidden: int = 2\n"
-            "    # staticcheck: ignore[spec-drift] -- fixture: decorated def\n"
-            "    @deco\n"
-            "    def to_dict(self):\n"
-            '        return {"x": self.x}\n'
-            "    @classmethod\n"
-            "    def from_dict(cls, payload):\n"
-            '        return cls(x=payload.get("x", 1))\n'
+            "def deco(cls):\n"
+            "    return cls\n"
+            "class Base:\n"
+            "    def forward(self, requests):\n"
+            "        return requests\n"
+            "# staticcheck: ignore[parity-gap] -- fixture: decorated class\n"
+            "@deco\n"
+            "@deco\n"
+            "class Leaf(Base):\n"
+            "    pass\n"
         )
-        report = analyze([target], root=tmp_path)
+        (tmp_path / "tests").mkdir()
+        report = analyze([target], root=tmp_path, tests_dir=tmp_path / "tests")
         assert report.findings == []
-        assert [f.symbol for f in report.suppressed] == ["S.serialize:hidden"]
+        assert [f.symbol for f in report.suppressed] == ["Leaf.forward"]
 
 
 class TestBaseline:

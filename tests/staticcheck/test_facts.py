@@ -1,8 +1,8 @@
 """Whole-program facts layer: call resolution, lock tokens, blocking ops.
 
-These pin the engine underneath the interprocedural rules — the parts
+These pin the engine underneath the interprocedural rule — the parts
 whose failure modes are silent (a call that stops resolving makes
-``lock-order``/``blocking-under-lock`` quietly blind).
+``blocking-under-lock`` quietly blind).
 """
 
 import ast
@@ -84,43 +84,24 @@ class TestCallResolution:
 
 
 class TestTransitiveSummaries:
-    def test_acquires_propagate_through_calls(self):
-        p = project(
-            {
-                "r.py": (
-                    "import threading\n"
-                    "_m = threading.Lock()\n"
-                    "def inner():\n"
-                    "    with _m:\n"
-                    "        pass\n"
-                    "def outer():\n"
-                    "    inner()\n"
-                )
-            }
-        )
-        trans = p.transitive_acquires()
-        assert trans["r.inner"] == frozenset({"r._m"})
-        assert trans["r.outer"] == frozenset({"r._m"})
-
     def test_mutual_recursion_terminates_and_converges(self):
         # f <-> g recurse into each other; the bounded fixpoint must stop
-        # and both must still carry the lock token.
+        # and both must still carry the blocking operation.
         p = project(
             {
                 "r.py": (
-                    "import threading\n"
-                    "_m = threading.Lock()\n"
+                    "import time\n"
                     "def f():\n"
-                    "    with _m:\n"
-                    "        g()\n"
+                    "    time.sleep(1)\n"
+                    "    g()\n"
                     "def g():\n"
                     "    f()\n"
                 )
             }
         )
-        trans = p.transitive_acquires()
-        assert trans["r.f"] == frozenset({"r._m"})
-        assert trans["r.g"] == frozenset({"r._m"})
+        trans = p.transitive_blocking()
+        assert trans["r.f"] == frozenset({("time.sleep", None)})
+        assert trans["r.g"] == frozenset({("time.sleep", None)})
         assert FIXPOINT_CAP >= 2  # the bound the loop relies on
 
     def test_blocking_propagates_with_its_exemption(self):
@@ -158,7 +139,7 @@ class TestLockTokens:
 
     def test_subclass_uses_converge_on_the_defining_class(self):
         # SessionPool._lock and ShardedPool._lock are the *same* token —
-        # the one ReplicaPool defines — or lock-order edges would split.
+        # the one ReplicaPool defines — not one identity per subclass.
         p = project(
             {
                 "r.py": (
