@@ -37,8 +37,8 @@ if [[ -n "$tracked_pyc" ]]; then
     exit 1
 fi
 
-echo "== staticcheck (locks/races, blocking-under-lock, lifecycle, dtype,"
-echo "==             parity audit, control-message opcodes)"
+echo "== staticcheck (unguarded-attr: lock discipline,"
+echo "==             blocking-under-lock: blocking calls while a lock is held)"
 python -m repro.staticcheck "${STATICCHECK_ARGS[@]}"
 
 if command -v ruff >/dev/null 2>&1; then

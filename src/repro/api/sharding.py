@@ -53,8 +53,6 @@ batch never changes its numerics, but batch composition still does.
 
 from __future__ import annotations
 
-# staticcheck: pickle-boundary -- payloads here must survive pickling into spawned workers
-
 import multiprocessing
 import threading
 import time

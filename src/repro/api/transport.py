@@ -33,8 +33,6 @@ message slot, with doorbell sequence numbers guarding against stale messages.
 
 from __future__ import annotations
 
-# staticcheck: pickle-boundary -- payloads here must survive pickling into spawned workers
-
 import zlib
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple

@@ -27,8 +27,6 @@ slower (192x768: 0.32 -> 0.51 ms, 512x768: 0.95 -> 1.42 ms).
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass
 from typing import Callable
 

@@ -32,8 +32,6 @@ fix-up so it matches ``searchsorted(..., side="right")`` bit for bit.
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 

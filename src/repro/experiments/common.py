@@ -2,10 +2,10 @@
 
 The paper's software experiments run full-size RoBERTa / MobileBERT on real
 GLUE / SQuAD data on a GPU; the reproduction uses scaled-down encoders and
-synthetic tasks (see DESIGN.md).  This module centralises the experiment
-scale so the table drivers, the examples and the benchmark harness all use
-the same settings — and so a single knob (``ExperimentScale``) can shrink
-everything for smoke tests.
+synthetic tasks, so nothing is downloaded and everything runs on a CPU.
+This module centralises the experiment scale so the table drivers, the
+examples and the benchmark harness all use the same settings — and so a
+single knob (``ExperimentScale``) can shrink everything for smoke tests.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ following the datapaths of Figure 3:
   dozen pipeline registers.  Operations take 3 (GELU), 4 (EXP) and 5 (SQRT)
   cycles because they iterate through the shared datapath.
 
-The returned figures are produced by the calibrated component library; see
-DESIGN.md for the calibration policy (structure from the paper, coefficients
-tuned so totals land near Table 4).
+The returned figures are produced by the calibrated component library: the
+unit structure follows the paper, and the component coefficients are tuned
+so the totals land near Table 4.
 """
 
 from __future__ import annotations

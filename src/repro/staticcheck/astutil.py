@@ -43,19 +43,3 @@ def iter_functions(
 def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
 
-
-def iter_scoped_nodes(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield every node with its qualified scope (``Class.method`` /
-    ``func.inner`` / ``<module>``)."""
-
-    def visit(node: ast.AST, scope: str) -> Iterator[Tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, *FunctionNode)):
-                name = child.name if scope == "<module>" else f"{scope}.{child.name}"
-                yield name, child
-                yield from visit(child, name)
-            else:
-                yield scope, child
-                yield from visit(child, scope)
-
-    yield from visit(tree, "<module>")

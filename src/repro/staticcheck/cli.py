@@ -26,9 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description=(
-            "Invariant-aware static analysis: lock discipline, resource "
-            "lifecycle, dtype discipline, parity-gate audit, blocking under "
-            "a lock, control-message opcodes."
+            "Invariant-aware static analysis of lock use: attributes touched "
+            "outside the lock that guards them, and blocking calls made while "
+            "a lock is held."
         ),
     )
     parser.add_argument(
@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="project root anchoring relative paths/fingerprints (default: cwd)",
-    )
-    parser.add_argument(
-        "--tests",
-        type=Path,
-        default=None,
-        help="tests directory for the parity audit (default: <root>/tests if present)",
     )
     parser.add_argument(
         "--baseline",
@@ -94,11 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default = root / "src"
         paths = [default if default.is_dir() else root]
 
-    tests_dir = args.tests
-    if tests_dir is None:
-        candidate = root / "tests"
-        tests_dir = candidate if candidate.is_dir() else None
-
     baseline_path = args.baseline or (root / DEFAULT_BASELINE_NAME)
     baseline: Optional[Baseline] = None
     if not args.no_baseline:
@@ -118,7 +107,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = analyze(
         paths,
         root=root,
-        tests_dir=tests_dir,
         baseline=baseline,
         rules=default_rules(),
         changed_lines=diff_lines,

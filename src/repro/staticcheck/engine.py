@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .facts import ModuleFacts, ProjectFacts, extract_module_facts, link
 from .findings import Finding
@@ -33,17 +33,12 @@ __all__ = [
     "default_rules",
 ]
 
-_PRAGMA_RE = re.compile(r"#\s*staticcheck:\s*([a-z][a-z0-9-]*)\b")
 _IGNORE_RE = re.compile(r"#\s*staticcheck:\s*ignore\[([^\]]+)\]")
-
-#: Module-level declarations a pragma comment may carry.  ``ignore`` is
-#: handled separately (it is positional, not module-wide).
-MODULE_TAGS = frozenset({"hot-path", "pickle-boundary"})
 
 
 @dataclass
 class ModuleSource:
-    """One parsed Python module plus its staticcheck annotations.
+    """One parsed Python module plus its ``ignore`` suppressions.
 
     ``tree`` is absent when the module came back from the phase-1 cache —
     per-module rules already ran against it there, and project rules
@@ -54,7 +49,6 @@ class ModuleSource:
     rel: str  # project-root-relative, posix separators
     text: str
     tree: Optional[ast.Module]
-    tags: Set[str] = field(default_factory=set)
     #: line number -> set of rule ids suppressed there ("*" = all rules)
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     facts: Optional[ModuleFacts] = None
@@ -63,42 +57,27 @@ class ModuleSource:
     def parse(cls, path: Path, root: Path) -> "ModuleSource":
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        tags: Set[str] = set()
         suppressions: Dict[int, Set[str]] = {}
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if "staticcheck" not in line:
-                continue
+        for lineno, line in enumerate(text.splitlines(), start=1):
             ignore = _IGNORE_RE.search(line)
-            if ignore:
-                rules = {r.strip() for r in ignore.group(1).split(",") if r.strip()}
-                rules = rules or {"*"}
-                suppressions.setdefault(lineno, set()).update(rules)
-                # A comment-only line suppresses the statement below it; a
-                # trailing comment only its own line.  Decorators are
-                # transparent: an ignore above ``@decorator`` lines reaches
-                # the ``def``/``class`` they decorate.
-                if line.lstrip().startswith("#"):
-                    target = lineno + 1
-                    while target <= len(lines) and lines[target - 1].lstrip().startswith("@"):
-                        suppressions.setdefault(target, set()).update(rules)
-                        target += 1
-                    suppressions.setdefault(target, set()).update(rules)
+            if not ignore:
                 continue
-            for match in _PRAGMA_RE.finditer(line):
-                tag = match.group(1)
-                if tag in MODULE_TAGS:
-                    tags.add(tag)
+            rules = {r.strip() for r in ignore.group(1).split(",") if r.strip()}
+            rules = rules or {"*"}
+            suppressions.setdefault(lineno, set()).update(rules)
+            # A comment-only line suppresses the statement below it; a
+            # trailing comment only its own line.
+            if line.lstrip().startswith("#"):
+                suppressions.setdefault(lineno + 1, set()).update(rules)
         rel = _rel_for(path, root)
         source = cls(
             path=path,
             rel=rel,
             text=text,
             tree=tree,
-            tags=tags,
             suppressions=suppressions,
         )
-        source.facts = extract_module_facts(rel, tree, tags)
+        source.facts = extract_module_facts(rel, tree)
         return source
 
     def is_suppressed(self, finding: Finding) -> bool:
@@ -179,11 +158,10 @@ class RuleContext:
 
     ``facts`` is the whole-program view (class index + MRO, call graph,
     lock/blocking summaries); ``sources`` carries per-file text and
-    suppressions; ``tests_dir`` feeds the parity audit.
+    suppressions.
     """
 
     sources: List[ModuleSource]
-    tests_dir: Optional[Path]
     facts: ProjectFacts
 
 
@@ -276,7 +254,6 @@ def analyze(
     paths: Sequence[Path],
     *,
     root: Optional[Path] = None,
-    tests_dir: Optional[Path] = None,
     baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[object]] = None,
     changed_lines: Optional[Mapping[str, Set[int]]] = None,
@@ -285,10 +262,9 @@ def analyze(
     new / baselined / suppressed.
 
     ``root`` anchors the relative paths used in fingerprints (defaults to
-    the current directory).  ``tests_dir`` feeds the parity audit; when
-    ``None`` the audit is skipped.  ``changed_lines`` (rel path -> line
-    numbers) restricts *reported* findings to changed lines or functions
-    containing them — the diff mode of the CLI; facts are still built over everything
+    the current directory).  ``changed_lines`` (rel path -> line numbers)
+    restricts *reported* findings to changed lines or functions containing
+    them — the diff mode of the CLI; facts are still built over everything
     scanned, and staleness reporting is disabled because unchanged files'
     baseline entries legitimately do not fire.
     """
@@ -300,7 +276,7 @@ def analyze(
     files = _collect_files(resolved_paths)
     sources, raw = _load_modules(files, root, rules)
     facts = link(src.facts for src in sources if src.facts is not None)
-    ctx = RuleContext(sources=sources, tests_dir=tests_dir, facts=facts)
+    ctx = RuleContext(sources=sources, facts=facts)
 
     by_rel = {src.rel: src for src in sources}
     for rule in rules:

@@ -3,11 +3,11 @@
 Phase 1 of the analyzer parses every module once and distills it into a
 picklable :class:`ModuleFacts` bundle — classes (bases, methods, lock
 guards), per-function summaries (locks held at each call site, blocking
-operations), imports, and control-message opcodes.  :func:`link` merges the
-per-module bundles into one :class:`ProjectFacts` with the cross-module
-structure resolved: an MRO per class, a subclass map, and a call graph that
-resolves ``self.method(...)`` (through the MRO *and* down to project
-subclasses), ``module.func(...)`` and ``Class.method(...)`` targets.
+operations) and imports.  :func:`link` merges the per-module bundles into
+one :class:`ProjectFacts` with the cross-module structure resolved: an MRO
+per class, a subclass map, and a call graph that resolves
+``self.method(...)`` (through the MRO *and* down to project subclasses),
+``module.func(...)`` and ``Class.method(...)`` targets.
 
 On top of the call graph, :meth:`ProjectFacts.transitive_blocking`
 computes every blocking operation (``recv``/``join``/``Condition.wait``/
@@ -97,7 +97,6 @@ class ClassFacts:
     qualname: str  # "modname.ClassName"
     lineno: int
     end_lineno: int
-    public: bool
     bases: List[str] = field(default_factory=list)  # raw dotted base names
     #: method name -> qualname of the defining FunctionFacts (this class only)
     methods: Dict[str, str] = field(default_factory=dict)
@@ -118,7 +117,6 @@ class ModuleFacts:
 
     rel: str
     modname: str
-    tags: Set[str] = field(default_factory=set)
     #: local alias -> dotted module name (``import x.y as z``)
     imports: Dict[str, str] = field(default_factory=dict)
     #: local name -> (dotted module, attr) (``from m import a as b``)
@@ -126,11 +124,6 @@ class ModuleFacts:
     classes: Dict[str, ClassFacts] = field(default_factory=dict)  # by name
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)  # by qualname
     module_guards: Set[str] = field(default_factory=set)  # tokens
-    #: opcode string -> first (line, col) it is sent from (``.send("op", ...)``
-    #: / ``._call("op", ...)`` with a constant first argument)
-    sent_ops: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: string constants this module compares against (``op == "close"`` …)
-    handled_ops: Set[str] = field(default_factory=set)
 
 
 # --------------------------------------------------------------------------- #
@@ -355,10 +348,10 @@ class _FunctionWalker:
         )
 
 
-def extract_module_facts(rel: str, tree: ast.Module, tags: Set[str]) -> ModuleFacts:
+def extract_module_facts(rel: str, tree: ast.Module) -> ModuleFacts:
     """Distill one parsed module into its picklable fact bundle."""
     modname = module_name_for(rel)
-    facts = ModuleFacts(rel=rel, modname=modname, tags=set(tags))
+    facts = ModuleFacts(rel=rel, modname=modname)
 
     # Imports -----------------------------------------------------------
     for node in ast.walk(tree):
@@ -374,32 +367,6 @@ def extract_module_facts(rel: str, tree: ast.Module, tags: Set[str]) -> ModuleFa
                 base = ".".join(anchor + ([base] if base else []))
             for alias in node.names:
                 facts.from_imports[alias.asname or alias.name] = (base, alias.name)
-
-    # Control-message opcodes (pickle-boundary protocol audit) -----------
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            leaf = (name or "").rsplit(".", 1)[-1]
-            if (
-                leaf in ("send", "_call")
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                facts.sent_ops.setdefault(
-                    node.args[0].value, (node.lineno, node.col_offset)
-                )
-        elif isinstance(node, ast.Compare):
-            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
-                for side in (node.left, *node.comparators):
-                    if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                        facts.handled_ops.add(side.value)
-                    elif isinstance(side, (ast.Set, ast.Tuple, ast.List)):
-                        for elt in side.elts:
-                            if isinstance(elt, ast.Constant) and isinstance(
-                                elt.value, str
-                            ):
-                                facts.handled_ops.add(elt.value)
 
     # Module-level guards ------------------------------------------------
     for stmt in tree.body:
@@ -453,7 +420,6 @@ def extract_module_facts(rel: str, tree: ast.Module, tags: Set[str]) -> ModuleFa
                 qualname=f"{modname}.{node.name}",
                 lineno=node.lineno,
                 end_lineno=node.end_lineno or node.lineno,
-                public=not node.name.startswith("_"),
                 bases=[b for b in (dotted_name(base) for base in node.bases) if b],
                 guard_groups=scan.groups(),
                 cond_guards=scan.cond_guards,

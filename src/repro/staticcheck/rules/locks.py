@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set
 
 from ..facts import GuardScan
 from ..findings import Finding
-from ._common import FunctionNode, call_name, iter_functions, self_attr
+from ..astutil import FunctionNode, call_name, iter_functions, self_attr
 
 __all__ = ["LockDisciplineRule"]
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass
 
 import numpy as np

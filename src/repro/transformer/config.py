@@ -13,8 +13,6 @@ block (its normalisation is the element-wise affine "NoNorm").
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass, field
 
 from ..core.kernels import KERNEL_NAMES

@@ -10,8 +10,6 @@ so the kernel only selects *where* the work happens, never what is computed.
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass, field
 from typing import List
 

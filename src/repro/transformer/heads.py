@@ -16,8 +16,6 @@ test — the paper's direct-approximation protocol.
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass
 
 import numpy as np

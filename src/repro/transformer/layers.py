@@ -22,8 +22,6 @@ operand on every call — the tests use it as the reference path.
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 

@@ -3,16 +3,14 @@
 The software experiments evaluate how much *accuracy of a fixed, trained
 model* changes when its non-linear operators are swapped for approximations.
 Here a "model" is a frozen randomly-initialised encoder (the substitute for a
-pre-trained checkpoint, see DESIGN.md) plus task heads trained on top of the
-exact-backend features by ``repro.tasks.finetune``.  The same encoder instance
-is then re-run with each approximate backend and the fixed heads, mirroring
-the paper's direct-approximation protocol (no approximation-aware
+pre-trained checkpoint: nothing is downloaded) plus task heads trained on top
+of the exact-backend features by ``repro.tasks.finetune``.  The same encoder
+instance is then re-run with each approximate backend and the fixed heads,
+mirroring the paper's direct-approximation protocol (no approximation-aware
 fine-tuning).
 """
 
 from __future__ import annotations
-
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterator

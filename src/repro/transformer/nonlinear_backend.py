@@ -26,8 +26,6 @@ else -> the op's own ``__call__``" and the one place the recorder hooks in.
 
 from __future__ import annotations
 
-# staticcheck: hot-path -- float64 minted silently here breaks the compute_dtype contract
-
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple

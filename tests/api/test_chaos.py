@@ -40,6 +40,11 @@ from repro.api import faults
 
 import traces  # tests/api/traces.py
 
+pytestmark = [
+    pytest.mark.usefixtures("shm_ledger"),
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+]
+
 
 RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
 

@@ -4,7 +4,8 @@ This is the tier-1 smoke run of the concurrent server the ISSUE calls for:
 a tiny model, two replicas, mixed-length traffic submitted from real client
 threads, gated on *bitwise* parity with single-session serving (float64
 engine, exact-length bucketing).  If the scheduler or the pool ever groups,
-pads or dispatches differently, the parity gates here fail.
+pads or dispatches differently, the parity gates here fail.  The per-method
+parity of every serving class lives in ``test_parity.py``.
 """
 
 import threading
@@ -23,7 +24,6 @@ from repro.api import (
     SessionConfig,
     SessionPool,
 )
-from repro.transformer.heads import ClassificationHead
 
 
 @pytest.fixture(scope="module")
@@ -59,28 +59,6 @@ class TestSessionPool:
         assert second.backend is not first.backend  # own recorder/wrappers
         assert second._batcher is not first._batcher  # own packing buffers
 
-    def test_forward_bitwise_matches_single_session(
-        self, pool64, single64, mixed_requests
-    ):
-        pooled = pool64.forward(mixed_requests)
-        single = single64.forward(mixed_requests)
-        for i, (a, b) in enumerate(zip(pooled, single)):
-            assert np.array_equal(a, b), f"request {i}"
-
-    def test_forward_bitwise_matches_per_call(self, pool64, mixed_requests):
-        outputs = pool64.forward(mixed_requests)
-        model, backend = pool64.model, pool64.sessions[0].backend
-        for i, request in enumerate(mixed_requests):
-            per_call = model.forward(request[None, :], backend=backend)
-            assert np.array_equal(per_call[0], outputs[i]), f"request {i}"
-
-    def test_pooled_bitwise_matches_single_session(
-        self, pool64, single64, mixed_requests
-    ):
-        assert np.array_equal(
-            pool64.pooled(mixed_requests), single64.pooled(mixed_requests)
-        )
-
     def test_dispatch_is_deterministic(self, pool64, mixed_requests):
         shards = pool64._shard(mixed_requests)
         assert shards == pool64._shard(mixed_requests)
@@ -93,14 +71,7 @@ class TestSessionPool:
         assert empty.shape == (0, pool64.model.config.hidden_size)
         assert empty.dtype == np.float64  # the compute dtype
 
-    def test_classify_matches_session(self, pool64, single64, mixed_requests):
-        features = single64.pooled(mixed_requests)
-        labels = (features[:, 0] > np.median(features[:, 0])).astype(np.int64)
-        head = ClassificationHead.fit(features, labels, num_classes=2, epochs=20)
-        assert np.array_equal(
-            pool64.classify(mixed_requests, head),
-            single64.classify(mixed_requests, head),
-        )
+    def test_classify_rejects_a_non_head(self, pool64, mixed_requests):
         with pytest.raises(TypeError, match="ClassificationHead"):
             pool64.classify(mixed_requests, head=object())
 

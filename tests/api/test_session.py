@@ -1,5 +1,7 @@
 """InferenceSession: batching correctness, bitwise parity, calibration."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.api import (
     SessionConfig,
     build_backend,
 )
+from repro.core.kernels import ComputeKernel, native_available
 from repro.transformer.heads import ClassificationHead
 
 
@@ -519,3 +522,81 @@ class TestForwardPacked:
         session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
         lengths, flat = session.forward_packed([])
         assert lengths == [] and flat.shape == (0, tiny64_model.config.hidden_size)
+
+
+#: Every operation of the kernel seam, i.e. everything an encoder layer
+#: hands a tensor to.
+KERNEL_METHODS = sorted(
+    name
+    for name, member in vars(ComputeKernel).items()
+    if inspect.isfunction(member) and not name.startswith("_")
+)
+
+
+def _float_arrays(value):
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _float_arrays(item)
+
+
+class TestComputeDtypeIsKept:
+    """The engine computes in its compute dtype: float32 never silently
+    becomes float64 (nor float64 float32).
+
+    A spy wraps every :class:`ComputeKernel` method on every concrete kernel
+    and records the dtype of each floating array going in or coming out,
+    while a ``tiny`` session serves ragged, padded batches through
+    ``forward`` and ``forward_packed``.  This checks what actually flows —
+    wherever the array was allocated — rather than which allocator was
+    called.
+    """
+
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    def test_every_kernel_operand_and_result_is_in_the_compute_dtype(
+        self, kernel, compute_dtype, ragged_requests, fast_registry, monkeypatch
+    ):
+        if kernel == "native" and not native_available():
+            pytest.skip("native kernel unavailable on this machine")
+        session = InferenceSession(
+            SessionConfig(
+                model_family="tiny", compute_dtype=compute_dtype, kernel=kernel,
+                max_batch_size=3, bucket_size=4,
+            ),
+            spec=BackendSpec.nn_lut(),
+            registry=fast_registry,
+        )
+        seen = []
+        for cls in ComputeKernel.__subclasses__():
+            for name in KERNEL_METHODS:
+                original = getattr(cls, name)
+
+                def spy(self, *args, _name=name, _original=original, **kwargs):
+                    result = _original(self, *args, **kwargs)
+                    for role, value in (
+                        ("argument", (args, tuple(kwargs.values()))),
+                        ("result", result),
+                    ):
+                        seen.extend(
+                            (_name, role, array.dtype)
+                            for array in _float_arrays(value)
+                        )
+                    return result
+
+                monkeypatch.setattr(cls, name, spy)
+
+        hidden = session.forward(ragged_requests)
+        lengths, flat = session.forward_packed(ragged_requests)
+
+        called = {name for name, _, _ in seen}
+        assert {"matmul_fp32", "lut_softmax", "lut_layernorm", "lut_gelu_bias",
+                "bias_residual"} <= called, sorted(called)
+        dtype = np.dtype(compute_dtype)
+        strays = sorted({(n, role, str(d)) for n, role, d in seen if d != dtype})
+        assert strays == [], strays
+        returned = [*hidden, flat]
+        assert [a.dtype for a in returned] == [dtype] * len(returned)
+        assert lengths == [r.size for r in ragged_requests]

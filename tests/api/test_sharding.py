@@ -1,11 +1,13 @@
-"""Multi-process sharded serving: parity, failure modes, shared-memory hygiene.
+"""Multi-process sharded serving: wire protocol, failure modes, shm hygiene.
 
 The tier-1 gate mirrors tests/api/test_server.py: a tiny float64 model, two
-worker *processes*, mixed-length traffic, bitwise parity against
-single-session serving.  The failure-mode tests cover the ISSUE's checklist:
-a worker dying mid-service surfaces as a descriptive error (and the pool
-still closes cleanly), and the shared-memory blocks are unlinked on
-``close()`` even when construction itself fails halfway.
+worker *processes*, mixed-length traffic; ``ShardedPool``'s per-method
+bitwise parity against single-session serving lives in ``test_parity.py``.
+The failure-mode tests cover a worker dying mid-service (a descriptive
+error, and the pool still closes cleanly) and shared-memory blocks unlinked
+on ``close()`` even when construction itself fails halfway; the
+``shm_ledger`` fixture checks that no block created here outlives the
+module.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import gc
 import pickle
 import threading
 import time
+import types
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -33,8 +36,12 @@ from repro.api import (
 from repro.api import sharding
 from repro.core.kernels import native_available
 from repro.transformer.config import tiny_test_config
-from repro.transformer.heads import ClassificationHead
 from repro.transformer.models import EncoderModel
+
+pytestmark = [
+    pytest.mark.usefixtures("shm_ledger"),
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+]
 
 
 @pytest.fixture(scope="module", params=["pipe", "shm_ring"])
@@ -125,38 +132,11 @@ class TestWeightState:
 
 
 class TestShardedParity:
-    def test_forward_bitwise_matches_single_session(
-        self, sharded64, single64, mixed_requests
-    ):
-        """The acceptance gate: sharded worker processes == single session."""
-        sharded = sharded64.forward(mixed_requests)
-        oracle = single64.forward(mixed_requests)
-        for i, (a, b) in enumerate(zip(sharded, oracle)):
-            assert np.array_equal(a, b), f"request {i}"
-
-    def test_pooled_bitwise_matches_single_session(
-        self, sharded64, single64, mixed_requests
-    ):
-        assert np.array_equal(
-            sharded64.pooled(mixed_requests), single64.pooled(mixed_requests)
-        )
-
     def test_empty_request_list(self, sharded64):
         assert sharded64.forward([]) == []
         empty = sharded64.pooled([])
         assert empty.shape == (0, sharded64.model.config.hidden_size)
         assert empty.dtype == np.float64  # the compute dtype
-
-    def test_classify_bitwise_matches_single_session(
-        self, sharded64, single64, mixed_requests
-    ):
-        features = single64.pooled(mixed_requests)
-        labels = (features[:, 0] > np.median(features[:, 0])).astype(np.int64)
-        head = ClassificationHead.fit(features, labels, num_classes=2, epochs=20)
-        assert np.array_equal(
-            sharded64.classify(mixed_requests, head),
-            single64.classify(mixed_requests, head),
-        )
 
     @pytest.mark.parametrize("server", ["session", "sharded client"])
     def test_forward_rejects_a_budget_row_of_the_wrong_length(
@@ -245,44 +225,175 @@ class TestShardedParity:
 
 
 class _FakeTransport:
-    """Channel stub for protocol-level client tests (no worker process)."""
+    """Client-side channel stub: records what the client sends."""
+
+    def __init__(self):
+        self.sent = []
 
     def send(self, op, payload):
+        self.sent.append((op, payload))
+
+    def close(self):
         pass
 
 
 class _FakeProcess:
     pid = 4242
     exitcode = None
+    alive = True
 
-    @staticmethod
-    def is_alive():
-        return True
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        self.alive = False  # the worker exits once the client hangs up
+
+
+class _ScriptedEndpoint:
+    """Worker-side channel stub: replays requests, records replies."""
+
+    def __init__(self, requests):
+        self._requests = list(requests)
+        self.replies = []
+
+    def recv(self):
+        if not self._requests:
+            raise EOFError
+        return self._requests.pop(0)
+
+    def send(self, status, value):
+        self.replies.append((status, value))
+
+    def begin_packed_response(self, lengths, trailing, dtype):
+        return None  # no response ring: the generic reply path
+
+    def close(self):
+        pass
+
+
+def _client(status="ok", value=None):
+    """A shard client over stubs whose every wait returns ``(status, value)``."""
+    client = sharding._ShardClient(0, _FakeProcess(), _FakeTransport(), 1.0)
+    client._recv = lambda timeout_s, context: (status, value)
+    return client
+
+
+def _run_worker(monkeypatch, requests, session=None):
+    """``_worker_main`` over a scripted endpoint: the replies it sent.
+
+    ``session=None`` makes the worker's session build fail.
+    """
+
+    def build(init):
+        if session is None:
+            raise RuntimeError("session build failed")
+        return session, []
+
+    monkeypatch.setattr(sharding, "_build_worker_session", build)
+    endpoint = _ScriptedEndpoint(requests)
+    # With the build stubbed, the only field the worker reads is fault_plan.
+    sharding._worker_main(endpoint, types.SimpleNamespace(fault_plan=None))
+    return endpoint.replies
 
 
 class TestWireProtocol:
-    """Status-word handling in _ShardClient, with the channel stubbed out."""
+    """Both directions of the parent <-> worker protocol, run for real.
+
+    Every op the client sends is replayed into ``_worker_main`` and must
+    reach a handler; every status the worker sends is fed back to the
+    client and must be one it handles.  Only the channel is stubbed.
+    """
+
+    #: One call per public ``_ShardClient`` method: what drives each op.
+    CLIENT_CALLS = {
+        "forward": lambda c: c.forward([np.arange(5), np.arange(3)], [None, 1.0]),
+        "apply_lut_overrides": lambda c: c.apply_lut_overrides({}),
+        "wait_ready": lambda c: c.wait_ready(1.0),
+        "shutdown": lambda c: c.shutdown(1.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def worker_session(self, fast_registry):
+        return InferenceSession(
+            SessionConfig(model_family="tiny", compute_dtype="float64"),
+            spec=BackendSpec.nn_lut(),
+            registry=fast_registry,
+        )
+
+    def _sent_by_client(self):
+        public = {
+            name
+            for name, member in vars(sharding._ShardClient).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert public == set(self.CLIENT_CALLS)
+        sent = []
+        for name, call in self.CLIENT_CALLS.items():
+            client = _client("ready" if name == "wait_ready" else "ok")
+            call(client)
+            sent += client.transport.sent
+        return sent
+
+    def test_every_op_the_client_sends_reaches_a_worker_handler(
+        self, monkeypatch, worker_session
+    ):
+        sent = self._sent_by_client()
+        assert {op for op, _ in sent} == {"forward", "apply_lut_overrides", "close"}
+        # "close" ends the worker loop, so it is replayed last.
+        sent.sort(key=lambda message: message[0] == "close")
+        replies = _run_worker(monkeypatch, sent, worker_session)
+        assert replies[0] == ("ready", None)
+        for (op, _), (status, value) in zip(sent, replies[1:], strict=True):
+            assert status == "ok", f"{op!r} was answered {status!r}: {value}"
+
+    def test_every_status_the_worker_sends_is_one_the_client_handles(
+        self, monkeypatch, worker_session
+    ):
+        too_long = np.zeros(worker_session.max_sequence_length + 1, dtype=np.int64)
+        requests = [
+            ("forward", [np.arange(5), np.asarray([-1], dtype=np.int64)]),
+            ("forward", [too_long, np.asarray([-1], dtype=np.int64)]),
+        ]
+        served = _run_worker(monkeypatch, requests, worker_session)
+        failed_init = _run_worker(monkeypatch, requests, session=None)
+        # Every status the worker has, in both phases: ready / error while
+        # starting, ok / error while serving.
+        assert [status for status, _ in served] == ["ready", "ok", "error"]
+        assert [status for status, _ in failed_init] == ["error"]
+        for status, value in [served[0], failed_init[0]]:
+            self._assert_handled(lambda: _client(status, value).wait_ready(1.0))
+        for status, value in served[1:]:
+            self._assert_handled(lambda: _client(status, value)._call("forward", None))
+
+    def test_an_op_without_a_worker_arm_is_answered_with_an_error(
+        self, monkeypatch, worker_session
+    ):
+        # What the first test above reports when a client op loses its arm.
+        replies = _run_worker(monkeypatch, [("apply_overrides", {})], worker_session)
+        status, value = replies[1]
+        assert status == "error" and "unknown shard worker op 'apply_overrides'" in value
 
     @staticmethod
-    def _client(status, value):
-        client = sharding._ShardClient(0, _FakeProcess(), _FakeTransport(), 1.0)
-        client._recv = lambda timeout_s, context: (status, value)
-        return client
+    def _assert_handled(call):
+        try:
+            call()
+        except RuntimeError as exc:
+            assert "unexpected status" not in str(exc), exc
 
     def test_error_status_carries_the_worker_traceback(self):
-        client = self._client("error", "Traceback: boom")
+        client = _client("error", "Traceback: boom")
         with pytest.raises(RuntimeError, match=r"raised while serving 'ping'"):
             client._call("ping", None)
 
     def test_unexpected_status_is_reported_as_protocol_drift(self):
         # A desynchronised channel must not present its payload as a worker
         # traceback — the status word itself is the diagnostic.
-        client = self._client("gibberish", None)
+        client = _client("gibberish", None)
         with pytest.raises(RuntimeError, match=r"unexpected status 'gibberish'"):
             client._call("ping", None)
 
     def test_wait_ready_rejects_non_init_status(self):
-        client = self._client("ok", None)
+        client = _client("ok", None)
         with pytest.raises(RuntimeError, match=r"unexpected status 'ok'"):
             client.wait_ready(1.0)
 

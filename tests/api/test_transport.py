@@ -12,6 +12,7 @@ process can show (worker death, unlink after it) lives in
 
 import multiprocessing
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ from repro.api.transport import (
     WorkerTransport,
     _ShmRing,
 )
+
+pytestmark = [
+    pytest.mark.usefixtures("shm_ledger"),
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+]
 
 
 class TestShmRingCodec:
@@ -423,3 +429,21 @@ def test_close_is_idempotent(ring_bytes):
     _shutdown(transport, thread)
     transport.close()  # second close: no-op
     assert transport.shm_names() == []
+
+
+def test_shm_ledger_fails_a_module_that_leaves_a_block_linked(pytester):
+    pytester.makeconftest((Path(__file__).parents[1] / "conftest.py").read_text())
+    pytester.makepyfile(
+        """
+        import pytest
+        from multiprocessing import shared_memory
+
+        pytestmark = pytest.mark.usefixtures("shm_ledger")
+
+        def test_closes_but_never_unlinks():
+            shared_memory.SharedMemory(create=True, size=64).close()
+        """
+    )
+    result = pytester.runpytest()
+    result.assert_outcomes(passed=1, errors=1)
+    result.stdout.fnmatch_lines(["*1 of 1 shared-memory blocks created here outlived*"])

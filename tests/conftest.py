@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
 from repro.core.registry import DEFAULT_TRAINING_CONFIG, LutRegistry
 from repro.core.training import TrainingConfig
+
+pytest_plugins = ["pytester"]  # the shm_ledger fixture is tested in a sub-session
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +57,41 @@ def fitted_rsqrt(fast_registry):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="module")
+def shm_ledger():
+    """Every shared-memory block the module creates is gone when it ends.
+
+    Records the name of each ``SharedMemory(create=True)`` made in this
+    process while the module runs; at module teardown — after the module's
+    own pools and transports have been torn down — attaching to any of them
+    must raise ``FileNotFoundError``.  A survivor is unlinked (so one leak
+    does not outlive the run) and fails the module.  Use it with
+    ``pytestmark = pytest.mark.usefixtures("shm_ledger")``.
+    """
+    created = []
+    original = shared_memory.SharedMemory.__init__
+
+    def recording_init(self, name=None, create=False, size=0):
+        original(self, name, create, size)
+        if create:
+            created.append(self.name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shared_memory.SharedMemory, "__init__", recording_init)
+        yield created
+    gc.collect()  # pools left to their GC finalizers release here
+    survivors = []
+    for name in created:
+        try:
+            block = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            continue
+        survivors.append(name)
+        block.close()
+        block.unlink()
+    assert not survivors, (
+        f"{len(survivors)} of {len(created)} shared-memory blocks created "
+        f"here outlived the module: {survivors}"
+    )

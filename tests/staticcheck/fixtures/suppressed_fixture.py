@@ -1,14 +1,24 @@
 """Suppression-handling fixture: every seeded violation carries an ignore."""
 
-# staticcheck: hot-path -- fixture module for suppression handling
-
-import numpy as np
+import threading
 
 
-def annotated(n):
-    buffer = np.zeros(n)  # staticcheck: ignore[dtype-upcast] -- fixture: same-line suppression
-    # staticcheck: ignore[dtype-upcast] -- fixture: previous-line suppression
-    grid = np.linspace(0.0, 1.0, n)
-    table = np.ones(n)  # staticcheck: ignore[*] -- fixture: wildcard suppression
-    unrelated = np.empty(n)  # staticcheck: ignore[resource-leak] -- wrong rule: must NOT suppress
-    return buffer, grid, table, unrelated
+class Tally:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._a = self._b = self._c = self._d = 0
+
+    def guarded(self):
+        with self._lock:
+            self._a += 1
+            self._b += 1
+            self._c += 1
+            self._d += 1
+
+    def annotated(self):
+        a = self._a  # staticcheck: ignore[unguarded-attr] -- fixture: same-line suppression
+        # staticcheck: ignore[unguarded-attr] -- fixture: previous-line suppression
+        b = self._b
+        c = self._c  # staticcheck: ignore[*] -- fixture: wildcard suppression
+        d = self._d  # staticcheck: ignore[blocking-under-lock] -- wrong rule: must NOT suppress
+        return a, b, c, d

@@ -15,11 +15,8 @@ from repro.staticcheck.facts import (
 )
 
 
-def project(files, tags=()):
-    return link(
-        extract_module_facts(rel, ast.parse(text), set(tags))
-        for rel, text in files.items()
-    )
+def project(files):
+    return link(extract_module_facts(rel, ast.parse(text)) for rel, text in files.items())
 
 
 class TestCallResolution:
@@ -162,7 +159,6 @@ class TestBlockingClassification:
         mod = extract_module_facts(
             "x.py",
             ast.parse(f"import os, time\ndef ops(conn, q, d, h, items, t):\n{body}"),
-            set(),
         )
         return [b.label for b in mod.functions["x.ops"].blocking]
 
