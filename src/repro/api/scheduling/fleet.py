@@ -28,12 +28,13 @@ ship their remaining budget with the batch (``forward(requests,
 budgets_s)``, the one replica-handle signature), capping a shard client's
 transport wait and letting replicas skip requests that expired in flight.
 
-Locking story (kept deliberately boring so the interprocedural
-``blocking-under-lock`` static check stays clean and no lock is ever
-taken while another is held): the fleet condition (``_cond`` over
+Locking story (kept deliberately boring; the serving test suites run
+under a runtime lock audit, ``tests/lock_audit.py``, that fails a test
+which takes a lock under another, touches a guarded field without the
+lock, or blocks while holding it): the fleet condition (``_cond`` over
 ``_lock``) is the **only** lock in the scheduling package.  The
 admission controller, batch former, router and stats board are all
-lock-free and only ever touched while it is held;
+lock-free; their mutable state is only ever touched while it is held;
 everything that can block — replica forwards, pool spawn/retire hooks,
 thread joins, future fulfilment, **retry backoff sleeps** — happens
 strictly outside it.
@@ -250,9 +251,13 @@ class FleetManager:
             for session in self._pool.sessions:
                 if id(session) not in known:
                     self._register(session)
-            to_start = [m for m in self._members.values() if m.thread is None]
-        for member in to_start:
-            self._start_worker(member)
+            workers = [
+                self._new_worker(m)
+                for m in self._members.values()
+                if m.thread is None
+            ]
+        for thread in workers:
+            thread.start()
         self._scheduler_thread = threading.Thread(
             target=self._scheduler_loop, name="serving-scheduler", daemon=True
         )
@@ -360,10 +365,10 @@ class FleetManager:
                 raise ServerClosedError("ServingQueue is closed")
             member = self._register(session)
             self._board.replicas_added += 1
-            started = self._started
+            worker = self._new_worker(member) if self._started else None
             self._cond.notify_all()
-        if started:
-            self._start_worker(member)
+        if worker is not None:
+            worker.start()
         return member.replica_id
 
     def drain_member(self, replica_id: int) -> None:
@@ -447,13 +452,18 @@ class FleetManager:
         self._members[member.replica_id] = member
         return member
 
-    def _start_worker(self, member: ReplicaMember) -> None:
+    def _new_worker(self, member: ReplicaMember) -> threading.Thread:
+        """The member's worker thread, published but not started (fleet lock held).
+
+        ``retire_member`` and ``join`` read ``member.thread`` under the lock,
+        so it is set here; the caller starts the thread after releasing it.
+        """
         thread = threading.Thread(
             target=self._worker_loop, args=(member,),
             name=f"serving-worker-{member.replica_id}", daemon=True,
         )
         member.thread = thread
-        thread.start()
+        return thread
 
     def _routable(self) -> List[ReplicaMember]:
         """Members new work may be routed to (fleet lock held).

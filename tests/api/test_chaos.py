@@ -41,7 +41,7 @@ from repro.api import faults
 import traces  # tests/api/traces.py
 
 pytestmark = [
-    pytest.mark.usefixtures("shm_ledger"),
+    pytest.mark.usefixtures("lock_audit", "shm_ledger"),
     pytest.mark.filterwarnings("error::ResourceWarning"),
 ]
 

@@ -27,7 +27,7 @@ from repro.api import (
 )
 from repro.transformer.heads import ClassificationHead
 
-pytestmark = pytest.mark.usefixtures("shm_ledger")
+pytestmark = pytest.mark.usefixtures("lock_audit", "shm_ledger")
 
 CONFIG = SessionConfig(model_family="tiny", compute_dtype="float64", max_batch_size=3)
 SPEC = BackendSpec.nn_lut()

@@ -51,6 +51,8 @@ from repro.api.scheduling.stats import StatsBoard
 
 import traces  # tests/api/traces.py
 
+pytestmark = pytest.mark.usefixtures("lock_audit")
+
 
 @pytest.fixture(scope="module")
 def pool64(fast_registry):

@@ -25,6 +25,8 @@ from repro.api import (
     SessionPool,
 )
 
+pytestmark = pytest.mark.usefixtures("lock_audit")
+
 
 @pytest.fixture(scope="module")
 def pool64(fast_registry):

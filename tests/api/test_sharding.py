@@ -39,7 +39,7 @@ from repro.transformer.config import tiny_test_config
 from repro.transformer.models import EncoderModel
 
 pytestmark = [
-    pytest.mark.usefixtures("shm_ledger"),
+    pytest.mark.usefixtures("lock_audit", "shm_ledger"),
     pytest.mark.filterwarnings("error::ResourceWarning"),
 ]
 

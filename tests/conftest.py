@@ -8,6 +8,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from lock_audit import serving_audit
 from repro.core.registry import DEFAULT_TRAINING_CONFIG, LutRegistry
 from repro.core.training import TrainingConfig
 
@@ -95,3 +96,28 @@ def shm_ledger():
         f"{len(survivors)} of {len(created)} shared-memory blocks created "
         f"here outlived the module: {survivors}"
     )
+
+
+@pytest.fixture(scope="module")
+def lock_audit():
+    """The runtime lock audit (``tests/lock_audit.py``), armed for a module.
+
+    Arm it with ``pytestmark = pytest.mark.usefixtures("lock_audit")``,
+    listed first so the module's own pools and queues are built with
+    audited locks.  Each test fails on what the audit recorded while it
+    ran; whatever threads record after the module's last test fails the
+    module.
+    """
+    with serving_audit() as audit:
+        yield audit
+    audit.assert_clean()
+
+
+@pytest.fixture(autouse=True)
+def _lock_audit_verdict(request):
+    if "lock_audit" not in request.fixturenames:
+        yield
+        return
+    audit = request.getfixturevalue("lock_audit")
+    yield
+    audit.assert_clean()
