@@ -1,4 +1,5 @@
-"""The runtime lock audit (``tests/lock_audit.py``): its self-tests, the lock
+"""The runtime lock audit (``tests/lock_audit.py``): its self-tests, one probe
+per watched blocking call, serving call and guarded field, the lock
 inventory of ``src/``, and one armed run that uses every allowlist entry.
 
 The serving suites (``tests/api/test_server.py``, ``test_scheduling.py``,
@@ -9,18 +10,29 @@ through the ``lock_audit`` fixture; this module checks the audit itself.
 from __future__ import annotations
 
 import ast
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
 import time
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lock_audit import LOCK_SITES, AuditedLock, LockAudit, serving_audit
+from lock_audit import GUARDED, LOCK_SITES, AuditedLock, LockAudit, serving_audit
 from repro.api import BackendSpec, SessionConfig, ShardedPool, faults
 from repro.api.faults import FaultInjector, FaultPlan
 from repro.api.scheduling import AdmissionController
-from repro.api.scheduling.fleet import FleetManager
+from repro.api.scheduling.admission import ServingFuture
+from repro.api.scheduling.fleet import FleetManager, ReplicaMember
+from repro.api.scheduling.resilience import ReplicaHealth
 from repro.api.scheduling.stats import StatsBoard
+from repro.api.server import ReplicaPool, SessionPool
+from repro.api.session import InferenceSession
 from repro.api.sharding import _ShardClient
 from repro.api.transport import TransportIntegrityError
 from repro.core import kernels
@@ -82,6 +94,182 @@ def test_a_stale_allowlist_entry_is_reported():
         _Tally().bump(audit.lock("_Tally._lock"))
     audit.assert_clean()
     assert audit.stale_allowlist() == [("_Tally.flush", "join")]
+
+
+def _started(thread_or_process):
+    thread_or_process.start()
+    return thread_or_process
+
+
+def _popen(**kwargs):
+    return subprocess.Popen([sys.executable, "-c", ""], **kwargs)
+
+
+def _pipe_with_message():
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    sender.send(1)
+    return receiver
+
+
+def _queue_with_item():
+    q = queue.Queue()
+    q.put(1)
+    return q
+
+
+def _set_event():
+    event = threading.Event()
+    event.set()
+    return event
+
+
+#: One cheap call per entry of ``LockAudit.BLOCKING_CALLS``: label -> a
+#: factory that prepares the call (with nothing held) and returns it.
+BLOCKING_PROBES = {
+    "time.sleep": lambda: lambda: time.sleep(0),
+    "Thread.join": lambda: _started(threading.Thread(target=int)).join,
+    "BaseProcess.join": lambda: _started(
+        multiprocessing.get_context("spawn").Process(target=os.getpid)
+    ).join,
+    "Event.wait": lambda: _set_event().wait,
+    "multiprocessing.connection.wait": lambda: (
+        lambda receiver: lambda: mp_connection.wait([receiver], timeout=0)
+    )(_pipe_with_message()),
+    "_ConnectionBase.recv": lambda: _pipe_with_message().recv,
+    "Queue.get": lambda: _queue_with_item().get,
+    "subprocess.run": lambda: lambda: subprocess.run([sys.executable, "-c", ""]),
+    "Popen.wait": lambda: _popen().wait,
+    "Popen.communicate": lambda: _popen(stdout=subprocess.PIPE).communicate,
+}
+
+
+def test_every_watched_blocking_call_has_a_probe():
+    labels = {
+        f"{getattr(owner, '__name__', owner)}.{name}"
+        for owner, name in LockAudit.BLOCKING_CALLS
+    }
+    assert labels == set(BLOCKING_PROBES)
+
+
+@pytest.mark.parametrize("label", sorted(BLOCKING_PROBES))
+def test_a_watched_blocking_call_is_reported_only_under_a_lock(label):
+    probe = BLOCKING_PROBES[label]
+    with LockAudit() as audit:
+        lock = audit.lock("Probe._lock")
+        probe()()
+        audit.assert_clean()  # nothing held: quiet
+        call = probe()
+        with lock:
+            call()
+    assert any(
+        f"called {label} holding Probe._lock" in message
+        and "test_a_watched_blocking_call_is_reported_only_under_a_lock" in message
+        for message in audit.findings
+    ), audit.findings
+
+
+#: What the fleet docstring promises to call outside its lock, and the two
+#: calls the allowlist names; every pool class's replica lifecycle hooks.
+SERVING_CALLS = [
+    (InferenceSession, "forward"),
+    (_ShardClient, "forward"),
+    (ServingFuture, "_fulfill"),
+    (ServingFuture, "_fail"),
+    (_ShardClient, "_recv"),
+    (kernels, "_compile_library"),
+] + [
+    (pool, name)
+    for pool in (ReplicaPool, SessionPool, ShardedPool)
+    for name in ("spawn_replica", "retire_replica")
+]
+
+
+def _fleet():
+    board = StatsBoard()
+    return FleetManager(None, None, None, AdmissionController(1, board), board)
+
+
+@pytest.mark.parametrize(
+    "owner, name", SERVING_CALLS,
+    ids=[f"{owner.__name__}.{name}" for owner, name in SERVING_CALLS],
+)
+def test_the_serving_audit_watches_each_call_the_fleet_makes_outside_its_lock(
+    owner, name, monkeypatch
+):
+    # The audit wraps whatever the attribute holds when it is armed, so a
+    # stub stands in for the real (slow, side-effecting) call.
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: None)
+    with serving_audit() as audit:
+        manager = _fleet()
+        getattr(owner, name)()
+        audit.assert_clean()  # nothing held: quiet
+        with manager._lock:
+            getattr(owner, name)()
+    label = f"{owner.__name__}.{name}"
+    assert any(
+        f"called {label} holding FleetManager._lock" in message
+        for message in audit.findings
+    ), audit.findings
+
+
+def _owned_instances():
+    """One instance of each class in ``GUARDED``, with the lock that owns it."""
+    manager = _fleet()
+    with manager._lock:
+        member = manager._register(None)
+    client = _ShardClient(0, None, None, 1.0)
+    injector = FaultInjector(FaultPlan())
+    return {
+        FleetManager: (manager, manager._lock),
+        ReplicaMember: (member, manager._lock),
+        ReplicaHealth: (member.health, manager._lock),
+        StatsBoard: (manager._board, manager._lock),
+        AdmissionController: (manager._admission, manager._lock),
+        _ShardClient: (client, client._lock),
+        FaultInjector: (injector, injector._lock),
+    }
+
+
+GUARDED_FIELDS = [(cls, field) for cls, fields in GUARDED.items() for field in fields]
+
+
+@pytest.mark.parametrize(
+    "cls, field", GUARDED_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, field in GUARDED_FIELDS],
+)
+def test_every_guarded_field_exists_and_is_checked(cls, field):
+    # A field renamed in src/ but not in GUARDED would leave the audit
+    # blind to it: reading it on a live instance fails here instead.
+    with serving_audit() as audit:
+        obj, lock = _owned_instances()[cls]
+        with lock:
+            value = getattr(obj, field)
+            setattr(obj, field, value)
+        audit.assert_clean()  # under its lock: quiet
+        setattr(obj, field, getattr(obj, field))
+    where = "test_every_guarded_field_exists_and_is_checked"
+    assert sorted(
+        message.split(" in ")[0]
+        for message in audit.findings
+        if where in message and message.endswith(f"without {lock.name}")
+    ) == [
+        f"unguarded-attr: read of {cls.__name__}.{field}",
+        f"unguarded-attr: write of {cls.__name__}.{field}",
+    ], audit.findings
+
+
+def test_defunct_reads_the_broken_flag_unguarded_by_exemption_only():
+    with serving_audit() as audit:
+        client = _ShardClient(0, None, None, 1.0)
+        with client._lock:
+            client._broken = True
+        assert client.defunct  # exempt: the benign-racy monitoring read
+        audit.assert_clean()
+        client._broken = True
+    assert [message.split(" (")[0] for message in audit.findings] == [
+        "unguarded-attr: write of _ShardClient._broken in "
+        "test_defunct_reads_the_broken_flag_unguarded_by_exemption_only"
+    ]
 
 
 def _lock_constructions():
