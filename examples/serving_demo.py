@@ -73,8 +73,7 @@ def main() -> None:
         stats = queue.stats()
 
     print(
-        f"\nServed {stats.completed} requests from {num_clients} client threads "
-        f"(router={stats.router}):"
+        f"\nServed {stats.completed} requests from {num_clients} client threads:"
         f"\n  latency    p50 {stats.p50_latency_ms:.1f} ms | "
         f"p99 {stats.p99_latency_ms:.1f} ms | mean {stats.mean_latency_ms:.1f} ms"
         f"\n  throughput {stats.throughput_rps:.0f} req/s over "
@@ -86,7 +85,7 @@ def main() -> None:
     for replica in stats.replicas:
         print(
             f"  replica {replica.replica_id}: {replica.batches_served} batches, "
-            f"{replica.completed} requests, {replica.stolen} stolen"
+            f"{replica.completed} requests"
         )
 
     # 3. Parity: every concurrently-served result equals single-session
@@ -131,13 +130,12 @@ def main() -> None:
     autoscaled = ServingQueue(
         small,
         max_wait_ms=5.0,
-        router="least_loaded",
         autoscale=AutoscalerConfig(
             min_replicas=2, max_replicas=3, interval_s=60.0, patience=2
         ),
     )
     try:
-        print(f"\nAutoscaler episode (router={autoscaled.stats().router}):")
+        print("\nAutoscaler episode:")
         for _ in range(2):
             decision = autoscaled.autoscaler.step()
             print(

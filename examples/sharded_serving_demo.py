@@ -64,17 +64,15 @@ def main() -> None:
         # 3. The batch-coalescing scheduler runs unchanged on the sharded
         # pool — same knobs, same deadlines/overload behaviour.  Its stats
         # split latency into queue-wait vs service time, so the IPC cost of
-        # the process boundary reads directly off the service number.  The
-        # least-loaded router places each batch on the worker with the least
-        # outstanding token cost (placement varies run to run; float64
-        # results never do — every worker serves the same frozen model).
-        with ServingQueue(
-            pool, max_wait_ms=5.0, max_queue_depth=256, router="least_loaded"
-        ) as queue:
+        # the process boundary reads directly off the service number.  Each
+        # idle worker pulls the oldest formed batch (placement varies run to
+        # run; float64 results never do — every worker serves the same
+        # frozen model).
+        with ServingQueue(pool, max_wait_ms=5.0, max_queue_depth=256) as queue:
             queued = queue.serve(requests, timeout=300)
             stats = queue.stats()
         print(
-            f"ServingQueue over ShardedPool (router={stats.router}): "
+            "ServingQueue over ShardedPool: "
             f"{stats.completed} served, "
             f"mean batch {stats.mean_batch_size:.1f}, "
             f"p50 {stats.p50_latency_ms:.1f} ms / p99 {stats.p99_latency_ms:.1f} ms "
@@ -85,7 +83,7 @@ def main() -> None:
             print(
                 f"  replica {replica.replica_id}: "
                 f"{replica.batches_served} batches, "
-                f"{replica.completed} requests, {replica.stolen} stolen"
+                f"{replica.completed} requests"
             )
 
         # 4. How the traffic actually routed: forward batches and their

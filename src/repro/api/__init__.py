@@ -11,8 +11,9 @@ The two halves of the API:
   dataset-free :meth:`~InferenceSession.calibrate` workflow.
 * :class:`SessionPool` + :class:`ServingQueue` — the concurrent serving
   layer: replica sessions over one shared frozen model, plus a
-  batch-coalescing scheduler with deadlines, overload rejection, pluggable
-  routing, live fleet membership, optional autoscaling, and latency
+  batch-coalescing scheduler with deadlines, overload rejection, one
+  ready queue every replica pulls from, live fleet membership, optional
+  autoscaling, and latency
   statistics (facade in :mod:`repro.api.server`; the scheduler seams in
   :mod:`repro.api.scheduling`).
 * :class:`ShardedPool` — the same :class:`ReplicaPool` protocol served from
@@ -36,17 +37,12 @@ surface.
 from .batching import MicroBatch, RequestBatcher
 from .faults import FaultInjector, FaultPlan, InjectedFaultError, inject
 from .scheduling import (
-    ROUTERS,
     AutoscaleDecision,
     Autoscaler,
     AutoscalerConfig,
     CircuitBreakerConfig,
-    DeterministicRouter,
-    LeastLoadedRouter,
     ReplicaStats,
     RetryPolicy,
-    Router,
-    create_router,
 )
 from .server import (
     DeadlineExceededError,
@@ -111,11 +107,6 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "ServerClosedError",
-    "ROUTERS",
-    "Router",
-    "DeterministicRouter",
-    "LeastLoadedRouter",
-    "create_router",
     "Autoscaler",
     "AutoscaleDecision",
     "AutoscalerConfig",

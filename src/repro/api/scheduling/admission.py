@@ -108,7 +108,7 @@ class Pending:
 
     @property
     def cost(self) -> int:
-        """Routing cost of this request: its token count."""
+        """Cost of this request in the in-flight accounting: its token count."""
         return int(self.tokens.size)
 
     def remaining_budget_s(self, now: float) -> float | None:

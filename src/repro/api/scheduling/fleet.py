@@ -2,42 +2,48 @@
 
 The :class:`FleetManager` is the concurrency core behind
 ``ServingQueue``: it owns the pending deque, the coalescing scheduler
-thread, one worker thread per replica, and *live* membership.  Replicas
-can be added
-(:meth:`~FleetManager.add_member`), drained
-(:meth:`~FleetManager.drain_member` — in-flight and already-queued work
-completes on the old member, nothing new is routed to it) and retired
-(:meth:`~FleetManager.retire_member` — drain semantics, then blocks until
-the member's in-flight work finished and removes it) while traffic is
-being served.  A replica whose session reports itself ``defunct`` (a
-dead or poisoned shard worker) is retired automatically: its queued
-batches are re-routed to the survivors instead of being failed, and with
-``replace_dead=True`` the fleet asks the pool for a fresh replica to
-take its place.  Only when the *last* member dies does the queue close
-itself.
+thread, **one ready queue** of formed batches, one worker thread per
+replica, and *live* membership.  Replicas are interchangeable — every one
+serves the same frozen model — so nothing routes: the scheduler appends
+formed batches to the ready queue and each idle worker pulls the oldest
+batch it may serve.  That is work-conserving by construction; no replica
+sits idle while another has a backlog.
+
+Replicas can be added (:meth:`~FleetManager.add_member`), drained
+(:meth:`~FleetManager.drain_member` — the member finishes its in-flight
+batch and takes no more) and retired (:meth:`~FleetManager.retire_member`
+— drain, then block until the in-flight batch finished and remove the
+member) while traffic is being served.  A replica whose session reports
+itself ``defunct`` (a dead or poisoned shard worker) is retired
+automatically, and with ``replace_dead=True`` the fleet asks the pool for
+a fresh replica to take its place.  Only when no member that can still
+take work is left does the queue close itself.
 
 The fleet is *resilient*: with a
 :class:`~repro.api.scheduling.resilience.RetryPolicy` installed, a batch
 hit by a replica-level failure (worker death, timeout, transport/integrity
-fault) is re-routed to the survivors — after an exponential-backoff sleep
-taken strictly outside the lock — instead of failing its futures; every
-member carries a :class:`~repro.api.scheduling.resilience.ReplicaHealth`
-ledger whose circuit breaker (when configured) drains a flaky replica and
-re-admits it through a half-open probe; and requests that carry deadlines
-ship their remaining budget with the batch (``forward(requests,
-budgets_s)``, the one replica-handle signature), capping a shard client's
-transport wait and letting replicas skip requests that expired in flight.
+fault) goes back to the front of the ready queue — after an
+exponential-backoff sleep taken strictly outside the lock — marked with
+the member it ``failed_on``, which skips it while another member can take
+it; every member carries a
+:class:`~repro.api.scheduling.resilience.ReplicaHealth` ledger whose
+circuit breaker (when configured) keeps a flaky replica's worker from
+pulling work until its cooldown half-opens it for a probe; and requests
+that carry deadlines are checked when a worker pulls their batch, then
+ship their remaining budget with it (``forward(requests, budgets_s)``,
+the one replica-handle signature), capping a shard client's transport
+wait and letting replicas skip requests that expired in flight.
 
 Locking story (kept deliberately boring; the serving test suites run
 under a runtime lock audit, ``tests/lock_audit.py``, that fails a test
 which takes a lock under another, touches a guarded field without the
 lock, or blocks while holding it): the fleet condition (``_cond`` over
 ``_lock``) is the **only** lock in the scheduling package.  The
-admission controller, batch former, router and stats board are all
-lock-free; their mutable state is only ever touched while it is held;
-everything that can block — replica forwards, pool spawn/retire hooks,
-thread joins, future fulfilment, **retry backoff sleeps** — happens
-strictly outside it.
+admission controller, batch former and stats board are all lock-free;
+their mutable state is only ever touched while it is held; everything
+that can block — replica forwards, pool spawn/retire hooks, thread joins,
+future fulfilment, **retry backoff sleeps** — happens strictly outside
+it.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from .admission import (
 )
 from .former import BatchFormer
 from .resilience import CircuitBreakerConfig, ReplicaHealth, RetryPolicy
-from .routing import Router
 from .stats import ReplicaStats, ServingStats, StatsBoard
 
 __all__ = ["FormedBatch", "ReplicaMember", "FleetManager"]
@@ -108,22 +113,29 @@ def _per_future_error(exc: BaseException) -> BaseException:
 
 
 class FormedBatch:
-    """One routed unit of work: a length-homogeneous group of requests.
+    """One unit of work: a length-homogeneous group of requests.
 
     ``attempts`` counts completed dispatches that failed — 0 for a fresh
-    batch, bumped each time the retry machinery re-routes it.
+    batch, bumped each time the retry machinery re-queues it — and
+    ``failed_on`` names the replica of the last failed attempt (``None``
+    for a fresh batch).
     """
 
-    __slots__ = ("requests", "cost", "attempts")
+    __slots__ = ("requests", "attempts", "failed_on")
 
-    def __init__(self, requests: List[Pending], attempts: int = 0) -> None:
+    def __init__(
+        self,
+        requests: List[Pending],
+        attempts: int = 0,
+        failed_on: Optional[int] = None,
+    ) -> None:
         self.requests = requests
-        self.cost = sum(pending.cost for pending in requests)
         self.attempts = attempts
+        self.failed_on = failed_on
 
 
 class ReplicaMember:
-    """One replica's scheduling state: its queue, load, and lifecycle flags.
+    """One replica's scheduling state: its load and lifecycle flags.
 
     All fields are guarded by the owning fleet's condition lock.  The
     ``session`` handle (an ``InferenceSession`` or a shard client) is only
@@ -131,10 +143,9 @@ class ReplicaMember:
     """
 
     __slots__ = (
-        "replica_id", "session", "thread", "batches", "queued_cost",
-        "in_flight_requests", "in_flight_cost", "batches_served",
-        "completed", "failed", "stolen", "draining", "retired", "exited",
-        "health",
+        "replica_id", "session", "thread", "in_flight_requests",
+        "in_flight_cost", "batches_served", "completed", "failed",
+        "draining", "retired", "exited", "health",
     )
 
     def __init__(
@@ -146,40 +157,29 @@ class ReplicaMember:
         self.replica_id = replica_id
         self.session = session
         self.thread: Optional[threading.Thread] = None
-        self.batches: Deque[FormedBatch] = deque()
-        self.queued_cost = 0
         self.in_flight_requests = 0
         self.in_flight_cost = 0
         self.batches_served = 0
         self.completed = 0
         self.failed = 0
-        self.stolen = 0
         self.draining = False
         self.retired = False
         self.exited = False
         self.health = ReplicaHealth(breaker)
 
     @property
-    def load(self) -> int:
-        """Outstanding token cost: what the least-loaded router minimizes."""
-        return self.queued_cost + self.in_flight_cost
-
-    @property
     def routable(self) -> bool:
+        """Whether this member's worker may still take new work."""
         return not self.draining and not self.retired
 
     def stats(self) -> ReplicaStats:
         return ReplicaStats(
             replica_id=self.replica_id,
-            queued_batches=len(self.batches),
-            queued_requests=sum(len(b.requests) for b in self.batches),
-            queued_cost=self.queued_cost,
             in_flight_requests=self.in_flight_requests,
             in_flight_cost=self.in_flight_cost,
             batches_served=self.batches_served,
             completed=self.completed,
             failed=self.failed,
-            stolen=self.stolen,
             draining=self.draining,
             live=not self.retired and not self.exited,
             errors=self.health.errors,
@@ -200,7 +200,6 @@ class FleetManager:
     def __init__(
         self,
         pool,
-        router: Router,
         former: BatchFormer,
         admission: AdmissionController,
         board: StatsBoard,
@@ -209,7 +208,6 @@ class FleetManager:
         breaker: Optional[CircuitBreakerConfig] = None,
     ) -> None:
         self._pool = pool
-        self._router = router
         self._former = former
         self._admission = admission
         self._board = board
@@ -220,13 +218,15 @@ class FleetManager:
         #: fleet lock, which is what makes sharing it across workers safe.
         self._retry_rng = np.random.default_rng(retry.seed if retry else 0)
         #: Requests whose batch is between a failed dispatch and its retry
-        #: re-route (the backoff sleep); drain() must wait these out — they
+        #: re-queue (the backoff sleep); drain() must wait these out — they
         #: are in no queue and no in-flight counter while parked.
         self._retry_parked = 0
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._members: Dict[int, ReplicaMember] = {}
         self._pending: Deque[Pending] = deque()
+        #: Formed batches, oldest first; every worker pulls from here.
+        self._ready: Deque[FormedBatch] = deque()
         self._next_replica_id = 0
         self._inflight_batches = 0
         self._closed = False
@@ -270,12 +270,10 @@ class FleetManager:
                 return
             self._closed = True
             dropped = list(self._pending)
+            for batch in self._ready:
+                dropped.extend(batch.requests)
             self._pending.clear()
-            for member in self._members.values():
-                for batch in member.batches:
-                    dropped.extend(batch.requests)
-                member.batches.clear()
-                member.queued_cost = 0
+            self._ready.clear()
             self._admission.release(len(dropped))
             self._dropped_on_close += len(dropped)
             self._cond.notify_all()
@@ -314,9 +312,9 @@ class FleetManager:
         with self._cond:
             while (
                 self._pending
+                or self._ready
                 or self._inflight_batches
                 or self._retry_parked
-                or any(m.batches for m in self._members.values())
             ):
                 if self._closed:
                     raise closed_error
@@ -344,16 +342,8 @@ class FleetManager:
                 )
             )
             return self._board.snapshot(
-                backlog=self._admission.backlog,
-                router=self._router.name,
-                replicas=replicas,
+                backlog=self._admission.backlog, replicas=replicas
             )
-
-    @property
-    def inflight_batches(self) -> int:
-        """Batches currently dispatched to a replica forward (tests poll it)."""
-        with self._cond:
-            return self._inflight_batches
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -372,55 +362,32 @@ class FleetManager:
         return member.replica_id
 
     def drain_member(self, replica_id: int) -> None:
-        """Stop routing new work to a member; queued + in-flight completes."""
+        """Stop a member taking new work; its in-flight batch completes."""
         with self._cond:
-            member = self._members.get(replica_id)
-            if member is None:
-                raise ValueError(f"unknown replica id {replica_id}")
-            others = [m for m in self._routable() if m is not member]
-            if not others:
-                raise ValueError(
-                    "cannot drain the last live replica; add one first"
-                )
-            member.draining = True
+            self._removable(replica_id, "drain").draining = True
             self._cond.notify_all()
 
     def retire_member(self, replica_id: int, timeout: float = 30.0):
         """Remove a member: drain it, wait for its in-flight work, drop it.
 
-        Already-queued batches are re-routed to the surviving members (no
-        request is lost); the batch the member is *currently* serving
-        completes on it before this call returns.  Returns the retired
-        session handle so the caller (the facade) can hand it back to the
-        pool.  Raises ``ValueError`` for an unknown id or when retirement
-        would leave no live replica, ``TimeoutError`` when in-flight work
-        outlives ``timeout``.
+        The batch the member is *currently* serving completes on it before
+        this call returns; no forward runs on it afterwards.  Returns the
+        retired session handle so the caller (the facade) can hand it back
+        to the pool.  Raises ``ValueError`` for an unknown id or when
+        retirement would leave no live replica, ``TimeoutError`` when
+        in-flight work outlives ``timeout``.
         """
         deadline = time.monotonic() + timeout
         with self._cond:
-            member = self._members.get(replica_id)
-            if member is None:
-                raise ValueError(f"unknown replica id {replica_id}")
-            remaining_members = [m for m in self._routable() if m is not member]
-            if not remaining_members:
-                raise ValueError(
-                    "cannot retire the last live replica; add one first"
-                )
+            member = self._removable(replica_id, "retire")
             member.draining = True
             member.retired = True
-            requeued = list(member.batches)
-            member.batches.clear()
-            member.queued_cost = 0
-            for batch in requeued:
-                self._route(batch)
             self._cond.notify_all()
             # A member without a worker thread (queue built with start=False)
             # has nothing to wait out — only a started worker sets `exited`.
             while member.in_flight_requests > 0 or (
                 member.thread is not None and not member.exited
             ):
-                if self._closed:
-                    break
                 remaining_s = deadline - time.monotonic()
                 if remaining_s <= 0:
                     raise TimeoutError(
@@ -434,7 +401,7 @@ class FleetManager:
         return member.session
 
     def scaledown_candidate(self) -> Optional[int]:
-        """The member the autoscaler should shed: least loaded, newest id.
+        """The member the autoscaler should shed: least busy, newest id.
 
         ``None`` when the fleet is already at one routable member.
         """
@@ -442,7 +409,9 @@ class FleetManager:
             candidates = self._routable()
             if len(candidates) <= 1:
                 return None
-            member = min(candidates, key=lambda m: (m.load, -m.replica_id))
+            member = min(
+                candidates, key=lambda m: (m.in_flight_cost, -m.replica_id)
+            )
             return member.replica_id
 
     def _register(self, session) -> ReplicaMember:
@@ -466,83 +435,32 @@ class FleetManager:
         return thread
 
     def _routable(self) -> List[ReplicaMember]:
-        """Members new work may be routed to (fleet lock held).
+        """Members whose workers may still take new work (fleet lock held)."""
+        return [m for m in self._members.values() if m.routable]
 
-        Lifecycle (``routable``) and circuit-breaker admission both apply:
-        an open breaker keeps a flaky member registered and serving its
-        existing queue, but invisible to the router until its cooldown
-        half-opens it for a probe.
+    def _removable(self, replica_id: int, verb: str) -> ReplicaMember:
+        """The member to take out of service (fleet lock held).
+
+        Raises ``ValueError`` for an unknown id, or when ``verb``-ing the
+        member would leave no routable member.
         """
-        now = time.monotonic()
-        return sorted(
-            (
-                m for m in self._members.values()
-                if m.routable and m.health.admits(
-                    now, idle=not m.batches and m.in_flight_requests == 0
-                )
-            ),
-            key=lambda m: m.replica_id,
-        )
-
-    def _route(self, batch: FormedBatch) -> None:
-        """Assign a formed batch to a member's queue (fleet lock held)."""
-        candidates = self._routable()
-        if not candidates:
-            # Transient: every member died or started draining mid-window.
-            # Push the work back so the scheduler re-dispatches when
-            # membership recovers (or close()/fleet-death fails it).
-            self._pending.extendleft(reversed(batch.requests))
-            return
-        member = self._router.select(candidates, batch)
-        member.batches.append(batch)
-        member.queued_cost += batch.cost
-
-    def _steal(self, thief: ReplicaMember) -> Optional[FormedBatch]:
-        """One queued batch from the most backlogged peer (fleet lock held)."""
-        donors = [
-            m for m in self._members.values()
-            if m is not thief and m.batches and not m.retired
-        ]
-        if not donors:
-            return None
-        donor = max(donors, key=lambda m: (m.queued_cost, len(m.batches)))
-        batch = donor.batches.popleft()
-        donor.queued_cost -= batch.cost
-        thief.stolen += 1
-        return batch
-
-    def _breaker_poll_s(self) -> Optional[float]:
-        """Wait bound while work is pending but no member admits it.
-
-        Breaker reopening is time-driven — no thread notifies the condition
-        when a cooldown elapses — so when open breakers are what blocks
-        routing, the scheduler polls at the earliest half-open ETA instead
-        of waiting forever.  ``None`` (wait untouched) when nothing is
-        pending or no breaker is counting down.  Fleet lock held.
-        """
-        if not self._pending:
-            return None
-        now = time.monotonic()
-        etas = [
-            eta
-            for m in self._members.values()
-            if m.routable
-            and (eta := m.health.reopen_eta_s(now)) is not None
-        ]
-        if not etas:
-            return None
-        return max(0.005, min(etas))
+        member = self._members.get(replica_id)
+        if member is None:
+            raise ValueError(f"unknown replica id {replica_id}")
+        if not any(m is not member for m in self._routable()):
+            raise ValueError(
+                f"cannot {verb} the last live replica; add one first"
+            )
+        return member
 
     # ------------------------------------------------------------------ #
-    # Scheduler: pending window -> formed batches -> member queues
+    # Scheduler: pending window -> formed batches on the ready queue
     # ------------------------------------------------------------------ #
     def _scheduler_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and (
-                    not self._pending or not self._routable()
-                ):
-                    self._cond.wait(self._breaker_poll_s())
+        with self._cond:
+            while True:
+                while not self._closed and not self._pending:
+                    self._cond.wait()
                 if self._closed:
                     return
                 window_end = self._former.window_deadline(
@@ -558,99 +476,84 @@ class FleetManager:
                     self._cond.wait(remaining)
                 if self._closed:
                     return
-                window = list(self._pending)
-                self._pending.clear()
-
-            now = time.monotonic()
-            live, expired = self._admission.split_expired(window, now)
-            groups = self._former.form(live)
-            with self._cond:
-                if self._closed:
-                    # close() already failed everything it saw; fail the rest.
-                    self._admission.release(len(window))
-                    self._dropped_on_close += len(window)
-                    self._cond.notify_all()
-                    for pending in window:
-                        pending.future._fail(
-                            ServerClosedError("ServingQueue was closed")
-                        )
-                    return
-                self._board.expired += len(expired)
-                self._admission.release(len(expired))
-                for group in groups:
-                    self._route(FormedBatch(group))
-                self._cond.notify_all()
-            for pending in expired:
-                pending.future._fail(
-                    DeadlineExceededError(
-                        "request deadline elapsed before dispatch "
-                        f"(queued {1000 * (now - pending.submitted_at):.1f} ms)"
-                    )
+                # The former is pure and cheap: forming under the lock
+                # keeps the window and the ready queue one atomic step.
+                self._ready.extend(
+                    FormedBatch(group)
+                    for group in self._former.form(list(self._pending))
                 )
+                self._pending.clear()
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
-    # Workers: one thread per member
+    # Workers: one thread per member, all pulling from the ready queue
     # ------------------------------------------------------------------ #
     def _worker_loop(self, member: ReplicaMember) -> None:
         try:
             self._serve_member(member)
         finally:
-            # Every exit path — closed queue, drained empty, retired, dead
+            # Every exit path — closed queue, drained, retired, dead
             # replica — publishes the member as exited so retire_member's
             # wait and the stats snapshot see the truth.
             with self._cond:
                 member.exited = True
                 self._cond.notify_all()
 
+    def _take(self, member: ReplicaMember) -> Optional[FormedBatch]:
+        """The oldest ready batch ``member`` may serve, dequeued (lock held).
+
+        ``None`` while the member's breaker is open, or when every ready
+        batch last failed on this member and another member can take it.
+        """
+        if not member.health.admits(time.monotonic()):
+            return None
+        skip_own_failures = len(self._routable()) > 1
+        for index, batch in enumerate(self._ready):
+            if not skip_own_failures or batch.failed_on != member.replica_id:
+                del self._ready[index]
+                return batch
+        return None
+
     def _serve_member(self, member: ReplicaMember) -> None:
         session = member.session
         while True:
             with self._cond:
-                batch: Optional[FormedBatch] = None
-                while batch is None:
-                    if member.batches:
-                        batch = member.batches.popleft()
-                        member.queued_cost -= batch.cost
+                while True:
+                    if self._closed or not member.routable:
+                        return
+                    batch = self._take(member)
+                    if batch is not None:
                         break
-                    if self._closed or member.retired:
-                        return
-                    if member.draining:
-                        # Queue empty and nothing new will be routed here:
-                        # the drain is complete.
-                        return
-                    if self._router.steal_when_idle:
-                        batch = self._steal(member)
-                        if batch is not None:
-                            break
-                    self._cond.wait()
-                member.in_flight_requests += len(batch.requests)
-                member.in_flight_cost += batch.cost
-                self._inflight_batches += 1
-            # Re-check deadlines at pick-up: a formed batch can sit behind a
-            # backlog long past the window-close check, and a request whose
-            # deadline lapsed must fail rather than be served arbitrarily
-            # late (or waste forward time).
-            now = time.monotonic()
-            live, expired = self._admission.split_expired(batch.requests, now)
-            if expired:
-                expired_cost = sum(p.cost for p in expired)
-                with self._cond:
-                    self._board.expired += len(expired)
-                    self._admission.release(len(expired))
-                    member.in_flight_requests -= len(expired)
-                    member.in_flight_cost -= expired_cost
-                    if not live:
-                        self._inflight_batches -= 1
-                    self._cond.notify_all()
-                for pending in expired:
-                    pending.future._fail(
-                        DeadlineExceededError(
-                            "request deadline elapsed before its forward "
-                            f"started (queued {1000 * (now - pending.submitted_at):.1f} ms)"
-                        )
+                    # Breaker reopening is time-driven — nothing notifies
+                    # when a cooldown elapses — so an open breaker bounds
+                    # the wait by its own reopen ETA.
+                    self._cond.wait(
+                        member.health.reopen_eta_s(time.monotonic())
                     )
-                if not live:
-                    continue
+                # The one deadline check before service: a request whose
+                # deadline lapsed while queued fails rather than be served
+                # arbitrarily late (or waste forward time).
+                now = time.monotonic()
+                live, expired = self._admission.split_expired(
+                    batch.requests, now
+                )
+                self._board.expired += len(expired)
+                self._admission.release(len(expired))
+                live_cost = sum(p.cost for p in live)
+                if live:
+                    member.in_flight_requests += len(live)
+                    member.in_flight_cost += live_cost
+                    self._inflight_batches += 1
+                self._cond.notify_all()
+            for pending in expired:
+                pending.future._fail(
+                    DeadlineExceededError(
+                        "request deadline elapsed before its forward "
+                        f"started (queued {1000 * (now - pending.submitted_at):.1f} ms)"
+                    )
+                )
+            if not live:
+                continue
             # The queue-wait / service boundary for every request in the
             # batch: the moment this worker committed to serving it.
             dispatched_at = time.monotonic()
@@ -671,15 +574,13 @@ class FleetManager:
                     # died or was poisoned) must leave the fleet: failing
                     # batches instantly, it would outrace the healthy
                     # replicas and poison traffic they could have served.
-                    # Membership turns the old "stop consuming" behaviour
-                    # into retire-and-optionally-replace; only when the
-                    # *last* member dies must the queue fail fast rather
-                    # than silently accept requests nothing will serve.
-                    fleet_dead = self._retire_dead_member(member)
-                    if fleet_dead:
+                    # Only when no member that can take work is left must
+                    # the queue fail fast rather than silently accept
+                    # requests nothing will serve.
+                    if self._retire_dead_member(member):
                         self.shut_down(
                             "every replica of this ServingQueue's pool is "
-                            "dead; the queue closed itself"
+                            "dead or draining; the queue closed itself"
                         )
                     elif self._replace_dead:
                         self._spawn_replacement()
@@ -696,7 +597,6 @@ class FleetManager:
                     skipped.append(pending)
                 else:
                     served.append((pending, result))
-            live_cost = sum(p.cost for p in live)
             with self._cond:
                 if member.health.record_success(
                     1000.0 * (done_at - dispatched_at)
@@ -735,26 +635,20 @@ class FleetManager:
         """Account one failed dispatch: health/breaker, then retry or fail.
 
         With a :class:`RetryPolicy` installed and a *replica-level* failure
-        (``RetryPolicy.retryable``), the batch is re-routed to the fleet —
-        after an exponential-backoff sleep taken strictly OUTSIDE the fleet
-        lock — instead of failing its futures; the batch keeps its
-        admission slots while parked (``_retry_parked`` makes it visible
-        to ``drain``).  Non-retryable failures, exhausted attempts, an
-        exhausted window retry budget, or a closed queue fail each future
-        with its own error clone, as every failure does without a policy.
+        (``RetryPolicy.retryable``), the batch goes back to the front of
+        the ready queue, marked ``failed_on`` this member — after an
+        exponential-backoff sleep taken strictly OUTSIDE the fleet lock —
+        instead of failing its futures; the batch keeps its admission slots
+        while parked (``_retry_parked`` makes it visible to ``drain``).
+        Non-retryable failures, exhausted attempts, an exhausted window
+        retry budget, or a closed queue fail each future with its own
+        error clone, as every failure does without a policy.
         """
         live_cost = sum(p.cost for p in live)
         now = time.monotonic()
         retry_batch: Optional[FormedBatch] = None
         backoff_s = 0.0
         with self._cond:
-            if getattr(member.session, "defunct", False):
-                # The replica is dead or poisoned: _retire_dead_member (on
-                # this same thread, right after this method returns) will
-                # remove it — but the retry below routes *first*, so take
-                # the member out of the routable set now or the retried
-                # batch can land straight back on the corpse.
-                member.draining = True
             if member.health.record_failure(
                 now, timeout=isinstance(exc, TimeoutError)
             ):
@@ -773,7 +667,9 @@ class FleetManager:
                 and self._board.retried_requests + len(live)
                 <= retry.retry_budget
             ):
-                retry_batch = FormedBatch(live, attempts=batch.attempts + 1)
+                retry_batch = FormedBatch(
+                    live, batch.attempts + 1, failed_on=member.replica_id
+                )
                 self._board.retry_attempts += 1
                 self._board.retried_requests += len(live)
                 self._retry_parked += len(live)
@@ -799,11 +695,8 @@ class FleetManager:
                 self._admission.release(len(dropped))
                 self._dropped_on_close += len(dropped)
             else:
-                # If no member admits right now, _route pushes the requests
-                # back onto the pending deque — the scheduler re-forms them
-                # (attempt count resets, but the window retry budget still
-                # bounds the total re-execution work).
-                self._route(retry_batch)
+                # The oldest work in the system: it is served next.
+                self._ready.appendleft(retry_batch)
             self._cond.notify_all()
         for pending in dropped:
             pending.future._fail(
@@ -813,41 +706,18 @@ class FleetManager:
             )
 
     def _retire_dead_member(self, member: ReplicaMember) -> bool:
-        """Drop a dead member; re-route its queue.  True if the fleet died.
+        """Drop a dead member.  True if no member can take work any more.
 
-        Runs on the dying member's own worker thread.  Queued batches move
-        to the surviving routable members; if none exist the orphaned
-        requests fail right here (their assigned replica is gone and nobody
-        can adopt them) — they are never silently lost.
+        Runs on the dying member's own worker thread.  Its queued work
+        needs no moving — it never left the shared ready queue — and a
+        draining member does not count as able to take it.
         """
-        orphans: List[Pending] = []
         with self._cond:
-            member.draining = True
             member.retired = True
             self._members.pop(member.replica_id, None)
             self._board.replicas_retired += 1
-            if self._routable():
-                for batch in member.batches:
-                    self._route(batch)
-            else:
-                for batch in member.batches:
-                    orphans.extend(batch.requests)
-                self._admission.release(len(orphans))
-                self._board.failed += len(orphans)
-            member.batches.clear()
-            member.queued_cost = 0
-            fleet_dead = self._started and not any(
-                not m.retired for m in self._members.values()
-            )
             self._cond.notify_all()
-        for pending in orphans:
-            pending.future._fail(
-                RuntimeError(
-                    f"replica {member.replica_id} died with this request "
-                    "queued and no live replica could adopt it"
-                )
-            )
-        return fleet_dead
+            return not self._routable()
 
     def _spawn_replacement(self) -> None:
         """Best-effort: one fresh replica for a dead one (never raises).

@@ -11,8 +11,8 @@ early once the fleet is saturated (every live replica has a full batch
 waiting).
 
 The former is pure: it never touches a lock or a clock of its own, so
-routing and membership (:mod:`~repro.api.scheduling.fleet`) can call it
-freely under the scheduler lock.
+the fleet (:mod:`~repro.api.scheduling.fleet`) forms batches under its
+scheduler lock.
 """
 
 from __future__ import annotations

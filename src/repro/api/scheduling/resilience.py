@@ -6,7 +6,7 @@ optionally replaced); without a policy a batch caught in the blast radius
 fails every future it carries, and a flaky-but-alive replica keeps
 receiving traffic until it dies outright.  This module holds the pure
 policy objects the fleet uses to do better; the *mechanics* (where retries
-sleep, how batches re-route, when probes dispatch) live in
+sleep, how batches re-queue, when probes dispatch) live in
 :mod:`repro.api.scheduling.fleet`.
 
 Retry-idempotency contract: inference here is **pure** — a forward has no
@@ -53,7 +53,7 @@ _JITTER_FRAC = 0.1
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the fleet re-routes batches hit by replica-level failures.
+    """How the fleet re-queues batches hit by replica-level failures.
 
     ``max_attempts`` bounds the *total* dispatches of one batch (first try
     included).  Between attempts the serving thread sleeps an exponential
@@ -87,7 +87,7 @@ class RetryPolicy:
             )
 
     def retryable(self, exc: BaseException) -> bool:
-        """Whether a batch failure may be re-routed instead of failed.
+        """Whether a batch failure may be retried instead of failed.
 
         Retryable failures indict the *replica or its channel*, not the
         request: worker death, request timeouts, transport faults
@@ -117,11 +117,10 @@ class CircuitBreakerConfig:
     """When a flaky replica is drained of traffic and how it wins it back.
 
     ``failure_threshold`` consecutive batch failures open the breaker: the
-    replica stops receiving new work (it stays registered, keeps its
-    thread, and still finishes anything already queued).  After
-    ``cooldown_s`` the breaker half-opens and admits a single probe batch
-    once the replica is idle; a successful probe closes the breaker, a
-    failed one re-opens it for another cooldown.
+    replica's worker stops pulling new work (the replica stays registered
+    and keeps its thread).  After ``cooldown_s`` the breaker half-opens and
+    the worker pulls a single probe batch; a successful probe closes the
+    breaker, a failed one re-opens it for another cooldown.
     """
 
     failure_threshold: int = 3
@@ -145,7 +144,7 @@ class ReplicaHealth:
     lock (it deliberately has no lock of its own, like the stats board).
     States: ``closed`` (normal) -> ``open`` (``failure_threshold``
     consecutive failures; no new traffic) -> ``half_open`` (cooldown
-    elapsed; admits one probe batch while idle) -> ``closed`` on probe
+    elapsed; admits one probe batch) -> ``closed`` on probe
     success, or back to ``open`` on probe failure.  With ``config=None``
     the breaker never trips but the health counters and latency EWMA are
     still maintained for the stats surface.
@@ -199,24 +198,22 @@ class ReplicaHealth:
             return True
         return False
 
-    def admits(self, now: float, idle: bool) -> bool:
-        """Whether the breaker lets new work route to this replica.
+    def admits(self, now: float) -> bool:
+        """Whether the breaker lets this replica's worker pull new work.
 
         Lazily transitions ``open`` -> ``half_open`` once the cooldown has
         elapsed (breaker reopening is time-driven; there is no event to
-        react to).  In ``half_open`` only an *idle* replica admits, so
-        exactly one probe batch is outstanding at a time.
+        react to).  The worker asks only when idle and serves one batch at
+        a time, so a half-open replica has exactly one probe outstanding.
         """
-        if self.config is None or self.state == "closed":
-            return True
         if self.state == "open":
             if now - self.opened_at < self.config.cooldown_s:
                 return False
             self.state = "half_open"
-        return idle
+        return True
 
     def reopen_eta_s(self, now: float) -> Optional[float]:
         """Seconds until an ``open`` breaker may half-open; else ``None``."""
-        if self.config is None or self.state != "open":
+        if self.state != "open":
             return None
         return max(0.0, self.config.cooldown_s - (now - self.opened_at))

@@ -1,10 +1,13 @@
 """Serving statistics: the immutable snapshots and the mutable board.
 
 :class:`ServingStats` (and the per-replica :class:`ReplicaStats` rows it
-now carries) is the public, frozen snapshot ``ServingQueue.stats()``
-returns.  :class:`StatsBoard` is the mutable ledger behind it — plain
-counters and bounded latency deques, mutated **only under the fleet
-condition lock** (it deliberately has no lock of its own; see
+carries) is the public, frozen snapshot ``ServingQueue.stats()``
+returns.  Queued work is one number, ``queue_depth``: the fleet keeps one
+ready queue that every replica worker pulls from, so a replica's row
+holds only what it has in flight and what it has served.
+:class:`StatsBoard` is the mutable ledger behind it — plain counters and
+bounded latency deques, mutated **only under the fleet condition lock**
+(it deliberately has no lock of its own; see
 :mod:`repro.api.scheduling.fleet` for the locking story).
 """
 
@@ -25,12 +28,12 @@ __all__ = ["ReplicaStats", "ServingStats", "StatsBoard"]
 class ReplicaStats:
     """Scheduling state of one fleet member at snapshot time.
 
-    ``queued_cost``/``in_flight_cost`` are token counts — the routing cost
-    the :class:`~repro.api.scheduling.routing.LeastLoadedRouter` minimizes
-    — so router decisions and autoscaler pressure are observable from the
-    outside.  ``draining`` members finish their queue but receive no new
-    work; a member that is neither ``live`` nor draining has exited (its
-    worker returned, e.g. after the replica died).
+    ``in_flight_cost`` is a token count — what the autoscaler's scale-down
+    pick minimizes.  A member holds no queue of its own (every worker pulls
+    from the fleet's one ready queue), so ``in_flight_*`` is all the work
+    it has.  ``draining`` members finish their in-flight batch but take no
+    new work; a member that is not ``live`` has exited (its worker
+    returned, e.g. after the drain completed or the replica died).
 
     The health fields mirror the member's
     :class:`~repro.api.scheduling.resilience.ReplicaHealth` ledger:
@@ -41,15 +44,11 @@ class ReplicaStats:
     """
 
     replica_id: int
-    queued_batches: int
-    queued_requests: int
-    queued_cost: int
     in_flight_requests: int
     in_flight_cost: int
     batches_served: int
     completed: int
     failed: int
-    stolen: int
     draining: bool
     live: bool
     errors: int = 0
@@ -59,7 +58,7 @@ class ReplicaStats:
 
     @property
     def routable(self) -> bool:
-        """Whether the scheduler may still route new work to this member."""
+        """Whether this member's worker may still take new work."""
         return self.live and not self.draining
 
 
@@ -82,10 +81,10 @@ class ServingStats:
     into batches, and in flight — the same quantity ``max_queue_depth``
     admission control bounds.
 
-    ``router`` names the active routing policy, ``replicas`` carries one
-    :class:`ReplicaStats` row per current fleet member, and
-    ``replicas_added``/``replicas_retired`` count live membership changes
-    (hot-adds and drain/retire/death removals) in the window.
+    ``replicas`` carries one :class:`ReplicaStats` row per current fleet
+    member, and ``replicas_added``/``replicas_retired`` count live
+    membership changes (hot-adds and drain/retire/death removals) in the
+    window.
 
     The resilience counters cover the retry/breaker/integrity machinery:
     ``retry_attempts`` re-dispatches of failed batches (``retried_requests``
@@ -115,7 +114,6 @@ class ServingStats:
     p99_service_ms: float
     mean_service_ms: float
     throughput_rps: float
-    router: str = "deterministic"
     replicas_added: int = 0
     replicas_retired: int = 0
     retry_attempts: int = 0
@@ -128,7 +126,7 @@ class ServingStats:
 
     @property
     def live_replicas(self) -> int:
-        """Members the scheduler can still route new work to."""
+        """Members whose workers can still take new work."""
         return sum(1 for replica in self.replicas if replica.routable)
 
 
@@ -214,10 +212,7 @@ class StatsBoard:
         )
 
     def snapshot(
-        self,
-        backlog: int,
-        router: str,
-        replicas: Tuple[ReplicaStats, ...],
+        self, backlog: int, replicas: Tuple[ReplicaStats, ...]
     ) -> ServingStats:
         p50, p99, mean = self._digest(self.latencies_ms)
         wait_p50, wait_p99, wait_mean = self._digest(self.queue_waits_ms)
@@ -249,7 +244,6 @@ class StatsBoard:
             throughput_rps=(
                 self.completed / span if span and span > 0 else 0.0
             ),
-            router=router,
             replicas_added=self.replicas_added,
             replicas_retired=self.replicas_retired,
             retry_attempts=self.retry_attempts,

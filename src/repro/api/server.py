@@ -11,9 +11,9 @@ Batched multi-sequence scheduling, one layer above
   from on multi-core machines; on a single core the win is batch density.
 * :class:`ServingQueue` — the serving facade.  Client threads call
   :meth:`~ServingQueue.submit`/:meth:`~ServingQueue.serve`; the actual
-  scheduling — admission control, ``max_wait_ms`` coalescing, routing,
-  per-replica dispatch, live membership, autoscaling — lives in
-  :mod:`repro.api.scheduling` and is wired together here.  Per-request
+  scheduling — admission control, ``max_wait_ms`` coalescing, one ready
+  queue every replica worker pulls from, live membership, autoscaling —
+  lives in :mod:`repro.api.scheduling` and is wired together here.  Per-request
   deadlines and a bounded queue give overload behaviour a server can rely
   on; :meth:`ServingQueue.stats` reports p50/p99 latency — split into
   queue-wait vs service time — plus throughput, queue/batch shape, and
@@ -34,14 +34,12 @@ pooled/queued serving is
 bitwise-equal to single-session serving under ``compute_dtype="float64"`` on
 the ``fp32``/``fp16`` matmul engines.  :meth:`SessionPool.forward` goes
 further and makes the *dispatch itself* deterministic (micro-batch ``j`` goes
-to replica ``j % num_replicas``), and the queue's default
-:class:`~repro.api.scheduling.routing.DeterministicRouter` keeps batch
-placement a pure function of submission order, so runs are reproducible
-batch-for-batch.  ``router="least_loaded"`` trades that placement
-reproducibility for tail latency under bursty traffic (results on the float
-engines stay bitwise-identical either way).  The ``int8`` engine keeps its
+to replica ``j % num_replicas``).  The queue does not pick replicas at all:
+whichever worker is idle pulls the oldest ready batch, so placement follows
+timing and never matters to a result.  The ``int8`` engine keeps its
 documented caveat: one activation scale per packed tensor means batch
-composition legitimately affects its numerics.
+*composition* (which requests share a batch) legitimately affects its
+numerics — placement still does not.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from .scheduling.autoscaler import Autoscaler, AutoscalerConfig
 from .scheduling.fleet import FleetManager
 from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
-from .scheduling.routing import Router, create_router
 from .scheduling.stats import ReplicaStats, ServingStats, StatsBoard
 from .session import (
     InferenceSession,
@@ -361,8 +358,9 @@ class ServingQueue:
     scheduler thread coalesces everything submitted within ``max_wait_ms`` of
     the oldest pending request — or sooner, once every replica has a full
     batch — groups the window by (bucketed) length exactly like
-    :class:`~repro.api.batching.RequestBatcher`, and routes the formed
-    batches to per-replica worker threads through the configured router.
+    :class:`~repro.api.batching.RequestBatcher`, and appends the formed
+    batches to one ready queue; each replica's worker thread pulls the
+    oldest batch it may serve whenever it is idle.
     The machinery lives in :mod:`repro.api.scheduling`; this facade only
     validates, wires, and delegates.
 
@@ -373,15 +371,15 @@ class ServingQueue:
     pending deque into formed batches faster than workers serve them).  A
     request whose ``deadline_ms`` elapses before its forward *starts* fails
     with :class:`DeadlineExceededError` instead of wasting a forward on it —
-    checked both when its coalescing window closes and again when a worker
-    picks its batch up.
+    checked when a worker picks its batch up.
 
     Live membership: :meth:`add_replica`, :meth:`drain_replica` and
     :meth:`retire_replica` grow and shrink the serving fleet while traffic
     flows (in-flight work always completes on the old member).  A replica
-    that dies mid-service is retired automatically — its queued work moves
-    to the survivors — and ``replace_dead_replicas=True`` additionally
-    spawns a fresh replica in its place.  Passing an
+    that dies mid-service is retired automatically — the queued work was
+    never its own, so the survivors simply keep pulling it — and
+    ``replace_dead_replicas=True`` additionally spawns a fresh replica in
+    its place.  Passing an
     :class:`AutoscalerConfig` as ``autoscale`` runs the stats-driven
     scaling loop on top of the same hooks.
 
@@ -402,11 +400,6 @@ class ServingQueue:
     start:
         Start the scheduler/worker threads immediately (default).  Tests and
         warm-up flows can pass ``False`` and call :meth:`start` later.
-    router:
-        ``"deterministic"`` (default; reproducible batch placement — the
-        configuration every float64 parity gate pins), ``"least_loaded"``
-        (load-aware dispatch with work stealing), or a
-        :class:`~repro.api.scheduling.routing.Router` instance.
     autoscale:
         Optional :class:`AutoscalerConfig`; when given, an autoscaler
         thread watches the queue-wait/service split and drives
@@ -417,16 +410,16 @@ class ServingQueue:
     retry:
         Optional :class:`~repro.api.scheduling.resilience.RetryPolicy`.
         When given, batches hit by replica-level failures (worker death,
-        request timeouts, transport faults) are re-routed to surviving
-        replicas with exponential backoff instead of failing their futures
+        request timeouts, transport faults) are retried on another replica
+        with exponential backoff instead of failing their futures
         — safe because inference is pure (see the resilience module's
         retry-idempotency contract).  Default ``None``: failures propagate
         immediately.
     breaker:
         Optional :class:`~repro.api.scheduling.resilience.CircuitBreakerConfig`.
-        When given, a replica accumulating consecutive batch failures is
-        drained of new traffic and re-admitted via half-open probes once
-        its cooldown elapses.  Default ``None``: no breaker.
+        When given, a replica accumulating consecutive batch failures stops
+        pulling new work and is re-admitted via a half-open probe once its
+        cooldown elapses.  Default ``None``: no breaker.
     """
 
     def __init__(
@@ -436,7 +429,6 @@ class ServingQueue:
         max_batch_size: int | None = None,
         max_queue_depth: int = 1024,
         start: bool = True,
-        router: str | Router = "deterministic",
         autoscale: AutoscalerConfig | None = None,
         replace_dead_replicas: bool = False,
         retry: RetryPolicy | None = None,
@@ -473,7 +465,6 @@ class ServingQueue:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         self.max_queue_depth = int(max_queue_depth)
 
-        self.router = create_router(router)
         self._board = StatsBoard()
         self._admission = AdmissionController(self.max_queue_depth, self._board)
         self._former = BatchFormer(
@@ -484,7 +475,6 @@ class ServingQueue:
         )
         self._fleet = FleetManager(
             pool=pool,
-            router=self.router,
             former=self._former,
             admission=self._admission,
             board=self._board,
@@ -639,7 +629,7 @@ class ServingQueue:
             raise
 
     def drain_replica(self, replica_id: int) -> None:
-        """Stop routing new work to a replica; its queued work completes.
+        """Stop a replica taking new work; its in-flight batch completes.
 
         The member stays visible in :meth:`stats` as ``draining`` until
         :meth:`retire_replica` removes it.
@@ -649,20 +639,20 @@ class ServingQueue:
     def retire_replica(self, replica_id: int, timeout: float = 30.0) -> None:
         """Remove a replica from the fleet and release it from the pool.
 
-        Queued batches are re-routed to the surviving replicas; the batch
-        the replica is currently serving completes on it before this call
-        returns (in-flight work is never abandoned).
+        The batch the replica is currently serving completes on it before
+        this call returns (in-flight work is never abandoned); queued work
+        stays on the shared ready queue for the survivors.
         """
         session = self._fleet.retire_member(replica_id, timeout)
         try:
             self.pool.retire_replica(session)
         except NotImplementedError:
-            # A pool without live membership: the fleet no longer routes to
-            # the handle, which is all the scheduler needs.
+            # A pool without live membership: the fleet no longer serves
+            # through the handle, which is all the scheduler needs.
             pass
 
     def retire_one_replica(self, timeout: float = 30.0) -> Optional[int]:
-        """Shed the least-loaded replica (autoscaler scale-down hook).
+        """Shed the least busy replica (autoscaler scale-down hook).
 
         Returns the retired replica id, or ``None`` when the fleet is
         already at a single live replica.

@@ -195,6 +195,83 @@ class TestBreakerAndRetryInProcess:
         assert stats.retry_attempts >= 1
         assert stats.retried_requests >= 1
 
+    @staticmethod
+    def _first_call_on_0_times_out(pool) -> list:
+        """Wrap a 2-replica pool; returns the (replica, lengths) call log.
+
+        Each replica's first forward waits until the other one is inside
+        its first forward too, so with two batches in flight each replica
+        holds one, whichever it pulled; then replica 0 times out.
+        """
+        both_busy = threading.Barrier(2)
+        calls: list = []
+
+        def wrap(replica_id, inner):
+            first = [True]
+
+            def forward(requests, budgets_s=None):
+                calls.append((replica_id, tuple(len(r) for r in requests)))
+                if first[0]:
+                    first[0] = False
+                    both_busy.wait(10)
+                    if replica_id == 0:
+                        raise TimeoutError("injected: replica wedged")
+                return inner(requests, budgets_s)
+
+            return forward
+
+        for replica_id, session in enumerate(pool.sessions):
+            session.forward = wrap(replica_id, session.forward)  # type: ignore[method-assign]
+        return calls
+
+    def test_retried_batch_runs_on_another_replica(
+        self, chaos_config, fast_registry, oracle
+    ):
+        # A retryable failure indicts the replica, so the retry must not
+        # land back on it while another replica can serve: the batch
+        # replica 0 failed is served by replica 1.
+        pool = self._pool(chaos_config, fast_registry)
+        calls = self._first_call_on_0_times_out(pool)
+        rng = np.random.default_rng(8)
+        requests = [rng.integers(0, 100, size=n) for n in (5, 9)]
+        queue = ServingQueue(pool, max_wait_ms=50.0, retry=RETRY)
+        try:
+            served = queue.serve(requests, timeout=60)
+            stats = queue.stats()
+        finally:
+            queue.close()
+        expected = oracle.forward(requests)
+        for i, (a, b) in enumerate(zip(served, expected)):
+            assert np.array_equal(a, b), f"request {i}"
+        failed_batch = next(batch for replica, batch in calls if replica == 0)
+        served_by = [replica for replica, batch in calls if batch == failed_batch]
+        assert served_by == [0, 1]
+        assert stats.retry_attempts == 1 and stats.failed == 0
+
+    def test_open_breaker_replica_pulls_nothing_during_its_cooldown(
+        self, chaos_config, fast_registry
+    ):
+        # One failure opens replica 0's breaker for far longer than the
+        # test runs: its worker must leave every later batch to replica 1.
+        pool = self._pool(chaos_config, fast_registry)
+        calls = self._first_call_on_0_times_out(pool)
+        breaker = CircuitBreakerConfig(failure_threshold=1, cooldown_s=60.0)
+        rng = np.random.default_rng(10)
+        queue = ServingQueue(
+            pool, max_wait_ms=50.0, retry=RETRY, breaker=breaker
+        )
+        try:
+            for lengths in ((5, 9), (4, 6, 8, 10)):
+                requests = [rng.integers(0, 100, size=n) for n in lengths]
+                served = queue.serve(requests, timeout=60)
+                assert [out.shape[0] for out in served] == list(lengths)
+            stats = queue.stats()
+        finally:
+            queue.close()
+        assert [replica for replica, _ in calls].count(0) == 1
+        assert stats.breaker_opens == 1 and stats.failed == 0
+        assert stats.replicas[0].breaker_state == "open"
+
     def test_retry_budget_exhausts_to_fail_fast(
         self, chaos_config, fast_registry
     ):
@@ -242,10 +319,13 @@ class TestBreakerAndRetryInProcess:
             queue.close()
 
     def test_breaker_ejects_and_readmits(self, chaos_config, fast_registry):
-        # The acceptance scenario: a flaky replica trips its breaker (no new
-        # traffic), then wins traffic back through a half-open probe once
-        # healthy — observable in the transition counters and final state.
-        pool = self._pool(chaos_config, fast_registry)
+        # The acceptance scenario: a flaky replica trips its breaker (its
+        # worker pulls nothing until the cooldown ends), then wins work back
+        # through a half-open probe once healthy — observable in the
+        # transition counters and final state.  One replica, so nothing
+        # here depends on which replica takes a batch: the retried batch
+        # waits out the breaker's own reopen ETA.
+        pool = self._pool(chaos_config, fast_registry, num_replicas=1)
         flaky = self._Flaky(pool.sessions[0], failures=2)
         pool.sessions[0] = flaky
         breaker = CircuitBreakerConfig(failure_threshold=2, cooldown_s=0.15)
@@ -253,29 +333,19 @@ class TestBreakerAndRetryInProcess:
             pool, max_wait_ms=0.0, retry=RETRY, breaker=breaker
         )
         try:
+            start = time.monotonic()
             tokens = np.arange(6, dtype=np.int64)
-            # Enough sequential traffic to hit the flaky replica twice
-            # (deterministic round-robin alternates members).
-            for _ in range(4):
-                assert queue.serve_one(tokens, timeout=60).shape[0] == 6
-            deadline = time.monotonic() + 30
-            while queue.stats().breaker_opens < 1:
-                assert time.monotonic() < deadline, "breaker never opened"
-                queue.serve_one(tokens, timeout=60)
-            # Cooldown, then keep serving until the half-open probe lands on
-            # the (now healed) replica and closes the breaker.
-            while queue.stats().breaker_closes < 1:
-                assert time.monotonic() < deadline, "breaker never re-closed"
-                queue.serve_one(tokens, timeout=60)
-                time.sleep(0.02)
+            assert queue.serve_one(tokens, timeout=60).shape[0] == 6
+            elapsed = time.monotonic() - start
             stats = queue.stats()
         finally:
             queue.close()
-        assert stats.breaker_opens >= 1
-        assert stats.breaker_closes >= 1
-        assert all(r.breaker_state == "closed" for r in stats.replicas)
-        # The healed replica served again after re-admission.
-        assert flaky.calls > 2
+        assert flaky.calls == 3  # two failures, then the half-open probe
+        assert stats.retry_attempts == 2
+        assert stats.breaker_opens == 1 and stats.breaker_closes == 1
+        assert stats.replicas[0].breaker_state == "closed"
+        # The second failure opened the breaker; the probe waited it out.
+        assert elapsed >= breaker.cooldown_s
 
     def test_session_forward_fault_hook(self, chaos_config, fast_registry):
         # on_session_forward fires inside InferenceSession.forward itself —

@@ -1,20 +1,19 @@
-"""The scheduling package: routing, membership, autoscaling, trace replay.
+"""The scheduling package: forming, membership, autoscaling, trace replay.
 
-PR 9's decomposition gates.  The parity-critical contract: the default
-``DeterministicRouter`` must keep queued serving bitwise-equal to
-single-session serving under float64 (the pre-refactor guarantee), and
-``LeastLoadedRouter`` — whose *placement* is timing-dependent — must keep
-the *results* bitwise-identical too, because replica identity never
-changes a float-engine forward.  The membership gates: retiring the
-replica that is currently serving a batch lets the in-flight work finish
-on it (and routes nothing new there), hot-adds join mid-traffic, a dead
-replica is retired (and optionally replaced) instead of poisoning the
-queue, and a trace-replay burst with churn mid-run loses no futures and
-double-serves none.
+The parity-critical contract: queued serving is bitwise-equal to
+single-session serving under float64.  Which replica serves a batch is
+timing-dependent — every idle worker pulls the oldest batch off the one
+ready queue — and must never change a result, because every replica
+serves the same frozen model.  The membership gates: retiring the replica
+that is currently serving a batch lets the in-flight work finish on it
+(and gives it nothing new), hot-adds join mid-traffic, a dead replica is
+retired (and optionally replaced) instead of poisoning the queue, the
+queue closes itself once no member can take work, and a trace-replay
+burst with churn mid-run loses no futures and double-serves none.  None
+of these tests depends on which replica takes a batch.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -26,17 +25,15 @@ from repro.api import (
     Autoscaler,
     AutoscalerConfig,
     BackendSpec,
-    DeterministicRouter,
     InferenceSession,
-    LeastLoadedRouter,
     ReplicaStats,
     RequestBatcher,
+    ServerClosedError,
     ServingQueue,
     ServingStats,
     SessionConfig,
     SessionPool,
     ShardedPool,
-    create_router,
 )
 from repro.api.scheduling import (
     AdmissionController,
@@ -85,74 +82,6 @@ def _fresh_pool(pool64, fast_registry, num_replicas=2):
         pool64.model, spec=pool64.spec, registry=fast_registry,
         num_replicas=num_replicas, max_batch_size=3,
     )
-
-
-def _wait_for_inflight(queue: ServingQueue, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while queue._fleet.inflight_batches == 0:
-        if time.monotonic() > deadline:
-            raise TimeoutError("no batch reached a worker in time")
-        time.sleep(0.001)
-
-
-# --------------------------------------------------------------------------- #
-# Routers (unit level)
-# --------------------------------------------------------------------------- #
-class _FakeMember:
-    def __init__(self, replica_id, load=0, batches=()):
-        self.replica_id = replica_id
-        self.load = load
-        self.batches = list(batches)
-
-
-class TestRouters:
-    def test_create_router_by_name_and_instance(self):
-        assert isinstance(create_router("deterministic"), DeterministicRouter)
-        assert isinstance(create_router("least_loaded"), LeastLoadedRouter)
-        router = LeastLoadedRouter()
-        assert create_router(router) is router
-
-    def test_create_router_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown router"):
-            create_router("round_robin")
-        with pytest.raises(ValueError, match="available routers"):
-            create_router(None)
-
-    def test_deterministic_round_robin_is_a_pure_function_of_order(self):
-        members = [_FakeMember(i) for i in range(3)]
-        router = DeterministicRouter()
-        picks = [router.select(members, None).replica_id for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-        # A second router replays the identical sequence: no hidden state
-        # beyond the counter, nothing timing-dependent.
-        replay = DeterministicRouter()
-        assert [replay.select(members, None).replica_id for _ in range(6)] == picks
-        assert not DeterministicRouter.steal_when_idle
-
-    def test_deterministic_counter_survives_membership_changes(self):
-        router = DeterministicRouter()
-        members = [_FakeMember(i) for i in range(3)]
-        assert router.select(members, None).replica_id == 0
-        assert router.select(members[:2], None).replica_id == 1
-        # Counter keeps advancing over the *current* membership.
-        assert router.select(members[:2], None).replica_id == 0
-
-    def test_least_loaded_picks_smallest_outstanding_cost(self):
-        members = [
-            _FakeMember(0, load=30),
-            _FakeMember(1, load=5),
-            _FakeMember(2, load=12),
-        ]
-        assert LeastLoadedRouter().select(members, None).replica_id == 1
-        assert LeastLoadedRouter.steal_when_idle
-
-    def test_least_loaded_ties_break_by_queue_then_id(self):
-        members = [
-            _FakeMember(0, load=5, batches=[object()]),
-            _FakeMember(1, load=5, batches=[]),
-            _FakeMember(2, load=5, batches=[]),
-        ]
-        assert LeastLoadedRouter().select(members, None).replica_id == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -265,27 +194,39 @@ class TestAdmission:
 
 
 # --------------------------------------------------------------------------- #
-# Router parity through the queue (float64, the PR's hard gate)
+# Parity through the queue (float64, the hard gate)
 # --------------------------------------------------------------------------- #
-class TestRouterParity:
-    def test_deterministic_router_bitwise_matches_oracle(
+class TestQueueParity:
+    def test_queue_bitwise_matches_oracle(
         self, pool64, single64, mixed_requests
     ):
         with ServingQueue(pool64, max_wait_ms=1.0) as queue:
-            assert queue.stats().router == "deterministic"
             served = queue.serve(mixed_requests, timeout=60)
         oracle = single64.forward(mixed_requests)
         for i, (a, b) in enumerate(zip(served, oracle)):
             assert np.array_equal(a, b), f"request {i}"
 
-    def test_least_loaded_router_bitwise_matches_oracle(
+    def test_concurrent_clients_bitwise_match_oracle(
         self, pool64, single64, mixed_requests
     ):
-        # Placement is timing-dependent under least-loaded routing; results
-        # must not be (every replica serves the same frozen float64 model).
-        with ServingQueue(pool64, max_wait_ms=1.0, router="least_loaded") as queue:
-            assert queue.stats().router == "least_loaded"
-            served = queue.serve(mixed_requests, timeout=60)
+        # Concurrent clients make both batch placement and window timing
+        # race; results must not (every replica serves the same frozen
+        # float64 model, and exact-length batches are parity-safe).
+        futures: list = [None] * len(mixed_requests)
+        with ServingQueue(pool64, max_wait_ms=1.0) as queue:
+
+            def client(offset: int) -> None:
+                for i in range(offset, len(mixed_requests), 3):
+                    futures[i] = queue.submit(mixed_requests[i])
+
+            threads = [
+                threading.Thread(target=client, args=(c,)) for c in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            served = [future.result(60) for future in futures]
             stats = queue.stats()
         oracle = single64.forward(mixed_requests)
         for i, (a, b) in enumerate(zip(served, oracle)):
@@ -302,7 +243,8 @@ class TestRouterParity:
         assert sum(r.completed for r in stats.replicas) == len(mixed_requests)
         assert sum(r.batches_served for r in stats.replicas) == stats.batches
         assert all(
-            r.queued_cost == 0 and r.in_flight_requests == 0 for r in stats.replicas
+            r.in_flight_requests == 0 and r.in_flight_cost == 0
+            for r in stats.replicas
         )
         assert stats.replicas_added == 0 and stats.replicas_retired == 0
 
@@ -316,42 +258,49 @@ class TestMembership:
     ):
         pool = _fresh_pool(pool64, fast_registry)
         gate = threading.Event()
-        inner = pool.sessions[0].forward
+        calls: list = []  # replica id of every forward, in call order
 
-        def gated_forward(requests, budgets_s=None):
-            gate.wait(30)
-            return inner(requests, budgets_s)
+        def gated(replica_id, inner):
+            def forward(requests, budgets_s=None):
+                calls.append(replica_id)
+                if len(calls) == 1:
+                    gate.wait(30)  # the first batch stays mid-service
+                return inner(requests, budgets_s)
 
-        pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
+            return forward
+
+        for replica_id, session in enumerate(pool.sessions):
+            session.forward = gated(replica_id, session.forward)  # type: ignore[method-assign]
         queue = ServingQueue(pool, max_wait_ms=0.0)
         try:
-            # Deterministic routing: the first formed batch lands on replica 0,
-            # whose forward is gated — it is now mid-service.
             first = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            traces.wait_for_inflight(queue)
+            busy = calls[0]  # whichever replica pulled the first batch
+            survivor = 1 - busy
 
             retired = threading.Event()
 
             def retire() -> None:
-                queue.retire_replica(0, timeout=30)
+                queue.retire_replica(busy, timeout=30)
                 retired.set()
 
             thread = threading.Thread(target=retire, daemon=True)
             thread.start()
-            time.sleep(0.1)
-            # The retire must block on the in-flight batch, not abandon it.
-            assert not retired.is_set()
-            # New work submitted mid-retire routes to the survivor only.
+            # New work submitted mid-retire is served by the survivor while
+            # the retiring replica is still stuck in its forward ...
             second = queue.submit(mixed_requests[1])
+            assert second.result(timeout=60).shape[0] == mixed_requests[1].size
+            assert calls == [busy, survivor]
+            # ... and the retire blocks on that in-flight batch.
+            assert not retired.is_set()
             gate.set()
             thread.join(30)
             assert retired.is_set()
             assert first.result(timeout=60).shape[0] == mixed_requests[0].size
-            assert second.result(timeout=60).shape[0] == mixed_requests[1].size
             stats = queue.stats()
-            assert [r.replica_id for r in stats.replicas] == [1]
+            assert [r.replica_id for r in stats.replicas] == [survivor]
             assert stats.replicas_retired == 1
-            assert stats.replicas[0].completed >= 1  # the survivor served it
+            assert stats.replicas[0].completed == 1  # the survivor served it
             assert pool.num_replicas == 1  # released from the pool too
         finally:
             gate.set()
@@ -388,6 +337,44 @@ class TestMembership:
         finally:
             queue.close()
 
+    def test_drained_member_finishes_its_in_flight_batch_only(
+        self, pool64, fast_registry, mixed_requests
+    ):
+        pool = _fresh_pool(pool64, fast_registry)
+        gate = threading.Event()
+        calls: list = []  # replica id of every forward, in call order
+
+        def gated(replica_id, inner):
+            def forward(requests, budgets_s=None):
+                calls.append(replica_id)
+                if len(calls) == 1:
+                    gate.wait(30)  # the first batch stays mid-service
+                return inner(requests, budgets_s)
+
+            return forward
+
+        for replica_id, session in enumerate(pool.sessions):
+            session.forward = gated(replica_id, session.forward)  # type: ignore[method-assign]
+        queue = ServingQueue(pool, max_wait_ms=0.0)
+        try:
+            first = queue.submit(mixed_requests[0])
+            traces.wait_for_inflight(queue)
+            busy = calls[0]
+            queue.drain_replica(busy)
+            later = [queue.submit(tokens) for tokens in mixed_requests[1:4]]
+            gate.set()
+            assert first.result(timeout=60).shape[0] == mixed_requests[0].size
+            for future, tokens in zip(later, mixed_requests[1:4]):
+                assert future.result(timeout=60).shape[0] == tokens.size
+            # The drained member served the batch it held, and nothing else.
+            assert calls.count(busy) == 1
+            rows = {r.replica_id: r for r in queue.stats().replicas}
+            assert rows[busy].draining and rows[busy].completed == 1
+            assert rows[1 - busy].completed == 3
+        finally:
+            gate.set()
+            queue.close()
+
     def test_hot_add_under_load(self, pool64, single64, fast_registry, mixed_requests):
         pool = _fresh_pool(pool64, fast_registry, num_replicas=1)
         queue = ServingQueue(pool, max_wait_ms=1.0)
@@ -412,30 +399,40 @@ class TestMembership:
         self, pool64, fast_registry, mixed_requests
     ):
         pool = _fresh_pool(pool64, fast_registry)
+        gate = threading.Event()
+        inner = pool.sessions[0].forward
+
+        def gated_forward(requests, budgets_s=None):
+            gate.wait(30)
+            return inner(requests, budgets_s)
 
         def dying_forward(requests, budgets_s=None):
             raise RuntimeError("replica poisoned")
 
+        pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
         pool.sessions[1].forward = dying_forward  # type: ignore[method-assign]
         pool.sessions[1].defunct = True  # what a dead shard client reports
         queue = ServingQueue(
-            pool, max_wait_ms=0.0, replace_dead_replicas=True
+            pool, max_wait_ms=50.0, replace_dead_replicas=True
         )
         try:
+            # Two batches in one window: the healthy replica holds one in
+            # its gated forward, so the dead replica must pull the other —
+            # whichever of the two it is — fail it, and leave the fleet.
+            futures = [queue.submit(tokens) for tokens in mixed_requests[:2]]
+            fleet = queue._fleet
+            with fleet._cond:
+                assert fleet._cond.wait_for(
+                    lambda: fleet._board.replicas_added >= 1, 10
+                ), "replacement never joined"
+            gate.set()
             outcomes = []
-            for tokens in mixed_requests[:4]:
+            for future in futures:
                 try:
-                    outcomes.append(queue.serve_one(tokens, timeout=60))
+                    outcomes.append(future.result(timeout=60))
                 except RuntimeError:
                     outcomes.append(None)
-            # Round-robin hits the dead replica exactly once before it is
-            # retired; everything else serves on the healthy member(s).
-            failures = sum(1 for out in outcomes if out is None)
-            assert failures <= 1
-            deadline = time.monotonic() + 10
-            while queue.stats().replicas_added < 1:
-                assert time.monotonic() < deadline, "replacement never joined"
-                time.sleep(0.01)
+            assert sum(1 for out in outcomes if out is None) == 1
             stats = queue.stats()
             assert stats.replicas_retired == 1
             assert stats.live_replicas == 2  # survivor + replacement
@@ -443,6 +440,38 @@ class TestMembership:
             # The replacement actually serves traffic.
             served = queue.serve(mixed_requests[4:8], timeout=60)
             assert len(served) == 4
+        finally:
+            gate.set()
+            queue.close()
+
+    def test_fleet_death_counts_only_members_that_can_take_work(
+        self, pool64, fast_registry, mixed_requests
+    ):
+        # Regression: the fleet counted a draining member as alive, so once
+        # the last routable replica died the queue stayed open, accepted
+        # requests nothing would ever serve, and let them time out.
+        pool = _fresh_pool(pool64, fast_registry)
+
+        def dying_forward(requests, budgets_s=None):
+            raise RuntimeError("replica poisoned")
+
+        queue = ServingQueue(pool, max_wait_ms=0.0)
+        try:
+            queue.drain_replica(0)
+            pool.sessions[1].forward = dying_forward  # type: ignore[method-assign]
+            pool.sessions[1].defunct = True
+            with pytest.raises(RuntimeError, match="poisoned"):
+                queue.serve_one(mixed_requests[0], timeout=60)
+            fleet = queue._fleet
+            with fleet._cond:
+                assert fleet._cond.wait_for(lambda: fleet._closed, 10), (
+                    "the queue stayed open with no member able to serve"
+                )
+            with pytest.raises(ServerClosedError):
+                queue.submit(mixed_requests[1])
+            stats = queue.stats()
+            assert stats.live_replicas == 0
+            assert [r.replica_id for r in stats.replicas] == [0]
         finally:
             queue.close()
 
@@ -475,6 +504,29 @@ class TestMembership:
             pool.close()
 
 
+def test_breaker_opens_waits_out_its_cooldown_and_half_opens():
+    # The clock is explicit, so the whole cycle is checked without threads:
+    # the reopen ETA is what an idle worker with an open breaker waits.
+    health = ReplicaHealth(CircuitBreakerConfig(failure_threshold=2, cooldown_s=1.0))
+    assert not health.record_failure(10.0, timeout=False)
+    assert health.admits(10.0) and health.reopen_eta_s(10.0) is None
+    assert health.record_failure(10.5, timeout=True)  # second in a row: open
+    assert (health.state, health.errors, health.timeouts) == ("open", 2, 1)
+    assert not health.admits(11.0)
+    assert health.reopen_eta_s(11.0) == pytest.approx(0.5)
+    assert health.admits(11.5) and health.state == "half_open"
+    assert health.record_failure(11.6, timeout=False)  # failed probe: open again
+    assert health.reopen_eta_s(11.6) == pytest.approx(1.0)
+    assert health.admits(12.6)
+    assert health.record_success(3.0) and health.state == "closed"
+    # Without a breaker the ledger counts but never refuses work.
+    ledger = ReplicaHealth(None)
+    for now in range(5):
+        assert not ledger.record_failure(float(now), timeout=False)
+    assert ledger.admits(5.0) and ledger.reopen_eta_s(5.0) is None
+    assert ledger.errors == 5
+
+
 @pytest.mark.parametrize(
     "breaker", [None, CircuitBreakerConfig(), CircuitBreakerConfig(failure_threshold=1)]
 )
@@ -494,9 +546,8 @@ def test_service_ewma_is_the_same_with_and_without_a_breaker(breaker):
 def _stats(wait_ms, service_ms, completed, live=2):
     replicas = tuple(
         ReplicaStats(
-            replica_id=i, queued_batches=0, queued_requests=0, queued_cost=0,
-            in_flight_requests=0, in_flight_cost=0, batches_served=0,
-            completed=0, failed=0, stolen=0, draining=False, live=True,
+            replica_id=i, in_flight_requests=0, in_flight_cost=0,
+            batches_served=0, completed=0, failed=0, draining=False, live=True,
         )
         for i in range(live)
     )
@@ -699,7 +750,7 @@ class TestTraceReplay:
             min_length=2, max_length=16, vocab_size=100,
         )
         pool = _fresh_pool(pool64, fast_registry, num_replicas=2)
-        queue = ServingQueue(pool, max_wait_ms=1.0, router="least_loaded")
+        queue = ServingQueue(pool, max_wait_ms=1.0)
         try:
             result = traces.replay(
                 queue,

@@ -25,6 +25,8 @@ from repro.api import (
     SessionPool,
 )
 
+import traces  # tests/api/traces.py
+
 pytestmark = pytest.mark.usefixtures("lock_audit")
 
 
@@ -253,14 +255,6 @@ def _gated_single_replica_pool(pool64, fast_registry):
     return pool, gate
 
 
-def _wait_for_inflight(queue: ServingQueue, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while queue._fleet.inflight_batches == 0:
-        if time.monotonic() > deadline:
-            raise TimeoutError("no batch reached a worker in time")
-        time.sleep(0.001)
-
-
 class TestOverloadAndDeadlines:
     def test_formed_and_inflight_requests_count_toward_depth(
         self, pool64, fast_registry, mixed_requests
@@ -272,7 +266,7 @@ class TestOverloadAndDeadlines:
         queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=2)
         try:
             first = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)  # in flight, no longer pending
+            traces.wait_for_inflight(queue)  # in flight, no longer pending
             second = queue.submit(mixed_requests[1])  # backlog now 2
             with pytest.raises(QueueFullError, match="max_queue_depth"):
                 queue.submit(mixed_requests[2])
@@ -294,7 +288,7 @@ class TestOverloadAndDeadlines:
         queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=16)
         try:
             blocker = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            traces.wait_for_inflight(queue)
             doomed = queue.submit(mixed_requests[1], deadline_ms=100.0)
             time.sleep(0.15)  # deadline lapses while the batch sits formed
             gate.set()
@@ -370,7 +364,7 @@ class TestQueueContract:
         queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=8)
         try:
             queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            traces.wait_for_inflight(queue)
             closer = threading.Timer(0.05, lambda: queue.close(timeout=0.2))
             closer.start()
             with pytest.raises(ServerClosedError, match="drain"):
@@ -497,7 +491,7 @@ class TestQueueContract:
         queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=2)
         try:
             first = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            traces.wait_for_inflight(queue)
             queue.reset_stats()
             stats = queue.stats()
             assert stats.queue_depth == 1  # the in-flight request survives
@@ -591,7 +585,7 @@ class TestLatencySplit:
         queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=8)
         try:
             first = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            traces.wait_for_inflight(queue)
             second = queue.submit(mixed_requests[1])
             time.sleep(0.15)  # both requests age behind the gate
             gate.set()

@@ -28,14 +28,13 @@ from repro.transformer import NonlinearBackend, TransformerConfig
 
 API = """
 AutoscaleDecision Autoscaler AutoscalerConfig BackendSpec CircuitBreakerConfig
-DeadlineExceededError DeterministicRouter FaultInjector FaultPlan
-InferenceSession InjectedFaultError LeastLoadedRouter METHODS MODEL_FAMILIES
-MicroBatch OPERATOR_PRIMITIVES OperatorSpec PRECISIONS QueueFullError ROUTERS
-ReplicaPool ReplicaStats RequestBatcher RetryPolicy Router SPEC_SCHEMA_VERSION
-ServerClosedError ServingFuture ServingQueue ServingStats SessionConfig
-SessionPool ShardedPool SharedWeightStore TransportError
-TransportIntegrityError WorkerDiedError WorkerTransport as_backend
-attach_weight_state build_backend calibrate_primitive_luts create_router
+DeadlineExceededError FaultInjector FaultPlan InferenceSession
+InjectedFaultError METHODS MODEL_FAMILIES MicroBatch OPERATOR_PRIMITIVES
+OperatorSpec PRECISIONS QueueFullError ReplicaPool ReplicaStats RequestBatcher
+RetryPolicy SPEC_SCHEMA_VERSION ServerClosedError ServingFuture ServingQueue
+ServingStats SessionConfig SessionPool ShardedPool SharedWeightStore
+TransportError TransportIntegrityError WorkerDiedError WorkerTransport
+as_backend attach_weight_state build_backend calibrate_primitive_luts
 export_weight_state inject
 """
 
@@ -88,7 +87,7 @@ SIGNATURES = {
         "transport ring_bytes"
     ),
     ServingQueue.__init__: (
-        "self pool max_wait_ms max_batch_size max_queue_depth start router "
+        "self pool max_wait_ms max_batch_size max_queue_depth start "
         "autoscale replace_dead_replicas retry breaker"
     ),
     calibrate_primitive_luts: (

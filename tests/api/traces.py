@@ -1,14 +1,14 @@
 """Seedable trace-replay load generation for the serving tests.
 
-Lives in ``tests/api/`` beside its only callers (``test_scheduling.py``,
-``test_chaos.py``).  Steady-Poisson traffic answers "how much does
-coalescing help on average"; it cannot answer the scheduling questions PR 9
-introduces — how the least-loaded router and the autoscaler behave when
-traffic is *not* steady.  This module generates reproducible request traces
+Lives in ``tests/api/`` beside its callers (``test_scheduling.py``,
+``test_chaos.py``, ``test_server.py``).  Steady-Poisson traffic answers
+"how much does coalescing help on average"; it cannot answer the
+scheduling questions — how the shared ready queue and the autoscaler
+behave when traffic is *not* steady.  This module generates reproducible request traces
 with the three shapes real serving traffic has:
 
 * **bursty arrivals** — short windows where the arrival rate multiplies,
-  the regime where routing policy decides the p99;
+  the regime where scheduling decides the p99;
 * **a diurnal ramp** — a slow sinusoidal swell across the trace, the shape
   autoscaling exists for;
 * **heavy-tailed lengths** — Pareto-distributed request sizes, so a few
@@ -26,6 +26,8 @@ can replay the identical workload against the per-call oracle.
 membership under load, and returns per-request outcomes.
 :func:`burst_digest` then splits the latency distribution into
 inside-burst vs outside-burst percentiles — the "p99 under burst" number.
+:func:`wait_for_inflight` blocks until a queue has a batch inside a
+replica forward, for tests that stage work behind a gated replica.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "generate_trace",
     "replay",
     "burst_digest",
+    "wait_for_inflight",
 ]
 
 
@@ -315,3 +318,14 @@ def burst_digest(result: ReplayResult) -> Dict[str, object]:
         "failed": result.failed,
     }
 
+
+def wait_for_inflight(queue, timeout: float = 5.0) -> None:
+    """Block until some batch of ``queue`` is inside a replica forward.
+
+    Waits on the fleet's condition, which every in-flight change notifies,
+    instead of polling.
+    """
+    fleet = queue._fleet
+    with fleet._cond:
+        if not fleet._cond.wait_for(lambda: fleet._inflight_batches, timeout):
+            raise TimeoutError("no batch reached a worker in time")

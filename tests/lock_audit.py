@@ -384,14 +384,13 @@ class LockAudit:
 #: ``start`` and ``join`` touch, both on the facade's own thread.
 GUARDED: Dict[type, Tuple[str, ...]] = {
     fleet.FleetManager: (
-        "_retry_rng", "_retry_parked", "_members", "_pending",
+        "_retry_rng", "_retry_parked", "_members", "_pending", "_ready",
         "_next_replica_id", "_inflight_batches", "_closed", "_started",
         "_dropped_on_close",
     ),
     fleet.ReplicaMember: (
-        "thread", "batches", "queued_cost", "in_flight_requests",
-        "in_flight_cost", "batches_served", "completed", "failed", "stolen",
-        "draining", "retired", "exited",
+        "thread", "in_flight_requests", "in_flight_cost", "batches_served",
+        "completed", "failed", "draining", "retired", "exited",
     ),
     resilience.ReplicaHealth: (
         "errors", "timeouts", "consecutive_failures", "service_ewma_ms",

@@ -3,7 +3,8 @@ per watched blocking call, serving call and guarded field, the lock
 inventory of ``src/``, and one armed run that uses every allowlist entry.
 
 The serving suites (``tests/api/test_server.py``, ``test_scheduling.py``,
-``test_chaos.py``, ``test_sharding.py``, ``test_parity.py``) run armed
+``test_chaos.py``, ``test_sharding.py``, ``test_parity.py``,
+``test_fleet_machine.py``) run armed
 through the ``lock_audit`` fixture; this module checks the audit itself.
 """
 
@@ -186,7 +187,7 @@ SERVING_CALLS = [
 
 def _fleet():
     board = StatsBoard()
-    return FleetManager(None, None, None, AdmissionController(1, board), board)
+    return FleetManager(None, None, AdmissionController(1, board), board)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +300,7 @@ def test_the_four_locks_in_src_are_the_audited_ones():
     assert _lock_constructions() == LOCK_SITES
     with serving_audit():
         board = StatsBoard()
-        manager = FleetManager(None, None, None, AdmissionController(1, board), board)
+        manager = FleetManager(None, None, AdmissionController(1, board), board)
         locks = [
             manager._lock,
             _ShardClient(0, None, None, 1.0)._lock,
