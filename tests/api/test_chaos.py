@@ -248,6 +248,28 @@ class TestBreakerAndRetryInProcess:
         assert served_by == [0, 1]
         assert stats.retry_attempts == 1 and stats.failed == 0
 
+    def test_retry_returns_to_the_failed_replica_when_no_other_can_serve(
+        self, chaos_config, fast_registry, oracle
+    ):
+        # A drained replica takes no new work, so it does not count as
+        # "another replica" for a retry: the batch replica 0 failed must go
+        # back to replica 0 instead of waiting for replica 1 forever.
+        pool = self._pool(chaos_config, fast_registry)
+        flaky = self._Flaky(pool.sessions[0], failures=1)
+        pool.sessions[0] = flaky
+        queue = ServingQueue(pool, max_wait_ms=0.0, retry=RETRY)
+        try:
+            queue.drain_replica(1)
+            tokens = np.arange(7, dtype=np.int64)
+            served = queue.serve_one(tokens, timeout=60)
+            stats = queue.stats()
+        finally:
+            queue.close()
+        assert np.array_equal(served, oracle.forward([tokens])[0])
+        assert flaky.calls == 2
+        assert stats.retry_attempts == 1 and stats.failed == 0
+        assert stats.replicas[1].completed == 0
+
     def test_open_breaker_replica_pulls_nothing_during_its_cooldown(
         self, chaos_config, fast_registry
     ):
