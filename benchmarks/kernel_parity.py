@@ -1,7 +1,11 @@
 """Compact ComputeKernel parity table: NumpyKernel vs compiled NativeKernel.
 
 Run via ``scripts/check_kernel_parity.sh`` (or directly with
-``PYTHONPATH=src python benchmarks/kernel_parity.py``).  Prints one row per
+``PYTHONPATH=src python benchmarks/kernel_parity.py``).  First prints one
+"fitted tables" row: how long a fresh default registry takes to fit the four
+NN-LUT primitives, and a sha256 over their tables' breakpoints, slopes and
+intercepts — equal digests before and after a change mean the tables did
+not move by a bit.  Then it prints one row per
 op/path across int8/fp32 — per-op kernels first, then an end-to-end encoder
 forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
@@ -19,6 +23,7 @@ activation (one GEMM per sequence) against the one row-stacked GEMM
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -51,6 +56,29 @@ TRAINING_CONFIG = TrainingConfig(
     seed=0,
     num_restarts=1,
 )
+
+
+#: The primitives the NN-LUT backend serves (GELU, softmax's exp and 1/x,
+#: LayerNorm's 1/sqrt).
+LUT_PRIMITIVES = ("gelu", "exp", "reciprocal", "rsqrt")
+
+
+def fitted_tables() -> tuple:
+    """``(seconds, sha256 hex)`` of a fresh default-registry fit.
+
+    The four primitives the engine serves, 16 entries each, fitted the way
+    the end-to-end benchmark's set-up fits them; the digest runs over each
+    table's float64 breakpoints, slopes and intercepts in that order.
+    """
+    start = time.perf_counter()
+    registry = LutRegistry()
+    tables = [registry.lut(name, num_entries=16) for name in LUT_PRIMITIVES]
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for table in tables:
+        for values in (table.breakpoints, table.slopes, table.intercepts):
+            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    return seconds, digest.hexdigest()
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -369,6 +397,8 @@ def fp32_projection_timings() -> tuple:
 
 
 def main() -> int:
+    seconds, digest = fitted_tables()
+    print(f"fitted tables: {', '.join(LUT_PRIMITIVES)} in {seconds:.2f} s, sha256 {digest}")
     if not native_available():
         print(
             f"native kernel unavailable ({native_unavailable_reason()}); "

@@ -28,12 +28,7 @@ import numpy as np
 from .conversion import network_to_lut
 from .lut import LookupTable
 from .network import OneHiddenReluNet
-from .training import (
-    AdamOptimizer,
-    _denormalize_network,
-    _least_squares_output_layer,
-    l1_loss,
-)
+from .training import _denormalize_network, _least_squares_output_layer, train_adam
 
 __all__ = [
     "CalibrationConfig",
@@ -134,30 +129,15 @@ def calibrate_network(
     calibrated.params.second_weight = network.params.second_weight / target_scale
     calibrated.params.output_bias = network.params.output_bias / target_scale
 
-    optimizer = AdamOptimizer(learning_rate=config.learning_rate)
-    num_batches = max(1, x_norm.size // _BATCH_SIZE)
-
     def _normalised_l1(candidate: OneHiddenReluNet) -> float:
         return float(np.mean(np.abs(candidate.forward(x_norm) - y_norm)))
 
-    initial_loss = _normalised_l1(calibrated)
-    for _epoch in range(_EPOCHS):
-        order = rng.permutation(x_norm.size)
-        for batch_index in range(num_batches):
-            idx = order[batch_index * _BATCH_SIZE : (batch_index + 1) * _BATCH_SIZE]
-            if idx.size == 0:
-                continue
-            xb, yb = x_norm[idx], y_norm[idx]
-            pred = calibrated.forward(xb)
-            _loss, grad_pred = l1_loss(pred, yb)
-            grads = calibrated.gradients(xb, grad_pred)
-            params = calibrated.params.as_dict()
-            updated = optimizer.step(params, grads)
-            calibrated.params.first_weight = updated["first_weight"]
-            calibrated.params.first_bias = updated["first_bias"]
-            calibrated.params.second_weight = updated["second_weight"]
-            if calibrated.trainable_output_bias:
-                calibrated.params.output_bias = float(updated["output_bias"][0])
+    initial = calibrated.copy()
+    initial_loss = _normalised_l1(initial)
+    train_adam(
+        calibrated, x_norm, y_norm, rng, [1.0] * _EPOCHS, _BATCH_SIZE,
+        config.learning_rate,
+    )
 
     # Closed-form refit of the output layer on the measured distribution, and
     # a guard that calibration never ends up worse than where it started.
@@ -166,13 +146,7 @@ def calibrate_network(
     if _normalised_l1(refit) < _normalised_l1(calibrated):
         calibrated = refit
     if _normalised_l1(calibrated) > initial_loss:
-        calibrated = network.copy()
-        calibrated.params.first_weight = network.params.first_weight * half_width
-        calibrated.params.first_bias = (
-            network.params.first_bias + network.params.first_weight * center
-        )
-        calibrated.params.second_weight = network.params.second_weight / target_scale
-        calibrated.params.output_bias = network.params.output_bias / target_scale
+        calibrated = initial
 
     _denormalize_network(calibrated, center, half_width, target_scale)
     return calibrated

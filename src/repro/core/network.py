@@ -75,7 +75,7 @@ class NetworkParameters:
         )
 
     def as_dict(self) -> Dict[str, np.ndarray]:
-        """Flat dict view used by the optimiser and serialisation."""
+        """Dict view keyed like :meth:`OneHiddenReluNet.gradients`."""
         return {
             "first_weight": self.first_weight,
             "first_bias": self.first_bias,
@@ -89,8 +89,9 @@ class OneHiddenReluNet:
     """One-hidden-layer ReLU network ``y = sum_i m_i relu(n_i x + b_i) + c``.
 
     The network operates on scalar inputs broadcast over arbitrary numpy array
-    shapes.  It provides analytic gradients for L1/L2 losses so that training
-    (``repro.core.training``) needs no autodiff framework.
+    shapes.  It provides analytic gradients for L1/L2 losses; training
+    (``repro.core.training.train_adam``) runs the same algebra fused into one
+    allocation-free step, and is tested against these.
     """
 
     params: NetworkParameters

@@ -16,7 +16,7 @@ conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
     "TrainingResult",
     "AdamOptimizer",
     "sample_training_data",
-    "l1_loss",
+    "train_adam",
     "fit_network",
 ]
 
@@ -40,9 +40,9 @@ class TrainingConfig:
 
     Defaults follow Sec. 4.1: lr=1e-3, Adam, 100K samples; the L1 loss and
     the multi-step schedule (``_LR_MILESTONES`` / ``_LR_GAMMA``) are fixed.
-    ``epochs``/``batch_size`` are chosen so fitting a 16-entry LUT takes a
-    couple of seconds on CPU while matching the paper's accuracy; they can be
-    reduced for fast tests.
+    ``epochs``/``batch_size`` are chosen so fitting a 16-entry LUT takes about
+    a second on one CPU core (0.9-1.1 s for GELU on a 2-vCPU x86 machine)
+    while matching the paper's accuracy; they can be reduced for fast tests.
     """
 
     hidden_size: int = 15
@@ -92,47 +92,46 @@ class TrainingResult:
     function_name: str = ""
 
 
-class AdamOptimizer:
-    """Minimal Adam optimiser over a dict of numpy parameter arrays."""
+#: Adam's moment decays and denominator guard (the usual defaults).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+
+class AdamOptimizer:
+    """Adam over one flat float64 parameter vector, updated in place.
+
+    The moment estimates and the step's scratch are allocated once, at
+    construction, so a step allocates nothing.
+    """
+
+    def __init__(self, size: int, learning_rate: float = 1e-3) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._step = 0
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._update = np.empty(size)
+        self._denom = np.empty(size)
 
-    def step(
-        self,
-        params: Dict[str, np.ndarray],
-        grads: Dict[str, np.ndarray],
-        lr_scale: float = 1.0,
-    ) -> Dict[str, np.ndarray]:
-        """Return updated parameters (in a fresh dict), Adam update rule."""
+    def step(self, params: np.ndarray, grad: np.ndarray, lr_scale: float = 1.0) -> None:
+        """One Adam update of ``params`` (in place) from ``grad``."""
         self._step += 1
         lr = self.learning_rate * lr_scale
-        updated: Dict[str, np.ndarray] = {}
-        for name, value in params.items():
-            grad = np.asarray(grads[name], dtype=np.float64)
-            if name not in self._m:
-                self._m[name] = np.zeros_like(value, dtype=np.float64)
-                self._v[name] = np.zeros_like(value, dtype=np.float64)
-            self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * grad
-            self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * grad**2
-            m_hat = self._m[name] / (1 - self.beta1**self._step)
-            v_hat = self._v[name] / (1 - self.beta2**self._step)
-            updated[name] = value - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return updated
+        m, v, update, denom = self._m, self._v, self._update, self._denom
+        m *= _BETA1
+        np.multiply(grad, 1 - _BETA1, out=update)
+        m += update
+        v *= _BETA2
+        np.multiply(grad, grad, out=update)
+        update *= 1 - _BETA2
+        v += update
+        np.divide(v, 1 - _BETA2**self._step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        np.divide(m, 1 - _BETA1**self._step, out=update)
+        update *= lr
+        update /= denom
+        params -= update
 
 
 def sample_training_data(
@@ -179,14 +178,6 @@ def sample_training_data(
     return x, y
 
 
-def l1_loss(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean absolute error and its gradient w.r.t. ``prediction``."""
-    diff = prediction - target
-    loss = float(np.mean(np.abs(diff)))
-    grad = np.sign(diff) / diff.size
-    return loss, grad
-
-
 #: Multi-step learning-rate schedule (Sec. 4.1): the rate is multiplied by
 #: ``_LR_GAMMA`` at each of these fractions of the epoch budget.
 _LR_MILESTONES = (0.5, 0.75, 0.9)
@@ -200,6 +191,92 @@ def _lr_scale(progress: float) -> float:
         if progress >= milestone:
             scale *= _LR_GAMMA
     return scale
+
+
+def train_adam(
+    network: OneHiddenReluNet,
+    x: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    lr_scales: Sequence[float],
+    batch_size: int,
+    learning_rate: float,
+    weights: np.ndarray | None = None,
+) -> List[float]:
+    """Mini-batch Adam on the (optionally per-sample weighted) L1 loss.
+
+    One epoch per entry of ``lr_scales``, each over a fresh ``rng``
+    permutation of the samples cut into ``max(1, n // batch_size)`` batches
+    (the tail that does not fill a batch is skipped).  Updates ``network``'s
+    parameters and returns the mean batch loss of every epoch.
+
+    All step buffers are allocated once: the parameters live in one flat
+    vector ``[n | b | m | c]`` with views for the forward, the backward
+    reuses the forward's pre-activations, and the two outer products are
+    einsums (the broadcast multiply's bits, faster at 15 columns).  Every
+    element sees the IEEE operations of ``OneHiddenReluNet.forward`` /
+    ``gradients`` in their order.  Where the hand-derived gradient
+    reads ``where(pre > 0, pre, 0)`` this reads the forward's
+    ``maximum(pre, 0)``; the two differ at most in the sign of a zero, which
+    no sum of products and no Adam moment can see.
+    """
+    hidden = network.hidden_size
+    n = x.size
+    num_batches = max(1, n // batch_size)
+    rows = min(n, batch_size)
+    p = network.params
+    theta = np.concatenate([p.first_weight, p.first_bias, p.second_weight, [p.output_bias]])
+    first_weight, first_bias, second_weight = np.split(theta[:-1], 3)
+    grad = np.zeros_like(theta)
+    grad_first_w, grad_first_b, grad_second = np.split(grad[:-1], 3)
+    optimizer = AdamOptimizer(theta.size, learning_rate=learning_rate)
+
+    x_epoch, y_epoch, w_epoch = np.empty((3, n))
+    pre, relu, upstream = np.empty((3, rows, hidden))
+    active = np.empty((rows, hidden), dtype=bool)
+    diff, grad_pred = np.empty((2, rows))
+
+    history: List[float] = []
+    for scale in lr_scales:
+        order = rng.permutation(n)
+        np.take(x, order, out=x_epoch)
+        np.take(y, order, out=y_epoch)
+        if weights is not None:
+            np.take(weights, order, out=w_epoch)
+        epoch_loss = 0.0
+        for start in range(0, num_batches * rows, rows):
+            xb = x_epoch[start : start + rows]
+            # forward: relu(x n + b) @ m + c
+            np.einsum("i,j->ij", xb, first_weight, out=pre)
+            pre += first_bias
+            np.maximum(pre, 0.0, out=relu)
+            np.matmul(relu, second_weight, out=diff)
+            diff += theta[-1]
+            diff -= y_epoch[start : start + rows]
+            # L1 loss and its gradient sign(diff) / rows, then the weights
+            np.sign(diff, out=grad_pred)
+            grad_pred /= rows
+            if weights is not None:
+                grad_pred *= w_epoch[start : start + rows]
+            epoch_loss += float(np.mean(np.abs(diff, out=diff)))
+            # backward
+            np.matmul(grad_pred, relu, out=grad_second)
+            np.greater(pre, 0.0, out=active)
+            np.einsum("i,j->ij", grad_pred, second_weight, out=upstream)
+            upstream *= active
+            np.matmul(upstream.T, xb, out=grad_first_w)
+            np.add.reduce(upstream, axis=0, out=grad_first_b)
+            if network.trainable_output_bias:
+                grad[-1] = np.add.reduce(grad_pred)
+            optimizer.step(theta, grad, lr_scale=scale)
+        history.append(epoch_loss / num_batches)
+
+    p.first_weight, p.first_bias, p.second_weight = (
+        part.copy() for part in (first_weight, first_bias, second_weight)
+    )
+    if network.trainable_output_bias:
+        p.output_bias = float(theta[-1])
+    return history
 
 
 def curvature_anchors(
@@ -390,33 +467,10 @@ def _run_single_fit(
         network, x_norm[:subsample], y_norm[:subsample], weights=weights[:subsample]
     )
 
-    optimizer = AdamOptimizer(learning_rate=config.learning_rate)
-    num_batches = max(1, x_norm.size // config.batch_size)
-    history: List[float] = []
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(x_norm.size)
-        epoch_loss = 0.0
-        progress = epoch / max(1, config.epochs - 1)
-        scale = _lr_scale(progress)
-        for batch_index in range(num_batches):
-            idx = order[batch_index * config.batch_size : (batch_index + 1) * config.batch_size]
-            if idx.size == 0:
-                continue
-            xb, yb, wb = x_norm[idx], y_norm[idx], weights[idx]
-            pred = network.forward(xb)
-            loss, grad_pred = l1_loss(pred, yb)
-            grad_pred = grad_pred * wb
-            grads = network.gradients(xb, grad_pred)
-            params = network.params.as_dict()
-            updated = optimizer.step(params, grads, lr_scale=scale)
-            network.params.first_weight = updated["first_weight"]
-            network.params.first_bias = updated["first_bias"]
-            network.params.second_weight = updated["second_weight"]
-            if network.trainable_output_bias:
-                network.params.output_bias = float(updated["output_bias"][0])
-            epoch_loss += loss
-        history.append(epoch_loss / num_batches)
+    lr_scales = [_lr_scale(epoch / max(1, config.epochs - 1)) for epoch in range(config.epochs)]
+    history = train_adam(
+        network, x_norm, y_norm, rng, lr_scales, config.batch_size, config.learning_rate, weights
+    )
 
     def _weighted_l1(candidate_net: OneHiddenReluNet) -> float:
         return float(np.mean(weights * np.abs(candidate_net.forward(x_norm) - y_norm)))

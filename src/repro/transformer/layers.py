@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.kernels import resolve_kernel
-from ..quant.fixed_point import quantize, quantized_matmul
+from ..quant.fixed_point import quantized_matmul
 from ..quant.fp16 import fp16_matmul
 
 __all__ = [
@@ -169,13 +169,15 @@ class Linear:
             operand = self.weight.astype(np.float16).astype(np.float32)
             weight_scale = None
         elif self.precision == "int8":
-            w_q = quantize(self.weight, num_bits=8)
+            # The kernel's one-pass quantiser, the one activations go through;
+            # bitwise-equal to ``quant.fixed_point.quantize(weight, 8)``.
+            kernel = self._kernel_obj
+            weight_scale = kernel.quantize_scale(self.weight)
             # The packed format is kernel-private: a float64 carrier of the
             # exact quantised integers for the numpy kernel (BLAS-fast),
             # k4-interleaved int8 column panels + column sums for the native
             # GEMM.
-            operand = self._kernel_obj.pack_weight_int8(w_q.data)
-            weight_scale = w_q.scale
+            operand = kernel.pack_weight_int8(kernel.quantize_pack(self.weight, weight_scale))
         else:
             raise ValueError(
                 f"precision must be 'fp32', 'fp16' or 'int8', got {self.precision!r}"

@@ -1,16 +1,19 @@
 """Tests for dataset sampling, Adam, initialisation and the fitting pipeline."""
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import functions
+from repro.core import calibration, functions, training
 from repro.core.initialization import INIT_SPECS, InitSpec, get_init_spec, initialize_network
+from repro.core.registry import DEFAULT_TRAINING_CONFIG, FUNCTION_CONFIG_OVERRIDES
 from repro.core.training import (
     AdamOptimizer,
     TrainingConfig,
     curvature_anchors,
     fit_network,
-    l1_loss,
     sample_training_data,
 )
 
@@ -58,25 +61,17 @@ class TestSampling:
             sample_training_data(functions.exp, (-1, 2), 100, rng, sampling="neg_log")
 
 
-class TestLosses:
-    def test_l1(self):
-        loss, grad = l1_loss(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-        assert loss == pytest.approx(1.0)
-        np.testing.assert_allclose(grad, [0.5, -0.5])
-
-
 class TestAdam:
     def test_minimises_quadratic(self):
-        opt = AdamOptimizer(learning_rate=0.1)
-        params = {"w": np.array([5.0, -3.0])}
+        opt = AdamOptimizer(2, learning_rate=0.1)
+        w = np.array([5.0, -3.0])
         for _ in range(500):
-            grads = {"w": 2 * params["w"]}
-            params = opt.step(params, grads)
-        np.testing.assert_allclose(params["w"], 0.0, atol=1e-3)
+            opt.step(w, 2 * w)
+        np.testing.assert_allclose(w, 0.0, atol=1e-3)
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            AdamOptimizer(learning_rate=0.0)
+            AdamOptimizer(1, learning_rate=0.0)
 
 
 class TestInitialization:
@@ -161,3 +156,141 @@ class TestFitNetwork:
         b = fit_network("gelu", config=FAST)
         np.testing.assert_allclose(a.network.params.first_weight, b.network.params.first_weight)
         np.testing.assert_allclose(a.network.params.second_weight, b.network.params.second_weight)
+
+
+# --------------------------------------------------------------------------- #
+# Twin of train_adam: the per-batch loop it replaced, kept verbatim as oracle
+# --------------------------------------------------------------------------- #
+class ReferenceAdam:
+    """The dict-of-arrays Adam the per-batch loop stepped."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self._step = 0
+        self._m = {}
+        self._v = {}
+
+    def step(self, params, grads, lr_scale=1.0):
+        self._step += 1
+        lr = self.learning_rate * lr_scale
+        updated = {}
+        for name, value in params.items():
+            grad = np.asarray(grads[name], dtype=np.float64)
+            if name not in self._m:
+                self._m[name] = np.zeros_like(value, dtype=np.float64)
+                self._v[name] = np.zeros_like(value, dtype=np.float64)
+            self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * grad
+            self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * grad**2
+            m_hat = self._m[name] / (1 - self.beta1**self._step)
+            v_hat = self._v[name] / (1 - self.beta2**self._step)
+            updated[name] = value - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return updated
+
+
+def reference_l1_loss(prediction, target):
+    diff = prediction - target
+    loss = float(np.mean(np.abs(diff)))
+    grad = np.sign(diff) / diff.size
+    return loss, grad
+
+
+def reference_train_adam(
+    network, x_norm, y_norm, rng, lr_scales, batch_size, learning_rate, weights=None
+):
+    """``forward`` -> L1 -> ``gradients`` -> dict Adam, one batch at a time.
+
+    The fit's loop; calibration's copy of it was the same without weights.
+    """
+    optimizer = ReferenceAdam(learning_rate=learning_rate)
+    num_batches = max(1, x_norm.size // batch_size)
+    history = []
+
+    for scale in lr_scales:
+        order = rng.permutation(x_norm.size)
+        epoch_loss = 0.0
+        for batch_index in range(num_batches):
+            idx = order[batch_index * batch_size : (batch_index + 1) * batch_size]
+            if idx.size == 0:
+                continue
+            xb, yb = x_norm[idx], y_norm[idx]
+            pred = network.forward(xb)
+            loss, grad_pred = reference_l1_loss(pred, yb)
+            if weights is not None:
+                grad_pred = grad_pred * weights[idx]
+            grads = network.gradients(xb, grad_pred)
+            params = network.params.as_dict()
+            updated = optimizer.step(params, grads, lr_scale=scale)
+            network.params.first_weight = updated["first_weight"]
+            network.params.first_bias = updated["first_bias"]
+            network.params.second_weight = updated["second_weight"]
+            if network.trainable_output_bias:
+                network.params.output_bias = float(updated["output_bias"][0])
+            epoch_loss += loss
+        history.append(epoch_loss / num_batches)
+    return history
+
+
+def network_bytes(network):
+    p = network.params
+    return b"".join(
+        np.asarray(a, dtype=np.float64).tobytes()
+        for a in (p.first_weight, p.first_bias, p.second_weight, [p.output_bias])
+    )
+
+
+def run_both(monkeypatch, module, call):
+    """``call()`` with ``module.train_adam`` as shipped, then as the oracle."""
+    fast = call()
+    monkeypatch.setattr(module, "train_adam", reference_train_adam)
+    return fast, call()
+
+
+def fit_cases():
+    reduced = replace(DEFAULT_TRAINING_CONFIG, epochs=6)
+    assert reduced.num_restarts == 2
+    for name in ("gelu", "exp", "reciprocal", "rsqrt"):
+        config = replace(reduced, **FUNCTION_CONFIG_OVERRIDES.get(name, {}))
+        for restart in range(config.num_restarts):
+            yield pytest.param(name, config, restart, id=f"{name}-restart{restart}")
+    yield pytest.param("gelu", replace(FAST, output_bias=False), 0, id="no-output-bias")
+    # 1500 rows: unlike a power-of-two batch, dividing by it rounds
+    short = replace(FAST, num_samples=1500, **FUNCTION_CONFIG_OVERRIDES["reciprocal"])
+    yield pytest.param("reciprocal", short, 0, id="one-short-batch")
+
+
+class TestTrainAdamTwin:
+    """``train_adam`` gives the per-batch loop's networks and losses byte for byte."""
+
+    @pytest.mark.parametrize("name, config, restart", fit_cases())
+    def test_fit_is_byte_identical(self, monkeypatch, name, config, restart):
+        def fit():
+            return training._run_single_fit(
+                functions.get_target_function(name), name,
+                functions.get_training_range(name), config, seed=config.seed + restart,
+            )
+
+        fast, reference = run_both(monkeypatch, training, fit)
+        assert network_bytes(fast.network) == network_bytes(reference.network)
+        assert len(fast.loss_history) == config.epochs
+        assert (np.array(fast.loss_history).tobytes()
+                == np.array(reference.loss_history).tobytes())
+        assert struct.pack("d", fast.final_loss) == struct.pack("d", reference.final_loss)
+
+    def test_calibration_is_byte_identical(self, monkeypatch, fitted_gelu):
+        samples = np.random.default_rng(7).normal(0.0, 1.0, size=9000)
+        fast, reference = run_both(
+            monkeypatch, calibration,
+            lambda: calibration.calibrate_network(
+                fitted_gelu.network, functions.gelu, samples
+            ),
+        )
+        assert network_bytes(fast) == network_bytes(reference)
+        # the Adam result is what calibration keeps, so the twin compares it
+        monkeypatch.setattr(calibration, "train_adam", lambda *args, **kwargs: [])
+        untrained = calibration.calibrate_network(
+            fitted_gelu.network, functions.gelu, samples
+        )
+        assert network_bytes(fast) != network_bytes(untrained)

@@ -6,6 +6,8 @@ path must reproduce it exactly in float64 for all three precisions, and the
 float32 engine must stay within float32 rounding of it.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -92,15 +94,13 @@ class TestCacheLifecycle:
     def test_weight_operand_prepared_once(self, rng, monkeypatch):
         layer = Linear.initialize(8, 8, rng, precision="int8")
         calls = []
-        import repro.transformer.layers as layers_module
-
-        original = layers_module.quantize
+        original = layer._kernel_obj.quantize_pack
 
         def counting_quantize(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(layers_module, "quantize", counting_quantize)
+        monkeypatch.setattr(layer._kernel_obj, "quantize_pack", counting_quantize)
         x = rng.normal(size=(4, 8))
         layer(x)
         layer(x)
@@ -148,6 +148,53 @@ class TestCacheLifecycle:
             Linear.initialize(4, 4, rng, compute_dtype="float16")
         with pytest.raises(ValueError, match="compute_dtype"):
             TransformerConfig(compute_dtype="bf16")
+
+
+def operand_bytes(operand):
+    """Every byte of a prepared int8 operand, per kernel format."""
+    if isinstance(operand, np.ndarray):  # numpy kernel: float64 carrier
+        return operand.dtype.str, operand.shape, operand.tobytes()
+    return (operand.k, operand.n, operand.panels.shape, operand.panels.tobytes(),
+            operand.colsum.dtype.str, operand.colsum.tobytes())
+
+
+class TestPreparedInt8Operand:
+    """The kernel's one-pass quantiser prepares the operand ``quantize()`` did."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("weight", [
+        "gaussian",
+        # |w| / scale lands on .5 ties, so round-half-to-even is exercised
+        "ties",
+        "zeros",
+    ])
+    def test_operand_matches_quantize_bytes(self, rng, kernel, weight):
+        w = {
+            "gaussian": rng.normal(0.0, 0.05, size=(70, 37)),
+            "ties": np.array([[127.0, 0.5, 1.5, -2.5], [-0.5, 3.5, 126.5, -126.5]]),
+            "zeros": np.zeros((8, 5)),
+        }[weight]
+        layer = Linear(weight=w, bias=np.zeros(w.shape[1]), precision="int8",
+                       kernel=kernel)
+        _, operand, scale, _, _ = layer._prepared_operands()
+        w_q = quantize(w, num_bits=8)
+        expected = layer._kernel_obj.pack_weight_int8(w_q.data)
+        assert struct.pack("d", scale) == struct.pack("d", w_q.scale)
+        assert operand_bytes(operand) == operand_bytes(expected)
+        if weight == "zeros":
+            assert scale == 1.0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_as_quantize(self, rng, kernel, bad):
+        w = rng.normal(size=(8, 4))
+        w[3, 2] = bad
+        layer = Linear(weight=w, bias=np.zeros(4), precision="int8", kernel=kernel)
+        with pytest.raises(ValueError) as expected:
+            quantize(w, num_bits=8)
+        with pytest.raises(ValueError) as raised:
+            layer.prepare()
+        assert str(raised.value) == str(expected.value)
 
 
 class TestQuantizeNonFinite:
