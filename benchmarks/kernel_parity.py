@@ -5,7 +5,10 @@ Run via ``scripts/check_kernel_parity.sh`` (or directly with
 "fitted tables" row: how long a fresh default registry takes to fit the four
 NN-LUT primitives, and a sha256 over their tables' breakpoints, slopes and
 intercepts — equal digests before and after a change mean the tables did
-not move by a bit.  Then it prints one row per
+not move by a bit.  A "prepared int8 operands" row does the same for the
+end-to-end benchmark's int8-native model: how long preparing its ``Linear``
+layers takes and a sha256 over every layer's packed panels, column sums,
+weight scale and bias.  Then it prints one row per
 op/path across int8/fp32 — per-op kernels first, then an end-to-end encoder
 forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
@@ -28,7 +31,7 @@ import time
 
 import numpy as np
 
-from repro.api import BackendSpec, InferenceSession
+from repro.api import BackendSpec, InferenceSession, SessionConfig
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.kernels import (
     GEMM_TIER_NAMES,
@@ -79,6 +82,36 @@ def fitted_tables() -> tuple:
         for values in (table.breakpoints, table.slopes, table.intercepts):
             digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
     return seconds, digest.hexdigest()
+
+
+#: The model of the end-to-end benchmark's ``offline_clustered_int8_native``
+#: workload (``benchmarks/e2e/e2e_workloads.py::session_config``).
+BENCHMARK_INT8_CONFIG = SessionConfig(
+    "roberta", "full",
+    model_overrides={"num_layers": 4, "vocab_size": 8000, "max_sequence_length": 128},
+    matmul_precision="int8", kernel="native", max_batch_size=16,
+)
+
+
+def prepared_int8_operands() -> tuple:
+    """``(layers, seconds, sha256 hex)`` of the benchmark model's int8 operands.
+
+    Builds the model, times ``prepare()`` over its ``Linear`` layers — the
+    quantisation and panel packing a session's set-up runs — and digests
+    each layer's panels, column sums, float64 weight scale and bias, in
+    ``iter_linears`` order.
+    """
+    linears = list(BENCHMARK_INT8_CONFIG.build_model().iter_linears())
+    start = time.perf_counter()
+    for linear in linears:
+        linear.prepare()
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for linear in linears:
+        _, operand, scale, bias, _ = linear._prepared_operands()
+        for values in (operand.panels, operand.colsum, np.float64(scale), bias):
+            digest.update(np.ascontiguousarray(values).tobytes())
+    return len(linears), seconds, digest.hexdigest()
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -405,6 +438,8 @@ def main() -> int:
             "nothing to compare — the engine runs on the numpy kernel"
         )
         return 0
+    layers, seconds, digest = prepared_int8_operands()
+    print(f"prepared int8 operands: {layers} Linear layers in {seconds:.2f} s, sha256 {digest}")
     registry = LutRegistry(training_config=TRAINING_CONFIG)
     rows = build_rows(registry)
     info = kernel_info()

@@ -24,7 +24,8 @@ inner loops live, with two interchangeable implementations:
 
 The int8 GEMM
 -------------
-``pack_weight_int8`` packs a ``(k, n)`` weight once into 32-column panels,
+``pack_weight_int8`` packs a ``(k, n)`` weight once, in one C pass
+(``repro_pack_s8``, which also writes the column sums), into 32-column panels,
 each k4-interleaved — ``[panel][k/4][32][4]`` int8, 64-byte aligned, ``k``
 zero-padded to a multiple of 64 and ``n`` to a multiple of 32
 (:class:`_PackedInt8Weight`).  One k4 group of a panel is two 64-byte
@@ -398,6 +399,7 @@ _SIGNATURES: Dict[str, Tuple[Sequence, Optional[type]]] = {
          ctypes.c_int],
         None,
     ),
+    "repro_pack_s8": ([_I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8], None),
     "repro_linear_s8": (
         [_I8, ctypes.c_int, _I8, _I8, ctypes.c_int64, ctypes.c_int64, _I8, _I8,
          ctypes.c_int64, ctypes.c_double, _I8, _I8, ctypes.c_int, ctypes.c_int],
@@ -633,27 +635,25 @@ class _PackedInt8Weight:
     ``k`` zero-padded to a multiple of 64 and ``n`` to a multiple of
     ``_PANEL_COLS`` — the one layout all three GEMM micro-kernels read (see
     the header of ``kernels_native.c``).  ``colsum`` (int32, padded to a
-    multiple of 64) feeds the VNNI tier's unsigned-offset correction.
+    multiple of 64) feeds the VNNI tier's unsigned-offset correction.  Both
+    are written by one C pass over the int8 matrix (``repro_pack_s8``).
     """
 
     __slots__ = ("panels", "colsum", "k", "n")
 
-    def __init__(self, w_q_data: np.ndarray) -> None:
-        data = np.asarray(w_q_data)
+    def __init__(self, lib, data: np.ndarray) -> None:
+        data = np.ascontiguousarray(data, dtype=np.int8)
         self.k, self.n = (int(data.shape[0]), int(data.shape[1]))
         k_pad = -(-self.k // 64) * 64
         num_panels = -(-self.n // _PANEL_COLS)
-        padded = np.zeros((k_pad, num_panels * _PANEL_COLS), dtype=np.int8)
-        padded[: self.k, : self.n] = data
-        self.panels = _aligned_empty(padded.size, np.int8).reshape(
+        self.panels = _aligned_empty(num_panels * k_pad * _PANEL_COLS, np.int8).reshape(
             num_panels, k_pad // 4, _PANEL_COLS, 4
         )
-        # (k/4, 4, panel, col) -> (panel, k/4, col, 4)
-        self.panels[...] = padded.reshape(
-            k_pad // 4, 4, num_panels, _PANEL_COLS
-        ).transpose(2, 0, 3, 1)
-        self.colsum = np.zeros(-(-self.n // 64) * 64, dtype=np.int32)
-        self.colsum[: self.n] = data.sum(axis=0, dtype=np.int32)
+        self.colsum = np.empty(-(-self.n // 64) * 64, dtype=np.int32)
+        lib.repro_pack_s8(
+            data.ctypes.data, self.k, self.n, self.panels.ctypes.data,
+            self.colsum.ctypes.data,
+        )
 
 
 def _aligned_empty(size: int, dtype, alignment: int = 64) -> np.ndarray:
@@ -716,13 +716,15 @@ class NativeKernel(ComputeKernel):
 
     def pack_weight_int8(self, w_q_data):
         data = np.asarray(w_q_data)
+        if data.ndim != 2:
+            raise ValueError(f"weight must be (k, n), got shape {data.shape}")
         if data.shape[0] > _GEMM_K_MAX:
             raise ValueError(
                 f"contraction length {data.shape[0]} exceeds the native int8 "
                 f"GEMM's limit of {_GEMM_K_MAX} (int32 accumulation could "
                 "overflow)"
             )
-        return _PackedInt8Weight(data)
+        return _PackedInt8Weight(self._lib, data)
 
     def gemm_int8(
         self, a_q: np.ndarray, packed: _PackedInt8Weight, tier: int | None = None

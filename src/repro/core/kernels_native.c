@@ -15,8 +15,8 @@
  *
  * int8 GEMM operand layout
  * ------------------------
- * The weight (k, n) is packed once, in Python, into column panels of
- * PANEL_COLS columns, each k4-interleaved:
+ * The weight (k, n) is packed once, by repro_pack_s8, into column panels
+ * of PANEL_COLS columns, each k4-interleaved:
  *
  *     packed[panel][k / 4][PANEL_COLS][4]        (int8, 64-byte aligned)
  *
@@ -488,6 +488,44 @@ EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
                           int64_t k, int64_t n, int tier) {
     const tile_sink sink = {SINK_S32, c, n, 0.0, NULL};
     gemm_s8(a, packed, colsum, m, k, n, tier, &sink);
+}
+
+/* The packer: w (k,n) row-major int8 -> the panel layout in the header,
+ * every byte of `packed` written (the k and n padding as zeros), and
+ * colsum[j] = sum_k w[k][j] in int32 with colsum padded by zeros to a
+ * multiple of 64.  One pass: panel by panel, one k4 group at a time, the
+ * group's four source rows read 32 bytes each. */
+EXPORT void repro_pack_s8(const int8_t *w, int64_t k, int64_t n,
+                          int8_t *packed, int32_t *colsum) {
+    const int64_t groups = panel_groups(k);
+    memset(colsum, 0, (size_t)((n + 63) / 64 * 64) * sizeof(int32_t));
+    for (int64_t j0 = 0; j0 < n; j0 += PANEL_COLS) {
+        const int64_t cols = n - j0 < PANEL_COLS ? n - j0 : PANEL_COLS;
+        int32_t *sum = colsum + j0;
+        for (int64_t g = 0; g < groups; ++g, packed += GROUP_BYTES) {
+            const int64_t k0 = 4 * g;
+            if (cols == PANEL_COLS && k0 + 4 <= k) {
+                const int8_t *r0 = w + k0 * n + j0, *r1 = r0 + n;
+                const int8_t *r2 = r1 + n, *r3 = r2 + n;
+                for (int c = 0; c < PANEL_COLS; ++c) {
+                    packed[4 * c] = r0[c];
+                    packed[4 * c + 1] = r1[c];
+                    packed[4 * c + 2] = r2[c];
+                    packed[4 * c + 3] = r3[c];
+                    sum[c] += (int32_t)r0[c] + r1[c] + r2[c] + r3[c];
+                }
+                continue;
+            }
+            memset(packed, 0, GROUP_BYTES);
+            for (int64_t r = 0; r < 4 && k0 + r < k; ++r) {
+                const int8_t *row = w + (k0 + r) * n + j0;
+                for (int64_t c = 0; c < cols; ++c) {
+                    packed[4 * c + r] = row[c];
+                    sum[c] += row[c];
+                }
+            }
+        }
+    }
 }
 
 /* ------------------------------------------------------------------ */

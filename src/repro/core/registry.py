@@ -1,9 +1,10 @@
 """Deterministic cache of fitted NN-LUT tables.
 
-Fitting a 16-entry table takes a quarter of a second with the default
-recipe below (about 1 s for all four primitives on a 2-vCPU x86 machine),
-and the software experiments (Tables 2, 3) need the same four primitives
-over and over.  The registry memoises ``(function, entries,
+Fitting a 16-entry table with the default recipe below takes about 0.2 s
+on a 2-vCPU x86 machine, its two restarts running at once (0.7-0.9 s for
+all four primitives; 0.9-1.3 s with the restarts one after the other), and
+the software experiments (Tables 2, 3) need the same four primitives over
+and over.  The registry memoises ``(function, entries,
 config-signature)`` so every experiment, test and benchmark sees identical,
 reproducible tables without refitting.  Pre-fitted tables can also be
 registered directly (e.g. calibrated variants or hand-built fixtures for
@@ -25,7 +26,8 @@ __all__ = ["LutRegistry", "FittedPrimitive", "default_registry", "fit_lut"]
 
 
 #: Fast-but-accurate default used across experiments; fitting all four paper
-#: primitives with these settings takes about 1 s total (2-vCPU x86).
+#: primitives with these settings takes 0.7-0.9 s total on a 2-vCPU x86
+#: machine, where the two restarts of each fit run on one core each.
 DEFAULT_TRAINING_CONFIG = TrainingConfig(
     hidden_size=15,
     num_samples=20_000,

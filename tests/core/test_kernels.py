@@ -35,6 +35,7 @@ from repro.core.kernels import (
     NUMPY_KERNEL,
     NativeKernel,
     NumpyKernel,
+    _PANEL_COLS,
     get_kernel,
     kernel_info,
     native_available,
@@ -853,6 +854,67 @@ class TestGemmTiers:
         assert info["gemm_impl"] == 1 and info["gemm_tier"] == "scalar"
         assert info["gemm_tier_refused"] == "amx: refused (test)"
         assert eq(native.linear_int8(x, packed, 0.02, np.float32), want)
+
+
+def numpy_pack(data):
+    """The numpy packer ``repro_pack_s8`` replaced, kept verbatim as oracle:
+    zero-padded copy, k4-interleaving transpose, int32 column sums."""
+    data = np.asarray(data)
+    k, n = data.shape
+    k_pad = -(-k // 64) * 64
+    num_panels = -(-n // _PANEL_COLS)
+    padded = np.zeros((k_pad, num_panels * _PANEL_COLS), dtype=np.int8)
+    padded[:k, :n] = data
+    # (k/4, 4, panel, col) -> (panel, k/4, col, 4)
+    panels = np.ascontiguousarray(
+        padded.reshape(k_pad // 4, 4, num_panels, _PANEL_COLS).transpose(2, 0, 3, 1)
+    )
+    colsum = np.zeros(-(-n // 64) * 64, dtype=np.int32)
+    colsum[:n] = data.sum(axis=0, dtype=np.int32)
+    return panels, colsum
+
+
+@needs_native
+class TestPackerTwin:
+    """``repro_pack_s8`` writes the numpy packer's panels and sums byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def native(self):
+        return get_kernel("native")
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (3, 17), (63, 65), (64, _PANEL_COLS), (768, 3072), (3072, 768)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    @pytest.mark.parametrize("values", ["random", "zeros", "extremes"])
+    def test_panels_and_colsum_equal_the_numpy_packer(self, native, shape, values):
+        rng = np.random.default_rng(sum(shape))
+        if values == "zeros":
+            w = np.zeros(shape, dtype=np.int8)
+        else:
+            w = int8_matrix(rng, shape, extreme=values == "extremes")
+        packed = native.pack_weight_int8(w)
+        panels, colsum = numpy_pack(w)
+        assert (packed.k, packed.n) == shape
+        assert packed.panels.dtype == np.int8 and packed.colsum.dtype == np.int32
+        assert packed.panels.shape == panels.shape
+        assert packed.panels.ctypes.data % 64 == 0
+        assert packed.panels.tobytes() == panels.tobytes()
+        assert packed.colsum.tobytes() == colsum.tobytes()
+
+    def test_wider_integer_input_packs_as_its_int8_values(self, native):
+        """``quant.quantize`` hands over int64 data; it packs like the int8."""
+        w = int8_matrix(np.random.default_rng(4), (70, 37), extreme=False)
+        wide = native.pack_weight_int8(w.astype(np.int64))
+        panels, colsum = numpy_pack(w)
+        assert wide.panels.tobytes() == panels.tobytes()
+        assert wide.colsum.tobytes() == colsum.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 8, 4)])
+    def test_a_weight_that_is_not_a_matrix_is_refused(self, native, shape):
+        with pytest.raises(ValueError, match=r"\(k, n\)"):
+            native.pack_weight_int8(np.zeros(shape, dtype=np.int8))
 
 
 @needs_native

@@ -1,6 +1,8 @@
 """Tests for dataset sampling, Adam, initialisation and the fitting pipeline."""
 
 import struct
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -294,3 +296,109 @@ class TestTrainAdamTwin:
             fitted_gelu.network, functions.gelu, samples
         )
         assert network_bytes(fast) != network_bytes(untrained)
+
+
+# --------------------------------------------------------------------------- #
+# Twin of fit_network's concurrent restarts: the sequential loop, as oracle
+# --------------------------------------------------------------------------- #
+def reference_fit_network(name, config):
+    """The restart loop ``fit_network`` ran before its restarts ran at once."""
+    function = functions.get_target_function(name)
+    input_range = functions.get_training_range(name)
+    best = None
+    for restart in range(config.num_restarts):
+        result = training._run_single_fit(
+            function, name, input_range, config, seed=config.seed + restart
+        )
+        if best is None or result.final_loss < best.final_loss:
+            best = result
+    return best
+
+
+def fake_restart(seed, loss=1.0):
+    """A restart's result that names its seed in the loss history."""
+    return training.TrainingResult(network=None, final_loss=loss, loss_history=[seed])
+
+
+class TestConcurrentRestarts:
+    """``fit_network``'s threads pick what the sequential loop picked, byte for byte."""
+
+    @pytest.mark.parametrize("num_restarts", [1, 2, 3])
+    def test_equals_the_sequential_loop(self, monkeypatch, num_restarts):
+        config = replace(
+            FAST, num_restarts=num_restarts, **FUNCTION_CONFIG_OVERRIDES["rsqrt"]
+        )
+        reference = reference_fit_network("rsqrt", config)
+        # a thread per restart whatever this machine has
+        monkeypatch.setattr(training, "_usable_cores", lambda: 8)
+        result = fit_network("rsqrt", config=config)
+        assert network_bytes(result.network) == network_bytes(reference.network)
+        assert (np.array(result.loss_history).tobytes()
+                == np.array(reference.loss_history).tobytes())
+        assert struct.pack("d", result.final_loss) == struct.pack("d", reference.final_loss)
+        assert (result.input_range, result.function_name) == (
+            reference.input_range, reference.function_name
+        )
+
+    def test_restarts_run_at_once(self, monkeypatch):
+        """Each restart waits for the other at a barrier: run one after the
+        other, the first would time out there."""
+        barrier = threading.Barrier(2, timeout=10)
+        ran_on = {}
+
+        def single_fit(function, name, input_range, config, seed):
+            ran_on[seed] = threading.get_ident()
+            barrier.wait()
+            return fake_restart(seed)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(training, "_run_single_fit", single_fit)
+        fit_network("gelu", config=replace(FAST, num_restarts=2))
+        assert ran_on[0] == threading.get_ident() != ran_on[1]
+
+    def test_a_tie_goes_to_the_earliest_restart(self, monkeypatch):
+        def single_fit(function, name, input_range, config, seed):
+            if seed == config.seed:
+                time.sleep(0.05)  # restart 0 finishes last
+            return fake_restart(seed)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(training, "_run_single_fit", single_fit)
+        config = replace(FAST, seed=4, num_restarts=3)
+        assert fit_network("gelu", config=config).loss_history == [4]
+
+    def test_a_failed_restart_reaches_the_caller(self, monkeypatch):
+        class Diverged(Exception):
+            pass
+
+        def single_fit(function, name, input_range, config, seed):
+            if seed == config.seed + 1:
+                raise Diverged("restart 1 diverged")
+            return fake_restart(seed)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(training, "_run_single_fit", single_fit)
+        with pytest.raises(Diverged, match="^restart 1 diverged$"):
+            fit_network("gelu", config=replace(FAST, num_restarts=3))
+
+    @pytest.mark.parametrize("num_restarts, cores", [(1, 8), (3, 1)])
+    def test_one_restart_or_one_core_starts_no_thread(
+        self, monkeypatch, num_restarts, cores
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        ran_on = []
+
+        def single_fit(function, name, input_range, config, seed):
+            ran_on.append(threading.get_ident())
+            return fake_restart(seed, loss=float(-seed))
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(training, "_run_single_fit", single_fit)
+        threads = threading.active_count()
+        result = fit_network("gelu", config=replace(FAST, num_restarts=num_restarts))
+        assert ran_on == [threading.get_ident()] * num_restarts
+        assert threading.active_count() == threads
+        assert result.loss_history == [num_restarts - 1]  # the lowest loss
