@@ -4,9 +4,9 @@ Run with:  python examples/operator_accuracy.py
 """
 
 import example_utils
-from repro.analysis import operator_error_curve, operator_error_summary
-from repro.analysis.reporting import format_mapping_table
 from repro.baselines import linear_lut_for
+from repro.experiments.common import format_mapping_table
+from repro.experiments.figure2 import operator_error_curve, operator_error_summary
 
 
 def main() -> None:

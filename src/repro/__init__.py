@@ -16,8 +16,8 @@ scenario goes through:
 * :class:`~repro.api.SessionConfig` + :class:`~repro.api.InferenceSession`
   — model family / size / seed / quantised-linear engine, prepared once
   (weights cached, backend built) into a session that serves ragged request
-  lists with dynamic micro-batching (``forward`` / ``pooled`` /
-  ``classify``) and offers the paper's dataset-free calibration as a single
+  lists with dynamic micro-batching (``forward`` / ``pooled``) and offers
+  the paper's dataset-free calibration as a single
   :meth:`~repro.api.InferenceSession.calibrate` call.
 
 Sub-packages
@@ -32,7 +32,8 @@ Sub-packages
     Linear-mode / Exponential-mode LUT baselines and the I-BERT integer
     approximation algorithms the paper compares against.
 ``repro.quant``
-    Fixed-point / FP16 numeric helpers shared by the quantised variants.
+    The reference symmetric INT8 quantiser the compute kernels' one-pass
+    quantiser is checked against.
 ``repro.transformer``
     Pure-numpy Transformer encoder substrate (RoBERTa-like, MobileBERT-like)
     with pluggable non-linear backends.
@@ -43,7 +44,8 @@ Sub-packages
     7-nm-calibrated arithmetic-unit cost models and the accelerator cycle
     simulator used for the hardware experiments.
 ``repro.experiments``
-    One driver per table / figure of the paper, also runnable as
+    One driver per table / figure of the paper (with Figure 2's operator
+    error curves and the text-table formatting), also runnable as
     ``python -m repro.experiments <name>``.
 """
 

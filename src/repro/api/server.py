@@ -69,7 +69,6 @@ from .scheduling.stats import ReplicaStats, ServingStats, StatsBoard
 from .session import (
     InferenceSession,
     SessionConfig,
-    _resolve_classification_head,
     adopted_model_config,
 )
 from .spec import BackendSpec
@@ -109,9 +108,9 @@ class ReplicaPool:
     * ``config`` / ``spec`` — the serializable session/backend description.
 
     ``forward`` shards micro-batches deterministically (batch ``j`` ->
-    replica ``j % N``); ``pooled``/``classify`` pool the rows ``forward``
-    returned on the caller's side.  All three are implemented once here, so
-    every pool — threaded or multi-process — serves identically.
+    replica ``j % N``); ``pooled`` pools the rows ``forward`` returned on the
+    caller's side.  Both are implemented once here, so every pool — threaded
+    or multi-process — serves identically.
 
     Pools that support *live membership* additionally implement
     :meth:`spawn_replica`/:meth:`retire_replica`; the scheduling package's
@@ -246,14 +245,6 @@ class ReplicaPool:
                 (0, hidden_size), dtype=np.dtype(self.model.config.compute_dtype)
             )
         return np.stack(rows, axis=0)
-
-    def classify(self, requests: Sequence[np.ndarray], head) -> np.ndarray:
-        """Predicted labels through a fitted classification head.
-
-        Same head contract as :meth:`InferenceSession.classify`, with the
-        pooling served across the replicas.
-        """
-        return _resolve_classification_head(head).predict(self.pooled(requests))
 
 
 class SessionPool(ReplicaPool):

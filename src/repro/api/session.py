@@ -13,10 +13,11 @@ a session, and constructing it does all the one-time work:
 * a :class:`~repro.api.batching.RequestBatcher` is armed for dynamic
   micro-batching of ragged request lists.
 
-``forward`` / ``pooled`` / ``classify`` then serve arbitrary mixes of
-sequence lengths; ``calibrate`` runs the paper's dataset-free calibration
-(Sec. 3.3.3) end to end — record operator-site inputs on unlabelled traffic,
-re-fit the flagged NN-LUT primitives, swap the refreshed tables in.
+``forward`` / ``pooled`` then serve arbitrary mixes of sequence lengths (a
+fitted classification head scores ``head.predict(session.pooled(requests))``);
+``calibrate`` runs the paper's dataset-free calibration (Sec. 3.3.3) end to
+end — record operator-site inputs on unlabelled traffic, re-fit the flagged
+NN-LUT primitives, swap the refreshed tables in.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..transformer.config import (
     roberta_like_small_config,
     tiny_test_config,
 )
-from ..transformer.heads import ClassificationHead
 from ..transformer.models import EncoderModel
 from ..transformer.nonlinear_backend import (
     ALL_OPS,
@@ -79,25 +79,6 @@ def _check_budgets(requests: Sequence, budgets_s: Sequence | None) -> None:
             f"{len(requests)} requests"
         )
 
-
-def _resolve_classification_head(head) -> ClassificationHead:
-    """Unwrap/validate a classification head (shared by session and pool).
-
-    Accepts either a bare head (``predict(features)``) or one of the
-    finetuning flow's ``Finetuned*`` wrappers — those hold the real head in
-    ``.head`` and their own ``predict()`` takes a *backend* and scores the
-    task's stored test set, which is not the serving contract.
-    """
-    inner = getattr(head, "head", None)
-    if inner is not None:
-        head = inner
-    if not isinstance(head, ClassificationHead):
-        raise TypeError(
-            "classify requires a ClassificationHead (or a Finetuned wrapper "
-            f"around one), got {type(head).__name__} — span/regression heads "
-            "score token features, not pooled requests"
-        )
-    return head
 
 # --------------------------------------------------------------------------- #
 # Weight export/attach: one flat view of a frozen encoder's master arrays
@@ -562,13 +543,6 @@ class InferenceSession:
                 (0, hidden_size), dtype=np.dtype(self.model.config.compute_dtype)
             )
         return np.stack(rows, axis=0)
-
-    def classify(self, requests: Sequence[np.ndarray], head) -> np.ndarray:
-        """Predicted labels for ``requests`` from a fitted classification head.
-
-        See :func:`_resolve_classification_head` for the accepted head forms.
-        """
-        return _resolve_classification_head(head).predict(self.pooled(requests))
 
     # ------------------------------------------------------------------ #
     # Dataset-free calibration (paper Sec. 3.3.3)

@@ -23,7 +23,7 @@ serializability contract of ``SessionConfig`` / ``BackendSpec``:
   primitive or re-initialises weights it then throws away;
 * :class:`ShardedPool` extends the :class:`~repro.api.server.ReplicaPool`
   protocol, so ``forward`` shards micro-batches with the same deterministic
-  ``j % N`` rule as the threaded pool (``pooled``/``classify`` pool its rows
+  ``j % N`` rule as the threaded pool (``pooled`` pools its rows
   on the parent — workers serve the one ``forward`` op) and
   :class:`~repro.api.server.ServingQueue` runs on top of it unchanged;
 * requests and results cross the process boundary through one
@@ -652,7 +652,7 @@ class ShardedPool(ReplicaPool):
     """Replica sessions in worker *processes* over shared-memory weights.
 
     Drop-in for :class:`~repro.api.server.SessionPool` (same construction
-    signature, same ``forward``/``pooled``/``classify``/``calibrate`` surface,
+    signature, same ``forward``/``pooled``/``calibrate`` surface,
     same deterministic ``j % N`` sharding), with replicas that run in their
     own interpreters — the multi-core story the GIL denies the threaded pool.
 
@@ -666,8 +666,8 @@ class ShardedPool(ReplicaPool):
     off when forward compute dominates — many rows, real depth — and the
     threaded pool stays preferable for tiny single-request traffic; the ring
     transport shrinks the boundary tax that trade-off prices.  Workers serve
-    ``forward`` only, so ``pooled``/``classify`` ship each request's full
-    hidden rows back and pool them on the parent.
+    ``forward`` only, so ``pooled`` ships each request's full hidden rows
+    back and pools them on the parent.
 
     ``ring_bytes`` overrides the per-ring payload capacity (default: sized
     for a full ``max_batch_size`` batch of maximum-length sequences, so the

@@ -147,7 +147,7 @@ from .approximators import (
     _softmax_forward,
 )
 from .lut import LookupTable, UniformLookupTable, _counted_contiguous, evaluate_many
-from ..quant.fixed_point import compute_scale
+from .quantization import compute_scale
 
 __all__ = [
     "ComputeKernel",

@@ -25,16 +25,39 @@ from typing import Tuple
 
 import numpy as np
 
-from ..quant.fixed_point import compute_scale
 from .lut import LookupTable
 from .lut import _NATIVE_DTYPES, _validate_out
 
 __all__ = [
+    "compute_scale",
     "quantize_lut_fp16",
     "Fp16LookupTable",
     "Int32LookupTable",
     "quantize_lut_int32",
 ]
+
+
+def compute_scale(values: np.ndarray, num_bits: int = 8) -> float:
+    """Symmetric per-tensor scale: ``max|v| / (2^(b-1) - 1)``; 1.0 for zeros.
+
+    The one scale of every symmetric quantiser here: the INT32 tables below
+    and the compute kernels' INT8 weight / activation quantisation (I-BERT's
+    per-tensor setting).  Raises ``ValueError`` for non-finite inputs: a NaN
+    or infinity would otherwise silently poison the scale and produce garbage
+    integer tensors.  The check rides on the ``max|v|`` reduction, so it costs
+    no extra pass.
+    """
+    if num_bits < 2:
+        raise ValueError("num_bits must be >= 2")
+    values = np.asarray(values)
+    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    if not np.isfinite(max_abs):
+        raise ValueError(
+            "cannot quantize non-finite values (input contains NaN or infinity)"
+        )
+    if max_abs == 0.0:
+        return 1.0
+    return max_abs / float(2 ** (num_bits - 1) - 1)
 
 
 def quantize_lut_fp16(lut: LookupTable) -> "Fp16LookupTable":
@@ -134,9 +157,6 @@ class Int32LookupTable:
     def scales(self) -> Tuple[float, float, float]:
         """(input_scale, slope_scale, output_scale) for inspection."""
         return (self._input_scale, self._slope_scale, self._output_scale)
-
-    def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        return np.round(np.asarray(x, dtype=np.float64) / self._input_scale).astype(np.int64)
 
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Fused INT32 kernel; the result carries the (floating) dtype of ``x``.

@@ -6,12 +6,14 @@ synthetic tasks, so nothing is downloaded and everything runs on a CPU.
 This module centralises the experiment scale so the table drivers, the
 examples and the benchmark harness all use the same settings — and so a
 single knob (``ExperimentScale``) can shrink everything for smoke tests.
+It also renders the drivers' results as plain-text tables in the paper's
+layout, so the reproduction can be eyeballed against the original numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..api import BackendSpec
 from ..transformer.nonlinear_backend import ALL_OPS
@@ -23,6 +25,8 @@ __all__ = [
     "METHOD_LABELS",
     "PER_OPERATOR_GROUPS",
     "backend_variant_specs",
+    "format_table",
+    "format_mapping_table",
 ]
 
 
@@ -133,3 +137,49 @@ def backend_variant_specs(
                     )
                 specs[label] = BackendSpec.from_method(method, **kwargs)
     return specs
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    float_format: str = "{:.2f}",
+) -> str:
+    """Render rows as a fixed-width text table."""
+    rendered_rows: List[List[str]] = []
+    for row in rows:
+        rendered: List[str] = []
+        for cell in row:
+            if isinstance(cell, float):
+                rendered.append(float_format.format(cell))
+            else:
+                rendered.append(str(cell))
+        rendered_rows.append(rendered)
+    widths = [len(h) for h in headers]
+    for row in rendered_rows:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = [
+        "  ".join(header.ljust(widths[index]) for index, header in enumerate(headers)),
+        "  ".join("-" * widths[index] for index in range(len(headers))),
+    ]
+    for row in rendered_rows:
+        lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def format_mapping_table(
+    results: Mapping[str, Mapping[str, float]],
+    row_label: str = "method",
+    float_format: str = "{:.1f}",
+) -> str:
+    """Render ``{row: {column: value}}`` as a text table with a stable column order."""
+    columns: List[str] = []
+    for row_values in results.values():
+        for column in row_values:
+            if column not in columns:
+                columns.append(column)
+    headers = [row_label] + columns
+    rows = []
+    for row_name, row_values in results.items():
+        rows.append([row_name] + [row_values.get(column, float("nan")) for column in columns])
+    return format_table(headers, rows, float_format=float_format)

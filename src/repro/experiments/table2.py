@@ -20,7 +20,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..analysis.reporting import format_mapping_table
 from ..api import BackendSpec, build_backend, calibrate_primitive_luts
 from ..core.lut import LookupTable
 from ..core.registry import LutRegistry, default_registry
@@ -28,7 +27,7 @@ from ..tasks.evaluation import GlueBenchmark
 from ..tasks.glue import list_glue_tasks
 from ..transformer.models import RobertaLikeModel
 from ..transformer.nonlinear_backend import NonlinearBackend
-from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs
+from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs, format_mapping_table
 
 __all__ = [
     "Table2aResult",

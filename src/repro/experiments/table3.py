@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..analysis.reporting import format_table
 from ..core.registry import LutRegistry, default_registry
 from ..tasks.evaluation import SquadResult, evaluate_squad
 from ..tasks.squad import SquadTaskSpec, generate_squad_task
 from ..transformer.models import MobileBertLikeModel
-from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs
+from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs, format_table
 
 __all__ = ["Table3Result", "run_table3"]
 

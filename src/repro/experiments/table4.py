@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis.reporting import format_table
 from ..hardware.arithmetic_unit import UnitCost, build_table4_units
 from ..hardware.components import ComponentLibrary
+from .common import format_table
 
 __all__ = ["Table4Result", "run_table4", "PAPER_TABLE4"]
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..analysis.reporting import format_table
 from ..hardware.performance import (
     PAPER_SEQUENCE_LENGTHS,
     SystemComparison,
     run_system_comparison,
 )
+from .common import format_table
 
 __all__ = ["Table5Result", "run_table5", "PAPER_SPEEDUPS"]
 

@@ -57,26 +57,6 @@ class SystemComparison:
     def speedups(self) -> Dict[int, float]:
         return {point.sequence_length: point.speedup for point in self.points}
 
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Flat rows convenient for printing / benchmarking."""
-        rows: List[Dict[str, object]] = []
-        for point in self.points:
-            for name, breakdown in (("I-BERT", point.ibert), ("NN-LUT", point.nn_lut)):
-                row: Dict[str, object] = {
-                    "sequence_length": point.sequence_length,
-                    "method": name,
-                }
-                row.update({k: round(v, 2) for k, v in breakdown.relative().items()})
-                rows.append(row)
-            rows.append(
-                {
-                    "sequence_length": point.sequence_length,
-                    "method": "speedup",
-                    "value": round(point.speedup, 3),
-                }
-            )
-        return rows
-
 
 def run_system_comparison(
     sequence_lengths: Sequence[int] = PAPER_SEQUENCE_LENGTHS,

@@ -15,7 +15,6 @@ from .layers import (
     Embedding,
     Linear,
     NormParameters,
-    matmul_with_precision,
 )
 from .models import EncoderModel, MobileBertLikeModel, RobertaLikeModel
 from .nonlinear_backend import (
@@ -34,7 +33,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "NormParameters",
-    "matmul_with_precision",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
     "TransformerEncoder",

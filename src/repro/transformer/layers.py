@@ -15,9 +15,7 @@ forward calls.  ``invalidate()`` drops the prepared operands — calibration
 flows that overwrite ``weight`` in place must call it; rebinding the
 ``weight`` attribute invalidates automatically.  ``compute_dtype`` selects the
 engine's float width (float64 reproduces the seed numerics bit for bit;
-float32 is what the vectorized inference engine runs on).  Constructing with
-``cache_weights=False`` restores the seed behaviour of re-deriving the weight
-operand on every call — the tests use it as the reference path.
+float32 is what the vectorized inference engine runs on).
 """
 
 from __future__ import annotations
@@ -28,14 +26,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.kernels import resolve_kernel
-from ..quant.fixed_point import quantized_matmul
-from ..quant.fp16 import fp16_matmul
 
 __all__ = [
     "Linear",
     "Embedding",
     "NormParameters",
-    "matmul_with_precision",
 ]
 
 #: compute dtypes supported by the inference engine.
@@ -44,43 +39,18 @@ COMPUTE_DTYPES: Dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
-def matmul_with_precision(
-    activations: np.ndarray, weights: np.ndarray, precision: str = "fp32"
-) -> np.ndarray:
-    """Matrix multiply in the requested precision.
-
-    ``"fp32"`` uses float64/float32 numpy matmul; ``"fp16"`` casts operands to
-    half precision; ``"int8"`` performs symmetric per-tensor INT8xINT8->INT32
-    accumulation with float dequantisation (the I-BERT inference setting).
-
-    This is the uncached reference: weights are re-prepared on every call.
-    :class:`Linear` provides the cached inference path.
-    """
-    if precision == "fp32":
-        return np.matmul(activations, weights)
-    if precision == "fp16":
-        return fp16_matmul(activations, weights)
-    if precision == "int8":
-        flat = activations.reshape(-1, activations.shape[-1])
-        result = quantized_matmul(flat, weights)
-        return result.reshape(*activations.shape[:-1], weights.shape[-1])
-    raise ValueError(f"precision must be 'fp32', 'fp16' or 'int8', got {precision!r}")
-
-
 @dataclass
 class Linear:
     """Affine layer ``y = x W + b`` with selectable matmul precision.
 
     The weight operand for the active ``(precision, compute_dtype)`` pair is
-    prepared once and cached (see the module docstring); disable with
-    ``cache_weights=False`` to reproduce the seed's per-call requantisation.
+    prepared once and cached (see the module docstring).
     """
 
     weight: np.ndarray
     bias: np.ndarray
     precision: str = "fp32"
     compute_dtype: str = "float64"
-    cache_weights: bool = True
     kernel: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -115,7 +85,6 @@ class Linear:
         precision: str = "fp32",
         scale: float | None = None,
         compute_dtype: str = "float64",
-        cache_weights: bool = True,
         kernel: str = "numpy",
     ) -> "Linear":
         """Gaussian initialisation with a 1/sqrt(fan_in) scale by default."""
@@ -127,7 +96,6 @@ class Linear:
             bias=bias,
             precision=precision,
             compute_dtype=compute_dtype,
-            cache_weights=cache_weights,
             kernel=kernel,
         )
 
@@ -148,10 +116,9 @@ class Linear:
 
         Preparation is otherwise lazy (first forward call); serving sessions
         call this up front so no request pays the one-time quantisation /
-        cast cost.  A no-op when ``cache_weights`` is disabled.
+        cast cost.
         """
-        if self.cache_weights:
-            self._prepared_operands()
+        self._prepared_operands()
 
     def _prepared_operands(self) -> Tuple:
         """Weight operand + bias for the active precision, prepared once."""
@@ -164,13 +131,12 @@ class Linear:
             operand = self.weight.astype(dtype, copy=False)
             weight_scale = None
         elif self.precision == "fp16":
-            # storage precision float16, accumulator precision float32 — the
-            # same convention as quant.fp16.fp16_matmul.
+            # storage precision float16, accumulator precision float32.
             operand = self.weight.astype(np.float16).astype(np.float32)
             weight_scale = None
         elif self.precision == "int8":
             # The kernel's one-pass quantiser, the one activations go through;
-            # bitwise-equal to ``quant.fixed_point.quantize(weight, 8)``.
+            # bitwise-equal to ``repro.quant.quantize(weight, 8)``.
             kernel = self._kernel_obj
             weight_scale = kernel.quantize_scale(self.weight)
             # The packed format is kernel-private: a float64 carrier of the
@@ -193,18 +159,9 @@ class Linear:
         return entry
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not self.cache_weights:
-            return matmul_with_precision(x, self.weight, self.precision) + self.bias
-        _, operand, weight_scale, bias, _ = self._prepared_operands()
-        dtype = COMPUTE_DTYPES[self.compute_dtype]
-        if self.precision == "fp32":
-            return self._kernel_obj.matmul_fp32(x, operand, dtype, bias=bias)
-        if self.precision == "fp16":
-            a = np.asarray(x, dtype=np.float16).astype(np.float32)
-            result = np.matmul(a, operand).astype(dtype, copy=False)
-            result += bias
-            return result
-        return self._kernel_obj.linear_int8(x, operand, weight_scale, dtype, bias=bias)
+        product, bias = self.call_prebias(x)
+        product += bias
+        return product
 
     @staticmethod
     def call_all(layers: Sequence["Linear"], x: np.ndarray) -> List[np.ndarray]:
@@ -216,10 +173,9 @@ class Linear:
         same for each, and the results are those of the separate calls.
         """
         first = layers[0]
-        engine = (first._kernel_obj, first.compute_dtype, "int8", True)
+        engine = (first._kernel_obj, first.compute_dtype, "int8")
         if any(
-            (layer._kernel_obj, layer.compute_dtype, layer.precision,
-             layer.cache_weights) != engine
+            (layer._kernel_obj, layer.compute_dtype, layer.precision) != engine
             for layer in layers
         ):
             return [layer(x) for layer in layers]
@@ -237,11 +193,6 @@ class Linear:
         the bias to a compute kernel, which folds the bias add into its
         single pass over the tensor (bias+LUT, bias+residual, bias+ReLU).
         """
-        if not self.cache_weights:
-            # matmul_with_precision yields float64 and the master bias is
-            # float64, so the epilogue's in-place add is the same operation
-            # as the seed reference's out-of-place ``product + bias``.
-            return matmul_with_precision(x, self.weight, self.precision), self.bias
         _, operand, weight_scale, bias, _ = self._prepared_operands()
         dtype = COMPUTE_DTYPES[self.compute_dtype]
         if self.precision == "fp32":

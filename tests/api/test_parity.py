@@ -2,10 +2,10 @@
 
 The serving surface is every concrete :class:`ReplicaPool` subclass plus
 :class:`InferenceSession` and :class:`ServingQueue`; its entry points are
-the ``forward`` / ``forward_packed`` / ``pooled`` / ``classify`` / ``serve``
-/ ``serve_one`` methods each class defines or inherits.  Every one of them
-runs in :data:`CASES` against the per-call oracle — one single-session call
-per request under ``compute_dtype="float64"`` — and must match it bitwise.
+the ``forward`` / ``forward_packed`` / ``pooled`` / ``serve`` / ``serve_one``
+methods each class defines or inherits.  Every one of them runs in
+:data:`CASES` against the per-call oracle — one single-session call per
+request under ``compute_dtype="float64"`` — and must match it bitwise.
 A new pool class, or a new entry point on an old one, fails
 :func:`test_every_serving_entry_point_has_a_parity_case` until it is added
 here.
@@ -25,7 +25,6 @@ from repro.api import (
     SessionPool,
     ShardedPool,
 )
-from repro.transformer.heads import ClassificationHead
 
 pytestmark = pytest.mark.usefixtures("lock_audit", "shm_ledger")
 
@@ -54,12 +53,12 @@ SERVERS = {
 }
 
 
-def _packed(server, requests, head):
+def _packed(server, requests):
     lengths, flat = server.forward_packed(requests)
     return np.split(flat, np.cumsum(lengths)[:-1])
 
 
-def _serve_one_from_threads(queue, requests, head):
+def _serve_one_from_threads(queue, requests):
     results = [None] * len(requests)
 
     def client(i):
@@ -76,28 +75,24 @@ def _serve_one_from_threads(queue, requests, head):
 #: method -> (served results for the whole list, the oracle for one request)
 RUNNERS = {
     "forward": (
-        lambda server, requests, head: server.forward(requests),
-        lambda oracle, request, head: oracle.forward([request])[0],
+        lambda server, requests: server.forward(requests),
+        lambda oracle, request: oracle.forward([request])[0],
     ),
     "forward_packed": (
         _packed,
-        lambda oracle, request, head: oracle.forward([request])[0],
+        lambda oracle, request: oracle.forward([request])[0],
     ),
     "pooled": (
-        lambda server, requests, head: list(server.pooled(requests)),
-        lambda oracle, request, head: oracle.pooled([request])[0],
-    ),
-    "classify": (
-        lambda server, requests, head: list(server.classify(requests, head)),
-        lambda oracle, request, head: oracle.classify([request], head)[0],
+        lambda server, requests: list(server.pooled(requests)),
+        lambda oracle, request: oracle.pooled([request])[0],
     ),
     "serve": (
-        lambda queue, requests, head: queue.serve(requests, timeout=60),
-        lambda oracle, request, head: oracle.forward([request])[0],
+        lambda queue, requests: queue.serve(requests, timeout=60),
+        lambda oracle, request: oracle.forward([request])[0],
     ),
     "serve_one": (
         _serve_one_from_threads,
-        lambda oracle, request, head: oracle.forward([request])[0],
+        lambda oracle, request: oracle.forward([request])[0],
     ),
 }
 SERVING_METHODS = tuple(RUNNERS)
@@ -105,10 +100,10 @@ SERVING_METHODS = tuple(RUNNERS)
 CASES = [
     (server, method)
     for server, methods in {
-        "InferenceSession": ("forward", "forward_packed", "pooled", "classify"),
-        "SessionPool": ("forward", "pooled", "classify"),
-        "ShardedPool[pipe]": ("forward", "pooled", "classify"),
-        "ShardedPool[shm_ring]": ("forward", "pooled", "classify"),
+        "InferenceSession": ("forward", "forward_packed", "pooled"),
+        "SessionPool": ("forward", "pooled"),
+        "ShardedPool[pipe]": ("forward", "pooled"),
+        "ShardedPool[shm_ring]": ("forward", "pooled"),
         "ServingQueue": ("serve", "serve_one"),
     }.items()
     for method in methods
@@ -152,10 +147,10 @@ def test_every_serving_entry_point_has_a_parity_case():
 
 
 def test_an_entry_point_left_out_is_reported():
-    # The defect this registry exists for: ShardedPool.classify shipped with
+    # The defect this registry exists for: a pool entry point shipped with
     # no parity test of its own.
-    without = [case for case in CASES if case[1] != "classify" or "Sharded" not in case[0]]
-    assert uncovered(without) == {("ShardedPool", "classify")}
+    without = [case for case in CASES if case[1] != "pooled" or "Sharded" not in case[0]]
+    assert uncovered(without) == {("ShardedPool", "pooled")}
 
 
 @pytest.fixture(scope="module")
@@ -171,13 +166,6 @@ def oracle(fast_registry):
 
 
 @pytest.fixture(scope="module")
-def head(oracle, mixed_requests):
-    features = oracle.pooled(mixed_requests)
-    labels = (features[:, 0] > np.median(features[:, 0])).astype(np.int64)
-    return ClassificationHead.fit(features, labels, num_classes=2, epochs=20)
-
-
-@pytest.fixture(scope="module")
 def server(request, fast_registry):
     built = SERVERS[request.param](fast_registry)
     yield built
@@ -189,12 +177,10 @@ def server(request, fast_registry):
 @pytest.mark.parametrize(
     "server, method", CASES, indirect=["server"], ids=[".".join(c) for c in CASES]
 )
-def test_float64_parity_with_per_call_serving(
-    server, method, oracle, head, mixed_requests
-):
+def test_float64_parity_with_per_call_serving(server, method, oracle, mixed_requests):
     run, per_call = RUNNERS[method]
-    served = run(server, mixed_requests, head)
+    served = run(server, mixed_requests)
     assert len(served) == len(mixed_requests)
     for i, request in enumerate(mixed_requests):
-        expected = per_call(oracle, request, head)
+        expected = per_call(oracle, request)
         assert np.array_equal(served[i], expected), f"request {i}"

@@ -75,10 +75,6 @@ class TestSessionPool:
         assert empty.shape == (0, pool64.model.config.hidden_size)
         assert empty.dtype == np.float64  # the compute dtype
 
-    def test_classify_rejects_a_non_head(self, pool64, mixed_requests):
-        with pytest.raises(TypeError, match="ClassificationHead"):
-            pool64.classify(mixed_requests, head=object())
-
     def test_single_replica_pool(self, fast_registry, mixed_requests, single64):
         pool = SessionPool(
             SessionConfig(model_family="tiny", compute_dtype="float64"),

@@ -13,7 +13,6 @@ from repro.api import (
     build_backend,
 )
 from repro.core.kernels import ComputeKernel, native_available
-from repro.transformer.heads import ClassificationHead
 
 
 @pytest.fixture(scope="module")
@@ -195,49 +194,6 @@ class TestServing:
             # Padded keys receive a large-negative score, not -inf, so parity
             # is approximate here (exact softmax underflows them to zero).
             assert np.allclose(per_call[0], batched[i], atol=1e-8), f"request {i}"
-
-    def test_classify_uses_fitted_head(self, tiny64_model, fast_registry, rng):
-        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
-        requests = [rng.integers(0, 100, size=length) for length in (6, 11, 6)]
-        features = session.pooled(requests)
-        labels = (features[:, 0] > np.median(features[:, 0])).astype(np.int64)
-        head = ClassificationHead.fit(features, labels, num_classes=2, epochs=20)
-        assert np.array_equal(session.classify(requests, head), head.predict(features))
-
-    def test_classify_unwraps_finetuned_wrappers(self, tiny64_model, fast_registry, rng):
-        # The finetuning flow's Finetuned* objects carry the real head in
-        # `.head`; classify must score *these* requests through it, not call
-        # the wrapper's backend-taking predict().
-        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
-        requests = [rng.integers(0, 100, size=length) for length in (6, 11)]
-        features = session.pooled(requests)
-        labels = np.array([0, 1])
-        head = ClassificationHead.fit(features, labels, num_classes=2, epochs=20)
-
-        class Wrapper:
-            def __init__(self, head):
-                self.head = head
-
-            def predict(self, backend=None):  # pragma: no cover - must not run
-                raise AssertionError("wrapper predict must not be called")
-
-        assert np.array_equal(
-            session.classify(requests, Wrapper(head)), head.predict(features)
-        )
-
-    def test_classify_rejects_non_classification_heads(
-        self, tiny64_model, fast_registry
-    ):
-        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
-        with pytest.raises(TypeError, match="ClassificationHead"):
-            session.classify([np.arange(1, 5)], head=object())
-        # A span head has .predict too but scores token features — it must be
-        # rejected up front, not crash deep inside heads.py.
-        from repro.transformer.heads import SpanHead
-
-        span_head = SpanHead(weight=np.zeros(tiny64_model.config.hidden_size), bias=0.0)
-        with pytest.raises(TypeError, match="ClassificationHead"):
-            session.classify([np.arange(1, 5)], head=span_head)
 
     def test_empty_registry_passed_in_is_the_one_used(self):
         # Regression: an empty (hence falsy) registry was swapped for the

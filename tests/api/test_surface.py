@@ -9,6 +9,7 @@ import inspect
 
 import repro.api
 import repro.core.kernels
+import repro.quant
 import repro.transformer
 from repro.api import (
     AutoscalerConfig,
@@ -24,7 +25,7 @@ from repro.api import (
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.calibration import CalibrationConfig
 from repro.core.training import TrainingConfig
-from repro.transformer import NonlinearBackend, TransformerConfig
+from repro.transformer import Linear, NonlinearBackend, TransformerConfig
 
 API = """
 AutoscaleDecision Autoscaler AutoscalerConfig BackendSpec CircuitBreakerConfig
@@ -43,7 +44,7 @@ ALL_OPS ClassificationHead Embedding EncoderModel Linear MobileBertLikeModel
 MultiHeadSelfAttention NonlinearBackend NormParameters OperatorRecorder
 RegressionHead RobertaLikeModel SpanHead TransformerConfig
 TransformerEncoder TransformerEncoderLayer
-matmul_with_precision mobilebert_config mobilebert_like_small_config
+mobilebert_config mobilebert_like_small_config
 roberta_base_config roberta_like_small_config tiny_test_config
 """
 
@@ -52,6 +53,8 @@ ComputeKernel KERNEL_NAMES NUMPY_KERNEL NativeKernel NumpyKernel get_kernel
 kernel_info native_available native_unavailable_reason
 reset_kernel_fallback_warning resolve_kernel
 """
+
+QUANT = "QuantizedTensor quantize"
 
 FIELDS = {
     BackendSpec: "gelu softmax layernorm input_scaling name",
@@ -64,6 +67,7 @@ FIELDS = {
         "vocab_size activation normalization matmul_precision compute_dtype "
         "kernel name"
     ),
+    Linear: "weight bias precision compute_dtype kernel",
     # The option surface (ROADMAP item 7): a field stays only while some
     # test, example or benchmark sets it to a non-default value.
     TrainingConfig: (
@@ -101,6 +105,7 @@ def test_exported_names():
         (repro.api, API),
         (repro.transformer, TRANSFORMER),
         (repro.core.kernels, KERNELS),
+        (repro.quant, QUANT),
     ):
         assert sorted(module.__all__) == sorted(names.split()), module.__name__
 

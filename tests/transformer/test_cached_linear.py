@@ -1,9 +1,9 @@
 """Equivalence tests: cached-quantized Linear vs the seed per-call path.
 
 The seed behaviour (``matmul_with_precision`` re-deriving the weight operand
-on every call) is still available via ``cache_weights=False``; the cached
-path must reproduce it exactly in float64 for all three precisions, and the
-float32 engine must stay within float32 rounding of it.
+on every call) is the oracle in ``tests/oracles.py``; the cached path must
+reproduce it exactly in float64 for all three precisions and both kernels,
+and the float32 engine must stay within float32 rounding of it.
 """
 
 import struct
@@ -11,18 +11,17 @@ import struct
 import numpy as np
 import pytest
 
+import repro.quant
+from oracles import matmul_with_precision, quantized_matmul, seed_linear_call
 from repro.api import BackendSpec, build_backend
 from repro.core.kernels import native_available
-from repro.quant.fixed_point import compute_scale, quantize, quantized_matmul
-from repro.transformer import (
-    Linear,
-    TransformerConfig,
-    matmul_with_precision,
-    tiny_test_config,
-)
+from repro.core.quantization import compute_scale
+from repro.quant import quantize
+from repro.transformer import Linear, TransformerConfig, tiny_test_config
 from repro.transformer.models import EncoderModel
 
 PRECISIONS = ("fp32", "fp16", "int8")
+COMPUTE_DTYPES = ("float32", "float64")
 
 #: Both ComputeKernels; the native one skips on hosts without a C toolchain.
 KERNELS = (
@@ -36,43 +35,23 @@ KERNELS = (
 )
 
 
-def seed_linear_call(layer, x):
-    """The seed ``Linear.__call__``: per-call weight preparation."""
-    return matmul_with_precision(x, layer.weight, layer.precision) + layer.bias
-
-
-@pytest.fixture()
-def layer_and_inputs(rng):
-    layer = Linear.initialize(24, 16, rng)
-    x = rng.normal(size=(6, 5, 24))
-    return layer, x
-
-
 class TestCachedLinearBitCompatibility:
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_float64_engine_matches_seed_exactly(self, layer_and_inputs, precision):
-        layer, x = layer_and_inputs
-        layer.precision = precision
-        assert np.array_equal(layer(x), seed_linear_call(layer, x))
+    def test_float64_engine_matches_seed_exactly(self, rng, kernel, precision):
+        layer = Linear.initialize(24, 16, rng, precision=precision, kernel=kernel)
+        layer.bias = rng.normal(size=16)
+        x = rng.normal(size=(6, 5, 24))
+        first = layer(x)  # populates the cache
+        assert np.array_equal(first, seed_linear_call(layer, x))
+        assert np.array_equal(layer(x), first)  # served from the cache
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_cache_disabled_equals_cache_enabled(self, rng, precision):
-        cached = Linear.initialize(16, 8, rng, precision=precision)
-        uncached = Linear(
-            weight=cached.weight,
-            bias=cached.bias,
-            precision=precision,
-            cache_weights=False,
+    def test_float32_engine_close_to_seed(self, rng, kernel, precision):
+        layer = Linear.initialize(
+            24, 16, rng, precision=precision, compute_dtype="float32", kernel=kernel
         )
-        x = rng.normal(size=(32, 16))
-        first = cached(x)  # populates the cache
-        second = cached(x)  # served from the cache
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, uncached(x))
-
-    @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_float32_engine_close_to_seed(self, rng, precision):
-        layer = Linear.initialize(24, 16, rng, precision=precision, compute_dtype="float32")
         x = rng.normal(size=(6, 24))
         fast = layer(x.astype(np.float32))
         assert fast.dtype == np.float32
@@ -81,6 +60,22 @@ class TestCachedLinearBitCompatibility:
         # flip an integer level; fp paths see only float32 arithmetic noise.
         tol = 5e-2 if precision == "int8" else 1e-4
         assert np.max(np.abs(fast - reference)) < tol
+
+    @pytest.mark.parametrize("compute_dtype", COMPUTE_DTYPES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_call_is_call_prebias_plus_bias(self, rng, precision, kernel, compute_dtype):
+        """The standalone call and the encoder's epilogue entry point agree bitwise."""
+        layer = Linear.initialize(
+            24, 16, rng, precision=precision, compute_dtype=compute_dtype, kernel=kernel
+        )
+        layer.bias = rng.normal(size=16)
+        x = rng.normal(size=(3, 7, 24)).astype(compute_dtype)
+        product, bias = layer.call_prebias(x)
+        want = product + bias
+        got = layer(x)
+        assert got.dtype == want.dtype == np.dtype(compute_dtype)
+        assert np.array_equal(got, want)
 
     def test_empty_and_large_batches(self, rng):
         layer = Linear.initialize(8, 4, rng, precision="int8")
@@ -219,14 +214,12 @@ class TestQuantizeNonFinite:
             quantize(np.ones(3), scale=np.nan)
 
     def test_known_scale_skips_reduction(self, rng, monkeypatch):
-        import repro.quant.fixed_point as fp
-
         def failing_compute_scale(*args, **kwargs):  # pragma: no cover
             raise AssertionError("compute_scale must not run when scale is given")
 
-        monkeypatch.setattr(fp, "compute_scale", failing_compute_scale)
+        monkeypatch.setattr(repro.quant, "compute_scale", failing_compute_scale)
         values = rng.normal(size=64)
-        q = fp.quantize(values, scale=0.05)
+        q = quantize(values, scale=0.05)
         assert q.scale == 0.05
 
     def test_quantized_matmul_with_prequantized_weights(self, rng):
@@ -242,28 +235,25 @@ class TestQuantizeNonFinite:
 
 class TestEngineEndToEnd:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_float64_engine_reproduces_seed_forward(self, fast_registry, kernel):
-        """Cached float64 model == uncached float64 model, bit for bit."""
+    def test_float64_engine_reproduces_seed_forward(
+        self, fast_registry, kernel, monkeypatch
+    ):
+        """Cached float64 model == the model on the seed's per-call linears."""
         config = tiny_test_config(compute_dtype="float64", kernel=kernel)
-        cached = EncoderModel.initialize(config, seed=3)
-        uncached = EncoderModel.initialize(config, seed=3)
-        for layer in uncached.encoder.layers:
-            for linear in (
-                layer.attention.query,
-                layer.attention.key,
-                layer.attention.value,
-                layer.attention.output,
-                layer.ffn_in,
-                layer.ffn_out,
-            ):
-                linear.cache_weights = False
-        uncached.pooler.cache_weights = False
+        model = EncoderModel.initialize(config, seed=3)
         tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 12))
         backend = build_backend(BackendSpec.nn_lut(), registry=fast_registry)
-        assert np.array_equal(
-            cached.forward(tokens, backend=backend),
-            uncached.forward(tokens, backend=backend),
+        cached = model.forward(tokens, backend=backend)
+        # Every projection entry point re-derives its weight operand per call.
+        monkeypatch.setattr(
+            Linear,
+            "call_prebias",
+            lambda self, x: (matmul_with_precision(x, self.weight, self.precision), self.bias),
         )
+        monkeypatch.setattr(
+            Linear, "call_all", staticmethod(lambda layers, x: [layer(x) for layer in layers])
+        )
+        assert np.array_equal(cached, model.forward(tokens, backend=backend))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_float32_engine_close_to_float64(self, fast_registry, kernel):

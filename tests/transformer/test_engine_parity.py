@@ -5,7 +5,8 @@ every compute kernel, operator backend, activation, normalisation and
 recorder state.  ``seed_forward`` below is the reference it must reproduce
 bit for bit in float64: the original unfused op sequence, written out
 independently of the encoder — per-call ``matmul_with_precision(x, W) + b``
-linears and the backend's operator objects called directly.
+linears (the seed oracle in ``tests/oracles.py``) and the backend's operator
+objects called directly.
 
 The second gate is the serving half of the same guarantee, off the ``tiny``
 model's 32/64 shapes: a micro-batch of same-length requests equals the
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import seed_linear_call
 from repro.api import BackendSpec, InferenceSession, SessionConfig, build_backend
 from repro.core.kernels import native_available
-from repro.transformer import matmul_with_precision, tiny_test_config
+from repro.transformer import tiny_test_config
 from repro.transformer.models import EncoderModel
 
 KERNELS = (
@@ -49,9 +51,6 @@ def seed_forward(model, tokens, mask, backend):
     seen = {"gelu": [], "softmax": [], "layernorm": []}
     config = model.config
 
-    def linear(layer, x):
-        return matmul_with_precision(x, layer.weight, layer.precision) + layer.bias
-
     def normalise(x, params):
         if config.normalization == "layernorm":
             seen["layernorm"].append(x.copy())
@@ -68,7 +67,7 @@ def seed_forward(model, tokens, mask, backend):
     for layer in model.encoder.layers:
         attention = layer.attention
         q, k, v = (
-            heads(linear(projection, hidden))
+            heads(seed_linear_call(projection, hidden))
             for projection in (attention.query, attention.key, attention.value)
         )
         scores = np.matmul(q, k.transpose(0, 1, 3, 2)) / np.sqrt(config.head_dim)
@@ -77,15 +76,15 @@ def seed_forward(model, tokens, mask, backend):
         context = np.matmul(backend.softmax(scores, axis=-1), v)
         context = context.transpose(0, 2, 1, 3).reshape(hidden.shape)
         hidden = normalise(
-            hidden + linear(attention.output, context), layer.attention_norm
+            hidden + seed_linear_call(attention.output, context), layer.attention_norm
         )
-        inner = linear(layer.ffn_in, hidden)
+        inner = seed_linear_call(layer.ffn_in, hidden)
         if config.activation == "gelu":
             seen["gelu"].append(inner.copy())
             inner = backend.gelu(inner)
         else:
             inner = np.maximum(inner, 0.0)
-        hidden = normalise(hidden + linear(layer.ffn_out, inner), layer.output_norm)
+        hidden = normalise(hidden + seed_linear_call(layer.ffn_out, inner), layer.output_norm)
     return hidden, seen
 
 

@@ -17,7 +17,6 @@ from repro.transformer import (
     RobertaLikeModel,
     TransformerConfig,
     TransformerEncoder,
-    matmul_with_precision,
     tiny_test_config,
 )
 from repro.transformer.heads import ClassificationHead, RegressionHead, SpanHead
@@ -62,9 +61,10 @@ class TestLayers:
         assert np.max(np.abs(fp16 - fp32)) < 0.05
         assert np.max(np.abs(int8 - fp32)) < 0.2
 
-    def test_matmul_precision_rejects_unknown(self, rng):
-        with pytest.raises(ValueError):
-            matmul_with_precision(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), "bf16")
+    def test_linear_rejects_unknown_precision(self, rng):
+        layer = Linear.initialize(2, 2, rng, precision="bf16")
+        with pytest.raises(ValueError, match="precision"):
+            layer(rng.normal(size=(2, 2)))
 
     def test_embedding_lookup(self, rng):
         emb = Embedding.initialize(vocab_size=50, max_sequence_length=16, hidden_size=8, rng=rng)
@@ -143,7 +143,8 @@ class TestAttentionAndEncoder:
             want = layer(x)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # Layers of different engines fall back to the plain loop.
-        mixed = [layers[0], Linear.initialize(24, 3, rng, cache_weights=False)]
+        other = "fp16" if precision == "int8" else "int8"
+        mixed = [layers[0], Linear.initialize(24, 3, rng, **dict(engine, precision=other))]
         for layer, got in zip(mixed, Linear.call_all(mixed, x)):
             assert np.array_equal(got, layer(x))
 
