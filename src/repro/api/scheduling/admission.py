@@ -8,11 +8,10 @@ formed into batches, or in flight) and owns the deadline policy
 (:meth:`~AdmissionController.split_expired` partitions a window into
 still-serveable requests and ones whose queueing deadline lapsed).
 
-Thread-safety contract: the controller holds **no lock of its own**.
-Every mutating call (``admit``/``release``) happens under the owning
-:class:`~repro.api.scheduling.fleet.FleetManager` condition lock, which
-keeps the whole scheduler on a single lock — no lock-order cycles by
-construction.  ``validate`` and ``split_expired`` are pure.
+The controller holds **no lock of its own**: it is part of the pure
+:class:`~repro.api.scheduling.fleet.Fleet` core, whose transitions all run
+under the one lock of the ``ServingQueue`` running it.  ``validate`` and
+``split_expired`` are pure.
 
 The request-level exception types and the :class:`ServingFuture` result
 handle live here too: admission is where a request's contract with the
@@ -149,7 +148,7 @@ class AdmissionController:
             raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
         return _validate_request(tokens, max_sequence_length)
 
-    # -- backlog accounting (call with the fleet lock held) ------------ #
+    # -- backlog accounting (the queue's lock held) --------------------- #
     def admit(self) -> None:
         """Count one request into the backlog, or reject at the bound."""
         if self.backlog >= self.max_queue_depth:
@@ -169,11 +168,15 @@ class AdmissionController:
     def split_expired(
         window: Sequence[Pending], now: float
     ) -> Tuple[List[Pending], List[Pending]]:
-        """Partition ``window`` into ``(live, expired)`` at time ``now``."""
+        """Partition ``window`` into ``(live, expired)`` at time ``now``.
+
+        A deadline at ``now`` has expired: its remaining budget is zero,
+        which every replica treats as expired too.
+        """
         live: List[Pending] = []
         expired: List[Pending] = []
         for pending in window:
-            if pending.deadline_at is not None and pending.deadline_at < now:
+            if pending.deadline_at is not None and pending.deadline_at <= now:
                 expired.append(pending)
             else:
                 live.append(pending)

@@ -10,9 +10,8 @@ policy: a window closes ``max_wait_s`` after its *oldest* request, or
 early once the fleet is saturated (every live replica has a full batch
 waiting).
 
-The former is pure: it never touches a lock or a clock of its own, so
-the fleet (:mod:`~repro.api.scheduling.fleet`) forms batches under its
-scheduler lock.
+The former is pure: it never touches a lock or a clock, like the fleet
+core (:mod:`~repro.api.scheduling.fleet`) that forms batches with it.
 """
 
 from __future__ import annotations

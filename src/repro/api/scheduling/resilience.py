@@ -5,8 +5,8 @@ client, timeouts terminate the worker, dead members are retired and
 optionally replaced); without a policy a batch caught in the blast radius
 fails every future it carries, and a flaky-but-alive replica keeps
 receiving traffic until it dies outright.  This module holds the pure
-policy objects the fleet uses to do better; the *mechanics* (where retries
-sleep, how batches re-queue, when probes dispatch) live in
+policy objects the fleet uses to do better; the *mechanics* (how batches
+re-queue and wait out their backoff, when probes dispatch) live in
 :mod:`repro.api.scheduling.fleet`.
 
 Retry-idempotency contract: inference here is **pure** — a forward has no
@@ -16,9 +16,9 @@ safe, and under float64 the retried result is bitwise-identical to what the
 first replica would have produced.  That is what licenses retrying at all.
 
 Everything in this module is either immutable configuration
-(:class:`RetryPolicy`, :class:`CircuitBreakerConfig`) or state mutated only
-under the fleet's single condition lock (:class:`ReplicaHealth`); nothing
-here blocks.
+(:class:`RetryPolicy`, :class:`CircuitBreakerConfig`) or part of the fleet
+core's state (:class:`ReplicaHealth`), which takes the time as an argument;
+nothing here blocks or reads a clock.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _RETRYABLE_NAMES = frozenset({"WorkerDiedError"})
 #: Weight of the newest batch in the per-replica service-latency EWMA.
 _EWMA_ALPHA = 0.2
 
-#: Retry backoff shape: the sleep doubles per attempt and is jittered by
+#: Retry backoff shape: the delay doubles per attempt and is jittered by
 #: up to +-10 % so retrying batches do not move in lockstep.
 _BACKOFF_FACTOR = 2.0
 _JITTER_FRAC = 0.1
@@ -56,10 +56,12 @@ class RetryPolicy:
     """How the fleet re-queues batches hit by replica-level failures.
 
     ``max_attempts`` bounds the *total* dispatches of one batch (first try
-    included).  Between attempts the serving thread sleeps an exponential
-    backoff (``backoff_base_s`` doubling per attempt, capped at
-    ``backoff_max_s``) with multiplicative jitter — strictly outside the
-    fleet lock — so a struggling fleet is not hammered in lockstep.
+    included).  A retried batch goes back to the front of the ready queue
+    with a not-before time an exponential backoff away (``backoff_base_s``
+    doubling per attempt, capped at ``backoff_max_s``, with multiplicative
+    jitter), so a struggling fleet is not hammered in lockstep.  The
+    backoff delays the batch, not a worker: no member takes it early, and
+    every member keeps serving other batches meanwhile.
     ``retry_budget`` caps the total retried *requests* per stats window
     (reset by ``reset_stats``): once a failure storm exhausts it, further
     failures fail fast instead of melting the fleet with re-execution load.
@@ -104,7 +106,7 @@ class RetryPolicy:
         )
 
     def backoff_s(self, attempt: int, rng: np.random.Generator) -> float:
-        """Sleep before retry ``attempt`` (1-based): exponential + jitter."""
+        """Delay before retry ``attempt`` (1-based): exponential + jitter."""
         base = self.backoff_base_s * (_BACKOFF_FACTOR ** max(0, attempt - 1))
         base = min(base, self.backoff_max_s)
         if base > 0.0:
@@ -140,8 +142,8 @@ class CircuitBreakerConfig:
 class ReplicaHealth:
     """Per-replica health ledger plus the circuit-breaker state machine.
 
-    Owned by a fleet member and mutated only under the fleet's condition
-    lock (it deliberately has no lock of its own, like the stats board).
+    Owned by a fleet member and part of the pure fleet core (it
+    deliberately has no lock of its own, like the stats board).
     States: ``closed`` (normal) -> ``open`` (``failure_threshold``
     consecutive failures; no new traffic) -> ``half_open`` (cooldown
     elapsed; admits one probe batch) -> ``closed`` on probe
@@ -203,17 +205,29 @@ class ReplicaHealth:
 
         Lazily transitions ``open`` -> ``half_open`` once the cooldown has
         elapsed (breaker reopening is time-driven; there is no event to
-        react to).  The worker asks only when idle and serves one batch at
-        a time, so a half-open replica has exactly one probe outstanding.
+        react to).  The fleet asks only when the member takes a batch, and a
+        member serves one batch at a time, so a half-open replica has
+        exactly one probe outstanding.  :meth:`reopen_eta_s` is the same
+        question without the transition.
         """
         if self.state == "open":
-            if now - self.opened_at < self.config.cooldown_s:
+            if now < self.reopen_at:
                 return False
             self.state = "half_open"
         return True
 
-    def reopen_eta_s(self, now: float) -> Optional[float]:
-        """Seconds until an ``open`` breaker may half-open; else ``None``."""
+    @property
+    def reopen_at(self) -> Optional[float]:
+        """When an ``open`` breaker may half-open; else ``None``."""
         if self.state != "open":
             return None
-        return max(0.0, self.config.cooldown_s - (now - self.opened_at))
+        return self.opened_at + self.config.cooldown_s
+
+    def reopen_eta_s(self, now: float) -> Optional[float]:
+        """Seconds until an ``open`` breaker may half-open; else ``None``.
+
+        Truthy exactly while the breaker refuses work (``0.0`` from
+        :attr:`reopen_at` on), and it changes nothing.
+        """
+        reopen_at = self.reopen_at
+        return None if reopen_at is None else max(0.0, reopen_at - now)

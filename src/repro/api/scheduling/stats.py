@@ -6,9 +6,9 @@ returns.  Queued work is one number, ``queue_depth``: the fleet keeps one
 ready queue that every replica worker pulls from, so a replica's row
 holds only what it has in flight and what it has served.
 :class:`StatsBoard` is the mutable ledger behind it — plain counters and
-bounded latency deques, mutated **only under the fleet condition lock**
-(it deliberately has no lock of its own; see
-:mod:`repro.api.scheduling.fleet` for the locking story).
+bounded latency deques, part of the pure fleet core
+(:mod:`repro.api.scheduling.fleet`) and so mutated only under the lock of
+the ``ServingQueue`` running it; it has no lock of its own.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class ReplicaStats:
     pick minimizes.  A member holds no queue of its own (every worker pulls
     from the fleet's one ready queue), so ``in_flight_*`` is all the work
     it has.  ``draining`` members finish their in-flight batch but take no
-    new work; a member that is not ``live`` has exited (its worker
-    returned, e.g. after the drain completed or the replica died).
+    new work; a member that is not ``live`` serves nothing any more (it
+    was drained and has nothing in flight, or it is retiring).
 
     The health fields mirror the member's
     :class:`~repro.api.scheduling.resilience.ReplicaHealth` ledger:
@@ -133,7 +133,7 @@ class ServingStats:
 class StatsBoard:
     """Mutable counters and latency digests behind :class:`ServingStats`.
 
-    Every mutation happens under the owning fleet's condition lock; the
+    Every mutation is a fleet-core transition under the queue's lock; the
     board itself is lock-free on purpose (one scheduler, one lock).
     Latency deques are bounded to keep long-lived servers' memory flat.
     """

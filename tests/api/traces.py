@@ -322,10 +322,13 @@ def burst_digest(result: ReplayResult) -> Dict[str, object]:
 def wait_for_inflight(queue, timeout: float = 5.0) -> None:
     """Block until some batch of ``queue`` is inside a replica forward.
 
-    Waits on the fleet's condition, which every in-flight change notifies,
+    Waits on the queue's condition, which every dispatch notifies,
     instead of polling.
     """
-    fleet = queue._fleet
-    with fleet._cond:
-        if not fleet._cond.wait_for(lambda: fleet._inflight_batches, timeout):
+    core = queue._core
+    with queue._cond:
+        if not queue._cond.wait_for(
+            lambda: any(m.batch is not None for m in core.members.values()),
+            timeout,
+        ):
             raise TimeoutError("no batch reached a worker in time")

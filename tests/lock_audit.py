@@ -19,10 +19,12 @@ on top of that knowledge:
   thread's own condition is exempt by construction: it releases the audited
   lock before it sleeps.
 
-:func:`serving_audit` arms all of this over the serving stack: the fleet
-condition lock, the shard client lock, the fault injector lock and the
-native-kernel build lock, the fields the fleet docstring says those locks
-guard, and the blocking calls the fleet promises to make outside its lock.
+:func:`serving_audit` arms all of this over the serving stack: the
+``ServingQueue`` condition lock (the one lock the scheduling core runs under),
+the shard client lock, the fault injector lock and the native-kernel build
+lock, the fields those locks guard — the queue's threads and every field
+of the core's state — and the blocking calls the queue promises to make
+outside its lock.
 ``src/`` carries no hook for any of it; everything is monkeypatched here.
 The ``lock_audit`` fixture in ``tests/conftest.py`` arms it per module.
 """
@@ -30,6 +32,7 @@ The ``lock_audit`` fixture in ``tests/conftest.py`` arms it per module.
 from __future__ import annotations
 
 import functools
+import inspect
 import os
 import queue
 import subprocess
@@ -41,7 +44,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import process as mp_process
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.api import faults, sharding
+from repro.api import faults, server, sharding
 from repro.api.scheduling import admission, fleet, resilience, stats
 from repro.api.server import ReplicaPool
 from repro.api.session import InferenceSession
@@ -63,8 +66,8 @@ __all__ = [
 #: against the source, so a fifth lock is a deliberate diff here.
 LOCK_SITES = frozenset({
     ("api/faults.py", "FaultInjector.__init__", "Lock"),
-    ("api/scheduling/fleet.py", "FleetManager.__init__", "Lock"),
-    ("api/scheduling/fleet.py", "FleetManager.__init__", "Condition"),
+    ("api/server.py", "ServingQueue.__init__", "Lock"),
+    ("api/server.py", "ServingQueue.__init__", "Condition"),
     ("api/sharding.py", "_ShardClient.__init__", "Lock"),
     ("core/kernels.py", "<module>", "Lock"),
 })
@@ -379,18 +382,18 @@ class LockAudit:
 # ---------------------------------------------------------------------- #
 #: Fields each lock guards, by class.  Left out on purpose: write-once
 #: references set by constructors (``ReplicaMember.replica_id`` /
-#: ``session`` / ``health``, ``ReplicaHealth.config``, the fleet's
-#: collaborators), and ``FleetManager._scheduler_thread``, which only
-#: ``start`` and ``join`` touch, both on the facade's own thread.
+#: ``session`` / ``health``, ``ReplicaHealth.config``, the core's
+#: collaborators), and a ``FormedBatch``, which only the core touches until
+#: it is dispatched and only the dispatching worker reads afterwards.
 GUARDED: Dict[type, Tuple[str, ...]] = {
-    fleet.FleetManager: (
-        "_retry_rng", "_retry_parked", "_members", "_pending", "_ready",
-        "_next_replica_id", "_inflight_batches", "_closed", "_started",
-        "_dropped_on_close",
+    server.ServingQueue: ("_workers", "_scheduler"),
+    fleet.Fleet: (
+        "retry_rng", "members", "pending", "ready", "next_replica_id",
+        "closed", "dropped_on_close",
     ),
     fleet.ReplicaMember: (
-        "thread", "in_flight_requests", "in_flight_cost", "batches_served",
-        "completed", "failed", "draining", "retired", "exited",
+        "batch", "batches_served", "completed", "failed", "draining",
+        "retired",
     ),
     resilience.ReplicaHealth: (
         "errors", "timeouts", "consecutive_failures", "service_ewma_ms",
@@ -433,11 +436,9 @@ def _install(audit: LockAudit) -> None:
     for cls, fields in GUARDED.items():
         audit.guard(cls, fields)
 
-    def adopt_fleet(manager):
-        manager._lock = audit.lock("FleetManager._lock")
-        manager._cond = threading.Condition(manager._lock)
-        for obj in (manager, manager._board, manager._admission):
-            audit.own(obj, manager._lock)
+    def own_member(member, lock):
+        audit.own(member, lock)
+        audit.own(member.health, lock)
 
     def adopt_own_lock(name):
         def adopt(obj):
@@ -445,23 +446,46 @@ def _install(audit: LockAudit) -> None:
             audit.own(obj, obj._lock)
         return adopt
 
-    _after_init(audit, fleet.FleetManager, adopt_fleet)
     _after_init(audit, sharding._ShardClient, adopt_own_lock("_ShardClient._lock"))
     _after_init(audit, faults.FaultInjector, adopt_own_lock("FaultInjector._lock"))
     audit.patch(kernels, "_native_lock", audit.lock("kernels._native_lock"))
 
-    register = fleet.FleetManager._register
+    # The queue's threads must start on the audited lock: build the queue
+    # stopped, swap its lock, then start it if the caller asked to.
+    init = vars(server.ServingQueue)["__init__"]
+    signature = inspect.signature(init)
 
-    @functools.wraps(register)
-    def audited_register(manager, session):
-        member = register(manager, session)
-        audit.own(member, manager._lock)
-        audit.own(member.health, manager._lock)
+    @functools.wraps(init)
+    def audited_queue_init(queue, *args, **kwargs):
+        bound = signature.bind(queue, *args, **kwargs)
+        start = bound.arguments.get("start", True)
+        bound.arguments["start"] = False
+        init(*bound.args, **bound.kwargs)
+        queue._lock = audit.lock("ServingQueue._lock")
+        queue._cond = threading.Condition(queue._lock)
+        core = queue._core
+        for member in core.members.values():
+            own_member(member, queue._lock)
+        for obj in (queue, core, core.board, core.admission):
+            audit.own(obj, queue._lock)
+        if start:
+            queue.start()
+
+    audit.patch(server.ServingQueue, "__init__", audited_queue_init)
+
+    add = fleet.Fleet.add
+
+    @functools.wraps(add)
+    def audited_add(core, session):
+        member = add(core, session)
+        lock = audit._owners.get(id(core))
+        if lock is not None:
+            own_member(member, lock)
         return member
 
-    audit.patch(fleet.FleetManager, "_register", audited_register)
+    audit.patch(fleet.Fleet, "add", audited_add)
 
-    # What the fleet promises to call outside its lock, and the two calls
+    # What the queue promises to call outside its lock, and the two calls
     # the allowlist names.
     for owner, name in (
         (InferenceSession, "forward"),

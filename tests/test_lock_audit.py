@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
@@ -25,11 +26,11 @@ import numpy as np
 import pytest
 
 from lock_audit import GUARDED, LOCK_SITES, AuditedLock, LockAudit, serving_audit
-from repro.api import BackendSpec, SessionConfig, ShardedPool, faults
+from repro.api import BackendSpec, ServingQueue, SessionConfig, ShardedPool, faults
 from repro.api.faults import FaultInjector, FaultPlan
 from repro.api.scheduling import AdmissionController
 from repro.api.scheduling.admission import ServingFuture
-from repro.api.scheduling.fleet import FleetManager, ReplicaMember
+from repro.api.scheduling.fleet import Fleet, ReplicaMember
 from repro.api.scheduling.resilience import ReplicaHealth
 from repro.api.scheduling.stats import StatsBoard
 from repro.api.server import ReplicaPool, SessionPool
@@ -169,8 +170,8 @@ def test_a_watched_blocking_call_is_reported_only_under_a_lock(label):
     ), audit.findings
 
 
-#: What the fleet docstring promises to call outside its lock, and the two
-#: calls the allowlist names; every pool class's replica lifecycle hooks.
+#: What the queue promises to call outside its lock, and the two calls
+#: the allowlist names; every pool class's replica lifecycle hooks.
 SERVING_CALLS = [
     (InferenceSession, "forward"),
     (_ShardClient, "forward"),
@@ -185,47 +186,59 @@ SERVING_CALLS = [
 ]
 
 
-def _fleet():
-    board = StatsBoard()
-    return FleetManager(None, None, AdmissionController(1, board), board)
+class _StubPool(ReplicaPool):
+    """The pool surface a queue reads, over one replica that is never called."""
+
+    max_sequence_length = 8
+
+    def __init__(self) -> None:
+        self.config = types.SimpleNamespace(max_batch_size=1, bucket_size=1)
+        self.sessions = [object()]
+
+
+def _queue():
+    """A queue that never starts: its lock over a one-member core."""
+    return ServingQueue(_StubPool(), start=False)
 
 
 @pytest.mark.parametrize(
     "owner, name", SERVING_CALLS,
     ids=[f"{owner.__name__}.{name}" for owner, name in SERVING_CALLS],
 )
-def test_the_serving_audit_watches_each_call_the_fleet_makes_outside_its_lock(
+def test_the_serving_audit_watches_each_call_the_queue_makes_outside_its_lock(
     owner, name, monkeypatch
 ):
     # The audit wraps whatever the attribute holds when it is armed, so a
     # stub stands in for the real (slow, side-effecting) call.
     monkeypatch.setattr(owner, name, lambda *args, **kwargs: None)
     with serving_audit() as audit:
-        manager = _fleet()
+        serving = _queue()
         getattr(owner, name)()
         audit.assert_clean()  # nothing held: quiet
-        with manager._lock:
+        with serving._lock:
             getattr(owner, name)()
     label = f"{owner.__name__}.{name}"
     assert any(
-        f"called {label} holding FleetManager._lock" in message
+        f"called {label} holding ServingQueue._lock" in message
         for message in audit.findings
     ), audit.findings
 
 
 def _owned_instances():
     """One instance of each class in ``GUARDED``, with the lock that owns it."""
-    manager = _fleet()
-    with manager._lock:
-        member = manager._register(None)
+    serving = _queue()
+    core, lock = serving._core, serving._lock
+    with lock:
+        member = core.add(object())
     client = _ShardClient(0, None, None, 1.0)
     injector = FaultInjector(FaultPlan())
     return {
-        FleetManager: (manager, manager._lock),
-        ReplicaMember: (member, manager._lock),
-        ReplicaHealth: (member.health, manager._lock),
-        StatsBoard: (manager._board, manager._lock),
-        AdmissionController: (manager._admission, manager._lock),
+        ServingQueue: (serving, lock),
+        Fleet: (core, lock),
+        ReplicaMember: (member, lock),
+        ReplicaHealth: (member.health, lock),
+        StatsBoard: (core.board, lock),
+        AdmissionController: (core.admission, lock),
         _ShardClient: (client, client._lock),
         FaultInjector: (injector, injector._lock),
     }
@@ -299,15 +312,14 @@ def test_the_four_locks_in_src_are_the_audited_ones():
     # install both have to learn about it.
     assert _lock_constructions() == LOCK_SITES
     with serving_audit():
-        board = StatsBoard()
-        manager = FleetManager(None, None, AdmissionController(1, board), board)
+        serving = _queue()
         locks = [
-            manager._lock,
+            serving._lock,
             _ShardClient(0, None, None, 1.0)._lock,
             FaultInjector(FaultPlan())._lock,
             kernels._native_lock,
         ]
-        assert manager._cond._lock is manager._lock
+        assert serving._cond._lock is serving._lock
     assert all(isinstance(lock, AuditedLock) for lock in locks)
     assert len({lock.name for lock in locks}) == 4
 
