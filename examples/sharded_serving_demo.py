@@ -4,11 +4,11 @@ Builds a pool whose replicas run in worker *processes* — each reconstructs
 its InferenceSession from the serializable SessionConfig/BackendSpec payloads
 and maps the frozen encoder's weights read-only out of shared memory, so the
 weight bytes are paid once per machine no matter how many replicas serve.
-Requests and results cross the process boundary through the zero-copy
-``shm_ring`` transport: packed token batches ride a preallocated
-shared-memory request ring, hidden-state rows are written straight into the
-response ring, and the pipe is only a doorbell (plus the fallback for
-anything the rings cannot hold).  The ServingQueue then runs on top of it
+Requests and results cross the process boundary through the ``shm_ring``
+transport: every message is one small envelope on the pipe, and the bodies
+that matter — packed token batches in, hidden-state rows out — are packed
+into preallocated shared-memory rings sized for a full batch (anything the
+rings cannot hold is pickled into the envelope instead).  The ServingQueue then runs on top of it
 completely unchanged, and the demo verifies that sharded serving reproduces
 single-session serving bit for bit (float64 engine, exact-length bucketing).
 
@@ -36,7 +36,7 @@ def main() -> None:
     )
     spec = BackendSpec.nn_lut()
 
-    # 1. Spin up worker-process replicas on the zero-copy transport.  The
+    # 1. Spin up worker-process replicas on the shared-memory transport.  The
     # parent fits the LUT tables and builds the frozen model once; workers
     # get the weights through shared memory, the backend recipe through the
     # serializable spec, and hot-path traffic through shared-memory rings.

@@ -20,8 +20,8 @@ The two halves of the API:
   worker *processes* over shared-memory weights, lifting the GIL ceiling on
   multi-core machines (see :mod:`repro.api.sharding`), with one
   :class:`WorkerTransport` per worker for the request/response channel — a
-  pickle pipe, plus zero-copy shared-memory rings when given capacity (see
-  :mod:`repro.api.transport`).
+  pickle pipe, plus shared-memory rings for the hot-path bodies when given
+  capacity (see :mod:`repro.api.transport`).
 * Resilience & chaos testing — :class:`RetryPolicy` /
   :class:`CircuitBreakerConfig` harden a :class:`ServingQueue` against
   replica failure (retries with backoff, per-replica breakers, in-flight

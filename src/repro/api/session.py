@@ -23,7 +23,7 @@ NN-LUT primitives, swap the refreshed tables in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -483,45 +483,6 @@ class InferenceSession:
             (0, config.hidden_size), dtype=np.dtype(config.compute_dtype)
         )
         return [empty if gone else next(served) for gone in expired]
-
-    def forward_packed(
-        self, requests: Sequence[np.ndarray], out: np.ndarray | None = None
-    ) -> Tuple[List[int], np.ndarray]:
-        """Hidden states for ``requests`` packed into one flat row buffer.
-
-        The packed layout — per-request lengths plus all result rows
-        concatenated along axis 0 (``RequestBatcher.pack_ragged``'s shape) —
-        is what the shared-memory response rings ship, and ``out=`` is the
-        point of this method: a shard worker passes the ring's own memory,
-        so each request's rows are written *into the ring* as they come out
-        of the encoder instead of being materialised and then serialised.
-        Returns ``(lengths, flat)`` with ``flat`` of shape
-        ``(sum(lengths), hidden)`` in the engine's compute dtype; row block
-        ``i`` is bitwise-identical to ``forward(requests)[i]``.
-        """
-        lengths = [int(np.asarray(request).shape[0]) for request in requests]
-        offsets = [0] * len(lengths)
-        total = 0
-        for i, length in enumerate(lengths):
-            offsets[i] = total
-            total += length
-        hidden_size = self.model.config.hidden_size
-        dtype = np.dtype(self.model.config.compute_dtype)
-        if out is None:
-            out = np.empty((total, hidden_size), dtype=dtype)
-        elif out.shape != (total, hidden_size) or out.dtype != dtype:
-            raise ValueError(
-                f"out must have shape {(total, hidden_size)} and dtype "
-                f"{dtype}, got {out.shape} / {out.dtype}"
-            )
-
-        def consume(hidden, row, length, index):
-            start = offsets[index]
-            out[start : start + length] = hidden[row, :length]
-            return None
-
-        self._serve(requests, consume)
-        return lengths, out
 
     def pooled(self, requests: Sequence[np.ndarray]) -> np.ndarray:
         """First-token (``[CLS]``) representations, shape ``(n, hidden)``.

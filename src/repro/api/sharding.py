@@ -27,12 +27,15 @@ serializability contract of ``SessionConfig`` / ``BackendSpec``:
   on the parent — workers serve the one ``forward`` op) and
   :class:`~repro.api.server.ServingQueue` runs on top of it unchanged;
 * requests and results cross the process boundary through one
-  :class:`~repro.api.transport.WorkerTransport` per worker; the
-  ``transport=`` knob sets its ring capacity: ``"pipe"`` allocates no rings
-  and pickles everything over a ``multiprocessing.Pipe``; ``"shm_ring"``
-  moves the hot-path payloads — packed token batches in, hidden-state rows
-  out — through preallocated shared-memory rings and uses the pipe only as a
-  doorbell/control channel and variable-shape fallback.
+  :class:`~repro.api.transport.WorkerTransport` per worker, as
+  ``(tag, seq, body)`` envelopes both ends read and write with one codec;
+  the ``transport=`` knob sets its ring capacity: ``"pipe"`` allocates no
+  rings and pickles every body over a ``multiprocessing.Pipe``;
+  ``"shm_ring"`` sizes a request and a response ring for the largest
+  ``forward`` envelope the pool sends — a full ``max_batch_size`` batch of
+  maximum-length int64 token rows plus the budget row — and its reply, so
+  the hot-path bodies go through shared memory and the pipe carries the
+  envelopes, the control traffic and whatever outgrows the rings.
 
 Parity: a worker's model is rebuilt from bit-identical weight bytes and its
 backend from the very same fitted tables, so under ``compute_dtype="float64"``
@@ -70,6 +73,7 @@ from ..core.registry import LutRegistry
 from ..transformer.config import TransformerConfig
 from ..transformer.models import EncoderModel
 from . import faults as _faults
+from .batching import _validate_request
 from .faults import FaultPlan
 from .server import ReplicaPool
 from .session import (
@@ -81,7 +85,12 @@ from .session import (
     export_weight_state,
 )
 from .spec import OPERATOR_PRIMITIVES, BackendSpec
-from .transport import WorkerEndpoint, WorkerTransport
+from .transport import (
+    TransportError,
+    WorkerEndpoint,
+    WorkerTransport,
+    _frame_bytes,
+)
 
 __all__ = [
     "WorkerDiedError",
@@ -313,8 +322,6 @@ def _worker_main(
         endpoint.close()
         return
     endpoint.send("ready", None)
-    hidden_size = session.model.config.hidden_size
-    result_dtype = np.dtype(session.model.config.compute_dtype)
     try:
         while True:
             try:
@@ -343,27 +350,6 @@ def _worker_main(
                         0 <= us and received_at + us / 1e6 <= now
                         for us in map(int, budgets_us)
                     ]
-                    # Zero-copy result path: reserve the response ring and
-                    # let the session write each request's rows straight
-                    # into it (``forward_packed``) — the packing *is* the
-                    # shipping.  Without a response ring (or with a batch
-                    # too big for it) this is None: take the generic path.
-                    flat = endpoint.begin_packed_response(
-                        [
-                            0 if gone else int(np.asarray(request).shape[0])
-                            for gone, request in zip(expired, requests)
-                        ],
-                        hidden_size,
-                        result_dtype,
-                    )
-                    if flat is not None:
-                        # Expired requests occupy zero rows, so the live
-                        # rows pack contiguously in request order.
-                        live = [r for gone, r in zip(expired, requests) if not gone]
-                        if live:
-                            session.forward_packed(live, out=flat)
-                        endpoint.commit_packed_response()
-                        continue
                     result = session.forward(
                         requests, [0.0 if gone else None for gone in expired]
                     )
@@ -473,19 +459,7 @@ class _ShardClient:
                 raise WorkerDiedError(
                     self._death_message(f"while serving {op!r}")
                 ) from exc
-        if status == "ok":
-            return value
-        if status == "error":
-            raise RuntimeError(
-                f"shard worker {self.index} raised while serving {op!r}:\n{value}"
-            )
-        # Anything else means the channel desynchronised (a stale reply or
-        # protocol drift between client and worker) — say so instead of
-        # presenting the payload as a worker traceback.
-        raise RuntimeError(
-            f"shard worker {self.index} sent unexpected status {status!r} "
-            f"while serving {op!r}"
-        )
+        return self._reply(status, value, "ok", f"while serving {op!r}")
 
     def wait_ready(self, timeout_s: float) -> None:
         with self._lock:
@@ -499,15 +473,23 @@ class _ShardClient:
                 raise WorkerDiedError(
                     self._death_message("during initialisation")
                 ) from exc
-        if status == "ready":
-            return
+        self._reply(status, value, "ready", "during initialisation")
+
+    def _reply(self, status: str, value, expected: str, context: str):
+        """``value`` when the worker answered with the ``expected`` status;
+        its traceback as a ``RuntimeError`` on ``"error"``."""
+        if status == expected:
+            return value
         if status == "error":
             raise RuntimeError(
-                f"shard worker {self.index} failed to initialise:\n{value}"
+                f"shard worker {self.index} raised {context}:\n{value}"
             )
+        # Anything else is protocol drift between client and worker (stale
+        # replies are the transport's TransportError) — say so instead of
+        # presenting the payload as a worker traceback.
         raise RuntimeError(
             f"shard worker {self.index} sent unexpected status {status!r} "
-            "during initialisation"
+            f"{context}"
         )
 
     # ------------------------------------------------------------------ #
@@ -524,7 +506,9 @@ class _ShardClient:
         (``None`` = no deadline; no ``budgets_s`` = none anywhere).  The
         budgets always ship with the batch as one extra int64 microsecond
         row, so the worker can skip requests that expire in flight — those
-        come back as zero-length row blocks.  When *every* request carries a
+        come back as zero-length row blocks.  The token rows ship as int64
+        too (any integer dtype is accepted), so the whole envelope is one
+        dtype and a ring can carry it.  When *every* request carries a
         deadline the transport wait is capped at the largest budget plus the
         grace window instead of the full request timeout; a worker that
         blows through the cap is treated exactly like a timed-out one
@@ -538,7 +522,10 @@ class _ShardClient:
             [-1 if b is None else max(0, int(b * 1e6)) for b in budgets_s],
             dtype=np.int64,
         )
-        payload = [np.asarray(r) for r in requests] + [budget_us]
+        payload = [
+            _validate_request(r, None, i).astype(np.int64, copy=False)
+            for i, r in enumerate(requests)
+        ] + [budget_us]
         timeout_s = None
         if len(budget_us) and bool(np.all(budget_us >= 0)):
             timeout_s = min(
@@ -567,8 +554,10 @@ class _ShardClient:
                 try:
                     self.transport.send("close", None)
                     self._recv(timeout_s, "during shutdown")
-                except (WorkerDiedError, TimeoutError, BrokenPipeError,
-                        EOFError, OSError):
+                except (WorkerDiedError, TimeoutError, TransportError,
+                        BrokenPipeError, EOFError, OSError):
+                    # A stale reply (e.g. an init report nobody awaited)
+                    # included: the worker is escalated below either way.
                     pass
         finally:
             if acquired:
@@ -661,19 +650,20 @@ class ShardedPool(ReplicaPool):
     copy), while request/response arrays cross the process boundary through
     the chosen ``transport`` — ``"pipe"`` pickles them per call,
     ``"shm_ring"`` moves the hot-path payloads through preallocated
-    shared-memory rings (see :mod:`repro.api.transport`) and keeps the pipe
-    as doorbell/control channel and variable-shape fallback.  Sharding pays
+    shared-memory rings (see :mod:`repro.api.transport`) and pickles only the
+    control traffic and whatever outgrows the rings.  Sharding pays
     off when forward compute dominates — many rows, real depth — and the
     threaded pool stays preferable for tiny single-request traffic; the ring
     transport shrinks the boundary tax that trade-off prices.  Workers serve
     ``forward`` only, so ``pooled`` ships each request's full hidden rows
     back and pools them on the parent.
 
-    ``ring_bytes`` overrides the per-ring payload capacity (default: sized
-    for a full ``max_batch_size`` batch of maximum-length sequences, so the
-    fallback only fires for payloads the serving path never produces).
-    Batches beyond the capacity still serve correctly — they fall back to
-    the pickle pipe, visible in each client's ``transport.stats``.
+    The rings are sized for the largest ``forward`` envelope the pool itself
+    sends (a full ``max_batch_size`` batch of maximum-length sequences plus
+    its budget row) and its reply.  A :class:`~repro.api.server.ServingQueue`
+    built with a larger ``max_batch_size`` than the pool's can outgrow them:
+    such batches still serve correctly by the pickle pipe, visible in each
+    client's ``transport.stats``.
 
     Workers are started with ``"spawn"``: it is the strictest start method
     (nothing is inherited, so it proves the replica truly reconstructs from
@@ -693,7 +683,6 @@ class ShardedPool(ReplicaPool):
         model: EncoderModel | None = None,
         request_timeout_s: float = 600.0,
         transport: str = "pipe",
-        ring_bytes: int | None = None,
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
@@ -702,8 +691,6 @@ class ShardedPool(ReplicaPool):
                 f"unknown worker transport {transport!r}; available "
                 "transports: pipe, shm_ring"
             )
-        if ring_bytes is not None and ring_bytes < 0:
-            raise ValueError(f"ring_bytes must be >= 0, got {ring_bytes}")
         self.transport_name = transport
         template = InferenceSession(
             config=config, spec=spec, registry=registry, model=model
@@ -750,7 +737,7 @@ class ShardedPool(ReplicaPool):
             )
             self._context = multiprocessing.get_context("spawn")
             self._request_bytes, self._response_bytes = self._ring_sizes(
-                template, transport, ring_bytes
+                template, transport
             )
             self._request_timeout_s = request_timeout_s
             self._next_worker_index = num_replicas
@@ -785,30 +772,27 @@ class ShardedPool(ReplicaPool):
                    num_replicas=num_replicas, model=model, **kwargs)
 
     @staticmethod
-    def _ring_sizes(
-        template: InferenceSession, transport: str, ring_bytes: int | None
-    ) -> Tuple[int, int]:
+    def _ring_sizes(template: InferenceSession, transport: str) -> Tuple[int, int]:
         """Per-worker ring payload capacities (request, response) in bytes.
 
-        ``"pipe"`` is zero capacity: no ring is allocated.  The ``"shm_ring"``
-        default holds the largest payload the serving path produces: a
-        full ``max_batch_size`` batch of maximum-length sequences — int64
-        token ids on the request side, compute-dtype hidden-state rows on
-        the response side — plus the per-item length table.  An explicit
-        ``ring_bytes`` caps both (undersized rings degrade to the pipe
-        fallback, they never fail).
+        ``"pipe"`` is zero capacity: no ring is allocated.  ``"shm_ring"``
+        holds the largest envelope :meth:`_ShardClient.forward` sends — a
+        full ``max_batch_size`` batch of maximum-length int64 token rows plus
+        the int64 budget row — and its reply, that many maximum-length
+        hidden-state row blocks in the compute dtype.
         """
         if transport == "pipe":
             return 0, 0
-        if ring_bytes is not None:
-            return ring_bytes, ring_bytes
         rows = template.config.max_batch_size
-        tokens = rows * template.max_sequence_length
-        row_bytes = (
-            template.model.config.hidden_size
-            * np.dtype(template.model.config.compute_dtype).itemsize
+        length = template.max_sequence_length
+        model = template.model.config
+        return (
+            _frame_bytes([length] * rows + [rows], 0, 8),
+            _frame_bytes(
+                [length] * rows, model.hidden_size,
+                np.dtype(model.compute_dtype).itemsize,
+            ),
         )
-        return rows * 8 + tokens * 8, rows * 8 + tokens * row_bytes
 
     def _start_worker(self, index: int) -> "_ShardClient":
         """Fresh transport, spawned worker process over it, and its client.

@@ -9,26 +9,34 @@ first-order serving cost.  One channel crosses it:
   :class:`WorkerEndpoint` the worker process serves from.  Control traffic
   (init handshake, calibration broadcast, close) and hot-path traffic
   (``forward`` batches and their results) both flow through it.
-* A duplex ``multiprocessing.Pipe`` always exists: it pickles whatever it is
-  given, and it is the liveness signal — a dead worker's end-of-file wakes
-  any blocking ``poll``, which is what lets the client wait without a busy
-  loop.
+* Every message, either way, is one ``(tag, seq, body)`` envelope written
+  by :func:`_encode` and read by :func:`_decode` — the only codec both
+  halves use.  ``tag`` is the op (parent to worker) or the status (worker to
+  parent); ``seq`` is the parent's request counter, echoed by the reply, so
+  the parent checks every reply's sequence number whatever carried it.
+* A duplex ``multiprocessing.Pipe`` always exists: it carries every
+  envelope, and it is the liveness signal — a dead worker's end-of-file
+  wakes any blocking ``poll``, which is what lets the client wait without a
+  busy loop.
 * A request and a response :class:`_ShmRing` exist when their byte capacity
-  is > 0.  Payloads that match the serving shape — ragged rows: token-id
-  batches in, hidden-state row blocks out — are packed into these
-  preallocated ``multiprocessing.shared_memory`` blocks behind a fixed int64
-  dtype/shape header, and the pipe carries only a tiny doorbell.  Anything a
-  ring cannot describe or hold — control dicts, oversized batches, every
-  message of a transport built with zero capacity (``transport="pipe"``) —
-  is pickled over the pipe instead (counted in :attr:`WorkerTransport.stats`).
-  Every ring frame carries a CRC32 of its header fields and payload; a frame
-  that fails the check at decode raises :class:`TransportIntegrityError` and
-  the transport drops its rings for good, so corruption never decodes as
-  truth.
+  is > 0.  A body that is a ragged batch — token-id rows in, hidden-state
+  row blocks out — and fits the preallocated
+  ``multiprocessing.shared_memory`` block is packed there behind a fixed
+  int64 dtype/shape header, and its envelope on the pipe carries
+  :data:`_IN_RING` in place of the body.  Anything else — control dicts,
+  oversized batches, every message of a transport built with zero capacity
+  (``transport="pipe"``) — is pickled inside the envelope (counted in
+  :attr:`WorkerTransport.stats`).  A reply uses the response ring only when
+  its request came by ring, so a parent that dropped its rings is answered
+  by pipe.  Every ring frame carries a CRC32 of its header fields and
+  payload; a frame that fails the check at decode raises
+  :class:`TransportIntegrityError` and the transport drops its rings for
+  good, so corruption never decodes as truth.
 
 The wire discipline is strictly one request in flight per worker (the shard
 client serialises calls under a lock), so each direction needs exactly one
-message slot, with doorbell sequence numbers guarding against stale messages.
+message slot, with the envelope sequence numbers guarding against stale
+messages.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ __all__ = [
 
 
 class TransportError(RuntimeError):
-    """A transport-level protocol violation (stale doorbell, bad reserve)."""
+    """A transport-level protocol violation (stale or misrouted envelope)."""
 
 
 class TransportIntegrityError(TransportError):
@@ -65,9 +73,9 @@ class TransportIntegrityError(TransportError):
     """
 
 
-#: Doorbell tag: a pipe message ``(_SHM_TAG, seq, op_or_status)`` means "the
-#: payload is in the shared-memory ring, stamped with ``seq``".
-_SHM_TAG = "__shm__"
+#: The body of an envelope whose payload is the frame in the sending side's
+#: ring, stamped with the envelope's ``seq`` (no real body is ``...``).
+_IN_RING = ...
 
 #: Ring header: int64[16] at the start of each block.
 #: [0] seq  [1] kind (always ``_KIND_RAGGED``; anything else is corruption)
@@ -82,15 +90,10 @@ _CRC_SLOT = 13
 
 _KIND_RAGGED = 1
 
-#: numpy dtypes the fixed-shape header can describe; anything else falls
-#: back to the pickle pipe.
-_DTYPE_CODES: Dict[str, int] = {
-    "<i8": 1,
-    "<i4": 2,
-    "<f2": 3,
-    "<f4": 4,
-    "<f8": 5,
-}
+#: numpy dtypes the fixed-shape header can describe — what an envelope
+#: carries: int64 token ids and budgets, float32 / float64 hidden states.
+#: Anything else falls back to the pickle pipe.
+_DTYPE_CODES: Dict[str, int] = {"<i8": 1, "<f4": 4, "<f8": 5}
 _CODE_DTYPES: Dict[int, np.dtype] = {
     code: np.dtype(s) for s, code in _DTYPE_CODES.items()
 }
@@ -129,30 +132,35 @@ def _ragged_spec(
     return first.dtype, trailing, lengths
 
 
+def _frame_bytes(lengths: Sequence[int], trailing: int, itemsize: int) -> int:
+    """Ring payload bytes of a ragged frame: the length table, then the
+    items' elements (``trailing`` per row, 1 for 1-D items)."""
+    return len(lengths) * 8 + sum(lengths) * max(1, trailing) * itemsize
+
+
 class _ShmRing:
-    """One direction of the zero-copy channel: a single-message shm buffer.
+    """One direction of the ring carrier: a single-message shm buffer.
 
     The serving protocol keeps at most one request in flight per worker, so
     each direction needs exactly one slot; the request/response ring pair
-    plus doorbell sequence numbers over the pipe make the buffers safe to
-    reuse call after call.  Layout: an int64[16] header (see module
+    plus the envelope sequence numbers make the buffers safe to reuse call
+    after call.  Layout: an int64[16] header (see module
     constants), then ``int64[n]`` lengths, then the concatenated payload
     elements.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory) -> None:
         self._shm = shm
-        self._owner = owner
         self._closed = False
 
     @classmethod
     def create(cls, payload_bytes: int) -> "_ShmRing":
         size = _HEADER_BYTES + max(0, int(payload_bytes))
-        return cls(shared_memory.SharedMemory(create=True, size=size), owner=True)
+        return cls(shared_memory.SharedMemory(create=True, size=size))
 
     @classmethod
     def attach(cls, name: str) -> "_ShmRing":
-        return cls(shared_memory.SharedMemory(name=name), owner=False)
+        return cls(shared_memory.SharedMemory(name=name))
 
     @property
     def name(self) -> str:
@@ -171,6 +179,14 @@ class _ShmRing:
             (count,), dtype=dtype, buffer=self._shm.buf,
             offset=_HEADER_BYTES + byte_offset,
         )
+
+    def _stacked(
+        self, n: int, total: int, trailing: int, dtype: np.dtype
+    ) -> np.ndarray:
+        """The items of an ``n``-item frame stacked along axis 0: ``(total,)``
+        for 1-D items, ``(total, trailing)`` for row blocks."""
+        flat = self._view(total * max(1, trailing), dtype, n * 8)
+        return flat.reshape((total, trailing)) if trailing else flat
 
     # ------------------------------------------------------------------ #
     # Integrity
@@ -204,13 +220,8 @@ class _ShmRing:
         )
 
     def seal(self) -> None:
-        """Stamp the current message's CRC32 into the header.
-
-        Every encode path ends here — ``try_encode`` for whole payloads,
-        and the packed-response commit for results written directly into a
-        :meth:`reserve_ragged` view (the reservation cannot seal: the
-        caller writes the payload *after* reserving).
-        """
+        """Stamp the current message's CRC32 into the header (the last step
+        of :meth:`try_encode`)."""
         header = self._header()
         nbytes = self._described_payload_nbytes(header)
         header[_CRC_SLOT] = self._frame_crc(header, max(0, nbytes))
@@ -256,36 +267,9 @@ class _ShmRing:
         if spec is None:
             return False
         dtype, trailing, lengths = spec
-        flat = self.reserve_ragged(lengths, trailing, dtype, seq)
-        if flat is None:
+        n, total = len(lengths), sum(lengths)
+        if _frame_bytes(lengths, trailing, dtype.itemsize) > self.payload_capacity:
             return False
-        RequestBatcher.pack_ragged(payload, flat)  # type: ignore[arg-type]
-        self.seal()
-        return True
-
-    def reserve_ragged(
-        self,
-        lengths: Sequence[int],
-        trailing: int,
-        dtype: np.dtype,
-        seq: int,
-    ) -> Optional[np.ndarray]:
-        """Write a ragged-message header + lengths; return the flat view.
-
-        The returned array — ``(total,)`` for 1-D items, ``(total,
-        trailing)`` for row blocks — is the ring's own memory: writing
-        results into it *is* the packing step (no intermediate buffer, no
-        pickle).  Returns ``None`` if the message would not fit.
-        """
-        dtype = np.dtype(dtype)
-        if dtype.str not in _DTYPE_CODES or not lengths:
-            return None
-        n = len(lengths)
-        total = int(sum(lengths))
-        elements = total * max(1, trailing)
-        needed = n * 8 + elements * dtype.itemsize
-        if needed > self.payload_capacity:
-            return None
         header = self._header()
         header[0] = seq
         header[1] = _KIND_RAGGED
@@ -293,8 +277,11 @@ class _ShmRing:
         header[3] = _DTYPE_CODES[dtype.str]
         header[4] = trailing
         self._view(n, np.dtype(np.int64), 0)[...] = lengths
-        flat = self._view(elements, dtype, n * 8)
-        return flat.reshape((total, trailing)) if trailing else flat
+        RequestBatcher.pack_ragged(
+            payload, self._stacked(n, total, trailing, dtype)  # type: ignore[arg-type]
+        )
+        self.seal()
+        return True
 
     # ------------------------------------------------------------------ #
     # Decode
@@ -317,10 +304,7 @@ class _ShmRing:
         n = int(header[2])
         trailing = int(header[4])
         lengths = [int(v) for v in self._view(n, np.dtype(np.int64), 0)]
-        elements = sum(lengths) * max(1, trailing)
-        flat = self._view(elements, dtype, n * 8)
-        if trailing:
-            flat = flat.reshape((sum(lengths), trailing))
+        flat = self._stacked(n, sum(lengths), trailing, dtype)
         items = RequestBatcher.unpack_ragged(flat, lengths)
         if copy:
             return [item.copy() for item in items]
@@ -339,8 +323,8 @@ class _ShmRing:
         try:
             self._shm.close()
         except BufferError:
-            # Views handed out by decode()/reserve_ragged() may still be
-            # alive; the mapping is released when they go away.
+            # Views handed out by decode() may still be alive; the mapping
+            # is released when they go away.
             pass
 
     def unlink(self) -> None:
@@ -351,15 +335,40 @@ class _ShmRing:
             pass
 
 
-def _is_doorbell(msg: object) -> bool:
-    return isinstance(msg, tuple) and len(msg) == 3 and msg[0] == _SHM_TAG
+def _encode(
+    conn, ring: Optional[_ShmRing], tag: str, seq: int, body: object
+) -> bool:
+    """Send one ``(tag, seq, body)`` envelope over ``conn``.
+
+    The body goes into ``ring`` when there is one and the body fits it (the
+    envelope then carries :data:`_IN_RING`), else it is pickled with the
+    envelope.  Returns whether the ring carried it.
+    """
+    in_ring = ring is not None and ring.try_encode(body, seq)
+    conn.send((tag, seq, _IN_RING if in_ring else body))
+    return in_ring
+
+
+def _decode(envelope: tuple, ring: Optional[_ShmRing], copy: bool) -> tuple:
+    """``(tag, seq, body)`` of a received envelope, the body read from
+    ``ring`` when the envelope says it is there (views when ``copy=False``,
+    see :meth:`_ShmRing.decode`)."""
+    tag, seq, body = envelope
+    if body is _IN_RING:
+        if ring is None:
+            raise TransportError(
+                f"envelope {seq} puts its body in a ring this end does not "
+                "have; the channel is out of sync"
+            )
+        body = ring.decode(seq, copy=copy)
+    return tag, seq, body
 
 
 class WorkerEndpoint:
     """Worker-process half of the channel: picklable, serve-loop facing.
 
     Carries the child pipe end and the ring *names* (``None`` = no ring in
-    that direction); the rings are attached on the first doorbell.
+    that direction); the rings are attached on the first ring-borne request.
     """
 
     def __init__(
@@ -370,73 +379,30 @@ class WorkerEndpoint:
         self._response_name = response_name
         self._request_ring: Optional[_ShmRing] = None
         self._response_ring: Optional[_ShmRing] = None
-        #: Sequence number of the in-hand ring request (None once answered,
-        #: or when the request arrived by pipe — responses then have no seq
-        #: to stamp and use the pipe too).
-        self._seq: Optional[int] = None
-        self._reserved_seq: Optional[int] = None
-
-    def _attach(self) -> None:
-        if self._request_ring is None:
-            assert self._request_name is not None  # a doorbell implies a ring
-            self._request_ring = _ShmRing.attach(self._request_name)
-            if self._response_name is not None:
-                self._response_ring = _ShmRing.attach(self._response_name)
+        #: Sequence number of the request in hand (0 before the first: the
+        #: init report the parent awaits before sending anything).
+        self._seq = 0
+        #: The ring the reply may use: the response ring when the request in
+        #: hand came by ring, else none — so a parent that dropped its rings
+        #: (and therefore sends by pipe) is answered by pipe.
+        self._reply_ring: Optional[_ShmRing] = None
 
     def recv(self) -> Tuple[str, object]:
         """Block for the next ``(op, payload)`` request from the parent."""
-        msg = self._conn.recv()
-        self._reserved_seq = None  # any stale reservation is now abandoned
-        if _is_doorbell(msg):
-            _, seq, op = msg
-            self._attach()
-            payload = self._request_ring.decode(seq, copy=False)  # type: ignore[union-attr]
-            self._seq = seq
-            return op, payload
-        self._seq = None
-        return msg
+        envelope = self._conn.recv()
+        in_ring = envelope[2] is _IN_RING
+        if in_ring and self._request_ring is None and self._request_name:
+            self._request_ring = _ShmRing.attach(self._request_name)
+            if self._response_name is not None:
+                self._response_ring = _ShmRing.attach(self._response_name)
+        op, self._seq, payload = _decode(envelope, self._request_ring, copy=False)
+        self._reply_ring = self._response_ring if in_ring else None
+        return op, payload
 
     def send(self, status: str, value: object) -> None:
-        """Ship ``(status, value)`` back to the parent."""
-        self._reserved_seq = None  # a generic reply abandons any reservation
-        seq, self._seq = self._seq, None
-        if (
-            seq is not None
-            and self._response_ring is not None
-            and self._response_ring.try_encode(value, seq)
-        ):
-            self._conn.send((_SHM_TAG, seq, status))
-            return
-        self._conn.send((status, value))
-
-    def begin_packed_response(
-        self, lengths: Sequence[int], trailing: int, dtype: np.dtype
-    ) -> Optional[np.ndarray]:
-        """Reserve the response ring and return the flat array to write into.
-
-        ``None`` when the request did not come by ring, there is no response
-        ring, or the message would not fit; the caller then materialises its
-        result normally and uses :meth:`send`.
-        """
-        if self._seq is None or self._response_ring is None:
-            return None
-        flat = self._response_ring.reserve_ragged(
-            lengths, trailing, dtype, self._seq
-        )
-        if flat is None:
-            return None
-        self._reserved_seq = self._seq
-        return flat
-
-    def commit_packed_response(self, status: str = "ok") -> None:
-        """Publish a response written via :meth:`begin_packed_response`."""
-        if self._reserved_seq is None:
-            raise TransportError(
-                "no packed response was reserved on this endpoint"
-            )
-        seq, self._reserved_seq, self._seq = self._reserved_seq, None, None
-        self._response_ring.seal()  # type: ignore[union-attr]
-        self._conn.send((_SHM_TAG, seq, status))
+        """Ship ``(status, value)`` back to the parent, stamped with the
+        sequence number of the request it answers."""
+        _encode(self._conn, self._reply_ring, status, self._seq, value)
 
     def close(self) -> None:
         """Release the endpoint's handles (pipe end, ring mappings)."""
@@ -454,15 +420,14 @@ class WorkerTransport:
 
     One transport instance serves exactly one worker; the shard client holds
     it for the worker's lifetime and serialises calls, so at most one request
-    is outstanding.  Serving-shaped payloads (ragged token batches in, ragged
-    hidden-state rows out) are written straight into the request/response
-    ring — a fixed int64 header describing dtype and shape, then the lengths
-    and elements — and announced with a tiny doorbell over the pipe.
-    The pipe remains the control channel and the path for everything the
-    rings cannot hold: unsupported payloads (calibration dicts), batches
-    beyond the preallocated capacity, and every message when a direction's
-    capacity is 0 and no ring was allocated for it (see :attr:`stats` for how
-    traffic actually routed).
+    is outstanding.  Serving-shaped bodies (ragged token batches in, ragged
+    hidden-state rows out) are packed into the request/response ring — a
+    fixed int64 header describing dtype and shape, then the lengths and
+    elements — and their envelope on the pipe says so.  Everything the rings
+    cannot hold is pickled into the envelope itself: unsupported payloads
+    (calibration dicts), batches beyond the preallocated capacity, and every
+    message when a direction's capacity is 0 and no ring was allocated for it
+    (see :attr:`stats` for how traffic actually routed).
 
     Worker death is the pipe's end-of-file, so a blocking ``poll`` wakes
     immediately.
@@ -472,7 +437,7 @@ class WorkerTransport:
         self, context, request_bytes: int, response_bytes: int
     ) -> None:
         #: Message-routing counters: how many requests/responses used the
-        #: zero-copy rings vs the pickle pipe, and how many ring frames
+        #: shared-memory rings vs the pickle pipe, and how many ring frames
         #: failed their integrity check.
         self.stats: Dict[str, int] = {
             "ring_requests": 0,
@@ -523,14 +488,10 @@ class WorkerTransport:
                 "shut down"
             )
         self._seq += 1
-        if self._request_ring is not None and self._request_ring.try_encode(
-            payload, self._seq
-        ):
-            self.stats["ring_requests"] += 1
-            self._parent_conn.send((_SHM_TAG, self._seq, op))
-        else:
-            self.stats["pipe_requests"] += 1
-            self._parent_conn.send((op, payload))
+        in_ring = _encode(
+            self._parent_conn, self._request_ring, op, self._seq, payload
+        )
+        self.stats["ring_requests" if in_ring else "pipe_requests"] += 1
 
     @property
     def wait_handle(self):
@@ -548,22 +509,19 @@ class WorkerTransport:
 
     def recv(self) -> Tuple[str, object]:
         """The worker's ``(status, value)`` response; raises ``EOFError`` on
-        a dead worker's closed pipe."""
-        msg = self._parent_conn.recv()
-        if not _is_doorbell(msg):
-            self.stats["pipe_responses"] += 1
-            return msg
-        _, seq, status = msg
-        if seq != self._seq:
+        a dead worker's closed pipe and :class:`TransportError` on a reply
+        stamped with any sequence number but the last request's."""
+        envelope = self._parent_conn.recv()
+        if envelope[1] != self._seq:
             raise TransportError(
-                f"response doorbell carries seq {seq}, expected "
-                f"{self._seq}; the channel is out of sync"
+                f"reply carries seq {envelope[1]}, expected {self._seq}; the "
+                "channel is out of sync"
             )
-        assert self._response_ring is not None
+        ring, in_ring = self._response_ring, envelope[2] is _IN_RING
         try:
-            if _faults._ACTIVE is not None:
-                _faults._ACTIVE.on_ring_response(self._response_ring)
-            value = self._response_ring.decode(seq, copy=True)
+            if in_ring and ring is not None and _faults._ACTIVE is not None:
+                _faults._ACTIVE.on_ring_response(ring)
+            status, _, value = _decode(envelope, ring, copy=True)
         except TransportIntegrityError:
             # The ring memory is suspect: drop to the no-ring state, so every
             # later message takes the pipe, and let the caller's retry policy
@@ -572,7 +530,7 @@ class WorkerTransport:
             self.stats["integrity_failures"] += 1
             self._drop_rings()
             raise
-        self.stats["ring_responses"] += 1
+        self.stats["ring_responses" if in_ring else "pipe_responses"] += 1
         return status, value
 
     def shm_names(self) -> List[str]:

@@ -2,7 +2,7 @@
 
 The serving surface is every concrete :class:`ReplicaPool` subclass plus
 :class:`InferenceSession` and :class:`ServingQueue`; its entry points are
-the ``forward`` / ``forward_packed`` / ``pooled`` / ``serve`` / ``serve_one``
+the ``forward`` / ``pooled`` / ``serve`` / ``serve_one``
 methods each class defines or inherits.  Every one of them runs in
 :data:`CASES` against the per-call oracle — one single-session call per
 request under ``compute_dtype="float64"`` — and must match it bitwise.
@@ -53,11 +53,6 @@ SERVERS = {
 }
 
 
-def _packed(server, requests):
-    lengths, flat = server.forward_packed(requests)
-    return np.split(flat, np.cumsum(lengths)[:-1])
-
-
 def _serve_one_from_threads(queue, requests):
     results = [None] * len(requests)
 
@@ -78,10 +73,6 @@ RUNNERS = {
         lambda server, requests: server.forward(requests),
         lambda oracle, request: oracle.forward([request])[0],
     ),
-    "forward_packed": (
-        _packed,
-        lambda oracle, request: oracle.forward([request])[0],
-    ),
     "pooled": (
         lambda server, requests: list(server.pooled(requests)),
         lambda oracle, request: oracle.pooled([request])[0],
@@ -100,7 +91,7 @@ SERVING_METHODS = tuple(RUNNERS)
 CASES = [
     (server, method)
     for server, methods in {
-        "InferenceSession": ("forward", "forward_packed", "pooled"),
+        "InferenceSession": ("forward", "pooled"),
         "SessionPool": ("forward", "pooled"),
         "ShardedPool[pipe]": ("forward", "pooled"),
         "ShardedPool[shm_ring]": ("forward", "pooled"),

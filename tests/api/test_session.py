@@ -433,53 +433,6 @@ class TestRecordingContextManager:
         assert len(recorder.gelu_inputs) == 1
 
 
-class TestForwardPacked:
-    """The packed-row serving surface the shm response rings write through."""
-
-    def test_matches_forward_bitwise(self, tiny64_model, ragged_requests, fast_registry):
-        session = InferenceSession.from_model(
-            tiny64_model, spec=BackendSpec.nn_lut(), registry=fast_registry,
-            max_batch_size=3,
-        )
-        per_request = session.forward(ragged_requests)
-        lengths, flat = session.forward_packed(ragged_requests)
-        assert lengths == [r.size for r in ragged_requests]
-        assert flat.shape == (sum(lengths), tiny64_model.config.hidden_size)
-        assert flat.dtype == np.dtype(tiny64_model.config.compute_dtype)
-        offset = 0
-        for i, length in enumerate(lengths):
-            assert np.array_equal(flat[offset : offset + length], per_request[i]), i
-            offset += length
-
-    def test_writes_into_caller_buffer(self, tiny64_model, ragged_requests, fast_registry):
-        # The point of the method: a shard worker hands the response ring's
-        # own memory as ``out`` and the rows land there directly.
-        session = InferenceSession.from_model(
-            tiny64_model, registry=fast_registry, max_batch_size=3
-        )
-        total = sum(r.size for r in ragged_requests)
-        out = np.empty(
-            (total, tiny64_model.config.hidden_size),
-            dtype=np.dtype(tiny64_model.config.compute_dtype),
-        )
-        lengths, flat = session.forward_packed(ragged_requests, out=out)
-        assert flat is out
-        _, reference = session.forward_packed(ragged_requests)
-        assert np.array_equal(out, reference)
-
-    def test_rejects_mismatched_out(self, tiny64_model, ragged_requests, fast_registry):
-        session = InferenceSession.from_model(
-            tiny64_model, registry=fast_registry, max_batch_size=3
-        )
-        with pytest.raises(ValueError, match="shape"):
-            session.forward_packed(ragged_requests, out=np.empty((1, 1)))
-
-    def test_empty_request_list(self, tiny64_model, fast_registry):
-        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
-        lengths, flat = session.forward_packed([])
-        assert lengths == [] and flat.shape == (0, tiny64_model.config.hidden_size)
-
-
 #: Every operation of the kernel seam, i.e. everything an encoder layer
 #: hands a tensor to.
 KERNEL_METHODS = sorted(
@@ -505,7 +458,7 @@ class TestComputeDtypeIsKept:
     A spy wraps every :class:`ComputeKernel` method on every concrete kernel
     and records the dtype of each floating array going in or coming out,
     while a ``tiny`` session serves ragged, padded batches through
-    ``forward`` and ``forward_packed``.  This checks what actually flows —
+    ``forward``.  This checks what actually flows —
     wherever the array was allocated — rather than which allocator was
     called.
     """
@@ -545,7 +498,6 @@ class TestComputeDtypeIsKept:
                 monkeypatch.setattr(cls, name, spy)
 
         hidden = session.forward(ragged_requests)
-        lengths, flat = session.forward_packed(ragged_requests)
 
         called = {name for name, _, _ in seen}
         assert {"matmul_fp32", "lut_softmax", "lut_layernorm", "lut_gelu_bias",
@@ -553,6 +505,5 @@ class TestComputeDtypeIsKept:
         dtype = np.dtype(compute_dtype)
         strays = sorted({(n, role, str(d)) for n, role, d in seen if d != dtype})
         assert strays == [], strays
-        returned = [*hidden, flat]
-        assert [a.dtype for a in returned] == [dtype] * len(returned)
-        assert lengths == [r.size for r in ragged_requests]
+        assert [a.dtype for a in hidden] == [dtype] * len(hidden)
+        assert [len(a) for a in hidden] == [r.size for r in ragged_requests]

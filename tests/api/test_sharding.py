@@ -264,9 +264,6 @@ class _ScriptedEndpoint:
     def send(self, status, value):
         self.replies.append((status, value))
 
-    def begin_packed_response(self, lengths, trailing, dtype):
-        return None  # no response ring: the generic reply path
-
     def close(self):
         pass
 
@@ -590,6 +587,20 @@ class TestShardedFailureModes:
                 shared_memory.SharedMemory(name=shm_name)
 
 
+def _routing(pool):
+    """Transport counters summed over the pool's workers."""
+    total = {}
+    for client in pool.sessions:
+        for key, value in client.transport.stats.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+def _carriers(pool):
+    """The carrier a pool's forwards ride, and the one they must not."""
+    return ("ring", "pipe") if pool.transport_name == "shm_ring" else ("pipe", "ring")
+
+
 class TestWorkerTransports:
     """The transport seam: knob validation, ring routing, degradation."""
 
@@ -599,15 +610,6 @@ class TestWorkerTransports:
                 SessionConfig(model_family="tiny"),
                 registry=fast_registry,
                 transport="carrier_pigeon",
-            )
-
-    def test_negative_ring_bytes_rejected(self, fast_registry):
-        with pytest.raises(ValueError, match="ring_bytes"):
-            ShardedPool(
-                SessionConfig(model_family="tiny"),
-                registry=fast_registry,
-                transport="shm_ring",
-                ring_bytes=-1,
             )
 
     def test_hot_path_routes_through_the_rings(self, sharded64, mixed_requests):
@@ -632,29 +634,95 @@ class TestWorkerTransports:
             if not rings:
                 assert client.transport.stats["ring_requests"] == 0
 
-    def test_capacity_overflow_falls_back_to_pipe_bitwise(
-        self, fast_registry, mixed_requests
+    def test_a_full_size_batch_rides_the_rings(self, sharded64):
+        # The rings are sized for the envelope a forward sends: a full
+        # max_batch_size batch of maximum-length token rows *plus* the
+        # budget row.  It is one message on the pool's own carrier: the
+        # request ring on "shm_ring", the pipe on "pipe".
+        full = [
+            np.arange(sharded64.max_sequence_length, dtype=np.int64) % 100
+        ] * sharded64.config.max_batch_size
+        before = _routing(sharded64)
+        served = sharded64.forward(full)
+        after = _routing(sharded64)
+        assert [len(rows) for rows in served] == [len(t) for t in full]
+        carrier, other = _carriers(sharded64)
+        assert after[f"{carrier}_requests"] - before[f"{carrier}_requests"] == 1
+        assert after[f"{carrier}_responses"] - before[f"{carrier}_responses"] == 1
+        assert after[f"{other}_requests"] == before[f"{other}_requests"]
+
+    def test_int32_tokens_ride_the_rings_bitwise(self, sharded64):
+        # Token ids of any integer dtype ship as int64, so the envelope is
+        # one dtype a ring can describe; on either carrier the answer is
+        # the int64 request's, bit for bit.
+        before = _routing(sharded64)
+        (served,) = sharded64.forward([np.arange(5, dtype=np.int32)])
+        after = _routing(sharded64)
+        carrier, other = _carriers(sharded64)
+        assert after[f"{carrier}_requests"] - before[f"{carrier}_requests"] == 1
+        assert after[f"{other}_requests"] == before[f"{other}_requests"]
+        (oracle,) = sharded64.forward([np.arange(5, dtype=np.int64)])
+        assert np.array_equal(served, oracle)
+
+    @pytest.mark.parametrize(
+        "request_, problem",
+        [
+            (np.array([1.0, 2.0]), "integer token ids"),
+            (np.array([], dtype=np.int64), "empty"),
+            (np.zeros((2, 3), dtype=np.int64), "1-D"),
+        ],
+        ids=["float", "empty", "2-D"],
+    )
+    def test_a_malformed_request_is_refused_in_the_parent(
+        self, sharded64, single64, request_, problem
     ):
-        # Rings too small for any batch: the transport must degrade to the
-        # pickle pipe — same results, no error, routing visible in stats.
+        # The client validates before anything is sent: a ValueError naming
+        # the request, no message on either carrier, and the worker serves on.
+        client = sharded64.sessions[0]
+        good = np.arange(4, dtype=np.int64)
+        before = dict(client.transport.stats)
+        with pytest.raises(ValueError, match=f"request 1 .*{problem}"):
+            client.forward([good, request_])
+        assert client.transport.stats == before
+        (served,) = client.forward([good])
+        assert np.array_equal(served, single64.forward([good])[0])
+
+    def test_a_queue_batch_beyond_the_rings_falls_back_to_pipe_bitwise(
+        self, fast_registry
+    ):
+        # A ServingQueue may form batches larger than the pool's
+        # max_batch_size, which its rings are sized for: those batches must
+        # degrade to the pickle pipe — same results, no error, routing
+        # visible in stats.
         config = SessionConfig(
             model_family="tiny", compute_dtype="float64", max_batch_size=3
         )
         with ShardedPool(
             config, spec=BackendSpec.nn_lut(), registry=fast_registry,
-            num_replicas=1, transport="shm_ring", ring_bytes=16,
+            num_replicas=1, transport="shm_ring",
         ) as pool:
             single = InferenceSession.from_model(
                 pool.model, spec=pool.spec, registry=fast_registry,
                 max_batch_size=3,
             )
-            served = pool.forward(mixed_requests)
-            oracle = single.forward(mixed_requests)
+            rng = np.random.default_rng(3)
+            requests = [
+                rng.integers(0, 100, size=pool.max_sequence_length)
+                for _ in range(8)
+            ]
+            stats = pool.sessions[0].transport.stats
+            queue = ServingQueue(pool, max_batch_size=8, start=False)
+            try:
+                futures = [queue.submit(tokens) for tokens in requests]
+                pipe_before = stats["pipe_requests"]
+                queue.start()
+                served = [future.result(timeout=60) for future in futures]
+            finally:
+                queue.close()
+            oracle = single.forward(requests)
             for i, (a, b) in enumerate(zip(served, oracle)):
                 assert np.array_equal(a, b), f"request {i}"
-            stats = pool.sessions[0].transport.stats
-            assert stats["ring_requests"] == 0
-            assert stats["pipe_requests"] >= 1
+            assert stats["pipe_requests"] > pipe_before
 
     def test_worker_death_releases_slots_and_close_unlinks_rings(
         self, fast_registry, mixed_requests

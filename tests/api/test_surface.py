@@ -88,7 +88,7 @@ FIELDS = {
 SIGNATURES = {
     ShardedPool.__init__: (
         "self config spec registry num_replicas model request_timeout_s "
-        "transport ring_bytes"
+        "transport"
     ),
     ServingQueue.__init__: (
         "self pool max_wait_ms max_batch_size max_queue_depth start "

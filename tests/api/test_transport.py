@@ -1,10 +1,11 @@
-"""Worker-transport tests: ring codec, frame fuzzing, fallback, round trips.
+"""Worker-transport tests: ring codec, frame fuzzing, the one envelope.
 
 The ring codec tests run in-process against :class:`_ShmRing` directly.  The
 round-trip tests serve ``transport.endpoint()`` from a thread of the test
-process — the same pipe and rings a worker process would use, no model —
-at both capacities (``0`` is what ``ShardedPool(transport="pipe")`` builds),
-including the degradation paths: payloads beyond the preallocated ring
+process — the same pipe and rings a worker process would use, no model.  A
+property test sends generated envelope bodies both ways at both capacities
+(``0`` is what ``ShardedPool(transport="pipe")`` builds), and hand-picked
+cases cover the degradation paths: payloads beyond the preallocated ring
 capacity fall back to the pickle pipe in either direction.  What only a real
 process can show (worker death, unlink after it) lives in
 ``test_sharding.py::TestWorkerTransports``.
@@ -25,6 +26,7 @@ from repro.api.transport import (
     TransportError,
     TransportIntegrityError,
     WorkerTransport,
+    _frame_bytes,
     _ShmRing,
 )
 
@@ -61,37 +63,10 @@ class TestShmRingCodec:
             ]
             assert ring.try_encode(items, seq=1)
             decoded = ring.decode(1, copy=True)
-            assert all(np.array_equal(a, b) for a, b in zip(decoded, items))
-        finally:
-            ring.unlink()
-            ring.close()
-
-    def test_write_into_ring_reservation(self):
-        # reserve_ragged hands out the ring's own memory: filling the view
-        # IS the packing step the response path uses.  The caller seals the
-        # frame once it is done writing (commit_packed_response does this).
-        ring = self._ring()
-        try:
-            flat = ring.reserve_ragged([2, 3], trailing=4, dtype=np.float64, seq=9)
-            assert flat.shape == (5, 4)
-            flat[...] = np.arange(20).reshape(5, 4)
-            ring.seal()
-            decoded = ring.decode(9, copy=True)
-            assert np.array_equal(decoded[0], flat[:2])
-            assert np.array_equal(decoded[1], flat[2:])
-        finally:
-            ring.unlink()
-            ring.close()
-
-    def test_unsealed_reservation_fails_verification(self):
-        # Decoding a reservation that was never sealed must not hand back
-        # whatever bytes happen to be in the payload region.
-        ring = self._ring()
-        try:
-            flat = ring.reserve_ragged([2], trailing=4, dtype=np.float64, seq=2)
-            flat[...] = 1.0
-            with pytest.raises(TransportIntegrityError, match="checksum"):
-                ring.decode(2, copy=True)
+            assert all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(decoded, items)
+            )
         finally:
             ring.unlink()
             ring.close()
@@ -141,10 +116,11 @@ class TestShmRingCodec:
             assert not ring.try_encode(
                 [np.array(["a", "b"])], seq=1
             )  # unsupported dtype
+            # An envelope carries int64 ids, float32/float64 rows: no int32.
+            assert not ring.try_encode([np.arange(3, dtype=np.int32)], seq=1)
             # (n, 0) row blocks would be header-ambiguous with 1-D items.
             assert not ring.try_encode([np.empty((3, 0)), np.empty((2, 0))], seq=1)
             assert not ring.try_encode([np.arange(100, dtype=np.int64)], seq=1)
-            assert ring.reserve_ragged([100], 4, np.float64, seq=1) is None
         finally:
             ring.unlink()
             ring.close()
@@ -160,7 +136,7 @@ class TestShmRingCodec:
             ring.close()
 
 
-_RING_DTYPES = [np.dtype(code) for code in ("<i8", "<i4", "<f2", "<f4", "<f8")]
+_RING_DTYPES = [np.dtype(code) for code in ("<i8", "<f4", "<f8")]
 _FUZZ_CAPACITY = 1024
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 
@@ -259,10 +235,11 @@ def test_corrupted_frame_decodes_to_the_original_or_a_typed_error(
 # --------------------------------------------------------------------------- #
 # Round trips: transport.endpoint() served from a thread, same pipe + rings
 # --------------------------------------------------------------------------- #
-HIDDEN = 4
-CAPACITIES = pytest.mark.parametrize(
-    "ring_bytes", [0, 1 << 16], ids=["pipe", "shm_ring"]
-)
+ROWS, MAX_LEN, HIDDEN = 3, 6, 4
+#: The ring capacity sized for the generated bodies, as ShardedPool sizes its
+#: rings: the largest is a float64 reply of ROWS maximum-length row blocks.
+SIZED = _frame_bytes([MAX_LEN] * ROWS, HIDDEN, 8)
+CAPACITIES = pytest.mark.parametrize("capacity", [0, SIZED], ids=["pipe", "shm_ring"])
 
 
 def _rows(tokens):
@@ -273,9 +250,9 @@ def _rows(tokens):
 def _echo_serve(endpoint):
     """The shape of ``_worker_main``'s loop with the model left out.
 
-    ``"echo"`` answers through ``send``; ``"echo_packed"`` writes its rows
-    into the response ring when the endpoint hands one out, as ``forward``
-    does.
+    ``"rows"`` answers each token row with its row block, as ``forward``
+    does; ``"echo"`` answers with the payload itself; ``"stale"`` echoes it
+    stamped with the previous request's sequence number.
     """
     try:
         while True:
@@ -286,15 +263,11 @@ def _echo_serve(endpoint):
             if op == "close":
                 endpoint.send("ok", None)
                 return
-            if op == "echo_packed":
-                flat = endpoint.begin_packed_response(
-                    [t.shape[0] for t in payload], HIDDEN, np.dtype(np.float64)
-                )
-                if flat is not None:
-                    flat[...] = np.concatenate([_rows(t) for t in payload])
-                    endpoint.commit_packed_response()
-                    continue
-            endpoint.send("ok", [_rows(t) for t in payload])
+            if op == "stale":
+                endpoint._seq -= 1
+            endpoint.send(
+                "ok", [_rows(t) for t in payload] if op == "rows" else payload
+            )
     finally:
         endpoint.close()
 
@@ -329,22 +302,102 @@ def _call(transport, op, payload):
 TOKENS = [np.arange(6, dtype=np.int64), np.arange(11, dtype=np.int64)]
 
 
+@st.composite
+def _bodies(draw):
+    """One envelope body of every kind the serving path sends: a forward
+    request (int64 token rows plus the int64 budget row), a reply of
+    float32 / float64 row blocks (zero-row blocks are expired requests),
+    or a control dict."""
+    kind = draw(st.sampled_from(["forward", "float32", "float64", "control"]))
+    if kind == "control":
+        return draw(st.dictionaries(
+            st.text(max_size=8), st.none() | st.integers(), max_size=3
+        ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, ROWS))
+    if kind == "forward":
+        tokens = [
+            rng.integers(0, 100, size=draw(st.integers(1, MAX_LEN)))
+            for _ in range(rows)
+        ]
+        budgets = draw(st.lists(
+            st.integers(-1, 2**62), min_size=rows, max_size=rows
+        ))
+        return tokens + [np.asarray(budgets, dtype=np.int64)]
+    return [
+        rng.standard_normal((draw(st.integers(0, MAX_LEN)), HIDDEN)).astype(kind)
+        for _ in range(rows)
+    ]
+
+
+@pytest.fixture(scope="module")
+def echo_transports(shm_ledger):
+    """An echo-served transport per capacity, shared by the examples."""
+    served = {capacity: _serve(capacity, capacity) for capacity in (0, SIZED)}
+    yield {capacity: transport for capacity, (transport, _) in served.items()}
+    for transport, thread in served.values():
+        _shutdown(transport, thread)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_bodies(), capacity=st.sampled_from([0, SIZED]))
+def test_every_body_round_trips_bitwise_on_the_carrier_it_fits(
+    echo_transports, body, capacity
+):
+    # One envelope, both directions: the body goes to the worker and comes
+    # back bit for bit, in the ring exactly when there is one and the body
+    # is a ragged batch (all of them fit the sized capacity), else pickled.
+    transport = echo_transports[capacity]
+    before = dict(transport.stats)
+    echoed = _call(transport, "echo", body)
+    if isinstance(body, dict):
+        assert echoed == body
+    else:
+        assert type(echoed) is list and _blocks(echoed) == _blocks(body)
+    carrier = "ring" if capacity and not isinstance(body, dict) else "pipe"
+    counted = {key: transport.stats[key] - before[key] for key in before}
+    assert counted == {
+        "ring_requests": 0, "pipe_requests": 0, "ring_responses": 0,
+        "pipe_responses": 0, "integrity_failures": 0,
+        f"{carrier}_requests": 1, f"{carrier}_responses": 1,
+    }
+
+
 @CAPACITIES
-def test_echo_roundtrip(ring_bytes):
-    transport, thread = _serve(ring_bytes, ring_bytes)
+def test_echo_roundtrip(capacity):
+    # The forward shape end to end: token rows in, one float64 row block per
+    # request back, both on the ring when there is one, else both pickled.
+    transport, thread = _serve(capacity, capacity)
     try:
-        assert len(transport.shm_names()) == (2 if ring_bytes else 0)
-        for op in ("echo", "echo_packed"):
-            value = _call(transport, op, TOKENS)
+        assert len(transport.shm_names()) == (2 if capacity else 0)
+        for _ in range(2):
+            value = _call(transport, "rows", TOKENS)
+            assert len(value) == len(TOKENS)
             assert all(
                 v.dtype == np.float64 and np.array_equal(v, _rows(t))
                 for v, t in zip(value, TOKENS)
             )
-        on_ring = 2 if ring_bytes else 0
+        on_ring = 2 if capacity else 0
         assert transport.stats["ring_requests"] == on_ring
         assert transport.stats["ring_responses"] == on_ring
         assert transport.stats["pipe_requests"] == 2 - on_ring
         assert transport.stats["pipe_responses"] == 2 - on_ring
+    finally:
+        _shutdown(transport, thread)
+
+
+@CAPACITIES
+def test_a_reply_stamped_with_a_stale_seq_raises_on_either_carrier(capacity):
+    transport, thread = _serve(capacity, capacity)
+    try:
+        transport.send("stale", TOKENS[:1])
+        assert transport.poll(60)
+        with pytest.raises(TransportError, match="seq"):
+            transport.recv()
+        assert transport.stats["ring_requests"] == (1 if capacity else 0)
+        # The next reply carries the next request's seq: the channel serves on.
+        value = _call(transport, "rows", TOKENS[:1])
+        assert np.array_equal(value[0], _rows(TOKENS[0]))
     finally:
         _shutdown(transport, thread)
 
@@ -354,7 +407,7 @@ def test_shm_ring_capacity_fallback_still_serves():
     # pickle pipe and still round-trip correctly.
     transport, thread = _serve(8, 8)
     try:
-        value = _call(transport, "echo_packed", TOKENS[:1])
+        value = _call(transport, "rows", TOKENS[:1])
         assert np.array_equal(value[0], _rows(TOKENS[0]))
         assert transport.stats["ring_requests"] == 0
         assert transport.stats["pipe_requests"] == 1
@@ -368,22 +421,22 @@ def test_shm_ring_response_fallback_when_only_response_overflows(response_bytes)
     # has no ring at all): the reply alone must take the pipe.
     transport, thread = _serve(1 << 16, response_bytes)
     try:
-        for op in ("echo", "echo_packed"):
-            value = _call(transport, op, TOKENS[:1])
-            assert np.array_equal(value[0], _rows(TOKENS[0]))
-        assert transport.stats["ring_requests"] == 2
+        value = _call(transport, "rows", TOKENS[:1])
+        assert np.array_equal(value[0], _rows(TOKENS[0]))
+        assert transport.stats["ring_requests"] == 1
         assert transport.stats["ring_responses"] == 0
-        assert transport.stats["pipe_responses"] == 2
+        assert transport.stats["pipe_responses"] == 1
     finally:
         _shutdown(transport, thread)
 
 
 def test_shm_ring_request_fallback_when_only_request_overflows():
-    # The request has to take the pipe, so there is no seq to stamp a ring
-    # response with: the reply takes the pipe too, roomy response ring or not.
+    # A request that took the pipe is answered by pipe, roomy response ring
+    # or not: a reply rides the ring only when its request did, which is how
+    # a parent that dropped its rings keeps being answered by pipe.
     transport, thread = _serve(8, 1 << 16)
     try:
-        value = _call(transport, "echo_packed", TOKENS[:1])
+        value = _call(transport, "rows", TOKENS[:1])
         assert np.array_equal(value[0], _rows(TOKENS[0]))
         assert transport.stats["ring_requests"] == 0
         assert transport.stats["ring_responses"] == 0
@@ -396,14 +449,14 @@ def test_corrupt_response_frame_drops_the_rings_and_keeps_serving():
     # alone: a bad frame raises, the rings are unlinked, the pipe serves on.
     transport, thread = _serve(1 << 16, 1 << 16)
     try:
-        transport.send("echo", TOKENS)
+        transport.send("rows", TOKENS)
         assert transport.poll(60)
         transport._response_ring.corrupt_payload(salt=200)
         with pytest.raises(TransportIntegrityError, match="checksum"):
             transport.recv()
         assert transport.degraded and transport.shm_names() == []
         assert transport.stats["integrity_failures"] == 1
-        value = _call(transport, "echo_packed", TOKENS)
+        value = _call(transport, "rows", TOKENS)
         assert np.array_equal(value[1], _rows(TOKENS[1]))
         assert transport.stats["pipe_requests"] == 1
         assert transport.stats["pipe_responses"] == 1
@@ -412,20 +465,20 @@ def test_corrupt_response_frame_drops_the_rings_and_keeps_serving():
 
 
 @CAPACITIES
-def test_send_after_close_raises_transport_error(ring_bytes):
+def test_send_after_close_raises_transport_error(capacity):
     # A closed channel is a programming error, not a worker fault.
-    transport, thread = _serve(ring_bytes, ring_bytes)
+    transport, thread = _serve(capacity, capacity)
     try:
-        _call(transport, "echo", TOKENS[:1])
+        _call(transport, "rows", TOKENS[:1])
     finally:
         _shutdown(transport, thread)
     with pytest.raises(TransportError, match="closed"):
-        transport.send("echo", TOKENS[:1])
+        transport.send("rows", TOKENS[:1])
 
 
 @CAPACITIES
-def test_close_is_idempotent(ring_bytes):
-    transport, thread = _serve(ring_bytes, ring_bytes)
+def test_close_is_idempotent(capacity):
+    transport, thread = _serve(capacity, capacity)
     _shutdown(transport, thread)
     transport.close()  # second close: no-op
     assert transport.shm_names() == []
