@@ -15,7 +15,6 @@ import numpy as np
 
 import example_utils
 from repro.api import (
-    AutoscalerConfig,
     BackendSpec,
     DeadlineExceededError,
     InferenceSession,
@@ -118,38 +117,6 @@ def main() -> None:
     except DeadlineExceededError as exc:
         print(f"Deadline: {exc}")
     tight.close()
-
-    # 5. Autoscaling episode: a queue constructed below its configured
-    #    min_replicas scales up on the first tick; sustained idleness then
-    #    builds down-pressure until the fleet sheds back to the floor.  The
-    #    ticks are driven manually here so the demo is deterministic.
-    small = SessionPool.from_model(
-        pool.model, spec=pool.spec, registry=registry,
-        num_replicas=1, max_batch_size=8,
-    )
-    autoscaled = ServingQueue(
-        small,
-        max_wait_ms=5.0,
-        autoscale=AutoscalerConfig(
-            min_replicas=2, max_replicas=3, interval_s=60.0, patience=2
-        ),
-    )
-    try:
-        print("\nAutoscaler episode:")
-        for _ in range(2):
-            decision = autoscaled.autoscaler.step()
-            print(
-                f"  tick: {decision.action:>4} "
-                f"[{decision.live_replicas} live] {decision.reason}"
-                f"{' -> applied' if decision.applied else ''}"
-            )
-        episode = [d.action for d in autoscaled.autoscaler.episodes()]
-        print(
-            f"  fleet now {autoscaled.stats().live_replicas} replicas "
-            f"(episode: {' -> '.join(episode)})"
-        )
-    finally:
-        autoscaled.close()
 
 
 if __name__ == "__main__":

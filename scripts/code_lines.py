@@ -3,7 +3,8 @@
 
 A line counts when it holds a token other than a comment or layout token and
 lies outside every module, class and function docstring.  Run from the repo
-root (or pass another source root): ``python scripts/code_lines.py [src]``.
+root: ``python scripts/code_lines.py [src]`` prints per-package counts under a
+source root, ``python scripts/code_lines.py path/to/file.py`` one file's count.
 """
 
 import ast
@@ -34,6 +35,11 @@ def code_lines(path: Path) -> int:
 
 def main() -> None:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
+    if root.is_file():
+        print(f"{str(root):24} {code_lines(root):6}")
+        return
+    if not root.is_dir():
+        sys.exit(f"no such file or directory: {root}")
     counts = Counter()
     for path in sorted(root.rglob("*.py")):
         package = path.relative_to(root).parent.parts[:2]

@@ -12,8 +12,7 @@ The two halves of the API:
 * :class:`SessionPool` + :class:`ServingQueue` — the concurrent serving
   layer: replica sessions over one shared frozen model, plus a
   batch-coalescing scheduler with deadlines, overload rejection, one
-  ready queue every replica pulls from, live fleet membership, optional
-  autoscaling, and latency
+  ready queue every replica pulls from, live fleet membership and latency
   statistics (facade in :mod:`repro.api.server`; the scheduler seams in
   :mod:`repro.api.scheduling`).
 * :class:`ShardedPool` — the same :class:`ReplicaPool` protocol served from
@@ -37,9 +36,6 @@ surface.
 from .batching import MicroBatch, RequestBatcher
 from .faults import FaultInjector, FaultPlan, InjectedFaultError, inject
 from .scheduling import (
-    AutoscaleDecision,
-    Autoscaler,
-    AutoscalerConfig,
     CircuitBreakerConfig,
     ReplicaStats,
     RetryPolicy,
@@ -107,9 +103,6 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "ServerClosedError",
-    "Autoscaler",
-    "AutoscaleDecision",
-    "AutoscalerConfig",
     "RetryPolicy",
     "CircuitBreakerConfig",
     "FaultPlan",

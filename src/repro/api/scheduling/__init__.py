@@ -3,7 +3,7 @@
 Serving a queue takes admission, batch coalescing, dispatch, stats and
 lifecycle; this package gives each policy a seam of its own.  The
 scheduling state and its policies hold no thread, lock or clock (the
-request futures and the autoscaler's loop aside):
+request futures aside):
 
 * :mod:`~repro.api.scheduling.admission` — request validation, the
   bounded backlog, deadlines, and the request-level exception types.
@@ -25,8 +25,6 @@ request futures and the autoscaler's loop aside):
 * :mod:`~repro.api.scheduling.stats` — the frozen
   :class:`ServingStats`/:class:`ReplicaStats` snapshots and the mutable
   board behind them.
-* :mod:`~repro.api.scheduling.autoscaler` — the stats-driven scaling
-  loop over the fleet's membership hooks.
 
 ``repro.api.server.ServingQueue`` runs the core: it owns the condition
 lock every transition runs under, the scheduler and worker threads, the
@@ -42,7 +40,6 @@ from .admission import (
     ServerClosedError,
     ServingFuture,
 )
-from .autoscaler import Autoscaler, AutoscaleDecision, AutoscalerConfig
 from .fleet import Fleet, FormedBatch, ReplicaMember
 from .former import BatchFormer
 from .resilience import CircuitBreakerConfig, ReplicaHealth, RetryPolicy
@@ -50,9 +47,6 @@ from .stats import ReplicaStats, ServingStats, StatsBoard
 
 __all__ = [
     "AdmissionController",
-    "Autoscaler",
-    "AutoscaleDecision",
-    "AutoscalerConfig",
     "BatchFormer",
     "CircuitBreakerConfig",
     "DeadlineExceededError",

@@ -105,11 +105,6 @@ class Pending:
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
 
-    @property
-    def cost(self) -> int:
-        """Cost of this request in the in-flight accounting: its token count."""
-        return int(self.tokens.size)
-
     def remaining_budget_s(self, now: float) -> float | None:
         """Seconds left until the deadline (``None`` when there is none).
 

@@ -170,7 +170,6 @@ class ReplicaMember:
         return ReplicaStats(
             replica_id=self.replica_id,
             in_flight_requests=len(requests),
-            in_flight_cost=sum(p.cost for p in requests),
             batches_served=self.batches_served,
             completed=self.completed,
             failed=self.failed,
@@ -284,17 +283,6 @@ class Fleet:
         member = self._removable(replica_id, "retire")
         self._retire(member)
         return member
-
-    def scaledown_candidate(self) -> Optional[int]:
-        """The member to shed: least busy, newest id (``None`` at one routable)."""
-        candidates = self._routable()
-        if len(candidates) <= 1:
-            return None
-        member = min(
-            candidates,
-            key=lambda m: (m.stats().in_flight_cost, -m.replica_id),
-        )
-        return member.replica_id
 
     def _register(self, session) -> ReplicaMember:
         member = ReplicaMember(self.next_replica_id, session, self._breaker)

@@ -28,10 +28,9 @@ __all__ = ["ReplicaStats", "ServingStats", "StatsBoard"]
 class ReplicaStats:
     """Scheduling state of one fleet member at snapshot time.
 
-    ``in_flight_cost`` is a token count — what the autoscaler's scale-down
-    pick minimizes.  A member holds no queue of its own (every worker pulls
-    from the fleet's one ready queue), so ``in_flight_*`` is all the work
-    it has.  ``draining`` members finish their in-flight batch but take no
+    A member holds no queue of its own (every worker pulls from the
+    fleet's one ready queue), so ``in_flight_requests`` is all the work it
+    has.  ``draining`` members finish their in-flight batch but take no
     new work; a member that is not ``live`` serves nothing any more (it
     was drained and has nothing in flight, or it is retiring).
 
@@ -45,7 +44,6 @@ class ReplicaStats:
 
     replica_id: int
     in_flight_requests: int
-    in_flight_cost: int
     batches_served: int
     completed: int
     failed: int

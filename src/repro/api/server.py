@@ -23,9 +23,8 @@ Batched multi-sequence scheduling, one layer above
   throughput, queue/batch shape, and per-replica scheduling state.
 
 Both pools support *live membership*: :meth:`ReplicaPool.spawn_replica` /
-:meth:`ReplicaPool.retire_replica` are the narrow hooks the queue (and the
-:class:`~repro.api.scheduling.autoscaler.Autoscaler`, through the queue)
-calls to grow and shrink its fleet while it serves.
+:meth:`ReplicaPool.retire_replica` are the narrow hooks the queue calls to
+grow and shrink its fleet while it serves.
 
 Determinism and parity: every replica serves the *same* frozen model object
 through an identically-built backend, and with exact-length bucketing
@@ -63,7 +62,6 @@ from .scheduling.admission import (
     ServerClosedError,
     ServingFuture,
 )
-from .scheduling.autoscaler import Autoscaler, AutoscalerConfig
 from .scheduling.fleet import Fleet, Outcome, ReplicaMember
 from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
@@ -82,7 +80,6 @@ __all__ = [
     "ServingFuture",
     "ServingStats",
     "ReplicaStats",
-    "AutoscalerConfig",
     "RetryPolicy",
     "CircuitBreakerConfig",
     "ReplicaPool",
@@ -383,9 +380,7 @@ class ServingQueue:
     that dies mid-service is retired automatically — the queued work was
     never its own, so the survivors simply keep taking it — and
     ``replace_dead_replicas=True`` additionally spawns a fresh replica in
-    its place.  Passing an
-    :class:`AutoscalerConfig` as ``autoscale`` runs the stats-driven
-    scaling loop on top of the same hooks.
+    its place.
 
     Parameters
     ----------
@@ -404,10 +399,6 @@ class ServingQueue:
     start:
         Start the scheduler/worker threads immediately (default).  Tests and
         warm-up flows can pass ``False`` and call :meth:`start` later.
-    autoscale:
-        Optional :class:`AutoscalerConfig`; when given, an autoscaler
-        thread watches the queue-wait/service split and drives
-        :meth:`add_replica`/:meth:`retire_one_replica` within its bounds.
     replace_dead_replicas:
         Spawn a replacement (via the pool's :meth:`~ReplicaPool.spawn_replica`
         hook) whenever a replica dies mid-service.
@@ -434,7 +425,6 @@ class ServingQueue:
         max_batch_size: int | None = None,
         max_queue_depth: int = 1024,
         start: bool = True,
-        autoscale: AutoscalerConfig | None = None,
         replace_dead_replicas: bool = False,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreakerConfig | None = None,
@@ -488,9 +478,6 @@ class ServingQueue:
         #: start(), which is what "started" means).
         self._workers: Dict[int, threading.Thread] = {}
         self._scheduler: Optional[threading.Thread] = None
-        self._autoscaler = (
-            Autoscaler(self, autoscale) if autoscale is not None else None
-        )
         if start:
             self.start()
 
@@ -512,8 +499,6 @@ class ServingQueue:
                 ]
         for thread in threads:
             thread.start()
-        if self._autoscaler is not None:
-            self._autoscaler.start()
         return self
 
     def close(self, timeout: float = 5.0) -> None:
@@ -522,8 +507,6 @@ class ServingQueue:
         Safe to call more than once.  Requests still waiting (pending or in
         formed-but-undispatched batches) receive :class:`ServerClosedError`.
         """
-        if self._autoscaler is not None:
-            self._autoscaler.stop(timeout)
         with self._cond:
             outcomes = self._core.close("ServingQueue was closed")
             threads = [self._scheduler, *self._workers.values()]
@@ -538,11 +521,6 @@ class ServingQueue:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def autoscaler(self) -> Optional[Autoscaler]:
-        """The scaling loop, when constructed with ``autoscale=`` (else None)."""
-        return self._autoscaler
 
     # ------------------------------------------------------------------ #
     # Client surface
@@ -712,19 +690,6 @@ class ServingQueue:
             # A pool without live membership: the fleet no longer serves
             # through the handle, which is all the scheduler needs.
             pass
-
-    def retire_one_replica(self, timeout: float = 30.0) -> Optional[int]:
-        """Shed the least busy replica (autoscaler scale-down hook).
-
-        Returns the retired replica id, or ``None`` when the fleet is
-        already at a single live replica.
-        """
-        with self._cond:
-            replica_id = self._core.scaledown_candidate()
-        if replica_id is None:
-            return None
-        self.retire_replica(replica_id, timeout=timeout)
-        return replica_id
 
     # ------------------------------------------------------------------ #
     # Threads: the scheduler and one worker per member

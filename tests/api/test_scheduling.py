@@ -1,4 +1,4 @@
-"""The scheduling package: forming, membership, autoscaling, trace replay.
+"""The scheduling package: forming, admission, queue parity, membership.
 
 The parity-critical contract: queued serving is bitwise-equal to
 single-session serving under float64.  Which replica serves a batch is
@@ -10,7 +10,9 @@ that is currently serving a batch lets the in-flight work finish on it
 retired (and optionally replaced) instead of poisoning the queue, the
 queue closes itself once no member can take work, and a trace-replay
 burst with churn mid-run loses no futures and double-serves none.  None
-of these tests depends on which replica takes a batch.
+of these tests depends on which replica takes a batch.  The virtual-time
+replay of the pure core, and the replay numbers the circuit breaker and
+``RetryPolicy`` are kept on, are in ``test_replay.py``.
 """
 
 import threading
@@ -21,16 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    AutoscaleDecision,
-    Autoscaler,
-    AutoscalerConfig,
     BackendSpec,
     InferenceSession,
     ReplicaStats,
     RequestBatcher,
     ServerClosedError,
     ServingQueue,
-    ServingStats,
     SessionConfig,
     SessionPool,
     ShardedPool,
@@ -245,10 +243,7 @@ class TestQueueParity:
         assert stats.live_replicas == 2
         assert sum(r.completed for r in stats.replicas) == len(mixed_requests)
         assert sum(r.batches_served for r in stats.replicas) == stats.batches
-        assert all(
-            r.in_flight_requests == 0 and r.in_flight_cost == 0
-            for r in stats.replicas
-        )
+        assert all(r.in_flight_requests == 0 for r in stats.replicas)
         assert stats.replicas_added == 0 and stats.replicas_retired == 0
 
 
@@ -319,7 +314,6 @@ class TestMembership:
                 queue.drain_replica(0)
             with pytest.raises(ValueError, match="unknown replica id"):
                 queue.retire_replica(99)
-            assert queue.retire_one_replica() is None
         finally:
             queue.close()
 
@@ -542,174 +536,6 @@ def test_service_ewma_is_the_same_with_and_without_a_breaker(breaker):
 
 
 # --------------------------------------------------------------------------- #
-# Autoscaler (pure hysteresis over synthetic stats, plus actuation)
-# --------------------------------------------------------------------------- #
-def _stats(wait_ms, service_ms, completed, live=2):
-    replicas = tuple(
-        ReplicaStats(
-            replica_id=i, in_flight_requests=0, in_flight_cost=0,
-            batches_served=0, completed=0, failed=0, draining=False, live=True,
-        )
-        for i in range(live)
-    )
-    return ServingStats(
-        submitted=completed, completed=completed, rejected=0, expired=0,
-        failed=0, queue_depth=0, max_queue_depth_seen=0, batches=completed,
-        mean_batch_size=1.0, p50_latency_ms=wait_ms + service_ms,
-        p99_latency_ms=wait_ms + service_ms,
-        mean_latency_ms=wait_ms + service_ms, p50_queue_wait_ms=wait_ms,
-        p99_queue_wait_ms=wait_ms, mean_queue_wait_ms=wait_ms,
-        p50_service_ms=service_ms, p99_service_ms=service_ms,
-        mean_service_ms=service_ms, throughput_rps=1.0, replicas=replicas,
-    )
-
-
-class TestAutoscalerHysteresis:
-    def _scaler(self, **overrides):
-        defaults = dict(
-            min_replicas=1, max_replicas=4, patience=2, cooldown_ticks=2
-        )
-        defaults.update(overrides)
-        return Autoscaler(queue=None, config=AutoscalerConfig(**defaults))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="min_replicas"):
-            AutoscalerConfig(min_replicas=0)
-        with pytest.raises(ValueError, match="max_replicas"):
-            AutoscalerConfig(min_replicas=3, max_replicas=2)
-        with pytest.raises(ValueError, match="patience"):
-            AutoscalerConfig(patience=0)
-        with pytest.raises(ValueError, match="interval_s"):
-            AutoscalerConfig(interval_s=0)
-
-    def test_single_spike_does_not_scale(self):
-        scaler = self._scaler()
-        # Spike, settle, spike: the up-streak never reaches patience=2.
-        assert scaler.observe(_stats(50.0, 1.0, completed=5)).action == "hold"
-        assert scaler.observe(_stats(0.5, 1.0, completed=10)).action == "hold"
-        assert scaler.observe(_stats(50.0, 1.0, completed=15)).action == "hold"
-        assert scaler.observe(_stats(0.5, 1.0, completed=20)).action == "hold"
-
-    def test_sustained_pressure_scales_up_then_cools_down(self):
-        scaler = self._scaler()
-        assert scaler.observe(_stats(50.0, 1.0, completed=5)).action == "hold"
-        decision = scaler.observe(_stats(50.0, 1.0, completed=10))
-        assert decision.action == "up"
-        # Cooldown: the same pressure is ignored while the fleet settles.
-        third = scaler.observe(_stats(50.0, 1.0, completed=15))
-        assert third.action == "hold" and "cooldown" in third.reason
-        assert scaler.observe(_stats(50.0, 1.0, completed=20)).action == "hold"
-        # Pressure persisting after the cooldown builds a fresh streak.
-        assert scaler.observe(_stats(50.0, 1.0, completed=25)).action == "hold"
-        assert scaler.observe(_stats(50.0, 1.0, completed=30)).action == "up"
-
-    def test_rising_service_time_is_not_queue_pressure(self):
-        scaler = self._scaler()
-        assert scaler.observe(_stats(10.0, 5.0, completed=5)).action == "hold"
-        # Service doubled alongside wait: the replicas got slower; scaling
-        # out cannot unqueue anything, so no up-streak accumulates.
-        decision = scaler.observe(_stats(30.0, 20.0, completed=10))
-        assert decision.action == "hold"
-        assert "service time rising" in decision.reason
-
-    def test_idle_and_low_pressure_scale_down_within_bounds(self):
-        scaler = self._scaler()
-        assert scaler.observe(_stats(0.01, 1.0, completed=5, live=3)).action == "hold"
-        decision = scaler.observe(_stats(0.01, 1.0, completed=10, live=3))
-        assert decision.action == "down"
-        # Idle windows (no completions) also build down-pressure.
-        idle = self._scaler()
-        # A mid-band tick first, so only the idle streak drives the decision.
-        assert idle.observe(_stats(0.5, 1.0, completed=5, live=2)).action == "hold"
-        assert idle.observe(_stats(0.0, 0.0, completed=5, live=2)).action == "hold"
-        decision = idle.observe(_stats(0.0, 0.0, completed=5, live=2))
-        assert decision.action == "down" and "idle" in decision.reason
-
-    def test_bounds_suppress_actions(self):
-        scaler = self._scaler(min_replicas=2, max_replicas=2)
-        assert scaler.observe(_stats(50.0, 1.0, completed=5)).action == "hold"
-        at_max = scaler.observe(_stats(50.0, 1.0, completed=10))
-        assert at_max.action == "hold" and "max_replicas" in at_max.reason
-        down = self._scaler(min_replicas=2)
-        down.observe(_stats(0.01, 1.0, completed=5, live=2))
-        at_min = down.observe(_stats(0.01, 1.0, completed=10, live=2))
-        assert at_min.action == "hold" and "min_replicas" in at_min.reason
-
-    def test_below_min_scales_up_immediately(self):
-        scaler = self._scaler(min_replicas=2)
-        decision = scaler.observe(_stats(0.0, 0.0, completed=0, live=1))
-        assert decision.action == "up" and "below min_replicas" in decision.reason
-
-
-class _FakeQueue:
-    """Records autoscaler actuation without any serving machinery."""
-
-    def __init__(self, stats_rows):
-        self._rows = list(stats_rows)
-        self.added = 0
-        self.retired = 0
-
-    def stats(self):
-        return self._rows.pop(0)
-
-    def add_replica(self):
-        self.added += 1
-        return 7
-
-    def retire_one_replica(self, timeout=30.0):
-        self.retired += 1
-        return 3
-
-
-class TestAutoscalerActuation:
-    def test_step_applies_up_and_records_episode(self):
-        queue = _FakeQueue([
-            _stats(50.0, 1.0, completed=5),
-            _stats(50.0, 1.0, completed=10),
-        ])
-        scaler = Autoscaler(
-            queue, AutoscalerConfig(patience=2, cooldown_ticks=0, max_replicas=4)
-        )
-        assert scaler.step().action == "hold"
-        decision = scaler.step()
-        assert decision.action == "up" and decision.applied
-        assert decision.replica_id == 7 and queue.added == 1
-        episodes = scaler.episodes()
-        assert len(episodes) == 2
-        assert all(isinstance(e, AutoscaleDecision) for e in episodes)
-
-    def test_step_folds_actuation_failure_into_reason(self):
-        class _Failing(_FakeQueue):
-            def add_replica(self):
-                raise RuntimeError("pool refused")
-
-        queue = _Failing([_stats(50.0, 1.0, completed=5)])
-        scaler = Autoscaler(
-            queue, AutoscalerConfig(patience=1, cooldown_ticks=0)
-        )
-        decision = scaler.step()
-        assert decision.action == "up" and not decision.applied
-        assert "add failed" in decision.reason
-
-    def test_queue_scales_up_to_min_via_manual_step(self, pool64, fast_registry):
-        pool = _fresh_pool(pool64, fast_registry, num_replicas=1)
-        queue = ServingQueue(
-            pool, max_wait_ms=1.0,
-            autoscale=AutoscalerConfig(
-                min_replicas=2, max_replicas=3, interval_s=30.0
-            ),
-        )
-        try:
-            assert queue.autoscaler is not None
-            decision = queue.autoscaler.step()
-            assert decision.action == "up" and decision.applied
-            assert queue.stats().live_replicas == 2
-            assert pool.num_replicas == 2
-        finally:
-            queue.close()
-
-
-# --------------------------------------------------------------------------- #
 # Trace replay: burst + churn, no lost or double-served futures
 # --------------------------------------------------------------------------- #
 class TestTraceReplay:
@@ -758,7 +584,7 @@ class TestTraceReplay:
                 trace,
                 actions=[
                     (0.12, queue.add_replica),
-                    (0.25, lambda: queue.retire_one_replica(timeout=30)),
+                    (0.25, lambda: queue.retire_replica(0, timeout=30)),
                 ],
             )
             stats = queue.stats()

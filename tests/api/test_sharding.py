@@ -755,7 +755,7 @@ class TestWorkerTransports:
                 shared_memory.SharedMemory(name=name)
 
     def test_replica_churn_does_not_accumulate_transports(self, fast_registry):
-        # Autoscaler churn: every retired worker's transport must leave the
+        # Membership churn: every retired worker's transport must leave the
         # list the GC finalizer holds, and its rings must be gone at once —
         # not at pool close.
         config = SessionConfig(model_family="tiny", compute_dtype="float64")

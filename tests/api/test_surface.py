@@ -12,7 +12,6 @@ import repro.core.kernels
 import repro.quant
 import repro.transformer
 from repro.api import (
-    AutoscalerConfig,
     BackendSpec,
     CircuitBreakerConfig,
     FaultPlan,
@@ -28,7 +27,7 @@ from repro.core.training import TrainingConfig
 from repro.transformer import Linear, NonlinearBackend, TransformerConfig
 
 API = """
-AutoscaleDecision Autoscaler AutoscalerConfig BackendSpec CircuitBreakerConfig
+BackendSpec CircuitBreakerConfig
 DeadlineExceededError FaultInjector FaultPlan InferenceSession
 InjectedFaultError METHODS MODEL_FAMILIES MicroBatch OPERATOR_PRIMITIVES
 OperatorSpec PRECISIONS QueueFullError ReplicaPool ReplicaStats RequestBatcher
@@ -77,7 +76,6 @@ FIELDS = {
     CalibrationConfig: "learning_rate",
     RetryPolicy: "max_attempts backoff_base_s backoff_max_s retry_budget seed",
     CircuitBreakerConfig: "failure_threshold cooldown_s",
-    AutoscalerConfig: "min_replicas max_replicas interval_s patience cooldown_ticks",
     FaultPlan: (
         "seed worker_crash_at crash_worker_index worker_stall_at "
         "stall_worker_index worker_stall_s session_error_at session_error_count "
@@ -92,7 +90,7 @@ SIGNATURES = {
     ),
     ServingQueue.__init__: (
         "self pool max_wait_ms max_batch_size max_queue_depth start "
-        "autoscale replace_dead_replicas retry breaker"
+        "replace_dead_replicas retry breaker"
     ),
     calibrate_primitive_luts: (
         "recorder registry operators num_entries config input_scaling"

@@ -1,16 +1,17 @@
 """Seedable trace-replay load generation for the serving tests.
 
 Lives in ``tests/api/`` beside its callers (``test_scheduling.py``,
-``test_chaos.py``, ``test_server.py``).  Steady-Poisson traffic answers
-"how much does coalescing help on average"; it cannot answer the
-scheduling questions — how the shared ready queue and the autoscaler
-behave when traffic is *not* steady.  This module generates reproducible request traces
-with the three shapes real serving traffic has:
+``test_chaos.py``, ``test_server.py``, ``test_replay.py``).
+Steady-Poisson traffic answers "how much does coalescing help on
+average"; it cannot answer the scheduling questions — how the shared
+ready queue, retries and breakers behave when traffic is *not* steady.
+This module generates reproducible request traces with the three shapes
+real serving traffic has:
 
 * **bursty arrivals** — short windows where the arrival rate multiplies,
   the regime where scheduling decides the p99;
-* **a diurnal ramp** — a slow sinusoidal swell across the trace, the shape
-  autoscaling exists for;
+* **a diurnal ramp** — a slow sinusoidal swell across the trace, the
+  shape a fixed fleet must be sized for;
 * **heavy-tailed lengths** — Pareto-distributed request sizes, so a few
   expensive requests ride among many cheap ones and per-token cost (not
   request count) is what loads a replica.
@@ -23,7 +24,9 @@ can replay the identical workload against the per-call oracle.
 :func:`replay` plays a trace against anything with the ``ServingQueue``
 ``submit`` surface in (scaled) real time, optionally firing scheduled
 *actions* mid-run (retire a replica, hot-add one) to exercise live
-membership under load, and returns per-request outcomes.
+membership under load, and returns per-request outcomes;
+``replay.run`` (``tests/api/replay.py``) plays one against the pure
+scheduling core on a virtual clock instead.
 :func:`burst_digest` then splits the latency distribution into
 inside-burst vs outside-burst percentiles — the "p99 under burst" number.
 :func:`wait_for_inflight` blocks until a queue has a batch inside a
