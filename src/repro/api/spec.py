@@ -38,10 +38,11 @@ from ..core.approximators import (
     LutGelu,
     LutLayerNorm,
     LutSoftmax,
+    ScalarApproximator,
 )
 from ..core.functions import get_training_range
 from ..core.lut import LookupTable
-from ..core.quantization import quantize_lut_fp16, quantize_lut_int32
+from ..core.quantization import Fp16LookupTable, Int32LookupTable
 from ..core.registry import LutRegistry, default_registry
 from ..core.scaling import InputScaler
 from ..transformer.nonlinear_backend import ALL_OPS, NonlinearBackend, _validate_replace
@@ -336,15 +337,15 @@ class BackendSpec:
 # Spec -> backend factory
 # --------------------------------------------------------------------------- #
 def _table_in_precision(
-    lut: Callable, precision: str, primitive: str
-) -> Callable:
+    lut: LookupTable, precision: str, primitive: str
+) -> ScalarApproximator:
     """Wrap a float LUT in the requested table/datapath precision."""
     if precision == "fp32":
         return lut
     if precision == "fp16":
-        return quantize_lut_fp16(lut)
+        return Fp16LookupTable(lut)
     if precision == "int32":
-        return quantize_lut_int32(lut, input_range=get_training_range(primitive))
+        return Int32LookupTable(lut, input_range=get_training_range(primitive))
     raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
 
 
@@ -353,7 +354,7 @@ def _primitive_table(
     operator_spec: OperatorSpec,
     registry: LutRegistry,
     lut_overrides: Mapping[str, LookupTable],
-) -> Callable:
+) -> ScalarApproximator:
     """The (precision-wrapped) scalar table one operator needs."""
     lut = lut_overrides.get(primitive)
     if lut is None:

@@ -23,7 +23,6 @@ from .ibert import (
     i_sqrt,
     int_erf,
     int_exp,
-    int_gelu,
     int_poly,
     integer_sqrt,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "int_poly",
     "int_erf",
     "int_exp",
-    "int_gelu",
     "integer_sqrt",
     "IBertGelu",
     "IBertSoftmax",

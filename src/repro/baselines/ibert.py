@@ -172,15 +172,6 @@ def int_erf(q: np.ndarray, scale: float) -> Tuple[np.ndarray, float]:
     return np.sign(q) * q_poly, out_scale
 
 
-def int_gelu(q: np.ndarray, scale: float) -> Tuple[np.ndarray, float]:
-    """Integer GELU: ``q/2 * (1 + i_erf(q / sqrt(2)))`` in integer arithmetic."""
-    q = np.asarray(q, dtype=np.int64)
-    q_erf, erf_scale = int_erf(q, scale / np.sqrt(2.0))
-    q_one = int(np.floor(1.0 / erf_scale))
-    q_out = q * (q_erf + q_one)
-    return q_out, scale * erf_scale / 2.0
-
-
 def int_exp(q: np.ndarray, scale: float) -> Tuple[np.ndarray, float]:
     """Integer exp for non-positive inputs with right-shift range reduction."""
     q = np.asarray(q, dtype=np.int64)

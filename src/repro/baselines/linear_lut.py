@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from ..core.functions import get_target_function, get_training_range
-from ..core.lut import LookupTable, UniformLookupTable
+from ..core.lut import LookupTable
 from .polyfit import build_lut_from_breakpoints, linear_breakpoints
 
 __all__ = ["fit_linear_lut", "linear_lut_for"]
@@ -30,18 +30,17 @@ def fit_linear_lut(
 ) -> LookupTable:
     """Construct a Linear-mode LUT for an arbitrary scalar function.
 
-    The returned table is a :class:`UniformLookupTable`: the equally-spaced
-    grid that constrains the baseline's accuracy is also what lets its
-    segment index be computed in O(1) (``floor((x - lo) / step)``) instead of
-    a binary search.
+    The returned table is a plain :class:`LookupTable` tagged
+    ``mode="linear"``.  The equally-spaced grid that constrains the
+    baseline's accuracy always admits the table's bucketed O(1) segment
+    search, so its index never takes a binary search, and as a plain table
+    it runs on the compiled kernels like any NN-LUT table.
     """
     breakpoints = linear_breakpoints(input_range, num_entries)
     lut = build_lut_from_breakpoints(
         function, breakpoints, input_range, method=method, name=name
     )
-    return UniformLookupTable.from_table(lut).with_metadata(
-        mode="linear", num_entries=num_entries
-    )
+    return lut.with_metadata(mode="linear", num_entries=num_entries)
 
 
 def linear_lut_for(

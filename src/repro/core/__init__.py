@@ -15,7 +15,6 @@ Workflow (mirrors Figure 1 of the paper):
 from .approximators import (
     ExactGelu,
     ExactLayerNorm,
-    ExactScalar,
     ExactSoftmax,
     LutGelu,
     LutLayerNorm,
@@ -39,14 +38,9 @@ from .functions import (
 from .initialization import INIT_SPECS, InitSpec, get_init_spec, initialize_network
 from .lut import LookupTable
 from .network import NetworkParameters, OneHiddenReluNet
-from .quantization import (
-    Fp16LookupTable,
-    Int32LookupTable,
-    quantize_lut_fp16,
-    quantize_lut_int32,
-)
+from .quantization import Fp16LookupTable, Int32LookupTable
 from .registry import FittedPrimitive, LutRegistry, default_registry, fit_lut
-from .scaling import InputScaler, ScaledRsqrt
+from .scaling import InputScaler
 from .training import AdamOptimizer, TrainingConfig, TrainingResult, fit_network
 
 __all__ = [
@@ -80,12 +74,8 @@ __all__ = [
     "lut_matches_network",
     "Fp16LookupTable",
     "Int32LookupTable",
-    "quantize_lut_fp16",
-    "quantize_lut_int32",
     # composites & refinements
     "InputScaler",
-    "ScaledRsqrt",
-    "ExactScalar",
     "LutGelu",
     "LutSoftmax",
     "LutLayerNorm",

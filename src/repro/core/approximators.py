@@ -10,35 +10,32 @@ exact linear reductions (sums, means), which a MAC array computes natively:
 * **LayerNorm** — exact mean/variance, a ``1/sqrt`` look-up on the variance
   (with the Sec.-3.3.2 input scaling), then a multiply per element.
 
-Each composite takes *any* scalar approximator with a ``__call__`` interface —
-a float LookupTable, an FP16/INT32 quantised table, a Linear-LUT baseline, an
-I-BERT integer kernel, or the exact reference — so the same classes drive the
-software-accuracy experiments for every method in the paper.
-
-Approximators additionally exposing the fused ``evaluate(x, out=...)`` kernel
-(see :mod:`repro.core.lut`) are driven through it: the composites preserve the
-input's floating dtype (float32 stays float32 end to end) and chain their
-intermediate buffers through :func:`repro.core.lut.evaluate_many` instead of
-allocating fresh temporaries at every step.  GELU and Softmax run their op
-order per L2-sized row block (:func:`_row_blocked`); LayerNorm does not — at
-the encoder's shapes it is L2-resident as it is, and blocking it measured
-slower (192x768: 0.32 -> 0.51 ms, 512x768: 0.95 -> 1.42 ms).
+Each composite reads its scalar tables through one contract, the fused
+``evaluate(x, out=None)`` of :mod:`repro.core.lut` — met by a float
+LookupTable (NN-LUT, Linear-LUT, Exponential-LUT) and by the FP16 / INT32
+tables of :mod:`repro.core.quantization` — so the same classes drive the
+software-accuracy experiments for every LUT method in the paper.  The
+composites preserve the input's floating dtype (float32 stays float32 end
+to end) and hand each step's buffer to the next instead of allocating fresh
+temporaries.  GELU and Softmax run their op order per L2-sized row block
+(:func:`_row_blocked`); LayerNorm does not — at the encoder's shapes it is
+L2-resident as it is, and blocking it measured slower (192x768: 0.32 ->
+0.51 ms, 512x768: 0.95 -> 1.42 ms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 from . import functions
-from .lut import _BLOCK_ELEMENTS, _NATIVE_DTYPES, evaluate_many
+from .lut import _BLOCK_ELEMENTS, _NATIVE_DTYPES, LookupTable
 from .scaling import InputScaler
 
 __all__ = [
     "ScalarApproximator",
-    "ExactScalar",
     "LutGelu",
     "LutSoftmax",
     "LutLayerNorm",
@@ -47,8 +44,15 @@ __all__ = [
     "ExactLayerNorm",
 ]
 
-#: Anything mapping an ndarray of scalars to an ndarray of the same shape.
-ScalarApproximator = Callable[[np.ndarray], np.ndarray]
+
+class ScalarApproximator(Protocol):
+    """A scalar table: the ``evaluate(x, out=None)`` every table meets.
+
+    The result has ``x``'s shape and floating dtype and is written into
+    ``out`` (which may alias ``x``) when one is given.
+    """
+
+    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray: ...
 
 
 def _as_float(x: np.ndarray) -> np.ndarray:
@@ -59,15 +63,17 @@ def _as_float(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class ExactScalar:
-    """Wrap an exact numpy function so it quacks like a LookupTable."""
+def _evaluate(
+    table: ScalarApproximator, x: np.ndarray, out: np.ndarray | None, counted: bool
+) -> np.ndarray:
+    """``table.evaluate(x, out)``, left out of ``lut_evaluation_stats`` unless ``counted``.
 
-    function: ScalarApproximator
-    name: str = "exact"
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.function(np.asarray(x, dtype=np.float64)))
+    A composite's row blocks after the first pass ``counted=False``, so the
+    counter stays one per table per composite call.
+    """
+    if counted or not isinstance(table, LookupTable):
+        return table.evaluate(x, out=out)
+    return table._evaluate(x, out)
 
 
 # --------------------------------------------------------------------------- #
@@ -77,7 +83,6 @@ def _row_blocked(
     body: Callable[[np.ndarray, np.ndarray | None, bool], np.ndarray],
     x: np.ndarray,
     axis: int,
-    *approximators: ScalarApproximator,
 ) -> np.ndarray:
     """Run a composite's ``body(x, out, counted)`` over L2-sized row blocks.
 
@@ -89,10 +94,9 @@ def _row_blocked(
     buffer, so every pass of ``body`` over a block hits L2.  Rows are never
     split: a per-row reduction sees exactly the row it sees unblocked.
     Anything else — strided, another axis, 1-D, at most one block's worth of
-    rows, an approximator without the fused ``evaluate(x, out=)`` (its result
-    need not land in ``out``) — is one block, ``body(x, None, True)``.
-    ``counted`` is true for the first block only, so the evaluation counters
-    stay one per composite call.
+    rows — is one block, ``body(x, None, True)``.  ``counted`` is true for
+    the first block only, so the evaluation counters stay one per composite
+    call.
     """
     cols = x.shape[-1] if x.ndim >= 2 else 0
     step = max(1, _BLOCK_ELEMENTS // cols) if cols else 0
@@ -101,7 +105,6 @@ def _row_blocked(
         and axis == -1
         and x.size > step * cols
         and x.flags.c_contiguous
-        and all(hasattr(approx, "evaluate") for approx in approximators)
     ):
         return body(x, None, True)
     result = np.empty_like(x)
@@ -128,17 +131,16 @@ def _gelu_forward(op: "LutGelu", x: np.ndarray, bias: np.ndarray | None = None) 
         if bias is not None:
             x += bias
         if op.clip_range is None:
-            (result,) = evaluate_many([(op.gelu_approx, x, out)], counted)
-            return result
+            return _evaluate(op.gelu_approx, x, out, counted)
         low, high = op.clip_range
         inside = np.clip(x, low, high, out=out)
-        (approx,) = evaluate_many([(op.gelu_approx, inside, inside)], counted)
+        approx = _evaluate(op.gelu_approx, inside, inside, counted)
         # Saturated tails: GELU(x) ~ x for large x and ~0 for very negative x.
         np.copyto(approx, x, where=x > high, casting="same_kind")
         approx[x < low] = 0.0
         return approx
 
-    return _row_blocked(block, x, -1, op.gelu_approx)
+    return _row_blocked(block, x, -1)
 
 
 @dataclass
@@ -181,20 +183,14 @@ def _softmax_forward(op: "LutSoftmax", x: np.ndarray, axis: int) -> np.ndarray:
     def block(x: np.ndarray, out: np.ndarray | None, counted: bool) -> np.ndarray:
         shifted = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
         np.clip(shifted, op.exp_clip, 0.0, out=shifted)
-        # exp -> row sum -> reciprocal as one fused chain: the exp look-up
-        # lands back in the ``shifted`` buffer and the reciprocal look-up in
-        # the row-sum buffer.
-        exps, inv = evaluate_many(
-            [
-                (op.exp_approx, shifted, shifted),
-                (op.reciprocal_approx, lambda done: op._denominator(done[0], axis), None),
-            ],
-            counted,
-        )
+        # exp -> row sum -> reciprocal: the exp look-up lands back in the
+        # ``shifted`` buffer.
+        exps = _evaluate(op.exp_approx, shifted, shifted, counted)
+        inv = _evaluate(op.reciprocal_approx, op._denominator(exps, axis), None, counted)
         np.maximum(inv, 0.0, out=inv)
         return np.multiply(exps, inv, out=exps)
 
-    return _row_blocked(block, x, axis, op.exp_approx, op.reciprocal_approx)
+    return _row_blocked(block, x, axis)
 
 
 @dataclass
@@ -298,8 +294,7 @@ class LutLayerNorm:
         if self.clip_max is not None:
             np.minimum(variance, self.clip_max, out=variance)
         if self.scaler is None:
-            (inv,) = evaluate_many([(self.rsqrt_approx, variance, variance)])
-            return inv
+            return self.rsqrt_approx.evaluate(variance, out=variance)
         return self.scaler.apply(variance, self.rsqrt_approx)
 
     def __call__(

@@ -93,8 +93,7 @@ stays with ``np.sum``, the reciprocal table goes through the same core) run
 on it.  The core has an AVX-512 and an AVX2 form, fixed at compile time
 (:func:`kernel_info` reports ``lut_tier``); larger tables, float64 and
 builds without AVX2 run scalar loops with the same compare-and-count segment
-search, and precision-simulating table subclasses stay on the numpy
-reference.
+search, and the FP16 / INT32 tables stay on the numpy reference.
 
 Parity contract
 ---------------
@@ -146,7 +145,7 @@ from .approximators import (
     _layernorm_forward,
     _softmax_forward,
 )
-from .lut import LookupTable, UniformLookupTable, _counted_contiguous, evaluate_many
+from .lut import LookupTable, _counted_contiguous
 from .quantization import compute_scale
 
 __all__ = [
@@ -178,13 +177,11 @@ _NONFINITE_MSG = "cannot quantize non-finite values (input contains NaN or infin
 
 
 def _fusible_table(table: object) -> bool:
-    """True for plain float piecewise-linear tables the C kernels understand.
+    """True for the float piecewise-linear tables the C kernels understand.
 
-    Precision-simulating subclasses (FP16/INT32 tables) re-quantise inside
-    ``evaluate`` and are excluded on purpose — ``type`` check, not
-    ``isinstance``.
+    The FP16 / INT32 tables re-quantise inside ``evaluate`` and stay on it.
     """
-    return type(table) in (LookupTable, UniformLookupTable)
+    return type(table) is LookupTable
 
 
 def _c_ready(x: np.ndarray) -> bool:
@@ -934,10 +931,7 @@ class NativeKernel(ComputeKernel):
         # with np.sum because its pairwise order is the parity contract.
         denom = np.sum(exps, axis=-1, keepdims=True)
         np.maximum(denom, 1e-12, out=denom)
-        if _fusible_table(op.reciprocal_approx):
-            inv = self.lut_eval(op.reciprocal_approx, denom, out=denom)
-        else:
-            (inv,) = evaluate_many([(op.reciprocal_approx, denom, None)])
+        inv = self.lut_eval(op.reciprocal_approx, denom, out=denom)
         np.maximum(inv, 0.0, out=inv)
         return np.multiply(exps, inv, out=exps)
 

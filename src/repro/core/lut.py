@@ -15,32 +15,33 @@ Two evaluation entry points are exposed:
 * ``__call__`` — the reference semantics: the input is converted to float64
   once and a float64 result is returned (what the accuracy experiments use).
 * ``evaluate(x, out=None)`` — the fused inference kernel: a single dtype
-  check, one ``searchsorted``, and the multiply-add written into a
+  check, one segment search, and the multiply-add written into a
   preallocated output buffer.  float32 inputs stay float32 end to end (the
   table parameters are cast per dtype once and cached), which is what the
-  vectorized inference engine runs on.  The kernel is a dozen numpy passes;
-  a large tensor takes them block by block (``_BLOCK_ELEMENTS``) through
-  one per-call scratch set, so the passes meet in L2 instead of each
-  streaming a fresh tensor-sized temporary through memory.  The op order
-  per element is the same whatever the blocking, and so are the bits.
+  vectorized inference engine runs on.  The segment search is O(1) per
+  element through a bucket table (:meth:`LookupTable._build_buckets`; an
+  equally-spaced grid like the Linear-LUT baseline's always admits one),
+  with ``searchsorted`` as the fallback for a geometry that does not.  The
+  kernel is a dozen numpy passes; a large tensor takes them block by block
+  (``_BLOCK_ELEMENTS``) through one per-call scratch set, so the passes
+  meet in L2 instead of each streaming a fresh tensor-sized temporary
+  through memory.  The op order per element is the same whatever the
+  blocking, and so are the bits.
 
-:class:`UniformLookupTable` specialises the segment search for equally-spaced
-breakpoints (the Linear-mode baseline): the index is computed in O(1) as
-``floor((x - lo) / step) + 1`` instead of a binary search, with an exact
-fix-up so it matches ``searchsorted(..., side="right")`` bit for bit.
+``evaluate(x, out=None)`` is the one contract every scalar table meets: the
+FP16 / INT32 tables of :mod:`repro.core.quantization` expose it too, and the
+composites in :mod:`repro.core.approximators` read every table through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 __all__ = [
     "LookupTable",
-    "UniformLookupTable",
-    "evaluate_many",
     "lut_evaluation_stats",
     "reset_lut_evaluation_stats",
 ]
@@ -460,84 +461,3 @@ class LookupTable:
     def mean_l1_error(self, function, input_range, num_points: int = 10_000) -> float:
         """Mean absolute error against ``function`` on a dense grid."""
         return float(np.mean(self._errors_on_grid(function, input_range, num_points)))
-
-
-@dataclass
-class UniformLookupTable(LookupTable):
-    """LookupTable with equally-spaced breakpoints and O(1) segment indexing.
-
-    The Linear-mode baseline fixes its breakpoints on an equally-spaced grid,
-    which is exactly the hardware constraint that makes its index computation
-    a shift-and-compare instead of a comparator tree.  An equally-spaced grid
-    always admits the bucketed O(1) segment search of the base class
-    (``floor((x - lo) / bucket_width)`` plus one compare — never a binary
-    search), so this subclass only has to *validate* the grid; evaluation is
-    inherited.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.breakpoints.size < 1:
-            raise ValueError("UniformLookupTable needs at least one breakpoint")
-        steps = np.diff(self.breakpoints)
-        if self.breakpoints.size > 1:
-            step = float(steps[0])
-            if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
-                raise ValueError(
-                    "UniformLookupTable requires equally-spaced breakpoints; "
-                    "use LookupTable for arbitrary grids"
-                )
-
-    @classmethod
-    def from_table(cls, lut: LookupTable) -> "UniformLookupTable":
-        """Re-type an existing equally-spaced table for O(1) indexing."""
-        return cls(
-            breakpoints=lut.breakpoints,
-            slopes=lut.slopes,
-            intercepts=lut.intercepts,
-            name=lut.name,
-            metadata=dict(lut.metadata),
-        )
-
-
-def evaluate_many(
-    steps: Sequence[
-        Tuple[
-            Callable[[np.ndarray], np.ndarray],
-            np.ndarray | Callable[[List[np.ndarray]], np.ndarray],
-            np.ndarray | None,
-        ]
-    ],
-    counted: bool = True,
-) -> List[np.ndarray]:
-    """Evaluate a chain of scalar primitives with explicit buffer reuse.
-
-    Each step is ``(approximator, input, out)``.  ``input`` may be an array or
-    a callable receiving the list of previous results (how the Softmax chain
-    feeds the row-sum of the ``exp`` step into the ``reciprocal`` step).
-    ``out`` may alias the step's input buffer; approximators exposing the
-    fused ``evaluate(x, out=...)`` kernel write into it directly, while plain
-    callables (exact references, I-BERT kernels) fall back to ``copyto``.
-
-    ``counted=False`` is for the second and later row blocks of one
-    composite call: tables are then evaluated without bumping
-    :func:`lut_evaluation_stats`.
-
-    Returns the list of step outputs in order.
-    """
-    results: List[np.ndarray] = []
-    for approx, x, out in steps:
-        if callable(x) and not isinstance(x, np.ndarray):
-            x = x(results)
-        evaluate = getattr(approx, "evaluate", None)
-        if not counted:
-            evaluate = getattr(approx, "_evaluate", evaluate)
-        if evaluate is not None:
-            results.append(evaluate(x, out=out))
-            continue
-        value = np.asarray(approx(x))
-        if out is not None and out.shape == value.shape and out.dtype == value.dtype:
-            np.copyto(out, value)
-            value = out
-        results.append(value)
-    return results

@@ -11,11 +11,12 @@ datapath:
   to integers, and the per-element evaluation ``s*x + t`` is carried out in
   integer arithmetic with the scale factors tracked on the side.
 
-All three variants expose the same ``__call__(x)`` / ``evaluate(x, out=)``
-interface as :class:`~repro.core.lut.LookupTable`, so they are drop-in
-interchangeable in the approximators and the Transformer backends.  Both
-entry points preserve the input's floating dtype (non-float input promotes
-to float64), so the fp32 engine never silently upcasts through a table call.
+All three variants meet the same ``evaluate(x, out=None)`` contract as
+:class:`~repro.core.lut.LookupTable` (and keep a ``__call__(x)``), so they
+are drop-in interchangeable in the approximators and the Transformer
+backends.  Both entry points preserve the input's floating dtype (non-float
+input promotes to float64), so the fp32 engine never silently upcasts
+through a table call.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .lut import _NATIVE_DTYPES, _validate_out
 
 __all__ = [
     "compute_scale",
-    "quantize_lut_fp16",
     "Fp16LookupTable",
     "Int32LookupTable",
-    "quantize_lut_int32",
 ]
 
 
@@ -58,11 +57,6 @@ def compute_scale(values: np.ndarray, num_bits: int = 8) -> float:
     if max_abs == 0.0:
         return 1.0
     return max_abs / float(2 ** (num_bits - 1) - 1)
-
-
-def quantize_lut_fp16(lut: LookupTable) -> "Fp16LookupTable":
-    """Cast a LUT's parameters to FP16 and evaluate in FP16."""
-    return Fp16LookupTable(lut)
 
 
 @dataclass
@@ -102,9 +96,8 @@ class Fp16LookupTable:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # Same dtype contract as ``evaluate``: the result carries the input's
-        # floating dtype (non-float input promotes to float64 once).  A
-        # forced float64 cast here would silently upcast the fp32 engine
-        # wherever a backend reaches the table through ``__call__``.
+        # floating dtype (non-float input promotes to float64 once), unlike
+        # ``LookupTable.__call__``, which always returns float64.
         return self.evaluate(x)
 
 
@@ -116,25 +109,18 @@ class Int32LookupTable:
     to be pre-scaled: callers pass floating-point ``x`` and the table
     internally quantises it with its own input scale (derived from the
     training range), performs the comparison and multiply-add on integers, and
-    dequantises the result.  ``input_scale`` may also be provided explicitly
-    to emulate a fixed upstream scale factor.
+    dequantises the result.
     """
 
     source: LookupTable
     input_range: Tuple[float, float]
     num_bits: int = 32
-    input_scale: float | None = None
 
     def __post_init__(self) -> None:
         low, high = float(self.input_range[0]), float(self.input_range[1])
         if not high > low:
             raise ValueError(f"input_range must satisfy high > low, got {self.input_range}")
-        span = np.array([low, high])
-        self._input_scale = (
-            float(self.input_scale)
-            if self.input_scale is not None
-            else compute_scale(span, num_bits=self.num_bits)
-        )
+        self._input_scale = compute_scale(np.array([low, high]), num_bits=self.num_bits)
         self._breakpoint_scale = self._input_scale
         self._slope_scale = compute_scale(self.source.slopes, num_bits=self.num_bits)
         # Intercepts share the output scale slope_scale * input_scale so the
@@ -178,18 +164,5 @@ class Int32LookupTable:
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # See Fp16LookupTable.__call__: delegate preserving the floating
-        # dtype instead of force-casting through float64.
+        # See Fp16LookupTable.__call__: the input's floating dtype is kept.
         return self.evaluate(x)
-
-
-def quantize_lut_int32(
-    lut: LookupTable,
-    input_range: Tuple[float, float],
-    num_bits: int = 32,
-    input_scale: float | None = None,
-) -> Int32LookupTable:
-    """Convenience constructor for :class:`Int32LookupTable`."""
-    return Int32LookupTable(
-        source=lut, input_range=input_range, num_bits=num_bits, input_scale=input_scale
-    )

@@ -11,17 +11,21 @@ together with the shallow tail up to 1024.  The paper's fix:
    (a constant multiply), since ``1/sqrt(x) = sqrt(S) * 1/sqrt(S * x)``.
 
 :class:`InputScaler` implements the dispatch; it is used by
-``repro.core.approximators.LutLayerNorm`` and can wrap any rsqrt-like table.
+``repro.core.approximators.LutLayerNorm`` and reads its rsqrt table through
+the fused ``evaluate(x, out=None)`` every scalar table exposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["InputScaler", "ScaledRsqrt"]
+if TYPE_CHECKING:
+    from .approximators import ScalarApproximator
+
+__all__ = ["InputScaler"]
 
 
 @dataclass(frozen=True)
@@ -55,43 +59,23 @@ class InputScaler:
         """Output correction factor ``sqrt(S)``."""
         return float(np.sqrt(self.scale))
 
-    def apply(
-        self, x: np.ndarray, rsqrt_approx: Callable[[np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """Evaluate ``1/sqrt(x)`` through ``rsqrt_approx`` with scaling.
+    def apply(self, x: np.ndarray, rsqrt_approx: "ScalarApproximator") -> np.ndarray:
+        """Evaluate ``1/sqrt(x)`` through the table ``rsqrt_approx`` with scaling.
 
         Elements ``x < threshold`` are evaluated as
         ``sqrt(S) * rsqrt_approx(S * x)``; the rest go straight through.
 
-        The input's floating dtype is preserved, and approximators exposing
-        the fused ``evaluate(x, out=...)`` kernel reuse the scaled-input
-        buffer for their output.
+        The input's floating dtype is preserved (anything else is promoted
+        to float64), and the table's ``evaluate`` writes its output into the
+        scaled-input buffer.
         """
         x = np.asarray(x)
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
         small = x < self.threshold
         scaled_input = np.where(small, x * self.scale, x)
-        evaluate = getattr(rsqrt_approx, "evaluate", None)
-        if evaluate is not None:
-            # the scaled-input buffer is ours: fuse the output correction into
-            # it in place.
-            raw = evaluate(scaled_input, out=scaled_input)
-            np.multiply(raw, self.output_scale, out=raw, where=small)
-            return raw
-        # plain callables may return a buffer they own — don't mutate it.
-        raw = np.asarray(rsqrt_approx(scaled_input))
-        return np.where(small, raw * self.output_scale, raw)
-
-
-@dataclass
-class ScaledRsqrt:
-    """Callable wrapper bundling an rsqrt approximator with an InputScaler."""
-
-    rsqrt_approx: Callable[[np.ndarray], np.ndarray]
-    scaler: InputScaler | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.scaler is None:
-            return np.asarray(self.rsqrt_approx(np.asarray(x, dtype=np.float64)))
-        return self.scaler.apply(x, self.rsqrt_approx)
+        # the scaled-input buffer is ours: fuse the output correction into it
+        # in place.
+        raw = rsqrt_approx.evaluate(scaled_input, out=scaled_input)
+        np.multiply(raw, self.output_scale, out=raw, where=small)
+        return raw

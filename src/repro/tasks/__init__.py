@@ -3,8 +3,6 @@
 from .evaluation import (
     GlueBenchmark,
     SquadResult,
-    evaluate_backends_on_glue,
-    evaluate_glue_task,
     evaluate_squad,
 )
 from .finetune import (
@@ -58,8 +56,6 @@ __all__ = [
     "FinetunedRegressor",
     "FinetunedSpanModel",
     "GlueBenchmark",
-    "evaluate_glue_task",
-    "evaluate_backends_on_glue",
     "evaluate_squad",
     "SquadResult",
 ]

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence
 
-import numpy as np
-
 from ..api.spec import BackendSpec, as_backend
 from ..core.registry import LutRegistry
 from ..transformer.models import EncoderModel
@@ -32,8 +30,6 @@ from .squad import SquadData, generate_squad_task
 
 __all__ = [
     "GlueBenchmark",
-    "evaluate_glue_task",
-    "evaluate_backends_on_glue",
     "evaluate_squad",
     "SquadResult",
 ]
@@ -93,43 +89,6 @@ class GlueBenchmark:
         """Scores for every fitted task under ``backend``."""
         built = as_backend(backend, registry=registry)
         return {name: self.score(name, built) for name in self.tasks}
-
-
-def evaluate_glue_task(
-    model: EncoderModel,
-    task_name: str,
-    backends: Mapping[str, NonlinearBackend | BackendSpec],
-    seed: int = 0,
-    registry: LutRegistry | None = None,
-) -> Dict[str, float]:
-    """Convenience: one task, several backends → {backend name: score}."""
-    benchmark = GlueBenchmark.build(model, task_names=[task_name], seed=seed)
-    return {
-        name: benchmark.score(task_name, backend, registry=registry)
-        for name, backend in backends.items()
-    }
-
-
-def evaluate_backends_on_glue(
-    model: EncoderModel,
-    backends: Mapping[str, NonlinearBackend | BackendSpec],
-    task_names: Sequence[str] | None = None,
-    seed: int = 0,
-    spec_overrides: Mapping[str, object] | None = None,
-    registry: LutRegistry | None = None,
-) -> Dict[str, Dict[str, float]]:
-    """Full Table-2 style sweep: {backend name: {task name: score}}.
-
-    The baseline (exact) backend is always included under the key
-    ``"Baseline"`` so downstream reports can compute deltas.
-    """
-    benchmark = GlueBenchmark.build(
-        model, task_names=task_names, seed=seed, spec_overrides=spec_overrides
-    )
-    results: Dict[str, Dict[str, float]] = {"Baseline": benchmark.score_all()}
-    for name, backend in backends.items():
-        results[name] = benchmark.score_all(backend, registry=registry)
-    return results
 
 
 @dataclass

@@ -460,13 +460,16 @@ class TestComputeDtypeIsKept:
     while a ``tiny`` session serves ragged, padded batches through
     ``forward``.  This checks what actually flows —
     wherever the array was allocated — rather than which allocator was
-    called.
+    called — at every table precision: the FP16 / INT32 tables compute in
+    their own formats inside ``evaluate`` and must hand back the compute
+    dtype all the same.
     """
 
+    @pytest.mark.parametrize("precision", ["fp32", "fp16", "int32"])
     @pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
     @pytest.mark.parametrize("kernel", ["numpy", "native"])
     def test_every_kernel_operand_and_result_is_in_the_compute_dtype(
-        self, kernel, compute_dtype, ragged_requests, fast_registry, monkeypatch
+        self, kernel, compute_dtype, precision, ragged_requests, fast_registry, monkeypatch
     ):
         if kernel == "native" and not native_available():
             pytest.skip("native kernel unavailable on this machine")
@@ -475,7 +478,7 @@ class TestComputeDtypeIsKept:
                 model_family="tiny", compute_dtype=compute_dtype, kernel=kernel,
                 max_batch_size=3, bucket_size=4,
             ),
-            spec=BackendSpec.nn_lut(),
+            spec=BackendSpec.nn_lut(precision=precision),
             registry=fast_registry,
         )
         seen = []

@@ -8,8 +8,11 @@ import dataclasses
 import inspect
 
 import repro.api
+import repro.baselines
+import repro.core
 import repro.core.kernels
 import repro.quant
+import repro.tasks
 import repro.transformer
 from repro.api import (
     BackendSpec,
@@ -54,6 +57,36 @@ reset_kernel_fallback_warning resolve_kernel
 """
 
 QUANT = "QuantizedTensor quantize"
+
+CORE = """
+AdamOptimizer CalibrationConfig ExactGelu ExactLayerNorm ExactSoftmax
+FittedPrimitive Fp16LookupTable INIT_SPECS InitSpec InputScaler
+Int32LookupTable LookupTable LutGelu LutLayerNorm LutRegistry LutSoftmax
+NetworkParameters OneHiddenReluNet TARGET_FUNCTIONS TRAINING_RANGES
+TrainingConfig TrainingResult calibrate_lut calibrate_network
+default_registry erf exp fit_lut fit_network gelu get_init_spec
+get_target_function get_training_range initialize_network layer_norm
+lut_matches_network network_to_lut network_to_lut_eq7 reciprocal rsqrt
+softmax
+"""
+
+BASELINES = """
+ERF_COEFFICIENTS EXP_COEFFICIENTS IBertGelu IBertLayerNorm IBertSoftmax
+build_lut_from_breakpoints exponential_breakpoints exponential_lut_for
+fit_exponential_lut fit_linear_lut fit_segments_interpolation
+fit_segments_least_squares i_erf i_exp i_gelu i_layernorm i_softmax i_sqrt
+int_erf int_exp int_poly integer_sqrt linear_breakpoints linear_lut_for
+"""
+
+TASKS = """
+FinetunedClassifier FinetunedRegressor FinetunedSpanModel GLUE_TASKS
+GlueBenchmark GlueTaskSpec METRIC_FUNCTIONS SquadData SquadResult
+SquadTaskSpec TaskData accuracy compute_metric evaluate_squad
+extract_pooled_features extract_token_features f1_binary
+finetune_classification_task finetune_regression_task finetune_span_task
+generate_squad_task generate_task list_glue_tasks matthews_correlation
+pearson_correlation span_exact_match span_f1 spearman_correlation
+"""
 
 FIELDS = {
     BackendSpec: "gelu softmax layernorm input_scaling name",
@@ -104,6 +137,9 @@ def test_exported_names():
         (repro.transformer, TRANSFORMER),
         (repro.core.kernels, KERNELS),
         (repro.quant, QUANT),
+        (repro.core, CORE),
+        (repro.baselines, BASELINES),
+        (repro.tasks, TASKS),
     ):
         assert sorted(module.__all__) == sorted(names.split()), module.__name__
 

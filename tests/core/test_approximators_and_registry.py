@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import ExactTable
 from repro.core import functions
 from repro.core.approximators import (
     ExactGelu,
     ExactLayerNorm,
-    ExactScalar,
     ExactSoftmax,
     LutGelu,
     LutLayerNorm,
@@ -64,7 +64,7 @@ class TestLutSoftmax:
         np.testing.assert_allclose(op(logits, axis=0).sum(axis=0), 1.0, atol=0.15)
 
     def test_works_with_exact_scalars(self):
-        op = LutSoftmax(ExactScalar(functions.exp), ExactScalar(functions.reciprocal))
+        op = LutSoftmax(ExactTable(functions.exp), ExactTable(functions.reciprocal))
         logits = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_allclose(op(logits), functions.softmax(logits), rtol=1e-10)
 

@@ -13,20 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.exponential_lut import exponential_lut_for
 from repro.baselines.linear_lut import linear_lut_for
 from repro.core import approximators, functions
 from repro.core.approximators import LutGelu, LutSoftmax
-from repro.core.kernels import NUMPY_KERNEL
+from repro.core.kernels import NUMPY_KERNEL, _fusible_table
 from repro.core.lut import (
     _BLOCK_ELEMENTS,
     LookupTable,
-    UniformLookupTable,
-    evaluate_many,
     lut_evaluation_stats,
     reset_lut_evaluation_stats,
 )
-from repro.core.quantization import quantize_lut_fp16, quantize_lut_int32
+from repro.core.quantization import Fp16LookupTable, Int32LookupTable
 
 
 def seed_lut_call(lut, x):
@@ -155,12 +152,12 @@ class TestPrecisionVariants:
 
     @pytest.mark.parametrize("x", EDGE_INPUTS, ids=["empty", "scalar", "one", "large"])
     def test_fp16_bit_compatible(self, rng, x):
-        lut16 = quantize_lut_fp16(random_table(rng))
+        lut16 = Fp16LookupTable(random_table(rng))
         assert np.array_equal(lut16(x), seed_fp16_call(lut16, x))
 
     @pytest.mark.parametrize("x", EDGE_INPUTS, ids=["empty", "scalar", "one", "large"])
     def test_int32_bit_compatible(self, rng, x):
-        lut_q = quantize_lut_int32(random_table(rng), input_range=(-5, 5))
+        lut_q = Int32LookupTable(random_table(rng), input_range=(-5, 5))
         assert np.array_equal(lut_q(x), seed_int32_call(lut_q, x))
 
     def test_call_preserves_floating_dtype(self, rng, fitted_gelu):
@@ -168,8 +165,8 @@ class TestPrecisionVariants:
         # silently upcast wherever a backend reached a reduced-precision
         # table via __call__ instead of evaluate().
         x32 = rng.uniform(-4, 4, size=128).astype(np.float32)
-        lut16 = quantize_lut_fp16(fitted_gelu.lut)
-        lut_q = quantize_lut_int32(fitted_gelu.lut, input_range=(-5, 5))
+        lut16 = Fp16LookupTable(fitted_gelu.lut)
+        lut_q = Int32LookupTable(fitted_gelu.lut, input_range=(-5, 5))
         for variant in (lut16, lut_q):
             called = variant(x32)
             assert called.dtype == np.float32
@@ -180,8 +177,8 @@ class TestPrecisionVariants:
 
     def test_fp16_int32_float32_inputs(self, rng, fitted_gelu):
         x = rng.uniform(-5, 5, 5000)
-        lut16 = quantize_lut_fp16(fitted_gelu.lut)
-        lut_q = quantize_lut_int32(fitted_gelu.lut, input_range=(-5, 5))
+        lut16 = Fp16LookupTable(fitted_gelu.lut)
+        lut_q = Int32LookupTable(fitted_gelu.lut, input_range=(-5, 5))
         for variant, seed_fn, tol in (
             (lut16, seed_fp16_call, 1e-2),  # fp16 resolution
             (lut_q, seed_int32_call, 1e-5),  # float32 activation rounding
@@ -191,18 +188,17 @@ class TestPrecisionVariants:
             assert np.max(np.abs(fused32 - seed_fn(variant, x))) < tol
 
 
-class TestUniformLookupTable:
-    def test_linear_baseline_is_uniform(self):
+class TestLinearLutTable:
+    def test_linear_baseline_is_a_plain_table_on_the_c_core(self):
         lut = linear_lut_for("gelu", num_entries=16)
-        assert isinstance(lut, UniformLookupTable)
+        assert type(lut) is LookupTable
         assert lut.metadata["mode"] == "linear"
-
-    def test_exponential_baseline_is_not(self):
-        lut = exponential_lut_for("gelu", num_entries=16)
-        assert not isinstance(lut, UniformLookupTable)
+        assert _fusible_table(lut)
 
     def test_o1_index_matches_searchsorted_including_breakpoints(self, rng):
         lut = linear_lut_for("reciprocal", num_entries=16)
+        # the equally-spaced grid admits the bucketed search: no binary search
+        assert lut._bucket_tables(np.dtype(np.float64)) is not None
         x = np.concatenate(
             [
                 rng.uniform(0.5, 1100, 50_000),
@@ -215,19 +211,6 @@ class TestUniformLookupTable:
             lut.segment_index(x), np.searchsorted(lut.breakpoints, x, side="right")
         )
         assert np.array_equal(lut(x), seed_lut_call(lut, x))
-
-    def test_rejects_non_uniform_grid(self):
-        with pytest.raises(ValueError, match="equally-spaced"):
-            UniformLookupTable(
-                breakpoints=[0.0, 1.0, 3.0],
-                slopes=[1.0] * 4,
-                intercepts=[0.0] * 4,
-            )
-
-    def test_copy_preserves_type(self):
-        lut = linear_lut_for("gelu", num_entries=8)
-        assert isinstance(lut.copy(), UniformLookupTable)
-        assert isinstance(lut.with_metadata(tag=1), UniformLookupTable)
 
 
 class TestBucketedSearchRobustness:
@@ -252,21 +235,12 @@ class TestBucketedSearchRobustness:
         assert not np.array_equal(stale, refreshed)
         assert np.allclose(refreshed - stale, x32, atol=1e-4)
 
-    def test_input_scaler_promotes_float16_and_keeps_callables_pure(self, fitted_rsqrt):
+    def test_input_scaler_promotes_float16(self, fitted_rsqrt):
         from repro.core.scaling import InputScaler
 
-        scaler = InputScaler()
         x16 = np.array([0.5, 2.0, 100.0], dtype=np.float16)
-        result = scaler.apply(x16, fitted_rsqrt.lut)  # must not raise
+        result = InputScaler().apply(x16, fitted_rsqrt.lut)  # must not raise
         assert result.dtype == np.float64
-        # plain-callable results must not be mutated in place
-        cached = functions.rsqrt(np.array([0.25, 4.0]) * 1.0)
-
-        def reusing_approx(v):
-            return cached
-
-        scaler.apply(np.array([0.25, 4.0]), reusing_approx)
-        assert np.array_equal(cached, functions.rsqrt(np.array([0.25, 4.0])))
 
     def test_rebinding_parameters_invalidates_caches(self, rng):
         lut = random_table(rng)
@@ -402,9 +376,9 @@ class TestBlockedEvaluate:
         lut = random_table(rng)
         x = rng.uniform(-5, 5, size=_BLOCK_ELEMENTS + 3)
         if precision == "fp16":
-            variant, seed_fn = quantize_lut_fp16(lut), seed_fp16_call
+            variant, seed_fn = Fp16LookupTable(lut), seed_fp16_call
         else:
-            variant = quantize_lut_int32(lut, input_range=(-5, 5))
+            variant = Int32LookupTable(lut, input_range=(-5, 5))
             seed_fn = seed_int32_call
         assert np.array_equal(variant.evaluate(x), seed_fn(variant, x))
 
@@ -489,38 +463,28 @@ class TestRowBlockedComposites:
         strided = rng.uniform(-9, 9, size=(700, 200))[:, ::2]
         assert np.array_equal(gelu(strided), seed_gelu(gelu.gelu_approx, strided))
 
-    def test_plain_callable_approximator_is_one_block(self, rng):
-        # An approximator without the fused evaluate(x, out=) may return a
-        # buffer of its own (here float64 for float32 input): never blocked.
-        gelu = LutGelu(approximators.ExactScalar(functions.gelu))
-        x = rng.uniform(-9, 9, size=(700, 100)).astype(np.float32)
-        got = gelu(x)
-        assert got.dtype == np.float64
-        inside = np.clip(x, -5.0, 5.0)
-        want = np.where(x > 5.0, x, functions.gelu(inside.astype(np.float64)))
-        assert np.array_equal(got, np.where(x < -5.0, 0.0, want))
+    @pytest.mark.parametrize("precision", ["fp16", "int32"])
+    def test_precision_tables_are_row_blocked(self, ops, rng, monkeypatch, precision):
+        # FP16 / INT32 tables meet the same evaluate(x, out=) contract, so the
+        # composites block them too; their later blocks skip the counter.
+        def quantized(lut):
+            if precision == "fp16":
+                return Fp16LookupTable(lut)
+            return Int32LookupTable(lut, input_range=(-300.0, 1100.0))
 
-
-class TestEvaluateMany:
-    def test_chain_with_buffer_reuse(self, rng, fitted_exp, fitted_reciprocal):
-        x = rng.uniform(-10, 0, size=(4, 64)).astype(np.float32)
-        buf = x.copy()
-        exps, inv = evaluate_many(
-            [
-                (fitted_exp.lut, buf, buf),
-                (fitted_reciprocal.lut, lambda done: np.sum(done[0], axis=-1), None),
-            ]
+        gelu, softmax = ops
+        gelu = LutGelu(quantized(gelu.gelu_approx))
+        softmax = LutSoftmax(
+            quantized(softmax.exp_approx), quantized(softmax.reciprocal_approx)
         )
-        assert exps is buf
-        assert np.allclose(exps, fitted_exp.lut(x), atol=1e-5)
-        assert inv.shape == (4,)
-
-    def test_plain_callable_fallback(self, rng):
-        x = rng.normal(size=16)
-        out = np.empty_like(x)
-        (result,) = evaluate_many([(functions.gelu, x, out)])
-        assert result is out
-        assert np.array_equal(out, functions.gelu(x))
+        x = rng.normal(scale=3.0, size=(700, 100)).astype(np.float32)
+        for op in (gelu, softmax):
+            want, want_stats = self.single_block(monkeypatch, lambda: op(x))
+            reset_lut_evaluation_stats()
+            got = op(x)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
+            assert lut_evaluation_stats() == want_stats
 
 
 class TestErrorHelpersAndScales:
@@ -538,8 +502,8 @@ class TestErrorHelpersAndScales:
         # table from a poisoned scale.
         lut = random_table(rng)
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_lut_int32(lut, input_range=(-np.inf, 5.0))
+            Int32LookupTable(lut, input_range=(-np.inf, 5.0))
         broken = lut.copy()
         broken.slopes = np.where(np.arange(broken.slopes.size) == 3, np.nan, broken.slopes)
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_lut_int32(broken, input_range=(-5, 5))
+            Int32LookupTable(broken, input_range=(-5, 5))

@@ -27,7 +27,9 @@ from repro.api import (
     SessionPool,
     build_backend,
 )
+from repro.baselines.linear_lut import linear_lut_for
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
+from repro.core.functions import get_training_range
 from repro.core.kernels import (
     GEMM_TIER_NAMES,
     KERNEL_NAMES,
@@ -36,6 +38,7 @@ from repro.core.kernels import (
     NativeKernel,
     NumpyKernel,
     _PANEL_COLS,
+    _fusible_table,
     get_kernel,
     kernel_info,
     native_available,
@@ -45,6 +48,7 @@ from repro.core.kernels import (
     validate_kernel_name,
 )
 from repro.core.lut import LookupTable
+from repro.core.quantization import Fp16LookupTable, Int32LookupTable
 from repro.core.scaling import InputScaler
 from repro.transformer import tiny_test_config
 from repro.transformer.models import EncoderModel
@@ -417,6 +421,39 @@ class TestNativeOpParity:
             native.lut_softmax(op, x.copy(), -1),
             NUMPY_KERNEL.lut_softmax(op, x.copy(), -1),
         )
+
+    # The Linear-LUT baseline's plain tables run on the C core; the FP16 /
+    # INT32 tables stay on their own evaluate.  Either way: numpy's bits.
+    @pytest.mark.parametrize("kind", ["linear_lut", "fp16", "int32"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lut_ops_per_table_kind(self, native, fast_registry, rng_cls, dtype, kind):
+        def table(name):
+            if kind == "linear_lut":
+                return linear_lut_for(name, num_entries=16)
+            lut = fast_registry.lut(name, num_entries=16)
+            if kind == "fp16":
+                return Fp16LookupTable(lut)
+            return Int32LookupTable(lut, input_range=get_training_range(name))
+
+        gelu = LutGelu(table("gelu"))
+        softmax = LutSoftmax(table("exp"), table("reciprocal"))
+        assert _fusible_table(gelu.gelu_approx) == (kind == "linear_lut")
+        x = rng_cls.uniform(-8.0, 8.0, size=(9, 65)).astype(dtype)
+        bias = rng_cls.normal(size=65).astype(dtype)
+        for got, want in (
+            (native.lut_eval(gelu.gelu_approx, x), NUMPY_KERNEL.lut_eval(gelu.gelu_approx, x)),
+            (native.lut_gelu(gelu, x.copy()), NUMPY_KERNEL.lut_gelu(gelu, x.copy())),
+            (
+                native.lut_gelu_bias(gelu, x.copy(), bias),
+                NUMPY_KERNEL.lut_gelu_bias(gelu, x.copy(), bias),
+            ),
+            (
+                native.lut_softmax(softmax, x.copy(), -1),
+                NUMPY_KERNEL.lut_softmax(softmax, x.copy(), -1),
+            ),
+        ):
+            assert got.dtype == want.dtype == dtype
+            assert eq(got, want)
 
     def test_lut_layernorm(self, native, fast_registry, rng_cls):
         op = LutLayerNorm(

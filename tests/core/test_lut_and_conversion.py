@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core.conversion import lut_matches_network, network_to_lut, network_to_lut_eq7
 from repro.core.lut import (
     LookupTable,
-    evaluate_many,
     lut_evaluation_stats,
     reset_lut_evaluation_stats,
 )
@@ -206,13 +205,6 @@ class TestNonContiguousEvaluate:
         assert got is out
         np.testing.assert_array_equal(out, lut.evaluate(base[::2].copy()))
         assert stats["contiguous_copies"] == 1
-
-    def test_evaluate_many_accepts_strided_inputs(self, lut):
-        base = np.linspace(-3.0, 3.0, 48)
-        reset_lut_evaluation_stats()
-        (got,) = evaluate_many([(lut, base[::3], None)])
-        np.testing.assert_array_equal(got, lut.evaluate(base[::3].copy()))
-        assert lut_evaluation_stats()["contiguous_copies"] == 1
 
     def test_reset_clears_counters(self, lut):
         lut.evaluate(np.linspace(-1.0, 1.0, 9)[::2])

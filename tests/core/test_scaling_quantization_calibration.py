@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ExactTable
 from repro.core import functions
 from repro.core.calibration import (
     CalibrationConfig,
@@ -13,13 +14,8 @@ from repro.core.calibration import (
     collect_activation_samples,
 )
 from repro.core.lut import LookupTable
-from repro.core.quantization import (
-    Fp16LookupTable,
-    Int32LookupTable,
-    quantize_lut_fp16,
-    quantize_lut_int32,
-)
-from repro.core.scaling import InputScaler, ScaledRsqrt
+from repro.core.quantization import Fp16LookupTable, Int32LookupTable
+from repro.core.scaling import InputScaler
 
 
 class TestInputScaler:
@@ -31,7 +27,9 @@ class TestInputScaler:
     def test_identity_for_exact_rsqrt(self):
         scaler = InputScaler()
         x = np.array([0.001, 0.5, 1.0, 10.0, 900.0])
-        np.testing.assert_allclose(scaler.apply(x, functions.rsqrt), functions.rsqrt(x), rtol=1e-12)
+        np.testing.assert_allclose(
+            scaler.apply(x, ExactTable(functions.rsqrt)), functions.rsqrt(x), rtol=1e-12
+        )
 
     def test_only_small_inputs_are_scaled(self):
         calls = []
@@ -41,15 +39,15 @@ class TestInputScaler:
             return functions.rsqrt(v)
 
         scaler = InputScaler(scale_bits=10, threshold=1.0)
-        scaler.apply(np.array([0.25, 4.0]), spy)
+        scaler.apply(np.array([0.25, 4.0]), ExactTable(spy))
         seen = calls[0]
         assert seen[0] == pytest.approx(256.0)  # 0.25 * 1024
         assert seen[1] == pytest.approx(4.0)
 
-    def test_scaled_rsqrt_wrapper(self, fitted_rsqrt):
-        wrapped = ScaledRsqrt(fitted_rsqrt.lut, scaler=InputScaler())
+    def test_scaled_rsqrt_through_a_fitted_table(self, fitted_rsqrt):
         x = np.array([0.01, 0.1, 2.0, 55.0])
-        rel = np.abs(wrapped(x) - functions.rsqrt(x)) / functions.rsqrt(x)
+        scaled = InputScaler().apply(x, fitted_rsqrt.lut)
+        rel = np.abs(scaled - functions.rsqrt(x)) / functions.rsqrt(x)
         assert np.all(rel < 0.2)
 
     def test_validation(self):
@@ -63,7 +61,7 @@ class TestInputScaler:
     def test_scaling_identity_property(self, x):
         """sqrt(S) * rsqrt(S*x) == rsqrt(x) for the exact function."""
         scaler = InputScaler(scale_bits=10)
-        out = scaler.apply(np.array([x]), functions.rsqrt)[0]
+        out = scaler.apply(np.array([x]), ExactTable(functions.rsqrt))[0]
         assert out == pytest.approx(functions.rsqrt(np.array([x]))[0], rel=1e-9)
 
 
@@ -79,15 +77,15 @@ class TestQuantizedLuts:
     def test_symmetric_scale(self):
         # I-BERT's scale, max|v| / (2^(b-1) - 1), for the input span and the
         # slopes; an all-zero tensor gets 1.0 so dequantisation is a no-op.
-        lut_q = quantize_lut_int32(self._reference_lut(), input_range=(-2, 1), num_bits=8)
+        lut_q = Int32LookupTable(self._reference_lut(), input_range=(-2, 1), num_bits=8)
         assert lut_q.scales == (2.0 / 127, 1.0 / 127, (2.0 / 127) * (1.0 / 127))
         flat = LookupTable(breakpoints=[0.0], slopes=[0.0, 0.0], intercepts=[1.0, 2.0])
-        assert quantize_lut_int32(flat, input_range=(-1, 1)).scales[1] == 1.0
+        assert Int32LookupTable(flat, input_range=(-1, 1)).scales[1] == 1.0
 
     @pytest.mark.parametrize("num_bits", [8, 16, 32])
     def test_int32_scales_follow_the_bit_width(self, fitted_gelu, num_bits):
         lut = fitted_gelu.lut
-        lut_q = quantize_lut_int32(lut, input_range=(-5, 4), num_bits=num_bits)
+        lut_q = Int32LookupTable(lut, input_range=(-5, 4), num_bits=num_bits)
         limit = float(2 ** (num_bits - 1) - 1)
         input_scale, slope_scale, output_scale = lut_q.scales
         assert input_scale == 5.0 / limit
@@ -95,32 +93,32 @@ class TestQuantizedLuts:
         assert output_scale == input_scale * slope_scale
 
     def test_fp16_close_to_fp32(self, fitted_gelu):
-        lut16 = quantize_lut_fp16(fitted_gelu.lut)
+        lut16 = Fp16LookupTable(fitted_gelu.lut)
         x = np.linspace(-5, 5, 400)
         assert np.max(np.abs(lut16(x) - fitted_gelu.lut(x))) < 0.02
         assert isinstance(lut16, Fp16LookupTable)
         assert lut16.metadata["precision"] == "fp16"
 
     def test_int32_close_to_fp32(self, fitted_gelu):
-        lut_q = quantize_lut_int32(fitted_gelu.lut, input_range=(-5, 5))
+        lut_q = Int32LookupTable(fitted_gelu.lut, input_range=(-5, 5))
         x = np.linspace(-5, 5, 400)
         assert np.max(np.abs(lut_q(x) - fitted_gelu.lut(x))) < 1e-3
         assert isinstance(lut_q, Int32LookupTable)
         assert lut_q.num_entries == fitted_gelu.lut.num_entries
 
     def test_int32_scales_exposed(self):
-        lut_q = quantize_lut_int32(self._reference_lut(), input_range=(-2, 2))
+        lut_q = Int32LookupTable(self._reference_lut(), input_range=(-2, 2))
         input_scale, slope_scale, output_scale = lut_q.scales
         assert output_scale == pytest.approx(input_scale * slope_scale)
 
     def test_int32_invalid_range(self):
         with pytest.raises(ValueError, match="input_range"):
-            quantize_lut_int32(self._reference_lut(), input_range=(2, 2))
+            Int32LookupTable(self._reference_lut(), input_range=(2, 2))
 
     def test_int32_low_bitwidth_degrades(self):
         lut = self._reference_lut()
-        coarse = quantize_lut_int32(lut, input_range=(-2, 2), num_bits=4)
-        fine = quantize_lut_int32(lut, input_range=(-2, 2), num_bits=32)
+        coarse = Int32LookupTable(lut, input_range=(-2, 2), num_bits=4)
+        fine = Int32LookupTable(lut, input_range=(-2, 2), num_bits=32)
         x = np.linspace(-2, 2, 200)
         assert np.max(np.abs(coarse(x) - lut(x))) >= np.max(np.abs(fine(x) - lut(x)))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import functions
-from repro.core.quantization import quantize_lut_fp16, quantize_lut_int32
+from repro.core.quantization import Fp16LookupTable, Int32LookupTable
 from repro.experiments import (
     ExperimentScale,
     run_figure2,
@@ -92,8 +92,8 @@ class TestAblations:
 
     def test_table_precision_barely_moves_the_error(self, fitted_gelu):
         fp32 = self._error(fitted_gelu.lut)
-        assert self._error(quantize_lut_fp16(fitted_gelu.lut)) < fp32 + 0.01
-        assert self._error(quantize_lut_int32(fitted_gelu.lut, (-5, 5))) < fp32 + 0.001
+        assert self._error(Fp16LookupTable(fitted_gelu.lut)) < fp32 + 0.01
+        assert self._error(Int32LookupTable(fitted_gelu.lut, (-5, 5))) < fp32 + 0.001
 
 
 @pytest.mark.slow

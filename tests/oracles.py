@@ -1,18 +1,26 @@
-"""Seed reference matmuls: the oracles the served ``Linear`` path is checked against.
+"""Test oracles: seed reference matmuls and an exact scalar table.
 
-These are the original per-call implementations — the weight operand is
-re-derived (cast or quantised) on every call — kept verbatim so the tests
+The matmuls are the original per-call implementations — the weight operand
+is re-derived (cast or quantised) on every call — kept verbatim so the tests
 compare the cached, kernel-dispatched ``Linear`` against an independent
 formulation rather than against itself.
+
+:class:`ExactTable` puts an exact numpy function behind the scalar-table
+contract, ``evaluate(x, out=None)``, so a composite operator can be run over
+exact primitives and checked against the exact operator.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.quant import QuantizedTensor, quantize
 
 __all__ = [
+    "ExactTable",
     "matmul_with_precision",
     "quantized_matmul",
     "fp16_matmul",
@@ -85,3 +93,25 @@ def matmul_with_precision(
 def seed_linear_call(layer, x: np.ndarray) -> np.ndarray:
     """The seed ``Linear.__call__``: per-call weight preparation."""
     return matmul_with_precision(x, layer.weight, layer.precision) + layer.bias
+
+
+@dataclass
+class ExactTable:
+    """``function`` as a scalar table: the ``evaluate(x, out=None)`` contract.
+
+    Like the LUTs, the result carries ``x``'s floating dtype (anything else
+    is promoted to float64) and lands in ``out`` when one is given; ``out``
+    may alias ``x``, since ``function`` sees the whole input first.
+    """
+
+    function: Callable[[np.ndarray], np.ndarray]
+
+    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        x = np.asarray(x)
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
+        result = np.asarray(self.function(x), dtype=x.dtype)
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out

@@ -233,23 +233,28 @@ class TestBackends:
         assert np.mean(np.abs(exact - approx)) < 0.05
 
     def test_hand_built_backend_with_exact_scalars(self, rng):
-        from repro.core.approximators import (
-            ExactScalar, LutGelu, LutLayerNorm, LutSoftmax,
-        )
+        from oracles import ExactTable
+        from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
         from repro.core.scaling import InputScaler
 
         backend = NonlinearBackend(
             name="hand-built",
-            gelu=LutGelu(ExactScalar(functions.gelu)),
+            gelu=LutGelu(ExactTable(functions.gelu)),
             softmax=LutSoftmax(
-                ExactScalar(functions.exp), ExactScalar(functions.reciprocal)
+                ExactTable(functions.exp), ExactTable(functions.reciprocal)
             ),
             layernorm=LutLayerNorm(
-                ExactScalar(functions.rsqrt), scaler=InputScaler()
+                ExactTable(functions.rsqrt), scaler=InputScaler()
             ),
         )
         x = rng.normal(size=(3, 7))
         np.testing.assert_allclose(backend.apply_gelu(x), functions.gelu(x), atol=1e-9)
+        np.testing.assert_allclose(
+            backend.apply_softmax(x), functions.softmax(x, axis=-1), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            backend.apply_layernorm(x), functions.layer_norm(x, axis=-1), atol=1e-9
+        )
 
 
 class TestHeads:
