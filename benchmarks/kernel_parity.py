@@ -2,9 +2,12 @@
 
 Run via ``scripts/check_kernel_parity.sh`` (or directly with
 ``PYTHONPATH=src python benchmarks/kernel_parity.py``).  First prints one
-"fitted tables" row: how long a fresh default registry takes to fit the four
-NN-LUT primitives, and a sha256 over their tables' breakpoints, slopes and
-intercepts — equal digests before and after a change mean the tables did
+"fitted tables" row with two sha256 digests over the four NN-LUT
+primitives' tables (breakpoints, slopes and intercepts): one of a fresh
+default registry, which loads them from the tracked table artifact, and
+one of a fresh ``fit_lut`` per primitive, with how long that fit takes.
+It exits non-zero if the two differ, so the row proves both that the
+artifact is current and, compared across a change, that the fit itself did
 not move by a bit.  A "prepared int8 operands" row does the same for the
 end-to-end benchmark's int8-native model: how long preparing its ``Linear``
 layers takes and a sha256 over every layer's packed panels, column sums,
@@ -42,7 +45,7 @@ from repro.core.kernels import (
     native_unavailable_reason,
 )
 from repro.core.lut import LookupTable
-from repro.core.registry import LutRegistry
+from repro.core.registry import SERVED_PRIMITIVES, LutRegistry, fit_lut, table_sha256
 from repro.core.scaling import InputScaler
 from repro.core.training import TrainingConfig
 from repro.transformer import tiny_test_config
@@ -61,27 +64,20 @@ TRAINING_CONFIG = TrainingConfig(
 )
 
 
-#: The primitives the NN-LUT backend serves (GELU, softmax's exp and 1/x,
-#: LayerNorm's 1/sqrt).
-LUT_PRIMITIVES = ("gelu", "exp", "reciprocal", "rsqrt")
-
-
 def fitted_tables() -> tuple:
-    """``(seconds, sha256 hex)`` of a fresh default-registry fit.
+    """``(artifact sha256, fit seconds, fit sha256)`` of the four served tables.
 
-    The four primitives the engine serves, 16 entries each, fitted the way
-    the end-to-end benchmark's set-up fits them; the digest runs over each
-    table's float64 breakpoints, slopes and intercepts in that order.
+    The primitives the engine serves, 16 entries each: once as a fresh
+    default registry loads them (the end-to-end benchmark's set-up), once
+    fitted afresh with the same recipe.  Each digest runs over the tables'
+    float64 breakpoints, slopes and intercepts in that order.
     """
-    start = time.perf_counter()
     registry = LutRegistry()
-    tables = [registry.lut(name, num_entries=16) for name in LUT_PRIMITIVES]
+    loaded = table_sha256(registry.lut(name, num_entries=16) for name in SERVED_PRIMITIVES)
+    start = time.perf_counter()
+    fitted = [fit_lut(name, num_entries=16).lut for name in SERVED_PRIMITIVES]
     seconds = time.perf_counter() - start
-    digest = hashlib.sha256()
-    for table in tables:
-        for values in (table.breakpoints, table.slopes, table.intercepts):
-            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
-    return seconds, digest.hexdigest()
+    return loaded, seconds, table_sha256(fitted)
 
 
 #: The model of the end-to-end benchmark's ``offline_clustered_int8_native``
@@ -430,8 +426,17 @@ def fp32_projection_timings() -> tuple:
 
 
 def main() -> int:
-    seconds, digest = fitted_tables()
-    print(f"fitted tables: {', '.join(LUT_PRIMITIVES)} in {seconds:.2f} s, sha256 {digest}")
+    loaded, seconds, fitted = fitted_tables()
+    print(
+        f"fitted tables: {', '.join(SERVED_PRIMITIVES)}: artifact sha256 {loaded}; "
+        f"fresh fit in {seconds:.2f} s, sha256 {fitted}"
+    )
+    if loaded != fitted:
+        print(
+            "FAIL: the table artifact is not what the fit produces; regenerate it "
+            "with `python -m repro.experiments fit-tables`"
+        )
+        return 1
     if not native_available():
         print(
             f"native kernel unavailable ({native_unavailable_reason()}); "

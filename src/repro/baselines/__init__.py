@@ -21,7 +21,6 @@ from .ibert import (
     i_layernorm,
     i_softmax,
     i_sqrt,
-    int_erf,
     int_exp,
     int_poly,
     integer_sqrt,
@@ -54,7 +53,6 @@ __all__ = [
     "i_sqrt",
     "i_layernorm",
     "int_poly",
-    "int_erf",
     "int_exp",
     "integer_sqrt",
     "IBertGelu",

@@ -22,7 +22,7 @@ Two views are provided:
   computation sequence but keep float inputs/outputs; they are what the
   software-accuracy experiments use (I-BERT's own accuracy results are
   produced this way before the scaling factors are folded in).
-* Integer-domain kernels (``int_erf``, ``int_exp``, ``integer_sqrt`` …) that
+* Integer-domain kernels (``int_exp``, ``integer_sqrt`` …) that
   operate on ``(int_tensor, scale_factor)`` pairs, demonstrating that the
   computation needs only integer arithmetic.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "i_sqrt",
     "i_layernorm",
     "int_poly",
-    "int_erf",
     "int_exp",
     "integer_sqrt",
     "IBertGelu",
@@ -160,16 +159,6 @@ def int_poly(
     q_c = int(np.floor(c / out_scale))
     q_out = (q + q_b) ** 2 + q_c
     return q_out, out_scale
-
-
-def int_erf(q: np.ndarray, scale: float) -> Tuple[np.ndarray, float]:
-    """Integer erf: clip to the polynomial's validity range, apply sign."""
-    q = np.asarray(q, dtype=np.int64)
-    _, b, _ = ERF_COEFFICIENTS
-    q_limit = int(np.floor(-b / scale))
-    q_clipped = np.minimum(np.abs(q), q_limit)
-    q_poly, out_scale = int_poly(q_clipped, scale, ERF_COEFFICIENTS)
-    return np.sign(q) * q_poly, out_scale
 
 
 def int_exp(q: np.ndarray, scale: float) -> Tuple[np.ndarray, float]:

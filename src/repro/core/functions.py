@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "erf",
@@ -41,8 +40,15 @@ __all__ = [
 
 
 def erf(x: np.ndarray) -> np.ndarray:
-    """Gauss error function, ``erf(x) = 2/sqrt(pi) * int_0^x exp(-t^2) dt``."""
-    return _special.erf(np.asarray(x, dtype=np.float64))
+    """Gauss error function, ``erf(x) = 2/sqrt(pi) * int_0^x exp(-t^2) dt``.
+
+    scipy is imported here, not at module level: only fit targets,
+    calibration and oracles call the exact ``erf``, so a process that serves
+    loaded tables never pays for importing it.
+    """
+    from scipy import special
+
+    return special.erf(np.asarray(x, dtype=np.float64))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -51,7 +57,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
     ``GELU(x) = x/2 * (1 + erf(x / sqrt(2)))``
     """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + _special.erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
 def exp(x: np.ndarray) -> np.ndarray:

@@ -1,20 +1,35 @@
-"""Deterministic cache of fitted NN-LUT tables.
+"""Deterministic cache of NN-LUT tables, the default ones loaded, not fitted.
 
-Fitting a 16-entry table with the default recipe below takes about 0.2 s
-on a 2-vCPU x86 machine, its two restarts running at once (0.7-0.9 s for
-all four primitives; 0.9-1.3 s with the restarts one after the other), and
-the software experiments (Tables 2, 3) need the same four primitives over
-and over.  The registry memoises ``(function, entries,
-config-signature)`` so every experiment, test and benchmark sees identical,
-reproducible tables without refitting.  Pre-fitted tables can also be
-registered directly (e.g. calibrated variants or hand-built fixtures for
-tests).
+As in the paper (Sec. 3.3.1), the network behind each of the four served
+primitives (GELU, exp, 1/x, 1/sqrt) is fitted and converted offline: the
+16-entry tables of the default recipe below are a tracked artifact,
+``tables/nn_lut16.json``, which ``python -m repro.experiments fit-tables``
+writes and nothing else does.  Per primitive it holds the fitted network
+(float hex strings, so loading is bitwise), its final loss, the signature of
+the fit that produced it (the per-primitive :class:`TrainingConfig`, the
+entry count and the input range) and a sha256 over the converted table.
+
+:meth:`LutRegistry.get` serves a request whose signature matches a row by
+rebuilding that network and converting it with :func:`network_to_lut`,
+and raises if the table's sha256 differs from the row's.  Any other request
+(another config, entry count or primitive) is fitted as before: about 0.2 s
+per 16-entry table on a 2-vCPU x86 machine.  The registry memoises
+``(function, entries, seed)`` so every experiment, test and benchmark sees
+identical, reproducible tables without refitting.  Pre-fitted tables can
+also be registered directly (e.g. calibrated variants or hand-built
+fixtures for tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+import functools
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
+from typing import Dict, Iterable, Tuple
+
+import numpy as np
 
 from .conversion import network_to_lut
 from .functions import get_training_range
@@ -47,6 +62,15 @@ FUNCTION_CONFIG_OVERRIDES: Dict[str, Dict[str, object]] = {
     "reciprocal": {"sampling": "log", "target_weighting": "relative"},
 }
 
+#: The primitives the NN-LUT backend serves (GELU, softmax's exp and 1/x,
+#: LayerNorm's 1/sqrt): the rows of the table artifact.
+SERVED_PRIMITIVES: Tuple[str, ...] = ("gelu", "exp", "reciprocal", "rsqrt")
+
+#: The default 16-entry tables, fitted offline (see the module docstring).
+TABLES_PATH = Path(__file__).with_name("tables") / "nn_lut16.json"
+
+_NETWORK_FIELDS = ("first_weight", "first_bias", "second_weight")
+
 
 @dataclass
 class FittedPrimitive:
@@ -59,9 +83,52 @@ class FittedPrimitive:
     input_range: Tuple[float, float]
 
 
-def _config_for(function_name: str, base: TrainingConfig) -> TrainingConfig:
+def _fit_config(function_name: str, num_entries: int, base: TrainingConfig) -> TrainingConfig:
+    """The config ``function_name`` is fitted with: ``N - 1`` neurons plus its overrides."""
+    if num_entries < 2:
+        raise ValueError("num_entries must be >= 2")
+    config = replace(base, hidden_size=num_entries - 1)
     overrides = FUNCTION_CONFIG_OVERRIDES.get(function_name, {})
-    return replace(base, **overrides) if overrides else base
+    return replace(config, **overrides) if overrides else config
+
+
+def fit_signature(
+    function_name: str, num_entries: int = 16, config: TrainingConfig | None = None
+) -> dict:
+    """What determines a registry fit bit for bit, in the artifact's JSON form."""
+    return {
+        "num_entries": int(num_entries),
+        "input_range": [float(bound) for bound in get_training_range(function_name)],
+        "training_config": asdict(
+            _fit_config(function_name, num_entries, config or DEFAULT_TRAINING_CONFIG)
+        ),
+    }
+
+
+def table_sha256(tables: Iterable[LookupTable]) -> str:
+    """sha256 over each table's float64 breakpoints, slopes and intercepts, in order."""
+    digest = hashlib.sha256()
+    for table in tables:
+        for values in (table.breakpoints, table.slopes, table.intercepts):
+            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _primitive(function_name: str, num_entries: int, result: TrainingResult) -> FittedPrimitive:
+    input_range = tuple(result.input_range)
+    lut = network_to_lut(result.network, name=function_name)
+    lut = lut.with_metadata(
+        input_range=input_range,
+        final_l1_loss=result.final_loss,
+        num_entries_requested=num_entries,
+    )
+    return FittedPrimitive(
+        name=function_name,
+        network=result.network,
+        lut=lut,
+        training_result=result,
+        input_range=input_range,
+    )
 
 
 def fit_lut(
@@ -75,27 +142,73 @@ def fit_lut(
     ``num_entries`` is the LUT size ``N``; the network uses ``N - 1`` hidden
     neurons as in the paper.
     """
-    if num_entries < 2:
-        raise ValueError("num_entries must be >= 2")
-    base = config or DEFAULT_TRAINING_CONFIG
-    base = replace(base, hidden_size=num_entries - 1)
-    base = _config_for(function_name, base)
+    config = _fit_config(function_name, num_entries, config or DEFAULT_TRAINING_CONFIG)
     if input_range is None:
         input_range = get_training_range(function_name)
-    result = fit_network(function_name, config=base, input_range=input_range)
-    lut = network_to_lut(result.network, name=function_name)
-    lut = lut.with_metadata(
-        input_range=tuple(input_range),
-        final_l1_loss=result.final_loss,
-        num_entries_requested=num_entries,
+    result = fit_network(function_name, config=config, input_range=input_range)
+    return _primitive(function_name, num_entries, result)
+
+
+def write_tables() -> str:
+    """Fit the served primitives with the default recipe and write the artifact.
+
+    Returns the sha256 over the four tables.  ``python -m repro.experiments
+    fit-tables`` runs this; it is the one way to regenerate the file.
+    """
+    fitted = [fit_lut(name) for name in SERVED_PRIMITIVES]
+    rows = {}
+    for primitive in fitted:
+        params = primitive.network.params
+        network = {name: [v.hex() for v in getattr(params, name).tolist()]
+                   for name in _NETWORK_FIELDS}
+        network["output_bias"] = params.output_bias.hex()
+        rows[primitive.name] = {
+            "signature": fit_signature(primitive.name),
+            "network": network,
+            "final_loss": primitive.training_result.final_loss.hex(),
+            "sha256": table_sha256([primitive.lut]),
+        }
+    document = {"regenerate": "python -m repro.experiments fit-tables", "tables": rows}
+    TABLES_PATH.write_text(json.dumps(document, indent=1) + "\n")
+    return table_sha256(primitive.lut for primitive in fitted)
+
+
+@functools.cache
+def _table_rows() -> Dict[str, dict]:
+    return json.loads(TABLES_PATH.read_text())["tables"]
+
+
+def _load_row(
+    function_name: str, num_entries: int, config: TrainingConfig
+) -> FittedPrimitive | None:
+    """The artifact's primitive when its signature is this request's, else ``None``.
+
+    Raises ``ValueError`` when the row's network converts to a table whose
+    sha256 is not the stored one.
+    """
+    row = _table_rows().get(function_name)
+    if row is None or row["signature"] != fit_signature(function_name, num_entries, config):
+        return None
+    stored = row["network"]
+    network = OneHiddenReluNet.from_arrays(
+        *(np.array([float.fromhex(v) for v in stored[name]]) for name in _NETWORK_FIELDS),
+        output_bias=float.fromhex(stored["output_bias"]),
+        trainable_output_bias=row["signature"]["training_config"]["output_bias"],
     )
-    return FittedPrimitive(
-        name=function_name,
-        network=result.network,
-        lut=lut,
-        training_result=result,
-        input_range=tuple(input_range),
+    result = TrainingResult(
+        network=network,
+        final_loss=float.fromhex(row["final_loss"]),
+        input_range=get_training_range(function_name),
+        function_name=function_name,
     )
+    fitted = _primitive(function_name, num_entries, result)
+    if table_sha256([fitted.lut]) != row["sha256"]:
+        raise ValueError(
+            f"{TABLES_PATH.name}: the {function_name!r} network converts to a table whose "
+            "sha256 is not the stored one; regenerate the file with "
+            "`python -m repro.experiments fit-tables`"
+        )
+    return fitted
 
 
 @dataclass
@@ -106,12 +219,16 @@ class LutRegistry:
     _cache: Dict[Tuple[str, int, int], FittedPrimitive] = field(default_factory=dict)
 
     def get(self, function_name: str, num_entries: int = 16) -> FittedPrimitive:
-        """Return the fitted primitive, fitting and caching it on first use."""
+        """Return the primitive, loading or fitting and caching it on first use.
+
+        A request the table artifact holds a row for (same primitive, entry
+        count and fit signature) is loaded from it; any other is fitted.
+        """
         key = (function_name, int(num_entries), int(self.training_config.seed))
         if key not in self._cache:
-            self._cache[key] = fit_lut(
-                function_name, num_entries=num_entries, config=self.training_config
-            )
+            self._cache[key] = _load_row(
+                function_name, int(num_entries), self.training_config
+            ) or fit_lut(function_name, num_entries=num_entries, config=self.training_config)
         return self._cache[key]
 
     def lut(self, function_name: str, num_entries: int = 16) -> LookupTable:

@@ -75,7 +75,7 @@ ERF_COEFFICIENTS EXP_COEFFICIENTS IBertGelu IBertLayerNorm IBertSoftmax
 build_lut_from_breakpoints exponential_breakpoints exponential_lut_for
 fit_exponential_lut fit_linear_lut fit_segments_interpolation
 fit_segments_least_squares i_erf i_exp i_gelu i_layernorm i_softmax i_sqrt
-int_erf int_exp int_poly integer_sqrt linear_breakpoints linear_lut_for
+int_exp int_poly integer_sqrt linear_breakpoints linear_lut_for
 """
 
 TASKS = """
