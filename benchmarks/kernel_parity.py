@@ -47,22 +47,8 @@ from repro.core.kernels import (
 from repro.core.lut import LookupTable
 from repro.core.registry import SERVED_PRIMITIVES, LutRegistry, fit_lut, table_sha256
 from repro.core.scaling import InputScaler
-from repro.core.training import TrainingConfig
 from repro.transformer import tiny_test_config
 from repro.transformer.models import EncoderModel
-
-#: Cheap-but-real fit (table quality is irrelevant to parity; the 16-entry
-#: structure is what matters).
-TRAINING_CONFIG = TrainingConfig(
-    hidden_size=15,
-    num_samples=12_000,
-    batch_size=2048,
-    epochs=40,
-    learning_rate=1e-3,
-    seed=0,
-    num_restarts=1,
-)
-
 
 def fitted_tables() -> tuple:
     """``(artifact sha256, fit seconds, fit sha256)`` of the four served tables.
@@ -445,7 +431,7 @@ def main() -> int:
         return 0
     layers, seconds, digest = prepared_int8_operands()
     print(f"prepared int8 operands: {layers} Linear layers in {seconds:.2f} s, sha256 {digest}")
-    registry = LutRegistry(training_config=TRAINING_CONFIG)
+    registry = LutRegistry()
     rows = build_rows(registry)
     info = kernel_info()
     tier_label = f"int8 GEMM tier {info['gemm_impl']} = {info['gemm_tier']}"

@@ -12,11 +12,12 @@ import numpy as np
 
 import example_utils
 from repro.api import BackendSpec, InferenceSession, SessionConfig
+from repro.core import LutRegistry
 from repro.tasks import GlueBenchmark
 
 
 def main() -> None:
-    registry = example_utils.example_registry()
+    registry = LutRegistry()
     config = SessionConfig(model_family="roberta", model_size="small", seed=3)
     model = config.build_model()
     benchmark = GlueBenchmark.build(

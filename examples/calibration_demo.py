@@ -13,13 +13,12 @@ Run with:  python examples/calibration_demo.py
 
 import numpy as np
 
-import example_utils
 from repro.api import BackendSpec, InferenceSession, SessionConfig
-from repro.core import LutLayerNorm, InputScaler, calibrate_lut, functions
+from repro.core import InputScaler, LutLayerNorm, LutRegistry, calibrate_lut, functions
 
 
 def main() -> None:
-    registry = example_utils.example_registry()
+    registry = LutRegistry()
     primitive = registry.get("rsqrt", num_entries=16)
 
     # The "deployed model": LayerNorm inputs whose variance sits in (1, 20).

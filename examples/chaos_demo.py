@@ -27,10 +27,11 @@ from repro.api import (
     ShardedPool,
     inject,
 )
+from repro.core import LutRegistry
 
 
 def main() -> None:
-    registry = example_utils.example_registry()
+    registry = LutRegistry()
     config = SessionConfig(
         model_family="tiny" if example_utils.SMOKE else "roberta",
         compute_dtype="float64",  # bitwise parity with per-call serving

@@ -1,9 +1,9 @@
 """Shared helpers for the example scripts.
 
 Every example honours ``EXAMPLES_SMOKE=1`` (set by ``scripts/run_examples.sh``
-and the tier-1 pytest shim): smoke mode shrinks the LUT fitting budget and
-the synthetic-task sizes so the whole example suite runs in CI time while
-still exercising every code path.
+and the tier-1 pytest shim): smoke mode shrinks the models and the
+synthetic-task sizes so the whole example suite runs in CI time while still
+exercising every code path.
 """
 
 from __future__ import annotations
@@ -11,34 +11,8 @@ from __future__ import annotations
 import os
 from typing import Dict
 
-from repro.core.registry import LutRegistry, default_registry
-from repro.core.training import TrainingConfig
-
 #: True when the caller asked for the CI-sized run.
 SMOKE = os.environ.get("EXAMPLES_SMOKE", "") == "1"
-
-#: Reduced-cost fitting configuration for smoke runs (still 16-entry tables).
-SMOKE_TRAINING_CONFIG = TrainingConfig(
-    hidden_size=15,
-    num_samples=8_000,
-    batch_size=2048,
-    epochs=30,
-    learning_rate=1e-3,
-    seed=0,
-    num_restarts=1,
-)
-
-
-def training_config() -> TrainingConfig | None:
-    """Fitting configuration for this run (None = library default)."""
-    return SMOKE_TRAINING_CONFIG if SMOKE else None
-
-
-def example_registry() -> LutRegistry:
-    """A fitted-primitive registry sized for this run."""
-    if SMOKE:
-        return LutRegistry(training_config=SMOKE_TRAINING_CONFIG)
-    return default_registry()
 
 
 def glue_sizes() -> Dict[str, int]:

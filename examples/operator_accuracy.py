@@ -3,14 +3,14 @@
 Run with:  python examples/operator_accuracy.py
 """
 
-import example_utils
+from repro.core import LutRegistry
 from repro.baselines import linear_lut_for
 from repro.experiments.common import format_mapping_table
 from repro.experiments.figure2 import operator_error_curve, operator_error_summary
 
 
 def main() -> None:
-    registry = example_utils.example_registry()
+    registry = LutRegistry()
     primitives = ("gelu", "exp", "reciprocal", "rsqrt")
     nn_lut = {name: registry.lut(name, num_entries=16) for name in primitives}
     linear = {name: linear_lut_for(name, num_entries=16) for name in primitives}

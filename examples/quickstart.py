@@ -5,15 +5,14 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-import example_utils
 from repro.api import BackendSpec, InferenceSession, SessionConfig
-from repro.core import LutGelu, fit_lut, functions, lut_matches_network
+from repro.core import LutGelu, LutRegistry, fit_lut, functions, lut_matches_network
 
 
 def main() -> None:
     # 1. Fit a one-hidden-layer ReLU network to GELU and convert it to a
     #    16-entry look-up table (paper Sec. 3.2, Table 1 recipe).
-    primitive = fit_lut("gelu", num_entries=16, config=example_utils.training_config())
+    primitive = fit_lut("gelu", num_entries=16)
     lut = primitive.lut
     print(f"Fitted GELU NN-LUT: {lut.num_entries} entries, "
           f"final L1 loss {primitive.training_result.final_loss:.4f}")
@@ -40,7 +39,7 @@ def main() -> None:
     session = InferenceSession(
         SessionConfig(model_family="tiny"),
         spec=BackendSpec.nn_lut(),
-        registry=example_utils.example_registry(),
+        registry=LutRegistry(),
     )
     rng = np.random.default_rng(0)
     requests = [rng.integers(0, 100, size=length) for length in (6, 14, 6, 10)]

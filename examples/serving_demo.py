@@ -23,10 +23,11 @@ from repro.api import (
     SessionConfig,
     SessionPool,
 )
+from repro.core import LutRegistry
 
 
 def main() -> None:
-    registry = example_utils.example_registry()
+    registry = LutRegistry()
     config = SessionConfig(
         model_family="tiny" if example_utils.SMOKE else "roberta",
         compute_dtype="float64",  # bitwise parity with per-call serving

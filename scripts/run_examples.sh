@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Execute every example script, by default in smoke mode (EXAMPLES_SMOKE=1:
-# reduced fitting budgets and task sizes, every code path still exercised).
+# smaller models and task sizes, every code path still exercised).
 #
 #   ./scripts/run_examples.sh           # smoke mode (what tier-1 runs)
 #   ./scripts/run_examples.sh --full    # full-size examples

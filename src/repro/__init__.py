@@ -64,7 +64,6 @@ from .core import (
     LutLayerNorm,
     LutSoftmax,
     OneHiddenReluNet,
-    TrainingConfig,
     default_registry,
     fit_lut,
     fit_network,
@@ -84,7 +83,6 @@ __all__ = [
     "InferenceSession",
     "LookupTable",
     "OneHiddenReluNet",
-    "TrainingConfig",
     "fit_network",
     "fit_lut",
     "network_to_lut",

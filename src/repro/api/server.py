@@ -306,7 +306,7 @@ class SessionPool(ReplicaPool):
                    num_replicas=num_replicas, model=model)
 
     def calibrate(
-        self, samples: Sequence[np.ndarray], config=None, operators=None
+        self, samples: Sequence[np.ndarray], operators=None
     ) -> Dict[str, object]:
         """Dataset-free calibration for the whole pool.
 
@@ -314,9 +314,7 @@ class SessionPool(ReplicaPool):
         installs the calibrated tables into every other replica, so the pool
         keeps serving one consistent backend.
         """
-        calibrated = self.sessions[0].calibrate(
-            samples, config=config, operators=operators
-        )
+        calibrated = self.sessions[0].calibrate(samples, operators=operators)
         for session in self.sessions[1:]:
             session.apply_lut_overrides(calibrated)
         return calibrated

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from ..core import functions
-from ..core.calibration import CalibrationConfig, calibrate_network
+from ..core.calibration import calibrate_network
 from ..core.conversion import network_to_lut
 from ..core.functions import get_training_range
 from ..core.kernels import KERNEL_NAMES
@@ -394,7 +394,6 @@ class InferenceSession:
                     )
         self.config = config or SessionConfig()
         self.spec = spec or BackendSpec.exact()
-        # ``is None``, not truthiness: an empty LutRegistry is falsy (__len__).
         self.registry = default_registry() if registry is None else registry
         self.model = model if model is not None else self.config.build_model()
         self.lut_overrides: Dict[str, LookupTable] = {}
@@ -511,7 +510,6 @@ class InferenceSession:
     def calibrate(
         self,
         samples: Sequence[np.ndarray],
-        config: CalibrationConfig | None = None,
         operators: Sequence[str] | None = None,
     ) -> Dict[str, LookupTable]:
         """Re-fit NN-LUT tables on what this model actually computes.
@@ -574,7 +572,6 @@ class InferenceSession:
             self.registry,
             operators,
             num_entries,
-            config=config,
             input_scaling=self.spec.input_scaling,
         )
         self.apply_lut_overrides(calibrated)
@@ -689,7 +686,6 @@ def calibrate_primitive_luts(
     registry: LutRegistry,
     operators: Sequence[str],
     num_entries: Mapping[str, int] | int = 16,
-    config: CalibrationConfig | None = None,
     input_scaling: bool = True,
 ) -> Dict[str, LookupTable]:
     """Re-fit the scalar primitives behind ``operators`` on recorded traffic.
@@ -699,9 +695,8 @@ def calibrate_primitive_luts(
     ``_GENERIC_SHARE`` of broad log/uniform samples over the training range
     (guarding against extrapolation damage outside the recorded
     distribution; drawn from a fixed seed, so equal recordings give equal
-    tables), and the
-    registry's fitted network is re-trained against the exact reference
-    (the paper's five-epoch recipe; ``config`` sets the learning rate).
+    tables), and the registry's fitted network is re-fitted against the
+    exact reference on them (:func:`repro.core.calibration.calibrate_network`).
     Returns calibrated tables keyed by primitive name — ready for
     ``build_backend(..., lut_overrides=...)``.
     """
@@ -722,7 +717,6 @@ def calibrate_primitive_luts(
                 fitted.network,
                 functions.get_target_function(primitive),
                 queries,
-                config,
             )
             lut = network_to_lut(network, name=primitive)
             calibrated[primitive] = lut.with_metadata(

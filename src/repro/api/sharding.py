@@ -833,7 +833,7 @@ class ShardedPool(ReplicaPool):
     # Calibration: re-fit on the parent, broadcast to every worker
     # ------------------------------------------------------------------ #
     def calibrate(
-        self, samples: Sequence[np.ndarray], config=None, operators=None
+        self, samples: Sequence[np.ndarray], operators=None
     ) -> Dict[str, LookupTable]:
         """Dataset-free calibration for the whole sharded fleet.
 
@@ -846,9 +846,7 @@ class ShardedPool(ReplicaPool):
             raise RuntimeError(
                 "ShardedPool is closed; there are no workers to calibrate"
             )
-        calibrated = self._template.calibrate(
-            samples, config=config, operators=operators
-        )
+        calibrated = self._template.calibrate(samples, operators=operators)
         for client in self.sessions:
             client.apply_lut_overrides(calibrated)
         return calibrated

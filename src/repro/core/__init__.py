@@ -2,9 +2,9 @@
 
 Workflow (mirrors Figure 1 of the paper):
 
-1. :func:`repro.core.training.fit_network` trains a one-hidden-layer ReLU
-   network on a scalar primitive (GELU, exp, 1/x, 1/sqrt) with the Table-1
-   recipe.
+1. :func:`repro.core.training.fit_network` fits a one-hidden-layer ReLU
+   network to a scalar primitive (GELU, exp, 1/x, 1/sqrt) in closed form,
+   with the Table-1 weight signs.
 2. :func:`repro.core.conversion.network_to_lut` transforms the trained network
    into an exactly-equivalent first-order look-up table (Eq. 7).
 3. :mod:`repro.core.approximators` assembles the tables into drop-in
@@ -20,7 +20,7 @@ from .approximators import (
     LutLayerNorm,
     LutSoftmax,
 )
-from .calibration import CalibrationConfig, calibrate_lut, calibrate_network
+from .calibration import calibrate_lut, calibrate_network
 from .conversion import lut_matches_network, network_to_lut, network_to_lut_eq7
 from .functions import (
     TARGET_FUNCTIONS,
@@ -41,7 +41,7 @@ from .network import NetworkParameters, OneHiddenReluNet
 from .quantization import Fp16LookupTable, Int32LookupTable
 from .registry import FittedPrimitive, LutRegistry, default_registry, fit_lut
 from .scaling import InputScaler
-from .training import AdamOptimizer, TrainingConfig, TrainingResult, fit_network
+from .training import TrainingResult, fit_network
 
 __all__ = [
     # functions
@@ -63,9 +63,7 @@ __all__ = [
     "INIT_SPECS",
     "get_init_spec",
     "initialize_network",
-    "TrainingConfig",
     "TrainingResult",
-    "AdamOptimizer",
     "fit_network",
     # LUT
     "LookupTable",
@@ -82,7 +80,6 @@ __all__ = [
     "ExactGelu",
     "ExactSoftmax",
     "ExactLayerNorm",
-    "CalibrationConfig",
     "calibrate_network",
     "calibrate_lut",
     # registry

@@ -13,14 +13,15 @@ This module implements exactly that loop:
 * :func:`collect_activation_samples` — run a model forward over unlabelled
   inputs while recording what actually flows into each non-linear operator
   site (the Transformer substrate exposes recording hooks).
-* :func:`calibrate_network` — continue Adam training of an existing network on
-  the recorded samples against the exact reference function.
+* :func:`calibrate_network` — re-fit an existing network on the recorded
+  samples against the exact reference function, with the closed-form solve
+  of ``repro.core.training``: knots where curvature times sample density
+  asks for them, output layer solved on the samples.
 * :func:`calibrate_lut` — end-to-end helper returning the refreshed LUT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, List
 
 import numpy as np
@@ -28,30 +29,22 @@ import numpy as np
 from .conversion import network_to_lut
 from .lut import LookupTable
 from .network import OneHiddenReluNet
-from .training import _denormalize_network, _least_squares_output_layer, train_adam
+from .training import (
+    _denormalize_network,
+    _least_squares_output_layer,
+    _normalisation,
+    curvature_anchors,
+)
 
 __all__ = [
-    "CalibrationConfig",
     "collect_activation_samples",
     "calibrate_network",
     "calibrate_lut",
 ]
 
 
-#: The calibration recipe.  The paper reports five epochs over one-tenth of
-#: the (unlabelled) training set, costing less than 5% of a fine-tuning run;
-#: a larger sample is subsampled (seed 0) to ``_MAX_SAMPLES`` points.
-_EPOCHS = 5
-_BATCH_SIZE = 4096
+#: A larger sample is subsampled (seed 0) to this many points.
 _MAX_SAMPLES = 200_000
-
-
-@dataclass
-class CalibrationConfig:
-    """The one tunable of the calibration pass; the rest is the fixed
-    recipe above."""
-
-    learning_rate: float = 5e-4
 
 
 def collect_activation_samples(
@@ -91,63 +84,68 @@ def calibrate_network(
     network: OneHiddenReluNet,
     reference: Callable[[np.ndarray], np.ndarray],
     samples: np.ndarray,
-    config: CalibrationConfig | None = None,
 ) -> OneHiddenReluNet:
-    """Continue training ``network`` on measured ``samples`` against ``reference``.
+    """Re-fit ``network`` on measured ``samples`` against ``reference``.
+
+    The hinges open one way (towards -x when every hinge of ``network``
+    does, as for 1/x and 1/sqrt, else towards +x).  One knot moves to the end
+    of the samples' span they open from, the others to the quantiles of
+    ``|f''|^(1/3)`` times the samples' density over it, and the output layer
+    is solved on the samples.  The result is kept only when its
+    mean absolute error on the samples is no worse than ``network``'s.
 
     Returns a calibrated copy; the input network is left untouched so the
     uncalibrated ("direct approximation") variant stays available for
-    comparison, as in Table 2(b) of the paper.
+    comparison, as in Table 2(b) of the paper.  Samples that hold a single
+    value span no range to place knots in: the copy is then uncalibrated.
     """
-    config = config or CalibrationConfig()
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
-    rng = np.random.default_rng(0)
     if samples.size > _MAX_SAMPLES:
-        idx = rng.choice(samples.size, size=_MAX_SAMPLES, replace=False)
-        samples = samples[idx]
+        rng = np.random.default_rng(0)
+        samples = samples[rng.choice(samples.size, size=_MAX_SAMPLES, replace=False)]
+    if not np.max(samples) > np.min(samples):
+        return network.copy()
 
     targets = np.asarray(reference(samples), dtype=np.float64)
-    target_scale = float(np.max(np.abs(targets)))
-    target_scale = target_scale if target_scale > 0 else 1.0
-
-    # Re-normalise the problem exactly as the original fit did: the network's
-    # parameters in raw input units span orders of magnitude, and a uniform
-    # Adam step in that space destroys the fit instead of refining it.
-    low, high = float(np.min(samples)), float(np.max(samples))
-    half_width = max((high - low) / 2.0, 1e-9)
-    center = (high + low) / 2.0
+    center, half_width, target_scale = _normalisation(samples, targets)
     x_norm = (samples - center) / half_width
     y_norm = targets / target_scale
 
-    calibrated = network.copy()
-    calibrated.params.first_weight = network.params.first_weight * half_width
-    calibrated.params.first_bias = (
-        network.params.first_bias + network.params.first_weight * center
-    )
-    calibrated.params.second_weight = network.params.second_weight / target_scale
-    calibrated.params.output_bias = network.params.output_bias / target_scale
+    # The network in the normalised units of the solve.
+    initial = network.copy()
+    initial.params.first_weight = network.params.first_weight * half_width
+    initial.params.first_bias = network.params.first_bias + network.params.first_weight * center
+    initial.params.second_weight = network.params.second_weight / target_scale
+    initial.params.output_bias = network.params.output_bias / target_scale
 
-    def _normalised_l1(candidate: OneHiddenReluNet) -> float:
+    def normalised_reference(z: np.ndarray) -> np.ndarray:
+        return np.asarray(reference(z * half_width + center), dtype=np.float64) / target_scale
+
+    # One knot sits at the end of the span where the hinges open, which frees
+    # the table's slope across the span; the others go where curvature times
+    # sample density asks for them.
+    direction = -1.0 if np.all(network.params.first_weight < 0) else 1.0
+    inner = (
+        curvature_anchors(
+            normalised_reference, (-1.0, 1.0), network.hidden_size - 1,
+            sample_weights=(x_norm, np.ones_like(x_norm)),
+        )
+        if network.hidden_size > 1
+        else np.empty(0)
+    )
+    anchors = np.append(inner, 1.0) if direction < 0 else np.insert(inner, 0, -1.0)
+    calibrated = network.copy()
+    calibrated.params.first_weight = np.full(network.hidden_size, direction)
+    calibrated.params.first_bias = -direction * anchors
+    _least_squares_output_layer(calibrated, x_norm, y_norm)
+
+    def normalised_l1(candidate: OneHiddenReluNet) -> float:
         return float(np.mean(np.abs(candidate.forward(x_norm) - y_norm)))
 
-    initial = calibrated.copy()
-    initial_loss = _normalised_l1(initial)
-    train_adam(
-        calibrated, x_norm, y_norm, rng, [1.0] * _EPOCHS, _BATCH_SIZE,
-        config.learning_rate,
-    )
-
-    # Closed-form refit of the output layer on the measured distribution, and
-    # a guard that calibration never ends up worse than where it started.
-    refit = calibrated.copy()
-    _least_squares_output_layer(refit, x_norm, y_norm)
-    if _normalised_l1(refit) < _normalised_l1(calibrated):
-        calibrated = refit
-    if _normalised_l1(calibrated) > initial_loss:
+    if normalised_l1(calibrated) > normalised_l1(initial):
         calibrated = initial
-
     _denormalize_network(calibrated, center, half_width, target_scale)
     return calibrated
 
@@ -156,10 +154,9 @@ def calibrate_lut(
     network: OneHiddenReluNet,
     reference: Callable[[np.ndarray], np.ndarray],
     samples: np.ndarray,
-    config: CalibrationConfig | None = None,
     name: str = "",
 ) -> LookupTable:
     """Calibrate ``network`` on ``samples`` and convert the result to a LUT."""
-    calibrated = calibrate_network(network, reference, samples, config)
+    calibrated = calibrate_network(network, reference, samples)
     lut = network_to_lut(calibrated, name=name)
     return lut.with_metadata(calibrated=True, num_calibration_samples=int(np.asarray(samples).size))

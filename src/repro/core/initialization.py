@@ -1,4 +1,4 @@
-"""Parameter-initialisation recipes for NN-LUT training (paper Table 1).
+"""Hidden-layer recipes for NN-LUT fitting (paper Table 1).
 
 The paper reports that the hidden-layer weight (``n_i``) and bias (``b_i``)
 signs must be chosen per target function for the network to find good LUT
@@ -13,17 +13,20 @@ Divide (1/x)    negative random     positive random
 1/SQRT          negative random     positive random
 ==============  ==================  =====================
 
-In addition to the sign constraints we spread the implied breakpoints
-``-b_i / n_i`` across the training range, which makes the 16-entry fits
-reliable without hand tuning (the paper describes the init only at the level
-of the table above; uniform coverage of the input range is the natural way to
-realise it).
+The closed-form fit (``repro.core.training``) takes the weight sign as one
+fixed direction per primitive: every hinge ``relu(n_i x + b_i)`` opens the
+same way, positive for "random" (GELU) and "positive" (exp), negative for 1/x
+and 1/sqrt.  Together with the output bias that spans every piecewise-linear
+function on the knots that is flat beyond one end of the range — flat
+towards -inf for GELU and exp, towards +inf for 1/x and 1/sqrt.  Randomly
+signed hinges span less, and cost GELU 2-10x in error.  The bias sign then
+follows from the knots (``b_i = -n_i * anchor_i``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -77,90 +80,23 @@ def get_init_spec(function_name: str) -> InitSpec:
     return INIT_SPECS.get(function_name, InitSpec())
 
 
-def _signed(values: np.ndarray, sign: str) -> np.ndarray:
-    if sign == "positive":
-        return np.abs(values)
-    if sign == "negative":
-        return -np.abs(values)
-    return values
+def initialize_network(function_name: str, anchors: np.ndarray) -> OneHiddenReluNet:
+    """The hidden layer of ``function_name``'s network, with knots at ``anchors``.
 
-
-def initialize_network(
-    function_name: str,
-    hidden_size: int,
-    input_range: Tuple[float, float],
-    rng: np.random.Generator | None = None,
-    output_bias: bool = True,
-    anchors: np.ndarray | None = None,
-) -> OneHiddenReluNet:
-    """Create an initialised :class:`OneHiddenReluNet` for a target function.
-
-    Parameters
-    ----------
-    function_name:
-        Scalar primitive name (``"gelu"``, ``"exp"``, ``"reciprocal"``,
-        ``"rsqrt"`` …); selects the Table-1 sign constraints.
-    hidden_size:
-        Number of hidden neurons; an ``N``-entry LUT uses ``N - 1`` neurons.
-    input_range:
-        ``(low, high)`` training range; breakpoints are spread over it.
-    rng:
-        Optional numpy random generator for reproducibility.
-    output_bias:
-        Whether the network keeps a trainable output bias term.
-    anchors:
-        Optional explicit initial breakpoint locations (length ``hidden_size``),
-        e.g. quantiles of the training-input distribution.  When omitted the
-        breakpoints are spread uniformly over ``input_range``.  When provided,
-        the Table-1 bias-sign constraint is not re-applied: the constraint's
-        purpose is to place the initial breakpoints inside the target range,
-        which explicit anchors already guarantee (and, unlike the weight sign,
-        the bias sign is not invariant under the affine input normalisation
-        used during fitting).
+    Each neuron ``i`` is ``relu(n (x - anchors[i]))`` with ``n`` the Table-1
+    weight sign as ``+1`` or ``-1`` (``+1`` for "random"); the output layer is
+    zero and the output bias trainable, for the fit to solve.  Unknown
+    functions take the generic recipe, ``n = +1``.
     """
-    if hidden_size < 1:
-        raise ValueError(f"hidden_size must be >= 1, got {hidden_size}")
-    low, high = float(input_range[0]), float(input_range[1])
-    if not high > low:
-        raise ValueError(f"input_range must satisfy high > low, got {input_range}")
-    rng = rng if rng is not None else np.random.default_rng()
-    spec = get_init_spec(function_name)
-
-    # Spread the implied breakpoints -b/n across the training range with a
-    # small jitter, then derive (n, b) pairs that honour the sign constraints.
-    explicit_anchors = anchors is not None
-    if anchors is None:
-        anchors = np.linspace(low, high, hidden_size + 2)[1:-1]
-        jitter = (high - low) / (4.0 * (hidden_size + 1))
-        anchors = anchors + rng.uniform(-jitter, jitter, size=hidden_size)
-    else:
-        anchors = np.asarray(anchors, dtype=np.float64).ravel()
-        if anchors.size != hidden_size:
-            raise ValueError(
-                f"anchors must have length hidden_size={hidden_size}, got {anchors.size}"
-            )
-
-    weight_magnitude = rng.uniform(0.5, 1.5, size=hidden_size)
-    weights = _signed(weight_magnitude, spec.weight_sign)
-    if spec.weight_sign == "random":
-        signs = rng.choice([-1.0, 1.0], size=hidden_size)
-        weights = weight_magnitude * signs
-
-    biases = -weights * anchors
-    # Honour the bias sign constraint when it conflicts with the anchor-derived
-    # bias: flip the anchor to the admissible side of zero.  Skipped for
-    # explicit anchors (see the docstring).
-    if not explicit_anchors:
-        if spec.bias_sign == "positive":
-            biases = np.abs(biases)
-        elif spec.bias_sign == "negative":
-            biases = -np.abs(biases)
-
-    second = rng.normal(0.0, 0.5, size=hidden_size)
+    anchors = np.asarray(anchors, dtype=np.float64).ravel()
+    if anchors.size < 1:
+        raise ValueError("anchors must hold at least one knot")
+    direction = -1.0 if get_init_spec(function_name).weight_sign == "negative" else 1.0
+    weights = np.full(anchors.size, direction)
     params = NetworkParameters(
         first_weight=weights,
-        first_bias=biases,
-        second_weight=second,
+        first_bias=-weights * anchors,
+        second_weight=np.zeros(anchors.size),
         output_bias=0.0,
     )
-    return OneHiddenReluNet(params=params, trainable_output_bias=output_bias)
+    return OneHiddenReluNet(params=params)

@@ -89,9 +89,9 @@ class OneHiddenReluNet:
     """One-hidden-layer ReLU network ``y = sum_i m_i relu(n_i x + b_i) + c``.
 
     The network operates on scalar inputs broadcast over arbitrary numpy array
-    shapes.  It provides analytic gradients for L1/L2 losses; training
-    (``repro.core.training.train_adam``) runs the same algebra fused into one
-    allocation-free step, and is tested against these.
+    shapes.  It provides analytic gradients for L1/L2 losses, the paper's
+    gradient-descent training; the closed-form fit
+    (``repro.core.training.fit_network``) needs only the hidden activations.
     """
 
     params: NetworkParameters

@@ -2,19 +2,19 @@
 
 As in the paper (Sec. 3.3.1), the network behind each of the four served
 primitives (GELU, exp, 1/x, 1/sqrt) is fitted and converted offline: the
-16-entry tables of the default recipe below are a tracked artifact,
-``tables/nn_lut16.json``, which ``python -m repro.experiments fit-tables``
-writes and nothing else does.  Per primitive it holds the fitted network
-(float hex strings, so loading is bitwise), its final loss, the signature of
-the fit that produced it (the per-primitive :class:`TrainingConfig`, the
-entry count and the input range) and a sha256 over the converted table.
+16-entry tables are a tracked artifact, ``tables/nn_lut16.json``, which
+``python -m repro.experiments fit-tables`` writes and nothing else does.  Per
+primitive it holds the fitted network (float hex strings, so loading is
+bitwise), its final loss, the signature of the fit that produced it (the
+entry count, the input range and the primitive's :data:`FIT_RECIPES` row)
+and a sha256 over the converted table.
 
 :meth:`LutRegistry.get` serves a request whose signature matches a row by
 rebuilding that network and converting it with :func:`network_to_lut`,
 and raises if the table's sha256 differs from the row's.  Any other request
-(another config, entry count or primitive) is fitted as before: about 0.2 s
-per 16-entry table on a 2-vCPU x86 machine.  The registry memoises
-``(function, entries, seed)`` so every experiment, test and benchmark sees
+(another entry count or primitive) is fitted: one closed-form solve, 5-25 ms
+per table on a 2-vCPU x86 machine.  The registry memoises
+``(function, entries)`` so every experiment, test and benchmark sees
 identical, reproducible tables without refitting.  Pre-fitted tables can
 also be registered directly (e.g. calibrated variants or hand-built
 fixtures for tests).
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Tuple
 
@@ -35,36 +35,28 @@ from .conversion import network_to_lut
 from .functions import get_training_range
 from .lut import LookupTable
 from .network import OneHiddenReluNet
-from .training import TrainingConfig, TrainingResult, fit_network
+from .training import TrainingResult, fit_network
 
 __all__ = ["LutRegistry", "FittedPrimitive", "default_registry", "fit_lut"]
 
 
-#: Fast-but-accurate default used across experiments; fitting all four paper
-#: primitives with these settings takes 0.7-0.9 s total on a 2-vCPU x86
-#: machine, where the two restarts of each fit run on one core each.
-DEFAULT_TRAINING_CONFIG = TrainingConfig(
-    hidden_size=15,
-    num_samples=20_000,
-    batch_size=2048,
-    epochs=40,
-    learning_rate=1e-3,
-    seed=0,
-    num_restarts=2,
-)
-
-#: Per-function tweaks on top of the default: wide ranges benefit from
-#: log-space sampling so the curvature near the interesting end of the range
-#: (0 for exp, 1 for 1/x and 1/sqrt) is represented in the training set.
-FUNCTION_CONFIG_OVERRIDES: Dict[str, Dict[str, object]] = {
-    "exp": {"sampling": "neg_log"},
-    "rsqrt": {"sampling": "log", "target_weighting": "relative"},
-    "reciprocal": {"sampling": "log", "target_weighting": "relative"},
-}
-
 #: The primitives the NN-LUT backend serves (GELU, softmax's exp and 1/x,
 #: LayerNorm's 1/sqrt): the rows of the table artifact.
 SERVED_PRIMITIVES: Tuple[str, ...] = ("gelu", "exp", "reciprocal", "rsqrt")
+
+#: How each primitive is fitted (:func:`repro.core.training.fit_network`):
+#: the grid its output layer is solved on, and whether the fit balances
+#: relative error.  Wide ranges put their grid where the curvature is (near 0
+#: for exp, near the low end for 1/x and 1/sqrt); 1/x normalising a softmax
+#: row and 1/sqrt scaling a LayerNorm row act multiplicatively, over outputs
+#: spanning orders of magnitude, so they balance relative error.  Any other
+#: primitive takes GELU's recipe.
+FIT_RECIPES: Dict[str, Dict[str, object]] = {
+    "gelu": {"sampling": "uniform", "relative": False},
+    "exp": {"sampling": "neg_log", "relative": False},
+    "reciprocal": {"sampling": "log", "relative": True},
+    "rsqrt": {"sampling": "log", "relative": True},
+}
 
 #: The default 16-entry tables, fitted offline (see the module docstring).
 TABLES_PATH = Path(__file__).with_name("tables") / "nn_lut16.json"
@@ -83,25 +75,12 @@ class FittedPrimitive:
     input_range: Tuple[float, float]
 
 
-def _fit_config(function_name: str, num_entries: int, base: TrainingConfig) -> TrainingConfig:
-    """The config ``function_name`` is fitted with: ``N - 1`` neurons plus its overrides."""
-    if num_entries < 2:
-        raise ValueError("num_entries must be >= 2")
-    config = replace(base, hidden_size=num_entries - 1)
-    overrides = FUNCTION_CONFIG_OVERRIDES.get(function_name, {})
-    return replace(config, **overrides) if overrides else config
-
-
-def fit_signature(
-    function_name: str, num_entries: int = 16, config: TrainingConfig | None = None
-) -> dict:
+def fit_signature(function_name: str, num_entries: int = 16) -> dict:
     """What determines a registry fit bit for bit, in the artifact's JSON form."""
     return {
         "num_entries": int(num_entries),
         "input_range": [float(bound) for bound in get_training_range(function_name)],
-        "training_config": asdict(
-            _fit_config(function_name, num_entries, config or DEFAULT_TRAINING_CONFIG)
-        ),
+        "recipe": dict(FIT_RECIPES.get(function_name, FIT_RECIPES["gelu"])),
     }
 
 
@@ -131,26 +110,22 @@ def _primitive(function_name: str, num_entries: int, result: TrainingResult) -> 
     )
 
 
-def fit_lut(
-    function_name: str,
-    num_entries: int = 16,
-    config: TrainingConfig | None = None,
-    input_range: Tuple[float, float] | None = None,
-) -> FittedPrimitive:
+def fit_lut(function_name: str, num_entries: int = 16) -> FittedPrimitive:
     """Fit a network for ``function_name`` and convert it to an N-entry LUT.
 
     ``num_entries`` is the LUT size ``N``; the network uses ``N - 1`` hidden
     neurons as in the paper.
     """
-    config = _fit_config(function_name, num_entries, config or DEFAULT_TRAINING_CONFIG)
-    if input_range is None:
-        input_range = get_training_range(function_name)
-    result = fit_network(function_name, config=config, input_range=input_range)
+    if num_entries < 2:
+        raise ValueError("num_entries must be >= 2")
+    result = fit_network(
+        function_name, hidden_size=num_entries - 1, **fit_signature(function_name)["recipe"]
+    )
     return _primitive(function_name, num_entries, result)
 
 
 def write_tables() -> str:
-    """Fit the served primitives with the default recipe and write the artifact.
+    """Fit the served primitives with their recipes and write the artifact.
 
     Returns the sha256 over the four tables.  ``python -m repro.experiments
     fit-tables`` runs this; it is the one way to regenerate the file.
@@ -178,22 +153,19 @@ def _table_rows() -> Dict[str, dict]:
     return json.loads(TABLES_PATH.read_text())["tables"]
 
 
-def _load_row(
-    function_name: str, num_entries: int, config: TrainingConfig
-) -> FittedPrimitive | None:
+def _load_row(function_name: str, num_entries: int) -> FittedPrimitive | None:
     """The artifact's primitive when its signature is this request's, else ``None``.
 
     Raises ``ValueError`` when the row's network converts to a table whose
     sha256 is not the stored one.
     """
     row = _table_rows().get(function_name)
-    if row is None or row["signature"] != fit_signature(function_name, num_entries, config):
+    if row is None or row["signature"] != fit_signature(function_name, num_entries):
         return None
     stored = row["network"]
     network = OneHiddenReluNet.from_arrays(
         *(np.array([float.fromhex(v) for v in stored[name]]) for name in _NETWORK_FIELDS),
         output_bias=float.fromhex(stored["output_bias"]),
-        trainable_output_bias=row["signature"]["training_config"]["output_bias"],
     )
     result = TrainingResult(
         network=network,
@@ -213,10 +185,9 @@ def _load_row(
 
 @dataclass
 class LutRegistry:
-    """Memoising store of fitted primitives keyed by (name, entries, seed)."""
+    """Memoising store of fitted primitives keyed by (name, entries)."""
 
-    training_config: TrainingConfig = field(default_factory=lambda: DEFAULT_TRAINING_CONFIG)
-    _cache: Dict[Tuple[str, int, int], FittedPrimitive] = field(default_factory=dict)
+    _cache: Dict[Tuple[str, int], FittedPrimitive] = field(default_factory=dict)
 
     def get(self, function_name: str, num_entries: int = 16) -> FittedPrimitive:
         """Return the primitive, loading or fitting and caching it on first use.
@@ -224,11 +195,11 @@ class LutRegistry:
         A request the table artifact holds a row for (same primitive, entry
         count and fit signature) is loaded from it; any other is fitted.
         """
-        key = (function_name, int(num_entries), int(self.training_config.seed))
+        key = (function_name, int(num_entries))
         if key not in self._cache:
-            self._cache[key] = _load_row(
-                function_name, int(num_entries), self.training_config
-            ) or fit_lut(function_name, num_entries=num_entries, config=self.training_config)
+            self._cache[key] = _load_row(function_name, int(num_entries)) or fit_lut(
+                function_name, num_entries=num_entries
+            )
         return self._cache[key]
 
     def lut(self, function_name: str, num_entries: int = 16) -> LookupTable:
@@ -237,16 +208,7 @@ class LutRegistry:
 
     def register(self, key_name: str, primitive: FittedPrimitive, num_entries: int = 16) -> None:
         """Insert a pre-fitted primitive (e.g. a calibrated variant)."""
-        self._cache[(key_name, int(num_entries), int(self.training_config.seed))] = primitive
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __contains__(self, function_name: str) -> bool:
-        return any(key[0] == function_name for key in self._cache)
-
-    def __len__(self) -> int:
-        return len(self._cache)
+        self._cache[(key_name, int(num_entries))] = primitive
 
 
 _DEFAULT_REGISTRY: LutRegistry | None = None

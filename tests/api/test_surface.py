@@ -25,8 +25,6 @@ from repro.api import (
     calibrate_primitive_luts,
 )
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
-from repro.core.calibration import CalibrationConfig
-from repro.core.training import TrainingConfig
 from repro.transformer import Linear, NonlinearBackend, TransformerConfig
 
 API = """
@@ -59,11 +57,11 @@ reset_kernel_fallback_warning resolve_kernel
 QUANT = "QuantizedTensor quantize"
 
 CORE = """
-AdamOptimizer CalibrationConfig ExactGelu ExactLayerNorm ExactSoftmax
+ExactGelu ExactLayerNorm ExactSoftmax
 FittedPrimitive Fp16LookupTable INIT_SPECS InitSpec InputScaler
 Int32LookupTable LookupTable LutGelu LutLayerNorm LutRegistry LutSoftmax
 NetworkParameters OneHiddenReluNet TARGET_FUNCTIONS TRAINING_RANGES
-TrainingConfig TrainingResult calibrate_lut calibrate_network
+TrainingResult calibrate_lut calibrate_network
 default_registry erf exp fit_lut fit_network gelu get_init_spec
 get_target_function get_training_range initialize_network layer_norm
 lut_matches_network network_to_lut network_to_lut_eq7 reciprocal rsqrt
@@ -102,11 +100,6 @@ FIELDS = {
     Linear: "weight bias precision compute_dtype kernel",
     # The option surface (ROADMAP item 7): a field stays only while some
     # test, example or benchmark sets it to a non-default value.
-    TrainingConfig: (
-        "hidden_size num_samples batch_size epochs learning_rate sampling seed "
-        "output_bias num_restarts target_weighting"
-    ),
-    CalibrationConfig: "learning_rate",
     RetryPolicy: "max_attempts backoff_base_s backoff_max_s retry_budget seed",
     CircuitBreakerConfig: "failure_threshold cooldown_s",
     FaultPlan: (
@@ -126,7 +119,7 @@ SIGNATURES = {
         "replace_dead_replicas retry breaker"
     ),
     calibrate_primitive_luts: (
-        "recorder registry operators num_entries config input_scaling"
+        "recorder registry operators num_entries input_scaling"
     ),
 }
 

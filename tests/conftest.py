@@ -1,4 +1,4 @@
-"""Shared fixtures: fast-but-real fitted primitives reused across the suite."""
+"""Shared fixtures: the served fitted primitives reused across the suite."""
 
 from __future__ import annotations
 
@@ -9,30 +9,18 @@ import numpy as np
 import pytest
 
 from lock_audit import serving_audit
-from repro.core.registry import DEFAULT_TRAINING_CONFIG, LutRegistry
-from repro.core.training import TrainingConfig
+from repro.core.registry import LutRegistry
 
 pytest_plugins = ["pytester"]  # the shm_ledger fixture is tested in a sub-session
 
 
 @pytest.fixture(scope="session")
 def fast_registry() -> LutRegistry:
-    """A shared registry with reduced-cost fits (still 16-entry, still accurate).
-
-    Fitting all four primitives takes about 0.3 s (2-vCPU x86); doing it once
-    per session keeps the suite fast while letting integration tests exercise the
-    real pipeline end to end.
+    """A shared default registry: the served 16-entry tables, loaded from the
+    tracked artifact, and any other entry count fitted on first use (one
+    closed-form solve, milliseconds each).
     """
-    config = TrainingConfig(
-        hidden_size=15,
-        num_samples=12_000,
-        batch_size=2048,
-        epochs=40,
-        learning_rate=1e-3,
-        seed=0,
-        num_restarts=1,
-    )
-    return LutRegistry(training_config=config)
+    return LutRegistry()
 
 
 @pytest.fixture(scope="session")

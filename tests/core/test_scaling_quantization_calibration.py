@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import ExactTable
 from repro.core import functions
 from repro.core.calibration import (
-    CalibrationConfig,
     calibrate_lut,
     calibrate_network,
     collect_activation_samples,
@@ -129,8 +128,7 @@ class TestCalibration:
         # calibration the table should be better there than the generic fit.
         rng = np.random.default_rng(0)
         samples = rng.uniform(1.0, 16.0, size=20_000)
-        config = CalibrationConfig(learning_rate=1e-3)
-        calibrated = calibrate_network(fitted_rsqrt.network, functions.rsqrt, samples, config)
+        calibrated = calibrate_network(fitted_rsqrt.network, functions.rsqrt, samples)
         grid = np.linspace(1.0, 16.0, 500)
         before = np.mean(np.abs(fitted_rsqrt.network(grid) - functions.rsqrt(grid)))
         after = np.mean(np.abs(calibrated(grid) - functions.rsqrt(grid)))
@@ -149,24 +147,21 @@ class TestCalibration:
         np.testing.assert_allclose(fitted_gelu.network.params.first_weight, before)
 
     def test_calibration_is_reproducible(self, fitted_gelu):
-        # Subsampling and batch order draw from a fixed seed: the same
-        # samples always give the same table.
+        # Subsampling draws from a fixed seed and the solve is closed-form:
+        # the same samples always give the same table.
         samples = np.random.default_rng(3).uniform(-2, 2, size=2000)
         first = calibrate_network(fitted_gelu.network, functions.gelu, samples)
         second = calibrate_network(fitted_gelu.network, functions.gelu, samples)
         grid = np.linspace(-3, 3, 101)
         assert np.array_equal(first(grid), second(grid))
 
-    def test_config_validation(self, fitted_gelu):
-        samples = np.random.default_rng(4).uniform(-2, 2, size=100)
-        for learning_rate in (0.0, -1e-3):
-            with pytest.raises(ValueError, match="learning_rate"):
-                calibrate_network(
-                    fitted_gelu.network,
-                    functions.gelu,
-                    samples,
-                    CalibrationConfig(learning_rate=learning_rate),
-                )
+    def test_single_valued_samples_return_the_input(self, fitted_gelu):
+        # One distinct value spans no range to place knots in.
+        calibrated = calibrate_network(fitted_gelu.network, functions.gelu, np.full(500, 0.7))
+        assert calibrated is not fitted_gelu.network
+        for name, value in fitted_gelu.network.params.as_dict().items():
+            np.testing.assert_array_equal(calibrated.params.as_dict()[name], value)
+        assert calibrated.trainable_output_bias == fitted_gelu.network.trainable_output_bias
 
     def test_empty_samples_rejected(self, fitted_gelu):
         with pytest.raises(ValueError, match="non-empty"):

@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,7 @@ from repro.api import BackendSpec, InferenceSession, SessionConfig
 from repro.core import registry as registry_module
 from repro.core.functions import TRAINING_RANGES
 from repro.core.registry import (
-    DEFAULT_TRAINING_CONFIG,
-    FUNCTION_CONFIG_OVERRIDES,
+    FIT_RECIPES,
     SERVED_PRIMITIVES,
     TABLES_PATH,
     LutRegistry,
@@ -93,16 +91,11 @@ def test_fit_tables_writes_the_tracked_file(monkeypatch, tmp_path, refits, capsy
 @pytest.mark.parametrize("name", SERVED_PRIMITIVES)
 def test_stored_signature_is_todays_recipe(name):
     # Spelled out from the recipe's parts rather than through fit_signature,
-    # so a config edit without a regenerated artifact fails here.
-    config = {
-        **vars(DEFAULT_TRAINING_CONFIG),
-        "hidden_size": 15,
-        **FUNCTION_CONFIG_OVERRIDES.get(name, {}),
-    }
+    # so a recipe edit without a regenerated artifact fails here.
     assert _rows()[name]["signature"] == {
         "num_entries": 16,
         "input_range": list(TRAINING_RANGES[name]),
-        "training_config": config,
+        "recipe": FIT_RECIPES[name],
     }
 
 
@@ -114,8 +107,10 @@ def test_other_requests_are_fitted(monkeypatch):
     registry = LutRegistry()
     assert registry.get("gelu", 8) == "gelu"
     assert registry.get("erf", 16) == "erf"
-    other = LutRegistry(training_config=replace(DEFAULT_TRAINING_CONFIG, seed=1))
-    assert other.get("exp", 16) == "exp"
+    rows = copy.deepcopy(_rows())
+    rows["exp"]["signature"]["recipe"]["sampling"] = "uniform"
+    monkeypatch.setattr(registry_module, "_table_rows", lambda: rows)
+    assert LutRegistry().get("exp", 16) == "exp"
     assert fitted == ["gelu", "erf", "exp"]
     assert registry.get("rsqrt", 16).network is not None  # the artifact, no fit
 

@@ -80,13 +80,24 @@ class TestAblations:
     def _error(self, lut):
         return float(np.mean(np.abs(lut(self.GRID) - functions.gelu(self.GRID))))
 
-    def test_sixteen_entries_are_enough(self, fast_registry):
-        errors = {
-            entries: self._error(fast_registry.get("gelu", num_entries=entries).lut)
-            for entries in (4, 16, 32)
-        }
-        assert errors[16] < errors[4]
-        assert errors[16] < 0.01
+    @pytest.mark.parametrize("name", ["gelu", "exp", "reciprocal", "rsqrt"])
+    def test_sixteen_entries_are_enough(self, fast_registry, name):
+        # Mean absolute error on a linspace grid for GELU and exp, mean
+        # relative error on a geomspace grid for 1/x and 1/sqrt.
+        low, high = functions.get_training_range(name)
+        function = functions.get_target_function(name)
+        relative = name in ("reciprocal", "rsqrt")
+        grid = np.geomspace(low, high, 20_000) if relative else np.linspace(low, high, 20_000)
+
+        def error(entries):
+            lut = fast_registry.get(name, num_entries=entries).lut
+            gap = np.abs(lut(grid) - function(grid))
+            return float(np.mean(gap / function(grid) if relative else gap))
+
+        errors = {entries: error(entries) for entries in (4, 8, 16, 32)}
+        assert errors[4] > errors[8] > errors[16] > errors[32]
+        if name == "gelu":
+            assert errors[16] < 0.01
         # Beyond 16 entries the improvement is marginal (well under a decade).
         assert errors[16] < 10 * errors[32]
 
