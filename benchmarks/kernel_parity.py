@@ -9,9 +9,12 @@ one of a fresh ``fit_lut`` per primitive, with how long that fit takes.
 It exits non-zero if the two differ, so the row proves both that the
 artifact is current and, compared across a change, that the fit itself did
 not move by a bit.  A "prepared int8 operands" row does the same for the
-end-to-end benchmark's int8-native model: how long preparing its ``Linear``
-layers takes and a sha256 over every layer's packed panels, column sums,
-weight scale and bias.  Then it prints one row per
+end-to-end benchmark's int8-native model: how long its build takes (the
+build prepares each layer's ``Linear`` operands right after drawing it) and
+a sha256 over every layer's packed panels, column sums, weight scale and
+bias.  A "resident weights" row prints, for the benchmark's fp32 and
+int8-native models, how many MB of float64 masters stay resident after the
+build against the MB of prepared operands.  Then it prints one row per
 op/path across int8/fp32 — per-op kernels first, then an end-to-end encoder
 forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
@@ -29,6 +32,7 @@ activation (one GEMM per sequence) against the one row-stacked GEMM
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 
@@ -73,20 +77,22 @@ BENCHMARK_INT8_CONFIG = SessionConfig(
     model_overrides={"num_layers": 4, "vocab_size": 8000, "max_sequence_length": 128},
     matmul_precision="int8", kernel="native", max_batch_size=16,
 )
+#: ... and of its ``offline_clustered_fp32`` workload.
+BENCHMARK_FP32_CONFIG = dataclasses.replace(
+    BENCHMARK_INT8_CONFIG, matmul_precision="fp32", kernel="numpy"
+)
 
 
 def prepared_int8_operands() -> tuple:
     """``(layers, seconds, sha256 hex)`` of the benchmark model's int8 operands.
 
-    Builds the model, times ``prepare()`` over its ``Linear`` layers — the
-    quantisation and panel packing a session's set-up runs — and digests
-    each layer's panels, column sums, float64 weight scale and bias, in
-    ``iter_linears`` order.
+    Times the model build — the draw plus ``prepare()`` of every ``Linear``
+    layer, the quantisation and panel packing a session's set-up relies on —
+    and digests each layer's panels, column sums, float64 weight scale and
+    bias, in ``iter_linears`` order.
     """
-    linears = list(BENCHMARK_INT8_CONFIG.build_model().iter_linears())
     start = time.perf_counter()
-    for linear in linears:
-        linear.prepare()
+    linears = list(BENCHMARK_INT8_CONFIG.build_model().iter_linears())
     seconds = time.perf_counter() - start
     digest = hashlib.sha256()
     for linear in linears:
@@ -94,6 +100,22 @@ def prepared_int8_operands() -> tuple:
         for values in (operand.panels, operand.colsum, np.float64(scale), bias):
             digest.update(np.ascontiguousarray(values).tobytes())
     return len(linears), seconds, digest.hexdigest()
+
+
+def resident_weights(config: SessionConfig) -> tuple:
+    """``(resident master MB, all masters MB, operand MB)`` after a build."""
+    resident = masters = operands = 0
+    for linear in config.build_model().iter_linears():
+        in_features, out_features = linear.in_features, linear.out_features
+        masters += 8 * in_features * out_features
+        if linear._weight is not None:
+            resident += linear._weight.nbytes
+        operand = linear._prepared_operands()[1]
+        if isinstance(operand, np.ndarray):
+            operands += operand.nbytes
+        else:  # the native kernel's packed int8 panels and column sums
+            operands += operand.panels.nbytes + operand.colsum.nbytes
+    return resident / 2**20, masters / 2**20, operands / 2**20
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -430,7 +452,19 @@ def main() -> int:
         )
         return 0
     layers, seconds, digest = prepared_int8_operands()
-    print(f"prepared int8 operands: {layers} Linear layers in {seconds:.2f} s, sha256 {digest}")
+    print(
+        f"prepared int8 operands: {layers} Linear layers, model build with "
+        f"prepare in {seconds:.2f} s, sha256 {digest}"
+    )
+    cells = []
+    for name, config in (("fp32", BENCHMARK_FP32_CONFIG), ("int8-native", BENCHMARK_INT8_CONFIG)):
+        resident, masters, operands = resident_weights(config)
+        cells.append(
+            f"{name} masters {resident:.1f} of {masters:.1f} MB resident, "
+            f"operands {operands:.1f} MB"
+        )
+    engine = BENCHMARK_INT8_CONFIG.compute_dtype
+    print(f"resident weights after build ({engine} engine): {'; '.join(cells)}")
     registry = LutRegistry()
     rows = build_rows(registry)
     info = kernel_info()

@@ -89,7 +89,9 @@ def _weight_slots(model: EncoderModel):
     The names are stable across processes for a given architecture, which is
     what lets :mod:`repro.api.sharding` ship a model's weights through
     ``multiprocessing.shared_memory`` by name and re-attach them on the
-    worker side.
+    worker side.  A ``Linear`` weight slot reads the master through the
+    layer's ``weight`` property: one that was dropped after prepare is
+    re-derived from its recorded draw (and pinned) by the read.
     """
     yield "embedding.token_table", model.embedding, "token_table"
     yield "embedding.position_table", model.embedding, "position_table"
@@ -125,7 +127,9 @@ def export_weight_state(model: EncoderModel) -> Dict[str, np.ndarray]:
     The returned arrays are the model's own (no copies); pair with
     :func:`attach_weight_state` to move a frozen encoder's parameters into
     externally-managed storage (e.g. shared memory) or into a freshly-built
-    model of the same architecture.
+    model of the same architecture.  Projection masters a prepared model
+    dropped are re-derived on export, bit for bit, and stay resident from
+    then on (the export pins them).
     """
     return {name: getattr(owner, attr) for name, owner, attr in _weight_slots(model)}
 
@@ -140,9 +144,11 @@ def attach_weight_state(
     partial or mismatched set raises before anything is rebound.  Read-only
     arrays (shared-memory mappings) are fine: the engine never writes master
     arrays in place.  Rebinding invalidates the derived caches automatically
-    (``Linear`` prepared operands and norm-parameter casts key on array
-    identity), so callers that want the prepare-once discipline should call
-    ``prepare()`` on the linears afterwards.
+    (``Linear`` prepared operands key on a token each rebinding renews,
+    norm-parameter casts on array identity), so callers that want the
+    prepare-once discipline should call ``prepare()`` on the linears
+    afterwards.  Attached arrays count as passed in: a ``Linear`` never
+    drops them.
     """
     slots = list(_weight_slots(model))
     expected = {name for name, _, _ in slots}
@@ -395,7 +401,7 @@ class InferenceSession:
         self.config = config or SessionConfig()
         self.spec = spec or BackendSpec.exact()
         self.registry = default_registry() if registry is None else registry
-        self.model = model if model is not None else self.config.build_model()
+        self.model = model if model is not None else self._build_model()
         self.lut_overrides: Dict[str, LookupTable] = {}
         self.backend: NonlinearBackend = build_backend(self.spec, registry=self.registry)
         self._batcher = RequestBatcher(
@@ -404,6 +410,10 @@ class InferenceSession:
         )
         for linear in self.model.iter_linears():
             linear.prepare()
+
+    def _build_model(self) -> EncoderModel:
+        """The configured encoder, as :meth:`SessionConfig.build_model` draws it."""
+        return self.config.build_model()
 
     @classmethod
     def from_model(

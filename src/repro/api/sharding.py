@@ -637,6 +637,26 @@ def _release_pool_resources(
             transport.close()
 
 
+class _SharedTemplate(InferenceSession):
+    """A sharded pool's local session.
+
+    Its masters go to shared memory, which keeps them resident anyway, so
+    the model it draws keeps every master (no per-layer release) and the
+    export reads them instead of re-running the draw — about a second at
+    BERT-base width.
+    """
+
+    def _build_model(self) -> EncoderModel:
+        config = self.config
+        model = EncoderModel._build(
+            config.transformer_config(),
+            np.random.default_rng(config.seed),
+            prepare=False,
+        )
+        export_weight_state(model)  # reading the masters pins them
+        return model
+
+
 class ShardedPool(ReplicaPool):
     """Replica sessions in worker *processes* over shared-memory weights.
 
@@ -692,7 +712,7 @@ class ShardedPool(ReplicaPool):
                 "transports: pipe, shm_ring"
             )
         self.transport_name = transport
-        template = InferenceSession(
+        template = _SharedTemplate(
             config=config, spec=spec, registry=registry, model=model
         )
         self._template = template

@@ -15,8 +15,7 @@ intercept.  Setting ``output_bias=False`` reproduces the paper's exact form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,24 +73,14 @@ class NetworkParameters:
             output_bias=self.output_bias,
         )
 
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        """Dict view keyed like :meth:`OneHiddenReluNet.gradients`."""
-        return {
-            "first_weight": self.first_weight,
-            "first_bias": self.first_bias,
-            "second_weight": self.second_weight,
-            "output_bias": np.array([self.output_bias], dtype=np.float64),
-        }
-
 
 @dataclass
 class OneHiddenReluNet:
     """One-hidden-layer ReLU network ``y = sum_i m_i relu(n_i x + b_i) + c``.
 
     The network operates on scalar inputs broadcast over arbitrary numpy array
-    shapes.  It provides analytic gradients for L1/L2 losses, the paper's
-    gradient-descent training; the closed-form fit
-    (``repro.core.training.fit_network``) needs only the hidden activations.
+    shapes.  The closed-form fit (``repro.core.training.fit_network``) needs
+    only its hidden activations; the LUT conversion its breakpoints.
     """
 
     params: NetworkParameters
@@ -122,7 +111,7 @@ class OneHiddenReluNet:
         return self.params.hidden_size
 
     # ------------------------------------------------------------------ #
-    # Forward / backward
+    # Forward
     # ------------------------------------------------------------------ #
     def hidden_preactivations(self, x: np.ndarray) -> np.ndarray:
         """Return ``n_i * x + b_i`` with shape ``x.shape + (H,)``."""
@@ -139,39 +128,6 @@ class OneHiddenReluNet:
         return hidden @ self.params.second_weight + self.params.output_bias
 
     __call__ = forward
-
-    def gradients(self, x: np.ndarray, grad_output: np.ndarray) -> Dict[str, np.ndarray]:
-        """Backpropagate ``grad_output`` (dL/dy, same shape as ``x``).
-
-        Returns gradients for every entry of :meth:`NetworkParameters.as_dict`.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.shape != x.shape:
-            raise ValueError(
-                f"grad_output shape {grad_output.shape} must match input shape {x.shape}"
-            )
-        pre = self.hidden_preactivations(x)
-        active = pre > 0.0
-        hidden = np.where(active, pre, 0.0)
-
-        flat_x = x.reshape(-1)
-        flat_go = grad_output.reshape(-1)
-        flat_hidden = hidden.reshape(-1, self.hidden_size)
-        flat_active = active.reshape(-1, self.hidden_size)
-
-        grad_second = flat_go @ flat_hidden
-        # dL/dhidden_i = go * m_i, masked by the ReLU derivative.
-        upstream = flat_go[:, None] * self.params.second_weight * flat_active
-        grad_first_w = upstream.T @ flat_x
-        grad_first_b = upstream.sum(axis=0)
-        grad_out_bias = flat_go.sum() if self.trainable_output_bias else 0.0
-        return {
-            "first_weight": grad_first_w,
-            "first_bias": grad_first_b,
-            "second_weight": grad_second,
-            "output_bias": np.array([grad_out_bias], dtype=np.float64),
-        }
 
     # ------------------------------------------------------------------ #
     # Breakpoint geometry (used by the LUT conversion)

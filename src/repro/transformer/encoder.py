@@ -11,7 +11,7 @@ so the kernel only selects *where* the work happens, never what is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -107,6 +107,12 @@ class TransformerEncoderLayer:
         return normalise(
             residual, self.output_norm, self.normalization, backend, kernel
         )
+
+    def linears(self) -> Iterator[Linear]:
+        """The layer's projections: attention query/key/value/output, FFN."""
+        attention = self.attention
+        yield from (attention.query, attention.key, attention.value, attention.output)
+        yield from (self.ffn_in, self.ffn_out)
 
     def num_parameters(self) -> int:
         return (

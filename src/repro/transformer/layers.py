@@ -16,11 +16,23 @@ flows that overwrite ``weight`` in place must call it; rebinding the
 ``weight`` attribute invalidates automatically.  ``compute_dtype`` selects the
 engine's float width (float64 reproduces the seed numerics bit for bit;
 float32 is what the vectorized inference engine runs on).
+
+One resident copy per served weight
+-----------------------------------
+A layer drawn by :meth:`Linear.initialize` records its draw (the bit
+generator's type and state just before the draw, the scale and the shape).
+Once its prepared operand is not the float64 master itself — FP16, INT8, or
+FP32 on the float32 engine — the layer drops the master; reading ``weight``
+re-runs the recorded draw, bit for bit, and from then on keeps (pins) the
+array, so in-place edits followed by ``invalidate()`` are served as before.
+A weight passed in explicitly (constructor, ``weight = ...``) is never
+dropped.  ``EncoderModel.initialize`` prepares each encoder layer right after
+drawing it, so a build holds at most one layer's masters at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -39,12 +51,20 @@ COMPUTE_DTYPES: Dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
-@dataclass
+
+def _draw_weight(rng: np.random.Generator, scale: float, shape: Tuple[int, int]) -> np.ndarray:
+    """The one Gaussian draw behind an initialised weight (and its re-run)."""
+    return rng.normal(0.0, scale, size=shape)
+
+
+@dataclass(eq=False)
 class Linear:
     """Affine layer ``y = x W + b`` with selectable matmul precision.
 
     The weight operand for the active ``(precision, compute_dtype)`` pair is
-    prepared once and cached (see the module docstring).
+    prepared once and cached; a drawn master the operand does not need is
+    dropped and re-derived on access (see the module docstring).  Equality
+    is identity: comparing weights would re-derive them.
     """
 
     weight: np.ndarray
@@ -54,14 +74,13 @@ class Linear:
     kernel: str = "numpy"
 
     def __post_init__(self) -> None:
-        self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError(f"weight must be 2-D, got shape {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[1],):
+        if len(self._shape) != 2:
+            raise ValueError(f"weight must be 2-D, got shape {self._shape}")
+        if self.bias.shape != (self._shape[1],):
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match weight output dim "
-                f"{self.weight.shape[1]}"
+                f"{self._shape[1]}"
             )
         if self.compute_dtype not in COMPUTE_DTYPES:
             raise ValueError(
@@ -72,9 +91,40 @@ class Linear:
         # its precision.  "native" degrades to the numpy kernel (one warning
         # per process) when no C toolchain is available — identical results.
         self._kernel_obj = resolve_kernel(self.kernel)
-        # (precision, compute_dtype) -> (source weight ref, prepared operand,
+        # (precision, compute_dtype) -> (weight binding token, prepared operand,
         # weight scale or None, bias in compute dtype, source bias ref).
         self._prepared: Dict[Tuple[str, str], Tuple] = {}
+
+    def _get_weight(self) -> np.ndarray:
+        """The float64 master, re-derived from the recorded draw if dropped.
+
+        Handing it out pins it: from then on it stays resident, so a caller
+        may edit it in place and ``invalidate()``.  Like such edits, a read
+        is not synchronised with another thread preparing the same layer.
+        """
+        weight = self._master()
+        self._weight = weight
+        self._draw = None
+        return weight
+
+    def _set_weight(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        self._weight = value
+        self._shape = value.shape
+        self._draw = None
+        # A fresh token per binding: a prepared entry is current while it
+        # holds the token of the binding it was prepared from.
+        self._binding = object()
+
+    def _master(self) -> np.ndarray:
+        """The resident master, or a fresh re-run of the recorded draw."""
+        weight = self._weight
+        if weight is None:
+            kind, state, scale, shape = self._draw
+            bit_generator = kind()
+            bit_generator.state = state
+            weight = _draw_weight(np.random.Generator(bit_generator), scale, shape)
+        return weight
 
     @classmethod
     def initialize(
@@ -87,25 +137,42 @@ class Linear:
         compute_dtype: str = "float64",
         kernel: str = "numpy",
     ) -> "Linear":
-        """Gaussian initialisation with a 1/sqrt(fan_in) scale by default."""
+        """Gaussian initialisation with a 1/sqrt(fan_in) scale by default.
+
+        A draw from a ``numpy.random.Generator`` is recorded, so the master
+        can be dropped once prepared and re-derived bit for bit; any other
+        source (the zero-filled skeleton) counts as explicitly passed in.
+        """
         scale = scale if scale is not None else 1.0 / np.sqrt(in_features)
-        weight = rng.normal(0.0, scale, size=(in_features, out_features))
-        bias = np.zeros(out_features, dtype=np.float64)
-        return cls(
-            weight=weight,
-            bias=bias,
+        shape = (in_features, out_features)
+        draw = None
+        if isinstance(rng, np.random.Generator):
+            bit_generator = rng.bit_generator
+            draw = (type(bit_generator), bit_generator.state, scale, shape)
+        layer = cls(
+            weight=_draw_weight(rng, scale, shape),
+            bias=np.zeros(out_features, dtype=np.float64),
             precision=precision,
             compute_dtype=compute_dtype,
             kernel=kernel,
         )
+        layer._draw = draw
+        return layer
+
+    def __repr__(self) -> str:
+        return (
+            f"Linear(weight=<float64 {self._shape}>, bias=<float64 "
+            f"{self.bias.shape}>, precision={self.precision!r}, "
+            f"compute_dtype={self.compute_dtype!r}, kernel={self.kernel!r})"
+        )
 
     @property
     def in_features(self) -> int:
-        return int(self.weight.shape[0])
+        return int(self._shape[0])
 
     @property
     def out_features(self) -> int:
-        return int(self.weight.shape[1])
+        return int(self._shape[1])
 
     def invalidate(self) -> None:
         """Drop all prepared weight operands (after in-place weight edits)."""
@@ -124,38 +191,43 @@ class Linear:
         """Weight operand + bias for the active precision, prepared once."""
         key = (self.precision, self.compute_dtype)
         entry = self._prepared.get(key)
-        if entry is not None and entry[0] is self.weight and entry[4] is self.bias:
+        if entry is not None and entry[0] is self._binding and entry[4] is self.bias:
             return entry
         dtype = COMPUTE_DTYPES[self.compute_dtype]
+        weight = self._master()
         if self.precision == "fp32":
-            operand = self.weight.astype(dtype, copy=False)
+            operand = weight.astype(dtype, copy=False)
             weight_scale = None
         elif self.precision == "fp16":
             # storage precision float16, accumulator precision float32.
-            operand = self.weight.astype(np.float16).astype(np.float32)
+            operand = weight.astype(np.float16).astype(np.float32)
             weight_scale = None
         elif self.precision == "int8":
             # The kernel's one-pass quantiser, the one activations go through;
             # bitwise-equal to ``repro.quant.quantize(weight, 8)``.
             kernel = self._kernel_obj
-            weight_scale = kernel.quantize_scale(self.weight)
+            weight_scale = kernel.quantize_scale(weight)
             # The packed format is kernel-private: a float64 carrier of the
             # exact quantised integers for the numpy kernel (BLAS-fast),
             # k4-interleaved int8 column panels + column sums for the native
             # GEMM.
-            operand = kernel.pack_weight_int8(kernel.quantize_pack(self.weight, weight_scale))
+            operand = kernel.pack_weight_int8(kernel.quantize_pack(weight, weight_scale))
         else:
             raise ValueError(
                 f"precision must be 'fp32', 'fp16' or 'int8', got {self.precision!r}"
             )
         entry = (
-            self.weight,
+            self._binding,
             operand,
             weight_scale,
             self.bias.astype(dtype, copy=False),
             self.bias,
         )
         self._prepared[key] = entry
+        if operand is weight:
+            self._weight = weight  # the master is the operand: it stays
+        elif self._draw is not None:
+            self._weight = None  # re-derived from the draw when asked for
         return entry
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -203,7 +275,12 @@ class Linear:
         return self._kernel_obj.linear_int8(x, operand, weight_scale, dtype), bias
 
     def num_parameters(self) -> int:
-        return int(self.weight.size + self.bias.size)
+        return int(self._shape[0] * self._shape[1] + self.bias.size)
+
+
+# ``weight`` stays the dataclass field (constructor argument, ``fields()``);
+# reads and writes go through the accessors above.
+Linear.weight = property(Linear._get_weight, Linear._set_weight, doc=Linear._get_weight.__doc__)
 
 
 @dataclass

@@ -12,8 +12,8 @@ fine-tuning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .config import (
     roberta_like_small_config,
 )
 from ..core.kernels import resolve_kernel
-from .encoder import TransformerEncoder, normalise
+from .encoder import TransformerEncoder, TransformerEncoderLayer, normalise
 from .layers import Embedding, Linear, NormParameters
 from .nonlinear_backend import NonlinearBackend, _exact_backend
 
@@ -59,8 +59,15 @@ class EncoderModel:
 
     @classmethod
     def initialize(cls, config: TransformerConfig, seed: int = 0) -> "EncoderModel":
-        rng = np.random.default_rng(seed)
-        return cls._build(config, rng)
+        """A frozen encoder drawn from ``seed``, every linear prepared.
+
+        Each encoder layer is prepared right after it is drawn, so a build
+        whose operands are not the float64 masters (int8, or any precision
+        on the float32 engine) releases a layer's masters before drawing the
+        next: at most one layer's masters are resident at a time.  A
+        released master is re-derived bit for bit when read (``Linear``).
+        """
+        return cls._build(config, np.random.default_rng(seed), prepare=True)
 
     @classmethod
     def skeleton(cls, config: TransformerConfig) -> "EncoderModel":
@@ -69,27 +76,39 @@ class EncoderModel:
         For flows that immediately overwrite the parameters with real ones
         (``repro.api.session.attach_weight_state`` — e.g. a shard worker
         mapping shared-memory weights): allocating zeros costs calloc pages
-        instead of a full random fill per array.
+        instead of a full random fill per array, and nothing is prepared.
         """
-        return cls._build(config, _ZeroFillGenerator())
+        return cls._build(config, _ZeroFillGenerator(), prepare=False)
 
     @classmethod
-    def _build(cls, config: TransformerConfig, rng) -> "EncoderModel":
+    def _build(cls, config: TransformerConfig, rng, prepare: bool) -> "EncoderModel":
+        embedding = Embedding.initialize(
+            config.vocab_size, config.max_sequence_length, config.hidden_size, rng
+        )
+        encoder = TransformerEncoder()
+        for _ in range(config.num_layers):
+            layer = TransformerEncoderLayer.initialize(config, rng)
+            if prepare:
+                for linear in layer.linears():
+                    linear.prepare()
+            encoder.layers.append(layer)
+        embedding_norm = NormParameters.initialize(config.hidden_size, rng)
+        pooler = Linear.initialize(
+            config.hidden_size,
+            config.hidden_size,
+            rng,
+            precision=config.matmul_precision,
+            compute_dtype=config.compute_dtype,
+            kernel=config.kernel,
+        )
+        if prepare:
+            pooler.prepare()
         return cls(
             config=config,
-            embedding=Embedding.initialize(
-                config.vocab_size, config.max_sequence_length, config.hidden_size, rng
-            ),
-            encoder=TransformerEncoder.initialize(config, rng),
-            embedding_norm=NormParameters.initialize(config.hidden_size, rng),
-            pooler=Linear.initialize(
-                config.hidden_size,
-                config.hidden_size,
-                rng,
-                precision=config.matmul_precision,
-                compute_dtype=config.compute_dtype,
-                kernel=config.kernel,
-            ),
+            embedding=embedding,
+            encoder=encoder,
+            embedding_norm=embedding_norm,
+            pooler=pooler,
         )
 
     def forward(
@@ -149,9 +168,7 @@ class EncoderModel:
         ``invalidate()`` them all.
         """
         for layer in self.encoder.layers:
-            attention = layer.attention
-            yield from (attention.query, attention.key, attention.value, attention.output)
-            yield from (layer.ffn_in, layer.ffn_out)
+            yield from layer.linears()
         yield self.pooler
 
 

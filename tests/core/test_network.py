@@ -1,4 +1,4 @@
-"""Tests for the one-hidden-layer ReLU network and its analytic gradients."""
+"""Tests for the one-hidden-layer ReLU network: parameters, forward, kinks."""
 
 import numpy as np
 import pytest
@@ -54,53 +54,3 @@ class TestForward:
         bps = net.breakpoints()
         # neuron 0: kink at 2.0; neuron 1: no kink (zero weight); neuron 2: kink at 3.0
         np.testing.assert_allclose(bps, [2.0, 3.0])
-
-
-class TestGradients:
-    def _numeric_grad(self, net, x, param_name, index, eps=1e-6):
-        def loss_of(net_):
-            pred = net_.forward(x)
-            return float(np.sum(0.5 * pred**2))
-
-        plus = net.copy()
-        arr = getattr(plus.params, param_name)
-        if param_name == "output_bias":
-            plus.params.output_bias += eps
-        else:
-            arr = arr.copy()
-            arr[index] += eps
-            setattr(plus.params, param_name, arr)
-        minus = net.copy()
-        arr = getattr(minus.params, param_name)
-        if param_name == "output_bias":
-            minus.params.output_bias -= eps
-        else:
-            arr = arr.copy()
-            arr[index] -= eps
-            setattr(minus.params, param_name, arr)
-        return (loss_of(plus) - loss_of(minus)) / (2 * eps)
-
-    @pytest.mark.parametrize("param_name", ["first_weight", "first_bias", "second_weight"])
-    def test_matches_finite_differences(self, rng, param_name):
-        net = make_net(
-            rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), c=0.3
-        )
-        x = rng.normal(size=64)
-        pred = net.forward(x)
-        grads = net.gradients(x, grad_output=pred)  # dL/dy = y for L = 0.5 y^2
-        for index in range(4):
-            numeric = self._numeric_grad(net, x, param_name, index)
-            assert grads[param_name][index] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
-
-    def test_output_bias_gradient(self, rng):
-        net = make_net(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), c=0.1)
-        x = rng.normal(size=32)
-        pred = net.forward(x)
-        grads = net.gradients(x, grad_output=pred)
-        numeric = self._numeric_grad(net, x, "output_bias", 0)
-        assert grads["output_bias"][0] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
-
-    def test_grad_shape_mismatch_raises(self, rng):
-        net = make_net([1.0], [0.0], [1.0])
-        with pytest.raises(ValueError, match="must match input shape"):
-            net.gradients(np.zeros(4), np.zeros(5))

@@ -159,8 +159,10 @@ class TestCalibration:
         # One distinct value spans no range to place knots in.
         calibrated = calibrate_network(fitted_gelu.network, functions.gelu, np.full(500, 0.7))
         assert calibrated is not fitted_gelu.network
-        for name, value in fitted_gelu.network.params.as_dict().items():
-            np.testing.assert_array_equal(calibrated.params.as_dict()[name], value)
+        for name in ("first_weight", "first_bias", "second_weight", "output_bias"):
+            np.testing.assert_array_equal(
+                getattr(calibrated.params, name), getattr(fitted_gelu.network.params, name)
+            )
         assert calibrated.trainable_output_bias == fitted_gelu.network.trainable_output_bias
 
     def test_empty_samples_rejected(self, fitted_gelu):
