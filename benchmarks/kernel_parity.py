@@ -8,7 +8,10 @@ default registry, which loads them from the tracked table artifact, and
 one of a fresh ``fit_lut`` per primitive, with how long that fit takes.
 It exits non-zero if the two differ, so the row proves both that the
 artifact is current and, compared across a change, that the fit itself did
-not move by a bit.  A "prepared int8 operands" row does the same for the
+not move by a bit.  A "calibrated tables" row digests the four tables
+``InferenceSession.calibrate`` (the paper's "+C") re-fits on a fixed sample
+of ``tiny``-model traffic, so a change that moves the calibration shows in
+the log.  A "prepared int8 operands" row does the same for the
 end-to-end benchmark's int8-native model: how long its build takes (the
 build prepares each layer's ``Linear`` operands right after drawing it) and
 a sha256 over every layer's packed panels, column sums, weight scale and
@@ -68,6 +71,23 @@ def fitted_tables() -> tuple:
     fitted = [fit_lut(name, num_entries=16).lut for name in SERVED_PRIMITIVES]
     seconds = time.perf_counter() - start
     return loaded, seconds, table_sha256(fitted)
+
+
+def calibrated_tables() -> str:
+    """sha256 over the four tables ``session.calibrate`` fits on a fixed sample.
+
+    A float32 ``tiny`` session with every operator on 16-entry NN-LUT tables
+    records eight unlabelled sequences (lengths 5-31, tokens drawn with seed
+    0) and re-fits each primitive on them.
+    """
+    session = InferenceSession(
+        SessionConfig("tiny"), spec=BackendSpec.nn_lut(), registry=LutRegistry()
+    )
+    rng = np.random.default_rng(0)
+    vocab = session.model.config.vocab_size
+    samples = [rng.integers(0, vocab, size=n) for n in (5, 9, 16, 23, 31, 12, 7, 28)]
+    tables = session.calibrate(samples)
+    return table_sha256(tables[name] for name in SERVED_PRIMITIVES)
 
 
 #: The model of the end-to-end benchmark's ``offline_clustered_int8_native``
@@ -445,6 +465,7 @@ def main() -> int:
             "with `python -m repro.experiments fit-tables`"
         )
         return 1
+    print(f"calibrated tables: {', '.join(SERVED_PRIMITIVES)}: sha256 {calibrated_tables()}")
     if not native_available():
         print(
             f"native kernel unavailable ({native_unavailable_reason()}); "

@@ -15,7 +15,7 @@ def main() -> None:
     primitive = fit_lut("gelu", num_entries=16)
     lut = primitive.lut
     print(f"Fitted GELU NN-LUT: {lut.num_entries} entries, "
-          f"final L1 loss {primitive.training_result.final_loss:.4f}")
+          f"final L1 loss {primitive.final_loss:.4f}")
 
     # 2. The conversion is exact: the network and the table agree everywhere.
     exact_equivalence = lut_matches_network(primitive.network, lut, primitive.input_range)

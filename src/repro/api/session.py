@@ -34,7 +34,6 @@ from ..core.functions import get_training_range
 from ..core.kernels import KERNEL_NAMES
 from ..core.lut import LookupTable
 from ..core.registry import LutRegistry, default_registry
-from ..core.scaling import InputScaler
 from ..transformer.config import (
     TransformerConfig,
     mobilebert_config,
@@ -348,6 +347,38 @@ def adopted_model_config(
     )
 
 
+def _adopting_config(config: SessionConfig | None, model: EncoderModel) -> SessionConfig:
+    """The config of a session adopting ``model``, checked against it.
+
+    An adopted model must be described honestly: a named-family config
+    alongside it would log/replay a different model.  ``None`` means
+    :func:`adopted_model_config` with its defaults.
+    """
+    if config is None:
+        return adopted_model_config(model)
+    if config.model_family != "custom":
+        raise ValueError(
+            "when adopting an existing model, pass a SessionConfig with "
+            "model_family='custom' (or use InferenceSession.from_model); "
+            f"a {config.model_family!r} config would misdescribe the session"
+        )
+    mismatched = [
+        f"{name}={getattr(config, name)!r} (model runs {actual!r})"
+        for name, actual in (
+            ("compute_dtype", model.config.compute_dtype),
+            ("matmul_precision", model.config.matmul_precision),
+            ("kernel", model.config.kernel),
+        )
+        if getattr(config, name) != actual
+    ]
+    if mismatched:
+        raise ValueError(
+            "custom SessionConfig engine settings must match the "
+            f"adopted model: {'; '.join(mismatched)}"
+        )
+    return config
+
+
 class InferenceSession:
     """A prepared (model, backend) pair serving ragged request lists.
 
@@ -373,35 +404,11 @@ class InferenceSession:
         model: EncoderModel | None = None,
     ) -> None:
         if model is not None:
-            # An adopted model must be described honestly: a named-family
-            # config alongside it would log/replay a different model.
-            if config is None:
-                config = adopted_model_config(model)
-            elif config.model_family != "custom":
-                raise ValueError(
-                    "when adopting an existing model, pass a SessionConfig with "
-                    "model_family='custom' (or use InferenceSession.from_model); "
-                    f"a {config.model_family!r} config would misdescribe the session"
-                )
-            else:
-                mismatched = [
-                    f"{name}={getattr(config, name)!r} (model runs {actual!r})"
-                    for name, actual in (
-                        ("compute_dtype", model.config.compute_dtype),
-                        ("matmul_precision", model.config.matmul_precision),
-                        ("kernel", model.config.kernel),
-                    )
-                    if getattr(config, name) != actual
-                ]
-                if mismatched:
-                    raise ValueError(
-                        "custom SessionConfig engine settings must match the "
-                        f"adopted model: {'; '.join(mismatched)}"
-                    )
+            config = _adopting_config(config, model)
         self.config = config or SessionConfig()
         self.spec = spec or BackendSpec.exact()
         self.registry = default_registry() if registry is None else registry
-        self.model = model if model is not None else self._build_model()
+        self.model = model if model is not None else self.config.build_model()
         self.lut_overrides: Dict[str, LookupTable] = {}
         self.backend: NonlinearBackend = build_backend(self.spec, registry=self.registry)
         self._batcher = RequestBatcher(
@@ -410,10 +417,6 @@ class InferenceSession:
         )
         for linear in self.model.iter_linears():
             linear.prepare()
-
-    def _build_model(self) -> EncoderModel:
-        """The configured encoder, as :meth:`SessionConfig.build_model` draws it."""
-        return self.config.build_model()
 
     @classmethod
     def from_model(
@@ -626,14 +629,15 @@ class InferenceSession:
 # Recorded activations -> calibrated primitive tables
 # --------------------------------------------------------------------------- #
 def _operator_queries(
-    recorder: OperatorRecorder, operator: str, input_scaling: bool = True
+    recorder: OperatorRecorder, operator: str, registry: LutRegistry, input_scaling: bool
 ) -> Dict[str, np.ndarray]:
     """Scalar-primitive query points implied by one operator's recordings.
 
-    ``input_scaling`` must mirror the serving backend's setting: it decides
-    whether small LayerNorm variances are mapped to ``S * var`` (the
-    Sec.-3.3.2 query transformation) before fitting — a table calibrated on
-    scaled queries would otherwise never be hit at serving time.
+    LayerNorm's are the row variances mapped to where the LayerNorm
+    :func:`build_backend` serves reads its table
+    (:meth:`~repro.core.approximators.LutLayerNorm.rsqrt_queries`: clipped,
+    and scaled when ``input_scaling`` is on) — a table calibrated anywhere
+    else would never be hit at serving time.
     """
     if operator == "gelu":
         if not recorder.gelu_inputs:
@@ -662,14 +666,9 @@ def _operator_queries(
             mean = np.mean(recorded, axis=-1, keepdims=True)
             variance = np.mean((recorded - mean) ** 2, axis=-1) + 1e-5
             variances.append(variance.ravel())
-        variance = np.concatenate(variances)
-        if input_scaling:
-            # The serving table is queried at S*var for small variances.
-            scaler = InputScaler()
-            variance = np.where(
-                variance < scaler.threshold, variance * scaler.scale, variance
-            )
-        return {"rsqrt": variance}
+        spec = BackendSpec.nn_lut(replace=("layernorm",), input_scaling=input_scaling)
+        served = build_backend(spec, registry=registry).layernorm
+        return {"rsqrt": served.rsqrt_queries(np.concatenate(variances))}
     raise ValueError(f"Unknown operator {operator!r}; valid operators: {ALL_OPS}")
 
 
@@ -713,7 +712,7 @@ def calibrate_primitive_luts(
     rng = np.random.default_rng(0)
     calibrated: Dict[str, LookupTable] = {}
     for operator in operators:
-        primitive_queries = _operator_queries(recorder, operator, input_scaling)
+        primitive_queries = _operator_queries(recorder, operator, registry, input_scaling)
         for primitive, queries in primitive_queries.items():
             entries = (
                 num_entries if isinstance(num_entries, int) else num_entries[operator]

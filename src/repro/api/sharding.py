@@ -79,6 +79,7 @@ from .server import ReplicaPool
 from .session import (
     InferenceSession,
     SessionConfig,
+    _adopting_config,
     _check_budgets,
     adopted_model_config,
     attach_weight_state,
@@ -637,26 +638,6 @@ def _release_pool_resources(
             transport.close()
 
 
-class _SharedTemplate(InferenceSession):
-    """A sharded pool's local session.
-
-    Its masters go to shared memory, which keeps them resident anyway, so
-    the model it draws keeps every master (no per-layer release) and the
-    export reads them instead of re-running the draw — about a second at
-    BERT-base width.
-    """
-
-    def _build_model(self) -> EncoderModel:
-        config = self.config
-        model = EncoderModel._build(
-            config.transformer_config(),
-            np.random.default_rng(config.seed),
-            prepare=False,
-        )
-        export_weight_state(model)  # reading the masters pins them
-        return model
-
-
 class ShardedPool(ReplicaPool):
     """Replica sessions in worker *processes* over shared-memory weights.
 
@@ -712,32 +693,51 @@ class ShardedPool(ReplicaPool):
                 "transports: pipe, shm_ring"
             )
         self.transport_name = transport
-        template = _SharedTemplate(
-            config=config, spec=spec, registry=registry, model=model
-        )
-        self._template = template
-        self.config = template.config
-        self.spec = template.spec
+        if model is None:
+            config = config or SessionConfig()
+            # The masters go to shared memory, which keeps them resident
+            # anyway: draw them unprepared, so none is released and the
+            # export below reads them instead of re-running the draw.
+            model = EncoderModel._build(
+                config.transformer_config(),
+                np.random.default_rng(config.seed),
+                prepare=False,
+            )
+            session_config = adopted_model_config(
+                model,
+                max_batch_size=config.max_batch_size,
+                bucket_size=config.bucket_size,
+                seed=config.seed,
+            )
+        else:
+            # Checked before the export below pins the masters and rebinds
+            # the caller's linears onto shared blocks.
+            session_config = _adopting_config(config, model)
         self.sessions: List[_ShardClient] = []
         self._closed = False
-        store = SharedWeightStore(export_weight_state(template.model))
+        store = SharedWeightStore(export_weight_state(model))
         self._store = store
         self._transports: List[WorkerTransport] = []
         # Restore the model's private weights and unlink the blocks — weight
         # store and transport rings alike — even if the pool is never closed
         # (GC / interpreter exit).
         self._finalizer = weakref.finalize(
-            self, _release_pool_resources, store, template.model, self._transports
+            self, _release_pool_resources, store, model, self._transports
         )
         try:
             # One copy of the weights per machine: the parent's model reads
-            # the same blocks the workers map.
-            attach_weight_state(template.model, store.arrays())
-            for linear in template.model.iter_linears():
-                linear.prepare()
+            # the same blocks the workers map, and the session prepares its
+            # linears once, on them.
+            attach_weight_state(model, store.arrays())
+            template = InferenceSession(
+                config=session_config, spec=spec, registry=registry, model=model
+            )
+            self._template = template
+            self.config = config or template.config
+            self.spec = template.spec
             template.forward([np.zeros(1, dtype=np.int64)])
             worker_config = adopted_model_config(
-                template.model,
+                model,
                 max_batch_size=template.config.max_batch_size,
                 bucket_size=template.config.bucket_size,
                 seed=template.config.seed,

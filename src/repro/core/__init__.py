@@ -3,13 +3,17 @@
 Workflow (mirrors Figure 1 of the paper):
 
 1. :func:`repro.core.training.fit_network` fits a one-hidden-layer ReLU
-   network to a scalar primitive (GELU, exp, 1/x, 1/sqrt) in closed form,
-   with the Table-1 weight signs.
+   network to a scalar primitive (GELU, exp, 1/x, 1/sqrt) in one closed-form
+   solve, with the Table-1 weight signs; :func:`repro.core.registry.fit_lut`
+   also converts it, and a default :class:`LutRegistry` loads the four
+   served tables from the tracked artifact instead of fitting them.
 2. :func:`repro.core.conversion.network_to_lut` transforms the trained network
    into an exactly-equivalent first-order look-up table (Eq. 7).
 3. :mod:`repro.core.approximators` assembles the tables into drop-in
    replacements for GELU, Softmax and LayerNorm, with the input-scaling and
-   calibration refinements of Sec. 3.3.
+   calibration refinements of Sec. 3.3; the calibration
+   (:func:`repro.core.calibration.calibrate_network`) re-runs the fit's
+   solve on recorded samples.
 """
 
 from .approximators import (
@@ -35,13 +39,12 @@ from .functions import (
     rsqrt,
     softmax,
 )
-from .initialization import INIT_SPECS, InitSpec, get_init_spec, initialize_network
 from .lut import LookupTable
-from .network import NetworkParameters, OneHiddenReluNet
+from .network import OneHiddenReluNet
 from .quantization import Fp16LookupTable, Int32LookupTable
 from .registry import FittedPrimitive, LutRegistry, default_registry, fit_lut
 from .scaling import InputScaler
-from .training import TrainingResult, fit_network
+from .training import fit_network
 
 __all__ = [
     # functions
@@ -57,13 +60,7 @@ __all__ = [
     "get_target_function",
     "get_training_range",
     # network + training
-    "NetworkParameters",
     "OneHiddenReluNet",
-    "InitSpec",
-    "INIT_SPECS",
-    "get_init_spec",
-    "initialize_network",
-    "TrainingResult",
     "fit_network",
     # LUT
     "LookupTable",

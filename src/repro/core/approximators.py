@@ -288,11 +288,25 @@ class LutLayerNorm:
     axis: int = -1
     clip_max: float | None = 1024.0
 
-    def _rsqrt(self, variance: np.ndarray) -> np.ndarray:
-        """Inverse square root of a variance buffer the caller owns."""
+    def _clipped(self, variance: np.ndarray) -> np.ndarray:
+        """``variance`` (a buffer the caller owns) clipped at ``clip_max`` in place."""
         variance = _as_float(variance)
         if self.clip_max is not None:
             np.minimum(variance, self.clip_max, out=variance)
+        return variance
+
+    def rsqrt_queries(self, variance: np.ndarray) -> np.ndarray:
+        """Where :meth:`_rsqrt` reads the ``1/sqrt`` table for ``variance``.
+
+        Clipped, then mapped by ``scaler``'s :meth:`InputScaler.queries`;
+        calibration fits the table on exactly these points.
+        """
+        variance = self._clipped(variance)
+        return variance if self.scaler is None else self.scaler.queries(variance)
+
+    def _rsqrt(self, variance: np.ndarray) -> np.ndarray:
+        """Inverse square root of a variance buffer the caller owns."""
+        variance = self._clipped(variance)
         if self.scaler is None:
             return self.rsqrt_approx.evaluate(variance, out=variance)
         return self.scaler.apply(variance, self.rsqrt_approx)

@@ -46,11 +46,7 @@ def _interval_probes(breakpoints: np.ndarray) -> np.ndarray:
     )
 
 
-def network_to_lut(
-    network: OneHiddenReluNet,
-    name: str = "",
-    merge_tolerance: float = 0.0,
-) -> LookupTable:
+def network_to_lut(network: OneHiddenReluNet, name: str = "") -> LookupTable:
     """Convert a trained ReLU network into its exactly-equivalent LUT.
 
     Parameters
@@ -59,10 +55,6 @@ def network_to_lut(
         Trained :class:`OneHiddenReluNet`.
     name:
         Optional tag stored on the resulting :class:`LookupTable`.
-    merge_tolerance:
-        Breakpoints closer together than this are merged into one (keeps the
-        table at its nominal entry count when two neurons learn nearly
-        coincident kinks).  ``0.0`` keeps every distinct kink.
 
     Returns
     -------
@@ -71,19 +63,13 @@ def network_to_lut(
         hidden neurons with distinct non-degenerate kinks this has ``H + 1``
         entries — the paper's ``N``-entry table from ``N - 1`` neurons.
     """
-    n = network.params.first_weight
-    b = network.params.first_bias
-    m = network.params.second_weight
-    c = network.params.output_bias
+    n = network.first_weight
+    b = network.first_bias
+    m = network.second_weight
+    c = network.output_bias
 
     nonzero = np.abs(n) > 1e-12
-    kinks = -b[nonzero] / n[nonzero]
-    kinks = np.sort(kinks)
-    if merge_tolerance > 0.0 and kinks.size > 1:
-        keep = np.concatenate(([True], np.diff(kinks) > merge_tolerance))
-        kinks = kinks[keep]
-    else:
-        kinks = np.unique(kinks)
+    kinks = np.unique(-b[nonzero] / n[nonzero])
 
     probes = _interval_probes(kinks)
     # Active mask per probe: neuron j contributes on this interval iff
@@ -116,10 +102,10 @@ def network_to_lut_eq7(network: OneHiddenReluNet, name: str = "") -> LookupTable
     implicit assumption).  Intended for cross-checking :func:`network_to_lut`;
     production code should prefer the robust version.
     """
-    n = network.params.first_weight
-    b = network.params.first_bias
-    m = network.params.second_weight
-    c = network.params.output_bias
+    n = network.first_weight
+    b = network.first_bias
+    m = network.second_weight
+    c = network.output_bias
     if np.any(np.abs(n) <= 1e-12):
         raise ValueError("Eq. 7 form requires all hidden weights n_i to be non-zero")
 

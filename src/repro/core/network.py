@@ -7,10 +7,10 @@ Section 3.2 of the paper: a network of ``N - 1`` hidden ReLU neurons
 is piecewise linear in ``x`` with kinks exactly at ``x = -b_i / n_i``, so it
 can be transformed into an ``N``-entry first-order look-up table (Eq. 7).
 
-The paper's Eq. (5) omits the output bias ``c``; we keep it as an optional
-parameter (enabled by default) because it strictly increases approximation
-capacity and drops out of the LUT transform as a constant added to every
-intercept.  Setting ``output_bias=False`` reproduces the paper's exact form.
+The paper's Eq. (5) omits the output bias ``c``; we keep it because it
+strictly increases approximation capacity and drops out of the LUT transform
+as a constant added to every intercept.  ``output_bias=0.0`` is the paper's
+exact form.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NetworkParameters", "OneHiddenReluNet"]
+__all__ = ["OneHiddenReluNet"]
 
 
 @dataclass
-class NetworkParameters:
-    """Raw parameters of a one-hidden-layer ReLU network.
+class OneHiddenReluNet:
+    """One-hidden-layer ReLU network ``y = sum_i m_i relu(n_i x + b_i) + c``.
 
     Attributes
     ----------
@@ -35,7 +35,11 @@ class NetworkParameters:
     second_weight:
         Output-layer weights ``m_i`` (shape ``(H,)``).
     output_bias:
-        Scalar output bias ``c`` (always stored; kept at 0 when disabled).
+        Scalar output bias ``c``.
+
+    The network operates on scalar inputs broadcast over arbitrary numpy array
+    shapes.  The closed-form fit (``repro.core.training``) needs only its
+    hidden activations; the LUT conversion its breakpoints.
     """
 
     first_weight: np.ndarray
@@ -65,58 +69,13 @@ class NetworkParameters:
         """Number of hidden neurons (``N - 1`` for an ``N``-entry LUT)."""
         return int(self.first_weight.size)
 
-    def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            first_weight=self.first_weight.copy(),
-            first_bias=self.first_bias.copy(),
-            second_weight=self.second_weight.copy(),
-            output_bias=self.output_bias,
-        )
-
-
-@dataclass
-class OneHiddenReluNet:
-    """One-hidden-layer ReLU network ``y = sum_i m_i relu(n_i x + b_i) + c``.
-
-    The network operates on scalar inputs broadcast over arbitrary numpy array
-    shapes.  The closed-form fit (``repro.core.training.fit_network``) needs
-    only its hidden activations; the LUT conversion its breakpoints.
-    """
-
-    params: NetworkParameters
-    trainable_output_bias: bool = True
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_arrays(
-        cls,
-        first_weight: np.ndarray,
-        first_bias: np.ndarray,
-        second_weight: np.ndarray,
-        output_bias: float = 0.0,
-        trainable_output_bias: bool = True,
-    ) -> "OneHiddenReluNet":
-        params = NetworkParameters(
-            first_weight=first_weight,
-            first_bias=first_bias,
-            second_weight=second_weight,
-            output_bias=output_bias,
-        )
-        return cls(params=params, trainable_output_bias=trainable_output_bias)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.params.hidden_size
-
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
     def hidden_preactivations(self, x: np.ndarray) -> np.ndarray:
         """Return ``n_i * x + b_i`` with shape ``x.shape + (H,)``."""
         x = np.asarray(x, dtype=np.float64)
-        return x[..., None] * self.params.first_weight + self.params.first_bias
+        return x[..., None] * self.first_weight + self.first_bias
 
     def hidden_activations(self, x: np.ndarray) -> np.ndarray:
         """Return ``relu(n_i * x + b_i)`` with shape ``x.shape + (H,)``."""
@@ -125,7 +84,7 @@ class OneHiddenReluNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the network; output shape matches ``x``."""
         hidden = self.hidden_activations(x)
-        return hidden @ self.params.second_weight + self.params.output_bias
+        return hidden @ self.second_weight + self.output_bias
 
     __call__ = forward
 
@@ -138,13 +97,15 @@ class OneHiddenReluNet:
         Neurons whose input weight ``n_i`` is (numerically) zero contribute a
         constant to the output and do not create a kink; they are skipped.
         """
-        n = self.params.first_weight
-        b = self.params.first_bias
+        n = self.first_weight
+        b = self.first_bias
         nonzero = np.abs(n) > 1e-12
         return np.sort(-b[nonzero] / n[nonzero])
 
     def copy(self) -> "OneHiddenReluNet":
         return OneHiddenReluNet(
-            params=self.params.copy(),
-            trainable_output_bias=self.trainable_output_bias,
+            first_weight=self.first_weight.copy(),
+            first_bias=self.first_bias.copy(),
+            second_weight=self.second_weight.copy(),
+            output_bias=self.output_bias,
         )

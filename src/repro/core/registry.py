@@ -35,7 +35,7 @@ from .conversion import network_to_lut
 from .functions import get_training_range
 from .lut import LookupTable
 from .network import OneHiddenReluNet
-from .training import TrainingResult, fit_network
+from .training import fit_network
 
 __all__ = ["LutRegistry", "FittedPrimitive", "default_registry", "fit_lut"]
 
@@ -71,7 +71,7 @@ class FittedPrimitive:
     name: str
     network: OneHiddenReluNet
     lut: LookupTable
-    training_result: TrainingResult
+    final_loss: float
     input_range: Tuple[float, float]
 
 
@@ -93,19 +93,21 @@ def table_sha256(tables: Iterable[LookupTable]) -> str:
     return digest.hexdigest()
 
 
-def _primitive(function_name: str, num_entries: int, result: TrainingResult) -> FittedPrimitive:
-    input_range = tuple(result.input_range)
-    lut = network_to_lut(result.network, name=function_name)
+def _primitive(
+    function_name: str, num_entries: int, network: OneHiddenReluNet, final_loss: float
+) -> FittedPrimitive:
+    input_range = tuple(get_training_range(function_name))
+    lut = network_to_lut(network, name=function_name)
     lut = lut.with_metadata(
         input_range=input_range,
-        final_l1_loss=result.final_loss,
+        final_l1_loss=final_loss,
         num_entries_requested=num_entries,
     )
     return FittedPrimitive(
         name=function_name,
-        network=result.network,
+        network=network,
         lut=lut,
-        training_result=result,
+        final_loss=final_loss,
         input_range=input_range,
     )
 
@@ -118,10 +120,10 @@ def fit_lut(function_name: str, num_entries: int = 16) -> FittedPrimitive:
     """
     if num_entries < 2:
         raise ValueError("num_entries must be >= 2")
-    result = fit_network(
+    network, final_loss = fit_network(
         function_name, hidden_size=num_entries - 1, **fit_signature(function_name)["recipe"]
     )
-    return _primitive(function_name, num_entries, result)
+    return _primitive(function_name, num_entries, network, final_loss)
 
 
 def write_tables() -> str:
@@ -133,14 +135,13 @@ def write_tables() -> str:
     fitted = [fit_lut(name) for name in SERVED_PRIMITIVES]
     rows = {}
     for primitive in fitted:
-        params = primitive.network.params
-        network = {name: [v.hex() for v in getattr(params, name).tolist()]
+        network = {name: [v.hex() for v in getattr(primitive.network, name).tolist()]
                    for name in _NETWORK_FIELDS}
-        network["output_bias"] = params.output_bias.hex()
+        network["output_bias"] = primitive.network.output_bias.hex()
         rows[primitive.name] = {
             "signature": fit_signature(primitive.name),
             "network": network,
-            "final_loss": primitive.training_result.final_loss.hex(),
+            "final_loss": primitive.final_loss.hex(),
             "sha256": table_sha256([primitive.lut]),
         }
     document = {"regenerate": "python -m repro.experiments fit-tables", "tables": rows}
@@ -163,17 +164,11 @@ def _load_row(function_name: str, num_entries: int) -> FittedPrimitive | None:
     if row is None or row["signature"] != fit_signature(function_name, num_entries):
         return None
     stored = row["network"]
-    network = OneHiddenReluNet.from_arrays(
+    network = OneHiddenReluNet(
         *(np.array([float.fromhex(v) for v in stored[name]]) for name in _NETWORK_FIELDS),
         output_bias=float.fromhex(stored["output_bias"]),
     )
-    result = TrainingResult(
-        network=network,
-        final_loss=float.fromhex(row["final_loss"]),
-        input_range=get_training_range(function_name),
-        function_name=function_name,
-    )
-    fitted = _primitive(function_name, num_entries, result)
+    fitted = _primitive(function_name, num_entries, network, float.fromhex(row["final_loss"]))
     if table_sha256([fitted.lut]) != row["sha256"]:
         raise ValueError(
             f"{TABLES_PATH.name}: the {function_name!r} network converts to a table whose "

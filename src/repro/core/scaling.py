@@ -10,9 +10,11 @@ together with the shallow tail up to 1024.  The paper's fix:
    ``[1, K]``, look up the table, and multiply the result by ``sqrt(S)``
    (a constant multiply), since ``1/sqrt(x) = sqrt(S) * 1/sqrt(S * x)``.
 
-:class:`InputScaler` implements the dispatch; it is used by
-``repro.core.approximators.LutLayerNorm`` and reads its rsqrt table through
-the fused ``evaluate(x, out=None)`` every scalar table exposes.
+:class:`InputScaler` implements the dispatch: :meth:`InputScaler.queries` is
+where the table is read (``repro.core.approximators.LutLayerNorm`` and the
+calibration of its table both go through it), and :meth:`InputScaler.apply`
+reads the table through the fused ``evaluate(x, out=None)`` every scalar
+table exposes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ class InputScaler:
         """Output correction factor ``sqrt(S)``."""
         return float(np.sqrt(self.scale))
 
+    def queries(self, x: np.ndarray) -> np.ndarray:
+        """Where the table is read for ``x``: ``S * x`` below the threshold, else ``x``.
+
+        A new array of the input's floating dtype (anything else is promoted
+        to float64).
+        """
+        x = np.asarray(x)
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
+        return np.where(x < self.threshold, x * self.scale, x)
+
     def apply(self, x: np.ndarray, rsqrt_approx: "ScalarApproximator") -> np.ndarray:
         """Evaluate ``1/sqrt(x)`` through the table ``rsqrt_approx`` with scaling.
 
@@ -67,15 +80,9 @@ class InputScaler:
 
         The input's floating dtype is preserved (anything else is promoted
         to float64), and the table's ``evaluate`` writes its output into the
-        scaled-input buffer.
+        :meth:`queries` buffer.
         """
-        x = np.asarray(x)
-        if x.dtype not in (np.float32, np.float64):
-            x = x.astype(np.float64)
-        small = x < self.threshold
-        scaled_input = np.where(small, x * self.scale, x)
-        # the scaled-input buffer is ours: fuse the output correction into it
-        # in place.
-        raw = rsqrt_approx.evaluate(scaled_input, out=scaled_input)
-        np.multiply(raw, self.output_scale, out=raw, where=small)
+        queries = self.queries(x)
+        raw = rsqrt_approx.evaluate(queries, out=queries)
+        np.multiply(raw, self.output_scale, out=raw, where=np.asarray(x) < self.threshold)
         return raw

@@ -8,44 +8,64 @@ deterministic solve instead:
 * knots: the quantiles of the error-balancing density ``|f''|^(1/3)``
   (:func:`curvature_anchors`; ``|f''/f|^(1/3)`` for a relative fit),
 * hidden layer: Table 1's weight sign as one fixed direction per primitive
-  (:func:`repro.core.initialization.initialize_network`), magnitude 1 and
-  bias ``-n * anchor``,
+  (:data:`_HINGE_DIRECTIONS`), magnitude 1 and bias ``-n * anchor``,
 * output layer ``(m, c)``: one least-squares solve on a fixed grid over the
-  Table-1 input range (:func:`_least_squares_output_layer`), weighted by
-  ``1/f^2`` for a relative fit (1/x, 1/sqrt).
+  Table-1 input range, weighted by ``1/f^2`` for a relative fit (1/x,
+  1/sqrt).
+
+:func:`_solve_network` is that solve; the "+C" calibration
+(``repro.core.calibration``) runs it on recorded samples instead of the grid.
+
+The paper reports that the hidden-layer weight (``n_i``) and bias (``b_i``)
+signs must be chosen per target function for the network to find good LUT
+parameters (Table 1):
+
+==============  ==================  =====================
+Function        Weight init (n_i)   Bias init (b_i)
+==============  ==================  =====================
+GELU            random              random
+Exp             positive random     positive random
+Divide (1/x)    negative random     positive random
+1/SQRT          negative random     positive random
+==============  ==================  =====================
+
+The fit takes the weight sign as one direction every hinge
+``relu(n_i x + b_i)`` opens in: positive for "random" (GELU) and "positive"
+(exp), negative for 1/x and 1/sqrt.  Together with the output bias that
+spans every piecewise-linear function on the knots that is flat beyond one
+end of the range — flat towards -inf for GELU and exp, towards +inf for 1/x
+and 1/sqrt.  Randomly signed hinges span less, and cost GELU 2-10x in error.
+The bias sign then follows from the knots (``b_i = -n_i * anchor_i``).
 
 At the served 16 entries this is 3x more accurate than the paper's Adam
 recipe on GELU and exp and within 5 % of it on 1/x and 1/sqrt (README,
 "Setup").
 
-The main entry points are :func:`fit_network` (returns the fitted ReLU net)
-and :func:`fit_lut` in ``repro.core.registry`` which also performs the NN→LUT
-conversion.
+The main entry points are :func:`fit_network` (returns the fitted ReLU net
+and its grid loss) and :func:`fit_lut` in ``repro.core.registry`` which also
+performs the NN→LUT conversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from .functions import get_target_function, get_training_range
-from .initialization import initialize_network
 from .network import OneHiddenReluNet
 
-__all__ = ["TrainingResult", "fit_network"]
+__all__ = ["fit_network"]
 
 
-@dataclass
-class TrainingResult:
-    """Outcome of :func:`fit_network`."""
-
-    network: OneHiddenReluNet
-    final_loss: float
-    input_range: Tuple[float, float] = (0.0, 1.0)
-    function_name: str = ""
-
+#: Table 1's hidden-weight sign per primitive, as the direction (+1 or -1)
+#: every hinge opens in.  Any other primitive takes +1.
+_HINGE_DIRECTIONS: Dict[str, float] = {
+    "gelu": 1.0,
+    "exp": 1.0,
+    "reciprocal": -1.0,
+    "rsqrt": -1.0,
+}
 
 #: Points of the fixed grid an output layer is solved on.
 _GRID_POINTS = 20_000
@@ -157,36 +177,8 @@ def curvature_anchors(
     return anchors
 
 
-def _least_squares_output_layer(
-    network: OneHiddenReluNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    ridge: float = 1e-8,
-    weights: np.ndarray | None = None,
-) -> None:
-    """Solve the output layer ``(m, c)`` in closed form for fixed breakpoints.
-
-    With the hidden layer frozen, the network output is linear in the second
-    layer weights and bias, so a (ridge-regularised, optionally weighted)
-    least-squares solve gives the optimal L2 fit at once.
-    """
-    hidden = network.hidden_activations(x)
-    if network.trainable_output_bias:
-        design = np.concatenate([hidden, np.ones((hidden.shape[0], 1))], axis=1)
-    else:
-        design = hidden
-    target = y
-    if weights is not None:
-        root = np.sqrt(np.asarray(weights, dtype=np.float64))[:, None]
-        design = design * root
-        target = y * root.ravel()
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
-    solution = np.linalg.solve(gram, design.T @ target)
-    if network.trainable_output_bias:
-        network.params.second_weight = solution[:-1]
-        network.params.output_bias = float(solution[-1])
-    else:
-        network.params.second_weight = solution
+#: Ridge added to the output layer's normal equations.
+_RIDGE = 1e-8
 
 
 def _normalisation(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
@@ -200,22 +192,52 @@ def _normalisation(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     return (high + low) / 2.0, (high - low) / 2.0, target_scale if target_scale > 0 else 1.0
 
 
-def _denormalize_network(
-    network: OneHiddenReluNet, center: float, half_width: float, target_scale: float
-) -> None:
-    """Fold the input/target normalisation back into the network parameters.
+def _solve_network(
+    function: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    knots: Callable[[Callable[[np.ndarray], np.ndarray], np.ndarray], np.ndarray],
+    direction: float,
+    relative: bool = False,
+) -> OneHiddenReluNet:
+    """The net ``sum_i m_i relu(direction (x - k_i)) + c`` fitting ``y = function(x)``.
 
-    The fit is carried out on ``x_n = (x - center) / half_width`` against
-    ``y_n = y / target_scale``; this rewrites the parameters so the network
-    operates directly on the original units (the property the NN->LUT
+    The solve runs in normalised units: ``x`` mapped onto [-1, 1] and ``y``
+    divided by ``max |y|``.  ``knots(g, z)`` places the knots ``k_i`` in those
+    units, given the normalised target ``g`` and the normalised inputs ``z``.
+    With the hinges fixed the output is linear in ``(m, c)``, so one
+    ridge-regularised least-squares solve gives the optimal L2 fit at once,
+    weighted by ``1/y^2`` when ``relative``.  The parameters are then
+    rewritten to act on the original units (the property the NN->LUT
     conversion and the LUT hardware rely on).
     """
-    n = network.params.first_weight
-    b = network.params.first_bias
-    network.params.first_weight = n / half_width
-    network.params.first_bias = b - n * center / half_width
-    network.params.second_weight = network.params.second_weight * target_scale
-    network.params.output_bias = network.params.output_bias * target_scale
+    center, half_width, target_scale = _normalisation(x, y)
+    x_norm = (x - center) / half_width
+    y_norm = y / target_scale
+
+    def normalised_function(z: np.ndarray) -> np.ndarray:
+        return np.asarray(function(z * half_width + center), dtype=np.float64) / target_scale
+
+    anchors = knots(normalised_function, x_norm)
+    first_weight = np.full(anchors.size, direction)
+    first_bias = -first_weight * anchors
+    hinges = OneHiddenReluNet(first_weight, first_bias, np.zeros(anchors.size))
+    hidden = hinges.hidden_activations(x_norm)
+    design = np.concatenate([hidden, np.ones((hidden.shape[0], 1))], axis=1)
+    target = y_norm
+    if relative:
+        root = np.sqrt(1.0 / np.maximum(y_norm * y_norm, 1e-12))[:, None]
+        design = design * root
+        target = y_norm * root.ravel()
+    gram = design.T @ design + _RIDGE * np.eye(design.shape[1])
+    solution = np.linalg.solve(gram, design.T @ target)
+
+    return OneHiddenReluNet(
+        first_weight / half_width,
+        first_bias - first_weight * center / half_width,
+        solution[:-1] * target_scale,
+        float(solution[-1]) * target_scale,
+    )
 
 
 def fit_network(
@@ -225,7 +247,7 @@ def fit_network(
     relative: bool = False,
     function: Callable[[np.ndarray], np.ndarray] | None = None,
     input_range: Tuple[float, float] | None = None,
-) -> TrainingResult:
+) -> Tuple[OneHiddenReluNet, float]:
     """Fit a one-hidden-layer ReLU net of ``hidden_size`` neurons to a primitive.
 
     Parameters
@@ -244,8 +266,8 @@ def fit_network(
         Optional overrides, e.g. for fitting user-defined functions (Hswish,
         Tanh, …).
 
-    ``final_loss`` is the mean absolute error on the grid, in the target's
-    units.
+    Returns ``(network, final_loss)``: ``final_loss`` is the mean absolute
+    error on the grid, in the target's units.
     """
     if function is None:
         function = get_target_function(function_name)
@@ -253,21 +275,10 @@ def fit_network(
         input_range = get_training_range(function_name)
     x = _training_grid(input_range, sampling)
     y = np.asarray(function(x), dtype=np.float64)
-    center, half_width, target_scale = _normalisation(x, y)
-    x_norm = (x - center) / half_width
-    y_norm = y / target_scale
-
-    def normalised_function(z: np.ndarray) -> np.ndarray:
-        return np.asarray(function(z * half_width + center), dtype=np.float64) / target_scale
-
-    anchors = curvature_anchors(normalised_function, (-1.0, 1.0), hidden_size, relative=relative)
-    network = initialize_network(function_name, anchors)
-    weights = 1.0 / np.maximum(y_norm * y_norm, 1e-12) if relative else None
-    _least_squares_output_layer(network, x_norm, y_norm, weights=weights)
-    _denormalize_network(network, center, half_width, target_scale)
-    return TrainingResult(
-        network=network,
-        final_loss=float(np.mean(np.abs(network.forward(x) - y))),
-        input_range=input_range,
-        function_name=function_name,
+    network = _solve_network(
+        function, x, y,
+        lambda g, _: curvature_anchors(g, (-1.0, 1.0), hidden_size, relative=relative),
+        _HINGE_DIRECTIONS.get(function_name, 1.0),
+        relative=relative,
     )
+    return network, float(np.mean(np.abs(network.forward(x) - y)))

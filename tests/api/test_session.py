@@ -376,6 +376,47 @@ class TestCalibration:
             scaled["rsqrt"].breakpoints, raw["rsqrt"].breakpoints
         )
 
+    @pytest.mark.parametrize("input_scaling", [True, False])
+    def test_layernorm_queries_are_where_the_served_table_is_read(
+        self, fast_registry, monkeypatch, input_scaling
+    ):
+        # One row's variance is above LutLayerNorm.clip_max (1024) and the
+        # others below the input-scaling threshold: calibration must fit the
+        # rsqrt table on exactly the points the served LayerNorm reads.
+        import dataclasses
+
+        from repro.api import calibrate_primitive_luts
+        from repro.api import session as session_module
+        from repro.transformer.nonlinear_backend import OperatorRecorder
+
+        recorded = np.random.default_rng(0).normal(0.0, 0.01, size=(1, 6, 32))
+        recorded[0, 0] *= 5000.0
+        assert np.var(recorded[0, 0]) > 1024
+        recorder = OperatorRecorder(enabled=True)
+        recorder.record("layernorm", recorded)
+        fitted_on = []
+        monkeypatch.setattr(
+            session_module, "calibrate_network",
+            lambda network, reference, queries: fitted_on.append(queries) or network,
+        )
+        calibrate_primitive_luts(
+            recorder, fast_registry, ("layernorm",), input_scaling=input_scaling
+        )
+
+        table = fast_registry.lut("rsqrt")
+        read = []
+
+        class Spy:
+            def evaluate(self, x, out=None):
+                read.append(np.array(x).ravel())
+                return table.evaluate(x, out=out)
+
+        spec = BackendSpec.nn_lut(input_scaling=input_scaling)
+        served = build_backend(spec, registry=fast_registry).layernorm
+        dataclasses.replace(served, rsqrt_approx=Spy())(recorded)
+        assert read[0].max() == served.clip_max
+        assert np.array_equal(fitted_on[0][: read[0].size], read[0])
+
     def test_calibrate_defaults_to_all_nn_lut_operators(self, fast_registry):
         session = InferenceSession(
             SessionConfig(model_family="tiny"),

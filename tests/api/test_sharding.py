@@ -34,7 +34,7 @@ from repro.api import (
     export_weight_state,
 )
 from repro.api import sharding
-from repro.core.kernels import native_available
+from repro.core.kernels import native_available, resolve_kernel
 from repro.transformer.config import tiny_test_config
 from repro.transformer.models import EncoderModel
 
@@ -129,6 +129,60 @@ class TestWeightState:
         assert store.unlinked
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=store.manifest()[0][1])
+
+    def test_the_pool_quantises_each_weight_once(self, fast_registry, monkeypatch):
+        # The pool rebinds its own model onto the shared blocks before its one
+        # prepare: one weight-shaped quantize_pack per Linear, as in a plain
+        # session.  Activations go through quantize_pack too, but the one
+        # warm-up request is a single token, so none is weight-shaped.
+        config = SessionConfig("tiny", "small", matmul_precision="int8")
+        kernel = resolve_kernel(config.kernel)
+        original = kernel.quantize_pack
+        shapes = []
+
+        def counting(x, scale):
+            shapes.append(np.shape(x))
+            return original(x, scale)
+
+        monkeypatch.setattr(kernel, "quantize_pack", counting)
+        session = InferenceSession(config, registry=fast_registry)
+        linears = list(session.model.iter_linears())
+        weight_shapes = {(linear.in_features, linear.out_features) for linear in linears}
+
+        def weight_calls():
+            return sum(shape in weight_shapes for shape in shapes)
+
+        assert weight_calls() == len(linears) == 13
+        shapes.clear()
+        with ShardedPool(config, registry=fast_registry, num_replicas=1):
+            pass
+        assert weight_calls() == len(linears)
+
+    @pytest.mark.parametrize(
+        "config, problem",
+        [
+            (SessionConfig("tiny"), "model_family='custom'"),
+            (SessionConfig("custom", compute_dtype="float64"), "engine settings"),
+        ],
+    )
+    def test_a_misdescribed_model_is_refused_untouched(
+        self, fast_registry, config, problem
+    ):
+        # The adopted model's config is checked before the export pins its
+        # masters or its linears are rebound onto shared blocks.
+        model = EncoderModel.initialize(tiny_test_config(), seed=3)
+        linears = list(model.iter_linears())
+        before = [
+            (linear._weight, linear._binding, dict(linear._prepared))
+            for linear in linears
+        ]
+        assert any(weight is None for weight, _, _ in before)  # released masters
+        with pytest.raises(ValueError, match=problem):
+            ShardedPool(config, registry=fast_registry, num_replicas=1, model=model)
+        for linear, (weight, binding, prepared) in zip(linears, before):
+            assert linear._weight is weight
+            assert linear._binding is binding
+            assert linear._prepared == prepared
 
 
 class TestShardedParity:

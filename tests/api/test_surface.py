@@ -58,12 +58,12 @@ QUANT = "QuantizedTensor quantize"
 
 CORE = """
 ExactGelu ExactLayerNorm ExactSoftmax
-FittedPrimitive Fp16LookupTable INIT_SPECS InitSpec InputScaler
+FittedPrimitive Fp16LookupTable InputScaler
 Int32LookupTable LookupTable LutGelu LutLayerNorm LutRegistry LutSoftmax
-NetworkParameters OneHiddenReluNet TARGET_FUNCTIONS TRAINING_RANGES
-TrainingResult calibrate_lut calibrate_network
-default_registry erf exp fit_lut fit_network gelu get_init_spec
-get_target_function get_training_range initialize_network layer_norm
+OneHiddenReluNet TARGET_FUNCTIONS TRAINING_RANGES
+calibrate_lut calibrate_network
+default_registry erf exp fit_lut fit_network gelu
+get_target_function get_training_range layer_norm
 lut_matches_network network_to_lut network_to_lut_eq7 reciprocal rsqrt
 softmax
 """

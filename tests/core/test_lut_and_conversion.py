@@ -60,7 +60,7 @@ def random_network(rng, hidden=6):
     weights = rng.uniform(0.3, 2.0, size=hidden) * rng.choice([-1.0, 1.0], size=hidden)
     biases = rng.normal(0.0, 2.0, size=hidden)
     second = rng.normal(0.0, 1.0, size=hidden)
-    return OneHiddenReluNet.from_arrays(weights, biases, second, output_bias=float(rng.normal()))
+    return OneHiddenReluNet(weights, biases, second, output_bias=float(rng.normal()))
 
 
 class TestConversionEquivalence:
@@ -86,7 +86,7 @@ class TestConversionEquivalence:
         assert lut.num_entries == 16
 
     def test_degenerate_zero_weight_neuron(self):
-        net = OneHiddenReluNet.from_arrays(
+        net = OneHiddenReluNet(
             [1.0, 0.0], [0.0, 2.0], [1.0, 3.0], output_bias=0.5
         )
         lut = network_to_lut(net)
@@ -94,7 +94,7 @@ class TestConversionEquivalence:
         np.testing.assert_allclose(lut(x), net(x), atol=1e-10)
 
     def test_eq7_rejects_zero_weight(self):
-        net = OneHiddenReluNet.from_arrays([1.0, 0.0], [0.0, 2.0], [1.0, 3.0])
+        net = OneHiddenReluNet([1.0, 0.0], [0.0, 2.0], [1.0, 3.0])
         with pytest.raises(ValueError, match="non-zero"):
             network_to_lut_eq7(net)
 
@@ -117,7 +117,7 @@ class TestConversionEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_property_equivalence(self, weights, signs, biases, second, bias_out):
         """NN(x) == LUT(x) for arbitrary (non-degenerate) parameters."""
-        net = OneHiddenReluNet.from_arrays(
+        net = OneHiddenReluNet(
             weights * signs, biases, second, output_bias=bias_out
         )
         lut = network_to_lut(net)

@@ -3,27 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.core.network import NetworkParameters, OneHiddenReluNet
+from repro.core.network import OneHiddenReluNet
 
 
 def make_net(n, b, m, c=0.0):
-    return OneHiddenReluNet.from_arrays(n, b, m, output_bias=c)
+    return OneHiddenReluNet(n, b, m, output_bias=c)
 
 
-class TestNetworkParameters:
+class TestParameters:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="same length"):
-            NetworkParameters(first_weight=[1.0, 2.0], first_bias=[0.0], second_weight=[1.0, 1.0])
+            OneHiddenReluNet(first_weight=[1.0, 2.0], first_bias=[0.0], second_weight=[1.0, 1.0])
 
     def test_hidden_size(self):
-        params = NetworkParameters([1.0, -1.0, 2.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0])
-        assert params.hidden_size == 3
+        assert make_net([1.0, -1.0, 2.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0]).hidden_size == 3
 
     def test_copy_is_independent(self):
-        params = NetworkParameters([1.0], [0.0], [1.0])
-        clone = params.copy()
+        net = make_net([1.0], [0.0], [1.0], c=0.5)
+        clone = net.copy()
         clone.first_weight[0] = 99.0
-        assert params.first_weight[0] == 1.0
+        clone.output_bias = 2.0
+        assert (net.first_weight[0], net.output_bias) == (1.0, 0.5)
 
 
 class TestForward:

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import ExactTable
 from repro.core import functions
-from repro.core.calibration import (
-    calibrate_lut,
-    calibrate_network,
-    collect_activation_samples,
-)
+from repro.core.calibration import calibrate_lut, calibrate_network
+from repro.core.conversion import network_to_lut
 from repro.core.lut import LookupTable
 from repro.core.quantization import Fp16LookupTable, Int32LookupTable
 from repro.core.scaling import InputScaler
@@ -141,10 +138,10 @@ class TestCalibration:
         assert lut.metadata["num_calibration_samples"] == 5000
 
     def test_original_network_untouched(self, fitted_gelu):
-        before = fitted_gelu.network.params.first_weight.copy()
+        before = fitted_gelu.network.first_weight.copy()
         samples = np.random.default_rng(2).uniform(-2, 2, size=2000)
         calibrate_network(fitted_gelu.network, functions.gelu, samples)
-        np.testing.assert_allclose(fitted_gelu.network.params.first_weight, before)
+        np.testing.assert_allclose(fitted_gelu.network.first_weight, before)
 
     def test_calibration_is_reproducible(self, fitted_gelu):
         # Subsampling draws from a fixed seed and the solve is closed-form:
@@ -161,27 +158,25 @@ class TestCalibration:
         assert calibrated is not fitted_gelu.network
         for name in ("first_weight", "first_bias", "second_weight", "output_bias"):
             np.testing.assert_array_equal(
-                getattr(calibrated.params, name), getattr(fitted_gelu.network.params, name)
+                getattr(calibrated, name), getattr(fitted_gelu.network, name)
             )
-        assert calibrated.trainable_output_bias == fitted_gelu.network.trainable_output_bias
+
+    @pytest.mark.parametrize("name, size, seed", [("gelu", 20_000, 2), ("exp", 5000, 0)])
+    def test_a_kept_network_keeps_its_bits(self, fast_registry, name, size, seed):
+        # Samples over the whole training range: the generic fit wins the
+        # guard, and the copy returned is the input's bits, not a round trip
+        # through the solve's normalisation.
+        fitted = fast_registry.get(name)
+        low, high = functions.get_training_range(name)
+        samples = np.random.default_rng(seed).uniform(low, high, size=size)
+        kept = calibrate_network(fitted.network, functions.get_target_function(name), samples)
+        assert kept is not fitted.network
+        for field in ("first_weight", "first_bias", "second_weight", "output_bias"):
+            assert np.array_equal(getattr(kept, field), getattr(fitted.network, field)), field
+        table = network_to_lut(kept)
+        for field in ("breakpoints", "slopes", "intercepts"):
+            assert np.array_equal(getattr(table, field), getattr(fitted.lut, field)), field
 
     def test_empty_samples_rejected(self, fitted_gelu):
         with pytest.raises(ValueError, match="non-empty"):
             calibrate_network(fitted_gelu.network, functions.gelu, np.array([]))
-
-    def test_collect_activation_samples(self):
-        def producer():
-            yield np.ones((4, 8))
-            yield np.zeros((2, 8))
-
-        samples = collect_activation_samples(producer, max_samples=1000)
-        assert samples.size == 48
-        assert samples.max() == 1.0 and samples.min() == 0.0
-
-    def test_collect_respects_reservoir_limit(self):
-        samples = collect_activation_samples(lambda: [np.arange(1000.0)], max_samples=100)
-        assert samples.size == 100
-
-    def test_collect_empty_raises(self):
-        with pytest.raises(ValueError, match="no activation samples"):
-            collect_activation_samples(lambda: [])

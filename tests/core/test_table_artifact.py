@@ -63,20 +63,18 @@ def refits() -> dict:
 @pytest.mark.parametrize("name", SERVED_PRIMITIVES)
 def test_refit_equals_the_artifact_row_bitwise(name, refits):
     row, fitted = _rows()[name], refits[name]
-    params = fitted.network.params
+    network = fitted.network
     for field in ("first_weight", "first_bias", "second_weight"):
-        _assert_bitwise(name, field, getattr(params, field), _decode(row["network"][field]))
+        _assert_bitwise(name, field, getattr(network, field), _decode(row["network"][field]))
     _assert_bitwise(
-        name, "output_bias", params.output_bias, float.fromhex(row["network"]["output_bias"])
+        name, "output_bias", network.output_bias, float.fromhex(row["network"]["output_bias"])
     )
-    _assert_bitwise(
-        name, "final_loss", fitted.training_result.final_loss, float.fromhex(row["final_loss"])
-    )
+    _assert_bitwise(name, "final_loss", fitted.final_loss, float.fromhex(row["final_loss"]))
     loaded = LutRegistry().get(name, 16)
     for field in ("breakpoints", "slopes", "intercepts"):
         _assert_bitwise(name, field, getattr(fitted.lut, field), getattr(loaded.lut, field))
     assert loaded.lut.metadata == fitted.lut.metadata
-    assert loaded.network.trainable_output_bias == fitted.network.trainable_output_bias
+    _assert_bitwise(name, "final_loss", loaded.final_loss, fitted.final_loss)
 
 
 def test_fit_tables_writes_the_tracked_file(monkeypatch, tmp_path, refits, capsys):

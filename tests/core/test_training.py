@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import calibration, functions
-from repro.core.initialization import INIT_SPECS, InitSpec, get_init_spec, initialize_network
 from repro.core.registry import FIT_RECIPES, SERVED_PRIMITIVES, LutRegistry, fit_lut
-from repro.core.training import _training_grid, curvature_anchors, fit_network
+from repro.core.training import (
+    _HINGE_DIRECTIONS,
+    _training_grid,
+    curvature_anchors,
+    fit_network,
+)
 
 
 class TestTrainingGrid:
@@ -47,33 +51,20 @@ class TestTrainingGrid:
             _training_grid((1, 1))
 
 
-class TestInitialization:
-    def test_table1_specs(self):
-        assert INIT_SPECS["exp"].weight_sign == "positive"
-        assert INIT_SPECS["reciprocal"].weight_sign == "negative"
-        assert INIT_SPECS["rsqrt"].bias_sign == "positive"
-        assert get_init_spec("unknown-function") == InitSpec()
+class TestTable1Directions:
+    def test_table1_weight_signs(self):
+        # Table 1: GELU "random", exp "positive", 1/x and 1/sqrt "negative".
+        assert _HINGE_DIRECTIONS == {"gelu": 1.0, "exp": 1.0, "reciprocal": -1.0, "rsqrt": -1.0}
 
-    @pytest.mark.parametrize("name", [*INIT_SPECS, "unknown-function"])
+    @pytest.mark.parametrize("name", [*_HINGE_DIRECTIONS, "erf", "unknown-function"])
     def test_one_direction_per_primitive(self, name):
-        net = initialize_network(name, np.linspace(-0.5, 0.5, 7))
-        direction = -1.0 if get_init_spec(name).weight_sign == "negative" else 1.0
-        np.testing.assert_array_equal(net.params.first_weight, np.full(7, direction))
-        np.testing.assert_array_equal(net.params.second_weight, np.zeros(7))
-        assert net.trainable_output_bias
+        network, _ = fit_network(name, hidden_size=7, function=np.sqrt, input_range=(1.0, 4.0))
+        direction = _HINGE_DIRECTIONS.get(name, 1.0)
+        np.testing.assert_array_equal(np.sign(network.first_weight), np.full(7, direction))
 
-    def test_breakpoints_are_the_anchors(self):
-        anchors = np.array([-1.0, 0.0, 1.0])
-        net = initialize_network("gelu", anchors)
-        np.testing.assert_array_equal(net.breakpoints(), anchors)
-
-    def test_rejects_no_anchors(self):
-        with pytest.raises(ValueError, match="anchors"):
-            initialize_network("gelu", np.array([]))
-
-    def test_invalid_spec_value(self):
-        with pytest.raises(ValueError, match="weight_sign"):
-            InitSpec(weight_sign="sometimes")
+    def test_rejects_no_hidden_neurons(self):
+        with pytest.raises(ValueError, match="num_anchors"):
+            fit_network("gelu", hidden_size=0)
 
 
 class TestCurvatureAnchors:
@@ -99,38 +90,40 @@ class TestCurvatureAnchors:
 
 
 def network_bytes(network):
-    p = network.params
     return b"".join(
         np.asarray(a, dtype=np.float64).tobytes()
-        for a in (p.first_weight, p.first_bias, p.second_weight, [p.output_bias])
+        for a in (
+            network.first_weight, network.first_bias, network.second_weight,
+            [network.output_bias],
+        )
     )
 
 
 class TestFitNetwork:
     def test_gelu_fit_quality(self):
-        result = fit_network("gelu")
+        network, loss = fit_network("gelu")
         grid = np.linspace(-5, 5, 500)
-        error = np.mean(np.abs(result.network(grid) - functions.gelu(grid)))
+        error = np.mean(np.abs(network(grid) - functions.gelu(grid)))
         assert error < 0.002
-        assert result.function_name == "gelu"
-        assert result.input_range == functions.get_training_range("gelu")
+        x = _training_grid(functions.get_training_range("gelu"))
+        assert loss == np.mean(np.abs(network(x) - functions.gelu(x)))
 
     def test_custom_function_and_range(self):
-        result = fit_network(
+        network, _ = fit_network(
             "sigmoid",
             function=lambda x: 1.0 / (1.0 + np.exp(-x)),
             input_range=(-8.0, 8.0),
         )
         grid = np.linspace(-8, 8, 200)
-        error = np.mean(np.abs(result.network(grid) - 1.0 / (1.0 + np.exp(-grid))))
+        error = np.mean(np.abs(network(grid) - 1.0 / (1.0 + np.exp(-grid))))
         assert error < 0.01
 
     def test_deterministic(self):
-        a, b = fit_network("rsqrt", sampling="log", relative=True), fit_network(
-            "rsqrt", sampling="log", relative=True
+        (a, a_loss), (b, b_loss) = (
+            fit_network("rsqrt", sampling="log", relative=True) for _ in range(2)
         )
-        assert network_bytes(a.network) == network_bytes(b.network)
-        assert struct.pack("d", a.final_loss) == struct.pack("d", b.final_loss)
+        assert network_bytes(a) == network_bytes(b)
+        assert struct.pack("d", a_loss) == struct.pack("d", b_loss)
 
     @pytest.mark.parametrize("entries", [4, 8, 16, 32])
     @pytest.mark.parametrize("name", SERVED_PRIMITIVES)
@@ -154,8 +147,7 @@ class TestFitNetwork:
         recipe = FIT_RECIPES[name]
         network = fit_lut(name, 16).network
         low, high = functions.get_training_range(name)
-        direction = -1.0 if INIT_SPECS[name].weight_sign == "negative" else 1.0
-        assert np.all(np.sign(network.params.first_weight) == direction)
+        assert np.all(np.sign(network.first_weight) == _HINGE_DIRECTIONS[name])
         function = functions.get_target_function(name)
         x = _training_grid((low, high), recipe["sampling"])
         scale = np.max(np.abs(function(x)))
@@ -195,7 +187,7 @@ class TestCalibrationSolve:
         knots = calibrated.breakpoints()
         assert knots[0] == pytest.approx(samples.min(), abs=1e-12)
         assert knots[-1] < samples.max()
-        assert np.all(calibrated.params.first_weight > 0)
+        assert np.all(calibrated.first_weight > 0)
 
         def error(network):
             return np.mean(np.abs(network(samples) - functions.gelu(samples)))
@@ -207,15 +199,19 @@ class TestCalibrationSolve:
         samples = np.random.default_rng(7).uniform(1.0, 16.0, size=2000)
         calibrated = calibration.calibrate_network(network, functions.rsqrt, samples)
         np.testing.assert_allclose(calibrated.breakpoints(), [samples.max()], rtol=1e-12)
-        assert np.all(calibrated.params.first_weight < 0)
+        assert np.all(calibrated.first_weight < 0)
 
     def test_a_worse_solve_keeps_the_input(self, monkeypatch, fitted_gelu):
-        def zero_output_layer(network, x, y):
-            network.params.second_weight = np.zeros(network.hidden_size)
-            network.params.output_bias = 0.0
+        solve = calibration._solve_network
 
-        monkeypatch.setattr(calibration, "_least_squares_output_layer", zero_output_layer)
+        def zero_output_layer(*args, **kwargs):
+            network = solve(*args, **kwargs)
+            network.second_weight = np.zeros(network.hidden_size)
+            network.output_bias = 0.0
+            return network
+
+        monkeypatch.setattr(calibration, "_solve_network", zero_output_layer)
         samples = np.random.default_rng(7).normal(0.0, 1.0, size=9000)
         kept = calibration.calibrate_network(fitted_gelu.network, functions.gelu, samples)
-        grid = np.linspace(-5, 5, 101)
-        np.testing.assert_allclose(kept(grid), fitted_gelu.network(grid), rtol=0, atol=1e-12)
+        assert kept is not fitted_gelu.network
+        assert network_bytes(kept) == network_bytes(fitted_gelu.network)
