@@ -24,7 +24,10 @@ Batched multi-sequence scheduling, one layer above
 
 Both pools support *live membership*: :meth:`ReplicaPool.spawn_replica` /
 :meth:`ReplicaPool.retire_replica` are the narrow hooks the queue calls to
-grow and shrink its fleet while it serves.
+grow and shrink its fleet while it serves.  "+C" calibration is defined once,
+on :class:`ReplicaPool`: the pool's template re-fits the tables and every
+other replica handle installs them, so whichever replicas are live — and
+every replica spawned from the template later — serve the same tables.
 
 Determinism and parity: every replica serves the *same* frozen model object
 through an identically-built backend, and with exact-length bucketing
@@ -51,6 +54,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.lut import LookupTable
 from ..core.registry import LutRegistry
 from ..transformer.models import EncoderModel
 from . import faults as _faults
@@ -66,11 +70,7 @@ from .scheduling.fleet import Fleet, Outcome, ReplicaMember
 from .scheduling.former import BatchFormer
 from .scheduling.resilience import CircuitBreakerConfig, RetryPolicy
 from .scheduling.stats import ReplicaStats, ServingStats
-from .session import (
-    InferenceSession,
-    SessionConfig,
-    adopted_model_config,
-)
+from .session import InferenceSession, SessionConfig, _pooled_rows
 from .spec import BackendSpec
 
 __all__ = [
@@ -108,8 +108,9 @@ class ReplicaPool:
 
     ``forward`` shards micro-batches deterministically (batch ``j`` ->
     replica ``j % N``); ``pooled`` pools the rows ``forward`` returned on the
-    caller's side.  Both are implemented once here, so every pool — threaded
-    or multi-process — serves identically.
+    caller's side; ``calibrate`` re-fits on the template and broadcasts the
+    tables to every other handle.  All three are implemented once here, so
+    every pool — threaded or multi-process — serves identically.
 
     Pools that support *live membership* additionally implement
     :meth:`spawn_replica`/:meth:`retire_replica`; a :class:`ServingQueue`
@@ -235,14 +236,25 @@ class ReplicaPool:
         here, per sequence over the rows ``forward`` returned — the same
         composition as :meth:`InferenceSession.pooled`, so the same bits.
         """
-        pool_hidden = self.model.pool_hidden
-        rows = [pool_hidden(hidden[None])[0] for hidden in self.forward(requests)]
-        if not rows:
-            hidden_size = self.model.config.hidden_size
-            return np.empty(
-                (0, hidden_size), dtype=np.dtype(self.model.config.compute_dtype)
-            )
-        return np.stack(rows, axis=0)
+        return _pooled_rows(self.model, self.forward(requests))
+
+    def calibrate(
+        self, samples: Sequence[np.ndarray], operators=None
+    ) -> Dict[str, LookupTable]:
+        """Dataset-free calibration (paper Sec. 3.3.3) for the whole pool.
+
+        The template records and re-fits (see
+        :meth:`InferenceSession.calibrate`; it holds the fitted networks,
+        shard workers hold tables only), then every other handle in
+        ``sessions`` installs the calibrated tables, so the pool keeps
+        serving one consistent backend — and a replica spawned later from
+        the template serves it too.
+        """
+        calibrated = self._template.calibrate(samples, operators=operators)
+        for handle in self.sessions:
+            if handle is not self._template:
+                handle.apply_lut_overrides(calibrated)
+        return calibrated
 
 
 class SessionPool(ReplicaPool):
@@ -258,11 +270,12 @@ class SessionPool(ReplicaPool):
     Construction ends with one tiny warm-up forward per replica: that fills
     every lazy per-dtype cache on the shared tables/parameters
     (``LookupTable`` parameter casts, norm-parameter casts), so concurrent
-    traffic never races on a cache fill.  :meth:`spawn_replica` repeats the
-    same recipe for live hot-adds.
+    traffic never races on a cache fill.  Every replica after the first is a
+    :meth:`~InferenceSession.clone_for_serving` of the template, and
+    :meth:`spawn_replica` repeats the same recipe for live hot-adds.
 
-    Parameters mirror :class:`InferenceSession`; ``model=`` adopts an
-    existing encoder exactly like the session constructor does.
+    Parameters mirror :class:`InferenceSession`; :meth:`from_model` adopts
+    an existing encoder exactly like the session's ``from_model`` does.
     """
 
     def __init__(
@@ -271,22 +284,8 @@ class SessionPool(ReplicaPool):
         spec: BackendSpec | None = None,
         registry: LutRegistry | None = None,
         num_replicas: int = 2,
-        model: EncoderModel | None = None,
     ) -> None:
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        primary = InferenceSession(
-            config=config, spec=spec, registry=registry, model=model
-        )
-        self._template = primary
-        self.sessions: List[InferenceSession] = [primary]
-        for _ in range(num_replicas - 1):
-            self.sessions.append(primary.clone_for_serving())
-        self.config = primary.config
-        self.spec = primary.spec
-        warmup = [np.zeros(1, dtype=np.int64)]
-        for session in self.sessions:
-            session.forward(warmup)
+        self._open(InferenceSession(config, spec, registry), num_replicas)
 
     @classmethod
     def from_model(
@@ -299,25 +298,25 @@ class SessionPool(ReplicaPool):
         bucket_size: int = 1,
     ) -> "SessionPool":
         """Pool over an already-built encoder (its engine settings win)."""
-        config = adopted_model_config(
-            model, max_batch_size=max_batch_size, bucket_size=bucket_size
+        template = InferenceSession.from_model(
+            model, spec, registry, max_batch_size, bucket_size
         )
-        return cls(config=config, spec=spec, registry=registry,
-                   num_replicas=num_replicas, model=model)
+        return cls.__new__(cls)._open(template, num_replicas)
 
-    def calibrate(
-        self, samples: Sequence[np.ndarray], operators=None
-    ) -> Dict[str, object]:
-        """Dataset-free calibration for the whole pool.
-
-        Runs :meth:`InferenceSession.calibrate` on the primary replica and
-        installs the calibrated tables into every other replica, so the pool
-        keeps serving one consistent backend.
-        """
-        calibrated = self.sessions[0].calibrate(samples, operators=operators)
-        for session in self.sessions[1:]:
-            session.apply_lut_overrides(calibrated)
-        return calibrated
+    def _open(self, template: InferenceSession, num_replicas: int) -> "SessionPool":
+        """Serve ``template`` and ``num_replicas - 1`` clones of it, warmed."""
+        if num_replicas < 1:
+            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+        self._template = template
+        self.sessions: List[InferenceSession] = [template] + [
+            template.clone_for_serving() for _ in range(num_replicas - 1)
+        ]
+        self.config = template.config
+        self.spec = template.spec
+        warmup = [np.zeros(1, dtype=np.int64)]
+        for session in self.sessions:
+            session.forward(warmup)
+        return self
 
     # ------------------------------------------------------------------ #
     # Live membership
@@ -428,18 +427,8 @@ class ServingQueue:
         breaker: CircuitBreakerConfig | None = None,
     ) -> None:
         if isinstance(pool, InferenceSession):
-            source = pool
-            pool = SessionPool.from_model(
-                source.model, spec=source.spec, registry=source.registry,
-                num_replicas=1,
-                max_batch_size=source.config.max_batch_size,
-                bucket_size=source.config.bucket_size,
-            )
-            if source.lut_overrides:
-                # A calibrated session must keep serving its calibrated
-                # tables through the queue, not a freshly-built backend.
-                for session in pool.sessions:
-                    session.apply_lut_overrides(source.lut_overrides)
+            # A pool of one over a clone: calibrated tables come along.
+            pool = SessionPool.__new__(SessionPool)._open(pool.clone_for_serving(), 1)
         if not isinstance(pool, ReplicaPool):
             raise TypeError(
                 f"pool must be a SessionPool, a ShardedPool (any ReplicaPool) "

@@ -6,9 +6,11 @@ for this repo — a :class:`SessionConfig` (model family x size x seed x
 engine precision) plus a :class:`~repro.api.spec.BackendSpec` fully determine
 a session, and constructing it does all the one-time work:
 
-* the encoder model is built (or adopted) and every linear layer's weight
-  operand is prepared up front, so the first request pays no quantisation
-  cost;
+* the encoder model is built from the config — or, through
+  :meth:`InferenceSession.from_model`, the one way to serve a model the
+  caller built, adopted with a config derived from it — and every linear
+  layer's weight operand is prepared up front, so the first request pays no
+  quantisation cost;
 * the non-linear backend is realised from the spec exactly once;
 * a :class:`~repro.api.batching.RequestBatcher` is armed for dynamic
   micro-batching of ragged request lists.
@@ -17,7 +19,9 @@ a session, and constructing it does all the one-time work:
 fitted classification head scores ``head.predict(session.pooled(requests))``);
 ``calibrate`` runs the paper's dataset-free calibration (Sec. 3.3.3) end to
 end — record operator-site inputs on unlabelled traffic, re-fit the flagged
-NN-LUT primitives, swap the refreshed tables in.
+NN-LUT primitives, swap the refreshed tables in.  ``clone_for_serving`` is
+the one way to make a replica of a session: the threaded pool builds its
+replicas, and the queue its pool of one, from it.
 """
 
 from __future__ import annotations
@@ -57,16 +61,24 @@ __all__ = [
     "MODEL_FAMILIES",
     "SessionConfig",
     "InferenceSession",
-    "adopted_model_config",
     "calibrate_primitive_luts",
     "export_weight_state",
     "attach_weight_state",
 ]
 
 
-def _trimmed_rows(hidden, row, length, index) -> np.ndarray:
-    """``_serve`` consumer: one request's rows, trimmed to its true length."""
-    return hidden[row, :length].copy()
+def _pooled_rows(model: EncoderModel, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """First-token representations of per-request hidden rows, ``(n, hidden)``.
+
+    The one pooling composition of the serving surfaces: the (cheap) tanh
+    pooler runs per sequence, because a batched ``(n, hidden)`` pooler matmul
+    takes a different BLAS path than the per-call ``(1, hidden)`` one and
+    would break bit-exact parity with per-request inference.
+    """
+    if not rows:
+        config = model.config
+        return np.empty((0, config.hidden_size), dtype=np.dtype(config.compute_dtype))
+    return np.stack([model.pool_hidden(hidden[None])[0] for hidden in rows], axis=0)
 
 
 def _check_budgets(requests: Sequence, budgets_s: Sequence | None) -> None:
@@ -323,60 +335,22 @@ class SessionConfig:
         return cls(**values)
 
 
-def adopted_model_config(
-    model: EncoderModel,
-    max_batch_size: int = 32,
-    bucket_size: int = 1,
-    seed: int = 0,
+def _adopted_config(
+    model: EncoderModel, max_batch_size: int, bucket_size: int
 ) -> SessionConfig:
-    """The ``"custom"`` :class:`SessionConfig` describing an adopted model.
+    """The ``"custom"`` :class:`SessionConfig` of a session over an adopted model.
 
-    The single definition of the config every ``from_model``-style
-    constructor (session, thread pool, sharded pool, worker replica) builds:
-    engine settings copied from the model, batching knobs from the caller,
-    deliberately unable to rebuild the model itself.
+    Engine settings come from the model, batching knobs from the caller; the
+    config deliberately cannot rebuild the model itself.
     """
     return SessionConfig(
         model_family="custom",
-        seed=seed,
         compute_dtype=model.config.compute_dtype,
         matmul_precision=model.config.matmul_precision,
         kernel=model.config.kernel,
         max_batch_size=max_batch_size,
         bucket_size=bucket_size,
     )
-
-
-def _adopting_config(config: SessionConfig | None, model: EncoderModel) -> SessionConfig:
-    """The config of a session adopting ``model``, checked against it.
-
-    An adopted model must be described honestly: a named-family config
-    alongside it would log/replay a different model.  ``None`` means
-    :func:`adopted_model_config` with its defaults.
-    """
-    if config is None:
-        return adopted_model_config(model)
-    if config.model_family != "custom":
-        raise ValueError(
-            "when adopting an existing model, pass a SessionConfig with "
-            "model_family='custom' (or use InferenceSession.from_model); "
-            f"a {config.model_family!r} config would misdescribe the session"
-        )
-    mismatched = [
-        f"{name}={getattr(config, name)!r} (model runs {actual!r})"
-        for name, actual in (
-            ("compute_dtype", model.config.compute_dtype),
-            ("matmul_precision", model.config.matmul_precision),
-            ("kernel", model.config.kernel),
-        )
-        if getattr(config, name) != actual
-    ]
-    if mismatched:
-        raise ValueError(
-            "custom SessionConfig engine settings must match the "
-            f"adopted model: {'; '.join(mismatched)}"
-        )
-    return config
 
 
 class InferenceSession:
@@ -391,9 +365,6 @@ class InferenceSession:
     registry:
         Fitted-primitive source for the NN-LUT methods (process-wide
         registry by default).
-    model:
-        Adopt an existing encoder instead of building one from ``config``
-        (``config`` then only supplies the batching knobs).
     """
 
     def __init__(
@@ -401,22 +372,9 @@ class InferenceSession:
         config: SessionConfig | None = None,
         spec: BackendSpec | None = None,
         registry: LutRegistry | None = None,
-        model: EncoderModel | None = None,
     ) -> None:
-        if model is not None:
-            config = _adopting_config(config, model)
-        self.config = config or SessionConfig()
-        self.spec = spec or BackendSpec.exact()
-        self.registry = default_registry() if registry is None else registry
-        self.model = model if model is not None else self.config.build_model()
-        self.lut_overrides: Dict[str, LookupTable] = {}
-        self.backend: NonlinearBackend = build_backend(self.spec, registry=self.registry)
-        self._batcher = RequestBatcher(
-            max_batch_size=self.config.max_batch_size,
-            bucket_size=self.config.bucket_size,
-        )
-        for linear in self.model.iter_linears():
-            linear.prepare()
+        config = config or SessionConfig()
+        self._open(config.build_model(), config, spec, registry)
 
     @classmethod
     def from_model(
@@ -429,14 +387,37 @@ class InferenceSession:
     ) -> "InferenceSession":
         """Session over an already-built encoder (its engine settings win).
 
-        The resulting ``config`` carries ``model_family="custom"``: it
-        records the engine/batching knobs but deliberately cannot rebuild
-        the adopted model (replaying it would reconstruct the wrong one).
+        The one way to serve a model the caller built.  The resulting
+        ``config`` carries ``model_family="custom"``: it records the
+        engine/batching knobs but deliberately cannot rebuild the adopted
+        model (replaying it would reconstruct the wrong one).
         """
-        config = adopted_model_config(
-            model, max_batch_size=max_batch_size, bucket_size=bucket_size
+        session = cls.__new__(cls)
+        session._open(
+            model, _adopted_config(model, max_batch_size, bucket_size), spec, registry
         )
-        return cls(config=config, spec=spec, registry=registry, model=model)
+        return session
+
+    def _open(
+        self,
+        model: EncoderModel,
+        config: SessionConfig,
+        spec: BackendSpec | None,
+        registry: LutRegistry | None,
+    ) -> None:
+        """Serve ``model`` as ``config`` describes it: prepare, arm, batch."""
+        self.config = config
+        self.spec = spec or BackendSpec.exact()
+        self.registry = default_registry() if registry is None else registry
+        self.model = model
+        self.lut_overrides: Dict[str, LookupTable] = {}
+        self.backend: NonlinearBackend = build_backend(self.spec, registry=self.registry)
+        self._batcher = RequestBatcher(
+            max_batch_size=self.config.max_batch_size,
+            bucket_size=self.config.bucket_size,
+        )
+        for linear in self.model.iter_linears():
+            linear.prepare()
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -445,13 +426,9 @@ class InferenceSession:
     def max_sequence_length(self) -> int:
         return self.model.config.max_sequence_length
 
-    def _serve(self, requests: Sequence[np.ndarray], consume) -> List[np.ndarray]:
-        """One micro-batched serving loop shared by the serving surfaces.
-
-        ``consume(hidden, row, length, index)`` extracts request ``index``'s
-        result from a batch's hidden states; results come back in request
-        order.
-        """
+    def _serve(self, requests: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Micro-batched forward: each request's rows, trimmed to its true
+        length, in request order."""
         outputs: List[np.ndarray | None] = [None] * len(requests)
         for batch in self._batcher.iter_batches(
             requests, self.max_sequence_length, copy=False
@@ -460,7 +437,7 @@ class InferenceSession:
                 batch.tokens, backend=self.backend, attention_mask=batch.mask
             )
             for row, index in enumerate(batch.indices):
-                outputs[index] = consume(hidden, row, batch.lengths[row], index)
+                outputs[index] = hidden[row, : batch.lengths[row]].copy()
         return outputs  # type: ignore[return-value]
 
     def forward(
@@ -484,11 +461,9 @@ class InferenceSession:
             budget is not None and budget <= 0 for budget in budgets_s or ()
         ]
         if not any(expired):
-            return self._serve(requests, _trimmed_rows)
+            return self._serve(requests)
         served = iter(
-            self._serve(
-                [r for r, gone in zip(requests, expired) if not gone], _trimmed_rows
-            )
+            self._serve([r for r, gone in zip(requests, expired) if not gone])
         )
         config = self.model.config
         empty = np.empty(
@@ -499,23 +474,11 @@ class InferenceSession:
     def pooled(self, requests: Sequence[np.ndarray]) -> np.ndarray:
         """First-token (``[CLS]``) representations, shape ``(n, hidden)``.
 
-        The encoder runs micro-batched; the (cheap) tanh pooler then runs per
-        sequence, because a batched ``(n, hidden)`` pooler matmul takes a
-        different BLAS path than the per-call ``(1, hidden)`` one and would
-        break bit-exact parity with per-request inference.
+        The encoder runs micro-batched; the tanh pooler then runs per
+        sequence over the rows :meth:`forward` returned — the composition
+        every pool shares, so the same bits.
         """
-        rows = self._serve(
-            requests,
-            lambda hidden, row, length, index: self.model.pool_hidden(
-                hidden[row : row + 1]
-            )[0],
-        )
-        if not rows:
-            hidden_size = self.model.config.hidden_size
-            return np.empty(
-                (0, hidden_size), dtype=np.dtype(self.model.config.compute_dtype)
-            )
-        return np.stack(rows, axis=0)
+        return _pooled_rows(self.model, self.forward(requests))
 
     # ------------------------------------------------------------------ #
     # Dataset-free calibration (paper Sec. 3.3.3)
@@ -594,7 +557,7 @@ class InferenceSession:
         """Swap replacement primitive tables into this session's backend.
 
         The tail of the :meth:`calibrate` flow, exposed so other holders of
-        calibrated tables — replica pools, a session being cloned — can
+        calibrated tables — a pool's replicas, a session being cloned — can
         install them without re-running calibration.
         """
         self.lut_overrides.update(overrides)
@@ -605,13 +568,13 @@ class InferenceSession:
     def clone_for_serving(self) -> "InferenceSession":
         """A sibling session over the *same* frozen encoder.
 
-        The clone adopts this session's model object (no weight copy), spec,
-        registry and batching knobs, and inherits any calibrated LUT
-        overrides, so a replica pool can grow by one serving handle without
-        rebuilding or re-calibrating anything.  Mutable serving state — the
-        batcher and the backend with its recorder — is fresh per clone,
-        which is what makes the siblings safe to drive from separate
-        threads.
+        The one way to make a replica of a session.  The clone adopts this
+        session's model object (no weight copy), spec, registry and batching
+        knobs, and inherits any calibrated LUT overrides, so a replica pool
+        (or a queue's pool of one) gets a serving handle without rebuilding
+        or re-calibrating anything.  Mutable serving state — the batcher and
+        the backend with its recorder — is fresh per clone, which is what
+        makes the siblings safe to drive from separate threads.
         """
         clone = InferenceSession.from_model(
             self.model,

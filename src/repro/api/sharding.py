@@ -10,22 +10,26 @@ whole forward parallelises across cores.
 The construction honours the repo's prepare-once discipline and the
 serializability contract of ``SessionConfig`` / ``BackendSpec``:
 
-* the parent builds (or adopts) the frozen encoder once, copies every master
-  weight array into :class:`multiprocessing.shared_memory` blocks via
+* the parent builds (or, through ``from_model``, adopts) the frozen encoder
+  once, copies every master weight array into
+  :class:`multiprocessing.shared_memory` blocks via
   :class:`SharedWeightStore`, and rebinds its *own* model onto those blocks —
   one copy of the weights per machine, no matter how many replicas
   (:meth:`ShardedPool.close` hands the model private writable arrays back);
-* each worker reconstructs its :class:`~repro.api.session.InferenceSession`
-  from the serializable ``SessionConfig.to_dict()`` / ``BackendSpec.to_dict()``
-  payloads (the round-trip exists for exactly this), maps the weight
-  blocks **read-only**, and receives the parent's already-fitted LUT tables
-  (plus any calibrated overrides) by pickle — no worker ever re-fits a
-  primitive or re-initialises weights it then throws away;
+* each worker maps the weight blocks **read-only** into a model skeleton of
+  the shipped architecture and serves it through
+  :meth:`~repro.api.session.InferenceSession.from_model` with the template's
+  batching knobs and the ``BackendSpec.to_dict()`` payload; it receives the
+  parent's already-fitted LUT tables (plus any calibrated overrides) by
+  pickle — no worker ever re-fits a primitive or re-initialises weights it
+  then throws away;
 * :class:`ShardedPool` extends the :class:`~repro.api.server.ReplicaPool`
   protocol, so ``forward`` shards micro-batches with the same deterministic
   ``j % N`` rule as the threaded pool (``pooled`` pools its rows
-  on the parent — workers serve the one ``forward`` op) and
-  :class:`~repro.api.server.ServingQueue` runs on top of it unchanged;
+  on the parent — workers serve the one ``forward`` op), ``calibrate``
+  re-fits on the parent's template and broadcasts the tables to every
+  worker, and :class:`~repro.api.server.ServingQueue` runs on top of it
+  unchanged;
 * requests and results cross the process boundary through one
   :class:`~repro.api.transport.WorkerTransport` per worker, as
   ``(tag, seq, body)`` envelopes both ends read and write with one codec;
@@ -79,9 +83,8 @@ from .server import ReplicaPool
 from .session import (
     InferenceSession,
     SessionConfig,
-    _adopting_config,
+    _adopted_config,
     _check_budgets,
-    adopted_model_config,
     attach_weight_state,
     export_weight_state,
 )
@@ -244,7 +247,8 @@ class _WorkerInit:
     """Everything a worker needs to reconstruct its replica, all picklable."""
 
     transformer_config: TransformerConfig
-    session_config: Dict[str, object]  # SessionConfig.to_dict()
+    #: The template's (max_batch_size, bucket_size).
+    batching: Tuple[int, int]
     spec: Dict[str, object]  # BackendSpec.to_dict()
     manifest: List[_ManifestRow]
     #: (primitive name, num_entries) -> fitted table, shipped so workers
@@ -290,11 +294,13 @@ def _build_worker_session(
     try:
         model = EncoderModel.skeleton(init.transformer_config)
         attach_weight_state(model, arrays)
-        session = InferenceSession(
-            config=SessionConfig.from_dict(init.session_config),
+        max_batch_size, bucket_size = init.batching
+        session = InferenceSession.from_model(
+            model,
             spec=BackendSpec.from_dict(init.spec),
             registry=_ShippedRegistry(init.tables),
-            model=model,
+            max_batch_size=max_batch_size,
+            bucket_size=bucket_size,
         )
         # Warm every lazy per-dtype cache before serving, like SessionPool.
         session.forward([np.zeros(1, dtype=np.int64)])
@@ -681,10 +687,54 @@ class ShardedPool(ReplicaPool):
         spec: BackendSpec | None = None,
         registry: LutRegistry | None = None,
         num_replicas: int = 2,
-        model: EncoderModel | None = None,
         request_timeout_s: float = 600.0,
         transport: str = "pipe",
     ) -> None:
+        config = config or SessionConfig()
+        # The masters go to shared memory, which keeps them resident anyway:
+        # draw them unprepared, so none is released and the export in
+        # _open() reads them instead of re-running the draw.
+        model = EncoderModel._build(
+            config.transformer_config(),
+            np.random.default_rng(config.seed),
+            prepare=False,
+        )
+        self._open(
+            model, config, spec, registry, num_replicas, request_timeout_s, transport
+        )
+
+    @classmethod
+    def from_model(
+        cls,
+        model: EncoderModel,
+        spec: BackendSpec | None = None,
+        registry: LutRegistry | None = None,
+        num_replicas: int = 2,
+        max_batch_size: int = 32,
+        bucket_size: int = 1,
+        **kwargs,
+    ) -> "ShardedPool":
+        """Sharded pool over an already-built encoder (its engine wins)."""
+        config = _adopted_config(model, max_batch_size, bucket_size)
+        pool = cls.__new__(cls)
+        pool._open(model, config, spec, registry, num_replicas, **kwargs)
+        return pool
+
+    def _open(
+        self,
+        model: EncoderModel,
+        config: SessionConfig,
+        spec: BackendSpec | None,
+        registry: LutRegistry | None,
+        num_replicas: int,
+        request_timeout_s: float = 600.0,
+        transport: str = "pipe",
+    ) -> None:
+        """Share ``model``'s weights, serve a template over them, start workers.
+
+        ``config`` is the pool's description; it supplies the batching knobs
+        of the template and of every worker replica.
+        """
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         if transport not in ("pipe", "shm_ring"):
@@ -693,26 +743,7 @@ class ShardedPool(ReplicaPool):
                 "transports: pipe, shm_ring"
             )
         self.transport_name = transport
-        if model is None:
-            config = config or SessionConfig()
-            # The masters go to shared memory, which keeps them resident
-            # anyway: draw them unprepared, so none is released and the
-            # export below reads them instead of re-running the draw.
-            model = EncoderModel._build(
-                config.transformer_config(),
-                np.random.default_rng(config.seed),
-                prepare=False,
-            )
-            session_config = adopted_model_config(
-                model,
-                max_batch_size=config.max_batch_size,
-                bucket_size=config.bucket_size,
-                seed=config.seed,
-            )
-        else:
-            # Checked before the export below pins the masters and rebinds
-            # the caller's linears onto shared blocks.
-            session_config = _adopting_config(config, model)
+        self.config = config
         self.sessions: List[_ShardClient] = []
         self._closed = False
         store = SharedWeightStore(export_weight_state(model))
@@ -726,27 +757,20 @@ class ShardedPool(ReplicaPool):
         )
         try:
             # One copy of the weights per machine: the parent's model reads
-            # the same blocks the workers map, and the session prepares its
+            # the same blocks the workers map, and the template prepares its
             # linears once, on them.
             attach_weight_state(model, store.arrays())
-            template = InferenceSession(
-                config=session_config, spec=spec, registry=registry, model=model
+            template = InferenceSession.from_model(
+                model, spec, registry, config.max_batch_size, config.bucket_size
             )
             self._template = template
-            self.config = config or template.config
             self.spec = template.spec
             template.forward([np.zeros(1, dtype=np.int64)])
-            worker_config = adopted_model_config(
-                model,
-                max_batch_size=template.config.max_batch_size,
-                bucket_size=template.config.bucket_size,
-                seed=template.config.seed,
-            )
             # What _start_worker() needs, at construction and for each live
             # hot-add after it.
             self._worker_init = _WorkerInit(
-                transformer_config=template.model.config,
-                session_config=worker_config.to_dict(),
+                transformer_config=model.config,
+                batching=(config.max_batch_size, config.bucket_size),
                 spec=template.spec.to_dict(),
                 manifest=store.manifest(),
                 tables=_required_tables(template.spec, template.registry),
@@ -772,24 +796,6 @@ class ShardedPool(ReplicaPool):
         except BaseException:
             self.close()
             raise
-
-    @classmethod
-    def from_model(
-        cls,
-        model: EncoderModel,
-        spec: BackendSpec | None = None,
-        registry: LutRegistry | None = None,
-        num_replicas: int = 2,
-        max_batch_size: int = 32,
-        bucket_size: int = 1,
-        **kwargs,
-    ) -> "ShardedPool":
-        """Sharded pool over an already-built encoder (its engine wins)."""
-        config = adopted_model_config(
-            model, max_batch_size=max_batch_size, bucket_size=bucket_size
-        )
-        return cls(config=config, spec=spec, registry=registry,
-                   num_replicas=num_replicas, model=model, **kwargs)
 
     @staticmethod
     def _ring_sizes(template: InferenceSession, transport: str) -> Tuple[int, int]:
@@ -849,27 +855,14 @@ class ShardedPool(ReplicaPool):
             )
         return super().forward(requests)
 
-    # ------------------------------------------------------------------ #
-    # Calibration: re-fit on the parent, broadcast to every worker
-    # ------------------------------------------------------------------ #
     def calibrate(
         self, samples: Sequence[np.ndarray], operators=None
     ) -> Dict[str, LookupTable]:
-        """Dataset-free calibration for the whole sharded fleet.
-
-        The parent template session records/re-fits (it holds the fitted
-        networks; workers hold tables only), then the calibrated tables are
-        installed into every worker so the fleet keeps serving one
-        consistent backend.
-        """
         if self._closed:
             raise RuntimeError(
                 "ShardedPool is closed; there are no workers to calibrate"
             )
-        calibrated = self._template.calibrate(samples, operators=operators)
-        for client in self.sessions:
-            client.apply_lut_overrides(calibrated)
-        return calibrated
+        return super().calibrate(samples, operators=operators)
 
     # ------------------------------------------------------------------ #
     # Live membership

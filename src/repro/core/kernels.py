@@ -137,9 +137,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .approximators import (
-    LutGelu,
-    LutLayerNorm,
-    LutSoftmax,
     _as_float,
     _gelu_forward,
     _layernorm_forward,

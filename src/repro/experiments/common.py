@@ -12,7 +12,7 @@ layout, so the reproduction can be eyeballed against the original numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..api import BackendSpec

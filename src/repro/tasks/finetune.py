@@ -12,7 +12,7 @@ extraction helpers so evaluation with other backends reuses the same head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -13,7 +13,7 @@ block (its normalisation is the element-wise affine "NoNorm").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.kernels import KERNEL_NAMES
 

@@ -175,3 +175,27 @@ def test_float64_parity_with_per_call_serving(server, method, oracle, mixed_requ
     for i, request in enumerate(mixed_requests):
         expected = per_call(oracle, request)
         assert np.array_equal(served[i], expected), f"request {i}"
+
+
+@pytest.mark.parametrize("pool_class", [SessionPool, ShardedPool])
+def test_a_replica_spawned_after_calibration_serves_the_calibrated_tables(
+    pool_class, fast_registry, oracle, mixed_requests
+):
+    # Regression: SessionPool calibrated sessions[0] rather than its template,
+    # so once the first replica was retired a hot-added replica (a clone of
+    # the template) served the uncalibrated tables.
+    pool = pool_class(CONFIG, spec=SPEC, registry=fast_registry, num_replicas=2)
+    try:
+        pool.retire_replica(pool.sessions[0])
+        survivor = pool.sessions[0]
+        pool.calibrate(mixed_requests[:4])
+        spawned = pool.spawn_replica()
+        expected = survivor.forward(mixed_requests)
+        served = spawned.forward(mixed_requests)
+        for i, (result, reference) in enumerate(zip(served, expected)):
+            assert np.array_equal(result, reference), f"request {i}"
+        # The comparison is between calibrated replicas, not two stale ones.
+        uncalibrated = oracle.forward(mixed_requests)
+        assert not all(np.array_equal(a, b) for a, b in zip(expected, uncalibrated))
+    finally:
+        getattr(pool, "close", lambda: None)()

@@ -10,6 +10,7 @@ from repro.api import (
     InferenceSession,
     RequestBatcher,
     SessionConfig,
+    SessionPool,
     build_backend,
 )
 from repro.core.kernels import ComputeKernel, native_available
@@ -281,38 +282,44 @@ class TestSessionConfig:
         assert model.config.matmul_precision == "int8"
 
     def test_adopted_model_rejects_named_family_configs(self, tiny64_model, fast_registry):
-        with pytest.raises(ValueError, match="custom"):
-            InferenceSession(
-                SessionConfig(model_family="roberta"),
-                registry=fast_registry,
-                model=tiny64_model,
-            )
-        # With no config at all, an honest custom config is synthesized.
-        session = InferenceSession(registry=fast_registry, model=tiny64_model)
-        assert session.config.model_family == "custom"
-        assert session.config.compute_dtype == tiny64_model.config.compute_dtype
+        # A caller-built model is served only through from_model, whose config
+        # is synthesised: no constructor pairs a named family config with it.
+        for build in (InferenceSession, SessionPool):
+            with pytest.raises(TypeError, match="model"):
+                build(
+                    SessionConfig(model_family="roberta"),
+                    registry=fast_registry,
+                    model=tiny64_model,
+                )
+        pool = SessionPool.from_model(tiny64_model, registry=fast_registry)
+        assert pool.config.model_family == "custom"
+        assert all(replica.config == pool.config for replica in pool.sessions)
 
-    def test_custom_config_engine_fields_must_match_model(
-        self, tiny64_model, fast_registry
-    ):
-        # tiny64_model runs float64; a custom config claiming float32 would
-        # log engine settings the session does not actually use.
-        with pytest.raises(ValueError, match="compute_dtype"):
-            InferenceSession(
-                SessionConfig(model_family="custom", compute_dtype="float32"),
-                registry=fast_registry,
-                model=tiny64_model,
-            )
-        session = InferenceSession(
-            SessionConfig(model_family="custom", compute_dtype="float64", max_batch_size=4),
-            registry=fast_registry,
-            model=tiny64_model,
+    def test_custom_config_engine_fields_must_match_model(self, fast_registry):
+        # The adopted config takes its engine fields from the model, whatever
+        # it runs; only the batching knobs come from the caller.
+        model = SessionConfig(
+            model_family="tiny", compute_dtype="float64", matmul_precision="int8"
+        ).build_model()
+        session = InferenceSession.from_model(
+            model, registry=fast_registry, max_batch_size=4, bucket_size=2
         )
-        assert session.config.max_batch_size == 4
+        config = session.config
+        engine = (config.compute_dtype, config.matmul_precision, config.kernel)
+        assert engine == (
+            model.config.compute_dtype,
+            model.config.matmul_precision,
+            model.config.kernel,
+        )
+        assert (config.max_batch_size, config.bucket_size) == (4, 2)
+        # A replica of the session is described by the same config.
+        assert session.clone_for_serving().config == config
 
     def test_from_model_config_is_marked_custom(self, tiny64_model, fast_registry):
         session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
+        # An honest custom config is synthesised: engine fields from the model.
         assert session.config.model_family == "custom"
+        assert session.config.compute_dtype == tiny64_model.config.compute_dtype
         # A custom config round-trips but refuses to rebuild a model — it
         # never described the adopted architecture.
         replayed = SessionConfig.from_dict(session.config.to_dict())

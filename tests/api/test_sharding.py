@@ -159,17 +159,14 @@ class TestWeightState:
         assert weight_calls() == len(linears)
 
     @pytest.mark.parametrize(
-        "config, problem",
-        [
-            (SessionConfig("tiny"), "model_family='custom'"),
-            (SessionConfig("custom", compute_dtype="float64"), "engine settings"),
-        ],
+        "kwargs, problem",
+        [({"num_replicas": 0}, "num_replicas"), ({"transport": "tcp"}, "transport")],
     )
-    def test_a_misdescribed_model_is_refused_untouched(
-        self, fast_registry, config, problem
+    def test_a_refused_adoption_leaves_the_model_untouched(
+        self, fast_registry, kwargs, problem
     ):
-        # The adopted model's config is checked before the export pins its
-        # masters or its linears are rebound onto shared blocks.
+        # The pool's arguments are checked before the export pins the
+        # model's masters or its linears are rebound onto shared blocks.
         model = EncoderModel.initialize(tiny_test_config(), seed=3)
         linears = list(model.iter_linears())
         before = [
@@ -178,7 +175,7 @@ class TestWeightState:
         ]
         assert any(weight is None for weight, _, _ in before)  # released masters
         with pytest.raises(ValueError, match=problem):
-            ShardedPool(config, registry=fast_registry, num_replicas=1, model=model)
+            ShardedPool.from_model(model, registry=fast_registry, **kwargs)
         for linear, (weight, binding, prepared) in zip(linears, before):
             assert linear._weight is weight
             assert linear._binding is binding

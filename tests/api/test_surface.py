@@ -111,7 +111,7 @@ FIELDS = {
 
 SIGNATURES = {
     ShardedPool.__init__: (
-        "self config spec registry num_replicas model request_timeout_s "
+        "self config spec registry num_replicas request_timeout_s "
         "transport"
     ),
     ServingQueue.__init__: (

@@ -1,6 +1,5 @@
 """Tests for the hardware cost models: components, units, workload, accelerator."""
 
-import numpy as np
 import pytest
 
 from repro.hardware import (

@@ -8,7 +8,6 @@ from repro.core import functions
 from repro.core.kernels import NUMPY_KERNEL
 from repro.transformer import (
     Embedding,
-    EncoderModel,
     Linear,
     MobileBertLikeModel,
     MultiHeadSelfAttention,
