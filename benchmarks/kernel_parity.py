@@ -17,7 +17,11 @@ build prepares each layer's ``Linear`` operands right after drawing it) and
 a sha256 over every layer's packed panels, column sums, weight scale and
 bias.  A "resident weights" row prints, for the benchmark's fp32 and
 int8-native models, how many MB of float64 masters stay resident after the
-build against the MB of prepared operands.  Then it prints one row per
+build against the MB of prepared operands.  "split forward" rows digest one
+padded block of the benchmark's fp32 model, on each kernel, and of the same
+geometry on the float64 engine, as ``EncoderModel.forward`` computes it with
+its two row halves on two threads and on one thread; the script exits
+non-zero if the two differ.  Then it prints one row per
 op/path across int8/fp32 — per-op kernels first, then an end-to-end encoder
 forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
@@ -41,7 +45,7 @@ import time
 
 import numpy as np
 
-from repro.api import BackendSpec, InferenceSession, SessionConfig
+from repro.api import BackendSpec, InferenceSession, SessionConfig, build_backend
 from repro.core.approximators import LutGelu, LutLayerNorm, LutSoftmax
 from repro.core.kernels import (
     GEMM_TIER_NAMES,
@@ -54,7 +58,7 @@ from repro.core.kernels import (
 from repro.core.lut import LookupTable
 from repro.core.registry import SERVED_PRIMITIVES, LutRegistry, fit_lut, table_sha256
 from repro.core.scaling import InputScaler
-from repro.transformer import tiny_test_config
+from repro.transformer import models, tiny_test_config
 from repro.transformer.models import EncoderModel
 
 def fitted_tables() -> tuple:
@@ -136,6 +140,45 @@ def resident_weights(config: SessionConfig) -> tuple:
         else:  # the native kernel's packed int8 panels and column sums
             operands += operand.panels.nbytes + operand.colsum.nbytes
     return resident / 2**20, masters / 2**20, operands / 2**20
+
+
+def split_forward_digests() -> list:
+    """``[(engine, split sha256, unsplit sha256)]`` over one benchmark block.
+
+    The end-to-end benchmark's fp32 model on each available kernel, and its
+    geometry on the float64 engine: eight masked sequences of 32-128 tokens
+    through ``EncoderModel.forward`` with a second core lent (two row halves
+    on two threads) and with one.  The split's contract is that the digests
+    are equal; a BLAS whose row-stacked GEMM rows depend on how many rows
+    were stacked breaks it.
+    """
+    rng = np.random.default_rng(37)
+    lengths = np.array([128, 96, 64, 32, 128, 48, 80, 112])
+    tokens = rng.integers(0, 8000, size=(lengths.size, 128))
+    mask = (np.arange(128)[None, :] < lengths[:, None]).astype(np.int64)
+    backend = build_backend(BackendSpec.nn_lut(), registry=LutRegistry())
+    engines = [("fp32/numpy", BENCHMARK_FP32_CONFIG)]
+    if native_available():
+        engines.append(
+            ("fp32/native", dataclasses.replace(BENCHMARK_FP32_CONFIG, kernel="native"))
+        )
+    engines.append(
+        ("float64", dataclasses.replace(BENCHMARK_FP32_CONFIG, compute_dtype="float64"))
+    )
+    slots = models._CORE_SLOTS
+    out = []
+    for engine, config in engines:
+        model = config.build_model()
+        digests = []
+        try:
+            for cores in (2, 1):
+                slots._cores = cores
+                hidden = model.forward(tokens, backend, mask)
+                digests.append(hashlib.sha256(hidden.tobytes()).hexdigest())
+        finally:
+            slots._cores = None
+        out.append((engine, *digests))
+    return out
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -466,6 +509,13 @@ def main() -> int:
         )
         return 1
     print(f"calibrated tables: {', '.join(SERVED_PRIMITIVES)}: sha256 {calibrated_tables()}")
+    split_failed = False
+    for engine, split, unsplit in split_forward_digests():
+        print(f"split forward {engine}: split sha256 {split}, unsplit sha256 {unsplit}")
+        split_failed = split_failed or split != unsplit
+    if split_failed:
+        print("FAIL: a split forward's outputs differ from the one-thread forward's")
+        return 1
     if not native_available():
         print(
             f"native kernel unavailable ({native_unavailable_reason()}); "

@@ -75,7 +75,7 @@ import numpy as np
 from ..core.lut import LookupTable
 from ..core.registry import LutRegistry
 from ..transformer.config import TransformerConfig
-from ..transformer.models import EncoderModel
+from ..transformer.models import EncoderModel, _one_slot_per_process
 from . import faults as _faults
 from .batching import _validate_request
 from .faults import FaultPlan
@@ -314,6 +314,9 @@ def _worker_main(
     endpoint: WorkerEndpoint, init: _WorkerInit, worker_index: int = 0
 ) -> None:
     """Entry point of one shard worker process (spawn-safe, module level)."""
+    # Workers are the pool's parallelism, sized one per core: a worker's
+    # forward never borrows a second core from its siblings.
+    _one_slot_per_process()
     injector = None
     if init.fault_plan is not None:
         # Arm worker-side faults before the session warmup runs (the

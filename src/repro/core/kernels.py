@@ -64,8 +64,10 @@ accumulation is exact for ``k <= 66 306`` (``255 * 127 * k < 2**31``);
 ``pack_weight_int8`` refuses a longer contraction.
 
 Every op is one C call on the caller's thread, and the kernel keeps nothing
-between calls: cores are used by running several sessions
-(``SessionPool`` / ``ShardedPool``), whose threads share the one instance.
+between calls, so threads share the one instance: a ``SessionPool``'s
+replicas, and the two halves of a float-engine forward that
+``EncoderModel.forward`` runs on an idle second core
+(:mod:`repro.transformer.models`).  The kernel itself starts no thread.
 
 The float projection
 --------------------

@@ -1,4 +1,4 @@
-"""Runtime lock audit over the four locks in ``src/``.
+"""Runtime lock audit over the five locks in ``src/``.
 
 While a :class:`LockAudit` is armed, each audited lock is an
 :class:`AuditedLock` that knows which thread owns it, and three checks run
@@ -21,10 +21,10 @@ on top of that knowledge:
 
 :func:`serving_audit` arms all of this over the serving stack: the
 ``ServingQueue`` condition lock (the one lock the scheduling core runs under),
-the shard client lock, the fault injector lock and the native-kernel build
-lock, the fields those locks guard — the queue's threads and every field
-of the core's state — and the blocking calls the queue promises to make
-outside its lock.
+the shard client lock, the fault injector lock, the native-kernel build
+lock and the model's core-slot lock, the fields those locks guard — the
+queue's threads, every field of the core's state and the slot count — and
+the blocking calls the queue promises to make outside its lock.
 ``src/`` carries no hook for any of it; everything is monkeypatched here.
 The ``lock_audit`` fixture in ``tests/conftest.py`` arms it per module.
 """
@@ -49,6 +49,7 @@ from repro.api.scheduling import admission, fleet, resilience, stats
 from repro.api.server import ReplicaPool
 from repro.api.session import InferenceSession
 from repro.core import kernels
+from repro.transformer import models
 
 __all__ = [
     "ALLOWLIST",
@@ -63,13 +64,18 @@ __all__ = [
 #: Every lock construction under ``src/`` (path under ``src/repro``, the
 #: enclosing scope, the ``threading`` constructor) — each is replaced by
 #: :func:`serving_audit`.  ``tests/test_lock_audit.py`` pins this set
-#: against the source, so a fifth lock is a deliberate diff here.
+#: against the source, so a sixth lock is a deliberate diff here.
 LOCK_SITES = frozenset({
     ("api/faults.py", "FaultInjector.__init__", "Lock"),
     ("api/server.py", "ServingQueue.__init__", "Lock"),
     ("api/server.py", "ServingQueue.__init__", "Condition"),
     ("api/sharding.py", "_ShardClient.__init__", "Lock"),
     ("core/kernels.py", "<module>", "Lock"),
+    # The process-wide count of forwards on the cores and the lazily made
+    # helper that runs second halves: a split's check-then-take of a second
+    # slot, and the helper's one construction, must not interleave with
+    # another forward's.  Held for a few assignments; nothing blocks under it.
+    ("transformer/models.py", "_CoreSlots.__init__", "Lock"),
 })
 
 #: Blocking calls deliberately made under a lock: ``(caller, callee)`` ->
@@ -410,6 +416,7 @@ GUARDED: Dict[type, Tuple[str, ...]] = {
     admission.AdmissionController: ("backlog",),
     sharding._ShardClient: ("_broken",),
     faults.FaultInjector: ("_counts",),
+    models._CoreSlots: ("_busy", "_cores", "_helper"),
 }
 
 
@@ -449,6 +456,9 @@ def _install(audit: LockAudit) -> None:
     _after_init(audit, sharding._ShardClient, adopt_own_lock("_ShardClient._lock"))
     _after_init(audit, faults.FaultInjector, adopt_own_lock("FaultInjector._lock"))
     audit.patch(kernels, "_native_lock", audit.lock("kernels._native_lock"))
+    slots = models._CORE_SLOTS
+    audit.patch(slots, "_lock", audit.lock("_CoreSlots._lock"))
+    audit.own(slots, slots._lock)
 
     # The queue's threads must start on the audited lock: build the queue
     # stopped, swap its lock, then start it if the caller asked to.
@@ -504,7 +514,7 @@ def _install(audit: LockAudit) -> None:
 
 @contextmanager
 def serving_audit() -> Iterator[LockAudit]:
-    """The audit armed over the four locks in ``src/`` (see module docstring)."""
+    """The audit armed over the five locks in ``src/`` (see module docstring)."""
     with LockAudit(ALLOWLIST, NESTING, EXEMPT) as audit:
         _install(audit)
         yield audit

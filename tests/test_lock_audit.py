@@ -38,6 +38,7 @@ from repro.api.session import InferenceSession
 from repro.api.sharding import _ShardClient
 from repro.api.transport import TransportIntegrityError
 from repro.core import kernels
+from repro.transformer import models
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
@@ -232,6 +233,7 @@ def _owned_instances():
         member = core.add(object())
     client = _ShardClient(0, None, None, 1.0)
     injector = FaultInjector(FaultPlan())
+    slots = models._CORE_SLOTS
     return {
         ServingQueue: (serving, lock),
         Fleet: (core, lock),
@@ -241,6 +243,7 @@ def _owned_instances():
         AdmissionController: (core.admission, lock),
         _ShardClient: (client, client._lock),
         FaultInjector: (injector, injector._lock),
+        models._CoreSlots: (slots, slots._lock),
     }
 
 
@@ -307,8 +310,8 @@ def _lock_constructions():
     return found
 
 
-def test_the_four_locks_in_src_are_the_audited_ones():
-    # A fifth lock is a deliberate diff: LOCK_SITES and serving_audit's
+def test_the_locks_in_src_are_the_audited_ones():
+    # A sixth lock is a deliberate diff: LOCK_SITES and serving_audit's
     # install both have to learn about it.
     assert _lock_constructions() == LOCK_SITES
     with serving_audit():
@@ -318,10 +321,11 @@ def test_the_four_locks_in_src_are_the_audited_ones():
             _ShardClient(0, None, None, 1.0)._lock,
             FaultInjector(FaultPlan())._lock,
             kernels._native_lock,
+            models._CORE_SLOTS._lock,
         ]
         assert serving._cond._lock is serving._lock
     assert all(isinstance(lock, AuditedLock) for lock in locks)
-    assert len({lock.name for lock in locks}) == 4
+    assert len({lock.name for lock in locks}) == 5
 
 
 def test_every_allowlist_entry_is_used_by_an_armed_run(
