@@ -18,10 +18,13 @@ a sha256 over every layer's packed panels, column sums, weight scale and
 bias.  A "resident weights" row prints, for the benchmark's fp32 and
 int8-native models, how many MB of float64 masters stay resident after the
 build against the MB of prepared operands.  "split forward" rows digest one
-padded block of the benchmark's fp32 model, on each kernel, and of the same
-geometry on the float64 engine, as ``EncoderModel.forward`` computes it with
-its two row halves on two threads and on one thread; the script exits
-non-zero if the two differ.  Then it prints one row per
+padded block of the benchmark's fp32 model, on each kernel, of the same
+geometry on the float64 engine and of the benchmark's int8-native model, as
+``EncoderModel.forward`` computes it with its two row halves on two threads
+and on one thread; the script exits non-zero if the two differ.  An "int8
+batch-invariant" row digests the int8-native model's output for that block
+run as one batch and as one request at a time; the script exits non-zero if
+the two differ.  Then it prints one row per
 op/path across int8/fp32 — per-op kernels first, then an end-to-end encoder
 forward and pooled output through :class:`repro.api.InferenceSession` — and
 exits non-zero if any row violates the parity contract.  The contract is
@@ -142,21 +145,28 @@ def resident_weights(config: SessionConfig) -> tuple:
     return resident / 2**20, masters / 2**20, operands / 2**20
 
 
-def split_forward_digests() -> list:
-    """``[(engine, split sha256, unsplit sha256)]`` over one benchmark block.
-
-    The end-to-end benchmark's fp32 model on each available kernel, and its
-    geometry on the float64 engine: eight masked sequences of 32-128 tokens
-    through ``EncoderModel.forward`` with a second core lent (two row halves
-    on two threads) and with one.  The split's contract is that the digests
-    are equal; a BLAS whose row-stacked GEMM rows depend on how many rows
-    were stacked breaks it.
-    """
+def benchmark_block() -> tuple:
+    """``(tokens, mask, backend)``: eight masked sequences of 32-128 tokens,
+    padded to 128, and the served NN-LUT backend."""
     rng = np.random.default_rng(37)
     lengths = np.array([128, 96, 64, 32, 128, 48, 80, 112])
     tokens = rng.integers(0, 8000, size=(lengths.size, 128))
     mask = (np.arange(128)[None, :] < lengths[:, None]).astype(np.int64)
-    backend = build_backend(BackendSpec.nn_lut(), registry=LutRegistry())
+    return tokens, mask, build_backend(BackendSpec.nn_lut(), registry=LutRegistry())
+
+
+def split_forward_digests() -> list:
+    """``[(engine, split sha256, unsplit sha256)]`` over one benchmark block.
+
+    The end-to-end benchmark's fp32 model on each available kernel, its
+    geometry on the float64 engine, and its int8-native model: the
+    :func:`benchmark_block` through ``EncoderModel.forward`` with a second
+    core lent (two row halves on two threads) and with one.  The split's
+    contract is that the digests are equal; a BLAS whose row-stacked GEMM
+    rows depend on how many rows were stacked breaks it, and so would an
+    int8 activation scale that spans more than one token row.
+    """
+    tokens, mask, backend = benchmark_block()
     engines = [("fp32/numpy", BENCHMARK_FP32_CONFIG)]
     if native_available():
         engines.append(
@@ -165,6 +175,7 @@ def split_forward_digests() -> list:
     engines.append(
         ("float64", dataclasses.replace(BENCHMARK_FP32_CONFIG, compute_dtype="float64"))
     )
+    engines.append(("int8/native", BENCHMARK_INT8_CONFIG))
     slots = models._CORE_SLOTS
     out = []
     for engine, config in engines:
@@ -179,6 +190,22 @@ def split_forward_digests() -> list:
             slots._cores = None
         out.append((engine, *digests))
     return out
+
+
+def int8_batch_digests() -> tuple:
+    """``(batched sha256, per-request sha256)`` of the int8-native model.
+
+    The :func:`benchmark_block` as one batch, and each of its padded
+    sequences as a batch of one; equal digests are the int8 engine's
+    batch invariance (its activation scales are per token row).
+    """
+    tokens, mask, backend = benchmark_block()
+    model = BENCHMARK_INT8_CONFIG.build_model()
+    batched = model.forward(tokens, backend, mask)
+    per_request = np.concatenate(
+        [model.forward(tokens[i : i + 1], backend, mask[i : i + 1]) for i in range(len(tokens))]
+    )
+    return tuple(hashlib.sha256(out.tobytes()).hexdigest() for out in (batched, per_request))
 
 
 def build_rows(registry: LutRegistry) -> list:
@@ -515,6 +542,14 @@ def main() -> int:
         split_failed = split_failed or split != unsplit
     if split_failed:
         print("FAIL: a split forward's outputs differ from the one-thread forward's")
+        return 1
+    batched, per_request = int8_batch_digests()
+    print(
+        f"int8 batch-invariant int8/native: batched sha256 {batched}, "
+        f"per-request sha256 {per_request}"
+    )
+    if batched != per_request:
+        print("FAIL: the int8 engine's batched outputs differ from per-request ones")
         return 1
     if not native_available():
         print(

@@ -13,11 +13,10 @@ Serving traffic arrives as a list of variable-length token sequences.  The
 With the default ``bucket_size=1`` only *identical* lengths share a batch, so
 no padding (and no mask) ever enters the computation — the batched forward
 is the same arithmetic as the per-request forward, which is what lets the
-float64 engine reproduce per-call outputs bit for bit.  (The ``int8`` matmul
-engine is the exception regardless of bucketing: its per-tensor activation
-scale spans the packed batch, so co-batched requests share a quantisation
-grid per-call inference would not.)  Larger buckets trade exactness of that
-equivalence for fewer, denser batches.
+float64 engine reproduce per-call outputs bit for bit (the ``int8`` matmul
+engine included: its activation scales are per token row, so co-batched
+requests never share a quantisation grid).  Larger buckets trade exactness of
+that equivalence for fewer, denser batches.
 
 The padded token and mask buffers are allocated once and reused across
 micro-batches (they grow geometrically to the largest shape seen), so steady

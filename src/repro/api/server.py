@@ -32,18 +32,14 @@ every replica spawned from the template later — serve the same tables.
 Determinism and parity: every replica serves the *same* frozen model object
 through an identically-built backend, and with exact-length bucketing
 (``bucket_size=1``) a micro-batched forward reproduces the per-call forward
-bit for bit on the float engines (the session's micro-batching guarantee).
+bit for bit (the session's micro-batching guarantee).
 Which replica serves a request therefore cannot change its result —
-pooled/queued serving is
-bitwise-equal to single-session serving under ``compute_dtype="float64"`` on
-the ``fp32``/``fp16`` matmul engines.  :meth:`SessionPool.forward` goes
-further and makes the *dispatch itself* deterministic (micro-batch ``j`` goes
-to replica ``j % num_replicas``).  The queue does not pick replicas at all:
-whichever worker is idle takes the oldest ready batch, so placement follows
-timing and never matters to a result.  The ``int8`` engine keeps its
-documented caveat: one activation scale per packed tensor means batch
-*composition* (which requests share a batch) legitimately affects its
-numerics — placement still does not.
+pooled/queued serving is bitwise-equal to single-session serving under
+``compute_dtype="float64"`` on every matmul engine.
+:meth:`SessionPool.forward` goes further and makes the *dispatch itself*
+deterministic (micro-batch ``j`` goes to replica ``j % num_replicas``).  The
+queue does not pick replicas at all: whichever worker is idle takes the oldest
+ready batch, so placement follows timing and never matters to a result.
 """
 
 from __future__ import annotations
@@ -194,8 +190,8 @@ class ReplicaPool:
 
         Each replica runs ``session.forward`` over its shard's micro-batches
         on its own thread; results come back in request order regardless of
-        sharding.  Bitwise-equal to :meth:`InferenceSession.forward` on the
-        float engines with exact-length bucketing (see the module docstring).
+        sharding.  Bitwise-equal to :meth:`InferenceSession.forward` with
+        exact-length bucketing (see the module docstring).
         """
         requests = [np.asarray(r) for r in requests]
         outputs: List = [None] * len(requests)

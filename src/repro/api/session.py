@@ -222,11 +222,9 @@ class SessionConfig:
     ``seed`` its frozen weights (the stand-in for a checkpoint identity),
     ``matmul_precision`` the quantised-linear engine (``fp32``/``fp16``/
     ``int8``) and ``compute_dtype`` the engine float width (``float64``
-    reproduces per-call outputs bit for bit on the float engines).  The
-    ``int8`` engine is the exception: it derives one activation scale per
-    packed tensor (the I-BERT per-tensor convention), so there batch
-    composition legitimately affects the quantisation — per-call parity
-    holds for ``fp32``/``fp16`` matmuls only.  ``max_batch_size`` and
+    reproduces per-call outputs bit for bit on every engine: ``int8``
+    quantises each token row at its own scale, so batch composition never
+    reaches its quantisation).  ``max_batch_size`` and
     ``bucket_size`` shape the dynamic micro-batching; ``model_overrides``
     are forwarded to the architecture's config factory.
     """

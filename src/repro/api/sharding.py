@@ -53,9 +53,7 @@ replicas keep serving direct per-replica traffic, and :meth:`ShardedPool.close`
 always unlinks the shared-memory blocks — including when construction itself
 fails halfway.
 
-The ``int8`` engine keeps its documented caveat (one activation scale per
-packed tensor), and gains a sharding-specific one: which *process* serves a
-batch never changes its numerics, but batch composition still does.
+Which *process* serves a batch never changes its numerics, on any engine.
 """
 
 from __future__ import annotations

@@ -49,25 +49,28 @@ exact in any order, so every tier returns the same bits.
 
 None of the three writes the output itself: one driver runs them and each
 finished tile leaves through a shared tile-store epilogue,
-``out = (T)((double)acc * scale) [+ bias]`` — the dequantise, the rounding to
-the compute dtype and the bias add, in numpy's order, done on the
-accumulators while they are still in registers (AMX: in a 1 KB bounce
-buffer).  ``linear_int8`` is therefore one pass and one C call
-(``repro_linear_s8``): max-abs, quantise into a per-call int8 scratch, GEMM,
-epilogue; no int32 ``(m, n)`` array exists.  ``linear_int8_shared`` runs
-several projections of one activation (attention's Q, K, V) off a single
-quantised copy — per-tensor scales make that the same arithmetic as separate
-calls.  ``gemm_int8`` / ``repro_gemm_s8`` is the same driver storing the raw
-int32 sums: not on the engine's path, it is how the tests (``tier=``) and the
-GOP/s bench see each micro-kernel's integers on their own.  The biased int32
-accumulation is exact for ``k <= 66 306`` (``255 * 127 * k < 2**31``);
-``pack_weight_int8`` refuses a longer contraction.
+``out = (T)((double)acc * (row_scale[i] * weight_scale)) [+ bias]`` — the
+dequantise, the rounding to the compute dtype and the bias add, in numpy's
+order, done on the accumulators while they are still in registers (AMX: in a
+1 KB bounce buffer).  The activation is quantised per token row (``max|x_i| /
+127``; the weight per tensor), so a row's output depends on that row alone
+and a batch gives each row the bits it gets on its own.  ``linear_int8`` is
+therefore one pass and one C call (``repro_linear_s8``): per row max-abs and
+quantise into a per-call int8 scratch, then GEMM, epilogue; no int32
+``(m, n)`` array exists.  ``linear_int8_shared`` runs several projections of
+one activation (attention's Q, K, V) off a single quantised copy and its row
+scales — the same arithmetic as separate calls.  ``gemm_int8`` /
+``repro_gemm_s8`` is the same driver storing the raw int32 sums: not on the
+engine's path, it is how the tests (``tier=``) and the GOP/s bench see each
+micro-kernel's integers on their own.  The biased int32 accumulation is
+exact for ``k <= 66 306`` (``255 * 127 * k < 2**31``); ``pack_weight_int8``
+refuses a longer contraction.
 
 Every op is one C call on the caller's thread, and the kernel keeps nothing
 between calls, so threads share the one instance: a ``SessionPool``'s
-replicas, and the two halves of a float-engine forward that
-``EncoderModel.forward`` runs on an idle second core
-(:mod:`repro.transformer.models`).  The kernel itself starts no thread.
+replicas, and the two halves of a forward that ``EncoderModel.forward``
+runs on an idle second core (:mod:`repro.transformer.models`).  The kernel
+itself starts no thread.
 
 The float projection
 --------------------
@@ -77,8 +80,8 @@ kernel's int8 path, through its float64 carrier — makes one GEMM call over
 all ``batch * seq`` token rows, the float64 engine one call per sequence.
 :func:`_float_gemm` is the one site and states when rows may be stacked and
 why.  The consequence: float32 outputs may differ in the last bits with
-batch composition on shapes where BLAS changes kernel, as int8's already do;
-float64 outputs never do.
+batch composition on shapes where BLAS changes kernel; float64 and int8
+outputs never do.
 
 The LUT operators
 -----------------
@@ -181,6 +184,21 @@ def _fusible_table(table: object) -> bool:
     The FP16 / INT32 tables re-quantise inside ``evaluate`` and stay on it.
     """
     return type(table) is LookupTable
+
+
+def _row_scales(x: np.ndarray) -> np.ndarray:
+    """Per-row activation scales, ``(..., 1)`` float64: ``max|x_i| / 127``,
+    1 for an all-zero row — ``compute_scale`` applied to each token row.
+
+    Raises ``ValueError`` for a non-finite ``x``; the check rides on the
+    reduction.
+    """
+    max_abs = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
+    if not np.all(np.isfinite(max_abs)):
+        raise ValueError(_NONFINITE_MSG)
+    scale = max_abs.astype(np.float64) / float(_INT8_LIMIT)
+    scale[max_abs == 0.0] = 1.0
+    return scale
 
 
 def _c_ready(x: np.ndarray) -> bool:
@@ -319,8 +337,8 @@ class NumpyKernel(ComputeKernel):
         x = np.asarray(x)
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
-        act_scale = compute_scale(x, num_bits=8)
-        act = np.round(x / act_scale)
+        act_scale = _row_scales(x)
+        act = np.round(x / act_scale.astype(x.dtype))
         np.clip(act, -_INT8_LIMIT, _INT8_LIMIT, out=act)
         if act.dtype != np.float64:
             act = act.astype(np.float64)
@@ -757,9 +775,10 @@ class NativeKernel(ComputeKernel):
         """``x`` quantised once, then one GEMM + tile-store epilogue per
         ``(packed operand, weight_scale, bias)`` — all of the same ``k``.
 
-        One C call per projection: the first also scans ``x`` for its scale
-        and packs it into ``q``, the rest find ``q`` filled.  ``q`` is this
-        call's own scratch, so concurrent callers share nothing.
+        One C call per projection: the first also scans each row of ``x``
+        for its scale and packs it into ``q``, the rest find ``q`` and the
+        row scales filled.  Both are this call's own scratch, so concurrent
+        callers share nothing.
         """
         out_dtype = np.dtype(out_dtype)
         if out_dtype not in _FLOAT_DTYPES:
@@ -783,7 +802,7 @@ class NativeKernel(ComputeKernel):
         m = flat.shape[0]
         x_f64 = flat.dtype == np.float64
         q = _aligned_empty(m * k, np.int8)
-        act_scale = ctypes.c_double()  # written by the first call
+        act_scale = np.empty(m, dtype=np.float64)  # written by the first call
         x_ptr = flat.ctypes.data
         out_f64, tier = out_dtype == np.float64, self.gemm_impl
         results = []
@@ -797,7 +816,7 @@ class NativeKernel(ComputeKernel):
             )
             fused_bias = np.ascontiguousarray(bias) if fused else None
             status = self._lib.repro_linear_s8(
-                x_ptr, x_f64, q.ctypes.data, ctypes.addressof(act_scale), m, k,
+                x_ptr, x_f64, q.ctypes.data, act_scale.ctypes.data, m, k,
                 operand.panels.ctypes.data, operand.colsum.ctypes.data, n,
                 weight_scale, _ptr(fused_bias), out.ctypes.data, out_f64, tier,
             )

@@ -43,8 +43,10 @@
  * engine's path is the projection's epilogue — dequantise in float64, round
  * to the output type, add the bias — so the int32 sums go from registers (or
  * a 1 KB bounce buffer) to the float output and are never an array in
- * memory.  repro_linear_s8 wraps that in one call: max-abs, quantise into the
- * caller's scratch, GEMM, epilogue.  repro_gemm_s8 is the same driver with
+ * memory.  repro_linear_s8 wraps that in one call: max-abs and quantise each
+ * activation row at its own scale into the caller's scratch, GEMM, epilogue.
+ * A row's output depends on that row alone, so the result does not depend on
+ * what else shares the batch.  repro_gemm_s8 is the same driver with
  * the raw int32 store, kept so the tests and the GOP/s bench can look at each
  * tier's integer sums on their own.
  *
@@ -128,18 +130,21 @@ EXPORT int repro_amx_request(void) {
  * which either keep the exact int32 sums (SINK_S32: repro_gemm_s8) or apply
  * the projection's epilogue on the way out,
  *
- *     out = (T)((double)acc * scale) [+ bias]        T = float | double
+ *     out = (T)((double)acc * (row_scale[i] * weight_scale)) [+ bias]
+ *                                                    T = float | double
  *
- * multiply in float64, round once to T, then add the bias in T: numpy's
- * dequantise-then-cast-then-add order, so the float result is bitwise
- * NumpyKernel.linear_int8's and no int32 (m, n) array ever exists. */
+ * one scale per row i, multiply in float64, round once to T, then add the
+ * bias in T: numpy's dequantise-then-cast-then-add order, so the float result
+ * is bitwise NumpyKernel.linear_int8's and no int32 (m, n) array ever
+ * exists. */
 enum { SINK_S32, SINK_F32, SINK_F64 };
 
 typedef struct {
     int kind;
     void *out;        /* C, (m, n) row-major, element type per kind */
     int64_t n;
-    double scale;     /* float kinds: activation scale * weight scale */
+    const double *row_scale; /* float kinds: (m,) activation scales */
+    double weight_scale;     /* float kinds */
     const void *bias; /* float kinds: n values of out's type, or NULL */
 } tile_sink;
 
@@ -147,12 +152,13 @@ typedef struct {
     do {                                                                      \
         T *o = (T *)s->out + at;                                              \
         const T *b = (const T *)s->bias;                                      \
+        const double scale = s->row_scale[row] * s->weight_scale;             \
         if (b)                                                                \
             for (int64_t c = 0; c < cols; ++c)                                \
-                o[c] = (T)((double)acc[c] * s->scale) + b[col + c];           \
+                o[c] = (T)((double)acc[c] * scale) + b[col + c];              \
         else                                                                  \
             for (int64_t c = 0; c < cols; ++c)                                \
-                o[c] = (T)((double)acc[c] * s->scale);                        \
+                o[c] = (T)((double)acc[c] * scale);                           \
     } while (0)
 
 /* `cols` accumulators of C[row][col...]. */
@@ -181,7 +187,7 @@ static inline void sink_vec(const tile_sink *s, int64_t row, int64_t col,
         _mm512_mask_storeu_epi32((int32_t *)s->out + at, mask, acc);
         return;
     }
-    const __m512d scale = _mm512_set1_pd(s->scale);
+    const __m512d scale = _mm512_set1_pd(s->row_scale[row] * s->weight_scale);
     __m512d lo = _mm512_mul_pd(
         _mm512_cvtepi32_pd(_mm512_castsi512_si256(acc)), scale);
     __m512d hi = _mm512_mul_pd(
@@ -486,7 +492,7 @@ static void gemm_s8(const int8_t *a, const int8_t *packed,
 EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *packed,
                           const int32_t *colsum, int32_t *c, int64_t m,
                           int64_t k, int64_t n, int tier) {
-    const tile_sink sink = {SINK_S32, c, n, 0.0, NULL};
+    const tile_sink sink = {SINK_S32, c, n, NULL, 0.0, NULL};
     gemm_s8(a, packed, colsum, m, k, n, tier, &sink);
 }
 
@@ -681,36 +687,40 @@ EXPORT int repro_qpack_f32(const float *x, int64_t size, double scale,
 /* int8 projection: quantise -> GEMM -> tile store, one call            */
 /* ------------------------------------------------------------------ */
 
-/* out (m,n) = (T)((double)(q(x) @ w) * act_scale * weight_scale) [+ bias].
+/* out (m,n) = (T)((double)(q(x) @ w) * (act_scale[i] * weight_scale))
+ *            [+ bias], row i at its own scale.
  *
  *   x          (m,k) activations, float64 when x_f64 else float32 — or NULL
- *              when `q` already holds them quantised at *act_scale (a second
+ *              when `q` already holds them quantised at act_scale (a second
  *              projection of the same activation)
  *   q          (m,k) int8: where the quantised activations go / are
- *   act_scale  out with x: its per-tensor scale (max|x| / 127, 1 for an
- *              all-zero x).  In without: the scale `q` was quantised at,
- *              as the first projection of the shared activation wrote it
+ *   act_scale  (m,) float64.  Out with x: each row's scale (max|x_i| / 127, 1
+ *              for an all-zero row).  In without: the scales `q` was
+ *              quantised at, as the first projection of the shared
+ *              activation wrote them
  *   out, bias  float64 when out_f64 else float32; bias may be NULL
  *
- * Returns 1, with `out` untouched, when x holds a non-finite value. */
+ * Each row is scanned and quantised while it is in L1.  Returns 1, with
+ * `out` untouched, when x holds a non-finite value. */
 EXPORT int repro_linear_s8(const void *x, int x_f64, int8_t *q,
                            double *act_scale, int64_t m, int64_t k,
                            const int8_t *packed, const int32_t *colsum,
                            int64_t n, double weight_scale, const void *bias,
                            void *out, int out_f64, int tier) {
-    if (x) {
-        const int64_t size = m * k;
+    for (int64_t i = 0; x && i < m; ++i) {
+        const double *x64 = (const double *)x + i * k;
+        const float *x32 = (const float *)x + i * k;
         double max_abs = 0.0;
-        if (x_f64 ? repro_maxabs_f64(x, size, &max_abs)
-                  : repro_maxabs_f32(x, size, &max_abs))
+        if (x_f64 ? repro_maxabs_f64(x64, k, &max_abs)
+                  : repro_maxabs_f32(x32, k, &max_abs))
             return 1;
-        *act_scale = max_abs == 0.0 ? 1.0 : max_abs / 127.0;
-        if (x_f64 ? repro_qpack_f64(x, size, *act_scale, q)
-                  : repro_qpack_f32(x, size, *act_scale, q))
+        act_scale[i] = max_abs == 0.0 ? 1.0 : max_abs / 127.0;
+        if (x_f64 ? repro_qpack_f64(x64, k, act_scale[i], q + i * k)
+                  : repro_qpack_f32(x32, k, act_scale[i], q + i * k))
             return 1;
     }
-    const tile_sink sink = {out_f64 ? SINK_F64 : SINK_F32, out, n,
-                            *act_scale * weight_scale, bias};
+    const tile_sink sink = {out_f64 ? SINK_F64 : SINK_F32, out, n, act_scale,
+                            weight_scale, bias};
     gemm_s8(q, packed, colsum, m, k, n, tier, &sink);
     return 0;
 }

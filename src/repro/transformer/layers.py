@@ -241,8 +241,9 @@ class Linear:
 
         Cached int8 layers of one engine go to the kernel together
         (:meth:`ComputeKernel.linear_int8_shared`), so it can quantise ``x``
-        once for all of them; the activation scale is per tensor, hence the
-        same for each, and the results are those of the separate calls.
+        once for all of them; each row's activation scale depends on ``x``
+        alone, hence is the same for each, and the results are those of the
+        separate calls.
         """
         first = layers[0]
         engine = (first._kernel_obj, first.compute_dtype, "int8")

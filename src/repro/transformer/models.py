@@ -11,20 +11,18 @@ fine-tuning).
 
 Two cores per forward
 ---------------------
-On a float engine (``matmul_precision`` fp32 or fp16) ``EncoderModel.forward``
-runs a batch of two or more sequences as two contiguous row halves — the
-caller's thread the first, a process-wide helper thread the second — joins
-them once and returns the rows in order, bit for bit the unsplit result:
-float64 issues its GEMMs per sequence, and a row-stacked float32 GEMM's rows
-do not depend on how many rows were stacked above one (a one-row product goes
-to gemv, which rounds differently, so a half of one token row never splits).
+On every engine ``EncoderModel.forward`` runs a batch of two or more
+sequences as two contiguous row halves — the caller's thread the first, a
+process-wide helper thread the second — joins them once and returns the rows
+in order, bit for bit the unsplit result: float64 issues its GEMMs per
+sequence, a row-stacked float32 GEMM's rows do not depend on how many rows
+were stacked above one (a one-row product goes to gemv, which rounds
+differently, so a half of one token row never splits), and int8 quantises
+each token row at its own scale and sums its integers exactly.
 It splits only onto an idle core (:class:`_CoreSlots`) and only when each
 half carries enough work to pay for the second thread (``_MIN_HALF_ROWS``,
-``_MIN_HALF_ELEMENTS``).
-Never split:
-
-* int8 — its activation scale is per tensor, so it spans the batch;
-* a recording backend — the recorded order stays that of one thread.
+``_MIN_HALF_ELEMENTS``).  A recording backend never splits: the recorded
+order stays that of one thread.
 """
 
 from __future__ import annotations
@@ -230,9 +228,9 @@ class EncoderModel:
     ) -> np.ndarray:
         """Return hidden states of shape ``(batch, seq, hidden)``.
 
-        On a float engine with an idle core, the two row halves of the batch
-        run on two threads (see the module docstring); the result is the
-        same bits either way.
+        With an idle core, the two row halves of the batch run on two
+        threads (see the module docstring); the result is the same bits
+        either way.
         """
         backend = backend or _exact_backend()
         # One kernel for the whole forward; "native" degrades to the numpy
@@ -268,8 +266,7 @@ class EncoderModel:
     ) -> int:
         """Rows in the first half of a split forward; 0 when it must not split."""
         if (
-            self.config.matmul_precision == "int8"
-            or backend.recorder.enabled
+            backend.recorder.enabled
             or token_ids.ndim != 2
             or (
                 attention_mask is not None

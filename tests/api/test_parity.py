@@ -5,13 +5,16 @@ The serving surface is every concrete :class:`ReplicaPool` subclass plus
 the ``forward`` / ``pooled`` / ``serve`` / ``serve_one``
 methods each class defines or inherits.  Every one of them runs in
 :data:`CASES` against the per-call oracle — one single-session call per
-request under ``compute_dtype="float64"`` — and must match it bitwise.
+request under ``compute_dtype="float64"`` — and must match it bitwise, on
+the fp32 engine and on the int8 engine with the native kernel
+(:data:`ENGINES`).
 A new pool class, or a new entry point on an old one, fails
 :func:`test_every_serving_entry_point_has_a_parity_case` until it is added
 here.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,23 +34,30 @@ pytestmark = pytest.mark.usefixtures("lock_audit", "shm_ledger")
 CONFIG = SessionConfig(model_family="tiny", compute_dtype="float64", max_batch_size=3)
 SPEC = BackendSpec.nn_lut()
 
+#: The engines every case runs on; the fp32 one's cases keep the plain ids.
+ENGINES = {
+    "": CONFIG,
+    "int8-native": replace(CONFIG, matmul_precision="int8", kernel="native"),
+}
+
 #: How each server under test is built; every one builds its own model from
-#: CONFIG, so all of them (and the oracle) hold the same weights.
+#: its engine's config, so all of them (and that engine's oracle) hold the
+#: same weights.
 SERVERS = {
-    "InferenceSession": lambda registry: InferenceSession(
-        CONFIG, spec=SPEC, registry=registry
+    "InferenceSession": lambda config, registry: InferenceSession(
+        config, spec=SPEC, registry=registry
     ),
-    "SessionPool": lambda registry: SessionPool(
-        CONFIG, spec=SPEC, registry=registry, num_replicas=2
+    "SessionPool": lambda config, registry: SessionPool(
+        config, spec=SPEC, registry=registry, num_replicas=2
     ),
-    "ShardedPool[pipe]": lambda registry: ShardedPool(
-        CONFIG, spec=SPEC, registry=registry, num_replicas=2, transport="pipe"
+    "ShardedPool[pipe]": lambda config, registry: ShardedPool(
+        config, spec=SPEC, registry=registry, num_replicas=2, transport="pipe"
     ),
-    "ShardedPool[shm_ring]": lambda registry: ShardedPool(
-        CONFIG, spec=SPEC, registry=registry, num_replicas=2, transport="shm_ring"
+    "ShardedPool[shm_ring]": lambda config, registry: ShardedPool(
+        config, spec=SPEC, registry=registry, num_replicas=2, transport="shm_ring"
     ),
-    "ServingQueue": lambda registry: ServingQueue(
-        SessionPool(CONFIG, spec=SPEC, registry=registry, num_replicas=2),
+    "ServingQueue": lambda config, registry: ServingQueue(
+        SessionPool(config, spec=SPEC, registry=registry, num_replicas=2),
         max_wait_ms=5.0,
     ),
 }
@@ -152,28 +162,53 @@ def mixed_requests():
 
 
 @pytest.fixture(scope="module")
-def oracle(fast_registry):
-    return InferenceSession(CONFIG, spec=SPEC, registry=fast_registry)
+def oracles(fast_registry):
+    built = {}
+
+    def oracle(engine):
+        if engine not in built:
+            built[engine] = InferenceSession(
+                ENGINES[engine], spec=SPEC, registry=fast_registry
+            )
+        return built[engine]
+
+    return oracle
+
+
+@pytest.fixture(scope="module")
+def oracle(oracles):
+    return oracles("")
 
 
 @pytest.fixture(scope="module")
 def server(request, fast_registry):
-    built = SERVERS[request.param](fast_registry)
+    engine, name = request.param
+    built = SERVERS[name](ENGINES[engine], fast_registry)
     yield built
     close = getattr(built, "close", None)
     if close is not None:
         close()
 
 
-@pytest.mark.parametrize(
-    "server, method", CASES, indirect=["server"], ids=[".".join(c) for c in CASES]
-)
-def test_float64_parity_with_per_call_serving(server, method, oracle, mixed_requests):
+ENGINE_CASES = [
+    pytest.param(
+        (engine, server), engine, method,
+        id=".".join(filter(None, (engine, server, method))),
+    )
+    for engine in ENGINES
+    for server, method in CASES
+]
+
+
+@pytest.mark.parametrize("server, engine, method", ENGINE_CASES, indirect=["server"])
+def test_float64_parity_with_per_call_serving(
+    server, engine, method, oracles, mixed_requests
+):
     run, per_call = RUNNERS[method]
     served = run(server, mixed_requests)
     assert len(served) == len(mixed_requests)
     for i, request in enumerate(mixed_requests):
-        expected = per_call(oracle, request)
+        expected = per_call(oracles(engine), request)
         assert np.array_equal(served[i], expected), f"request {i}"
 
 

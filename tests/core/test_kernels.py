@@ -8,7 +8,6 @@ toolchain skip the native-only classes; the registry/fallback tests run
 everywhere.
 """
 
-import ctypes
 import errno
 import pickle
 import threading
@@ -296,10 +295,12 @@ class TestNumpyInt8CarrierGemm:
         operand = NUMPY_KERNEL.pack_weight_int8(w_q)
         got = NUMPY_KERNEL.linear_int8(x, operand, 0.013, out_dtype, bias=bias)
 
-        # The parent's op sequence: one carrier GEMM per sequence.
-        act_scale = NUMPY_KERNEL.quantize_scale(x)
-        act = np.clip(np.round(x / act_scale), -127, 127).astype(np.float64)
-        accumulator = np.matmul(act, operand)
+        # One carrier GEMM per sequence, each token row at its own scale.
+        act_scale = np.array(
+            [[[NUMPY_KERNEL.quantize_scale(row)] for row in seq] for seq in x]
+        )
+        act = np.clip(np.round(x / act_scale.astype(out_dtype)), -127, 127)
+        accumulator = np.matmul(act.astype(np.float64), operand)
         accumulator *= act_scale * 0.013
         want = accumulator.astype(out_dtype, copy=False)
         want += bias
@@ -756,6 +757,49 @@ class TestGemmTiers:
             assert eq(got, want), (tier, m, k, n)
         assert np.array_equal(x, before)  # the caller's x is never written
 
+    @given(
+        m=st.integers(1, 40),
+        k=st.integers(1, 200),
+        n=st.integers(1, 70),
+        in_dtype=st.sampled_from([np.float32, np.float64]),
+        out_dtype=st.sampled_from([np.float32, np.float64]),
+        zero_rows=st.integers(0, 3),
+        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_per_row_scales_on_every_tier_equal_numpy(
+        self, m, k, n, in_dtype, out_dtype, zero_rows, bad, seed
+    ):
+        """Rows 1e6 apart in magnitude, all-zero rows, a non-finite row: each
+        row at its own scale, numpy == native on every tier, and a row's
+        result is the one it gets alone."""
+        native = get_kernel("native")
+        rng = np.random.default_rng(seed)
+        magnitude = np.where(rng.random((m, 1)) < 0.5, 1e-3, 1e3)
+        x = (rng.normal(size=(m, k)) * magnitude).astype(in_dtype)
+        x[rng.permutation(m)[:zero_rows]] = 0.0
+        if bad is not None:
+            x[rng.integers(m), rng.integers(k)] = bad
+        w_q = int8_matrix(rng, (k, n), extreme=False)
+        bias = rng.normal(size=n).astype(out_dtype)
+        operand, packed = NUMPY_KERNEL.pack_weight_int8(w_q), native.pack_weight_int8(w_q)
+        if bad is not None:
+            with pytest.raises(ValueError, match="non-finite"):
+                NUMPY_KERNEL.linear_int8(x, operand, 0.02, out_dtype, bias=bias)
+            for tier in range(1, native.gemm_impl + 1):
+                with on_gemm_tier(tier), pytest.raises(ValueError, match="non-finite"):
+                    native.linear_int8(x, packed, 0.02, out_dtype, bias=bias)
+            return
+        want = NUMPY_KERNEL.linear_int8(x, operand, 0.02, out_dtype, bias=bias)
+        for tier in range(1, native.gemm_impl + 1):
+            with on_gemm_tier(tier):
+                got = native.linear_int8(x, packed, 0.02, out_dtype, bias=bias)
+            assert eq(got, want), (tier, m, k, n)
+        row = rng.integers(m)
+        alone = NUMPY_KERNEL.linear_int8(x[row : row + 1], operand, 0.02, out_dtype, bias=bias)
+        assert eq(alone, want[row : row + 1])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_activation_equals_separate_calls(self, native, dtype):
         """Q/K/V-style: one quantised activation, several projections."""
@@ -820,9 +864,9 @@ class TestGemmTiers:
         # The C entry's own contract: status 1 and `out` untouched.
         out = np.full((70, 20), 7.0, dtype=np.float32)
         q = np.zeros((70, 33), dtype=np.int8)
-        scale = ctypes.c_double(0.0)
+        row_scales = np.zeros(70)  # one float64 per row
         status = native._lib.repro_linear_s8(
-            x.ctypes.data, 0, q.ctypes.data, ctypes.addressof(scale), 70, 33,
+            x.ctypes.data, 0, q.ctypes.data, row_scales.ctypes.data, 70, 33,
             packed.panels.ctypes.data, packed.colsum.ctypes.data, 20, 0.01,
             None, out.ctypes.data, 0, native.gemm_impl,
         )

@@ -1,9 +1,10 @@
 """Test oracles: seed reference matmuls and an exact scalar table.
 
 The matmuls are the original per-call implementations — the weight operand
-is re-derived (cast or quantised) on every call — kept verbatim so the tests
-compare the cached, kernel-dispatched ``Linear`` against an independent
-formulation rather than against itself.
+is re-derived (cast or quantised) on every call — so the tests compare the
+cached, kernel-dispatched ``Linear`` against an independent formulation
+rather than against itself.  The int8 one quantises each activation row on
+its own (:func:`row_quantized_matmul`), as the engine does.
 
 :class:`ExactTable` puts an exact numpy function behind the scalar-table
 contract, ``evaluate(x, out=None)``, so a composite operator can be run over
@@ -23,6 +24,7 @@ __all__ = [
     "ExactTable",
     "matmul_with_precision",
     "quantized_matmul",
+    "row_quantized_matmul",
     "fp16_matmul",
     "seed_linear_call",
 ]
@@ -67,14 +69,31 @@ def quantized_matmul(
     return accumulator.astype(np.float64) * (act_q.scale * weights_q.scale)
 
 
+def row_quantized_matmul(activations: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """INT8xINT8 -> INT32 matmul with one activation scale per row.
+
+    Each row of the ``(m, k)`` activations is quantised by itself with the
+    reference quantiser, the weight once per tensor; row ``i`` of the integer
+    product is dequantised by ``scale_i * weight_scale``.  A row's result
+    therefore depends on that row alone.
+    """
+    rows = [quantize(row, num_bits=8) for row in activations]
+    act = np.array([row.data for row in rows], dtype=np.int64).reshape(activations.shape)
+    scales = np.array([row.scale for row in rows], dtype=np.float64)
+    weights_q = quantize(weights, num_bits=8)
+    accumulator = act @ weights_q.data
+    return accumulator.astype(np.float64) * (scales[:, None] * weights_q.scale)
+
+
 def matmul_with_precision(
     activations: np.ndarray, weights: np.ndarray, precision: str = "fp32"
 ) -> np.ndarray:
     """Matrix multiply in the requested precision.
 
     ``"fp32"`` uses float64/float32 numpy matmul; ``"fp16"`` casts operands to
-    half precision; ``"int8"`` performs symmetric per-tensor INT8xINT8->INT32
-    accumulation with float dequantisation (the I-BERT inference setting).
+    half precision; ``"int8"`` performs symmetric INT8xINT8->INT32
+    accumulation with float dequantisation, activations per token row and
+    weights per tensor (:func:`row_quantized_matmul`).
 
     This is the uncached reference: weights are re-prepared on every call.
     :class:`Linear` provides the cached inference path.
@@ -85,7 +104,7 @@ def matmul_with_precision(
         return fp16_matmul(activations, weights)
     if precision == "int8":
         flat = activations.reshape(-1, activations.shape[-1])
-        result = quantized_matmul(flat, weights)
+        result = row_quantized_matmul(flat, weights)
         return result.reshape(*activations.shape[:-1], weights.shape[-1])
     raise ValueError(f"precision must be 'fp32', 'fp16' or 'int8', got {precision!r}")
 

@@ -129,11 +129,25 @@ def test_float64_engine_equals_seed_reference(
 WIDTHS = ((32, 64, 2), (60, 122, 4), (96, 130, 4))
 
 
-@pytest.mark.parametrize("matmul_precision", ["fp32", "fp16"])
+#: (matmul precision, kernel); int8's activation scales are per token row.
+BATCHED_ENGINES = (
+    pytest.param("fp32", "numpy", id="fp32"),
+    pytest.param("fp16", "numpy", id="fp16"),
+    pytest.param("int8", "numpy", id="int8-numpy"),
+    pytest.param(
+        "int8", "native", id="int8-native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="compiled native kernel unavailable"
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("matmul_precision, kernel", BATCHED_ENGINES)
 @pytest.mark.parametrize("method", ["exact", "nn_lut"])
 @pytest.mark.parametrize("width", WIDTHS, ids=lambda w: f"{w[0]}x{w[1]}")
 def test_float64_batched_equals_per_call(
-    fast_registry, width, method, matmul_precision
+    fast_registry, width, method, matmul_precision, kernel
 ):
     hidden, intermediate, heads = width
     session = InferenceSession(
@@ -141,6 +155,7 @@ def test_float64_batched_equals_per_call(
             model_family="tiny",
             compute_dtype="float64",
             matmul_precision=matmul_precision,
+            kernel=kernel,
             max_batch_size=4,
             model_overrides={
                 "hidden_size": hidden,

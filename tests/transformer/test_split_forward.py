@@ -1,10 +1,11 @@
-"""The split forward: a float engine's batch as two row halves on two threads.
+"""The split forward: a batch as two row halves on two threads.
 
 ``EncoderModel.forward`` runs the second half of a batch on a helper thread
 when a second core is idle (``models._CoreSlots``).  These tests hold it to
-its contract: the same bits as the unsplit forward on every float engine,
-never on int8 or a recording backend, errors only after both halves are
-done, no thread on a one-core process or when other forwards fill the cores.
+its contract: the same bits as the unsplit forward on every engine (int8
+included: its activation scales are per token row), never on a recording
+backend, errors only after both halves are done, no thread on a one-core
+process or when other forwards fill the cores.
 
 The first-use caches a forward fills — ``Linear``'s prepared operands, a
 table's per-dtype ``_params`` and bucket thresholds, ``NormParameters.cast``
@@ -100,7 +101,7 @@ def _unsplit(slots, model, *args, **kwargs):
 
 
 @pytest.mark.parametrize("width", WIDTHS, ids=lambda w: f"{w[0]}x{w[1]}")
-@pytest.mark.parametrize("precision", ("fp32", "fp16"))
+@pytest.mark.parametrize("precision", ("fp32", "fp16", "int8"))
 @pytest.mark.parametrize("compute_dtype", ("float32", "float64"))
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_split_equals_unsplit_bitwise(
@@ -141,17 +142,16 @@ def test_a_half_splits_only_with_enough_work(slots, monkeypatch):
         assert slots._helper.submits == submits, (model.config.hidden_size, rows, length)
 
 
-def test_int8_and_recording_backends_never_submit(slots, fast_registry):
+@pytest.mark.parametrize("precision", ("fp32", "int8"))
+def test_a_recording_backend_never_submits(slots, fast_registry, precision):
     tokens, mask = _batch(np.random.default_rng(0), 8, 16)
     backend = build_backend(BackendSpec.nn_lut(), registry=fast_registry)
-    for kernel in ("numpy", "native"):
-        _model(kernel, precision="int8").forward(tokens, backend, mask)
-    float_model = _model()
+    model = _model(precision=precision)
     with backend.recording() as recorder:
-        float_model.forward(tokens, backend, mask)
+        model.forward(tokens, backend, mask)
     assert recorder.layernorm_inputs  # it did record, from one thread
     assert slots._helper.submits == 0
-    float_model.forward(tokens, backend, mask)
+    model.forward(tokens, backend, mask)  # not recording: int8 too splits
     assert slots._helper.submits == 1
 
 
