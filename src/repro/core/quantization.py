@@ -40,8 +40,8 @@ def compute_scale(values: np.ndarray, num_bits: int = 8) -> float:
     """Symmetric per-tensor scale: ``max|v| / (2^(b-1) - 1)``; 1.0 for zeros.
 
     The one scale of every symmetric quantiser here: the INT32 tables below
-    and the compute kernels' INT8 weight / activation quantisation (I-BERT's
-    per-tensor setting).  Raises ``ValueError`` for non-finite inputs: a NaN
+    and the compute kernels' INT8 weight quantisation (I-BERT's per-tensor
+    setting); INT8 activations take it per token row.  Raises ``ValueError`` for non-finite inputs: a NaN
     or infinity would otherwise silently poison the scale and produce garbage
     integer tensors.  The check rides on the ``max|v|`` reduction, so it costs
     no extra pass.
