@@ -175,7 +175,7 @@ def split_forward_digests() -> list:
     engines.append(
         ("float64", dataclasses.replace(BENCHMARK_FP32_CONFIG, compute_dtype="float64"))
     )
-    engines.append(("int8/native", BENCHMARK_INT8_CONFIG))
+    engines.append((int8_engine(), BENCHMARK_INT8_CONFIG))
     slots = models._CORE_SLOTS
     out = []
     for engine, config in engines:
@@ -190,6 +190,12 @@ def split_forward_digests() -> list:
             slots._cores = None
         out.append((engine, *digests))
     return out
+
+
+def int8_engine() -> str:
+    """The label of the kernel ``BENCHMARK_INT8_CONFIG`` resolves to here:
+    ``kernel="native"`` falls back to numpy on a host without the build."""
+    return "int8/native" if native_available() else "int8/numpy"
 
 
 def int8_batch_digests() -> tuple:
@@ -545,7 +551,7 @@ def main() -> int:
         return 1
     batched, per_request = int8_batch_digests()
     print(
-        f"int8 batch-invariant int8/native: batched sha256 {batched}, "
+        f"int8 batch-invariant {int8_engine()}: batched sha256 {batched}, "
         f"per-request sha256 {per_request}"
     )
     if batched != per_request:

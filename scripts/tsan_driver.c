@@ -22,11 +22,12 @@
  * call loads and releases its own tile configuration) over a weight packed
  * into the k4-interleaved panel layout, the way NativeKernel._project calls
  * it: float64 output straight from the caller's activations, then float32
- * output from the already-quantised copy (the shared-activation call).  The
- * bands, K and N are ragged on purpose: a band ends inside a 6-row and a
- * 32-row tile, and the k tail and the partial panel are exercised.  Both
- * outputs are memcmp'd against a scalar dequantise of the int64 product at
- * the band's own activation scale.
+ * output from the already-quantised copy and the per-row scales the first
+ * call wrote (the shared-activation call).  The bands, K and N are ragged on
+ * purpose: a band ends inside a 6-row and a 32-row tile, and the k tail and
+ * the partial panel are exercised; every tenth activation row is all zero.
+ * Both outputs are memcmp'd against a scalar dequantise of the int64 product
+ * at each row's own activation scale (max|x_i| / 127, 1 for a zero row).
  *
  * The float32 LUT operators (bias + GELU and the softmax front end) run on
  * whatever LUT tier the build has, over rows of LUT_COLS columns — a
@@ -120,12 +121,12 @@ static void *worker(void *arg) {
     const int64_t rows = band_start(job->tid + 1) - start;
     for (int iter = 0; iter < ITERS; ++iter) {
         const int tier = 1 + iter % job->tiers;
-        double scale = 0.0; /* written by the first call, read by the second */
+        double scale[M]; /* per row: written by the first call, read by the second */
         if (repro_linear_s8(job->act + start * K, 1, job->act_q + start * K,
-                            &scale, rows, K, job->packed, job->colsum, N,
+                            scale, rows, K, job->packed, job->colsum, N,
                             WEIGHT_SCALE, job->bias, job->lin_out64 + start * N,
                             1, tier) ||
-            repro_linear_s8(NULL, 0, job->act_q + start * K, &scale, rows, K,
+            repro_linear_s8(NULL, 0, job->act_q + start * K, scale, rows, K,
                             job->packed, job->colsum, N, WEIGHT_SCALE,
                             job->bias32, job->lin_out32 + start * N, 0, tier))
             job->failed |= 1;
@@ -157,7 +158,7 @@ static void *worker(void *arg) {
         if (repro_maxabs_f64(job->out + start * N, rows * N, &mx))
             job->failed |= 1;
         if (mx > 0.0 &&
-            repro_qpack_f64(job->out + start * N, rows * N, 127.0 / mx,
+            repro_qpack_f64(job->out + start * N, rows * N, mx / 127.0,
                             job->q + start * N))
             job->failed |= 1;
     }
@@ -184,7 +185,11 @@ int main(void) {
     unsigned seed = 12345u;
     for (int i = 0; i < M * K; ++i) {
         seed = seed * 1103515245u + 12345u;
-        act[i] = ((double)(seed >> 8) / (1 << 23) - 1.0) * 3.0;
+        /* rows ~1e3 apart in magnitude, every tenth row all zero */
+        const int row = i / K;
+        act[i] = row % 10 == 9 ? 0.0
+                               : ((double)(seed >> 8) / (1 << 23) - 1.0) * 3.0 *
+                                     (row % 3 == 0 ? 1e3 : 1.0);
     }
     for (int i = 0; i < K * N; ++i)
         w[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
@@ -204,16 +209,13 @@ int main(void) {
         xf[i] = 0.001 * (i % 997) - 0.5;
         res[i] = 0.002 * (i % 991) - 1.0;
     }
-    double act_scale = 0.0; /* of the band row i belongs to */
-    for (int i = 0, tid = 0; i < M; ++i) {
+    for (int i = 0; i < M; ++i) {
         inv_std[i] = 1.0 / (1.0 + 0.001 * i);
-        if (i == band_start(tid)) {
-            double act_max = 0.0;
-            for (int64_t e = i * K; e < band_start(tid + 1) * K; ++e)
-                act_max = fabs(act[e]) > act_max ? fabs(act[e]) : act_max;
-            act_scale = act_max / 127.0;
-            ++tid;
-        }
+        double act_max = 0.0;
+        for (int kk = 0; kk < K; ++kk)
+            act_max = fabs(act[i * K + kk]) > act_max ? fabs(act[i * K + kk])
+                                                      : act_max;
+        const double act_scale = act_max == 0.0 ? 1.0 : act_max / 127.0;
         for (int j = 0; j < N; ++j) {
             int64_t sum = 0;
             for (int kk = 0; kk < K; ++kk) {
