@@ -1,9 +1,10 @@
 """Replace every non-linear operation of a Transformer and measure the impact.
 
 This mirrors the Table-2 protocol on synthetic GLUE tasks, entirely through
-the serving API: each scenario is a declarative ``BackendSpec``, the scores
-come from the same frozen model + heads, and the final section serves a
-ragged request mix through a prepared ``InferenceSession``.
+the serving API: each scenario is a declarative ``BackendSpec`` served by an
+``InferenceSession`` over the same frozen model, the scores come from the
+same fitted heads, and the final section serves a ragged request mix through
+one of those sessions.
 
 Run with:  python examples/approximate_transformer.py
 """
@@ -36,15 +37,17 @@ def main() -> None:
     }
     print(f"Model: {model.config.name}, {model.num_parameters():,} parameters")
     print(f"{'backend':28s} " + " ".join(f"{task:>8s}" for task in benchmark.tasks))
-    for name, spec in specs.items():
-        scores = benchmark.score_all(spec, registry=registry)
+    sessions = {
+        name: InferenceSession.from_model(model, spec, registry)
+        for name, spec in specs.items()
+    }
+    for name, session in sessions.items():
+        scores = benchmark.score_all(session)
         print(f"{name:28s} " + " ".join(f"{scores[task]:8.1f}" for task in benchmark.tasks))
 
-    # Serving-grade entry point: the same model + NN-LUT spec prepared once,
-    # then fed a ragged mix of request lengths (dynamically micro-batched).
-    session = InferenceSession.from_model(
-        model, spec=BackendSpec.nn_lut(), registry=registry, max_batch_size=8
-    )
+    # The same sessions serve any traffic: a ragged mix of request lengths,
+    # dynamically micro-batched.
+    session = sessions["NN-LUT (all ops)"]
     rng = np.random.default_rng(0)
     requests = [
         rng.integers(0, model.config.vocab_size, size=length)

@@ -20,6 +20,11 @@ scenario goes through:
   the paper's dataset-free calibration as a single
   :meth:`~repro.api.InferenceSession.calibrate` call.
 
+The paper's experiments serve through the same sessions: a table row is
+``InferenceSession.from_model(model, spec, registry)`` over one model built
+by ``SessionConfig(model_family=...)``, and a task head scores the features
+that session serves.
+
 Sub-packages
 ------------
 ``repro.api``
@@ -35,11 +40,13 @@ Sub-packages
     The reference symmetric INT8 quantiser the compute kernels' one-pass
     quantiser is checked against.
 ``repro.transformer``
-    Pure-numpy Transformer encoder substrate (RoBERTa-like, MobileBERT-like)
-    with pluggable non-linear backends.
+    Pure-numpy Transformer encoder substrate (one ``EncoderModel``, with
+    RoBERTa-like and MobileBERT-like configs) with pluggable non-linear
+    backends.
 ``repro.tasks``
-    Synthetic GLUE / SQuAD style task generators, metrics and head training
-    used for the software accuracy experiments.
+    Synthetic GLUE / SQuAD style task generators, metrics, and heads fitted
+    on exact-session features and scored through any session over the same
+    model, for the software accuracy experiments.
 ``repro.hardware``
     7-nm-calibrated arithmetic-unit cost models and the accelerator cycle
     simulator used for the hardware experiments.
@@ -55,7 +62,6 @@ from .api import (
     InferenceSession,
     OperatorSpec,
     SessionConfig,
-    as_backend,
     build_backend,
 )
 from .core import (
@@ -78,7 +84,6 @@ __all__ = [
     "BackendSpec",
     "OperatorSpec",
     "build_backend",
-    "as_backend",
     "SessionConfig",
     "InferenceSession",
     "LookupTable",

@@ -67,7 +67,6 @@ from .spec import (
     SPEC_SCHEMA_VERSION,
     BackendSpec,
     OperatorSpec,
-    as_backend,
     build_backend,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "OperatorSpec",
     "BackendSpec",
     "build_backend",
-    "as_backend",
     "MicroBatch",
     "RequestBatcher",
     "MODEL_FAMILIES",

@@ -55,7 +55,6 @@ __all__ = [
     "OperatorSpec",
     "BackendSpec",
     "build_backend",
-    "as_backend",
 ]
 
 SPEC_SCHEMA_VERSION = 1
@@ -454,25 +453,4 @@ def build_backend(
             "calibrated_primitives": tuple(sorted(overrides)),
             "spec": spec.to_dict(),
         },
-    )
-
-
-def as_backend(
-    backend_or_spec: NonlinearBackend | BackendSpec | None,
-    registry: LutRegistry | None = None,
-) -> NonlinearBackend:
-    """Coerce ``None`` / a spec / a built backend into a runnable backend.
-
-    ``None`` means the exact reference backend — the convention every
-    evaluation entry point shares.
-    """
-    if backend_or_spec is None:
-        return build_backend(BackendSpec.exact(), registry=registry)
-    if isinstance(backend_or_spec, BackendSpec):
-        return build_backend(backend_or_spec, registry=registry)
-    if isinstance(backend_or_spec, NonlinearBackend):
-        return backend_or_spec
-    raise TypeError(
-        "expected a BackendSpec, a NonlinearBackend or None, "
-        f"got {type(backend_or_spec).__name__}"
     )

@@ -24,7 +24,7 @@ from .common import (
     backend_variant_specs,
 )
 from .figure2 import Figure2Result, run_figure2
-from .table2 import Table2aResult, Table2bResult, calibrate_layernorm_lut, run_table2a, run_table2b
+from .table2 import Table2aResult, Table2bResult, run_table2a, run_table2b
 from .table3 import Table3Result, run_table3
 from .table4 import PAPER_TABLE4, Table4Result, run_table4
 from .table5 import PAPER_SPEEDUPS, Table5Result, run_table5
@@ -42,7 +42,6 @@ __all__ = [
     "Table2bResult",
     "run_table2a",
     "run_table2b",
-    "calibrate_layernorm_lut",
     "Table3Result",
     "run_table3",
     "Table4Result",

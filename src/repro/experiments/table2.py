@@ -8,9 +8,12 @@ Part (b): the INT8-matmul model — I-BERT's integer approximations versus
 NN-LUT in FP32 and INT32, with and without the dataset-free calibration of
 the LayerNorm table ("+C" rows).
 
-Every variant is declared as a :class:`repro.api.BackendSpec` and realised
-through :func:`repro.api.build_backend`; the per-operator sweep comes from
-:func:`repro.experiments.common.backend_variant_specs`.
+Every row is an :class:`repro.api.InferenceSession` over the one benchmark
+model — ``InferenceSession.from_model(model, spec, registry)`` with the
+row's :class:`repro.api.BackendSpec` (the per-operator sweep comes from
+:func:`repro.experiments.common.backend_variant_specs`); a "+C" row's
+session first runs ``InferenceSession.calibrate`` on unlabelled training
+sequences.
 """
 
 from __future__ import annotations
@@ -20,13 +23,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..api import BackendSpec, build_backend, calibrate_primitive_luts
-from ..core.lut import LookupTable
-from ..core.registry import LutRegistry, default_registry
+from ..api import BackendSpec, InferenceSession, SessionConfig
+from ..core.registry import LutRegistry
 from ..tasks.evaluation import GlueBenchmark
 from ..tasks.glue import list_glue_tasks
-from ..transformer.models import RobertaLikeModel
-from ..transformer.nonlinear_backend import NonlinearBackend
 from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs, format_mapping_table
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Table2bResult",
     "run_table2a",
     "run_table2b",
-    "calibrate_layernorm_lut",
 ]
 
 
@@ -75,9 +74,11 @@ def _task_names(scale: ExperimentScale) -> List[str]:
 
 
 def _build_benchmark(scale: ExperimentScale, matmul_precision: str = "fp32") -> GlueBenchmark:
-    model = RobertaLikeModel.build(seed=scale.model_seed, matmul_precision=matmul_precision)
+    config = SessionConfig(
+        model_family="roberta", seed=scale.model_seed, matmul_precision=matmul_precision
+    )
     return GlueBenchmark.build(
-        model,
+        config.build_model(),
         task_names=_task_names(scale),
         seed=scale.task_seed,
         spec_overrides=scale.spec_overrides(),
@@ -89,83 +90,53 @@ def run_table2a(
     registry: LutRegistry | None = None,
 ) -> Table2aResult:
     """Direct approximation on the FP32 model (Table 2a)."""
-    if registry is None:
-        registry = default_registry()
     benchmark = _build_benchmark(scale, matmul_precision="fp32")
-
-    variants: Dict[str, NonlinearBackend] = {
-        "Baseline": build_backend(BackendSpec.exact(), registry=registry)
+    specs = {
+        "Baseline": BackendSpec.exact(),
+        **backend_variant_specs(num_entries=scale.num_lut_entries),
     }
-    for label, spec in backend_variant_specs(num_entries=scale.num_lut_entries).items():
-        variants[label] = build_backend(spec, registry=registry)
-
-    scores = {name: benchmark.score_all(backend) for name, backend in variants.items()}
+    scores = {
+        label: benchmark.score_all(InferenceSession.from_model(benchmark.model, spec, registry))
+        for label, spec in specs.items()
+    }
     return Table2aResult(scores=scores)
-
-
-def calibrate_layernorm_lut(
-    benchmark: GlueBenchmark,
-    registry: LutRegistry,
-    scale: ExperimentScale,
-    max_sequences: int = 64,
-) -> LookupTable:
-    """Dataset-free calibration of the LayerNorm (1/sqrt) table.
-
-    Mirrors Sec. 3.3.3: run the frozen model over a small set of *unlabelled*
-    training sequences while recording what actually reaches the LayerNorm
-    sites, then re-fit the 1/sqrt approximation on that distribution (the
-    query-point mapping and the network re-fit live in
-    :func:`repro.api.calibrate_primitive_luts`).
-    """
-    backend = build_backend(BackendSpec.exact(), registry=registry)
-    with backend.recording() as recorder:
-        # A small unlabelled subset (about one tenth of the training data, as
-        # in the paper) drawn from the benchmark's existing tasks.
-        count = 0
-        for task in benchmark.tasks.values():
-            tokens = task.train_tokens[: max(4, max_sequences // max(1, len(benchmark.tasks)))]
-            benchmark.model.forward(tokens, backend=backend)
-            count += tokens.shape[0]
-            if count >= max_sequences:
-                break
-    calibrated = calibrate_primitive_luts(
-        recorder,
-        registry,
-        operators=("layernorm",),
-        num_entries=scale.num_lut_entries,
-    )
-    return calibrated["rsqrt"]
 
 
 def run_table2b(
     scale: ExperimentScale = DEFAULT_SCALE,
     registry: LutRegistry | None = None,
 ) -> Table2bResult:
-    """INT8-matmul model comparison against I-BERT, with calibration (Table 2b)."""
-    if registry is None:
-        registry = default_registry()
+    """INT8-matmul model comparison against I-BERT, with calibration (Table 2b).
+
+    The "+C" rows re-fit the LayerNorm (1/sqrt) table on what the frozen
+    model computes over unlabelled training sequences (Sec. 3.3.3).
+    """
     benchmark = _build_benchmark(scale, matmul_precision="int8")
-    entries = scale.num_lut_entries
+    # About one tenth of the training data, unlabelled, as in the paper: 64
+    # sequences drawn evenly from the benchmark's tasks.
+    per_task = max(4, 64 // len(benchmark.tasks))
+    samples = [
+        row for task in benchmark.tasks.values() for row in task.train_tokens[:per_task]
+    ]
 
-    overrides = {"rsqrt": calibrate_layernorm_lut(benchmark, registry, scale)}
+    def session(spec: BackendSpec) -> InferenceSession:
+        served = InferenceSession.from_model(benchmark.model, spec, registry)
+        if spec.calibrated():
+            served.calibrate(samples)
+        return served
 
-    def nn_lut(precision: str, calibrated: bool) -> NonlinearBackend:
-        spec = BackendSpec.nn_lut(precision=precision, num_entries=entries)
-        if calibrated:
-            spec = spec.with_calibration("layernorm")
-        return build_backend(
-            spec, registry=registry, lut_overrides=overrides if calibrated else None
-        )
+    def nn_lut(precision: str) -> BackendSpec:
+        return BackendSpec.nn_lut(precision=precision, num_entries=scale.num_lut_entries)
 
-    variants: Dict[str, NonlinearBackend] = {
-        "Baseline": build_backend(BackendSpec.exact(), registry=registry),
-        "I-BERT": build_backend(BackendSpec.ibert(), registry=registry),
-        "NN-LUT FP32": nn_lut("fp32", calibrated=False),
-        "NN-LUT FP32+C": nn_lut("fp32", calibrated=True),
-        "NN-LUT INT32": nn_lut("int32", calibrated=False),
-        "NN-LUT INT32+C": nn_lut("int32", calibrated=True),
+    specs = {
+        "Baseline": BackendSpec.exact(),
+        "I-BERT": BackendSpec.ibert(),
+        "NN-LUT FP32": nn_lut("fp32"),
+        "NN-LUT FP32+C": nn_lut("fp32").with_calibration("layernorm"),
+        "NN-LUT INT32": nn_lut("int32"),
+        "NN-LUT INT32+C": nn_lut("int32").with_calibration("layernorm"),
     }
-    scores = {name: benchmark.score_all(backend) for name, backend in variants.items()}
+    scores = {label: benchmark.score_all(session(spec)) for label, spec in specs.items()}
     return Table2bResult(scores=scores)
 
 

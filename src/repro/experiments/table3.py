@@ -3,8 +3,11 @@
 MobileBERT's transformer block uses ReLU and NoNorm, so Softmax is its only
 transcendental operator; Table 3 therefore isolates the Softmax approximation
 quality.  The reproduction compares Linear-LUT and NN-LUT, each with FP32 and
-FP16 tables, against the exact baseline on the synthetic span-extraction task
-(the MatMuls run in FP16 for the FP16 rows, as in the paper).
+FP16 tables, against the exact baseline on the synthetic span-extraction task.
+Every row serves one FP32-matmul model through an
+:class:`repro.api.InferenceSession`; only the tables' precision differs
+between the FP32 and FP16 rows (the paper also runs the FP16 rows' MatMuls
+in FP16, which this driver does not).
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.registry import LutRegistry, default_registry
+from ..api import InferenceSession, SessionConfig
+from ..core.registry import LutRegistry
 from ..tasks.evaluation import SquadResult, evaluate_squad
 from ..tasks.squad import SquadTaskSpec, generate_squad_task
-from ..transformer.models import MobileBertLikeModel
 from .common import DEFAULT_SCALE, ExperimentScale, backend_variant_specs, format_table
 
 __all__ = ["Table3Result", "run_table3"]
@@ -41,29 +44,32 @@ def run_table3(
     registry: LutRegistry | None = None,
 ) -> Table3Result:
     """Softmax-only approximation on the MobileBERT-like span model."""
-    if registry is None:
-        registry = default_registry()
-    entries = scale.num_lut_entries
     # A shallow (2-layer) span model keeps the frozen-encoder baseline high
     # (~90 F1), mirroring the paper's fine-tuned MobileBERT baseline.
-    model = MobileBertLikeModel.build(seed=scale.model_seed, num_layers=2)
-    spec = SquadTaskSpec(
+    config = SessionConfig(
+        model_family="mobilebert", seed=scale.model_seed, model_overrides={"num_layers": 2}
+    )
+    model = config.build_model()
+    task_spec = SquadTaskSpec(
         sequence_length=scale.sequence_length,
         num_train=scale.num_train,
         num_test=scale.num_test,
         topic_strength=0.95,
     )
-    data = generate_squad_task(vocab_size=model.config.vocab_size, seed=scale.task_seed, spec=spec)
+    data = generate_squad_task(
+        vocab_size=model.config.vocab_size, seed=scale.task_seed, spec=task_spec
+    )
 
-    backends = backend_variant_specs(
-        num_entries=entries,
+    specs = backend_variant_specs(
+        num_entries=scale.num_lut_entries,
         groups=(("", ("softmax",)),),
         precisions=("fp32", "fp16"),
     )
-    results = evaluate_squad(
-        model, backends, seed=scale.task_seed, data=data, registry=registry
-    )
-    return Table3Result(results=results)
+    sessions = {
+        label: InferenceSession.from_model(model, spec, registry)
+        for label, spec in specs.items()
+    }
+    return Table3Result(results=evaluate_squad(model, sessions, data=data))
 
 
 def main() -> None:  # pragma: no cover - convenience entry point

@@ -7,10 +7,7 @@ from .evaluation import (
 )
 from .finetune import (
     FinetunedClassifier,
-    FinetunedRegressor,
     FinetunedSpanModel,
-    extract_pooled_features,
-    extract_token_features,
     finetune_classification_task,
     finetune_regression_task,
     finetune_span_task,
@@ -47,13 +44,10 @@ __all__ = [
     "span_f1",
     "METRIC_FUNCTIONS",
     "compute_metric",
-    "extract_pooled_features",
-    "extract_token_features",
     "finetune_classification_task",
     "finetune_regression_task",
     "finetune_span_task",
     "FinetunedClassifier",
-    "FinetunedRegressor",
     "FinetunedSpanModel",
     "GlueBenchmark",
     "evaluate_squad",

@@ -4,10 +4,10 @@ These helpers implement the measurement loop behind Tables 2 and 3: fit the
 task heads once on exact-backend features, then score the *same* model + head
 under each approximate backend.
 
-Every entry point accepts either a built
-:class:`~repro.transformer.nonlinear_backend.NonlinearBackend` or a
-declarative :class:`repro.api.BackendSpec` (realised on the fly via
-:func:`repro.api.as_backend`); ``None`` means the exact reference backend.
+A backend is scored through an :class:`~repro.api.InferenceSession` over the
+benchmark's model — ``InferenceSession.from_model(model, spec, registry)``,
+calibrated first where a row calls for it.  A session over any other model
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence
 
-from ..api.spec import BackendSpec, as_backend
-from ..core.registry import LutRegistry
+from ..api.session import InferenceSession
 from ..transformer.models import EncoderModel
-from ..transformer.nonlinear_backend import NonlinearBackend
 from .finetune import (
+    FinetunedClassifier,
     finetune_classification_task,
     finetune_regression_task,
     finetune_span_task,
@@ -40,7 +39,7 @@ class GlueBenchmark:
 
     model: EncoderModel
     tasks: Dict[str, TaskData] = field(default_factory=dict)
-    fitted: Dict[str, object] = field(default_factory=dict)
+    fitted: Dict[str, FinetunedClassifier] = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -67,28 +66,17 @@ class GlueBenchmark:
                 benchmark.fitted[name] = finetune_regression_task(model, task)
         return benchmark
 
-    def score(
-        self,
-        task_name: str,
-        backend: NonlinearBackend | BackendSpec | None = None,
-        registry: LutRegistry | None = None,
-    ) -> float:
-        """Score one task under ``backend`` using the task's own metric."""
+    def score(self, task_name: str, session: InferenceSession) -> float:
+        """Score one task as ``session`` serves it, by the task's own metric."""
         if task_name not in self.fitted:
             raise KeyError(f"task {task_name!r} has not been fitted")
         task = self.tasks[task_name]
-        fitted = self.fitted[task_name]
-        predictions = fitted.predict(as_backend(backend, registry=registry))
+        predictions = self.fitted[task_name].predict(session)
         return compute_metric(task.spec.metric, predictions, task.test_labels)
 
-    def score_all(
-        self,
-        backend: NonlinearBackend | BackendSpec | None = None,
-        registry: LutRegistry | None = None,
-    ) -> Dict[str, float]:
-        """Scores for every fitted task under ``backend``."""
-        built = as_backend(backend, registry=registry)
-        return {name: self.score(name, built) for name in self.tasks}
+    def score_all(self, session: InferenceSession) -> Dict[str, float]:
+        """Scores for every fitted task as ``session`` serves them."""
+        return {name: self.score(name, session) for name in self.tasks}
 
 
 @dataclass
@@ -101,29 +89,27 @@ class SquadResult:
 
 def evaluate_squad(
     model: EncoderModel,
-    backends: Mapping[str, NonlinearBackend | BackendSpec],
+    sessions: Mapping[str, InferenceSession],
     seed: int = 0,
     data: SquadData | None = None,
-    registry: LutRegistry | None = None,
 ) -> Dict[str, SquadResult]:
     """Table-3 style sweep on the synthetic SQuAD task.
 
     Returns scores for the exact baseline (key ``"Baseline"``) and every
-    provided backend.
+    provided session over ``model``.
     """
     data = data or generate_squad_task(vocab_size=model.config.vocab_size, seed=seed)
     fitted = finetune_span_task(model, data)
-    results: Dict[str, SquadResult] = {}
     reference = data.test_spans
 
-    def score(backend: NonlinearBackend | BackendSpec | None) -> SquadResult:
-        prediction = fitted.predict(as_backend(backend, registry=registry))
+    def score(session: InferenceSession) -> SquadResult:
+        prediction = fitted.predict(session)
         return SquadResult(
             f1=span_f1(prediction, reference),
             exact_match=span_exact_match(prediction, reference),
         )
 
-    results["Baseline"] = score(None)
-    for name, backend in backends.items():
-        results[name] = score(backend)
+    results = {"Baseline": score(InferenceSession.from_model(model))}
+    for name, session in sessions.items():
+        results[name] = score(session)
     return results

@@ -16,7 +16,7 @@ from .layers import (
     Linear,
     NormParameters,
 )
-from .models import EncoderModel, MobileBertLikeModel, RobertaLikeModel
+from .models import EncoderModel
 from .nonlinear_backend import (
     ALL_OPS,
     NonlinearBackend,
@@ -37,8 +37,6 @@ __all__ = [
     "TransformerEncoderLayer",
     "TransformerEncoder",
     "EncoderModel",
-    "RobertaLikeModel",
-    "MobileBertLikeModel",
     "ClassificationHead",
     "RegressionHead",
     "SpanHead",

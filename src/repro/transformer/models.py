@@ -1,4 +1,8 @@
-"""Encoder models: RoBERTa-like and MobileBERT-like feature extractors.
+"""The encoder model: embeddings, encoder stack and pooler.
+
+The RoBERTa-like and MobileBERT-like models of the experiments are this one
+class over the ``roberta`` / ``mobilebert`` config factories
+(``repro.api.SessionConfig(model_family=...).build_model()``).
 
 The software experiments evaluate how much *accuracy of a fixed, trained
 model* changes when its non-linear operators are swapped for approximations.
@@ -36,17 +40,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import (
-    TransformerConfig,
-    mobilebert_like_small_config,
-    roberta_like_small_config,
-)
+from .config import TransformerConfig
 from ..core.kernels import ComputeKernel, resolve_kernel
 from .encoder import TransformerEncoder, TransformerEncoderLayer, normalise
 from .layers import Embedding, Linear, NormParameters
 from .nonlinear_backend import NonlinearBackend, _exact_backend
 
-__all__ = ["EncoderModel", "RobertaLikeModel", "MobileBertLikeModel"]
+__all__ = ["EncoderModel"]
 
 
 def _usable_cores() -> int:
@@ -334,42 +334,3 @@ class EncoderModel:
         for layer in self.encoder.layers:
             yield from layer.linears()
         yield self.pooler
-
-
-@dataclass
-class RobertaLikeModel(EncoderModel):
-    """GELU + LayerNorm encoder (all three non-linear operator types present)."""
-
-    @classmethod
-    def build(cls, seed: int = 0, **config_overrides: object) -> "RobertaLikeModel":
-        config = roberta_like_small_config(**config_overrides)
-        base = EncoderModel.initialize(config, seed=seed)
-        return cls(
-            config=base.config,
-            embedding=base.embedding,
-            encoder=base.encoder,
-            embedding_norm=base.embedding_norm,
-            pooler=base.pooler,
-        )
-
-
-@dataclass
-class MobileBertLikeModel(EncoderModel):
-    """ReLU + NoNorm encoder: Softmax is its only transcendental operator.
-
-    This mirrors the property the paper exploits in Table 3 (MobileBERT /
-    SQuAD): approximating Softmax is the only change an approximate backend
-    can make to this model's computation.
-    """
-
-    @classmethod
-    def build(cls, seed: int = 0, **config_overrides: object) -> "MobileBertLikeModel":
-        config = mobilebert_like_small_config(**config_overrides)
-        base = EncoderModel.initialize(config, seed=seed)
-        return cls(
-            config=base.config,
-            embedding=base.embedding,
-            encoder=base.encoder,
-            embedding_norm=base.embedding_norm,
-            pooler=base.pooler,
-        )

@@ -222,6 +222,37 @@ class TestServing:
         )
 
 
+class TestAdoptedModel:
+    """Sessions over a caller-built model, as the experiments and task heads
+    use them: one model, one session per backend spec."""
+
+    def test_no_spec_serves_the_exact_reference(self, tiny64_model, fast_registry):
+        session = InferenceSession.from_model(tiny64_model, registry=fast_registry)
+        assert session.spec == BackendSpec.exact()
+        assert session.backend.name == "exact"
+        request = np.arange(1, 11)
+        assert np.array_equal(
+            session.forward([request])[0], tiny64_model.forward(request[None, :])[0]
+        )
+
+    def test_spec_is_built_into_the_backend(self, tiny64_model, fast_registry):
+        spec = BackendSpec.ibert()
+        session = InferenceSession.from_model(tiny64_model, spec, fast_registry)
+        assert session.spec is spec
+        assert session.backend.name == "i-bert"
+
+    def test_sessions_share_the_adopted_model(self, tiny64_model, fast_registry):
+        exact = InferenceSession.from_model(tiny64_model, registry=fast_registry)
+        approx = InferenceSession.from_model(
+            tiny64_model, BackendSpec.nn_lut(), fast_registry
+        )
+        assert exact.model is tiny64_model and approx.model is tiny64_model
+
+    def test_rejects_a_non_spec(self, tiny64_model, fast_registry):
+        with pytest.raises(TypeError, match="BackendSpec"):
+            InferenceSession.from_model(tiny64_model, "nn_lut", fast_registry)
+
+
 class TestSessionConfig:
     def test_round_trip(self):
         config = SessionConfig(

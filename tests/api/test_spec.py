@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import BackendSpec, OperatorSpec, as_backend, build_backend
+from repro.api import BackendSpec, OperatorSpec, build_backend
 
 
 class TestOperatorSpecValidation:
@@ -208,19 +208,4 @@ class TestBuildBackend:
         with pytest.raises(TypeError, match="BackendSpec"):
             build_backend({"method": "exact"})
 
-
-class TestAsBackend:
-    def test_none_is_exact(self):
-        assert as_backend(None).name == "exact"
-
-    def test_spec_is_built(self, fast_registry):
-        assert as_backend(BackendSpec.ibert(), registry=fast_registry).name == "i-bert"
-
-    def test_backend_passes_through(self):
-        backend = as_backend(None)
-        assert as_backend(backend) is backend
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_backend("nn_lut")
 

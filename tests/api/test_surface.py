@@ -35,14 +35,14 @@ OperatorSpec PRECISIONS QueueFullError ReplicaPool ReplicaStats RequestBatcher
 RetryPolicy SPEC_SCHEMA_VERSION ServerClosedError ServingFuture ServingQueue
 ServingStats SessionConfig SessionPool ShardedPool SharedWeightStore
 TransportError TransportIntegrityError WorkerDiedError WorkerTransport
-as_backend attach_weight_state build_backend calibrate_primitive_luts
+attach_weight_state build_backend calibrate_primitive_luts
 export_weight_state inject
 """
 
 TRANSFORMER = """
-ALL_OPS ClassificationHead Embedding EncoderModel Linear MobileBertLikeModel
+ALL_OPS ClassificationHead Embedding EncoderModel Linear
 MultiHeadSelfAttention NonlinearBackend NormParameters OperatorRecorder
-RegressionHead RobertaLikeModel SpanHead TransformerConfig
+RegressionHead SpanHead TransformerConfig
 TransformerEncoder TransformerEncoderLayer
 mobilebert_config mobilebert_like_small_config
 roberta_base_config roberta_like_small_config tiny_test_config
@@ -77,10 +77,9 @@ int_exp int_poly integer_sqrt linear_breakpoints linear_lut_for
 """
 
 TASKS = """
-FinetunedClassifier FinetunedRegressor FinetunedSpanModel GLUE_TASKS
+FinetunedClassifier FinetunedSpanModel GLUE_TASKS
 GlueBenchmark GlueTaskSpec METRIC_FUNCTIONS SquadData SquadResult
-SquadTaskSpec TaskData accuracy compute_metric evaluate_squad
-extract_pooled_features extract_token_features f1_binary
+SquadTaskSpec TaskData accuracy compute_metric evaluate_squad f1_binary
 finetune_classification_task finetune_regression_task finetune_span_task
 generate_squad_task generate_task list_glue_tasks matthews_correlation
 pearson_correlation span_exact_match span_f1 spearman_correlation

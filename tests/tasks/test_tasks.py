@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BackendSpec, build_backend
+from repro.api import BackendSpec, InferenceSession, SessionConfig
 from repro.tasks import (
     GLUE_TASKS,
     GlueBenchmark,
@@ -23,7 +23,6 @@ from repro.tasks import (
     spearman_correlation,
 )
 from repro.tasks.squad import SquadTaskSpec
-from repro.transformer import RobertaLikeModel
 
 SMALL_OVERRIDES = {"num_train": 48, "num_test": 32, "sequence_length": 24}
 
@@ -130,49 +129,66 @@ class TestSquadGeneration:
             SquadTaskSpec(sequence_length=10, question_length=8, max_span_length=8)
 
 
+TINY_OVERRIDES = dict(
+    num_layers=2, hidden_size=32, num_heads=2, intermediate_size=64,
+    vocab_size=500, max_sequence_length=64,
+)
+
+
+def _tiny_model(seed):
+    config = SessionConfig(model_family="roberta", seed=seed, model_overrides=TINY_OVERRIDES)
+    return config.build_model()
+
+
 @pytest.fixture(scope="module")
 def tiny_model():
-    return RobertaLikeModel.build(
-        seed=1, num_layers=2, hidden_size=32, num_heads=2, intermediate_size=64,
-        vocab_size=500, max_sequence_length=64,
+    return _tiny_model(seed=1)
+
+
+@pytest.fixture(scope="module")
+def sst2_benchmark(tiny_model):
+    return GlueBenchmark.build(
+        tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
     )
 
 
 class TestEvaluationLoop:
-    def test_benchmark_baseline_beats_chance(self, tiny_model):
-        benchmark = GlueBenchmark.build(
-            tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
-        )
-        score = benchmark.score("SST-2", build_backend(BackendSpec.exact()))
+    def test_benchmark_baseline_beats_chance(self, tiny_model, sst2_benchmark):
+        score = sst2_benchmark.score("SST-2", InferenceSession.from_model(tiny_model))
         assert score > 70.0
 
-    def test_nn_lut_backend_close_to_baseline(self, tiny_model, fast_registry):
-        benchmark = GlueBenchmark.build(
-            tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
+    def test_nn_lut_backend_close_to_baseline(self, tiny_model, sst2_benchmark, fast_registry):
+        baseline = sst2_benchmark.score("SST-2", InferenceSession.from_model(tiny_model))
+        approx = sst2_benchmark.score(
+            "SST-2",
+            InferenceSession.from_model(tiny_model, BackendSpec.nn_lut(), fast_registry),
         )
-        baseline = benchmark.score("SST-2", build_backend(BackendSpec.exact()))
-        approx = benchmark.score("SST-2", build_backend(BackendSpec.nn_lut(), registry=fast_registry))
         assert abs(baseline - approx) < 15.0
 
-    def test_score_unknown_task_raises(self, tiny_model):
-        benchmark = GlueBenchmark.build(
-            tiny_model, task_names=["SST-2"], seed=0, spec_overrides=SMALL_OVERRIDES
-        )
+    def test_score_unknown_task_raises(self, tiny_model, sst2_benchmark):
         with pytest.raises(KeyError):
-            benchmark.score("MNLI")
+            sst2_benchmark.score("MNLI", InferenceSession.from_model(tiny_model))
+
+    def test_session_over_another_model_raises(self, tiny_model, sst2_benchmark):
+        # Same recipe and seed, so the same weights, but another model object:
+        # a head is scored only on features of the model it was fitted on.
+        twin = InferenceSession.from_model(_tiny_model(seed=1))
+        with pytest.raises(ValueError, match="another model"):
+            sst2_benchmark.score("SST-2", twin)
+        with pytest.raises(ValueError, match="another model"):
+            sst2_benchmark.score_all(twin)
+        spec = SquadTaskSpec(sequence_length=24, num_train=32, num_test=16)
+        data = generate_squad_task(vocab_size=tiny_model.config.vocab_size, seed=0, spec=spec)
+        with pytest.raises(ValueError, match="another model"):
+            evaluate_squad(tiny_model, {"twin": twin}, data=data)
 
     def test_evaluate_squad_returns_baseline_and_backends(self, tiny_model, fast_registry):
         spec = SquadTaskSpec(sequence_length=24, num_train=32, num_test=16)
         data = generate_squad_task(vocab_size=tiny_model.config.vocab_size, seed=0, spec=spec)
-        results = evaluate_squad(
-            tiny_model,
-            {
-                "NN-LUT": build_backend(
-                    BackendSpec.nn_lut(replace=["softmax"]), registry=fast_registry
-                )
-            },
-            data=data,
+        session = InferenceSession.from_model(
+            tiny_model, BackendSpec.nn_lut(replace=["softmax"]), fast_registry
         )
+        results = evaluate_squad(tiny_model, {"NN-LUT": session}, data=data)
         assert set(results) == {"Baseline", "NN-LUT"}
         for result in results.values():
             assert 0.0 <= result.f1 <= 100.0

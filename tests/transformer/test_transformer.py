@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.api import BackendSpec, build_backend
+from repro.api import BackendSpec, SessionConfig, build_backend
 from repro.core import functions
 from repro.core.kernels import NUMPY_KERNEL
 from repro.transformer import (
     Embedding,
     Linear,
-    MobileBertLikeModel,
     MultiHeadSelfAttention,
     NonlinearBackend,
     NormParameters,
-    RobertaLikeModel,
     TransformerConfig,
     TransformerEncoder,
     tiny_test_config,
@@ -27,6 +25,12 @@ def _exact():
 
 def _nn_lut(registry=None, **spec_kwargs):
     return build_backend(BackendSpec.nn_lut(**spec_kwargs), registry=registry)
+
+
+def _model(family, seed, **overrides):
+    """An experiment model: the family's config factory, drawn from ``seed``."""
+    config = SessionConfig(model_family=family, seed=seed, model_overrides=overrides)
+    return config.build_model()
 
 
 class TestConfig:
@@ -159,8 +163,8 @@ class TestAttentionAndEncoder:
 
 class TestModels:
     def test_roberta_like_forward_and_pooled(self):
-        model = RobertaLikeModel.build(seed=0, num_layers=2, hidden_size=32, num_heads=2,
-                                       intermediate_size=64, vocab_size=200)
+        model = _model("roberta", seed=0, num_layers=2, hidden_size=32, num_heads=2,
+                       intermediate_size=64, vocab_size=200)
         tokens = np.random.default_rng(0).integers(0, 200, size=(4, 16))
         hidden = model.forward(tokens)
         pooled = model.pooled(tokens)
@@ -169,18 +173,18 @@ class TestModels:
         assert model.num_parameters() > 0
 
     def test_deterministic_given_seed(self):
-        a = RobertaLikeModel.build(seed=7, num_layers=1, hidden_size=32, num_heads=2,
-                                   intermediate_size=64, vocab_size=100)
-        b = RobertaLikeModel.build(seed=7, num_layers=1, hidden_size=32, num_heads=2,
-                                   intermediate_size=64, vocab_size=100)
+        a = _model("roberta", seed=7, num_layers=1, hidden_size=32, num_heads=2,
+                   intermediate_size=64, vocab_size=100)
+        b = _model("roberta", seed=7, num_layers=1, hidden_size=32, num_heads=2,
+                   intermediate_size=64, vocab_size=100)
         tokens = np.random.default_rng(1).integers(0, 100, size=(2, 8))
         np.testing.assert_allclose(a.pooled(tokens), b.pooled(tokens))
 
     def test_mobilebert_like_ignores_gelu_and_layernorm_backends(self):
         """Softmax is MobileBERT's only transcendental op: replacing GELU and
         LayerNorm must not change its output at all."""
-        model = MobileBertLikeModel.build(seed=0, num_layers=2, hidden_size=32, num_heads=2,
-                                          intermediate_size=32, vocab_size=300)
+        model = _model("mobilebert", seed=0, num_layers=2, hidden_size=32, num_heads=2,
+                       intermediate_size=32, vocab_size=300)
         tokens = np.random.default_rng(2).integers(0, 300, size=(2, 12))
         exact = model.forward(tokens, backend=_exact())
         approx = model.forward(
@@ -224,8 +228,8 @@ class TestBackends:
         assert len(backend.recorder.gelu_inputs) == 0
 
     def test_ibert_backend_close_to_exact(self, rng):
-        model = RobertaLikeModel.build(seed=0, num_layers=2, hidden_size=32, num_heads=2,
-                                       intermediate_size=64, vocab_size=100)
+        model = _model("roberta", seed=0, num_layers=2, hidden_size=32, num_heads=2,
+                       intermediate_size=64, vocab_size=100)
         tokens = rng.integers(0, 100, size=(2, 10))
         exact = model.pooled(tokens, backend=_exact())
         approx = model.pooled(tokens, backend=build_backend(BackendSpec.ibert()))
